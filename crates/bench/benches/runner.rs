@@ -12,11 +12,10 @@
 //!   process cost) vs resolving n read-side lookups against a
 //!   `CacheIndex` snapshot (the per-sweep warm path, no lock per get).
 //! * `cache_append_{n}` — one `append_batch` group commit of n records
-//!   vs n per-record `record` calls on the same data: the batched
-//!   writer's one open + one write against n opens + n writes.
+//!   into an empty store: encode + seal + one open + one write.
 
 use hydra_bench::microbench::Criterion;
-use hydra_bench::{criterion_group, criterion_main, sched, ConcurrentCache, ResultCache};
+use hydra_bench::{criterion_group, criterion_main, sched, ConcurrentCache};
 use std::hint::black_box;
 
 use hydra_netsim::{Policy, RunOutcome, ScenarioSpec, TopologyKind};
@@ -62,7 +61,7 @@ fn bench_cache_index(c: &mut Criterion, n: u64) {
 
     // One file of n sealed records, written once up front.
     {
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = ConcurrentCache::open(&dir).unwrap();
         let records: Vec<(u64, u64, &ScenarioSpec, &RunOutcome)> =
             (0..n).map(|h| (h, 1u64, &spec, &outcome)).collect();
         cache.append_batch(&records).unwrap();
@@ -106,20 +105,10 @@ fn bench_cache_append(c: &mut Criterion, n: u64) {
     g.bench_function("batched", |b| {
         b.iter(|| {
             let _ = std::fs::remove_file(dir.join("runs.jsonl"));
-            let cache = ResultCache::open(&dir).unwrap().shared();
+            let cache = ConcurrentCache::open(&dir).unwrap();
             let records: Vec<(u64, u64, &ScenarioSpec, &RunOutcome)> =
                 (0..n).map(|h| (h, 1u64, &spec, &outcome)).collect();
             cache.append_batch(&records).unwrap();
-            black_box(cache.len())
-        })
-    });
-    g.bench_function("per_record", |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_file(dir.join("runs.jsonl"));
-            let mut cache = ResultCache::open(&dir).unwrap();
-            for h in 0..n {
-                cache.record(h, 1, &spec, &outcome).unwrap();
-            }
             black_box(cache.len())
         })
     });

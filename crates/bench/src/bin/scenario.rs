@@ -33,7 +33,7 @@
 //! them as a batch — with result caching — via `--bin sweep`.
 //! `--help` prints the full flag reference.
 
-use hydra_bench::{ExperimentRunner, Table};
+use hydra_bench::{failure_lines, ExperimentRunner, Table};
 use hydra_core::AckPolicy;
 use hydra_netsim::{
     Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, MediumKind, Policy, ScenarioSpec, TopologyKind, Traffic,
@@ -504,7 +504,11 @@ fn main() {
     }
     println!("\nmean {metric}: {:.3} Mbps over {} seeds", cell.mean_throughput_bps() / 1e6, a.seeds);
     if cell.failed() {
-        eprintln!("{} replication(s) FAILED", cell.runs.iter().filter(|r| r.is_err()).count());
+        let lines = failure_lines("scenario", [&cell]);
+        for line in &lines {
+            eprintln!("{line}");
+        }
+        eprintln!("{} replication(s) FAILED", lines.len());
         std::process::exit(1);
     }
 }

@@ -18,7 +18,7 @@ use hydra_sim::Duration;
 
 use crate::paper;
 use crate::report::{bytes, mbps, pct, Table};
-use crate::runner::{CellResult, ExperimentRunner};
+use crate::runner::{failure_lines, CellResult, ExperimentRunner};
 
 /// Harness options.
 #[derive(Debug, Clone)]
@@ -30,15 +30,17 @@ pub struct Opts {
     /// Persistent result cache shared by every experiment; `None` =
     /// always simulate (hermetic, e.g. under test).
     pub cache: Option<crate::sweeps::SharedCache>,
-    /// Failed-replication tally shared by every runner these options
-    /// build; the driving binary reads it to pick its exit code after
-    /// the whole grid — failures degrade cells, they never abort runs.
-    pub failures: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    /// What the `FAILED(reason)` table cells abbreviate: one line per
+    /// failed replication (see [`failure_lines`]), in run order, shared
+    /// by every experiment these options drive. The driving binary
+    /// prints them after the whole grid and picks its exit code from
+    /// them — failures degrade cells, they never abort runs.
+    failure_log: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
 }
 
 impl Default for Opts {
     fn default() -> Self {
-        Opts { seeds: 3, threads: 0, cache: None, failures: Default::default() }
+        Opts { seeds: 3, threads: 0, cache: None, failure_log: Default::default() }
     }
 }
 
@@ -50,25 +52,45 @@ impl Opts {
     /// [`Opts::default`], which never touches the disk.
     pub fn cli() -> Self {
         let mut opts = Opts::default();
-        match crate::sweeps::ResultCache::open_default() {
-            Ok(cache) => opts.cache = Some(cache.shared()),
+        match crate::sweeps::ConcurrentCache::open_default() {
+            Ok(cache) => opts.cache = Some(std::sync::Arc::new(cache)),
             Err(e) => eprintln!("warning: result cache unavailable ({e}); simulating everything"),
         }
         opts
     }
 
     fn runner(&self) -> ExperimentRunner {
-        let runner = ExperimentRunner::new(self.threads).with_failure_counter(self.failures.clone());
+        let runner = ExperimentRunner::new(self.threads);
         match &self.cache {
             Some(cache) => runner.with_cache(cache.clone()),
             None => runner,
         }
     }
 
-    /// Failed replications across every runner built from these
-    /// options so far.
-    pub fn failure_count(&self) -> u64 {
-        self.failures.load(std::sync::atomic::Ordering::Relaxed)
+    /// Runs experiment `name`'s grid, logging every failed replication
+    /// under the cell's index in `examples/sweeps/<name>.scn`.
+    fn run_grid(&self, name: &str, grid: Vec<Vec<ScenarioSpec>>, seeds: u64) -> Vec<Vec<CellResult>> {
+        let results = self.runner().run_grid(grid, seeds);
+        self.log_failures(name, results.iter().flatten());
+        results
+    }
+
+    /// [`Opts::run_grid`] for a flat spec list.
+    fn run_sweep(&self, name: &str, specs: &[ScenarioSpec], seeds: u64) -> Vec<CellResult> {
+        let results = self.runner().run_sweep(specs, seeds);
+        self.log_failures(name, &results);
+        results
+    }
+
+    fn log_failures<'a>(&self, name: &str, cells: impl IntoIterator<Item = &'a CellResult>) {
+        let lines = failure_lines(name, cells);
+        self.failure_log.lock().unwrap_or_else(std::sync::PoisonError::into_inner).extend(lines);
+    }
+
+    /// One `experiment:cell rep N: error` line per replication that
+    /// failed in any experiment run from these options so far.
+    pub fn failure_lines(&self) -> Vec<String> {
+        self.failure_log.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
     }
 }
 
@@ -216,7 +238,7 @@ pub fn fig07_agg_size_specs() -> Vec<Vec<ScenarioSpec>> {
 /// (5 / 11 / 15 KB at 0.65 / 1.3 / 1.95 Mbps).
 pub fn fig07_agg_size(opts: &Opts) -> Table {
     let sizes_kb = FIG07_SIZES_KB;
-    let results = opts.runner().run_grid(fig07_agg_size_specs(), 1);
+    let results = opts.run_grid("fig07_agg_size", fig07_agg_size_specs(), 1);
 
     let mut t =
         Table::new(caption("fig07_agg_size"), &["max agg (KB)", "0.65 Mbps", "1.30 Mbps", "1.95 Mbps"]);
@@ -252,7 +274,7 @@ pub fn table2_udp_specs() -> Vec<Vec<ScenarioSpec>> {
 /// sustained (~1.1× NA capacity), as documented in DESIGN.md §5.
 pub fn table2_udp(opts: &Opts) -> Table {
     let intervals = TABLE2_INTERVALS;
-    let results = opts.runner().run_grid(table2_udp_specs(), 1);
+    let results = opts.run_grid("table2_udp", table2_udp_specs(), 1);
 
     let mut t = Table::new(
         caption("table2_udp"),
@@ -300,7 +322,7 @@ pub fn fig08_unicast_tcp_specs() -> Vec<Vec<ScenarioSpec>> {
 
 /// Figure 8: one-way TCP transfer, NA vs UA, 2- and 3-hop chains.
 pub fn fig08_unicast_tcp(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig08_unicast_tcp_specs(), opts.seeds);
+    let results = opts.run_grid("fig08_unicast_tcp", fig08_unicast_tcp_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("fig08_unicast_tcp"), &["rate", "2-hop NA", "2-hop UA", "3-hop NA", "3-hop UA"]);
@@ -340,7 +362,7 @@ pub fn fig09_flooding_specs() -> Vec<Vec<ScenarioSpec>> {
 /// Figure 9: 2-hop UDP goodput vs flooding interval, aggregation on/off.
 pub fn fig09_flooding(opts: &Opts) -> Table {
     let floods = FIG09_FLOOD_MS;
-    let results = opts.runner().run_grid(fig09_flooding_specs(), 1);
+    let results = opts.run_grid("fig09_flooding", fig09_flooding_specs(), 1);
 
     let mut t = Table::new(
         caption("fig09_flooding"),
@@ -380,7 +402,7 @@ pub fn fig10_fixed_bcast_specs() -> Vec<Vec<ScenarioSpec>> {
 /// Figure 10: 2-hop TCP; the broadcast (ACK) portion rides at a fixed
 /// rate while the unicast rate sweeps.
 pub fn fig10_fixed_bcast(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig10_fixed_bcast_specs(), opts.seeds);
+    let results = opts.run_grid("fig10_fixed_bcast", fig10_fixed_bcast_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("fig10_fixed_bcast"), &["unicast rate", "BA(0.65)", "BA(1.3)", "BA(2.6)", "UA"]);
@@ -408,7 +430,7 @@ pub fn fig11_2hop_specs() -> Vec<Vec<ScenarioSpec>> {
 
 /// Figure 11: 2-hop TCP, broadcast rate = unicast rate; NA / UA / BA.
 pub fn fig11_2hop(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig11_2hop_specs(), opts.seeds);
+    let results = opts.run_grid("fig11_2hop", fig11_2hop_specs(), opts.seeds);
 
     let mut t = Table::new(caption("fig11_2hop"), &["rate", "NA", "UA", "BA", "BA/UA gap"]);
     let mut max_gap: f64 = 0.0;
@@ -449,7 +471,7 @@ pub fn fig12_topologies_specs() -> Vec<Vec<ScenarioSpec>> {
 
 /// Figure 12: 3-hop linear and the 2-session star (worst-case session).
 pub fn fig12_topologies(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig12_topologies_specs(), opts.seeds);
+    let results = opts.run_grid("fig12_topologies", fig12_topologies_specs(), opts.seeds);
 
     let mut t = Table::new(
         caption("fig12_topologies"),
@@ -492,7 +514,7 @@ pub fn fig13_delayed_specs() -> Vec<Vec<ScenarioSpec>> {
 
 /// Figure 13: BA vs DBA (relays hold for 3 frames), 2- and 3-hop.
 pub fn fig13_delayed(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig13_delayed_specs(), opts.seeds);
+    let results = opts.run_grid("fig13_delayed", fig13_delayed_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("fig13_delayed"), &["rate", "2-hop BA", "2-hop DBA", "3-hop BA", "3-hop DBA"]);
@@ -527,7 +549,7 @@ pub fn fig14_no_forward_specs() -> Vec<Vec<ScenarioSpec>> {
 /// Figure 14: 3-hop TCP with forward aggregation disabled, isolating the
 /// benefit of combining opposite-direction traffic.
 pub fn fig14_no_forward(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(fig14_no_forward_specs(), opts.seeds);
+    let results = opts.run_grid("fig14_no_forward", fig14_no_forward_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("fig14_no_forward"), &["rate", "NA", "BA no-forward", "BA", "fwd contribution"]);
@@ -565,7 +587,7 @@ pub fn table3_relay_specs() -> Vec<ScenarioSpec> {
 /// NA, size overhead.
 pub fn table3_relay(opts: &Opts) -> Table {
     let policies = [(Policy::Na, "NA"), (Policy::Ua, "UA"), (Policy::Ba, "BA"), (Policy::Dba, "DBA")];
-    let results = opts.runner().run_sweep(&table3_relay_specs(), 1);
+    let results = opts.run_sweep("table3_relay", &table3_relay_specs(), 1);
     let na_base = results[0].first().map(|r| r.report.relay().tx_data_frames as f64);
 
     let mut t = Table::new(
@@ -623,7 +645,7 @@ pub fn table4_time_overhead_specs() -> Vec<Vec<ScenarioSpec>> {
 
 /// Table 4: 2-hop relay time overhead by rate and policy.
 pub fn table4_time_overhead(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(table4_time_overhead_specs(), 1);
+    let results = opts.run_grid("table4_time_overhead", table4_time_overhead_specs(), 1);
 
     let mut t = Table::new(caption("table4_time_overhead"), &["rate", "NA", "UA", "BA", "DBA"]);
     for ((p_rate, p_na, p_ua, p_ba, p_dba), row) in paper::TABLE4.iter().zip(&results) {
@@ -659,7 +681,7 @@ pub fn table5_6_7_star_specs() -> Vec<ScenarioSpec> {
 /// 2-hop vs star.
 pub fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
     let policies = [(Policy::Ua, "UA"), (Policy::Ba, "BA")];
-    let results = opts.runner().run_sweep(&table5_6_7_star_specs(), 1);
+    let results = opts.run_sweep("table5_6_7_star", &table5_6_7_star_specs(), 1);
 
     let mut size_t = Table::new("Table 5 — relay frame size (paper / here, B)", &["policy", "2-hop", "star"]);
     let mut ovh_t =
@@ -725,7 +747,7 @@ pub fn table8_frame_sizes_specs() -> Vec<Vec<ScenarioSpec>> {
 /// and 3-hop chains under UA and BA.
 pub fn table8_frame_sizes(opts: &Opts) -> Table {
     let policies = [(Policy::Ua, "UA"), (Policy::Ba, "BA")];
-    let results = opts.runner().run_grid(table8_frame_sizes_specs(), 1);
+    let results = opts.run_grid("table8_frame_sizes", table8_frame_sizes_specs(), 1);
 
     let mut t = Table::new(
         caption("table8_frame_sizes"),
@@ -783,7 +805,7 @@ pub fn ext_topologies_specs() -> Vec<Vec<ScenarioSpec>> {
 /// and a cross (two sessions sharing one relay) under UA vs BA.
 pub fn ext_topologies(opts: &Opts) -> Table {
     let rates = [Rate::R1_30, Rate::R2_60];
-    let results = opts.runner().run_grid(ext_topologies_specs(), opts.seeds);
+    let results = opts.run_grid("ext_topologies", ext_topologies_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("ext_topologies"), &["rate", "grid UA", "grid BA", "cross UA", "cross BA"]);
@@ -865,12 +887,10 @@ pub fn ext_spatial_rts_specs() -> Vec<Vec<ScenarioSpec>> {
 ///   still delivering to the node between them, and RTS/CTS flips from
 ///   cost to large win.
 pub fn ext_spatial(opts: &Opts) -> Vec<Table> {
-    let runner = opts.runner();
-
     // Table A — chain length × medium × policy (UDP saturation, 1.3 Mbps,
     // 5 m spacing: adjacent links are clean, interference spans ~2 hops).
     let lengths = EXT_SPATIAL_LENGTHS;
-    let results = runner.run_grid(ext_spatial_reuse_specs(), 1);
+    let results = opts.run_grid("ext_spatial_reuse", ext_spatial_reuse_specs(), 1);
 
     let mut reuse = Table::new(
         caption("ext_spatial_reuse"),
@@ -896,7 +916,7 @@ pub fn ext_spatial(opts: &Opts) -> Vec<Table> {
     // links still decode). 7 m: adjacent nodes deliver but two-hop
     // neighbours cannot sense each other — classic hidden terminals.
     let spacings = EXT_SPATIAL_SPACINGS;
-    let results = runner.run_grid(ext_spatial_rts_specs(), 1);
+    let results = opts.run_grid("ext_spatial_rts", ext_spatial_rts_specs(), 1);
 
     let mut rts = Table::new(
         caption("ext_spatial_rts"),
@@ -983,7 +1003,7 @@ fn mean_flow_bps(cell: &CellResult, idx: usize) -> f64 {
 /// gain should *grow* with background load, and BA should also deliver
 /// more of the background itself.
 pub fn ext_mixed(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ext_mixed_specs(), opts.seeds);
+    let results = opts.run_grid("ext_mixed", ext_mixed_specs(), opts.seeds);
 
     let mut t = Table::new(
         caption("ext_mixed"),
@@ -1116,7 +1136,7 @@ fn flow_class_stats(cell: &CellResult, file: bool) -> (f64, usize, usize) {
 /// collisions dominate, and the pure-UDP background is policy-blind —
 /// there are no TCP ACKs on those flows to aggregate or broadcast.
 pub fn ext_scale(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ext_scale_specs(), opts.seeds);
+    let results = opts.run_grid("ext_scale", ext_scale_specs(), opts.seeds);
 
     let mut t = Table::new(
         caption("ext_scale"),
@@ -1223,7 +1243,7 @@ pub fn ext_burst_specs() -> Vec<Vec<ScenarioSpec>> {
 /// i.e. blackout bursts) instead exposes BA's one-shot broadcast
 /// ACKs, which are never retransmitted.
 pub fn ext_burst(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ext_burst_specs(), opts.seeds);
+    let results = opts.run_grid("ext_burst", ext_burst_specs(), opts.seeds);
 
     let mut t = Table::new(caption("ext_burst"), &["loss model", "mean", "NA", "UA", "BA", "UA/NA"]);
     let mut labels = vec![("clean".to_string(), 0.0)];
@@ -1282,7 +1302,7 @@ pub fn ablation_block_ack_specs() -> Vec<Vec<ScenarioSpec>> {
 /// oversized aggregation cap that crosses the coherence cliff.
 pub fn ablation_block_ack(opts: &Opts) -> Table {
     let sizes_kb = ABLATION_BLOCK_SIZES_KB;
-    let results = opts.runner().run_grid(ablation_block_ack_specs(), 1);
+    let results = opts.run_grid("ablation_block_ack", ablation_block_ack_specs(), 1);
 
     let mut t = Table::new(caption("ablation_block_ack"), &["max agg (KB)", "normal ACK", "block ACK"]);
     for (kb, row) in sizes_kb.iter().zip(&results) {
@@ -1310,7 +1330,8 @@ pub fn ablation_rate_adaptive_sizing_specs() -> Vec<Vec<ScenarioSpec>> {
 /// Ablation: rate-adaptive aggregate sizing (paper §7) — spend a fixed
 /// sample budget instead of a fixed byte cap.
 pub fn ablation_rate_adaptive_sizing(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ablation_rate_adaptive_sizing_specs(), opts.seeds);
+    let results =
+        opts.run_grid("ablation_rate_adaptive_sizing", ablation_rate_adaptive_sizing_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("ablation_rate_adaptive_sizing"), &["rate", "fixed 5 KB", "110 Ksample budget"]);
@@ -1350,7 +1371,7 @@ pub fn ablation_dba_flush_specs() -> Vec<Vec<ScenarioSpec>> {
 /// leaves the deadlock guard unspecified).
 pub fn ablation_dba_flush(opts: &Opts) -> Table {
     let flushes_ms = ABLATION_FLUSHES_MS;
-    let mut results = opts.runner().run_grid(ablation_dba_flush_specs(), opts.seeds);
+    let mut results = opts.run_grid("ablation_dba_flush", ablation_dba_flush_specs(), opts.seeds);
     let ba = means(&results.remove(0));
 
     let mut t = Table::new(caption("ablation_dba_flush"), &["flush (ms)", "2-hop DBA", "3-hop DBA"]);
@@ -1379,7 +1400,7 @@ pub fn ablation_rts_cts_specs() -> Vec<Vec<ScenarioSpec>> {
 /// Ablation: RTS/CTS on vs off (the paper always uses RTS/CTS; all nodes
 /// are in carrier-sense range, so the handshake is pure overhead here).
 pub fn ablation_rts_cts(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ablation_rts_cts_specs(), opts.seeds);
+    let results = opts.run_grid("ablation_rts_cts", ablation_rts_cts_specs(), opts.seeds);
 
     let mut t = Table::new(caption("ablation_rts_cts"), &["rate", "with RTS/CTS", "without"]);
     for (rate, row) in RATES.iter().zip(&results) {
@@ -1407,7 +1428,7 @@ pub fn ablation_delayed_ack_specs() -> Vec<Vec<ScenarioSpec>> {
 /// client ACKs every segment; delayed ACKs halve the ACK stream and so
 /// shrink the backward-aggregation benefit).
 pub fn ablation_delayed_ack(opts: &Opts) -> Table {
-    let results = opts.runner().run_grid(ablation_delayed_ack_specs(), opts.seeds);
+    let results = opts.run_grid("ablation_delayed_ack", ablation_delayed_ack_specs(), opts.seeds);
 
     let mut t =
         Table::new(caption("ablation_delayed_ack"), &["rate", "ACK per segment (paper)", "delayed ACKs"]);
@@ -1439,7 +1460,7 @@ pub fn ablation_broadcast_position_specs() -> Vec<ScenarioSpec> {
 /// that overrun the coherence budget.
 pub fn ablation_broadcast_position(opts: &Opts) -> Table {
     let sizes_kb = ABLATION_POSITION_SIZES_KB;
-    let results = opts.runner().run_sweep(&ablation_broadcast_position_specs(), 1);
+    let results = opts.run_sweep("ablation_broadcast_position", &ablation_broadcast_position_specs(), 1);
 
     let mut t = Table::new(
         caption("ablation_broadcast_position"),
@@ -1508,4 +1529,31 @@ pub fn run_all(opts: &Opts) -> String {
     emit(ablation_delayed_ack(opts));
     emit(ablation_broadcast_position(opts));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn options_log_each_failed_replication_under_its_experiment_and_cell() {
+        // (Runs simulations, so it must not overlap a test that has a
+        // failpoint armed.)
+        let _guard = hydra_sim::failpoint::exclusive();
+        let mut stalled = udp(1, Policy::Ua, Rate::R1_30, 20_000);
+        stalled.duration = Duration::from_millis(200);
+        let fine = stalled.clone();
+        stalled.budget = Some(hydra_netsim::RunBudget::events(10));
+        let opts = Opts { seeds: 1, threads: 1, ..Opts::default() };
+        opts.run_grid("probe", vec![vec![fine.clone()], vec![fine, stalled.clone()]], 1);
+        opts.run_sweep("other", &[stalled], 2);
+        assert_eq!(
+            opts.failure_lines(),
+            [
+                "probe:2 rep 1: run budget exhausted after 10 events",
+                "other:0 rep 1: run budget exhausted after 10 events",
+                "other:0 rep 2: run budget exhausted after 10 events",
+            ]
+        );
+    }
 }

@@ -10,7 +10,7 @@
 //!
 //! Sweeps are also *data*: every shipped grid is exported as a `.scn`
 //! file under `examples/sweeps/` (run them with `--bin sweep`), and
-//! [`sweeps::ResultCache`] persists every outcome keyed by
+//! [`sweeps::ConcurrentCache`] persists every outcome keyed by
 //! `(stable_hash, replication)` so warm reruns of `--bin all` /
 //! `--bin sweep` simulate nothing and rebuild byte-identical tables.
 //!
@@ -30,5 +30,5 @@ pub mod sched;
 pub mod sweeps;
 
 pub use report::Table;
-pub use runner::{CellResult, ExperimentRunner, RunnerTelemetry, Scheduler};
-pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, ResultCache, SharedCache, CACHE_SCHEMA};
+pub use runner::{failure_lines, CellResult, ExperimentRunner, RunnerTelemetry, Scheduler};
+pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, SharedCache, CACHE_SCHEMA};

@@ -99,7 +99,12 @@ impl CellResult {
 
     /// The first failure, if any.
     pub fn failure(&self) -> Option<&RunError> {
-        self.runs.iter().find_map(|r| r.as_ref().err())
+        self.failures().next().map(|(_, e)| e)
+    }
+
+    /// Every failed replication with its 1-based replication number.
+    pub fn failures(&self) -> impl Iterator<Item = (usize, &RunError)> {
+        self.runs.iter().enumerate().filter_map(|(i, r)| Some((i + 1, r.as_ref().err()?)))
     }
 
     /// The `FAILED(reason)` table cell for a cell with no usable run.
@@ -129,6 +134,18 @@ impl CellResult {
             self.failed_label()
         }
     }
+}
+
+/// What a `FAILED(reason)` table cell abbreviates: one
+/// `source:cell rep N: error` line per failed replication of `cells`,
+/// carrying the full [`RunError`] text (panic message, event count, IO
+/// error). Binaries print these to stderr after the table.
+pub fn failure_lines<'a>(source: &str, cells: impl IntoIterator<Item = &'a CellResult>) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        lines.extend(cell.failures().map(|(rep, e)| format!("{source}:{i} rep {rep}: {e}")));
+    }
+    lines
 }
 
 /// Which dispatch discipline drains the work list.
@@ -201,7 +218,7 @@ impl RunnerTelemetry {
 pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 
 /// Executes sweeps of [`ScenarioSpec`]s across OS threads, optionally
-/// consulting a persistent [`crate::sweeps::ResultCache`] before
+/// consulting a persistent [`crate::sweeps::ConcurrentCache`] before
 /// dispatching any run and appending every fresh outcome to it.
 #[derive(Debug, Clone)]
 pub struct ExperimentRunner {
@@ -260,15 +277,8 @@ impl ExperimentRunner {
         self
     }
 
-    /// Shares an external failure counter (so several runners — e.g.
-    /// one per experiment in `--bin all` — feed one exit-code gate).
-    pub fn with_failure_counter(mut self, failures: Arc<AtomicU64>) -> Self {
-        self.failures = failures;
-        self
-    }
-
-    /// Failed replications recorded so far (by this runner and every
-    /// runner sharing its counter).
+    /// Failed replications recorded so far (by this runner and its
+    /// clones).
     pub fn failure_count(&self) -> u64 {
         self.failures.load(Ordering::Relaxed)
     }
@@ -714,6 +724,29 @@ mod tests {
         assert_eq!(runner.failure_count(), 1);
         // The surviving cell is byte-identical to the fault-free sweep.
         assert_eq!(cells[1].runs, clean[1].runs);
+        // What the label abbreviates is still there to print.
+        assert_eq!(
+            failure_lines("x.scn", &cells),
+            ["x.scn:0 rep 1: run panicked: failpoint run.mid_event fired"]
+        );
+    }
+
+    #[test]
+    fn failure_lines_name_every_failed_replication_with_its_full_error() {
+        // (Runs simulations, so it must not overlap a test that has a
+        // failpoint armed.)
+        let _guard = hydra_sim::failpoint::exclusive();
+        let mut stalled = tiny_udp_spec();
+        stalled.budget = Some(hydra_netsim::RunBudget::events(50));
+        let cells = ExperimentRunner::sequential().run_sweep(&[tiny_udp_spec(), stalled], 2);
+        assert!(!cells[0].failed() && cells[0].failures().next().is_none());
+        assert_eq!(
+            failure_lines("grid", &cells),
+            [
+                "grid:1 rep 1: run budget exhausted after 50 events",
+                "grid:1 rep 2: run budget exhausted after 50 events"
+            ]
+        );
     }
 
     #[test]

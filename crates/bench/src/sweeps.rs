@@ -20,25 +20,30 @@
 //! ignored, not errors, so old caches degrade into cold ones.
 //!
 //! The workspace vendors no dependencies, so the codec below is a
-//! deliberately small JSON reader/writer that covers exactly what the
-//! records need (objects, arrays, strings, integers, shortest-form
-//! floats, booleans).
+//! deliberately small JSON writer and a single-pass pull reader that
+//! cover exactly what the records need (objects, arrays, strings,
+//! integers, shortest-form floats, booleans). The reader walks each
+//! line's bytes once and writes fields straight into the `RunOutcome`
+//! that the index will hold — no intermediate document tree; see
+//! docs/PERFORMANCE.md, "Result store: warm open".
 //!
 //! ## Crash safety
 //!
 //! Every line carries a CRC-32 trailer (`{json}#crc:xxxxxxxx`, the
 //! same polynomial the wire format uses) over the JSON bytes. A torn
 //! append — power loss, `kill -9`, a full disk — leaves a record whose
-//! trailer is missing or wrong; [`ResultCache::open`] quarantines such
-//! lines to `runs.corrupt.jsonl`, compacts the live file, and the
+//! trailer is missing or wrong; [`ConcurrentCache::open`] quarantines
+//! such lines to `runs.corrupt.jsonl`, compacts the live file, and the
 //! affected keys simply degrade to cold (they re-simulate and re-append
-//! on the next sweep). A corrupt cache never aborts a run and never
-//! serves a damaged outcome.
+//! on the next sweep). The file is read as bytes and judged line by
+//! line, so damage that is not even UTF-8 costs one record, not the
+//! store. A corrupt cache never aborts a run and never serves a damaged
+//! outcome.
 //!
 //! ## Concurrency
 //!
 //! Sweeps share the cache across worker threads (and across processes,
-//! via `O_APPEND`). [`ConcurrentCache`] is the shared form: lookups go
+//! via `O_APPEND`). [`ConcurrentCache`] is the one store type: lookups go
 //! through an immutable snapshot ([`CacheIndex`], an `Arc` republished
 //! under a read-mostly lock — workers never hold a mutex across a
 //! lookup), and fresh outcomes land via
@@ -49,14 +54,19 @@
 //! the next open, and a sweep pays one file open per batch instead of
 //! one per run.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::fmt::{self, Write as _};
+use std::io::{BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use hydra_netsim::{RunOutcome, RunPerf, RunReport, ScenarioSpec};
+use hydra_netsim::{
+    FlowOutcome, FlowSpec, FlowTraffic, NodeReport, RunOutcome, RunPerf, RunReport, ScenarioSpec,
+};
 use hydra_sim::Instant;
+use hydra_wire::crc::crc32;
 
 /// Schema tag stamped on every cache record; records with a foreign
 /// tag are skipped on load. This is the cache's *only* notion of
@@ -92,177 +102,20 @@ pub struct CacheStats {
     pub quarantined: u64,
 }
 
-/// A persistent `(stable_hash, replication) → RunOutcome` store backed
-/// by an append-only JSON-lines file.
-#[derive(Debug)]
-pub struct ResultCache {
-    path: PathBuf,
-    entries: HashMap<(u64, u64), RunOutcome>,
-    /// Optional per-spec event counts (`stable_hash → events_processed`)
-    /// recorded alongside outcomes. Pure *scheduling* telemetry: the
-    /// runner uses them to order jobs longest-first; they never enter a
-    /// decoded outcome and never affect results.
-    events: HashMap<u64, u64>,
-    stats: CacheStats,
-}
-
-impl ResultCache {
-    /// The default on-disk location, relative to the workspace root.
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("results/cache")
-    }
-
-    /// Opens (creating if needed) the cache under [`Self::default_dir`].
-    pub fn open_default() -> std::io::Result<ResultCache> {
-        Self::open(Self::default_dir())
-    }
-
-    /// Opens (creating if needed) the cache file `runs.jsonl` under
-    /// `dir`, loading every readable record with the current schema.
-    ///
-    /// Lines that fail their CRC trailer (torn appends, bit flips,
-    /// pre-CRC caches) are moved to `runs.corrupt.jsonl` in the same
-    /// directory and the live file is compacted, so their keys come
-    /// back cold instead of serving damaged outcomes. Intact records
-    /// with a foreign schema tag stay in the file but are skipped.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ResultCache> {
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.as_ref().join("runs.jsonl");
-        let mut cache = ResultCache {
-            path,
-            entries: HashMap::new(),
-            events: HashMap::new(),
-            stats: CacheStats::default(),
-        };
-        let text = match std::fs::read_to_string(&cache.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(cache),
-            Err(e) => return Err(e),
-        };
-        let mut kept = Vec::new();
-        let mut quarantined = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match unseal(line) {
-                Some(json) => {
-                    kept.push(line);
-                    match decode_record(json) {
-                        Some((key, outcome, events)) => {
-                            if let Some(n) = events {
-                                let hint = cache.events.entry(key.0).or_insert(0);
-                                *hint = (*hint).max(n);
-                            }
-                            cache.entries.insert(key, outcome);
-                        }
-                        None => cache.stats.skipped += 1,
-                    }
-                }
-                None => quarantined.push(line),
-            }
+/// The session summary the binaries print to stderr: hits, misses,
+/// and — only when the load found any — quarantined and skipped lines.
+impl fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} hits, {} misses ({} runs simulated)", self.hits, self.misses, self.misses)?;
+        if self.quarantined > 0 {
+            write!(f, ", {} corrupt record(s) quarantined", self.quarantined)?;
         }
-        if !quarantined.is_empty() {
-            cache.stats.quarantined = quarantined.len() as u64;
-            let dir = dir.as_ref();
-            let mut corrupt =
-                std::fs::OpenOptions::new().create(true).append(true).open(dir.join("runs.corrupt.jsonl"))?;
-            for line in &quarantined {
-                corrupt.write_all(line.as_bytes())?;
-                corrupt.write_all(b"\n")?;
-            }
-            // Compact via tmp + rename so a crash mid-compaction
-            // leaves either the old file or the new one, never a
-            // half-written mixture.
-            let tmp = dir.join("runs.jsonl.tmp");
-            let mut clean = String::with_capacity(text.len());
-            for line in &kept {
-                clean.push_str(line);
-                clean.push('\n');
-            }
-            std::fs::write(&tmp, clean)?;
-            std::fs::rename(&tmp, &cache.path)?;
+        if self.skipped > 0 {
+            write!(f, ", {} unreadable or foreign record(s) skipped", self.skipped)?;
         }
-        Ok(cache)
-    }
-
-    /// Wraps a freshly opened cache for sharing across runners.
-    pub fn shared(self) -> SharedCache {
-        Arc::new(ConcurrentCache::from_store(self))
-    }
-
-    /// Cached outcomes currently loaded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Session hit/miss/skip counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Looks up replication `rep` of the spec hashed to `hash`,
-    /// counting the hit or miss.
-    pub fn lookup(&mut self, hash: u64, rep: u64) -> Option<RunOutcome> {
-        match self.entries.get(&(hash, rep)) {
-            Some(outcome) => {
-                self.stats.hits += 1;
-                Some(outcome.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// The recorded event count for the spec hashed to `hash`, if any —
-    /// a *scheduling hint* (the runner orders predicted-longest jobs
-    /// first); never part of an outcome.
-    pub fn events_hint(&self, hash: u64) -> Option<u64> {
-        self.events.get(&hash).copied()
-    }
-
-    /// Records a finished run: appends one JSON line (carrying the
-    /// spec's canonical `.scn` text for human inspection) and indexes
-    /// the outcome in memory.
-    pub fn record(
-        &mut self,
-        hash: u64,
-        rep: u64,
-        spec: &ScenarioSpec,
-        outcome: &RunOutcome,
-    ) -> std::io::Result<()> {
-        hydra_sim::failpoint::check_io("cache.append")?;
-        let events = (outcome.perf.events_processed > 0).then_some(outcome.perf.events_processed);
-        let mut line = seal(&encode_record(hash, rep, &spec.to_scn(), outcome, events));
-        line.push('\n');
-        // One write of the whole record: under O_APPEND concurrent
-        // writers (e.g. `--bin all` and `--bin sweep` sharing the
-        // default cache) interleave at write granularity, so a record
-        // must never be split across calls. If the write is torn
-        // anyway (crash, full disk) the CRC trailer won't verify and
-        // the next open quarantines the fragment.
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-        file.write_all(line.as_bytes())?;
-        if let Some(n) = events {
-            let hint = self.events.entry(hash).or_insert(0);
-            *hint = (*hint).max(n);
-        }
-        self.entries.insert((hash, rep), outcome.clone());
         Ok(())
     }
 }
-
-// ---------------------------------------------------------------------
-// Concurrent form
-// ---------------------------------------------------------------------
 
 /// An immutable point-in-time view of the cache: workers resolve every
 /// lookup against one snapshot taken at sweep start, with no lock held
@@ -271,6 +124,10 @@ impl ResultCache {
 #[derive(Debug, Default, Clone)]
 pub struct CacheIndex {
     entries: HashMap<(u64, u64), Arc<RunOutcome>>,
+    /// Optional per-spec event counts (`stable_hash → events_processed`)
+    /// recorded alongside outcomes. Pure *scheduling* telemetry: the
+    /// runner uses them to order jobs longest-first; they never enter a
+    /// decoded outcome and never affect results.
     events: HashMap<u64, u64>,
 }
 
@@ -295,12 +152,23 @@ impl CacheIndex {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Indexes one record; a later record for the same key replaces an
+    /// earlier one, and a spec's hint is the largest count seen.
+    fn insert(&mut self, key: (u64, u64), outcome: Arc<RunOutcome>, events: Option<u64>) {
+        if let Some(n) = events {
+            let hint = self.events.entry(key.0).or_insert(0);
+            *hint = (*hint).max(n);
+        }
+        self.entries.insert(key, outcome);
+    }
 }
 
-/// The shared, thread-safe cache: lock-free read path (an `Arc`
-/// snapshot per sweep), a single writer lock held only while a batch
-/// commits, and atomic session counters. See the module docs'
-/// *Concurrency* section for the full story.
+/// A persistent `(stable_hash, replication) → RunOutcome` store backed
+/// by an append-only JSON-lines file, shared across threads: lock-free
+/// read path (an `Arc` snapshot per sweep), a single writer lock held
+/// only while a batch commits, and atomic session counters. See the
+/// module docs' *Concurrency* section for the full story.
 #[derive(Debug)]
 pub struct ConcurrentCache {
     path: PathBuf,
@@ -316,35 +184,79 @@ pub struct ConcurrentCache {
 }
 
 impl ConcurrentCache {
-    /// Opens (creating if needed) the cache under `dir` — the same
-    /// on-disk format, quarantine, and compaction as
-    /// [`ResultCache::open`].
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ConcurrentCache> {
-        Ok(Self::from_store(ResultCache::open(dir)?))
+    /// The default on-disk location, relative to the workspace root.
+    pub fn default_dir() -> PathBuf {
+        PathBuf::from("results/cache")
     }
 
-    /// Opens (creating if needed) the cache under
-    /// [`ResultCache::default_dir`].
+    /// Opens (creating if needed) the cache under [`Self::default_dir`].
     pub fn open_default() -> std::io::Result<ConcurrentCache> {
-        Ok(Self::from_store(ResultCache::open_default()?))
+        Self::open(Self::default_dir())
     }
 
-    /// Builds the concurrent form from a loaded store, adopting its
-    /// entries, hints, and load-time stats.
-    pub fn from_store(store: ResultCache) -> ConcurrentCache {
-        let index = CacheIndex {
-            entries: store.entries.into_iter().map(|(k, v)| (k, Arc::new(v))).collect(),
-            events: store.events,
+    /// Opens (creating if needed) the cache file `runs.jsonl` under
+    /// `dir`, decoding every readable record with the current schema
+    /// straight into the published index — one pass over the file's
+    /// bytes.
+    ///
+    /// Lines that fail their CRC trailer (torn appends, bit flips,
+    /// non-UTF-8 damage, pre-CRC caches) are moved byte for byte to
+    /// `runs.corrupt.jsonl` in the same directory and the live file is
+    /// compacted, so their keys come back cold instead of serving
+    /// damaged outcomes. Intact records with a foreign schema tag or an
+    /// unreadable shape stay in the file but are skipped.
+    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ConcurrentCache> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join("runs.jsonl");
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
         };
-        ConcurrentCache {
-            path: store.path,
+        let mut index = CacheIndex::default();
+        let mut skipped = 0;
+        let (mut kept, mut quarantined) = (Vec::new(), Vec::new());
+        let mut rest = bytes.as_slice();
+        while !rest.is_empty() {
+            // `skip_until` is the standard library's vectorised byte
+            // search; it advances `rest` past the newline it finds.
+            let line = rest;
+            let line = line[..rest.skip_until(b'\n')?].trim_ascii();
+            if line.is_empty() {
+                continue;
+            }
+            match unseal(line) {
+                Some(json) => {
+                    kept.push(line);
+                    match decode_record(json) {
+                        Some((key, outcome, events)) => index.insert(key, Arc::new(outcome), events),
+                        None => skipped += 1,
+                    }
+                }
+                None => quarantined.push(line),
+            }
+        }
+        if !quarantined.is_empty() {
+            let mut corrupt =
+                std::fs::OpenOptions::new().create(true).append(true).open(dir.join("runs.corrupt.jsonl"))?;
+            corrupt.write_all(&join_lines(&quarantined))?;
+            // Compact via tmp + rename so a crash mid-compaction
+            // leaves either the old file or the new one, never a
+            // half-written mixture.
+            let tmp = dir.join("runs.jsonl.tmp");
+            std::fs::write(&tmp, join_lines(&kept))?;
+            std::fs::rename(&tmp, &path)?;
+        }
+        Ok(ConcurrentCache {
+            path,
             writer: Mutex::new(()),
             index: RwLock::new(Arc::new(index)),
-            hits: AtomicU64::new(store.stats.hits),
-            misses: AtomicU64::new(store.stats.misses),
-            skipped: store.stats.skipped,
-            quarantined: store.stats.quarantined,
-        }
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            skipped,
+            quarantined: quarantined.len() as u64,
+        })
     }
 
     /// The current snapshot. Take one per sweep and resolve every
@@ -380,11 +292,13 @@ impl ConcurrentCache {
         }
     }
 
-    /// Group commit: encodes every record, then appends the whole batch
-    /// with one `O_APPEND` write and republishes the snapshot once.
-    /// All-or-nothing in this process (the failpoint / open / write
-    /// error path indexes nothing); a torn tail on disk is caught by
-    /// the per-line CRC at the next open.
+    /// Group commit: encodes every record (each carrying its spec's
+    /// canonical `.scn` text for human inspection) into one buffer,
+    /// appends the whole batch with one `O_APPEND` write and
+    /// republishes the snapshot once. All-or-nothing in this process
+    /// (the failpoint / open / write error path indexes nothing); a
+    /// torn tail on disk is caught by the per-line CRC at the next
+    /// open.
     pub fn append_batch(&self, records: &[(u64, u64, &ScenarioSpec, &RunOutcome)]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
@@ -392,510 +306,575 @@ impl ConcurrentCache {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         hydra_sim::failpoint::check_io("cache.append")?;
         let mut batch = String::with_capacity(records.len() * 512);
-        for (hash, rep, spec, outcome) in records {
-            let events = (outcome.perf.events_processed > 0).then_some(outcome.perf.events_processed);
-            batch.push_str(&seal(&encode_record(*hash, *rep, &spec.to_scn(), outcome, events)));
+        for &(hash, rep, spec, outcome) in records {
+            let start = batch.len();
+            encode_record(&mut batch, hash, rep, &spec.to_scn(), outcome, events_of(outcome))
+                .and_then(|()| seal(&mut batch, start))
+                .expect("writing to a String cannot fail");
             batch.push('\n');
         }
+        // One write of the whole batch: under O_APPEND concurrent
+        // writers (e.g. `--bin all` and `--bin sweep` sharing the
+        // default cache) interleave at write granularity, so a record
+        // must never be split across calls.
         let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
         file.write_all(batch.as_bytes())?;
         // Publish: clone the table (Arc values, so outcomes are shared,
         // not copied), fold the batch in, swap the snapshot.
         let mut next = (*self.index()).clone();
-        for (hash, rep, _, outcome) in records {
-            if outcome.perf.events_processed > 0 {
-                let hint = next.events.entry(*hash).or_insert(0);
-                *hint = (*hint).max(outcome.perf.events_processed);
-            }
-            next.entries.insert((*hash, *rep), Arc::new((*outcome).clone()));
+        for &(hash, rep, _, outcome) in records {
+            next.insert((hash, rep), Arc::new(outcome.clone()), events_of(outcome));
         }
         *self.index.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         Ok(())
     }
 }
 
+/// The scheduling hint a fresh outcome carries into its record: its
+/// event count, when it simulated anything.
+fn events_of(outcome: &RunOutcome) -> Option<u64> {
+    Some(outcome.perf.events_processed).filter(|&n| n > 0)
+}
+
+/// `lines`, each terminated by `\n`.
+fn join_lines(lines: &[&[u8]]) -> Vec<u8> {
+    let mut out = lines.join(&b'\n');
+    out.push(b'\n');
+    out
+}
+
 // ---------------------------------------------------------------------
 // CRC trailer
 // ---------------------------------------------------------------------
 
-/// Appends the integrity trailer: `{json}#crc:xxxxxxxx`, CRC-32 over
-/// the JSON bytes. `#` cannot occur inside a record (the JSON string
-/// escapes hold none, and `.scn` text has no `#`), so the trailer is
-/// recoverable with a plain reverse split.
-fn seal(json: &str) -> String {
-    format!("{json}#crc:{:08x}", hydra_wire::crc::crc32(json.as_bytes()))
+/// Appends the integrity trailer to the record that starts at `start`
+/// in `buf`: `{json}#crc:xxxxxxxx`, CRC-32 over the JSON bytes. `#`
+/// cannot occur inside a record (the JSON string escapes hold none, and
+/// `.scn` text has no `#`), so the trailer is recoverable with a plain
+/// reverse split.
+fn seal(buf: &mut String, start: usize) -> fmt::Result {
+    let crc = crc32(&buf.as_bytes()[start..]);
+    write!(buf, "#crc:{crc:08x}")
 }
 
 /// Splits and verifies the trailer; `None` for a missing or failed
 /// check (a torn or corrupted line).
-fn unseal(line: &str) -> Option<&str> {
-    let (json, trailer) = line.rsplit_once('#')?;
-    let crc = u32::from_str_radix(trailer.strip_prefix("crc:")?, 16).ok()?;
-    (crc == hydra_wire::crc::crc32(json.as_bytes())).then_some(json)
+fn unseal(line: &[u8]) -> Option<&[u8]> {
+    let at = line.iter().rposition(|&b| b == b'#')?;
+    let hex = std::str::from_utf8(line[at + 1..].strip_prefix(b"crc:")?).ok()?;
+    let crc = u32::from_str_radix(hex, 16).ok()?;
+    (crc == crc32(&line[..at])).then_some(&line[..at])
 }
 
 // ---------------------------------------------------------------------
 // Record encoding
 // ---------------------------------------------------------------------
 
-fn encode_record(hash: u64, rep: u64, scn: &str, outcome: &RunOutcome, events: Option<u64>) -> String {
-    let mut s = String::with_capacity(512);
-    s.push('{');
-    s.push_str(&format!("\"schema\":{},", quote(CACHE_SCHEMA)));
-    s.push_str(&format!("\"hash\":\"{hash:#018x}\","));
-    s.push_str(&format!("\"rep\":{rep},"));
-    s.push_str(&format!("\"scn\":{},", quote(scn)));
+/// Writes one record (without trailer) onto `s`.
+fn encode_record(
+    s: &mut String,
+    hash: u64,
+    rep: u64,
+    scn: &str,
+    outcome: &RunOutcome,
+    events: Option<u64>,
+) -> fmt::Result {
+    let (schema, scn) = (Quoted(CACHE_SCHEMA), Quoted(scn));
+    write!(s, "{{\"schema\":{schema},\"hash\":\"{hash:#018x}\",\"rep\":{rep},\"scn\":{scn},")?;
     if let Some(n) = events {
-        // Scheduling hint only (see `ResultCache::events_hint`). An
+        // Scheduling hint only (see `CacheIndex::events_hint`). An
         // *optional* key: the decoder looks fields up by name, so old
         // records without it — and old readers seeing it — both work,
         // which is why this is not a CACHE_SCHEMA bump.
-        s.push_str(&format!("\"events\":{n},"));
+        write!(s, "\"events\":{n},")?;
     }
     s.push_str("\"outcome\":");
-    encode_outcome(&mut s, outcome);
+    encode_outcome(s, outcome)?;
     s.push('}');
-    s
+    Ok(())
 }
 
-fn encode_outcome(s: &mut String, o: &RunOutcome) {
-    s.push('{');
-    s.push_str(&format!("\"completed\":{},", o.completed));
-    s.push_str(&format!("\"throughput_bps\":{},", fnum(o.throughput_bps)));
-    s.push_str("\"per_flow\":[");
+fn encode_outcome(s: &mut String, o: &RunOutcome) -> fmt::Result {
+    write!(
+        s,
+        "{{\"completed\":{},\"throughput_bps\":{},\"per_flow\":[",
+        o.completed,
+        Float(o.throughput_bps)
+    )?;
     for (i, fo) in o.per_flow.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push('{');
-        s.push_str(&format!("\"src\":{},", fo.flow.src));
-        s.push_str(&format!("\"dst\":{},", fo.flow.dst));
-        s.push_str(&format!("\"port\":{},", fo.flow.port));
         // The flow's traffic in its canonical `.scn` token form — the
         // token round-trips the exact value (durations are exact
         // nanosecond multiples), and keeps records human-readable.
-        s.push_str(&format!("\"traffic\":{},", quote(&fo.flow.traffic.to_token())));
-        s.push_str(&format!("\"bytes\":{},", fo.bytes));
-        s.push_str(&format!("\"bps\":{}", fnum(fo.bps)));
+        write!(
+            s,
+            "{{\"src\":{},\"dst\":{},\"port\":{},\"traffic\":{},\"bytes\":{},\"bps\":{}",
+            fo.flow.src,
+            fo.flow.dst,
+            fo.flow.port,
+            Quoted(&fo.flow.traffic.to_token()),
+            fo.bytes,
+            Float(fo.bps)
+        )?;
         if let Some(at) = fo.completed_at {
-            s.push_str(&format!(",\"completed_at_ns\":{}", at.as_nanos()));
+            write!(s, ",\"completed_at_ns\":{}", at.as_nanos())?;
         }
         s.push('}');
     }
-    s.push_str("],");
-    s.push_str(&format!("\"at_ns\":{},", o.report.at.as_nanos()));
-    s.push_str(&format!("\"collisions\":{},", o.report.collisions));
-    s.push_str("\"nodes\":[");
+    write!(s, "],\"at_ns\":{},\"collisions\":{},\"nodes\":[", o.report.at.as_nanos(), o.report.collisions)?;
     for (i, n) in o.report.nodes.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push('{');
-        s.push_str(&format!("\"node\":{},", n.node));
-        s.push_str(&format!("\"tx_data_frames\":{},", n.tx_data_frames));
-        s.push_str(&format!("\"tx_control\":{},", n.tx_control));
-        s.push_str(&format!("\"avg_frame_size\":{},", fnum(n.avg_frame_size)));
-        s.push_str(&format!("\"avg_subframes\":{},", fnum(n.avg_subframes)));
-        s.push_str(&format!("\"subframes_sent\":[{},{}],", n.subframes_sent.0, n.subframes_sent.1));
-        s.push_str(&format!("\"size_overhead\":{},", fnum(n.size_overhead)));
-        s.push_str(&format!("\"time_overhead\":{},", fnum(n.time_overhead)));
-        s.push_str("\"time_by_category\":[");
+        write!(
+            s,
+            concat!(
+                "{{\"node\":{},\"tx_data_frames\":{},\"tx_control\":{},\"avg_frame_size\":{},",
+                "\"avg_subframes\":{},\"subframes_sent\":[{},{}],\"size_overhead\":{},",
+                "\"time_overhead\":{},\"time_by_category\":["
+            ),
+            n.node,
+            n.tx_data_frames,
+            n.tx_control,
+            Float(n.avg_frame_size),
+            Float(n.avg_subframes),
+            n.subframes_sent.0,
+            n.subframes_sent.1,
+            Float(n.size_overhead),
+            Float(n.time_overhead)
+        )?;
         for (j, (k, v)) in n.time_by_category.iter().enumerate() {
             if j > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("[{},{}]", quote(k), fnum(*v)));
+            write!(s, "[{},{}]", Quoted(k), Float(*v))?;
         }
-        s.push_str("],");
-        s.push_str(&format!("\"retries\":{},", n.retries));
-        s.push_str(&format!("\"retry_drops\":{},", n.retry_drops));
-        s.push_str(&format!("\"queue_overflow\":{},", n.queue_overflow));
-        s.push_str(&format!("\"acks_classified\":{},", n.acks_classified));
-        s.push_str(&format!("\"bcast_filtered\":{},", n.bcast_filtered));
-        s.push_str(&format!("\"bcast_ok\":{},", n.bcast_ok));
-        s.push_str(&format!("\"bcast_crc_fail\":{},", n.bcast_crc_fail));
-        s.push_str(&format!("\"unicast_ok\":{},", n.unicast_ok));
-        s.push_str(&format!("\"unicast_crc_drops\":{},", n.unicast_crc_drops));
-        s.push_str(&format!("\"collisions_seen\":{},", n.collisions_seen));
-        s.push_str(&format!("\"forwarded\":{}", n.forwarded));
-        s.push('}');
+        write!(
+            s,
+            concat!(
+                "],\"retries\":{},\"retry_drops\":{},\"queue_overflow\":{},\"acks_classified\":{},",
+                "\"bcast_filtered\":{},\"bcast_ok\":{},\"bcast_crc_fail\":{},\"unicast_ok\":{},",
+                "\"unicast_crc_drops\":{},\"collisions_seen\":{},\"forwarded\":{}}}"
+            ),
+            n.retries,
+            n.retry_drops,
+            n.queue_overflow,
+            n.acks_classified,
+            n.bcast_filtered,
+            n.bcast_ok,
+            n.bcast_crc_fail,
+            n.unicast_ok,
+            n.unicast_crc_drops,
+            n.collisions_seen,
+            n.forwarded
+        )?;
     }
     s.push_str("]}");
-}
-
-/// Decodes one cache line; `None` for anything unreadable or tagged
-/// with a foreign schema. The third element is the optional `events`
-/// scheduling hint — kept apart from the outcome on purpose.
-fn decode_record(line: &str) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
-    let v = json::parse(line).ok()?;
-    let obj = v.as_obj()?;
-    if json::get_str(obj, "schema")? != CACHE_SCHEMA {
-        return None;
-    }
-    let hash_text = json::get_str(obj, "hash")?;
-    let hash = u64::from_str_radix(hash_text.strip_prefix("0x")?, 16).ok()?;
-    let rep = json::get_u64(obj, "rep")?;
-    let events = json::get_u64(obj, "events");
-    let o = json::get(obj, "outcome")?.as_obj()?;
-    let nodes_v = json::get(o, "nodes")?.as_arr()?;
-    let mut nodes = Vec::with_capacity(nodes_v.len());
-    for nv in nodes_v {
-        let n = nv.as_obj()?;
-        let sub = json::get(n, "subframes_sent")?.as_arr()?;
-        if sub.len() != 2 {
-            return None;
-        }
-        let tbc_v = json::get(n, "time_by_category")?.as_arr()?;
-        let mut time_by_category = Vec::with_capacity(tbc_v.len());
-        for pair in tbc_v {
-            let pair = pair.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            time_by_category.push((pair[0].as_str()?.to_string(), pair[1].as_f64()?));
-        }
-        nodes.push(hydra_netsim::NodeReport {
-            node: json::get_u64(n, "node")? as usize,
-            tx_data_frames: json::get_u64(n, "tx_data_frames")?,
-            tx_control: json::get_u64(n, "tx_control")?,
-            avg_frame_size: json::get_f64(n, "avg_frame_size")?,
-            avg_subframes: json::get_f64(n, "avg_subframes")?,
-            subframes_sent: (sub[0].as_u64()?, sub[1].as_u64()?),
-            size_overhead: json::get_f64(n, "size_overhead")?,
-            time_overhead: json::get_f64(n, "time_overhead")?,
-            time_by_category,
-            retries: json::get_u64(n, "retries")?,
-            retry_drops: json::get_u64(n, "retry_drops")?,
-            queue_overflow: json::get_u64(n, "queue_overflow")?,
-            acks_classified: json::get_u64(n, "acks_classified")?,
-            bcast_filtered: json::get_u64(n, "bcast_filtered")?,
-            bcast_ok: json::get_u64(n, "bcast_ok")?,
-            bcast_crc_fail: json::get_u64(n, "bcast_crc_fail")?,
-            unicast_ok: json::get_u64(n, "unicast_ok")?,
-            unicast_crc_drops: json::get_u64(n, "unicast_crc_drops")?,
-            collisions_seen: json::get_u64(n, "collisions_seen")?,
-            forwarded: json::get_u64(n, "forwarded")?,
-        });
-    }
-    let per_flow_v = json::get(o, "per_flow")?.as_arr()?;
-    let mut per_flow = Vec::with_capacity(per_flow_v.len());
-    for fv in per_flow_v {
-        let fo = fv.as_obj()?;
-        let traffic = hydra_netsim::FlowTraffic::from_token(json::get_str(fo, "traffic")?).ok()?;
-        let flow = hydra_netsim::FlowSpec {
-            src: json::get_u64(fo, "src")? as usize,
-            dst: json::get_u64(fo, "dst")? as usize,
-            port: u16::try_from(json::get_u64(fo, "port")?).ok()?,
-            traffic,
-        };
-        per_flow.push(hydra_netsim::FlowOutcome::new(
-            flow,
-            json::get_u64(fo, "bytes")?,
-            json::get_f64(fo, "bps")?,
-            match json::get(fo, "completed_at_ns") {
-                Some(v) => Some(Instant::from_nanos(v.as_u64()?)),
-                None => None,
-            },
-        ));
-    }
-    let outcome = RunOutcome {
-        completed: json::get(o, "completed")?.as_bool()?,
-        throughput_bps: json::get_f64(o, "throughput_bps")?,
-        per_flow,
-        report: RunReport {
-            nodes,
-            at: Instant::from_nanos(json::get_u64(o, "at_ns")?),
-            collisions: json::get_u64(o, "collisions")?,
-        },
-        // Telemetry is never persisted: a cache hit reports zeros (it
-        // cost no simulation), keeping cached == fresh under PartialEq.
-        perf: RunPerf::default(),
-    };
-    Some(((hash, rep), outcome, events))
+    Ok(())
 }
 
 /// Shortest-round-trip float text; non-finite values are quoted tokens
 /// the reader maps back (plain JSON has no spelling for them).
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else if v.is_nan() {
-        "\"NaN\"".into()
-    } else if v > 0.0 {
-        "\"inf\"".into()
-    } else {
-        "\"-inf\"".into()
+struct Float(f64);
+
+impl fmt::Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            v if v.is_finite() => fmt::Debug::fmt(&v, f),
+            v if v.is_nan() => f.write_str("\"NaN\""),
+            v if v > 0.0 => f.write_str("\"inf\""),
+            _ => f.write_str("\"-inf\""),
+        }
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A JSON string literal.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        f.write_char('"')
     }
-    out.push('"');
-    out
 }
 
-/// The minimal JSON the cache records need. Not a general-purpose
-/// parser: just enough to read back what [`encode_record`] writes,
-/// with strict syntax so corruption surfaces as a skipped record.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number without `.`/`e` (fits the counters exactly).
-        Int(u64),
-        /// Any other number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, insertion-ordered.
-        Obj(Vec<(String, Value)>),
+// ---------------------------------------------------------------------
+// Record decoding
+// ---------------------------------------------------------------------
+
+/// Containers a line may nest. Records nest 6 deep; the cap bounds the
+/// reader's recursion, so a hostile `[[[[…` line is skipped instead of
+/// overflowing the stack.
+const MAX_DEPTH: u32 = 16;
+
+/// One pass over an object's members. The first occurrence of a listed
+/// key runs its reader (a value of the wrong type rejects the record);
+/// repeats and unlisted keys are skipped with their syntax checked.
+/// Every `required` key must then have been seen.
+macro_rules! members {
+    ($r:ident; required { $($req:literal => $read_req:expr,)* }) => {
+        members!($r; required { $($req => $read_req,)* } optional {})
+    };
+    ($r:ident; required { $($req:literal => $read_req:expr,)* } optional { $($opt:literal => $read_opt:expr,)* }) => {{
+        let required: u32 = (1 << [$($req),*].len()) - 1;
+        let mut seen = 0u32;
+        $r.object(|$r, key| {
+            let mut bit = 1u32;
+            $(
+                if key == $req && seen & bit == 0 {
+                    seen |= bit;
+                    $read_req;
+                    return Some(());
+                }
+                bit <<= 1;
+            )*
+            $(
+                if key == $opt && seen & bit == 0 {
+                    seen |= bit;
+                    $read_opt;
+                    return Some(());
+                }
+                bit <<= 1;
+            )*
+            let _ = bit; // (reads the last shift, for `unused_assignments`)
+            $r.skip()
+        })?;
+        if seen & required != required {
+            return None;
+        }
+    }};
+}
+
+/// Decodes one record; `None` for anything unreadable or tagged with a
+/// foreign schema. The third element is the optional `events`
+/// scheduling hint — kept apart from the outcome on purpose.
+fn decode_record(json: &[u8]) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
+    // Checked once per line: the file is read as bytes, and damage must
+    // not get past here as a `str`.
+    let r = &mut Reader::new(std::str::from_utf8(json).ok()?);
+    let (mut hash, mut rep, mut events, mut outcome) = (0, 0, None, None);
+    members!(r; required {
+        "schema" => if r.string()? != CACHE_SCHEMA { return None },
+        "hash" => hash = u64::from_str_radix(r.string()?.strip_prefix("0x")?, 16).ok()?,
+        "rep" => rep = r.u64()?,
+        "outcome" => outcome = Some(decode_outcome(r)?),
+    } optional {
+        // A hint of the wrong type is no hint, not a bad record.
+        "events" => events = {
+            let at = r.pos;
+            let n = r.u64();
+            if n.is_none() {
+                r.pos = at;
+                r.skip()?;
+            }
+            n
+        },
+    });
+    r.at_end().then_some(((hash, rep), outcome?, events))
+}
+
+fn decode_outcome(r: &mut Reader<'_>) -> Option<RunOutcome> {
+    let mut o = RunOutcome {
+        completed: false,
+        throughput_bps: 0.0,
+        per_flow: Vec::new(),
+        report: RunReport { nodes: Vec::new(), at: Instant::ZERO, collisions: 0 },
+        // Telemetry is never persisted: a cache hit reports zeros (it
+        // cost no simulation), keeping cached == fresh under PartialEq.
+        perf: RunPerf::default(),
+    };
+    members!(r; required {
+        "completed" => o.completed = r.bool()?,
+        "throughput_bps" => o.throughput_bps = r.f64()?,
+        "per_flow" => r.array(|r| {
+            o.per_flow.push(decode_flow(r)?);
+            Some(())
+        })?,
+        "at_ns" => o.report.at = Instant::from_nanos(r.u64()?),
+        "collisions" => o.report.collisions = r.u64()?,
+        "nodes" => r.array(|r| {
+            o.report.nodes.push(decode_node(r)?);
+            Some(())
+        })?,
+    });
+    Some(o)
+}
+
+fn decode_flow(r: &mut Reader<'_>) -> Option<FlowOutcome> {
+    let (mut src, mut dst, mut port, mut traffic, mut bytes, mut bps, mut completed_at) =
+        (0, 0, 0, None, 0, 0.0, None);
+    members!(r; required {
+        "src" => src = r.u64()? as usize,
+        "dst" => dst = r.u64()? as usize,
+        "port" => port = u16::try_from(r.u64()?).ok()?,
+        "traffic" => traffic = Some(FlowTraffic::from_token(&r.string()?).ok()?),
+        "bytes" => bytes = r.u64()?,
+        "bps" => bps = r.f64()?,
+    } optional {
+        "completed_at_ns" => completed_at = Some(Instant::from_nanos(r.u64()?)),
+    });
+    Some(FlowOutcome::new(FlowSpec { src, dst, port, traffic: traffic? }, bytes, bps, completed_at))
+}
+
+fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
+    let mut n = NodeReport {
+        node: 0,
+        tx_data_frames: 0,
+        tx_control: 0,
+        avg_frame_size: 0.0,
+        avg_subframes: 0.0,
+        subframes_sent: (0, 0),
+        size_overhead: 0.0,
+        time_overhead: 0.0,
+        time_by_category: Vec::new(),
+        retries: 0,
+        retry_drops: 0,
+        queue_overflow: 0,
+        acks_classified: 0,
+        bcast_filtered: 0,
+        bcast_ok: 0,
+        bcast_crc_fail: 0,
+        unicast_ok: 0,
+        unicast_crc_drops: 0,
+        collisions_seen: 0,
+        forwarded: 0,
+    };
+    members!(r; required {
+        "node" => n.node = r.u64()? as usize,
+        "tx_data_frames" => n.tx_data_frames = r.u64()?,
+        "tx_control" => n.tx_control = r.u64()?,
+        "avg_frame_size" => n.avg_frame_size = r.f64()?,
+        "avg_subframes" => n.avg_subframes = r.f64()?,
+        "subframes_sent" => n.subframes_sent = r.pair(Reader::u64, Reader::u64)?,
+        "size_overhead" => n.size_overhead = r.f64()?,
+        "time_overhead" => n.time_overhead = r.f64()?,
+        "time_by_category" => r.array(|r| {
+            let (name, secs) = r.pair(Reader::string, Reader::f64)?;
+            n.time_by_category.push((name.into_owned(), secs));
+            Some(())
+        })?,
+        "retries" => n.retries = r.u64()?,
+        "retry_drops" => n.retry_drops = r.u64()?,
+        "queue_overflow" => n.queue_overflow = r.u64()?,
+        "acks_classified" => n.acks_classified = r.u64()?,
+        "bcast_filtered" => n.bcast_filtered = r.u64()?,
+        "bcast_ok" => n.bcast_ok = r.u64()?,
+        "bcast_crc_fail" => n.bcast_crc_fail = r.u64()?,
+        "unicast_ok" => n.unicast_ok = r.u64()?,
+        "unicast_crc_drops" => n.unicast_crc_drops = r.u64()?,
+        "collisions_seen" => n.collisions_seen = r.u64()?,
+        "forwarded" => n.forwarded = r.u64()?,
+    });
+    Some(n)
+}
+
+/// A number token: integers without sign, `.` or exponent stay exact.
+enum Num {
+    Int(u64),
+    Float(f64),
+}
+
+/// A pull reader over one record's text. Not a general-purpose JSON
+/// parser: just enough to read back what [`encode_record`] writes, with
+/// strict syntax so corruption surfaces as a skipped record. Every
+/// method consumes leading whitespace, then exactly one token or value,
+/// and returns `None` on anything else.
+struct Reader<'a> {
+    s: &'a str,
+    pos: usize,
+    depth: u32,
+}
+
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Self {
+        Reader { s, pos: 0, depth: 0 }
     }
 
-    impl Value {
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(kv) => Some(kv),
-                _ => None,
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.s.as_bytes().get(at).copied()
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.byte(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+        self.byte(self.pos)
+    }
+
+    /// Consumes the next non-whitespace byte, which must be `c`.
+    fn eat(&mut self, c: u8) -> Option<()> {
+        (self.peek()? == c).then(|| self.pos += 1)
+    }
+
+    /// True when only whitespace remains (trailing garbage is an error).
+    fn at_end(&mut self) -> bool {
+        self.peek().is_none()
+    }
+
+    /// `open item (, item)* close`, or `open close`; `item` reads one.
+    fn items(&mut self, open: u8, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.eat(open)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return None;
+        }
+        if self.peek()? != close {
+            item(self)?;
+            while self.peek()? == b',' {
+                self.pos += 1;
+                item(self)?;
             }
         }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
+        self.depth -= 1;
+        self.eat(close)
+    }
+
+    fn array(&mut self, item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.items(b'[', b']', item)
+    }
+
+    /// Hands each member's key to `member`, which must read its value.
+    fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+        self.items(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.eat(b':')?;
+            member(r, &key)
+        })
+    }
+
+    /// An array of exactly two values.
+    fn pair<A, B>(
+        &mut self,
+        first: impl FnOnce(&mut Self) -> Option<A>,
+        second: impl FnOnce(&mut Self) -> Option<B>,
+    ) -> Option<(A, B)> {
+        self.eat(b'[')?;
+        let a = first(self)?;
+        self.eat(b',')?;
+        let b = second(self)?;
+        self.eat(b']')?;
+        Some((a, b))
+    }
+
+    /// A string, borrowed from the input unless it holds an escape.
+    fn string(&mut self) -> Option<Cow<'a, str>> {
+        self.eat(b'"')?;
+        let s = self.s;
+        let mut unescaped = String::new();
+        loop {
+            // Take the whole unescaped run in one go: it ends at an
+            // ASCII byte, so the slice falls on character boundaries.
+            let start = self.pos;
+            let stop = loop {
+                match self.byte(self.pos)? {
+                    stop @ (b'"' | b'\\') => break stop,
+                    _ => self.pos += 1,
+                }
+            };
+            let run = s.get(start..self.pos)?;
+            self.pos += 1;
+            if stop == b'"' {
+                return Some(if unescaped.is_empty() {
+                    Cow::Borrowed(run)
+                } else {
+                    Cow::Owned(unescaped + run)
+                });
             }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Int(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(v) => Some(*v),
-                Value::Int(n) => Some(*n as f64),
-                // Non-finite floats are stored as quoted tokens.
-                Value::Str(s) => match s.as_str() {
-                    "NaN" => Some(f64::NAN),
-                    "inf" => Some(f64::INFINITY),
-                    "-inf" => Some(f64::NEG_INFINITY),
-                    _ => None,
-                },
-                _ => None,
-            }
+            unescaped.push_str(run);
+            unescaped.push(match self.byte(self.pos)? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'u' => {
+                    let code = u32::from_str_radix(s.get(self.pos + 1..self.pos + 5)?, 16).ok()?;
+                    self.pos += 4;
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            });
+            self.pos += 1;
         }
     }
 
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-    pub fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-        get(obj, key)?.as_str()
-    }
-    pub fn get_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-        get(obj, key)?.as_u64()
-    }
-    pub fn get_f64(obj: &[(String, Value)], key: &str) -> Option<f64> {
-        get(obj, key)?.as_f64()
-    }
-
-    /// Parses one complete JSON value (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
+    fn number(&mut self) -> Option<Num> {
+        let (start, mut exact) = (self.pos, self.byte(self.pos)? != b'-');
+        while let Some(c @ (b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) = self.byte(self.pos) {
+            exact &= !matches!(c, b'.' | b'e' | b'E');
+            self.pos += 1;
         }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
+        let text = self.s.get(start..self.pos)?;
+        if exact {
+            text.parse().ok().map(Num::Int)
         } else {
-            Err(format!("expected `{}` at byte {pos}", c as char))
+            text.parse().ok().map(Num::Float)
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => obj(b, pos),
-            Some(b'[') => arr(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
+    /// An exact counter: `1.0` and `-1` are not integers here.
+    fn u64(&mut self) -> Option<u64> {
+        self.peek()?;
+        match self.number()? {
+            Num::Int(n) => Some(n),
+            Num::Float(_) => None,
         }
     }
 
-    fn lit(b: &[u8], pos: &mut usize, text: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(text.as_bytes()) {
-            *pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {pos}"))
+    /// A float: any number, or one of the quoted non-finite tokens.
+    fn f64(&mut self) -> Option<f64> {
+        if self.peek()? == b'"' {
+            return match &*self.string()? {
+                "NaN" => Some(f64::NAN),
+                "inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                _ => None,
+            };
+        }
+        Some(match self.number()? {
+            Num::Int(n) => n as f64,
+            Num::Float(v) => v,
+        })
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.peek()? {
+            b't' => self.lit("true").map(|()| true),
+            b'f' => self.lit("false").map(|()| false),
+            _ => None,
         }
     }
 
-    fn obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut kv = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(kv));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            expect(b, pos, b':')?;
-            let v = value(b, pos)?;
-            kv.push((key, v));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(kv));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-            }
-        }
+    fn lit(&mut self, text: &str) -> Option<()> {
+        self.s.as_bytes()[self.pos..].starts_with(text.as_bytes()).then(|| self.pos += text.len())
     }
 
-    fn arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
+    /// Any one value, syntax-checked and dropped.
+    fn skip(&mut self) -> Option<()> {
+        match self.peek()? {
+            b'{' => self.object(|r, _| r.skip()),
+            b'[' => self.array(Self::skip),
+            b'"' => self.string().map(drop),
+            b't' => self.lit("true"),
+            b'f' => self.lit("false"),
+            b'n' => self.lit("null"),
+            _ => self.number().map(drop),
         }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-            }
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume the whole unescaped run in one go (the
-                    // input is a &str, so copying bytes up to the next
-                    // delimiter keeps UTF-8 boundaries intact). Runs
-                    // are validated once each — per-character
-                    // validation of the remaining slice made parsing a
-                    // 500 KB record quadratic.
-                    let start = *pos;
-                    while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid utf-8")?);
-                }
-            }
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-        if text.is_empty() {
-            return Err(format!("expected value at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E']) && !text.starts_with('-') {
-            return text.parse::<u64>().map(Value::Int).map_err(|e| e.to_string());
-        }
-        text.parse::<f64>().map(Value::Num).map_err(|e| e.to_string())
     }
 }
 
@@ -920,12 +899,34 @@ mod tests {
         dir
     }
 
+    /// One record's JSON, as `append_batch` encodes it.
+    fn encoded(spec: &ScenarioSpec, rep: u64, outcome: &RunOutcome, events: Option<u64>) -> String {
+        let mut json = String::new();
+        encode_record(&mut json, spec.stable_hash(), rep, &spec.to_scn(), outcome, events).unwrap();
+        json
+    }
+
+    fn sealed(json: &str) -> String {
+        let mut line = json.to_string();
+        seal(&mut line, 0).unwrap();
+        line
+    }
+
+    fn put(
+        cache: &ConcurrentCache,
+        spec: &ScenarioSpec,
+        rep: u64,
+        outcome: &RunOutcome,
+    ) -> std::io::Result<()> {
+        cache.append_batch(&[(spec.stable_hash(), rep, spec, outcome)])
+    }
+
     #[test]
     fn outcome_round_trips_bit_exactly() {
         let spec = tiny_spec();
         let outcome = spec.run();
-        let line = encode_record(spec.stable_hash(), 1, &spec.to_scn(), &outcome, None);
-        let ((hash, rep), back, events) = decode_record(&line).expect("decode own record");
+        let line = encoded(&spec, 1, &outcome, None);
+        let ((hash, rep), back, events) = decode_record(line.as_bytes()).expect("decode own record");
         assert_eq!(hash, spec.stable_hash());
         assert_eq!(rep, 1);
         assert_eq!(events, None);
@@ -950,8 +951,8 @@ mod tests {
         let outcome = spec.run();
         assert_eq!(outcome.per_flow.len(), 2);
         assert!(outcome.per_flow[0].completed_at.is_some(), "transfer should finish");
-        let line = encode_record(spec.stable_hash(), 1, &spec.to_scn(), &outcome, Some(4321));
-        let (_, back, events) = decode_record(&line).expect("decode mixed record");
+        let line = encoded(&spec, 1, &outcome, Some(4321));
+        let (_, back, events) = decode_record(line.as_bytes()).expect("decode mixed record");
         assert_eq!(events, Some(4321), "the scheduling hint rides along");
         assert_eq!(back, outcome, "labeled per-flow outcomes must survive the cache");
         assert_eq!(back.per_flow[0].kind, FlowKind::FileTransfer);
@@ -966,18 +967,19 @@ mod tests {
         let spec = tiny_spec();
         let outcome = spec.run();
         {
-            let mut c = ResultCache::open(&dir).unwrap();
+            let c = ConcurrentCache::open(&dir).unwrap();
             assert!(c.is_empty());
-            assert!(c.lookup(spec.stable_hash(), 1).is_none());
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
+            assert!(c.index().get(spec.stable_hash(), 1).is_none());
+            put(&c, &spec, 1, &outcome).unwrap();
+            c.note(0, 1);
             assert_eq!(c.stats(), CacheStats { hits: 0, misses: 1, skipped: 0, quarantined: 0 });
         }
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 1);
-        let cached = c.lookup(spec.stable_hash(), 1).expect("reload from disk");
-        assert_eq!(cached, outcome);
-        assert!(c.lookup(spec.stable_hash(), 2).is_none(), "other reps stay cold");
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, skipped: 0, quarantined: 0 });
+        let index = c.index();
+        assert_eq!(**index.get(spec.stable_hash(), 1).expect("reload from disk"), outcome);
+        assert!(index.get(spec.stable_hash(), 2).is_none(), "other reps stay cold");
+        assert_eq!(c.stats(), CacheStats::default(), "session counters start at zero");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -987,14 +989,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let spec = tiny_spec();
         let outcome = spec.run();
-        let good = seal(&encode_record(spec.stable_hash(), 1, &spec.to_scn(), &outcome, None));
+        let good = sealed(&encoded(&spec, 1, &outcome, None));
         // An intact (valid-CRC) record from another schema revision.
-        let foreign = seal(
-            &encode_record(spec.stable_hash(), 1, &spec.to_scn(), &outcome, None)
-                .replace(CACHE_SCHEMA, "hydra-agg.run.v0"),
-        );
+        let foreign = sealed(&encoded(&spec, 1, &outcome, None).replace(CACHE_SCHEMA, "hydra-agg.run.v0"));
         std::fs::write(dir.join("runs.jsonl"), format!("{foreign}\nnot json at all\n{good}\n")).unwrap();
-        let c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 1, "only the current-schema record loads");
         assert_eq!(c.stats().skipped, 1, "intact foreign record is skipped, not quarantined");
         assert_eq!(c.stats().quarantined, 1, "trailer-less garbage is quarantined");
@@ -1013,9 +1012,9 @@ mod tests {
         let spec = tiny_spec();
         let outcome = spec.run();
         {
-            let mut c = ResultCache::open(&dir).unwrap();
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-            c.record(spec.stable_hash(), 2, &spec, &outcome).unwrap();
+            let c = ConcurrentCache::open(&dir).unwrap();
+            put(&c, &spec, 1, &outcome).unwrap();
+            put(&c, &spec, 2, &outcome).unwrap();
         }
         // Tear the file mid-record, as a crash during the second
         // append would: keep the first line and half of the second.
@@ -1025,16 +1024,16 @@ mod tests {
         let torn = &text[..first_len + (text.len() - first_len) / 2];
         std::fs::write(&path, torn).unwrap();
 
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.stats().quarantined, 1);
-        assert!(c.lookup(spec.stable_hash(), 1).is_some(), "intact record survives");
-        assert!(c.lookup(spec.stable_hash(), 2).is_none(), "torn record degrades to cold");
+        assert!(c.index().get(spec.stable_hash(), 1).is_some(), "intact record survives");
+        assert!(c.index().get(spec.stable_hash(), 2).is_none(), "torn record degrades to cold");
         // The torn fragment is preserved for forensics, out of band.
         assert!(dir.join("runs.corrupt.jsonl").exists());
         // Re-recording the cold key heals the cache for the next open.
-        c.record(spec.stable_hash(), 2, &spec, &outcome).unwrap();
+        put(&c, &spec, 2, &outcome).unwrap();
         drop(c);
-        let c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().quarantined, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1045,69 +1044,56 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let spec = tiny_spec();
         let outcome = spec.run();
-        {
-            let mut c = ResultCache::open(&dir).unwrap();
-            c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-        }
+        put(&ConcurrentCache::open(&dir).unwrap(), &spec, 1, &outcome).unwrap();
         let path = dir.join("runs.jsonl");
         let mut text = std::fs::read_to_string(&path).unwrap();
         // Flip one digit inside a numeric field (valid JSON, wrong data).
         let at = text.find("\"rep\":1").expect("rep field") + "\"rep\":".len();
         text.replace_range(at..at + 1, "7");
         std::fs::write(&path, &text).unwrap();
-        let mut c = ResultCache::open(&dir).unwrap();
+        let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.stats().quarantined, 1, "CRC catches silent data damage");
-        assert!(c.lookup(spec.stable_hash(), 1).is_none());
-        assert!(c.lookup(spec.stable_hash(), 7).is_none(), "damaged record must not load");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_append_failpoint_surfaces_as_io_error() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let dir = tmp_dir("failpoint");
-        let spec = tiny_spec();
-        let outcome = spec.run();
-        let mut c = ResultCache::open(&dir).unwrap();
-        hydra_sim::failpoint::arm("cache.append", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let err = c.record(spec.stable_hash(), 1, &spec, &outcome);
-        assert!(err.is_err(), "armed failpoint injects an IO error");
-        // The failed append wrote nothing; the retry lands cleanly.
-        c.record(spec.stable_hash(), 1, &spec, &outcome).unwrap();
-        hydra_sim::failpoint::disarm_all();
-        drop(c);
-        let c = ResultCache::open(&dir).unwrap();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().quarantined, 0);
+        assert!(c.index().get(spec.stable_hash(), 1).is_none());
+        assert!(c.index().get(spec.stable_hash(), 7).is_none(), "damaged record must not load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn seal_and_unseal_round_trip_and_reject_damage() {
-        let sealed = seal("{\"a\":1}");
-        assert!(sealed.starts_with("{\"a\":1}#crc:"));
-        assert_eq!(unseal(&sealed), Some("{\"a\":1}"));
-        assert_eq!(unseal("{\"a\":1}"), None, "no trailer");
-        assert_eq!(unseal("{\"a\":1}#crc:00000000"), None, "wrong crc");
-        let tampered = sealed.replace("{\"a\":1}", "{\"a\":2}");
-        assert_eq!(unseal(&tampered), None, "payload edit breaks the seal");
+        let line = sealed("{\"a\":1}");
+        assert!(line.starts_with("{\"a\":1}#crc:"));
+        assert_eq!(unseal(line.as_bytes()), Some(&b"{\"a\":1}"[..]));
+        assert_eq!(unseal(b"{\"a\":1}"), None, "no trailer");
+        assert_eq!(unseal(b"{\"a\":1}#crc:00000000"), None, "wrong crc");
+        let tampered = line.replace("{\"a\":1}", "{\"a\":2}");
+        assert_eq!(unseal(tampered.as_bytes()), None, "payload edit breaks the seal");
     }
 
     #[test]
-    fn json_parser_rejects_garbage() {
-        for bad in ["{", "[1,", "\"abc", "{\"a\":}", "{\"a\":1} trailing", ""] {
-            assert!(json::parse(bad).is_err(), "`{bad}` should fail");
+    fn the_reader_rejects_garbage() {
+        let whole = |text: &str| {
+            let mut r = Reader::new(text);
+            r.skip().is_some() && r.at_end()
+        };
+        for bad in
+            ["{", "[1,", "[1,]", "\"abc", "{\"a\":}", "{\"a\":1,}", "{\"a\":1} trailing", "tru", "1e", ""]
+        {
+            assert!(!whole(bad), "`{bad}` should fail");
         }
-        assert_eq!(json::parse("-3.5").unwrap(), json::Value::Num(-3.5));
-        assert_eq!(json::parse("42").unwrap(), json::Value::Int(42));
-        assert_eq!(json::parse("\"a\\\"b\\u0041\"").unwrap(), json::Value::Str("a\"bA".into()));
+        for good in ["{}", " [ ] ", "{\"a\":[1,-2.5e3,{\"b\":null}],\"c\":\"x\",\"d\":true , \"e\":false}"] {
+            assert!(whole(good), "`{good}` should parse");
+        }
+        assert_eq!(Reader::new("-3.5").f64(), Some(-3.5));
+        assert_eq!(Reader::new(" 42").u64(), Some(42));
+        assert_eq!(Reader::new("\"a\\\"b\\u0041\"").string().as_deref(), Some("a\"bA"));
+        assert_eq!(Reader::new("\"\\ud800\"").string(), None, "a lone surrogate is no char");
+        assert!(decode_record(b"{\"x\":\"\xff\"}").is_none(), "records are checked UTF-8");
     }
 
     #[test]
     fn non_finite_floats_survive() {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1, -0.0, 1e300] {
-            let parsed = json::parse(&fnum(v)).unwrap().as_f64().unwrap();
+            let parsed = Reader::new(&Float(v).to_string()).f64().unwrap();
             assert!(parsed.to_bits() == v.to_bits() || (parsed.is_nan() && v.is_nan()));
         }
     }
@@ -1118,7 +1104,7 @@ mod tests {
         let spec = tiny_spec();
         let spec2 = tiny_spec().with_seed(2);
         let (outcome, outcome2) = (spec.run(), spec2.run());
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = ConcurrentCache::open(&dir).unwrap();
         let before = cache.index();
         cache
             .append_batch(&[
@@ -1154,9 +1140,9 @@ mod tests {
         let dir = tmp_dir("batch-fp");
         let spec = tiny_spec();
         let outcome = spec.run();
-        let cache = ResultCache::open(&dir).unwrap().shared();
+        let cache = ConcurrentCache::open(&dir).unwrap();
         hydra_sim::failpoint::arm("cache.append", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let err = cache.append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)]);
+        let err = put(&cache, &spec, 1, &outcome);
         hydra_sim::failpoint::disarm_all();
         assert!(err.is_err(), "armed failpoint injects an IO error");
         assert!(cache.is_empty(), "a failed batch indexes nothing");
@@ -1164,9 +1150,12 @@ mod tests {
             !dir.join("runs.jsonl").exists()
                 || std::fs::read_to_string(dir.join("runs.jsonl")).unwrap().is_empty()
         );
-        // The retry lands the whole batch cleanly.
-        cache.append_batch(&[(spec.stable_hash(), 1, &spec, &outcome)]).unwrap();
+        // The retry lands the whole batch cleanly, on disk too.
+        put(&cache, &spec, 1, &outcome).unwrap();
         assert_eq!(cache.len(), 1);
+        drop(cache);
+        let reopened = ConcurrentCache::open(&dir).unwrap();
+        assert_eq!((reopened.len(), reopened.stats().quarantined), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,9 @@
 //! simulates nothing and reproduces byte-identical tables; editing one
 //! spec re-runs only that spec's cells.
 
-use hydra_bench::{CacheStats, ExperimentRunner, ResultCache, Table};
+use std::sync::Arc;
+
+use hydra_bench::{CacheStats, ConcurrentCache, ExperimentRunner, Table};
 use hydra_netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -49,7 +51,7 @@ fn warm_rerun_simulates_nothing_and_matches_byte_for_byte() {
     let seeds = 2;
 
     // Cold: everything simulates.
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let runner = ExperimentRunner::new(2).with_cache(cache.clone());
     let cold = render(&runner, &specs, seeds);
     let stats = cache.stats();
@@ -57,7 +59,7 @@ fn warm_rerun_simulates_nothing_and_matches_byte_for_byte() {
 
     // Warm, new process simulated by reopening from disk: zero misses,
     // identical bytes.
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let runner = ExperimentRunner::new(2).with_cache(cache.clone());
     let warm = render(&runner, &specs, seeds);
     let stats = cache.stats();
@@ -78,7 +80,7 @@ fn corrupted_cache_degrades_to_cold_and_tables_stay_byte_identical() {
     let specs = sweep();
     let seeds = 2;
 
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let cold = render(&ExperimentRunner::new(2).with_cache(cache), &specs, seeds);
 
     // Crash simulation: tear the last record mid-line and flip a byte
@@ -97,7 +99,7 @@ fn corrupted_cache_degrades_to_cold_and_tables_stay_byte_identical() {
     // Reopen: both damaged records are quarantined, their keys go
     // cold, the rerun re-simulates exactly them, and the rendered
     // table is byte-identical to the cold run.
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let recovered = render(&ExperimentRunner::new(2).with_cache(cache.clone()), &specs, seeds);
     let stats = cache.stats();
     assert_eq!(stats.quarantined, 2, "both damaged records quarantined");
@@ -107,7 +109,7 @@ fn corrupted_cache_degrades_to_cold_and_tables_stay_byte_identical() {
     assert!(dir.join("runs.corrupt.jsonl").exists());
 
     // And the healed cache serves everything warm again.
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     let warm = render(&ExperimentRunner::new(2).with_cache(cache.clone()), &specs, seeds);
     assert_eq!(cache.stats().misses, 0);
     assert_eq!(warm, cold);
@@ -120,19 +122,19 @@ fn editing_one_spec_invalidates_only_its_cells() {
     let mut specs = sweep();
     let seeds = 2;
 
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     render(&ExperimentRunner::new(2).with_cache(cache), &specs, seeds);
 
     // Edit the middle spec (longer measurement window -> new hash).
     specs[1].duration = Duration::from_millis(1500);
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     render(&ExperimentRunner::new(2).with_cache(cache.clone()), &specs, seeds);
     let stats = cache.stats();
     assert_eq!(stats.misses, seeds, "only the edited spec's replications re-run");
     assert_eq!(stats.hits, (specs.len() as u64 - 1) * seeds);
 
     // Asking for more seeds re-runs only the new replications.
-    let cache = ResultCache::open(&dir).unwrap().shared();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
     render(&ExperimentRunner::new(2).with_cache(cache.clone()), &specs, seeds + 1);
     let stats = cache.stats();
     assert_eq!(stats.misses, specs.len() as u64, "one new replication per spec");
