@@ -1,12 +1,12 @@
-//! Micro-benchmarks for the sweep scheduler and the concurrent result
+//! Micro-benchmarks for the sweep executor and the concurrent result
 //! cache, isolated from simulation work:
 //!
 //! * `sched_dispatch_{n}` — `sched::execute` over n trivial jobs at 1
-//!   and 4 workers. The 1-worker number is pure bookkeeping (no pool
-//!   spins up); the 4-worker number charges pool spin-up, LPT
-//!   assignment, stealing, and result collection — the fixed overhead a
-//!   sweep pays before any simulation runs, which must stay far below
-//!   one cell's simulation cost.
+//!   and 4 workers. The 1-worker number is pure bookkeeping (nothing is
+//!   spawned); the 4-worker number adds three thread spawns and joins
+//!   to the cost sort and result regrouping — the fixed overhead a
+//!   sweep pays around its simulations, which must stay far below one
+//!   cell's simulation cost.
 //! * `cache_index_load_{n}` / `cache_index_lookup_{n}` — cold-opening a
 //!   cache file of n records (parse + CRC + index build, the once-per-
 //!   process cost) vs resolving n read-side lookups against a
@@ -42,8 +42,8 @@ fn bench_dispatch(c: &mut Criterion, n: usize) {
     for threads in [1usize, 4] {
         g.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
-                // Trivial closures: everything measured is scheduler
-                // overhead. Costs vary so LPT actually sorts.
+                // Trivial closures: everything measured is executor
+                // overhead. Costs vary so the sort has work to do.
                 let jobs: Vec<sched::Job<'_, usize>> =
                     (0..n).map(|i| sched::Job::one(((i * 37) % 101) as f64, move || i)).collect();
                 let (results, telemetry) = sched::execute(jobs, threads);

@@ -22,7 +22,7 @@
 use std::io::Write as _;
 
 use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
-use hydra_bench::{CellResult, ExperimentRunner, Scheduler};
+use hydra_bench::{CellResult, ExperimentRunner, RunnerTelemetry};
 use hydra_netsim::RunPerf;
 use hydra_netsim::{parse_scn, ScenarioSpec, TopologyKind};
 
@@ -74,22 +74,14 @@ options:
                        and surviving cells are byte-identical to the
                        fault-free pass, print `chaos=ok`, exit
   --chaos-seed N       seed for the chaos fault schedule (default 7)
-  --threads LIST       scheduler mode instead of profiling: run the whole
-                       grid (flattened into one work list) at each comma-
-                       separated thread count, once per dispatch
-                       discipline (flat-cursor baseline and the cost-
-                       aware work-stealing scheduler), interleaved on the
-                       same machine. Asserts event totals are identical
-                       at every width, prints per-point makespan /
-                       efficiency / steal telemetry, adds a schedule
-                       replay (measured per-job walls placed ideally
-                       under each discipline — the machine-noise-free
-                       placement comparison), and writes the report to
-                       results/BENCH_runner.json unless --out is given
-  --assert-efficiency X
-                       with --threads: fail (exit 1) if any work-stealing
-                       point with more than one worker measures parallel
-                       efficiency (busy / (threads x makespan)) below X
+  --threads LIST       runner mode instead of profiling: run the whole
+                       grid (flattened into one work list, cache-less) at
+                       each comma-separated thread count. Asserts event
+                       totals are identical at every width, prints
+                       per-width makespan / busy / efficiency, and writes
+                       the report to results/profile_runner.json unless
+                       --out is given. A width above the machine's core
+                       count is recorded as unmeasured, not timed
   --note TEXT          free-form provenance note embedded in the report
   --help               this text
 ";
@@ -108,7 +100,6 @@ struct Args {
     chaos: bool,
     chaos_seed: u64,
     threads: Option<Vec<usize>>,
-    assert_efficiency: Option<f64>,
 }
 
 /// Which event-queue backend the grid runs on.
@@ -142,7 +133,6 @@ fn parse_args() -> Args {
         chaos: false,
         chaos_seed: 7,
         threads: None,
-        assert_efficiency: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -167,10 +157,6 @@ fn parse_args() -> Args {
                     die("--threads needs a comma-separated list of positive counts");
                 }
                 a.threads = Some(widths);
-            }
-            "--assert-efficiency" => {
-                a.assert_efficiency =
-                    Some(val(&mut i).parse().unwrap_or_else(|_| die("bad efficiency floor")))
             }
             "--queue" => {
                 a.queue = match val(&mut i).as_str() {
@@ -415,210 +401,100 @@ fn run_chaos(chaos_seed: u64, seeds: u64) -> ! {
     std::process::exit(0);
 }
 
-/// One `(scheduler, threads)` measurement of the `--threads` mode.
-struct SchedPoint {
-    scheduler: &'static str,
+/// One width of the `--threads` mode.
+struct WidthPoint {
     threads: usize,
-    jobs: u64,
-    shard_tasks: u64,
-    steals: u64,
-    stolen_tasks: u64,
-    makespan_ms: f64,
-    busy_ms: f64,
-    efficiency: f64,
     events: u64,
-}
-
-/// Greedy list scheduling of measured per-job walls in a given order:
-/// each job lands on the earliest-free worker. With `order` = submission
-/// order this replays the flat cursor; with `order` = predicted-cost
-/// descending it replays LPT placement. Machine noise cancels because
-/// both replays place the *same* measured walls.
-fn list_makespan(walls: &[f64], order: &[usize], threads: usize) -> f64 {
-    let mut free = vec![0.0f64; threads.max(1)];
-    for &j in order {
-        let w = (0..free.len()).min_by(|&a, &b| free[a].partial_cmp(&free[b]).unwrap()).unwrap();
-        free[w] += walls[j].max(0.0);
-    }
-    free.iter().cloned().fold(0.0, f64::max)
+    telemetry: RunnerTelemetry,
 }
 
 /// The `--threads` mode: the whole grid flattened into one work list,
-/// run cache-less at every requested width under both dispatch
-/// disciplines, interleaved on the same machine. Event totals are
-/// asserted identical across widths (the determinism claim measured,
-/// not assumed), telemetry and a measured-wall schedule replay go into
-/// a `hydra-agg.bench-runner.v1` report, and `--assert-efficiency`
-/// turns the work-stealing points into a CI gate.
+/// run cache-less at every requested width. Event totals are asserted
+/// identical across widths (the determinism claim measured, not
+/// assumed) and the per-width telemetry goes into a
+/// `hydra-agg.bench-runner.v2` report. Wall-clock makespans say nothing
+/// about a schedule once threads outnumber cores, so such widths carry
+/// `unmeasured` in place of their timings.
 fn run_threads(args: &Args, widths: &[usize]) -> ! {
     let grids = match args.grid.as_str() {
         "full" => shipped_sweeps().into_iter().map(|(n, s)| (n.to_string(), s)).collect(),
         "smoke" => smoke_grid(),
         other => die(&format!("unknown grid `{other}` (full|smoke)")),
     };
-    // One flat work list: the scheduler's job is placement across the
-    // *whole* session, not within one small sweep.
+    // One flat work list: the executor orders the *whole* session, not
+    // one small sweep at a time.
     let specs: Vec<ScenarioSpec> = grids.into_iter().flat_map(|(_, s)| s).collect();
     let njobs = specs.len() as u64 * args.seeds;
-    // Predicted costs in submission order — the ordering key the
-    // work-stealing scheduler actually uses for these (cache-less) runs.
-    let predicted: Vec<f64> = specs
-        .iter()
-        .flat_map(|s| std::iter::repeat_n(ExperimentRunner::predicted_cost(s), args.seeds as usize))
-        .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let disciplines: [(&'static str, Scheduler); 2] =
-        [("flat_cursor", Scheduler::FlatCursor), ("work_stealing", Scheduler::WorkStealing)];
-    let measure = |name: &'static str, sched: Scheduler, threads: usize| -> (SchedPoint, Vec<f64>) {
-        let runner = ExperimentRunner::new(threads).with_scheduler(sched);
-        let cells = runner.run_sweep(&specs, args.seeds);
-        let mut events = 0u64;
-        for cell in &cells {
-            for run in &cell.runs {
+    let points: Vec<WidthPoint> = widths
+        .iter()
+        .map(|&threads| {
+            let runner = ExperimentRunner::new(threads);
+            let mut events = 0u64;
+            for run in runner.run_sweep(&specs, args.seeds).into_iter().flat_map(|cell| cell.runs) {
                 match run {
                     Ok(outcome) => events += outcome.perf.events_processed,
-                    Err(e) => die(&format!("run failed under {name} x{threads}: {e}")),
+                    Err(e) => die(&format!("run failed at {threads} threads: {e}")),
                 }
             }
-        }
-        let t = runner.telemetry();
-        let walls: Vec<f64> = t.per_job.iter().map(|j| j.wall_ms).collect();
-        let point = SchedPoint {
-            scheduler: name,
-            threads,
-            jobs: t.jobs,
-            shard_tasks: t.shard_tasks,
-            steals: t.steals,
-            stolen_tasks: t.stolen_tasks,
-            makespan_ms: t.makespan_ms,
-            busy_ms: t.busy_ms,
-            efficiency: t.parallel_efficiency(),
-            events,
-        };
-        eprintln!(
-            "{name} x{threads}: {} jobs (+{} shard tasks), makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}, {} steals ({} tasks moved)",
-            point.jobs, point.shard_tasks, point.makespan_ms, point.busy_ms, point.efficiency,
-            point.steals, point.stolen_tasks,
-        );
-        (point, walls)
-    };
-
-    let mut points: Vec<SchedPoint> = Vec::new();
-    // Measured per-job walls from the sequential work-stealing pass —
-    // the replay basis (sequential walls are steal- and
-    // contention-free, so they are the cleanest per-job cost record).
-    let mut basis_walls: Option<Vec<f64>> = None;
-    for &threads in widths {
-        for (name, sched) in disciplines {
-            let (point, walls) = measure(name, sched, threads);
-            if sched == Scheduler::WorkStealing && threads == 1 {
-                basis_walls = Some(walls);
-            }
-            points.push(point);
-        }
-    }
-    let basis_walls = basis_walls.unwrap_or_else(|| measure("work_stealing", Scheduler::WorkStealing, 1).1);
-
-    // Determinism, measured: per discipline, every width simulated the
-    // identical event total. Across disciplines the totals also agree
-    // unless decomposition ran (sharded runs process a few extra
-    // per-domain bookkeeping events; results still match — see the
-    // determinism tests).
-    for (name, _) in disciplines {
-        let mine: Vec<&SchedPoint> = points.iter().filter(|p| p.scheduler == name).collect();
-        for p in &mine {
-            assert_eq!(
-                p.events, mine[0].events,
-                "{name}: event total changed between {} and {} threads",
-                mine[0].threads, p.threads,
+            let t = runner.telemetry();
+            assert_eq!(t.jobs, njobs, "x{threads}: job count mismatch");
+            eprintln!(
+                "x{threads}: {} jobs (+{} shard tasks), makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}{}",
+                t.jobs,
+                t.shard_tasks,
+                t.makespan_ms,
+                t.busy_ms,
+                t.parallel_efficiency(),
+                if threads > cores { " (oversubscribed: not recorded)" } else { "" },
             );
-            assert_eq!(p.jobs, njobs, "{name} x{}: job count mismatch", p.threads);
-        }
-    }
-    if points.iter().all(|p| p.shard_tasks == 0) {
-        assert_eq!(
-            points.iter().filter(|p| p.scheduler == "flat_cursor").map(|p| p.events).next(),
-            points.iter().filter(|p| p.scheduler == "work_stealing").map(|p| p.events).next(),
-            "undecomposed schedulers must simulate identical event totals",
-        );
-    }
-
-    // Schedule replay: the measured sequential walls placed greedily
-    // under each discipline's order at each width. This isolates
-    // placement quality from machine noise and core count — on a
-    // single-core container the *measured* multi-thread makespans
-    // cannot improve, but the placement comparison still can.
-    let submission: Vec<usize> = (0..basis_walls.len()).collect();
-    let mut lpt_order = submission.clone();
-    lpt_order.sort_by(|&a, &b| predicted[b].partial_cmp(&predicted[a]).unwrap_or(std::cmp::Ordering::Equal));
-    struct Replay {
-        threads: usize,
-        flat_ms: f64,
-        lpt_ms: f64,
-    }
-    let replays: Vec<Replay> = widths
-        .iter()
-        .map(|&threads| Replay {
-            threads,
-            flat_ms: list_makespan(&basis_walls, &submission, threads),
-            lpt_ms: list_makespan(&basis_walls, &lpt_order, threads),
+            WidthPoint { threads, events, telemetry: t }
         })
         .collect();
-    for r in &replays {
-        eprintln!(
-            "replay x{}: flat cursor {:.1} ms, LPT {:.1} ms ({:.2}x)",
-            r.threads,
-            r.flat_ms,
-            r.lpt_ms,
-            r.flat_ms / r.lpt_ms.max(1e-9),
+    for p in &points {
+        assert_eq!(
+            p.events, points[0].events,
+            "event total changed between {} and {} threads",
+            points[0].threads, p.threads,
         );
     }
 
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"hydra-agg.bench-runner.v1\",\n");
+    j.push_str("  \"schema\": \"hydra-agg.bench-runner.v2\",\n");
     j.push_str(&format!("  \"grid\": {},\n", quote(&args.grid)));
     j.push_str(&format!("  \"seeds\": {},\n", args.seeds));
     j.push_str(&format!("  \"jobs\": {},\n", njobs));
-    j.push_str(&format!("  \"machine_cores\": {},\n", hydra_sim::parallel::total()));
+    j.push_str(&format!("  \"machine_cores\": {cores},\n"));
     if let Some(note) = &args.note {
         j.push_str(&format!("  \"note\": {},\n", quote(note)));
     }
-    j.push_str("  \"measurement_note\": \"each point is one cache-less pass over the flattened grid; points interleave disciplines at each width on the same machine. busy/makespan walls are wall-clock: on a machine with fewer cores than threads the measured multi-thread makespans reflect oversubscription, which is why the replay block exists\",\n");
+    j.push_str("  \"measurement_note\": \"each point is one cache-less pass over the flattened grid; makespan and busy are wall-clock, so a width above machine_cores is marked unmeasured\",\n");
     j.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
+        let t = &p.telemetry;
+        let timing = if p.threads > cores {
+            "\"unmeasured\": \"fewer cores than threads\"".to_string()
+        } else {
+            format!(
+                "\"makespan_ms\": {:.1}, \"busy_ms\": {:.1}, \"efficiency\": {:.3}",
+                t.makespan_ms,
+                t.busy_ms,
+                t.parallel_efficiency()
+            )
+        };
         j.push_str(&format!(
-            "    {{\"scheduler\": {}, \"threads\": {}, \"jobs\": {}, \"shard_tasks\": {}, \"steals\": {}, \"stolen_tasks\": {}, \"makespan_ms\": {:.1}, \"busy_ms\": {:.1}, \"efficiency\": {:.3}, \"events_processed\": {}}}{}\n",
-            quote(p.scheduler),
+            "    {{\"threads\": {}, \"shard_tasks\": {}, \"events_processed\": {}, {timing}}}{}\n",
             p.threads,
-            p.jobs,
-            p.shard_tasks,
-            p.steals,
-            p.stolen_tasks,
-            p.makespan_ms,
-            p.busy_ms,
-            p.efficiency,
+            t.shard_tasks,
             p.events,
             if i + 1 < points.len() { "," } else { "" },
         ));
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"replay\": {\n");
-    j.push_str("    \"note\": \"measured sequential per-job walls placed greedily (earliest-free worker) in submission order vs predicted-cost-descending order — the machine-noise-free placement comparison\",\n");
-    j.push_str("    \"widths\": [\n");
-    for (i, r) in replays.iter().enumerate() {
-        j.push_str(&format!(
-            "      {{\"threads\": {}, \"flat_cursor_ms\": {:.1}, \"lpt_ms\": {:.1}, \"improvement\": {:.3}}}{}\n",
-            r.threads,
-            r.flat_ms,
-            r.lpt_ms,
-            r.flat_ms / r.lpt_ms.max(1e-9),
-            if i + 1 < replays.len() { "," } else { "" },
-        ));
-    }
-    j.push_str("    ]\n  }\n}\n");
+    j.push_str("  ]\n}\n");
 
-    let out = if args.out_set { args.out.clone() } else { "results/BENCH_runner.json".to_string() };
+    let out = if args.out_set { args.out.clone() } else { "results/profile_runner.json".to_string() };
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).ok();
     }
@@ -626,20 +502,8 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
 
     // Deterministic lines for CI diffing (no wall times).
     println!("events_processed_total={}", points[0].events);
-    println!("scheduler_points={} jobs={}", points.len(), njobs);
-    if let Some(floor) = args.assert_efficiency {
-        for p in points.iter().filter(|p| p.scheduler == "work_stealing" && p.threads > 1) {
-            if p.efficiency < floor {
-                eprintln!(
-                    "EFFICIENCY FLOOR FAILED: work_stealing x{} measured {:.3} (< {floor} floor)",
-                    p.threads, p.efficiency,
-                );
-                std::process::exit(1);
-            }
-        }
-        eprintln!("efficiency floor {floor}: ok");
-    }
-    eprintln!("scheduler report -> {out}");
+    println!("widths={} jobs={}", points.len(), njobs);
+    eprintln!("runner report -> {out}");
     std::process::exit(0);
 }
 

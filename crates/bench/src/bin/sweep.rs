@@ -106,7 +106,9 @@ fn export(dir: &str) {
     }
 }
 
-fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) {
+/// Runs one file and prints its table; returns how many replications
+/// failed (each one named on stderr).
+fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) -> usize {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
     let file = match parse_scn_file(&text) {
         Ok(file) => file,
@@ -114,7 +116,7 @@ fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) {
     };
     if file.specs.is_empty() {
         eprintln!("{path}: no scenarios, skipping");
-        return;
+        return 0;
     }
     // Replication count: explicit flag > `#! seeds=` directive > 3.
     let seeds = cli_seeds.or(file.meta.seeds).unwrap_or(3);
@@ -145,9 +147,11 @@ fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) {
         t.note(note.clone());
     }
     t.print();
-    for line in failure_lines(path, &cells) {
+    let failures = failure_lines(path, &cells);
+    for line in &failures {
         eprintln!("{line}");
     }
+    failures.len()
 }
 
 fn main() {
@@ -170,13 +174,10 @@ fn main() {
     } else {
         None
     };
-    for file in &a.files {
-        run_file(&runner, file, a.seeds);
-    }
+    let failures: usize = a.files.iter().map(|file| run_file(&runner, file, a.seeds)).sum();
     if let Some(cache) = cache {
         eprintln!("result cache: {}", cache.stats());
     }
-    let failures = runner.failure_count();
     if failures > 0 {
         eprintln!("{failures} replication(s) FAILED — see the per-seed columns above");
         std::process::exit(1);

@@ -30,5 +30,5 @@ pub mod sched;
 pub mod sweeps;
 
 pub use report::Table;
-pub use runner::{failure_lines, CellResult, ExperimentRunner, RunnerTelemetry, Scheduler};
+pub use runner::{failure_lines, CellResult, ExperimentRunner, RunnerTelemetry};
 pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, SharedCache, CACHE_SCHEMA};

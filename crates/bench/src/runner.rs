@@ -4,33 +4,27 @@
 //! [`ScenarioSpec`]s, each replicated over some number of seeds, with
 //! the per-run results folded into a table. [`ExperimentRunner`] expands
 //! a sweep into a flat work list, predicts each job's cost, executes
-//! the list on a cost-aware work-stealing pool ([`crate::sched`]), and
+//! the list longest-first on the one executor ([`crate::sched`]), and
 //! hands the outcomes back in sweep order.
 //!
 //! ## Scheduling
 //!
-//! The default [`Scheduler::WorkStealing`] dispatch places jobs
-//! longest-predicted-first (LPT) so a sweep's long pole — e.g. one
-//! 1000-node mesh among dozens of 20-node paper cells — starts
-//! immediately instead of landing last on a busy worker, and idle
-//! workers steal from busy ones through the tail. Costs come from
+//! Jobs start in descending predicted cost, so a sweep's long pole —
+//! e.g. one 1000-node mesh among dozens of 20-node paper cells — starts
+//! immediately instead of landing last on a busy worker, and whichever
+//! worker frees up next takes the next job. Costs come from
 //! [`ExperimentRunner::predicted_cost`], a spec-feature model
 //! (nodes × flows × span × rate), *calibrated* by recorded event counts
 //! when the attached cache has seen the spec before. Cost predictions
 //! only ever reorder work; results are byte-identical in any order.
 //!
 //! Sufficiently large multi-domain cells additionally decompose into
-//! per-collision-domain subtasks ([`hydra_netsim::ShardPlan`]) that run
-//! as first-class pool tasks — intra-cell parallelism on the *same*
-//! worker budget, cooperating with the pool instead of nesting blind
-//! thread spawns. The decomposition decision is a **pure function of
-//! the spec and runner configuration** — never of the thread count, the
-//! machine, or cache contents — so a given runner produces the same
-//! event totals at every thread count.
-//!
-//! [`Scheduler::FlatCursor`] keeps the previous dispatch (a shared
-//! atomic cursor over submission order) as the reference baseline the
-//! profile harness compares against.
+//! per-collision-domain subtasks ([`hydra_netsim::ShardPlan`]) that sit
+//! in the same task list as every other job — intra-cell parallelism on
+//! the *same* workers, no second pool. The decomposition decision is a
+//! **pure function of the spec and runner configuration** — never of
+//! the thread count, the machine, or cache contents — so a given runner
+//! produces the same event totals at every thread count.
 //!
 //! Determinism: each run's world seed is derived from the spec's
 //! [`ScenarioSpec::stable_hash`] (which covers every field, including
@@ -44,7 +38,6 @@
 //! `seed` field verbatim for compatibility with the paper-era
 //! `TcpScenario`/`UdpScenario` front-ends.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hydra_netsim::{FlowTraffic, RunError, RunOutcome, ScenarioSpec, ShardPlan, TopologyKind};
@@ -148,38 +141,27 @@ pub fn failure_lines<'a>(source: &str, cells: impl IntoIterator<Item = &'a CellR
     lines
 }
 
-/// Which dispatch discipline drains the work list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The previous engine: workers pull jobs in submission order off a
-    /// shared atomic cursor. Kept as the baseline the profile harness
-    /// measures the scheduler against; never decomposes cells.
-    FlatCursor,
-    /// Cost-aware LPT placement with work stealing and intra-cell
-    /// domain decomposition (the default).
-    #[default]
-    WorkStealing,
-}
-
 /// Accumulated scheduler telemetry across a runner's sweeps (shared by
-/// clones, like the failure counter). Pure measurement: nothing here
-/// feeds back into any result.
+/// clones). Pure measurement: nothing here feeds back into any result.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerTelemetry {
     /// Sweeps that dispatched at least one fresh (non-cached) job.
     pub sweeps: u64,
     /// Fresh jobs executed.
     pub jobs: u64,
-    /// Pool tasks beyond one-per-job — intra-cell shard subtasks.
+    /// Tasks beyond one-per-job — intra-cell shard subtasks.
     pub shard_tasks: u64,
-    /// Steal operations across all sweeps.
+    /// Always 0: workers pull from one shared list, so there is nothing
+    /// to steal. Kept because the benchmark harness reports it as
+    /// `bench.runner.steals`.
     pub steals: u64,
-    /// Tasks that ran on a worker other than their LPT assignment.
-    pub stolen_tasks: u64,
-    /// Summed pool makespans, ms.
+    /// Summed dispatch makespans, ms.
     pub makespan_ms: f64,
     /// Summed task execution time, ms.
     pub busy_ms: f64,
+    /// Summed `threads × makespan` per dispatch, ms: the worker time
+    /// that was on offer.
+    pub capacity_ms: f64,
     /// Worker threads of the most recent dispatch.
     pub threads: usize,
     /// Per-job stats of the most recent dispatch, in job order.
@@ -187,23 +169,23 @@ pub struct RunnerTelemetry {
 }
 
 impl RunnerTelemetry {
-    /// `busy / (threads × makespan)` over everything accumulated:
-    /// 1.0 = every worker busy end to end; lower = idle tails.
+    /// `busy / Σ(threads × makespan)` over everything accumulated, each
+    /// dispatch weighed at its own width: 1.0 = every worker busy end
+    /// to end; lower = idle tails.
     pub fn parallel_efficiency(&self) -> f64 {
-        if self.threads == 0 || self.makespan_ms <= 0.0 {
+        if self.capacity_ms <= 0.0 {
             return 0.0;
         }
-        (self.busy_ms / (self.threads as f64 * self.makespan_ms)).min(1.0)
+        (self.busy_ms / self.capacity_ms).min(1.0)
     }
 
     fn absorb(&mut self, pool: &PoolTelemetry) {
         self.sweeps += 1;
         self.jobs += pool.jobs as u64;
         self.shard_tasks += (pool.tasks - pool.jobs) as u64;
-        self.steals += pool.steals;
-        self.stolen_tasks += pool.stolen_tasks;
         self.makespan_ms += pool.makespan_ms;
         self.busy_ms += pool.busy_ms;
+        self.capacity_ms += pool.threads as f64 * pool.makespan_ms;
         self.threads = pool.threads;
         self.per_job = pool.per_job.clone();
     }
@@ -224,16 +206,11 @@ pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 pub struct ExperimentRunner {
     /// Worker threads; 0 = one per available CPU.
     pub threads: usize,
-    /// Dispatch discipline (default: cost-aware work stealing).
-    scheduler: Scheduler,
     /// Predicted-cost floor for intra-cell domain decomposition.
     decompose_min_cost: f64,
     /// Persistent result store; `None` = always simulate.
     cache: Option<SharedCache>,
-    /// Failed replications seen by this runner (shared across clones,
-    /// so a whole session of sweeps can gate its exit code on it).
-    failures: Arc<AtomicU64>,
-    /// Scheduler telemetry (shared across clones, like `failures`).
+    /// Scheduler telemetry (shared across clones).
     telemetry: Arc<Mutex<RunnerTelemetry>>,
 }
 
@@ -242,10 +219,8 @@ impl ExperimentRunner {
     pub fn new(threads: usize) -> Self {
         ExperimentRunner {
             threads,
-            scheduler: Scheduler::default(),
             decompose_min_cost: DECOMPOSE_MIN_COST,
             cache: None,
-            failures: Arc::new(AtomicU64::new(0)),
             telemetry: Arc::new(Mutex::new(RunnerTelemetry::default())),
         }
     }
@@ -263,12 +238,6 @@ impl ExperimentRunner {
         self
     }
 
-    /// Selects the dispatch discipline.
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Overrides the decomposition threshold (predicted events; 0.0
     /// decomposes every eligible multi-domain cell — tests use this to
     /// force the shard path on small specs).
@@ -277,21 +246,16 @@ impl ExperimentRunner {
         self
     }
 
-    /// Failed replications recorded so far (by this runner and its
-    /// clones).
-    pub fn failure_count(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
     /// A snapshot of the accumulated scheduler telemetry.
     pub fn telemetry(&self) -> RunnerTelemetry {
         self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    fn thread_count(&self, jobs: usize) -> usize {
-        let auto = hydra_sim::parallel::total();
-        let want = if self.threads == 0 { auto } else { self.threads };
-        want.max(1).min(jobs.max(1))
+    fn thread_count(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
     }
 
     /// The world seed used for replication `rep` (1-based) of `spec`.
@@ -344,8 +308,7 @@ impl ExperimentRunner {
     /// (chaos schedules are phrased against whole-run event counts)
     /// and for budgeted runs (a budget is a whole-run event cap).
     fn wants_decompose(&self, spec: &ScenarioSpec) -> bool {
-        self.scheduler == Scheduler::WorkStealing
-            && spec.budget.is_none()
+        spec.budget.is_none()
             && !hydra_sim::failpoint::armed()
             && Self::predicted_cost(spec) >= self.decompose_min_cost
     }
@@ -398,10 +361,9 @@ impl ExperimentRunner {
                 .and_then(|ix| ix.events_hint(hash))
                 .map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
             lpt_costs.push(cost);
-            work.push(spec.clone().with_seed(stream_seed(spec.stable_hash(), rep)));
+            work.push(spec.clone().with_seed(stream_seed(hash, rep)));
         }
         let fresh = self.execute(&work, &lpt_costs);
-        self.failures.fetch_add(fresh.iter().filter(|r| r.is_err()).count() as u64, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             // Only successful runs are cached: a failed replication
             // stays cold so a fixed spec (or a chaos-free rerun)
@@ -476,9 +438,8 @@ impl ExperimentRunner {
     }
 
     /// One fault-isolated *domain* subtask of a decomposed cell: a
-    /// panic anywhere in the domain run is caught here, inside the pool
-    /// task, so a stolen panicking job unwinds no worker and fails only
-    /// its own cell.
+    /// panic anywhere in the domain run is caught here, inside the
+    /// task, so it unwinds no worker and fails only its own cell.
     fn run_domain_isolated(plan: &ShardPlan<'_>, domain: u32) -> Result<RunOutcome, RunError> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_domain(domain))).map_err(
             |payload| {
@@ -496,12 +457,8 @@ impl ExperimentRunner {
     /// Executes the prepared work list; results come back in job order.
     /// A job that fails — panic, budget, IO — yields its `Err` entry
     /// without disturbing any other job: worker threads never unwind
-    /// (panics are caught inside every task), and even a poisoned
-    /// result slot is recovered rather than propagated.
+    /// (panics are caught inside every task).
     fn execute(&self, work: &[ScenarioSpec], lpt_costs: &[f64]) -> Vec<Result<RunOutcome, RunError>> {
-        if self.scheduler == Scheduler::FlatCursor {
-            return self.execute_flat(work);
-        }
         // Decomposition plans are built (and the decision made)
         // identically at every thread count; `exact()` excludes the
         // pure-file-transfer mode whose merged bookkeeping differs
@@ -545,85 +502,7 @@ impl ExperimentRunner {
                 }
             })
             .collect();
-        let tasks = jobs
-            .iter()
-            .map(|j| match &j.work {
-                sched::Work::One(_) => 1,
-                sched::Work::Parts { parts, .. } => parts.len(),
-            })
-            .sum();
-        let threads = self.thread_count(tasks);
-        let (results, pool) = sched::execute(jobs, threads);
-        self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
-        results
-    }
-
-    /// The baseline dispatch: submission order off a shared cursor.
-    fn execute_flat(&self, work: &[ScenarioSpec]) -> Vec<Result<RunOutcome, RunError>> {
-        let n = work.len();
-        let threads = self.thread_count(n);
-        let t0 = std::time::Instant::now();
-        let mut per_job = vec![JobStats { parts: 1, ..JobStats::default() }; n];
-        let results: Vec<Result<RunOutcome, RunError>> = if threads <= 1 {
-            work.iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    let started = t0.elapsed().as_secs_f64() * 1e3;
-                    let r = Self::run_isolated(spec);
-                    per_job[i].queue_wait_ms = started;
-                    per_job[i].wall_ms = t0.elapsed().as_secs_f64() * 1e3 - started;
-                    r
-                })
-                .collect()
-        } else {
-            type Slot = Mutex<Option<(Result<RunOutcome, RunError>, JobStats)>>;
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-            let _occupancy = hydra_sim::parallel::occupy(threads);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let started = t0.elapsed().as_secs_f64() * 1e3;
-                        let result = Self::run_isolated(&work[i]);
-                        let stats = JobStats {
-                            queue_wait_ms: started,
-                            wall_ms: t0.elapsed().as_secs_f64() * 1e3 - started,
-                            parts: 1,
-                            stolen_parts: 0,
-                        };
-                        // A slot mutex can only be poisoned if a *storing*
-                        // thread panicked mid-assignment; the data is a
-                        // plain Option either way, so recover it.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some((result, stats));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    Some((result, stats)) => {
-                        per_job[i] = stats;
-                        result
-                    }
-                    None => Err(RunError::Panicked("worker died before storing a result".into())),
-                })
-                .collect()
-        };
-        let pool = PoolTelemetry {
-            threads,
-            jobs: n,
-            tasks: n,
-            steals: 0,
-            stolen_tasks: 0,
-            makespan_ms: t0.elapsed().as_secs_f64() * 1e3,
-            busy_ms: per_job.iter().map(|j| j.wall_ms).sum(),
-            per_job,
-        };
+        let (results, pool) = sched::execute(jobs, self.thread_count());
         self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
         results
     }
@@ -685,16 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_produce_identical_sweeps_at_any_thread_count() {
+    fn sweeps_are_identical_at_any_thread_count() {
         let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2), tiny_udp_spec().with_seed(3)];
-        let reference =
-            ExperimentRunner::sequential().with_scheduler(Scheduler::FlatCursor).run_sweep(&specs, 2);
-        for scheduler in [Scheduler::FlatCursor, Scheduler::WorkStealing] {
-            for threads in [1, 2, 4, 8] {
-                let cells = ExperimentRunner::new(threads).with_scheduler(scheduler).run_sweep(&specs, 2);
-                for (cell, expect) in cells.iter().zip(&reference) {
-                    assert_eq!(cell.runs, expect.runs, "{scheduler:?} × {threads} threads diverged");
-                }
+        let reference = ExperimentRunner::sequential().run_sweep(&specs, 2);
+        for threads in [1, 2, 4, 8] {
+            let cells = ExperimentRunner::new(threads).run_sweep(&specs, 2);
+            for (cell, expect) in cells.iter().zip(&reference) {
+                assert_eq!(cell.runs, expect.runs, "{threads} threads diverged");
             }
         }
     }
@@ -721,7 +597,7 @@ mod tests {
         assert_eq!(cells[0].failed_label(), "FAILED(panic)");
         assert!(cells[0].first().is_none(), "no usable run in the failed cell");
         assert_eq!(cells[0].mean_throughput_bps(), 0.0, "total, not NaN");
-        assert_eq!(runner.failure_count(), 1);
+        assert_eq!(cells.iter().flat_map(CellResult::failures).count(), 1);
         // The surviving cell is byte-identical to the fault-free sweep.
         assert_eq!(cells[1].runs, clean[1].runs);
         // What the label abbreviates is still there to print.
@@ -760,7 +636,7 @@ mod tests {
         hydra_sim::failpoint::disarm_all();
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.runs.len() == 2 && c.runs.iter().all(Result::is_err)));
-        assert_eq!(runner.failure_count(), 4);
+        assert_eq!(cells.iter().flat_map(CellResult::failures).count(), 4);
     }
 
     #[test]
@@ -795,5 +671,23 @@ mod tests {
         assert!(t.makespan_ms > 0.0);
         assert!(t.parallel_efficiency() > 0.0);
         assert_eq!(t.per_job.len(), 1, "per-job stats track the last sweep");
+    }
+
+    #[test]
+    fn parallel_efficiency_weighs_each_dispatch_at_its_own_width() {
+        // An 8-job sweep at 4 threads, then a 1-job sweep (width 1):
+        // 300 ms busy over 4×100 + 1×100 ms on offer. Dividing by the
+        // last dispatch's width instead gives 300 / (1×200), clipped
+        // to 1.0.
+        let mut t = RunnerTelemetry::default();
+        let dispatch = |threads, busy_ms| PoolTelemetry {
+            threads,
+            makespan_ms: 100.0,
+            busy_ms,
+            ..PoolTelemetry::default()
+        };
+        t.absorb(&dispatch(4, 200.0));
+        t.absorb(&dispatch(1, 100.0));
+        assert_eq!(t.parallel_efficiency(), 0.6);
     }
 }

@@ -1,38 +1,38 @@
-//! A cost-aware work-stealing thread pool for coarse jobs.
+//! The sweep executor: one cost-sorted task list on one shared cursor.
 //!
 //! The experiment runner's unit of work is a whole simulation run —
-//! milliseconds to seconds each — so this pool optimises for *schedule
-//! quality* on heterogeneous job sets, not for nanosecond dispatch:
+//! milliseconds to seconds each, every one known before dispatch — so
+//! this module optimises for *schedule quality* on heterogeneous job
+//! sets, not for nanosecond dispatch, and needs exactly one idea:
 //!
-//! * **LPT placement**: jobs are assigned to workers
-//!   longest-predicted-first onto the least-loaded deque, so the long
-//!   pole of a sweep starts immediately instead of landing last on a
-//!   busy worker (the classic 4/3-approximation to makespan).
-//! * **Work stealing**: a worker that drains its own deque steals the
-//!   *back half* of the fullest victim's deque (owners pop from the
-//!   front, so the front of every deque carries the biggest work and
-//!   thieves take the small tail), keeping every core busy through the
-//!   sweep's tail without a central contended cursor.
+//! * **Longest first**: jobs (and the parts of decomposed jobs) are
+//!   flattened into one task list sorted by predicted cost descending,
+//!   submission index ascending, and workers pull from the front of
+//!   it ([`hydra_sim::pool::run_indexed`]). That is greedy list
+//!   scheduling in LPT order — the classic 4/3-approximation to
+//!   makespan — with *actual* finish times, not predicted ones,
+//!   deciding who takes the next task: a sweep's long pole starts
+//!   immediately, and a worker stuck on it strands nothing, because
+//!   no task belongs to a worker until that worker starts it.
 //! * **Shard subtasks**: a job may decompose into parts
-//!   ([`Work::Parts`]) that run as independent pool tasks — this is how
-//!   multi-domain cells cooperate with
-//!   `hydra_netsim::ScenarioSpec::shard_plan` instead of nesting blind
-//!   thread spawns. The last part to finish runs the job's merge inline.
+//!   ([`Work::Parts`]) that sit in the same list as every other task —
+//!   this is how multi-domain cells cooperate with
+//!   `hydra_netsim::ScenarioSpec::shard_plan` instead of nesting a
+//!   second pool. Parts are merged, in part order, once the list has
+//!   drained.
 //!
-//! Determinism: results land in **job order** regardless of placement,
-//! stealing, or thread count — each job's slot is fixed up front, and
-//! nothing a job computes can depend on which worker ran it. Telemetry
-//! (queue waits, steals, busy time) is measurement and never feeds back
-//! into results.
+//! Determinism: results land in **job order** regardless of cost
+//! order, thread count, or which worker ran what — nothing a job
+//! computes can depend on any of them. Telemetry (queue waits, busy
+//! time) is measurement and never feeds back into results.
 //!
-//! Closures must not unwind: a panicking task takes the whole pool's
-//! scope down. The runner guarantees this by catching panics *inside*
-//! every task (`try_run` / `catch_unwind` around domain runs), which is
-//! also what confines a stolen panicking job to its own cell.
+//! Closures must not unwind: a panicking task takes the whole dispatch
+//! down. The runner guarantees this by catching panics *inside* every
+//! task (`try_run` / `catch_unwind` around domain runs), which is also
+//! what confines a panicking job to its own cell on whichever worker it
+//! lands.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// A boxed unit of work returning `T`.
@@ -41,14 +41,13 @@ pub type Thunk<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 /// A boxed fold of part results (in part order) into a job result.
 pub type Merge<'a, T> = Box<dyn FnOnce(Vec<T>) -> T + Send + 'a>;
 
-/// How one job executes on the pool.
+/// How one job executes.
 pub enum Work<'a, T> {
     /// One indivisible task.
     One(Thunk<'a, T>),
     /// Independent parts (each `(cost, thunk)`) scheduled as separate
-    /// pool tasks; `merge` folds the part results (in part order) into
-    /// the job result and runs inline on whichever worker finishes the
-    /// last part.
+    /// tasks; `merge` folds the part results (in part order) into the
+    /// job result on the calling thread once every task has run.
     Parts {
         /// The shard tasks, in a fixed order the merge relies on.
         parts: Vec<(f64, Thunk<'a, T>)>,
@@ -60,7 +59,8 @@ pub enum Work<'a, T> {
 /// One schedulable job: a predicted cost (arbitrary but consistent
 /// units; only the ordering matters) plus its work.
 pub struct Job<'a, T> {
-    /// Predicted work, used for LPT placement (higher = earlier).
+    /// Predicted work (higher = starts earlier). A decomposed job is
+    /// ordered by its parts' own costs instead.
     pub cost: f64,
     /// The work itself.
     pub work: Work<'a, T>,
@@ -71,44 +71,30 @@ impl<'a, T> Job<'a, T> {
     pub fn one(cost: f64, f: impl FnOnce() -> T + Send + 'a) -> Self {
         Job { cost, work: Work::One(Box::new(f)) }
     }
-
-    /// How many pool tasks this job expands into.
-    fn parts(&self) -> usize {
-        match &self.work {
-            Work::One(_) => 1,
-            Work::Parts { parts, .. } => parts.len(),
-        }
-    }
 }
 
 /// Per-job schedule telemetry (measurement only; never affects results).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobStats {
-    /// Time from pool start to the job's first task starting, ms.
+    /// Time from dispatch start to the job's first task starting, ms.
     pub queue_wait_ms: f64,
-    /// Time from the job's first task starting to its completion
-    /// (merge included), ms.
+    /// Time from the job's first task starting to its last task
+    /// finishing, ms.
     pub wall_ms: f64,
-    /// Pool tasks the job expanded into (1 unless decomposed).
+    /// Tasks the job expanded into (1 unless decomposed).
     pub parts: u32,
-    /// Parts executed by a worker other than the one LPT assigned.
-    pub stolen_parts: u32,
 }
 
-/// Whole-pool telemetry for one `execute` call.
+/// Whole-dispatch telemetry for one `execute` call.
 #[derive(Debug, Clone, Default)]
 pub struct PoolTelemetry {
-    /// Worker threads used.
+    /// Worker threads used (the calling thread included).
     pub threads: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Pool tasks executed (≥ jobs when cells decomposed).
+    /// Tasks executed (≥ jobs when cells decomposed).
     pub tasks: usize,
-    /// Steal operations (each may move several tasks).
-    pub steals: u64,
-    /// Tasks that ran on a worker other than their LPT assignment.
-    pub stolen_tasks: u64,
-    /// Wall time of the whole pool run, ms.
+    /// Wall time of the whole dispatch, merges included, ms.
     pub makespan_ms: f64,
     /// Summed task execution time across workers, ms.
     pub busy_ms: f64,
@@ -116,307 +102,89 @@ pub struct PoolTelemetry {
     pub per_job: Vec<JobStats>,
 }
 
-impl PoolTelemetry {
-    /// `busy / (threads × makespan)`: 1.0 = every worker busy the whole
-    /// run, lower = idle tails or placement waste. (On an oversubscribed
-    /// machine task walls include descheduled time, so this measures
-    /// schedule shape, not core utilisation.)
-    pub fn parallel_efficiency(&self) -> f64 {
-        if self.threads == 0 || self.makespan_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_ms / (self.threads as f64 * self.makespan_ms)).min(1.0)
-    }
-}
-
 /// Executes `jobs` on `threads` workers, returning results **in job
-/// order** plus the schedule telemetry. `threads <= 1` runs every job
-/// (and every part) sequentially in order — the reference schedule.
+/// order** plus the schedule telemetry. Tasks start in cost-descending
+/// order (ties in submission order) at every width; `threads <= 1`
+/// runs that same order on the calling thread.
 pub fn execute<'a, T: Send + 'a>(jobs: Vec<Job<'a, T>>, threads: usize) -> (Vec<T>, PoolTelemetry) {
-    let njobs = jobs.len();
-    let ntasks: usize = jobs.iter().map(Job::parts).sum();
-    let mut telemetry = PoolTelemetry {
-        threads: threads.max(1).min(ntasks.max(1)),
-        jobs: njobs,
-        tasks: ntasks,
-        per_job: vec![JobStats::default(); njobs],
-        ..PoolTelemetry::default()
-    };
-    if njobs == 0 {
-        return (Vec::new(), telemetry);
-    }
-    let t0 = Instant::now();
-    if telemetry.threads <= 1 {
-        let mut results = Vec::with_capacity(njobs);
-        for (j, job) in jobs.into_iter().enumerate() {
-            let started = t0.elapsed().as_secs_f64() * 1e3;
-            let parts = job.parts() as u32;
-            let r = match job.work {
-                Work::One(f) => f(),
-                Work::Parts { parts, merge } => merge(parts.into_iter().map(|(_, f)| f()).collect()),
-            };
-            let done = t0.elapsed().as_secs_f64() * 1e3;
-            telemetry.per_job[j] =
-                JobStats { queue_wait_ms: started, wall_ms: done - started, parts, stolen_parts: 0 };
-            telemetry.busy_ms += done - started;
-            results.push(r);
-        }
-        telemetry.makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
-        return (results, telemetry);
-    }
-
-    let nworkers = telemetry.threads;
-    // Flatten jobs into tasks. Each job owns a result slot; a Parts job
-    // also owns per-part slots, a remaining-parts counter, and its
-    // merge (run by the last finisher).
-    struct JobState<'a, T> {
-        result: Mutex<Option<T>>,
-        part_results: Vec<Mutex<Option<T>>>,
-        remaining: AtomicUsize,
-        merge: Mutex<Option<Merge<'a, T>>>,
-        /// ns since pool start of the first part starting (u64::MAX = not yet).
-        first_start_ns: AtomicU64,
-        /// ns since pool start of job completion (merge done).
-        done_ns: AtomicU64,
-        stolen: AtomicU64,
-        parts: u32,
-    }
     struct Task<'a, T> {
-        job: usize,
-        part: usize,
+        cost: f64,
+        /// Taken by whichever worker the cursor hands this task to.
         thunk: Mutex<Option<Thunk<'a, T>>>,
-        assigned: AtomicUsize,
     }
-    let mut states: Vec<JobState<'a, T>> = Vec::with_capacity(njobs);
-    let mut tasks: Vec<Task<'a, T>> = Vec::with_capacity(ntasks);
-    let mut job_costs: Vec<(usize, f64, Vec<usize>)> = Vec::with_capacity(njobs);
-    for (j, job) in jobs.into_iter().enumerate() {
-        let mut task_ids = Vec::new();
-        let (parts, state) = match job.work {
+    // Flatten in job order, so each job's tasks are one contiguous run.
+    let mut tasks: Vec<Task<'a, T>> = Vec::with_capacity(jobs.len());
+    let mut merges: Vec<(usize, Option<Merge<'a, T>>)> = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        match job.work {
             Work::One(f) => {
-                task_ids.push(tasks.len());
-                tasks.push(Task {
-                    job: j,
-                    part: 0,
-                    thunk: Mutex::new(Some(f)),
-                    assigned: AtomicUsize::new(0),
-                });
-                (
-                    1u32,
-                    JobState {
-                        result: Mutex::new(None),
-                        part_results: Vec::new(),
-                        remaining: AtomicUsize::new(1),
-                        merge: Mutex::new(None),
-                        first_start_ns: AtomicU64::new(u64::MAX),
-                        done_ns: AtomicU64::new(0),
-                        stolen: AtomicU64::new(0),
-                        parts: 1,
-                    },
-                )
+                tasks.push(Task { cost: job.cost, thunk: Mutex::new(Some(f)) });
+                merges.push((1, None));
             }
             Work::Parts { parts, merge } => {
-                let n = parts.len();
-                for (p, (_cost, f)) in parts.into_iter().enumerate() {
-                    task_ids.push(tasks.len());
-                    tasks.push(Task {
-                        job: j,
-                        part: p,
-                        thunk: Mutex::new(Some(f)),
-                        assigned: AtomicUsize::new(0),
-                    });
-                }
-                (
-                    n as u32,
-                    JobState {
-                        result: Mutex::new(None),
-                        part_results: (0..n).map(|_| Mutex::new(None)).collect(),
-                        remaining: AtomicUsize::new(n),
-                        merge: Mutex::new(Some(merge)),
-                        first_start_ns: AtomicU64::new(u64::MAX),
-                        done_ns: AtomicU64::new(0),
-                        stolen: AtomicU64::new(0),
-                        parts: n as u32,
-                    },
-                )
+                merges.push((parts.len(), Some(merge)));
+                tasks.extend(parts.into_iter().map(|(cost, f)| Task { cost, thunk: Mutex::new(Some(f)) }));
             }
-        };
-        let _ = parts;
-        states.push(state);
-        job_costs.push((j, job.cost, task_ids));
-    }
-
-    // LPT placement: jobs in descending predicted cost, each onto the
-    // least-loaded worker; a job's parts stay together initially (the
-    // thieves spread them only if the schedule actually needs it).
-    job_costs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-    let mut deques: Vec<VecDeque<usize>> = (0..nworkers).map(|_| VecDeque::new()).collect();
-    let mut loads = vec![0.0f64; nworkers];
-    for (_, cost, task_ids) in &job_costs {
-        let w = (0..nworkers).min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).unwrap()).unwrap();
-        loads[w] += cost.max(0.0);
-        for &t in task_ids {
-            tasks[t].assigned.store(w, Ordering::Relaxed);
-            deques[w].push_back(t);
         }
     }
-    let deques: Vec<Mutex<VecDeque<usize>>> = deques.into_iter().map(Mutex::new).collect();
+    // Longest first; the stable sort keeps ties in submission order.
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by(|&a, &b| tasks[b].cost.total_cmp(&tasks[a].cost));
 
-    let tasks_done = AtomicUsize::new(0);
-    let steals = AtomicU64::new(0);
-    let busy_ns = AtomicU64::new(0);
-    let _occupancy = hydra_sim::parallel::occupy(nworkers);
-    std::thread::scope(|scope| {
-        for me in 0..nworkers {
-            let deques = &deques;
-            let tasks = &tasks;
-            let states = &states;
-            let tasks_done = &tasks_done;
-            let steals = &steals;
-            let busy_ns = &busy_ns;
-            scope.spawn(move || {
-                let lock = |w: usize| deques[w].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                loop {
-                    // Own work first (front = biggest).
-                    let tid = lock(me).pop_front();
-                    let tid = match tid {
-                        Some(t) => Some(t),
-                        None => {
-                            // Steal the back half of the fullest deque.
-                            let victim = (0..nworkers)
-                                .filter(|&w| w != me)
-                                .max_by_key(|&w| lock(w).len())
-                                .filter(|&w| !lock(w).is_empty());
-                            match victim {
-                                Some(v) => {
-                                    let mut theirs = lock(v);
-                                    let take = theirs.len().div_ceil(2);
-                                    let at = theirs.len() - take;
-                                    let stolen: Vec<usize> = theirs.split_off(at).into();
-                                    drop(theirs);
-                                    if stolen.is_empty() {
-                                        None
-                                    } else {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        let mut mine = lock(me);
-                                        for &t in &stolen[1..] {
-                                            mine.push_back(t);
-                                        }
-                                        drop(mine);
-                                        Some(stolen[0])
-                                    }
-                                }
-                                None => None,
-                            }
-                        }
-                    };
-                    let Some(tid) = tid else {
-                        if tasks_done.load(Ordering::Acquire) >= ntasks {
-                            break;
-                        }
-                        // Jobs are coarse (ms+): a brief park while the
-                        // last tasks drain is honest and cheap.
-                        std::thread::park_timeout(std::time::Duration::from_micros(50));
-                        continue;
-                    };
-                    let task = &tasks[tid];
-                    let state = &states[task.job];
-                    let start_ns = t0.elapsed().as_nanos() as u64;
-                    state.first_start_ns.fetch_min(start_ns, Ordering::Relaxed);
-                    if task.assigned.load(Ordering::Relaxed) != me {
-                        state.stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let thunk = state_take(&task.thunk).expect("task runs once");
-                    let r = thunk();
-                    busy_ns.fetch_add(t0.elapsed().as_nanos() as u64 - start_ns, Ordering::Relaxed);
-                    if state.parts == 1 && state.part_results.is_empty() {
-                        *state.result.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                        state.done_ns.store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        tasks_done.fetch_add(1, Ordering::Release);
-                    } else {
-                        *state.part_results[task.part]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                        if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last part: merge inline, then publish.
-                            let merge = state_take(&state.merge).expect("merge runs once");
-                            let parts: Vec<T> = state
-                                .part_results
-                                .iter()
-                                .map(|s| state_take(s).expect("every part stored"))
-                                .collect();
-                            let merged = merge(parts);
-                            *state.result.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                                Some(merged);
-                            state.done_ns.store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        tasks_done.fetch_add(1, Ordering::Release);
-                    }
-                }
-            });
-        }
+    let width = threads.clamp(1, tasks.len().max(1));
+    let t0 = Instant::now();
+    let now_ms = || t0.elapsed().as_secs_f64() * 1e3;
+    let ran = hydra_sim::pool::run_indexed(order.len(), width, |k| {
+        let thunk = tasks[order[k]].thunk.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let started = now_ms();
+        let result = thunk.expect("the cursor hands each task out once")();
+        (result, started, now_ms())
     });
-    drop(_occupancy);
 
-    telemetry.makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
-    telemetry.steals = steals.load(Ordering::Relaxed);
-    telemetry.busy_ms = busy_ns.load(Ordering::Relaxed) as f64 / 1e6;
-    let mut results = Vec::with_capacity(njobs);
-    for (j, state) in states.into_iter().enumerate() {
-        let first = state.first_start_ns.load(Ordering::Relaxed);
-        let done = state.done_ns.load(Ordering::Relaxed);
-        let stolen = state.stolen.load(Ordering::Relaxed);
-        telemetry.stolen_tasks += stolen;
-        telemetry.per_job[j] = JobStats {
-            queue_wait_ms: if first == u64::MAX { 0.0 } else { first as f64 / 1e6 },
-            wall_ms: done.saturating_sub(if first == u64::MAX { done } else { first }) as f64 / 1e6,
-            parts: state.parts,
-            stolen_parts: stolen as u32,
-        };
-        results.push(
-            state
-                .result
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every job resolved"),
-        );
-    }
-    (results, telemetry)
-}
-
-/// Takes the value out of a `Mutex<Option<V>>`, recovering from poison.
-fn state_take<V>(slot: &Mutex<Option<V>>) -> Option<V> {
-    slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
-}
-
-/// Replays a recorded schedule: given per-job measured costs, computes
-/// the makespan each dispatch discipline *would* achieve at `threads`
-/// workers — `(flat_cursor, lpt)` in the input cost units. The flat
-/// cursor hands jobs out in submission order; LPT sorts descending
-/// first. Both assume perfect stealing-free execution, so the numbers
-/// isolate *placement* quality from machine noise — the honest way to
-/// compare schedules on a loaded or single-core machine.
-pub fn replay_makespan(costs: &[f64], threads: usize) -> (f64, f64) {
-    let sim = |order: &[usize]| -> f64 {
-        // Greedy list scheduling: each job goes to the earliest-free
-        // worker (exactly what cursor dispatch and LPT placement do).
-        let mut free = vec![0.0f64; threads.max(1)];
-        for &j in order {
-            let w = (0..free.len()).min_by(|&a, &b| free[a].partial_cmp(&free[b]).unwrap()).unwrap();
-            free[w] += costs[j].max(0.0);
-        }
-        free.iter().cloned().fold(0.0, f64::max)
+    // Regroup: back into task (= job, part) order, then fold each job.
+    let mut ran: Vec<(usize, (T, f64, f64))> = order.into_iter().zip(ran).collect();
+    ran.sort_unstable_by_key(|&(task, _)| task);
+    let mut by_task = ran.into_iter().map(|(_, r)| r);
+    let mut telemetry = PoolTelemetry {
+        threads: width,
+        jobs: merges.len(),
+        tasks: tasks.len(),
+        per_job: Vec::with_capacity(merges.len()),
+        ..PoolTelemetry::default()
     };
-    let submission: Vec<usize> = (0..costs.len()).collect();
-    let mut lpt = submission.clone();
-    lpt.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).unwrap_or(std::cmp::Ordering::Equal));
-    (sim(&submission), sim(&lpt))
+    let mut results = Vec::with_capacity(merges.len());
+    for (nparts, merge) in merges {
+        let (mut first, mut last) = (f64::INFINITY, 0.0f64);
+        let parts: Vec<T> = by_task
+            .by_ref()
+            .take(nparts)
+            .map(|(result, started, done)| {
+                first = first.min(started);
+                last = last.max(done);
+                telemetry.busy_ms += done - started;
+                result
+            })
+            .collect();
+        let first = first.min(last);
+        telemetry.per_job.push(JobStats {
+            queue_wait_ms: first,
+            wall_ms: last - first,
+            parts: nparts as u32,
+        });
+        results.push(match merge {
+            Some(merge) => merge(parts),
+            None => parts.into_iter().next().expect("a single-task job has one result"),
+        });
+    }
+    telemetry.makespan_ms = now_ms();
+    (results, telemetry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn results_come_back_in_job_order_at_any_thread_count() {
@@ -476,13 +244,65 @@ mod tests {
     }
 
     #[test]
-    fn lpt_replay_beats_submission_order_on_a_long_pole_at_the_end() {
-        // 7 small jobs then one huge one: cursor order starts the pole
-        // last; LPT starts it first.
-        let costs = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 10.0];
-        let (flat, lpt) = replay_makespan(&costs, 4);
-        assert!(lpt < flat, "LPT must beat submission order: {lpt} vs {flat}");
-        assert_eq!(lpt, 10.0, "the pole bounds the LPT makespan");
+    fn tasks_start_longest_first_with_ties_in_submission_order() {
+        // Every task takes a ticket as it starts. One worker runs the
+        // same loop every width runs, so its ticket order *is* the
+        // order the cursor hands tasks out (wider pools are not
+        // asserted: a claimed task may be descheduled before it starts).
+        let ticket = AtomicUsize::new(0);
+        let take = || ticket.fetch_add(1, Ordering::Relaxed);
+        let part = |cost: f64| -> (f64, Thunk<'_, Vec<usize>>) { (cost, Box::new(move || vec![take()])) };
+        let jobs: Vec<Job<'_, Vec<usize>>> = vec![
+            Job::one(2.0, || vec![take()]),
+            Job::one(9.0, || vec![take()]),
+            Job {
+                // Ordered by its parts' costs, not its own.
+                cost: 100.0,
+                work: Work::Parts {
+                    parts: vec![part(5.0), part(9.0), part(1.0)],
+                    merge: Box::new(|parts| parts.into_iter().flatten().collect()),
+                },
+            },
+            Job::one(5.0, || vec![take()]),
+            Job::one(7.0, || vec![take()]),
+        ];
+        let (tickets, telemetry) = execute(jobs, 1);
+        // Costs in task order: 2, 9, [5, 9, 1], 5, 7 → start ranks.
+        assert_eq!(tickets, [vec![5], vec![0], vec![3, 1, 6], vec![4], vec![2]]);
+        assert_eq!((telemetry.jobs, telemetry.tasks, telemetry.threads), (5, 7, 1));
+        assert_eq!(telemetry.per_job.iter().map(|j| j.parts).collect::<Vec<_>>(), [1, 1, 3, 1, 1]);
+    }
+
+    #[test]
+    fn a_busy_worker_strands_nothing() {
+        // The top-cost job starts first and then blocks until every
+        // other job has reported in: this terminates only if the other
+        // worker drains the whole rest of the list by itself — the
+        // property work stealing used to exist for.
+        const OTHERS: usize = 30;
+        let (tx, rx) = mpsc::channel::<usize>();
+        let mut jobs: Vec<Job<'_, usize>> = (0..OTHERS)
+            .map(|i| {
+                let tx = tx.clone();
+                Job::one((i % 5) as f64, move || {
+                    tx.send(i).expect("the pole is still listening");
+                    i
+                })
+            })
+            .collect();
+        jobs.insert(
+            OTHERS / 2,
+            Job::one(1e9, move || {
+                for _ in 0..OTHERS {
+                    rx.recv().expect("every other job reports");
+                }
+                OTHERS
+            }),
+        );
+        let (results, _) = execute(jobs, 2);
+        let mut expect: Vec<usize> = (0..OTHERS).collect();
+        expect.insert(OTHERS / 2, OTHERS);
+        assert_eq!(results, expect);
     }
 
     #[test]

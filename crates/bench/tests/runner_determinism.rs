@@ -2,7 +2,7 @@
 //! produces byte-identical table output to sequential execution — run
 //! twice, so flaky scheduling would be caught.
 
-use hydra_bench::{ExperimentRunner, Scheduler, Table};
+use hydra_bench::{ExperimentRunner, Table};
 use hydra_netsim::{FlowSpec, FlowTraffic, Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -169,16 +169,13 @@ fn sharded_is_the_sequential_engine_on_connected_worlds() {
 }
 
 #[test]
-fn tables_are_byte_identical_for_both_schedulers_at_any_width() {
-    // The scheduler only decides *placement*; the rendered table — full
-    // float formatting — must not move by a bit under either discipline
+fn tables_are_byte_identical_at_any_width() {
+    // The executor only decides what starts when and where; the
+    // rendered table — full float formatting — must not move by a bit
     // at any thread count.
-    let reference = render(&ExperimentRunner::sequential().with_scheduler(Scheduler::FlatCursor), 1);
-    for scheduler in [Scheduler::FlatCursor, Scheduler::WorkStealing] {
-        for threads in [1, 2, 4, 8] {
-            let runner = ExperimentRunner::new(threads).with_scheduler(scheduler);
-            assert_eq!(render(&runner, 1), reference, "{scheduler:?} × {threads} threads diverged");
-        }
+    let reference = render(&ExperimentRunner::sequential(), 1);
+    for threads in [1, 2, 4, 8] {
+        assert_eq!(render(&ExperimentRunner::new(threads), 1), reference, "{threads} threads diverged");
     }
 }
 
@@ -236,29 +233,6 @@ fn forced_decomposition_is_thread_invariant() {
             "event totals must be thread-count-invariant at {threads} threads"
         );
         assert!(runner.telemetry().shard_tasks > 0, "decomposition is width-independent");
-    }
-}
-
-#[test]
-fn nested_sharding_respects_the_concurrency_budget() {
-    let _guard = hydra_sim::parallel::exclusive();
-    let spec = mesh_mixed_spec();
-    let reference = spec.run();
-    {
-        // Budget drained — the situation inside a busy worker pool:
-        // the gate run_sharded uses grants nothing, so the run must
-        // degrade to sequential on the calling thread and still match.
-        let _total = hydra_sim::parallel::override_total(1);
-        let _busy = hydra_sim::parallel::occupy(1);
-        assert_eq!(hydra_sim::parallel::acquire_up_to(1).count(), 0, "budget must be drained");
-        assert_eq!(spec.run_sharded(8), reference, "sequential degradation diverged");
-    }
-    {
-        // Ample headroom (well above any concurrently running test's
-        // occupancy): the multi-worker merge path runs even on a
-        // single-core machine, with the same outcome.
-        let _total = hydra_sim::parallel::override_total(hydra_sim::parallel::in_use() + 16);
-        assert_eq!(spec.run_sharded(4), reference, "multi-worker sharding diverged");
     }
 }
 

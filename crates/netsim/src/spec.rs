@@ -910,58 +910,14 @@ impl ScenarioSpec {
     ///   differ from the sequential engine's tail.
     ///
     /// `threads = 0` asks for one worker per available CPU;
-    /// `threads = 1` runs the domains sequentially (the reference
-    /// schedule the determinism tests compare against). The calling
-    /// thread always participates; *extra* workers are opportunistic
-    /// and must win permits from the global concurrency budget
-    /// ([`hydra_sim::parallel`]), so a `run_sharded` nested inside a
-    /// busy runner pool degrades to sequential on its own thread
-    /// instead of oversubscribing the machine.
+    /// `threads = 1` runs the domains sequentially on the calling
+    /// thread (the reference schedule the determinism tests compare
+    /// against). Which thread runs which domain never matters: every
+    /// domain world is built and run in isolation and the merge is by
+    /// domain index.
     pub fn run_sharded(&self, threads: usize) -> RunOutcome {
         let Some(plan) = self.shard_plan() else { return self.run() };
-        let k = plan.domains();
-        let want = match threads {
-            0 => hydra_sim::parallel::total(),
-            t => t,
-        }
-        .clamp(1, k);
-        let permits = hydra_sim::parallel::acquire_up_to(want - 1);
-        let workers = 1 + permits.count();
-        // One job per domain, claimed off a shared counter. Job order
-        // never matters: every domain world is built and run in
-        // isolation and the merge is by domain index.
-        let slots: Vec<std::sync::Mutex<Option<RunOutcome>>> =
-            (0..k).map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let drain = || loop {
-            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if c >= k {
-                break;
-            }
-            let out = plan.run_domain(c as u32);
-            *slots[c].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-        };
-        if workers <= 1 {
-            drain();
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
-                drain();
-                for h in handles {
-                    h.join().expect("domain worker panicked");
-                }
-            });
-        }
-        drop(permits);
-        let by_comp: Vec<RunOutcome> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every domain ran")
-            })
-            .collect();
-        plan.merge(by_comp)
+        plan.merge(hydra_sim::pool::run_indexed(plan.domains(), threads, |c| plan.run_domain(c as u32)))
     }
 
     /// The scenario's decomposition into collision domains, or `None`

@@ -9,14 +9,13 @@
 //!   bit-stable across platforms and dependency upgrades;
 //! * [`timer::TimerSet`] — generation-counted lazy-cancellation timers;
 //! * [`stats`] — Welford accumulators and per-category time ledgers;
-//! * [`trace::Tracer`] — cheap, capturable event tracing;
 //! * [`alloc_count`] — an opt-in counting global allocator, the
 //!   measurement side of the zero-allocation hot-path work;
 //! * [`failpoint`] — named, deterministic fault-injection sites
 //!   (zero-cost when disarmed) for proving recovery paths;
-//! * [`parallel`] — a process-wide concurrency budget, so nested
-//!   thread pools (runner workers × sharded domains) cannot
-//!   oversubscribe the machine.
+//! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:
+//!   indices handed out off a shared cursor, results back in index
+//!   order (sweep jobs and collision domains both run on it).
 //!
 //! Design note: the network layers in this workspace are written *sans-IO*
 //! (pure state machines with typed inputs/outputs, as in smoltcp). This
@@ -36,12 +35,11 @@
 pub mod alloc_count;
 pub mod event;
 pub mod failpoint;
-pub mod parallel;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timer;
-pub mod trace;
 
 pub use alloc_count::{alloc_stats, AllocStats, CountingAlloc};
 pub use event::{EventId, EventQueue, QueueStats};
@@ -49,4 +47,3 @@ pub use rng::{stream_seed, Rng};
 pub use stats::{Running, TimeLedger};
 pub use time::{Duration, Instant};
 pub use timer::{TimerSet, TimerToken};
-pub use trace::{Level, Tracer};
