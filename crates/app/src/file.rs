@@ -6,6 +6,25 @@ use hydra_tcp::Connection;
 /// The paper's file size.
 pub const PAPER_FILE_BYTES: usize = 200 * 1024;
 
+/// Knuth's multiplicative-hash constant (2³² / φ).
+const HASH_MUL: u32 = 2654435761;
+
+/// The file's content from offset `start` on: `byte_at(start)`,
+/// `byte_at(start + 1)`, … without end.
+///
+/// [`FileSender::byte_at`] is the top byte of `i · 2654435761 (mod 2³²)`,
+/// so each byte follows from the last by one wrapping add — no multiply
+/// per byte, and loops over this iterator vectorise. Sender and receiver
+/// touch every byte of every file; this is their shared inner loop.
+fn content_from(start: usize) -> impl Iterator<Item = u8> {
+    let mut v = (start as u32).wrapping_mul(HASH_MUL);
+    std::iter::repeat_with(move || {
+        let b = (v >> 24) as u8;
+        v = v.wrapping_add(HASH_MUL);
+        b
+    })
+}
+
 /// Pushes a fixed number of bytes through a TCP connection, then closes.
 #[derive(Debug)]
 pub struct FileSender {
@@ -28,7 +47,7 @@ impl FileSender {
     /// Deterministic file content at offset `i`.
     #[inline]
     pub fn byte_at(i: usize) -> u8 {
-        ((i as u32).wrapping_mul(2654435761) >> 24) as u8
+        ((i as u32).wrapping_mul(HASH_MUL) >> 24) as u8
     }
 
     /// Feeds as much of the file as the socket accepts; closes when done.
@@ -46,7 +65,7 @@ impl FileSender {
                 break;
             }
             let n = space.min(self.total - self.written).min(16 * 1024);
-            let chunk: Vec<u8> = (self.written..self.written + n).map(Self::byte_at).collect();
+            let chunk: Vec<u8> = content_from(self.written).take(n).collect();
             let accepted = conn.send(&chunk);
             self.written += accepted;
             if accepted < n {
@@ -90,11 +109,10 @@ impl FileReceiver {
         if self.first_byte_at.is_none() {
             self.first_byte_at = Some(now);
         }
-        for (i, b) in data.iter().enumerate() {
-            if *b != FileSender::byte_at(self.received + i) {
-                self.corrupted = true;
-            }
-        }
+        // Every byte is compared; the differences are OR-ed together
+        // rather than branched on.
+        let diff = data.iter().zip(content_from(self.received)).fold(0u8, |d, (got, want)| d | (got ^ want));
+        self.corrupted |= diff != 0;
         self.received += data.len();
         if self.received >= self.expected && self.completed_at.is_none() {
             self.completed_at = Some(now);
@@ -190,6 +208,29 @@ mod tests {
         let distinct: std::collections::HashSet<u8> = pattern.iter().copied().collect();
         assert!(distinct.len() > 10, "pattern must not be constant");
         assert_eq!(rx.received, 0);
+    }
+
+    #[test]
+    fn content_iterator_is_byte_at() {
+        // Across the 32-bit wrap of the offset too.
+        for start in [0usize, 1, 12_345, u32::MAX as usize - 700] {
+            let want: Vec<u8> = (start..start + 1500).map(FileSender::byte_at).collect();
+            let got: Vec<u8> = content_from(start).take(1500).collect();
+            assert_eq!(got, want, "from {start}");
+        }
+    }
+
+    #[test]
+    fn receiver_flags_wrong_content() {
+        let (mut ca, mut cb) = pipe();
+        let mut tx = FileSender::new(5000);
+        let mut rx = FileReceiver::new(5000);
+        // Expect the pattern one byte further on than the sender is: nearly
+        // every byte then differs from what the receiver checks against.
+        rx.received = 1;
+        run(&mut ca, &mut cb, &mut tx, &mut rx);
+        assert!(rx.corrupted);
+        assert!(!rx.is_complete());
     }
 
     #[test]

@@ -44,8 +44,12 @@ pub struct NetCounters {
 }
 
 /// What to do with a frame handed up by the MAC.
+///
+/// Delivered payloads borrow from the frame that was handed up: the
+/// caller only reads them (TCP copies what it accepts into its own
+/// receive buffer), so local delivery copies nothing here.
 #[derive(Debug)]
-pub enum NetVerdict {
+pub enum NetVerdict<'a> {
     /// A TCP segment for this host.
     DeliverTcp {
         /// Validated IP header.
@@ -53,7 +57,7 @@ pub enum NetVerdict {
         /// Parsed TCP header.
         tcp: TcpRepr,
         /// Segment payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// A UDP datagram for this host.
     DeliverUdp {
@@ -62,14 +66,14 @@ pub enum NetVerdict {
         /// Parsed UDP header.
         udp: UdpRepr,
         /// Datagram payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// A raw link-local payload (flooding traffic).
     DeliverRaw {
         /// Originating node id from the shim.
         src_node: u16,
         /// Raw payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Forward toward the destination: re-enqueue at the MAC.
     Forward {
@@ -173,7 +177,7 @@ impl NetStack {
     }
 
     /// Processes an MPDU payload handed up by the MAC.
-    pub fn receive(&mut self, mpdu_payload: &[u8]) -> NetVerdict {
+    pub fn receive<'a>(&mut self, mpdu_payload: &'a [u8]) -> NetVerdict<'a> {
         let Ok((encap, inner)) = EncapRepr::parse(mpdu_payload) else {
             self.counters.malformed += 1;
             return NetVerdict::Drop;
@@ -181,13 +185,13 @@ impl NetStack {
         match encap.proto {
             EncapProto::Raw => {
                 self.counters.delivered += 1;
-                NetVerdict::DeliverRaw { src_node: encap.src_node, payload: inner.to_vec() }
+                NetVerdict::DeliverRaw { src_node: encap.src_node, payload: inner }
             }
             EncapProto::Ipv4 => self.receive_ipv4(encap, inner),
         }
     }
 
-    fn receive_ipv4(&mut self, encap: EncapRepr, inner: &[u8]) -> NetVerdict {
+    fn receive_ipv4<'a>(&mut self, encap: EncapRepr, inner: &'a [u8]) -> NetVerdict<'a> {
         let Ok(pkt) = Ipv4Packet::new_checked(inner) else {
             self.counters.malformed += 1;
             return NetVerdict::Drop;
@@ -197,7 +201,8 @@ impl NetStack {
             return NetVerdict::Drop;
         };
         if ip.dst == self.cfg.addr || ip.dst.is_broadcast() {
-            return self.deliver_local(ip, pkt.payload());
+            // `pkt.payload()`, sliced off `inner` so it outlives the view.
+            return self.deliver_local(ip, &inner[IPV4_LEN..ip.packet_len()]);
         }
         // Forwarding path.
         if ip.ttl <= 1 {
@@ -213,23 +218,20 @@ impl NetStack {
             return NetVerdict::Drop;
         };
         // Rewrap with decremented TTL; the encap shim (and its packet id,
-        // which the MAC dedup uses) is preserved across hops.
-        let mut ip_bytes = inner[..ip.packet_len()].to_vec();
-        let mut p = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
-        p.decrement_ttl();
-        let mut out = vec![0u8; ENCAP_LEN + ip_bytes.len()];
-        encap.emit(&mut out[..ENCAP_LEN]);
-        out[ENCAP_LEN..].copy_from_slice(&ip_bytes);
+        // which the MAC dedup uses) is preserved across hops. The one
+        // copy this hop makes of the packet; the TTL is patched in it.
+        let mut out = encap.wrap(&inner[..ip.packet_len()]);
+        Ipv4Packet::new_unchecked(&mut out[ENCAP_LEN..]).decrement_ttl();
         self.counters.forwarded += 1;
         NetVerdict::Forward { next_hop, mpdu_payload: out }
     }
 
-    fn deliver_local(&mut self, ip: Ipv4Repr, l4: &[u8]) -> NetVerdict {
+    fn deliver_local<'a>(&mut self, ip: Ipv4Repr, l4: &'a [u8]) -> NetVerdict<'a> {
         match ip.protocol {
             IpProtocol::Tcp => match TcpRepr::parse(&ip, l4) {
                 Ok((tcp, payload)) => {
                     self.counters.delivered += 1;
-                    NetVerdict::DeliverTcp { ip, tcp, payload: payload.to_vec() }
+                    NetVerdict::DeliverTcp { ip, tcp, payload }
                 }
                 Err(_) => {
                     self.counters.malformed += 1;
@@ -239,7 +241,7 @@ impl NetStack {
             IpProtocol::Udp => match UdpRepr::parse(&ip, l4) {
                 Ok((udp, payload)) => {
                     self.counters.delivered += 1;
-                    NetVerdict::DeliverUdp { ip, udp, payload: payload.to_vec() }
+                    NetVerdict::DeliverUdp { ip, udp, payload }
                 }
                 Err(_) => {
                     self.counters.malformed += 1;

@@ -1,13 +1,18 @@
 //! The event loop: glues MACs, the medium, the channel model, network
 //! stacks, TCP, and applications together under virtual time.
 //!
-//! The dispatch path is zero-allocation in steady state: MAC outputs go
-//! into pooled scratch buffers (the sans-IO MAC writes into a
+//! The dispatch path allocates per *packet*, not per event (about one
+//! allocation per event in steady state, bounded by
+//! `crates/bench/tests/alloc_regression.rs`): MAC outputs go into pooled
+//! scratch buffers (the sans-IO MAC writes into a
 //! [`hydra_core::MacSink`]), carrier-sense edges ride one batched event
 //! per transmission boundary in a recycled `Vec`, and in-flight frames
-//! live in a slab indexed by [`TxId`] instead of a `HashMap`. Frame
-//! bytes themselves are shared [`hydra_wire::Payload`]s all the way
-//! from enqueue to delivery — see `docs/PERFORMANCE.md`.
+//! live in a slab indexed by [`TxId`] instead of a `HashMap`. What still
+//! allocates is what a packet needs built — a TCP segment, its MPDU
+//! wrap, the PSDU of the aggregate it rides in, the parse of a received
+//! aggregate. Frame bytes themselves are shared
+//! [`hydra_wire::Payload`]s all the way from enqueue to delivery — see
+//! `docs/PERFORMANCE.md`.
 
 use hydra_core::{Mac, MacConfig, MacInput, MacOutput};
 use hydra_phy::medium::{BusyEdge, Delivery, TxId};
@@ -754,7 +759,7 @@ impl World {
                 self.mac_input(node, MacInput::Enqueue { next_hop, src, payload: mpdu_payload.into() });
             }
             NetVerdict::DeliverTcp { ip, tcp, payload } => {
-                self.nodes[node].tcp.on_segment(now, &ip, &tcp, &payload);
+                self.nodes[node].tcp.on_segment(now, &ip, &tcp, payload);
                 // Pump immediately: this yields the per-segment ACKs the
                 // paper's client produces (one 160 B ACK frame per data
                 // segment).
@@ -762,11 +767,11 @@ impl World {
             }
             NetVerdict::DeliverUdp { udp, payload, .. } => {
                 if let Some(sink) = self.nodes[node].apps.udp_sink.as_mut() {
-                    sink.on_datagram(now, udp.dst_port, &payload);
+                    sink.on_datagram(now, udp.dst_port, payload);
                 }
             }
             NetVerdict::DeliverRaw { payload, .. } => {
-                self.nodes[node].apps.flood_sink.on_beacon(&payload);
+                self.nodes[node].apps.flood_sink.on_beacon(payload);
             }
             NetVerdict::Drop => {}
         }

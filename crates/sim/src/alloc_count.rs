@@ -1,10 +1,10 @@
 //! An optional counting global allocator for allocation-regression
 //! measurement.
 //!
-//! The simulator's hot path is engineered to allocate nothing in steady
-//! state (pooled scratch buffers, shared payloads); this module is how
-//! that claim is *measured* instead of assumed. A binary or test opts
-//! in with
+//! The simulator's hot path is engineered to allocate per packet, not
+//! per event (pooled scratch buffers, shared payloads); this module is
+//! how that claim is *measured* instead of assumed. A binary or test
+//! opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -16,10 +16,11 @@
 //! zeros — callers treat the counters as "optional telemetry", never as
 //! ground truth for correctness.
 //!
-//! This is the single `unsafe` site in the workspace (the
-//! [`core::alloc::GlobalAlloc`] contract itself is an unsafe trait);
-//! the implementation only forwards to [`std::alloc::System`] and bumps
-//! two relaxed atomics.
+//! One of the workspace's two `unsafe` sites (the other is the
+//! CPU-feature-guarded call in `hydra_wire::crc`; CI's unsafe inventory
+//! pins the list). The [`core::alloc::GlobalAlloc`] contract itself is
+//! an unsafe trait; the implementation only forwards to
+//! [`std::alloc::System`] and bumps two relaxed atomics.
 
 #![allow(unsafe_code)]
 

@@ -10,7 +10,7 @@
 //! * [`timer::TimerSet`] — generation-counted lazy-cancellation timers;
 //! * [`stats`] — Welford accumulators and per-category time ledgers;
 //! * [`alloc_count`] — an opt-in counting global allocator, the
-//!   measurement side of the zero-allocation hot-path work;
+//!   measurement side of the allocation-light hot-path work;
 //! * [`failpoint`] — named, deterministic fault-injection sites
 //!   (zero-cost when disarmed) for proving recovery paths;
 //! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:

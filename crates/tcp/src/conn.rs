@@ -18,6 +18,7 @@
 //! [`Connection::poll_timeout`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use hydra_sim::{Duration, Instant};
 use hydra_wire::tcp::{TcpFlags, TcpRepr};
@@ -76,6 +77,10 @@ pub struct ConnStats {
     pub dup_acks_received: u64,
 }
 
+/// A run of send-buffer bytes as the ring holds it: one piece, or two
+/// when the run straddles the ring's seam (the second is empty otherwise).
+type Pieces<'a> = (&'a [u8], &'a [u8]);
+
 /// One TCP connection.
 #[derive(Debug)]
 pub struct Connection {
@@ -115,7 +120,9 @@ pub struct Connection {
     // ---- receive state ----
     rcv_nxt: u32,
     ooo: BTreeMap<u32, Vec<u8>>,
-    rx_buf: VecDeque<u8>,
+    /// In-order bytes the application has yet to take. Always drained
+    /// whole, so it is handed over as it is, not copied out.
+    rx_buf: Vec<u8>,
     ack_needed: bool,
     delayed_ack_deadline: Option<Instant>,
     fin_received: bool,
@@ -173,7 +180,7 @@ impl Connection {
             rtx_count: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            rx_buf: VecDeque::new(),
+            rx_buf: Vec::new(),
             ack_needed: false,
             delayed_ack_deadline: None,
             fin_received: false,
@@ -260,8 +267,7 @@ impl Connection {
 
     /// Drains everything the receive side has reassembled in order.
     pub fn recv_drain(&mut self) -> Vec<u8> {
-        let out: Vec<u8> = self.rx_buf.drain(..).collect();
-        out
+        std::mem::take(&mut self.rx_buf)
     }
 
     /// Closes the send direction (FIN after buffered data drains).
@@ -371,6 +377,24 @@ impl Connection {
     /// Produces the next segment to send, if any. Call repeatedly until
     /// `None`.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(TcpRepr, Vec<u8>)> {
+        let (repr, range) = self.next_segment(now)?;
+        let (head, tail) = self.tx_pieces(range);
+        Some((repr, [head, tail].concat()))
+    }
+
+    /// `tx_buf[range]` lent as its two ring pieces (clamped to the
+    /// buffer): the bytes stay in the send buffer.
+    pub(crate) fn tx_pieces(&self, range: Range<usize>) -> Pieces<'_> {
+        let (head, tail) = self.tx_buf.as_slices();
+        let end = range.end.min(self.tx_buf.len());
+        let start = range.start.min(end);
+        let seam = head.len();
+        (&head[start.min(seam)..end.min(seam)], &tail[start.saturating_sub(seam)..end.saturating_sub(seam)])
+    }
+
+    /// Decides the next segment: its header and which bytes of `tx_buf`
+    /// it carries (an empty range for SYN / FIN / pure ACK).
+    pub(crate) fn next_segment(&mut self, now: Instant) -> Option<(TcpRepr, Range<usize>)> {
         match self.state {
             TcpState::Closed | TcpState::Listen | TcpState::TimeWait => {
                 // TimeWait may still need to ACK a retransmitted FIN.
@@ -387,7 +411,7 @@ impl Connection {
                         self.rtt_probe = Some((seq::add(self.iss, 1), now));
                     }
                     self.stats.segments_sent += 1;
-                    return Some((self.make_repr(self.iss, TcpFlags::SYN), Vec::new()));
+                    return Some((self.make_repr(self.iss, TcpFlags::SYN), 0..0));
                 }
                 None
             }
@@ -396,7 +420,7 @@ impl Connection {
                     self.need_syn_tx = false;
                     self.arm_rtx(now);
                     self.stats.segments_sent += 1;
-                    return Some((self.make_repr(self.iss, TcpFlags::SYN.union(TcpFlags::ACK)), Vec::new()));
+                    return Some((self.make_repr(self.iss, TcpFlags::SYN.union(TcpFlags::ACK)), 0..0));
                 }
                 None
             }
@@ -404,14 +428,13 @@ impl Connection {
         }
     }
 
-    fn poll_transmit_established(&mut self, now: Instant) -> Option<(TcpRepr, Vec<u8>)> {
+    fn poll_transmit_established(&mut self, now: Instant) -> Option<(TcpRepr, Range<usize>)> {
         // 1. Retransmission from snd_una.
         if self.pending_retransmit {
             self.pending_retransmit = false;
             let flight_data = self.flight_data_len();
             if flight_data > 0 {
                 let len = flight_data.min(self.cfg.mss);
-                let payload: Vec<u8> = self.tx_buf.iter().take(len).copied().collect();
                 self.stats.retransmits += 1;
                 self.stats.segments_sent += 1;
                 self.rtt_probe = None; // Karn
@@ -421,7 +444,7 @@ impl Connection {
                     repr.flags = repr.flags.union(TcpFlags::PSH);
                 }
                 self.clear_ack_state();
-                return Some((repr, payload));
+                return Some((repr, 0..len));
             } else if self.fin_sent && !self.fin_acked() {
                 // Retransmit the FIN.
                 self.stats.retransmits += 1;
@@ -433,7 +456,7 @@ impl Connection {
                 let mut repr = TcpRepr { seq: fin_seq, ..repr };
                 repr.flags = TcpFlags::FIN.union(TcpFlags::ACK);
                 self.clear_ack_state();
-                return Some((repr, Vec::new()));
+                return Some((repr, 0..0));
             }
         }
 
@@ -448,7 +471,6 @@ impl Connection {
                     let len = unsent.min(self.cfg.mss).min(room);
                     if len > 0 {
                         let off = seq::sub(self.snd_nxt, self.snd_una) as usize;
-                        let payload: Vec<u8> = self.tx_buf.iter().skip(off).take(len).copied().collect();
                         let seq_no = self.snd_nxt;
                         self.snd_nxt = seq::add(self.snd_nxt, len);
                         if self.rtt_probe.is_none() {
@@ -463,7 +485,7 @@ impl Connection {
                             repr.flags = repr.flags.union(TcpFlags::PSH);
                         }
                         self.clear_ack_state();
-                        return Some((repr, payload));
+                        return Some((repr, off..off + len));
                     }
                 }
             }
@@ -491,7 +513,7 @@ impl Connection {
                 ..self.make_repr(fin_seq, TcpFlags::ACK)
             };
             self.clear_ack_state();
-            return Some((repr, Vec::new()));
+            return Some((repr, 0..0));
         }
 
         // 4. Pure ACK.
@@ -501,11 +523,11 @@ impl Connection {
         None
     }
 
-    fn emit_pure_ack(&mut self) -> (TcpRepr, Vec<u8>) {
+    fn emit_pure_ack(&mut self) -> (TcpRepr, Range<usize>) {
         self.clear_ack_state();
         self.stats.segments_sent += 1;
         self.stats.pure_acks_sent += 1;
-        (self.make_repr(self.snd_nxt, TcpFlags::ACK), Vec::new())
+        (self.make_repr(self.snd_nxt, TcpFlags::ACK), 0..0)
     }
 
     fn clear_ack_state(&mut self) {
@@ -758,7 +780,7 @@ impl Connection {
                 return;
             }
             let take = data.len().min(room);
-            self.accept_in_order(data[..take].to_vec());
+            self.accept_in_order(&data[..take]);
             // Pull contiguous out-of-order segments in.
             while let Some((&s, _)) = self.ooo.first_key_value() {
                 if seq::gt(s, self.rcv_nxt) {
@@ -769,7 +791,7 @@ impl Connection {
                     continue; // fully duplicate
                 }
                 let skip = seq::sub(self.rcv_nxt, s) as usize;
-                self.accept_in_order(d[skip..].to_vec());
+                self.accept_in_order(&d[skip..]);
             }
             // ACK policy: immediate unless delayed ACKs are on.
             if self.cfg.delayed_ack && self.delayed_ack_deadline.is_none() && !self.ack_needed {
@@ -788,10 +810,10 @@ impl Connection {
         }
     }
 
-    fn accept_in_order(&mut self, data: Vec<u8>) {
+    fn accept_in_order(&mut self, data: &[u8]) {
         self.rcv_nxt = seq::add(self.rcv_nxt, data.len());
         self.stats.bytes_received += data.len() as u64;
-        self.rx_buf.extend(data);
+        self.rx_buf.extend_from_slice(data);
     }
 
     fn handle_fin(&mut self, now: Instant, repr: &TcpRepr, payload_len: usize) {

@@ -114,8 +114,18 @@ impl TcpStack {
     pub fn poll_transmit_into(&mut self, now: Instant, out: &mut Vec<OutboundSegment>) {
         let my_addr = self.addr;
         for c in &mut self.sockets {
-            while let Some((repr, payload)) = c.poll_transmit(now) {
+            while let Some((repr, range)) = c.next_segment(now) {
                 let dst = c.remote().addr;
+                // Straight from the send buffer into the segment; only a
+                // payload that straddles the ring's seam is joined first.
+                let joined;
+                let payload = match c.tx_pieces(range) {
+                    (whole, []) | ([], whole) => whole,
+                    (head, tail) => {
+                        joined = [head, tail].concat();
+                        &joined[..]
+                    }
+                };
                 let ip = Ipv4Repr {
                     src: my_addr,
                     dst,
@@ -124,7 +134,7 @@ impl TcpStack {
                     payload_len: tcp::HEADER_LEN + payload.len(),
                 };
                 let mut bytes = vec![0u8; tcp::HEADER_LEN + payload.len()];
-                repr.emit(&ip, &payload, &mut bytes);
+                repr.emit(&ip, payload, &mut bytes);
                 out.push(OutboundSegment { dst, bytes });
             }
         }

@@ -40,14 +40,12 @@ pub struct SubframeSlot {
 
 /// Builds an aggregated PSDU: broadcast subframes first, then unicast.
 ///
-/// Single-buffer: subframes are emitted straight into the final PSDU
-/// `Vec` ([`SubframeRepr::emit`] into a zero-filled tail), so assembly
-/// copies each payload byte exactly once. The old two-staging-`Vec`
-/// shape (`to_bytes` temporary → portion buffer → concatenated PSDU)
-/// cost an allocation per subframe plus two extra passes over every
-/// byte — measurable, since assembly runs once per transmit opportunity
-/// *including retries*. The broadcast-before-unicast order the wire
-/// format requires is asserted, not rearranged.
+/// Single-buffer: each subframe is appended straight onto the final
+/// PSDU `Vec` by [`SubframeRepr::append`], so assembly writes every
+/// PSDU byte once and reads it once (the CRC). It matters because
+/// assembly runs once per transmit opportunity *including retries*. The
+/// broadcast-before-unicast order the wire format requires is asserted,
+/// not rearranged.
 #[derive(Debug, Default)]
 pub struct AggregateBuilder {
     psdu: Vec<u8>,
@@ -73,13 +71,11 @@ impl AggregateBuilder {
         AggregateBuilder { psdu: Vec::with_capacity(psdu_bytes), ..Self::default() }
     }
 
-    /// Emits one subframe into the PSDU tail, returning its range.
-    fn emit(&mut self, repr: &SubframeRepr, payload: &[u8]) -> core::ops::Range<usize> {
+    /// Appends one subframe to the PSDU, returning its range.
+    fn emit(&mut self, repr: &SubframeRepr, payload: &[u8]) -> Range<usize> {
         let start = self.psdu.len();
-        let len = SubframeRepr::on_air_len(payload.len());
-        self.psdu.resize(start + len, 0);
-        repr.emit(payload, &mut self.psdu[start..]);
-        start..start + len
+        repr.append(payload, &mut self.psdu);
+        start..self.psdu.len()
     }
 
     /// Appends a subframe to the broadcast portion.
@@ -99,18 +95,6 @@ impl AggregateBuilder {
     pub fn push_unicast(&mut self, repr: &SubframeRepr, payload: &[u8]) {
         let range = self.emit(repr, payload);
         self.slots.push(SubframeSlot { portion: Portion::Unicast, range, payload_len: payload.len() });
-    }
-
-    /// Appends an already-emitted subframe (used when retrying a stored
-    /// unicast burst without re-serialising).
-    pub fn push_unicast_raw(&mut self, bytes: &[u8], payload_len: usize) {
-        let start = self.psdu.len();
-        self.psdu.extend_from_slice(bytes);
-        self.slots.push(SubframeSlot {
-            portion: Portion::Unicast,
-            range: start..start + bytes.len(),
-            payload_len,
-        });
     }
 
     /// Current broadcast portion size in bytes.
@@ -336,18 +320,6 @@ mod tests {
         let parsed = parse_aggregate(&hdr, &psdu);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].portion, Portion::Unicast);
-    }
-
-    #[test]
-    fn push_unicast_raw_preserves_bytes() {
-        let bytes = repr(4).to_bytes(&[7; 50]);
-        let mut b = AggregateBuilder::new();
-        b.push_unicast_raw(&bytes, 50);
-        let (hdr, psdu, _) = b.finish(RateCode(0), RateCode(0));
-        let parsed = parse_aggregate(&hdr, &psdu);
-        assert_eq!(parsed.len(), 1);
-        assert!(parsed[0].fcs_ok);
-        assert_eq!(parsed[0].view().payload(), &[7u8; 50][..]);
     }
 
     #[test]

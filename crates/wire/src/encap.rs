@@ -69,9 +69,11 @@ impl EncapRepr {
 
     /// Builds shim + payload as an owned vector.
     pub fn wrap(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; HEADER_LEN + payload.len()];
+        // Sized once; only the shim is zeroed before it is written.
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.resize(HEADER_LEN, 0);
         self.emit(&mut out);
-        out[HEADER_LEN..].copy_from_slice(payload);
+        out.extend_from_slice(payload);
         out
     }
 

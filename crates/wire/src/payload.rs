@@ -5,8 +5,8 @@
 //! out to every receiver in the carrier-sense domain, parsed back, and
 //! delivered upward. With plain `Vec<u8>` every hand-off is a fresh
 //! heap allocation plus a memcpy — and broadcast fan-out multiplies
-//! that by the receiver count. `Payload` is an `Arc<[u8]>` plus a byte
-//! range: cloning is a reference-count bump, and [`Payload::slice`]
+//! that by the receiver count. `Payload` is an `Arc<Vec<u8>>` plus a
+//! byte range: cloning is a reference-count bump, and [`Payload::slice`]
 //! carves a zero-copy sub-view (e.g. one subframe's payload out of a
 //! shared PSDU) that keeps the backing buffer alive.
 //!

@@ -78,9 +78,8 @@ mod field {
     pub const ADDR2: Range<usize> = 10..16;
     pub const ADDR3: Range<usize> = 16..22;
     pub const LENGTH: Range<usize> = 22..24;
-    // Bytes 24..26 are reserved (keeps the header at the paper's 26 B:
-    // 2+2+6+6+6+2 = 24 payload-bearing bytes + 2 reserved).
-    pub const RESERVED: Range<usize> = 24..26;
+    // Bytes 24..26 are reserved and sent as zero (keeps the header at
+    // the paper's 26 B: 2+2+6+6+6+2 = 24 payload-bearing bytes + 2).
 }
 
 /// A typed view over a MAC subframe byte buffer (smoltcp `Packet` idiom).
@@ -244,11 +243,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Subframe<T> {
         self.buffer.as_mut()[field::LENGTH].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Zeroes the reserved bytes.
-    pub fn clear_reserved(&mut self) {
-        self.buffer.as_mut()[field::RESERVED].fill(0);
-    }
-
     /// Mutable payload access.
     pub fn payload_mut(&mut self) -> &mut [u8] {
         let len = self.payload_len() as usize;
@@ -293,27 +287,30 @@ impl SubframeRepr {
         aligned.max(MIN_SUBFRAME)
     }
 
-    /// Emits the subframe (header + payload + FCS + zero padding) into
-    /// `buf`, which must be exactly `on_air_len(payload.len())` bytes.
-    pub fn emit(&self, payload: &[u8], buf: &mut [u8]) {
-        assert_eq!(buf.len(), Self::on_air_len(payload.len()), "emit buffer size mismatch");
-        buf.fill(0);
-        let mut f = Subframe::new_unchecked(&mut buf[..]);
+    /// Appends the subframe (header + payload + FCS + zero padding,
+    /// `on_air_len(payload.len())` bytes) to `out`. Each byte is written
+    /// once: header and payload are copied in, only the FCS slot and the
+    /// padding are zeroed, then the FCS is computed in place.
+    pub fn append(&self, payload: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut hdr = [0u8; HEADER_LEN];
+        let mut f = Subframe::new_unchecked(&mut hdr[..]);
         f.set_type_flags(self.frame_type, self.retry, self.no_ack);
         f.set_duration_us(self.duration_us);
         f.set_addr1(self.addr1);
         f.set_addr2(self.addr2);
         f.set_addr3(self.addr3);
         f.set_payload_len(payload.len() as u16);
-        f.clear_reserved();
-        f.payload_mut().copy_from_slice(payload);
-        f.fill_fcs();
+        out.extend_from_slice(&hdr);
+        out.extend_from_slice(payload);
+        out.resize(start + Self::on_air_len(payload.len()), 0);
+        Subframe::new_unchecked(&mut out[start..]).fill_fcs();
     }
 
     /// Builds an owned on-air subframe.
     pub fn to_bytes(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = vec![0u8; Self::on_air_len(payload.len())];
-        self.emit(payload, &mut buf);
+        let mut buf = Vec::with_capacity(Self::on_air_len(payload.len()));
+        self.append(payload, &mut buf);
         buf
     }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use hydra_wire::aggregate::{parse_aggregate, AggregateBuilder, Portion};
 use hydra_wire::builder::{build_tcp_packet, build_udp_packet, is_pure_tcp_ack, parse_mpdu_payload, L4};
 use hydra_wire::control::ControlFrame;
-use hydra_wire::crc::crc32;
+use hydra_wire::crc::{crc32, Crc32};
 use hydra_wire::encap::{EncapProto, EncapRepr};
 use hydra_wire::phy_hdr::{PhyHeader, RateCode};
 use hydra_wire::subframe::{FrameType, Subframe, SubframeRepr};
@@ -36,8 +36,52 @@ fn arb_subframe_repr() -> impl Strategy<Value = SubframeRepr> {
     )
 }
 
+/// CRC-32 by its definition, one bit at a time: the oracle both routes
+/// of `hydra_wire::crc` (tables, carry-less-multiply folding) answer to.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, start alignment, split points: one-shot (folds
+    /// when the CPU can), fed in 16-byte pieces (never folds — pieces
+    /// are under the threshold) and cut at two arbitrary points (each
+    /// part picks its own route from its own length, the later parts
+    /// starting from an arbitrary state) all equal the definition.
+    #[test]
+    fn crc32_routes_and_splits_agree_with_the_definition(
+        buf in proptest::collection::vec(any::<u8>(), 15..5300),
+        offset in 0usize..16,
+        cut_a in 0.0f64..1.0,
+        cut_b in 0.0f64..1.0,
+    ) {
+        let data = &buf[offset.min(buf.len())..];
+        let want = crc32_bitwise(data);
+        prop_assert_eq!(crc32(data), want);
+
+        let mut pieces = Crc32::new();
+        for piece in data.chunks(16) {
+            pieces.update(piece);
+        }
+        prop_assert_eq!(pieces.finish(), want);
+
+        let (a, b) = ((cut_a * data.len() as f64) as usize, (cut_b * data.len() as f64) as usize);
+        let (a, b) = (a.min(b), a.max(b));
+        let mut split = Crc32::new();
+        split.update(&data[..a]);
+        split.update(&data[a..b]);
+        split.update(&data[b..]);
+        prop_assert_eq!(split.finish(), want);
+    }
 
     #[test]
     fn subframe_roundtrip(repr in arb_subframe_repr(), payload in proptest::collection::vec(any::<u8>(), 0..2000)) {
