@@ -89,43 +89,60 @@ impl UdpCbr {
     /// wake-up time (None when finished).
     pub fn poll(&mut self, now: Instant) -> (Vec<Vec<u8>>, Option<Instant>) {
         let mut out = Vec::new();
-        let wake = self.poll_into(now, &mut out);
-        (out, wake)
+        while let Some(seq) = self.next_due(now) {
+            let mut payload = Vec::with_capacity(self.payload_len);
+            Self::write_payload(seq, self.payload_len, &mut payload);
+            out.push(payload);
+        }
+        (out, self.next_wake(now))
     }
 
-    /// [`UdpCbr::poll`] appending into a caller-recycled buffer (the event
-    /// loop's allocation-light variant); returns the next wake-up time.
-    pub fn poll_into(&mut self, now: Instant, out: &mut Vec<Vec<u8>>) -> Option<Instant> {
-        while self.next_send <= now {
-            if let Some(stop) = self.stop {
-                if self.next_send >= stop {
-                    return None;
-                }
-            }
-            let mut payload = vec![0u8; self.payload_len];
-            payload[..4].copy_from_slice(&self.seq.to_be_bytes());
-            // Deterministic filler so corruption tests can verify content.
-            for (i, b) in payload[4..].iter_mut().enumerate() {
-                *b = (self.seq as usize + i) as u8;
-            }
-            self.seq += 1;
-            self.packets_sent += 1;
-            self.bytes_sent += self.payload_len as u64;
-            out.push(payload);
-            self.next_send += match self.on_off {
-                Some(OnOff { burst, idle }) => {
-                    self.sent_in_burst += 1;
-                    if self.sent_in_burst >= burst {
-                        self.sent_in_burst = 0;
-                        idle
-                    } else {
-                        self.interval
-                    }
-                }
-                None => self.interval,
-            };
+    /// The sequence number of the next datagram due by `now`, counting it
+    /// as sent; `None` once nothing more is due (or the source stopped).
+    /// The caller serialises it with [`UdpCbr::write_payload`] wherever
+    /// the packet is being built, and calls again until `None`.
+    pub fn next_due(&mut self, now: Instant) -> Option<u32> {
+        if self.next_send > now || self.stop.is_some_and(|stop| self.next_send >= stop) {
+            return None;
         }
-        Some(self.next_send)
+        let seq = self.seq;
+        self.seq += 1;
+        self.packets_sent += 1;
+        self.bytes_sent += self.payload_len as u64;
+        self.next_send += match self.on_off {
+            Some(OnOff { burst, idle }) => {
+                self.sent_in_burst += 1;
+                if self.sent_in_burst >= burst {
+                    self.sent_in_burst = 0;
+                    idle
+                } else {
+                    self.interval
+                }
+            }
+            None => self.interval,
+        };
+        Some(seq)
+    }
+
+    /// When to poll again once [`UdpCbr::next_due`] has returned `None`
+    /// for `now`; `None` when the source has finished.
+    pub fn next_wake(&self, now: Instant) -> Option<Instant> {
+        (self.next_send > now).then_some(self.next_send)
+    }
+
+    /// Appends datagram `seq`'s `len` payload bytes to `out`: the sequence
+    /// number, then a deterministic filler so corruption tests can verify
+    /// content.
+    pub fn write_payload(seq: u32, len: usize, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + len, 0);
+        let payload = &mut out[at..];
+        payload[..4].copy_from_slice(&seq.to_be_bytes());
+        // A counting loop over a slice vectorises; `extend` with the same
+        // closure writes a byte at a time.
+        for (i, b) in payload[4..].iter_mut().enumerate() {
+            *b = (seq as usize + i) as u8;
+        }
     }
 }
 

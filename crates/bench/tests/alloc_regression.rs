@@ -4,8 +4,9 @@
 //! allocations per dispatched event: the world is warmed up first (so
 //! scratch-buffer pools are populated and TCP/app buffers sized), then
 //! a measurement window runs and the allocation/event deltas are
-//! bounded. Remaining allocations are *per-packet* (segment build, MPDU
-//! wrap, PSDU assembly, `Payload` promotion), not per-event — if a
+//! bounded. Remaining allocations are *per-packet* (the MPDU a segment
+//! or datagram is serialised into, a relay's forwarded copy, PSDU
+//! assembly, `Payload` promotion), not per-event — if a
 //! future change reintroduces per-event churn (per-`handle` output
 //! vectors, per-receiver PSDU copies, per-edge heap events), the ratio
 //! jumps well past the bound.
@@ -47,15 +48,17 @@ fn steady_state_allocations_per_event_are_bounded() {
     // Measured ~1.33k allocs / 1k events on the PR 4 tree, ~1.08k after
     // the calendar-queue PR's hot-path work (zero-copy `Payload`
     // promotion, the single-buffer `AggregateBuilder`, the collect-free
-    // unicast filter, pooled event payloads), 1 052 on the PR 15 tree
-    // and 975 once the network layer stopped copying what it delivers
-    // and built a forwarded MPDU in one buffer (PR 16; the count is
-    // exact — same program, same allocations). Bound: 1.5x that, down
-    // from 2 500. A regression to per-event allocation (per-`handle`
-    // output vectors, per-receiver PSDU clones, per-edge heap events)
-    // blows through it.
+    // unicast filter, pooled event payloads), 1 052 on the PR 15 tree,
+    // 975 once the network layer stopped copying what it delivers and
+    // built a forwarded MPDU in one buffer (PR 16), and 403 with inline
+    // control frames, datagrams and segments serialised once into their
+    // MPDU, a reused parse buffer and pre-sized assembly (PR 22; the
+    // count is exact — same program, same allocations). Bound: 1.5x
+    // that, down from 1 450. A regression to per-event allocation
+    // (per-`handle` output vectors, per-receiver PSDU clones, per-edge
+    // heap events, a heap block per control frame) blows through it.
     assert!(
-        per_1k < 1_450.0,
+        per_1k < 600.0,
         "steady-state allocation churn regressed: {per_1k:.0} allocations per 1k events \
          ({} allocations over {events} events)",
         allocs.allocations
@@ -91,9 +94,9 @@ fn steady_state_allocations_per_event_are_bounded() {
         allocs.allocations
     );
     // Measured 1 527 per 1k events on the PR 15 tree, 1 366 after
-    // PR 16; bound 1.5x that, down from 3 000.
+    // PR 16, 579 after PR 22; bound 1.5x that, down from 2 000.
     assert!(
-        per_1k < 2_000.0,
+        per_1k < 870.0,
         "link-error allocation churn regressed: {per_1k:.0} allocations per 1k events \
          ({} allocations over {events} events)",
         allocs.allocations

@@ -17,7 +17,7 @@
 
 use hydra_phy::{OnAirFrame, PhyProfile, Rate};
 use hydra_wire::aggregate::AggregateBuilder;
-use hydra_wire::subframe::{FrameType, SubframeRepr};
+use hydra_wire::subframe::{FrameType, SubframeRepr, MIN_SUBFRAME};
 use hydra_wire::MacAddr;
 
 use crate::config::{AggSizing, MacConfig};
@@ -137,7 +137,16 @@ pub fn assemble(
             (samples.saturating_mul(ucast_rate.bits_per_sec()) / (profile.sample_rate.max(1) * 8)) as usize
         }
     };
-    let mut builder = AggregateBuilder::with_capacity(psdu_hint);
+    // A frame holds no more subframes than are waiting (or being retried),
+    // than the policy allows, or than fit under the size cap at the
+    // minimum subframe size: size the slot list and the burst once.
+    let by_size = psdu_hint / MIN_SUBFRAME + 1;
+    let max_bcast = cfg.agg.max_broadcast_subframes.min(queues.bcast_len()).min(by_size);
+    let max_ucast = match &retry_burst {
+        Some(burst) => burst.len(),
+        None => cfg.agg.max_unicast_subframes.min(queues.ucast_len()).min(by_size),
+    };
+    let mut builder = AggregateBuilder::with_capacity(psdu_hint, max_bcast + max_ucast);
     let mut payload_bytes = 0usize;
     let mut overhead_bytes = 0usize;
     let mut bcast_count = 0usize;
@@ -196,6 +205,7 @@ pub fn assemble(
     // Unicast portion: gather for the head destination.
     if !is_retry {
         if let Some(dest) = queues.head_unicast_dest() {
+            ucast_burst.reserve_exact(max_ucast);
             while ucast_burst.len() < cfg.agg.max_unicast_subframes {
                 // Peek the next frame for this destination.
                 let Some(mpdu) = queues.take_unicast_for(dest) else { break };
@@ -203,7 +213,7 @@ pub fn assemble(
                 let is_first = bcast_count == 0 && ucast_burst.is_empty();
                 if !budget.fits(on_air, ucast_rate, is_first) {
                     // Put it back at the front and stop.
-                    queues.unshift_unicast(vec![mpdu]);
+                    queues.unshift_unicast([mpdu]);
                     break;
                 }
                 budget.consume(on_air, ucast_rate);

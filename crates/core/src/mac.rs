@@ -21,7 +21,7 @@
 //! * virtual carrier sense (NAV) is honoured from RTS/CTS/data duration
 //!   fields.
 
-use hydra_phy::{OnAirFrame, PhyProfile, Rate};
+use hydra_phy::{OnAirControl, OnAirFrame, PhyProfile, Rate};
 use hydra_sim::{Duration, Instant, Rng, TimerSet, TimerToken};
 use hydra_wire::aggregate::Portion;
 use hydra_wire::control::{ControlFrame, ACK_LEN, BLOCK_ACK_LEN, CTS_LEN, RTS_LEN};
@@ -479,7 +479,7 @@ impl Mac {
             self.counters.time.add(cat::CONTROL, self.control_airtime(RTS_LEN));
             self.current = Some(frame);
             self.state = State::TxRts;
-            out.push(MacOutput::StartTx(OnAirFrame::control(rts.to_bytes())));
+            out.push(MacOutput::StartTx(OnAirFrame::control_frame(&rts)));
         } else if frame.expects_ack() {
             self.current = Some(frame);
             self.start_data_tx(now, out);
@@ -653,12 +653,12 @@ impl Mac {
                 Some(AfterSifs::Cts(cts)) => {
                     self.counters.tx_cts += 1;
                     self.state = State::TxResponse;
-                    out.push(MacOutput::StartTx(OnAirFrame::control(cts.to_bytes())));
+                    out.push(MacOutput::StartTx(OnAirFrame::control_frame(&cts)));
                 }
                 Some(AfterSifs::Ack(ack)) => {
                     self.counters.tx_acks += 1;
                     self.state = State::TxResponse;
-                    out.push(MacOutput::StartTx(OnAirFrame::control(ack.to_bytes())));
+                    out.push(MacOutput::StartTx(OnAirFrame::control_frame(&ack)));
                 }
                 Some(AfterSifs::Data) => {
                     self.counters.time.add(cat::SIFS, self.cfg.sifs);
@@ -685,7 +685,7 @@ impl Mac {
 
     fn on_rx(&mut self, now: Instant, frame: &OnAirFrame, out: &mut dyn MacSink) {
         match frame {
-            OnAirFrame::Control(bytes) => self.on_rx_control(now, bytes, out),
+            OnAirFrame::Control(ctrl) => self.on_rx_control(now, ctrl, out),
             OnAirFrame::Aggregate { phy_hdr, psdu, .. } => self.on_rx_aggregate(now, phy_hdr, psdu, out),
         }
     }
@@ -705,8 +705,10 @@ impl Mac {
         out.push(MacOutput::SetTimer { token, at: now + self.cfg.sifs });
     }
 
-    fn on_rx_control(&mut self, now: Instant, bytes: &[u8], out: &mut dyn MacSink) {
-        let Ok(ctrl) = ControlFrame::parse(bytes) else {
+    fn on_rx_control(&mut self, now: Instant, on_air: &OnAirControl, out: &mut dyn MacSink) {
+        // An undamaged copy arrives typed; anything else has to get past
+        // the length, type and CRC checks like bytes off a real radio.
+        let Some(ctrl) = on_air.typed().or_else(|| ControlFrame::parse(on_air).ok()) else {
             self.counters.rx_control_ignored += 1;
             return;
         };

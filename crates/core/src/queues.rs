@@ -116,7 +116,11 @@ impl TxQueues {
 
     /// Puts unicast frames back at the *front*, preserving their order
     /// (used when an assembled burst must be returned, e.g. on reset).
-    pub fn unshift_unicast(&mut self, frames: Vec<QueuedMpdu>) {
+    pub fn unshift_unicast<I>(&mut self, frames: I)
+    where
+        I: IntoIterator<Item = QueuedMpdu>,
+        I::IntoIter: DoubleEndedIterator,
+    {
         for f in frames.into_iter().rev() {
             self.ucast.push_front(f);
         }

@@ -441,3 +441,75 @@ fn rts_for_someone_else_sets_nav_and_defers() {
         before
     );
 }
+
+// ----------------------------------------------------------------------
+// Control frames: typed while intact, parsed otherwise
+// ----------------------------------------------------------------------
+
+/// Drives one sender-side exchange (enqueue → RTS → CTS → DATA → ACK) and
+/// one receiver-side one (RTS → CTS, foreign RTS → NAV), handing the MAC
+/// every control frame through `wrap`, and returns everything observable.
+fn control_exchange_transcript(wrap: fn(&ControlFrame) -> OnAirFrame) -> String {
+    let mut log = String::new();
+    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    enqueue_unicast(&mut h, 1, 500);
+    enqueue_unicast(&mut h, 2, 500);
+    h.fire_next_timer();
+    let rts = h.run_until_tx();
+    h.feed(MacInput::TxDone);
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Cts { duration_us: 900, ra: me() })));
+    let data = h.run_until_tx();
+    h.feed(MacInput::TxDone);
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Ack { duration_us: 0, ra: me() })));
+    log += &format!("{rts:?}\n{data:?}\n{:?}\n", h.timers);
+    // Receiver side, plus frames that are not for us or not expected
+    // (the superseded CTS / ACK timeouts fire first and are refused).
+    while !h.timers.is_empty() {
+        h.fire_next_timer();
+    }
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Rts { duration_us: 5000, ra: me(), ta: peer() })));
+    let cts = h.run_until_tx();
+    h.feed(MacInput::TxDone);
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Rts {
+        duration_us: 700,
+        ra: peer(),
+        ta: MacAddr::from_node_id(7),
+    })));
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Cts { duration_us: 300, ra: peer() })));
+    h.feed(MacInput::Rx(wrap(&ControlFrame::Ack { duration_us: 0, ra: me() })));
+    h.feed(MacInput::Rx(wrap(&ControlFrame::BlockAck { duration_us: 0, ra: me(), bitmap: 0b101 })));
+    log += &format!("{cts:?}\n{:?}\n{:?}\n{:?}", h.timers, h.tx, h.mac.counters);
+    log
+}
+
+#[test]
+fn typed_and_raw_control_frames_drive_the_mac_identically() {
+    let raw = control_exchange_transcript(|f| OnAirFrame::control(f.to_bytes()));
+    let typed = control_exchange_transcript(OnAirFrame::control_frame);
+    assert_eq!(raw, typed);
+    assert!(raw.contains("rx_control_ignored: 2"), "the stray ACK and block ACK were counted:\n{raw}");
+}
+
+#[test]
+fn a_corrupted_control_frame_is_ignored_however_it_was_built() {
+    use hydra_phy::{apply_channel, LinkErrorPass};
+    let profile = PhyProfile::hydra();
+    let rts = ControlFrame::Rts { duration_us: 5000, ra: me(), ta: peer() };
+    let mut rng = Rng::seed_from_u64(5);
+    for (i, built) in
+        [OnAirFrame::control_frame(&rts), OnAirFrame::control(rts.to_bytes())].iter().enumerate()
+    {
+        let hit = apply_channel(built, 25.0, &mut LinkErrorPass { p: 1.0 }, &mut rng, &profile).unwrap();
+        let OnAirFrame::Control(c) = &hit else { panic!() };
+        assert_eq!(c.typed(), None);
+        let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+        h.feed(MacInput::Rx(hit));
+        assert_eq!(h.mac.counters.rx_control_ignored, 1, "case {i}");
+        assert!(h.timers.is_empty() && h.tx.is_empty(), "a damaged RTS earns no CTS");
+        // The same frame undamaged does.
+        h.feed(MacInput::Rx(built.clone()));
+        let f = h.run_until_tx();
+        let OnAirFrame::Control(cts) = &f else { panic!() };
+        assert!(matches!(cts.typed(), Some(ControlFrame::Cts { .. })), "the MAC's own frames leave typed");
+    }
+}

@@ -133,6 +133,26 @@ impl NetStack {
         dst: Ipv4Addr,
         l4_bytes: &[u8],
     ) -> Option<(MacAddr, Vec<u8>)> {
+        self.send_l4_with(protocol, dst, l4_bytes.len(), |_, out| out.extend_from_slice(l4_bytes))
+    }
+
+    /// [`NetStack::send_l4`] for a segment that does not exist yet: the
+    /// MPDU buffer is sized once for shim + IPv4 header + `l4_len`, the
+    /// two headers are written, and `write_l4` appends the `l4_len`-byte
+    /// segment straight after them (it gets the IPv4 header for the
+    /// pseudo-header checksum). A sender that builds its segment here
+    /// allocates one buffer per packet and writes each byte once.
+    /// `write_l4` is not called when there is no route.
+    ///
+    /// # Panics
+    /// Panics if `write_l4` appends anything but exactly `l4_len` bytes.
+    pub fn send_l4_with(
+        &mut self,
+        protocol: IpProtocol,
+        dst: Ipv4Addr,
+        l4_len: usize,
+        write_l4: impl FnOnce(&Ipv4Repr, &mut Vec<u8>),
+    ) -> Option<(MacAddr, Vec<u8>)> {
         let Some(next_hop_ip) = self.route_for(dst) else {
             self.counters.no_route += 1;
             return None;
@@ -141,18 +161,15 @@ impl NetStack {
             self.counters.no_route += 1;
             return None;
         };
-        let ip = Ipv4Repr {
-            src: self.cfg.addr,
-            dst,
-            protocol,
-            ttl: self.cfg.default_ttl,
-            payload_len: l4_bytes.len(),
-        };
+        let ip =
+            Ipv4Repr { src: self.cfg.addr, dst, protocol, ttl: self.cfg.default_ttl, payload_len: l4_len };
         let encap = self.encap(u16::MAX);
-        let mut out = vec![0u8; ENCAP_LEN + IPV4_LEN + l4_bytes.len()];
+        let mut out = Vec::with_capacity(ENCAP_LEN + IPV4_LEN + l4_len);
+        out.resize(ENCAP_LEN + IPV4_LEN, 0);
         encap.emit(&mut out[..ENCAP_LEN]);
-        ip.emit(&mut out[ENCAP_LEN..]);
-        out[ENCAP_LEN + IPV4_LEN..].copy_from_slice(l4_bytes);
+        ip.emit_header(&mut out[ENCAP_LEN..]);
+        write_l4(&ip, &mut out);
+        assert_eq!(out.len(), ENCAP_LEN + IPV4_LEN + l4_len, "L4 writer broke its length promise");
         self.counters.sent += 1;
         Some((next_hop, out))
     }

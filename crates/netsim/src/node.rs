@@ -5,8 +5,6 @@ use hydra_core::Mac;
 use hydra_net::NetStack;
 use hydra_sim::Instant;
 use hydra_tcp::{SocketHandle, TcpStack};
-use hydra_wire::ipv4::{IpProtocol, Ipv4Repr};
-use hydra_wire::{udp, Endpoint, UdpRepr};
 
 /// The applications attached to one node. Concrete (not trait objects):
 /// the paper's experiments use exactly these.
@@ -47,21 +45,4 @@ pub struct Node {
     pub collisions_seen: u64,
     /// Frames dropped by the channel model before this receiver.
     pub channel_drops: u64,
-}
-
-impl Node {
-    /// Builds a UDP segment (header + payload, checksum complete).
-    pub fn make_udp_segment(&self, dst: Endpoint, src_port: u16, payload: &[u8]) -> Vec<u8> {
-        let ip = Ipv4Repr {
-            src: self.net.addr(),
-            dst: dst.addr,
-            protocol: IpProtocol::Udp,
-            ttl: 64,
-            payload_len: udp::HEADER_LEN + payload.len(),
-        };
-        let repr = UdpRepr { src_port, dst_port: dst.port };
-        let mut buf = vec![0u8; udp::HEADER_LEN + payload.len()];
-        repr.emit(&ip, payload, &mut buf);
-        buf
-    }
 }

@@ -497,6 +497,17 @@ pub struct ScenarioSpec {
 /// traffic is still rendered once, in the `traffic:` field.)
 impl std::fmt::Debug for ScenarioSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.render(f, false)
+    }
+}
+
+impl ScenarioSpec {
+    /// The `Debug` rendering. With `canonical` set it is the input of
+    /// [`ScenarioSpec::stable_hash`]: `medium`, `link_error` and `budget`
+    /// are left out while they hold their defaults, so a spec that does
+    /// not use those later additions keeps the hash (hence the derived
+    /// world seeds and published tables) it had before they existed.
+    fn render(&self, f: &mut std::fmt::Formatter<'_>, canonical: bool) -> std::fmt::Result {
         struct FlowsDebug<'a>(&'a [FlowSpec], FlowTraffic);
         struct FlowDebug<'a>(&'a FlowSpec, FlowTraffic);
         impl std::fmt::Debug for FlowsDebug<'_> {
@@ -525,10 +536,12 @@ impl std::fmt::Debug for ScenarioSpec {
                 }
             }
         }
-        f.debug_struct("ScenarioSpec")
-            .field("topology", &self.topology)
-            .field("medium", &self.medium)
-            .field("policy", &self.policy)
+        let mut s = f.debug_struct("ScenarioSpec");
+        s.field("topology", &self.topology);
+        if !(canonical && self.medium == MediumKind::SharedDomain) {
+            s.field("medium", &self.medium);
+        }
+        s.field("policy", &self.policy)
             .field("rate", &self.rate)
             .field("broadcast_rate", &self.broadcast_rate)
             .field("traffic", &self.traffic)
@@ -539,18 +552,17 @@ impl std::fmt::Debug for ScenarioSpec {
             .field("rts_cts", &self.rts_cts)
             .field("flush_timeout", &self.flush_timeout)
             .field("tcp", &self.tcp)
-            .field("fault", &self.fault)
-            .field("link_error", &self.link_error)
-            .field("flooding", &self.flooding)
-            .field("warmup", &self.warmup)
-            .field("duration", &self.duration)
-            .field("budget", &self.budget)
-            .field("seed", &self.seed)
-            .finish()
+            .field("fault", &self.fault);
+        if !(canonical && self.link_error.is_none()) {
+            s.field("link_error", &self.link_error);
+        }
+        s.field("flooding", &self.flooding).field("warmup", &self.warmup).field("duration", &self.duration);
+        if !(canonical && self.budget.is_none()) {
+            s.field("budget", &self.budget);
+        }
+        s.field("seed", &self.seed).finish()
     }
-}
 
-impl ScenarioSpec {
     /// The paper's TCP file-transfer defaults for a topology/policy/rate.
     pub fn tcp(topology: TopologyKind, policy: Policy, rate: Rate) -> Self {
         ScenarioSpec {
@@ -655,32 +667,27 @@ impl ScenarioSpec {
     /// pair its own deterministic RNG stream — two sweep cells that
     /// differ only in `seed` therefore replicate independently.
     pub fn stable_hash(&self) -> u64 {
-        let mut repr = format!("{self:?}");
-        // `SharedDomain` is the pre-spatial default: strip its field from
-        // the canonical rendering so every paper-mode spec keeps the hash
-        // (and thus the derived world seeds and published tables) it had
-        // before the medium became configurable. Spatial specs hash the
-        // field as usual.
-        if self.medium == MediumKind::SharedDomain {
-            repr = repr.replacen("medium: SharedDomain, ", "", 1);
+        /// FNV-1a over whatever is written to it: the rendering is
+        /// hashed as it is produced, never materialised.
+        struct Fnv1a(u64);
+        impl std::fmt::Write for Fnv1a {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
         }
-        // Same rule for the per-link error model: the `None` default is
-        // exactly the pre-link-error channel, so it must not perturb a
-        // single legacy hash. Configured specs hash the field as usual.
-        if self.link_error.is_none() {
-            repr = repr.replacen("link_error: None, ", "", 1);
+        struct Canonical<'a>(&'a ScenarioSpec);
+        impl std::fmt::Debug for Canonical<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.render(f, true)
+            }
         }
-        // And for the run budget: an unbudgeted spec is the pre-budget
-        // engine exactly, so the absent key must keep every legacy hash.
-        if self.budget.is_none() {
-            repr = repr.replacen("budget: None, ", "", 1);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        std::fmt::write(&mut h, format_args!("{:?}", Canonical(self))).expect("hashing cannot fail");
+        h.0
     }
 
     fn mac_config(&self, node: usize, relays: &[usize]) -> MacConfig {
@@ -1444,6 +1451,22 @@ mod tests {
         let s7 = spec.clone().spatial(7.0);
         assert_ne!(spec.stable_hash(), s5.stable_hash());
         assert_ne!(s5.stable_hash(), s7.stable_hash());
+        // Every mix of defaulted and configured late fields hashes to the
+        // string-surgery definition above: a configured field is hashed, a
+        // defaulted one beside it is still left out.
+        let mut lossy = spec.clone();
+        lossy.link_error = Some(LinkErrorSpec::model(LinkErrorModel::Independent { ber: 0.01 }));
+        let mut budgeted = s5.clone();
+        budgeted.budget = Some(RunBudget { max_events: Some(1000), max_wall: None });
+        let mut all = budgeted.clone();
+        all.link_error = lossy.link_error;
+        let mixed = ScenarioSpec::udp(TopologyKind::Star, Policy::Ua, Rate::R2_60, Duration::from_millis(20))
+            .with_flow_specs(vec![
+                Flow { src: 0, dst: 2, port: 9 }.with_traffic(FlowTraffic::FileTransfer { bytes: 5000 })
+            ]);
+        for s in [&s5, &lossy, &budgeted, &all, &mixed] {
+            assert_eq!(s.stable_hash(), strip(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The event loop: glues MACs, the medium, the channel model, network
 //! stacks, TCP, and applications together under virtual time.
 //!
-//! The dispatch path allocates per *packet*, not per event (about one
-//! allocation per event in steady state, bounded by
-//! `crates/bench/tests/alloc_regression.rs`): MAC outputs go into pooled
-//! scratch buffers (the sans-IO MAC writes into a
+//! The dispatch path allocates per *packet*, not per event (0.4–0.9
+//! allocations per event depending on the traffic mix, bounded in steady
+//! state by `crates/bench/tests/alloc_regression.rs` and over a short
+//! world's whole life by `alloc_whole_life.rs`): MAC outputs go into
+//! pooled scratch buffers (the sans-IO MAC writes into a
 //! [`hydra_core::MacSink`]), carrier-sense edges ride one batched event
-//! per transmission boundary in a recycled `Vec`, and in-flight frames
-//! live in a slab indexed by [`TxId`] instead of a `HashMap`. What still
-//! allocates is what a packet needs built — a TCP segment, its MPDU
-//! wrap, the PSDU of the aggregate it rides in, the parse of a received
-//! aggregate. Frame bytes themselves are shared
-//! [`hydra_wire::Payload`]s all the way from enqueue to delivery — see
-//! `docs/PERFORMANCE.md`.
+//! per transmission boundary in a recycled `Vec`, in-flight frames live
+//! in a slab indexed by [`TxId`] instead of a `HashMap`, control frames
+//! are inline values and the shared parse of a received aggregate lives
+//! in one reused buffer. What still allocates is what a packet needs
+//! built: the MPDU a segment or datagram is serialised into (once, with
+//! its headers), the copy a relay forwards, the PSDU of the aggregate
+//! they ride in — each with the `Arc` box that lets it be shared. Frame
+//! bytes themselves are shared [`hydra_wire::Payload`]s all the way from
+//! enqueue to delivery — see `docs/PERFORMANCE.md`.
 
+use hydra_app::UdpCbr;
 use hydra_core::{Mac, MacConfig, MacInput, MacOutput};
 use hydra_phy::medium::{BusyEdge, Delivery, TxId};
 use hydra_phy::{
@@ -21,9 +25,9 @@ use hydra_phy::{
     OnAirFrame, PhyProfile, Placement, LINK_ERROR_STREAM,
 };
 use hydra_sim::{stream_seed, Duration, EventQueue, Instant, QueueStats, Rng, TimerToken};
-use hydra_tcp::{OutboundSegment, TcpStack};
+use hydra_tcp::TcpStack;
 use hydra_wire::ipv4::IpProtocol;
-use hydra_wire::{MacAddr, Payload};
+use hydra_wire::{udp, MacAddr, Payload, UdpRepr};
 
 use crate::node::{Apps, Node};
 use crate::spec::{LinkErrorSpec, RunBudget, RunError};
@@ -89,6 +93,10 @@ enum Event {
     AppWake { node: usize },
 }
 
+// Every pending event is one of these, moved into the queue's slab and
+// out again: keep it at three words plus the tag.
+const _: () = assert!(core::mem::size_of::<Event>() <= 32);
+
 /// The simulation world.
 pub struct World {
     /// Virtual-time event queue.
@@ -140,10 +148,14 @@ pub struct World {
     edge_pool: Vec<Vec<BusyEdge>>,
     /// Recycled delivery buffer for `TxEnd` processing.
     delivery_pool: Vec<Vec<Delivery>>,
-    /// Recycled TCP segment buffers for `pump_tcp`.
-    tcp_seg_pool: Vec<Vec<OutboundSegment>>,
-    /// Recycled application payload buffers for `poll_apps`.
+    /// Recycled buffers of wrapped TCP packets for `pump_tcp`.
+    tcp_mpdu_pool: Vec<Vec<(MacAddr, Vec<u8>)>>,
+    /// Recycled beacon payload buffers for `poll_apps`.
     app_out_pool: Vec<Vec<Vec<u8>>>,
+    /// The shared trusted parse of the transmission being delivered
+    /// lives here between uses: emptied and handed back after every
+    /// `on_tx_end`, so its capacity is paid for once per world.
+    parse_scratch: Vec<hydra_wire::ParsedSubframe<'static>>,
     /// Set by `pump_tcp`: a TCP socket may have made progress since the
     /// last `transfers_complete` check (the dirty flag that lets
     /// [`World::run_until_transfers_complete`] skip the O(nodes × flows)
@@ -165,6 +177,18 @@ pub struct World {
     /// fires): every `run_until*` loop bails immediately, and
     /// [`World::check_budget`] reports [`RunError::BudgetExhausted`].
     pub budget_exhausted: bool,
+}
+
+/// Empties a parse buffer and re-types it for bytes of another lifetime,
+/// keeping its allocation: collecting a `Vec`'s own `into_iter()` back
+/// into a `Vec` of an identically laid-out type reuses the buffer (the
+/// standard library collects such iterators in place). Were that ever to
+/// stop, the cost is the fresh `Vec` per transmission this replaces —
+/// which `crates/bench/tests/alloc_whole_life.rs` would report — never a
+/// wrong result.
+fn recycle_parse<'a, 'b>(mut v: Vec<hydra_wire::ParsedSubframe<'a>>) -> Vec<hydra_wire::ParsedSubframe<'b>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared above")).collect()
 }
 
 /// Events between wall-clock budget checks (see [`World::set_budget`]).
@@ -245,7 +269,8 @@ impl World {
             mac_out_pool: Vec::new(),
             edge_pool: Vec::new(),
             delivery_pool: Vec::new(),
-            tcp_seg_pool: Vec::new(),
+            tcp_mpdu_pool: Vec::new(),
+            parse_scratch: Vec::new(),
             app_out_pool: Vec::new(),
             tcp_activity: false,
             event_budget: None,
@@ -632,7 +657,7 @@ impl World {
             OnAirFrame::Aggregate { phy_hdr, psdu, .. } => Some((phy_hdr, psdu)),
             _ => None,
         };
-        let mut shared_parse: Option<Vec<hydra_wire::ParsedSubframe<'_>>> = None;
+        let mut shared_parse = recycle_parse(std::mem::take(&mut self.parse_scratch));
         for d in deliveries.drain(..) {
             if !d.clean {
                 self.collisions += 1;
@@ -661,6 +686,7 @@ impl World {
             }
         }
         self.delivery_pool.push(deliveries);
+        self.parse_scratch = recycle_parse(shared_parse);
     }
 
     /// Applies the per-link error model to one delivery, returning the
@@ -715,7 +741,7 @@ impl World {
         rx: OnAirFrame,
         reorder: bool,
         agg: Option<(&'f hydra_wire::PhyHeader, &'f Payload)>,
-        shared_parse: &mut Option<Vec<hydra_wire::ParsedSubframe<'f>>>,
+        shared_parse: &mut Vec<hydra_wire::ParsedSubframe<'f>>,
     ) {
         match rx {
             OnAirFrame::Aggregate { phy_hdr, psdu, slots } => {
@@ -725,9 +751,12 @@ impl World {
                     // Trusted parse: the PSDU pointer-matches the buffer
                     // the assembler built, so every FCS is known-good by
                     // construction — no CRC pass at all on the clean path.
-                    let parsed =
-                        shared_parse.get_or_insert_with(|| hydra_wire::parse_aggregate_trusted(hdr, tx_psdu));
-                    self.mac_input_rx_parsed(receiver, hdr, tx_psdu, parsed);
+                    // (Empty = not parsed yet: an assembled aggregate
+                    // always holds at least one subframe.)
+                    if shared_parse.is_empty() {
+                        hydra_wire::aggregate::parse_aggregate_trusted_into(hdr, tx_psdu, shared_parse);
+                    }
+                    self.mac_input_rx_parsed(receiver, hdr, tx_psdu, shared_parse);
                 } else if reorder {
                     // Reordered copies need their own *checked* parse (the
                     // bytes may carry this copy's corruption), rotated so
@@ -792,18 +821,21 @@ impl World {
                 recv.pump(now, n.tcp.socket(*sock));
             }
         }
-        // Emit segments into a recycled buffer (one pump per delivered
-        // segment makes the per-call `Vec` measurable).
-        let mut segs = self.tcp_seg_pool.pop().unwrap_or_default();
-        self.nodes[node].tcp.poll_transmit_into(now, &mut segs);
-        for seg in segs.drain(..) {
-            let send = self.nodes[node].net.send_l4(IpProtocol::Tcp, seg.dst, &seg.bytes);
-            if let Some((next_hop, mpdu)) = send {
-                let src = self.nodes[node].mac.addr();
-                self.mac_input(node, MacInput::Enqueue { next_hop, src, payload: mpdu.into() });
-            }
+        // Each segment is serialised once, out of its socket's send ring
+        // straight into the MPDU the MAC will queue; the wrapped packets
+        // wait in a recycled buffer until the sockets are done (the MAC
+        // may re-enter this node's stack).
+        let mut mpdus = self.tcp_mpdu_pool.pop().unwrap_or_default();
+        let Node { tcp, net, .. } = &mut self.nodes[node];
+        tcp.poll_transmit_with(now, |seg| {
+            mpdus
+                .extend(net.send_l4_with(IpProtocol::Tcp, seg.dst, seg.len(), |ip, out| seg.append(ip, out)));
+        });
+        let src = self.nodes[node].mac.addr();
+        for (next_hop, mpdu) in mpdus.drain(..) {
+            self.mac_input(node, MacInput::Enqueue { next_hop, src, payload: mpdu.into() });
         }
-        self.tcp_seg_pool.push(segs);
+        self.tcp_mpdu_pool.push(mpdus);
         // Post-send app pass: sending may have freed buffer space and the
         // receiver may have drained (window update already rode the ACK).
         {
@@ -817,26 +849,32 @@ impl World {
 
     /// Polls CBR sources and flooders; enqueues due packets.
     ///
-    /// Payloads ride a recycled buffer and each source's packets are sent
-    /// as soon as it is polled — sources only mutate themselves on poll,
-    /// so the enqueue order (source order, then beacons) is byte-identical
-    /// to the former collect-then-send shape without its per-call `Vec`s.
+    /// Each source's datagrams are built and sent as soon as it is polled
+    /// (source order, then beacons) — a source only changes itself when
+    /// polled, so nothing depends on what the MAC does in between. A CBR
+    /// datagram is written once, straight into the MPDU the MAC queues.
     fn poll_apps(&mut self, node: usize) {
         let now = self.now();
         let mut next_wake: Option<Instant> = None;
-        let mut out = self.app_out_pool.pop().unwrap_or_default();
         for si in 0..self.nodes[node].apps.udp_sources.len() {
-            let (dst, src_port, wake) = {
-                let src = &mut self.nodes[node].apps.udp_sources[si];
-                let wake = src.poll_into(now, &mut out);
-                (src.dst, src.src_port, wake)
-            };
-            if let Some(w) = wake {
-                next_wake = Some(next_wake.map_or(w, |c| c.min(w)));
-            }
-            for payload in out.drain(..) {
-                let seg = self.nodes[node].make_udp_segment(dst, src_port, &payload);
-                let send = self.nodes[node].net.send_l4(IpProtocol::Udp, dst.addr, &seg);
+            loop {
+                let Node { apps, net, .. } = &mut self.nodes[node];
+                let src = &mut apps.udp_sources[si];
+                let Some(seq) = src.next_due(now) else {
+                    if let Some(w) = src.next_wake(now) {
+                        next_wake = Some(next_wake.map_or(w, |c| c.min(w)));
+                    }
+                    break;
+                };
+                let (udp, len) =
+                    (UdpRepr { src_port: src.src_port, dst_port: src.dst.port }, src.payload_len);
+                let send =
+                    net.send_l4_with(IpProtocol::Udp, src.dst.addr, udp::HEADER_LEN + len, |ip, out| {
+                        let at = out.len();
+                        out.resize(at + udp::HEADER_LEN, 0);
+                        UdpCbr::write_payload(seq, len, out);
+                        udp.emit_header(ip, &mut out[at..]);
+                    });
                 if let Some((next_hop, mpdu)) = send {
                     let src = self.nodes[node].mac.addr();
                     self.mac_input(node, MacInput::Enqueue { next_hop, src, payload: mpdu.into() });
@@ -844,6 +882,7 @@ impl World {
             }
         }
         if self.nodes[node].apps.flooder.is_some() {
+            let mut out = self.app_out_pool.pop().unwrap_or_default();
             let f = self.nodes[node].apps.flooder.as_mut().expect("checked above");
             if let Some(w) = f.poll_into(now, &mut out) {
                 next_wake = Some(next_wake.map_or(w, |c| c.min(w)));
@@ -853,8 +892,8 @@ impl World {
                 let src = self.nodes[node].mac.addr();
                 self.mac_input(node, MacInput::Enqueue { next_hop, src, payload: mpdu.into() });
             }
+            self.app_out_pool.push(out);
         }
-        self.app_out_pool.push(out);
         if let Some(w) = next_wake {
             self.schedule_app_wake(node, w);
         }

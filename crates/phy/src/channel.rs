@@ -268,21 +268,19 @@ pub fn apply_channel(
         return None;
     }
     match frame {
-        OnAirFrame::Control(bytes) => {
+        OnAirFrame::Control(ctrl) => {
             let ctx = SubframeCtx {
                 start_sample: 0,
-                end_sample: profile.samples_for(bytes.len(), profile.base_rate),
+                end_sample: profile.samples_for(ctrl.len(), profile.base_rate),
                 rate: profile.base_rate,
-                bytes: bytes.len(),
+                bytes: ctrl.len(),
                 snr_db,
             };
+            let mut out = *ctrl;
             if model.subframe_corrupt(&ctx, rng) {
-                let mut out = bytes.to_vec();
-                corrupt_byte(&mut out, 2, rng); // hit duration/addr region
-                Some(OnAirFrame::Control(out.into()))
-            } else {
-                Some(OnAirFrame::Control(bytes.clone()))
+                corrupt_byte(out.damage(), 2, rng); // hit duration/addr region
             }
+            Some(OnAirFrame::Control(out))
         }
         OnAirFrame::Aggregate { phy_hdr, psdu, slots } => {
             let bcast_rate = Rate::from_code(phy_hdr.bcast_rate).unwrap_or(profile.base_rate);
@@ -490,6 +488,103 @@ mod tests {
         let out = apply_channel(&f, 25.0, &mut model, &mut rng, &p).unwrap();
         let OnAirFrame::Control(bytes) = out else { panic!() };
         assert!(hydra_wire::ControlFrame::parse(&bytes).is_err());
+    }
+
+    /// What a control frame went through when it travelled as a heap
+    /// buffer, byte for byte and draw for draw: the reference the inline
+    /// representation is held to.
+    fn reference_control_pass(
+        bytes: &[u8],
+        snr_db: f64,
+        model: &mut dyn ChannelModel,
+        rng: &mut Rng,
+        profile: &PhyProfile,
+    ) -> Option<Vec<u8>> {
+        if model.frame_dropped(rng) {
+            return None;
+        }
+        let ctx = SubframeCtx {
+            start_sample: 0,
+            end_sample: profile.samples_for(bytes.len(), profile.base_rate),
+            rate: profile.base_rate,
+            bytes: bytes.len(),
+            snr_db,
+        };
+        let mut out = bytes.to_vec();
+        if model.subframe_corrupt(&ctx, rng) {
+            let at = 2.min(out.len() - 1);
+            out[at] ^= 1 << rng.below(8);
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn control_frames_take_the_same_draws_typed_or_raw() {
+        use hydra_wire::ControlFrame;
+        let p = PhyProfile::hydra();
+        let (ra, ta) = (MacAddr::from_node_id(3), MacAddr::from_node_id(0x1234));
+        let frames = [
+            ControlFrame::Rts { duration_us: 0xBEEF, ra, ta },
+            ControlFrame::Cts { duration_us: 17, ra },
+            ControlFrame::Ack { duration_us: 0, ra: ta },
+            ControlFrame::BlockAck { duration_us: 9, ra, bitmap: 0xDEAD_BEEF_0BAD_F00D },
+        ];
+        // Two instances of each model: one for the reference, one for us.
+        type Models = Vec<Box<dyn ChannelModel>>;
+        let models = || -> Models {
+            vec![
+                Box::new(IdealChannel),
+                Box::new(ChannelStack::hydra(&p)),
+                Box::new(FaultInjector { drop_chance: 0.3, corrupt_chance: 0.5 }),
+                Box::new(crate::LinkErrorPass { p: 1.0 }),
+                Box::new(
+                    ChannelStack::new()
+                        .with(AwgnChannel::default())
+                        .with(FaultInjector { drop_chance: 0.1, corrupt_chance: 0.9 }),
+                ),
+            ]
+        };
+        let (mut ours, mut reference) = (models(), models());
+        let (mut clean, mut corrupt, mut dropped) = (0, 0, 0);
+        for seed in 0..200u64 {
+            for (m, (model, ref_model)) in ours.iter_mut().zip(&mut reference).enumerate() {
+                for f in frames {
+                    let bytes = f.to_bytes();
+                    // 3 dB is where the AWGN layer starts to bite at the base rate.
+                    let snr = if seed % 2 == 0 { 25.0 } else { 3.0 };
+                    let mut rng_ref = Rng::seed_from_u64(seed * 31 + m as u64);
+                    let (mut rng_typed, mut rng_raw) = (rng_ref.clone(), rng_ref.clone());
+                    let want = reference_control_pass(&bytes, snr, &mut **ref_model, &mut rng_ref, &p);
+                    let typed =
+                        apply_channel(&OnAirFrame::control_frame(&f), snr, &mut **model, &mut rng_typed, &p);
+                    let raw =
+                        apply_channel(&OnAirFrame::control(&bytes), snr, &mut **model, &mut rng_raw, &p);
+                    for (got, rng, built_typed) in [(typed, rng_typed, true), (raw, rng_raw, false)] {
+                        let mut rng = rng;
+                        let mut after = rng_ref.clone();
+                        for _ in 0..3 {
+                            assert_eq!(rng.next_u64(), after.next_u64(), "RNG state after the pass");
+                        }
+                        match (&want, got) {
+                            (None, None) => dropped += 1,
+                            (Some(want), Some(OnAirFrame::Control(got))) => {
+                                assert_eq!(&got[..], &want[..], "bytes on arrival");
+                                if *want == bytes {
+                                    clean += 1;
+                                    assert_eq!(got.typed(), built_typed.then_some(f));
+                                } else {
+                                    corrupt += 1;
+                                    assert_eq!(got.typed(), None, "a damaged copy is never typed");
+                                    assert!(ControlFrame::parse(&got).is_err(), "and really fails its CRC");
+                                }
+                            }
+                            (want, got) => panic!("drop decisions differ: {want:?} vs {got:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(clean > 1000 && corrupt > 1000 && dropped > 100, "{clean} / {corrupt} / {dropped}");
     }
 
     #[test]

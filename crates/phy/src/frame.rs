@@ -2,8 +2,11 @@
 
 use std::sync::Arc;
 
+use core::ops::Deref;
+
 use hydra_sim::Duration;
 use hydra_wire::aggregate::SubframeSlot;
+use hydra_wire::control::{ControlFrame, MAX_CONTROL_LEN};
 use hydra_wire::phy_hdr::PhyHeader;
 use hydra_wire::Payload;
 
@@ -12,21 +15,94 @@ use crate::rates::Rate;
 
 /// Shared per-subframe slot metadata: built once at assembly, then
 /// reference-counted through every receiver's copy of the frame (the
-/// channel model reads slots but never rewrites them).
-pub type SharedSlots = Arc<[SubframeSlot]>;
+/// channel model reads slots but never rewrites them). The assembler's
+/// `Vec` is adopted as it is — `Arc<[_]>` would copy it into a second
+/// allocation.
+pub type SharedSlots = Arc<Vec<SubframeSlot>>;
+
+/// A control frame's on-air bytes, held inline (at most
+/// [`MAX_CONTROL_LEN`] of them — no heap block per RTS / CTS / ACK), plus
+/// the frame itself for as long as the bytes are exactly what the sender
+/// serialised.
+///
+/// While they are, [`OnAirControl::typed`] hands the receiver the frame
+/// without a parse or a CRC pass: the FCS was computed over these very
+/// bytes when they were built. The only way to change the bytes is
+/// [`OnAirControl::damage`], which gives the typed form up for good — a
+/// damaged copy has to get past [`ControlFrame::parse`] like any bytes
+/// off a real radio, and fails its CRC there.
+///
+/// Packed, so that the 8-aligned `ControlFrame` beside 23 bytes does not
+/// round the value up to 48 bytes and [`OnAirFrame`] past its size; the
+/// fields are only ever copied in and out whole.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(Rust, packed)]
+pub struct OnAirControl {
+    bytes: [u8; MAX_CONTROL_LEN],
+    len: u8,
+    typed: Option<ControlFrame>,
+}
+
+impl OnAirControl {
+    /// Serialises `frame` (FCS included, computed once).
+    pub fn new(frame: &ControlFrame) -> Self {
+        let mut bytes = [0u8; MAX_CONTROL_LEN];
+        let len = frame.emit(&mut bytes) as u8;
+        OnAirControl { bytes, len, typed: Some(*frame) }
+    }
+
+    /// Wraps raw bytes of unknown provenance: never trusted, whatever
+    /// they hold.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is longer than [`MAX_CONTROL_LEN`].
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        assert!(bytes.len() <= MAX_CONTROL_LEN, "{} bytes is no control frame", bytes.len());
+        let mut buf = [0u8; MAX_CONTROL_LEN];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        OnAirControl { bytes: buf, len: bytes.len() as u8, typed: None }
+    }
+
+    /// The frame the sender built, while the bytes are still exactly the
+    /// ones it serialised; `None` for damaged copies and raw bytes.
+    pub fn typed(&self) -> Option<ControlFrame> {
+        self.typed
+    }
+
+    /// The bytes, for the channel model to flip bits in; the copy is
+    /// untyped from here on.
+    pub fn damage(&mut self) -> &mut [u8] {
+        self.typed = None;
+        &mut self.bytes[..self.len as usize]
+    }
+}
+
+impl Deref for OnAirControl {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl core::fmt::Debug for OnAirControl {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{:?}", &**self)
+    }
+}
 
 /// A frame as it exists on the air.
 ///
-/// Cloning is cheap: the PSDU bytes and the slot metadata are
-/// reference-counted ([`Payload`] / [`SharedSlots`]), so fanning one
-/// transmission out to N receivers bumps two counters per receiver
-/// instead of copying the whole frame N times. The channel model only
-/// materialises a private copy when it actually corrupts bytes
-/// (copy-on-corrupt, see [`crate::channel::apply_channel`]).
+/// Cloning is cheap: control frames are a small inline value, and an
+/// aggregate's PSDU bytes and slot metadata are reference-counted
+/// ([`Payload`] / [`SharedSlots`]), so fanning one transmission out to N
+/// receivers bumps two counters per receiver instead of copying the
+/// whole frame N times. The channel model only materialises a private
+/// copy when it actually corrupts bytes (copy-on-corrupt, see
+/// [`crate::channel::apply_channel`]).
 #[derive(Debug, Clone)]
 pub enum OnAirFrame {
     /// A standalone control frame (RTS/CTS/ACK) at the base rate.
-    Control(Payload),
+    Control(OnAirControl),
     /// An aggregated data frame: dual-rate PHY header + PSDU.
     Aggregate {
         /// The dual-rate PHY header (paper Figure 2).
@@ -39,15 +115,30 @@ pub enum OnAirFrame {
     },
 }
 
+// Control frames ride inline so they cost no heap block; that must not
+// make every frame in flight, in a `MacOutput` or in the event loop's
+// slab any bigger than the aggregate variant already made it.
+const _: () = assert!(core::mem::size_of::<OnAirFrame>() <= 48);
+
 impl OnAirFrame {
-    /// A control frame from freshly serialized bytes.
-    pub fn control(bytes: impl Into<Payload>) -> Self {
-        OnAirFrame::Control(bytes.into())
+    /// A control frame from raw bytes (tests, bytes of unknown
+    /// provenance): receivers always parse and CRC-check them.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is longer than any control frame.
+    pub fn control(bytes: impl AsRef<[u8]>) -> Self {
+        OnAirFrame::Control(OnAirControl::from_bytes(bytes.as_ref()))
+    }
+
+    /// The control frame `frame`, serialised once; receivers of an
+    /// undamaged copy get it back typed.
+    pub fn control_frame(frame: &ControlFrame) -> Self {
+        OnAirFrame::Control(OnAirControl::new(frame))
     }
 
     /// An aggregate from freshly assembled parts.
     pub fn aggregate(phy_hdr: PhyHeader, psdu: impl Into<Payload>, slots: Vec<SubframeSlot>) -> Self {
-        OnAirFrame::Aggregate { phy_hdr, psdu: psdu.into(), slots: slots.into() }
+        OnAirFrame::Aggregate { phy_hdr, psdu: psdu.into(), slots: Arc::new(slots) }
     }
 
     /// The broadcast-portion rate (base rate for control frames).
@@ -143,6 +234,65 @@ mod tests {
 
     fn profile() -> PhyProfile {
         PhyProfile::hydra()
+    }
+
+    fn control_samples() -> [ControlFrame; 4] {
+        let mut rng = hydra_sim::Rng::seed_from_u64(0xC7A1);
+        let mut mac = || {
+            let b = rng.next_u64().to_be_bytes();
+            hydra_wire::MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]])
+        };
+        let (ra, ta) = (mac(), mac());
+        let duration_us = rng.next_u64() as u16;
+        [
+            ControlFrame::Rts { duration_us, ra, ta },
+            ControlFrame::Cts { duration_us, ra },
+            ControlFrame::Ack { duration_us, ra },
+            ControlFrame::BlockAck { duration_us, ra, bitmap: rng.next_u64() },
+        ]
+    }
+
+    #[test]
+    fn built_control_frames_arrive_typed_and_raw_bytes_never_do() {
+        for f in control_samples() {
+            let built = OnAirControl::new(&f);
+            assert_eq!(&built[..], &f.to_bytes()[..], "same bytes on the air");
+            assert_eq!(built.typed(), Some(f));
+            // The same bytes with no provenance: parse them yourself.
+            let raw = OnAirControl::from_bytes(&built);
+            assert_eq!(raw.typed(), None);
+            assert_eq!(ControlFrame::parse(&raw), Ok(f));
+            let OnAirFrame::Control(c) = OnAirFrame::control(f.to_bytes()) else { panic!() };
+            assert_eq!(c.typed(), None);
+            let OnAirFrame::Control(c) = OnAirFrame::control_frame(&f) else { panic!() };
+            assert_eq!(c.typed(), Some(f));
+        }
+    }
+
+    #[test]
+    fn a_damaged_control_frame_is_never_typed() {
+        // Every byte position of every variant, every bit; and merely
+        // asking for mutable access already gives the typed form up.
+        for f in control_samples() {
+            for pos in 0..f.on_air_len() {
+                for bit in 0..8 {
+                    let mut c = OnAirControl::new(&f);
+                    c.damage()[pos] ^= 1 << bit;
+                    assert_eq!(c.typed(), None, "{f:?} byte {pos} bit {bit}");
+                    assert!(ControlFrame::parse(&c).is_err(), "{f:?} byte {pos} bit {bit}");
+                }
+            }
+            let mut c = OnAirControl::new(&f);
+            let _ = c.damage();
+            assert_eq!(c.typed(), None);
+            assert_eq!(ControlFrame::parse(&c), Ok(f), "untouched bytes still parse");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no control frame")]
+    fn oversized_raw_control_bytes_are_refused() {
+        let _ = OnAirFrame::control(vec![0; MAX_CONTROL_LEN + 1]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use channel::{
     apply_channel, AwgnChannel, ChannelModel, ChannelStack, CoherenceChannel, FaultInjector, IdealChannel,
     SubframeCtx,
 };
-pub use frame::{Airtime, OnAirFrame};
+pub use frame::{Airtime, OnAirControl, OnAirFrame};
 pub use link_error::{link_stream, LinkErrorModel, LinkErrorPass, LinkErrorState, LINK_ERROR_STREAM};
 pub use medium::{BusyEdge, Delivery, Medium, TxId};
 pub use placement::{GridIndex, Link, LinkBudget, Placement};

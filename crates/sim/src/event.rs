@@ -15,6 +15,16 @@
 //! OnOff periods, run horizons) go to a small overflow heap and are
 //! *promoted* into the wheel as time advances.
 //!
+//! An entry lives in one slab slot from schedule to pop. Buckets are
+//! unordered linked lists threaded through the slab, free slots a list of
+//! their own; the slots of the bucket under the cursor are sorted in one
+//! reusable buffer of slot numbers. The slab grows to the peak number of
+//! pending events and then stops, so what a queue allocates depends on
+//! how many events are pending at once, not on how many buckets a run
+//! touches — a world that lives 8 000 events pays a handful of `Vec`
+//! doublings, where one `Vec` per bucket cost it an allocation for each
+//! of the ~2 000 buckets it visited once.
+//!
 //! The previous `BinaryHeap` implementation survives as
 //! [`EventQueue::heap_reference`] — a test oracle mirroring
 //! `Medium::dense_reference()` — and both backends produce byte-identical
@@ -106,6 +116,16 @@ fn bucket_of(at: Instant) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
 }
 
+/// Slab index meaning "no slot": the end of a bucket list or of the free
+/// list.
+const NIL: u32 = u32::MAX;
+
+/// `(at, seq)` of the entry in an occupied slab slot.
+fn slot_key<E>(slab: &[(Option<Entry<E>>, u32)], slot: u32) -> (Instant, u64) {
+    let e = slab[slot as usize].0.as_ref().expect("occupied slot");
+    (e.at, e.seq)
+}
+
 /// The calendar-queue level structure.
 ///
 /// Invariants (restored at every schedule/pop):
@@ -115,18 +135,33 @@ fn bucket_of(at: Instant) -> u64 {
 ///   `bucket_of(at) >= base + WHEEL_BUCKETS`, i.e. is strictly later than
 ///   every wheel entry;
 /// * `base <= bucket_of(now)` except transiently inside `pop` right after
-///   an empty-wheel promotion jump (which always pops immediately after).
+///   an empty-wheel promotion jump (which always pops immediately after);
+/// * every wheel entry sits in a slab slot; the slots of bucket `active`
+///   are all named by `sorted` (its list is empty), every other bucket's
+///   slots are all on its list.
 struct Wheel<E> {
-    /// Ring of buckets, indexed by `bucket & WHEEL_MASK`. Bucket vecs keep
-    /// their capacity when drained, so steady state schedules allocate
-    /// nothing.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Per bucket (indexed by `bucket & WHEEL_MASK`): the slab slot at
+    /// the head of its unordered list, or `NIL`.
+    heads: Vec<u32>,
+    /// Where every wheel entry lives from schedule to pop: `(entry, next
+    /// slot)`. An occupied slot's link threads its bucket's list; a free
+    /// slot holds `None` and links the free list. Grows to the peak
+    /// number of pending wheel entries, then never again — a world pays
+    /// for a handful of doublings, not one allocation per bucket it
+    /// touches.
+    slab: Vec<(Option<Entry<E>>, u32)>,
+    /// Head of the free-slot list, or `NIL`.
+    free: u32,
+    /// The cursor bucket's slots, sorted descending by their entries'
+    /// `(at, seq)` and popped from the back; one buffer reused by every
+    /// bucket in turn. Sorting moves slot numbers, never entries.
+    sorted: Vec<u32>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: [u64; WORDS],
     /// Absolute bucket index the cursor has reached (monotone).
     base: u64,
-    /// Absolute index of the bucket currently sorted descending by
-    /// `(at, seq)` (popped from the back), or `NO_ACTIVE`.
+    /// Absolute index of the bucket `sorted` currently names, or
+    /// `NO_ACTIVE`.
     active: u64,
     /// Entries currently in wheel buckets (excludes overflow).
     len: usize,
@@ -136,10 +171,11 @@ struct Wheel<E> {
 
 impl<E> Wheel<E> {
     fn new() -> Self {
-        let mut buckets = Vec::with_capacity(WHEEL_BUCKETS);
-        buckets.resize_with(WHEEL_BUCKETS, Vec::new);
         Wheel {
-            buckets,
+            heads: vec![NIL; WHEEL_BUCKETS],
+            slab: Vec::new(),
+            free: NIL,
+            sorted: Vec::new(),
             occupancy: [0; WORDS],
             base: 0,
             active: NO_ACTIVE,
@@ -152,6 +188,49 @@ impl<E> Wheel<E> {
         self.len + self.overflow.len()
     }
 
+    /// Stores `e` in a slab slot (a free one when there is one) linked to
+    /// `next`, and returns the slot.
+    fn store(&mut self, e: Entry<E>, next: u32) -> u32 {
+        let slot = self.free;
+        if slot == NIL {
+            assert!(self.slab.len() < NIL as usize, "event queue slab full");
+            self.slab.push((Some(e), next));
+            return self.slab.len() as u32 - 1;
+        }
+        let cell = &mut self.slab[slot as usize];
+        self.free = cell.1;
+        *cell = (Some(e), next);
+        slot
+    }
+
+    /// `(at, seq)` of the entry in an occupied slot.
+    fn key(&self, slot: u32) -> (Instant, u64) {
+        slot_key(&self.slab, slot)
+    }
+
+    /// Makes `abs` (masked `idx`) the cursor bucket: moves its list into
+    /// `sorted` and sorts it. Order within a list is irrelevant for that
+    /// reason.
+    fn activate(&mut self, idx: usize, abs: u64) {
+        if !self.sorted.is_empty() {
+            // A not-due probe sorted a later bucket and an earlier one
+            // filled afterwards: hand the later one back to its list.
+            let was = (self.active & WHEEL_MASK) as usize;
+            for slot in self.sorted.drain(..) {
+                self.slab[slot as usize].1 = std::mem::replace(&mut self.heads[was], slot);
+            }
+        }
+        let mut slot = std::mem::replace(&mut self.heads[idx], NIL);
+        while slot != NIL {
+            self.sorted.push(slot);
+            slot = self.slab[slot as usize].1;
+        }
+        // One sort makes every subsequent pop from the bucket O(1).
+        let slab = &self.slab;
+        self.sorted.sort_unstable_by_key(|&slot| std::cmp::Reverse(slot_key(slab, slot)));
+        self.active = abs;
+    }
+
     /// Places `e` into its bucket (or the overflow heap). Returns `true`
     /// if it overflowed.
     fn insert(&mut self, e: Entry<E>) -> bool {
@@ -162,15 +241,15 @@ impl<E> Wheel<E> {
         }
         debug_assert!(b >= self.base, "wheel insert below base: bucket={b} base={}", self.base);
         let idx = (b & WHEEL_MASK) as usize;
-        let bucket = &mut self.buckets[idx];
         if b == self.active {
             // The cursor bucket stays sorted descending so pops stay O(1);
             // a binary insert keeps same-instant FIFO intact.
             let key = (e.at, e.seq);
-            let pos = bucket.partition_point(|x| (x.at, x.seq) > key);
-            bucket.insert(pos, e);
+            let slot = self.store(e, NIL);
+            let pos = self.sorted.partition_point(|&s| self.key(s) > key);
+            self.sorted.insert(pos, slot);
         } else {
-            bucket.push(e);
+            self.heads[idx] = self.store(e, self.heads[idx]);
         }
         self.occupancy[idx >> 6] |= 1 << (idx & 63);
         self.len += 1;
@@ -257,13 +336,10 @@ impl<E> Wheel<E> {
         let idx = self.first_occupied().expect("non-empty wheel after promotion");
         let abs = self.abs_of(idx);
         if abs != self.active {
-            // First visit since the bucket last filled: one sort makes
-            // every subsequent pop from it O(1).
-            self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-            self.active = abs;
+            self.activate(idx, abs);
         }
         if let Some(d) = deadline {
-            if self.buckets[idx].last().expect("located bucket is non-empty").at > d {
+            if self.key(*self.sorted.last().expect("located bucket is non-empty")).0 > d {
                 return None;
             }
         }
@@ -271,11 +347,15 @@ impl<E> Wheel<E> {
         Some(idx)
     }
 
-    /// Removes the minimum entry of the (sorted) bucket at `idx`.
+    /// Removes the minimum entry of the cursor bucket (masked `idx`),
+    /// returning its slot to the free list.
     fn pop_from(&mut self, idx: usize) -> Entry<E> {
-        let e = self.buckets[idx].pop().expect("pop from empty bucket");
+        let slot = self.sorted.pop().expect("pop from empty bucket");
+        let cell = &mut self.slab[slot as usize];
+        let e = cell.0.take().expect("occupied slot");
+        cell.1 = std::mem::replace(&mut self.free, slot);
         self.len -= 1;
-        if self.buckets[idx].is_empty() {
+        if self.sorted.is_empty() {
             self.occupancy[idx >> 6] &= !(1 << (idx & 63));
             self.active = NO_ACTIVE;
         }
@@ -286,13 +366,17 @@ impl<E> Wheel<E> {
     fn peek_time(&self) -> Option<Instant> {
         match self.first_occupied() {
             // Wheel entries are always earlier than overflow entries.
+            Some(idx) if self.abs_of(idx) == self.active => self.sorted.last().map(|&s| self.key(s).0),
             Some(idx) => {
-                let bucket = &self.buckets[idx];
-                if self.abs_of(idx) == self.active {
-                    bucket.last().map(|e| e.at)
-                } else {
-                    bucket.iter().map(|e| e.at).min()
+                let mut min: Option<Instant> = None;
+                let mut slot = self.heads[idx];
+                while slot != NIL {
+                    let (entry, next) = &self.slab[slot as usize];
+                    let at = entry.as_ref().expect("linked slot holds an entry").at;
+                    min = Some(min.map_or(at, |m| m.min(at)));
+                    slot = *next;
                 }
+                min
             }
             None => self.overflow.peek().map(|e| e.at),
         }
@@ -355,9 +439,7 @@ impl<E> EventQueue<E> {
     pub fn convert_to_heap_reference(&mut self) {
         if let Backend::Wheel(wheel) = &mut self.backend {
             let mut heap = std::mem::take(&mut wheel.overflow);
-            for bucket in &mut wheel.buckets {
-                heap.extend(bucket.drain(..));
-            }
+            heap.extend(wheel.slab.drain(..).filter_map(|(entry, _)| entry));
             self.backend = Backend::Heap(heap);
         }
     }
@@ -662,6 +744,69 @@ mod tests {
         q.schedule_at(Instant::from_micros(12), "sooner");
         assert_eq!(q.pop().map(|(t, _, p)| (t, p)), Some((Instant::from_micros(12), "sooner")));
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("later"));
+    }
+
+    #[test]
+    fn probed_bucket_spills_when_an_earlier_bucket_fills() {
+        // The probe sorts bucket 3 under the cursor; buckets 1 and 2 fill
+        // afterwards, and bucket 3 keeps receiving entries (sorted insert
+        // while it is the cursor bucket, plain link once it has spilled).
+        let mut q = EventQueue::new();
+        q.schedule_at(Instant::from_micros(30), "c1");
+        q.schedule_at(Instant::from_micros(30), "c2");
+        assert!(q.pop_before(Instant::from_micros(10)).is_none());
+        q.schedule_at(Instant::from_micros(30), "c3");
+        q.schedule_at(Instant::from_micros(20), "b");
+        q.schedule_at(Instant::from_micros(12), "a");
+        assert_eq!(q.peek_time(), Some(Instant::from_micros(12)));
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some("a"));
+        q.schedule_at(Instant::from_micros(30), "c4");
+        let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(rest, vec!["b", "c1", "c2", "c3", "c4"]);
+    }
+
+    /// The wheel behind a queue built with [`EventQueue::new`].
+    fn wheel_of<E>(q: &EventQueue<E>) -> &Wheel<E> {
+        match &q.backend {
+            Backend::Wheel(w) => w,
+            Backend::Heap(_) => panic!("heap backend"),
+        }
+    }
+
+    #[test]
+    fn slab_slots_are_reused_once_the_peak_is_reached() {
+        // Hold `pending` events while time marches through several wheel
+        // revolutions: every pop frees a slot the next schedule takes, so
+        // the slab stops at the peak pending count — its length, not only
+        // its capacity — however many buckets the run touches.
+        for pending in [1usize, 64, 4096] {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut rng = crate::rng::Rng::seed_from_u64(pending as u64);
+            for i in 0..pending as u64 {
+                q.schedule_at(Instant::from_micros(rng.below(10_000)), i);
+            }
+            let (peak_len, peak_cap) = {
+                let w = wheel_of(&q);
+                assert_eq!(w.slab.len(), pending, "one slot per pending event");
+                (w.slab.len(), w.slab.capacity())
+            };
+            let mut touched = std::collections::BTreeSet::new();
+            for _ in 0..20 * pending.max(2_000) {
+                let (now, _, v) = q.pop().expect("the queue holds `pending` events");
+                touched.insert(bucket_of(now));
+                q.schedule_at(now + Duration::from_micros(rng.below(10_000) + 1), v);
+                assert_eq!(q.len(), pending);
+            }
+            assert!(touched.len() > 1_000, "the churn visits many buckets ({})", touched.len());
+            let w = wheel_of(&q);
+            assert_eq!(w.slab.len(), peak_len, "slab length at {pending} pending");
+            assert_eq!(w.slab.capacity(), peak_cap, "slab capacity at {pending} pending");
+            // The sorted buffer never holds more than the fullest bucket.
+            assert!(w.sorted.capacity() <= pending.next_power_of_two().max(4));
+            // Every slot holds a pending entry: none is left on the free
+            // list while the queue is at its peak.
+            assert_eq!(w.slab.iter().filter(|(e, _)| e.is_some()).count(), pending);
+        }
     }
 
     #[test]

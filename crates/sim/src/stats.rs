@@ -98,13 +98,20 @@ impl TimeLedger {
 
     /// Adds `d` to `category`, creating it on first use.
     pub fn add(&mut self, category: &'static str, d: Duration) {
-        for (name, total) in &mut self.categories {
-            if *name == category {
-                *total += d;
-                return;
-            }
+        // Callers pass a handful of `&'static str` constants, several
+        // times per MAC event: the same constant is almost always the same
+        // pointer and length, which one compare settles. Equal text at a
+        // different address (the constant duplicated across codegen
+        // units) still lands in the same row through the `==` pass.
+        let found = self
+            .categories
+            .iter()
+            .position(|(name, _)| core::ptr::eq(*name, category))
+            .or_else(|| self.categories.iter().position(|(name, _)| *name == category));
+        match found {
+            Some(at) => self.categories[at].1 += d,
+            None => self.categories.push((category, d)),
         }
-        self.categories.push((category, d));
     }
 
     /// Total for one category (zero if absent).
@@ -182,6 +189,22 @@ mod tests {
         assert_eq!(l.get("missing"), Duration::ZERO);
         assert_eq!(l.total(), Duration::from_micros(25));
         assert_eq!(l.total_except("payload"), Duration::from_micros(5));
+    }
+
+    #[test]
+    fn ledger_matches_by_text_when_the_address_differs() {
+        // The fast path compares pointers; the same name at another
+        // address must still land in its row, in first-use order.
+        const PAYLOAD: &str = "payload";
+        let elsewhere: &'static str = Box::leak(String::from("payload").into_boxed_str());
+        assert!(!core::ptr::eq(PAYLOAD, elsewhere));
+        let mut l = TimeLedger::new();
+        l.add(PAYLOAD, Duration::from_micros(1));
+        l.add("pay", Duration::from_micros(2)); // a prefix is a different category
+        l.add(elsewhere, Duration::from_micros(4));
+        l.add(PAYLOAD, Duration::from_micros(8));
+        let rows: Vec<_> = l.iter().collect();
+        assert_eq!(rows, vec![("payload", Duration::from_micros(13)), ("pay", Duration::from_micros(2))]);
     }
 
     #[test]

@@ -123,6 +123,181 @@ proptest! {
     }
 
     #[test]
+    fn event_queue_spill_path_matches_heap_reference(
+        rounds in proptest::collection::vec(
+            (1u64..3_000, 1usize..5, proptest::collection::vec((0u64..4_000, 0u8..3), 1..12), 0usize..8),
+            1..12,
+        ),
+    ) {
+        // A probe that finds the next event not yet due leaves its bucket
+        // sorted under the cursor. Events scheduled into *earlier* buckets
+        // afterwards must still pop first, and the probed bucket must come
+        // back complete and in order — whatever mix of earlier-bucket,
+        // same-bucket and later-bucket schedules follows the probe.
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::heap_reference();
+        let mut payload = 0u64;
+        let mut both = |wheel: &mut EventQueue<u64>, heap: &mut EventQueue<u64>, at: Instant| {
+            payload += 1;
+            let a = wheel.schedule_at(at, payload);
+            let b = heap.schedule_at(at, payload);
+            assert_eq!(a, b, "EventIds diverged");
+        };
+        for (late_us, late_count, early, pops) in rounds {
+            // "Late": a few same-bucket events 1–3000 µs ahead (up to ~366
+            // buckets), some of them ties.
+            let late = wheel.now() + Duration::from_micros(late_us);
+            for k in 0..late_count {
+                both(&mut wheel, &mut heap, late + Duration::from_nanos((k as u64 % 2) * 7));
+            }
+            // The probe: due strictly before anything pending.
+            let first = heap.peek_time().expect("just scheduled");
+            prop_assert_eq!(wheel.peek_time(), Some(first));
+            if first > wheel.now() {
+                let deadline = first - Duration::from_nanos(1);
+                prop_assert_eq!(wheel.pop_before(deadline), None);
+                prop_assert_eq!(heap.pop_before(deadline), None);
+            }
+            // Then schedules before, inside and after the probed bucket.
+            for (off_us, kind) in early {
+                let at = match kind {
+                    0 => wheel.now() + Duration::from_micros(off_us.min(late_us)),
+                    1 => late,
+                    _ => late + Duration::from_micros(off_us),
+                };
+                both(&mut wheel, &mut heap, at);
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            for _ in 0..pops {
+                prop_assert_eq!(wheel.pop(), heap.pop());
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+        }
+        loop {
+            let a = wheel.pop();
+            let b = heap.pop();
+            prop_assert_eq!(&a, &b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn event_queue_converts_and_peeks_with_a_sorted_cursor_bucket(
+        times in proptest::collection::vec(0u64..40_000, 2..60),
+        popped in 0usize..30,
+        probe in any::<bool>(),
+        extra in proptest::collection::vec(0u64..40_000, 0..20),
+    ) {
+        // `peek_time` and `convert_to_heap_reference` while the cursor
+        // bucket holds sorted, partly consumed entries (after pops) or
+        // sorted, untouched ones (after a not-due probe): nothing is lost,
+        // nothing is reordered, ids and `now` carry over.
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::heap_reference();
+        for (i, t) in times.iter().enumerate() {
+            wheel.schedule_at(Instant::from_nanos(*t), i);
+            heap.schedule_at(Instant::from_nanos(*t), i);
+        }
+        for _ in 0..popped.min(times.len() - 1) {
+            prop_assert_eq!(wheel.pop(), heap.pop());
+        }
+        if probe {
+            let next = heap.peek_time().expect("one entry is always left");
+            if next > wheel.now() {
+                let deadline = next - Duration::from_nanos(1);
+                prop_assert_eq!(wheel.pop_before(deadline), None);
+            }
+        }
+        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        wheel.convert_to_heap_reference();
+        prop_assert!(wheel.is_heap_reference());
+        prop_assert_eq!(wheel.len(), heap.len());
+        prop_assert_eq!(wheel.now(), heap.now());
+        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        for (i, t) in extra.iter().enumerate() {
+            let at = wheel.now() + Duration::from_nanos(*t);
+            prop_assert_eq!(wheel.schedule_at(at, 1000 + i), heap.schedule_at(at, 1000 + i));
+        }
+        loop {
+            let a = wheel.pop();
+            let b = heap.pop();
+            prop_assert_eq!(&a, &b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn event_queue_same_instant_fifo_across_activation(
+        ops in proptest::collection::vec((0u8..5, 0usize..3), 1..200),
+    ) {
+        // Three fixed instants — two in one bucket, one a few buckets on —
+        // keep receiving events while the cursor moves onto, probes and
+        // leaves their buckets. Whenever two events share an instant they
+        // must pop in the order they were scheduled, whether they were
+        // linked before the bucket was sorted, binary-inserted after, or
+        // spilled back and sorted again.
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::heap_reference();
+        let mut seq = 0u64;
+        let mut epoch = Instant::ZERO;
+        let mut last: Option<(Instant, u64)> = None;
+        for (op, pick) in ops {
+            let targets = [
+                epoch + Duration::from_nanos(20_000),
+                epoch + Duration::from_nanos(20_100),
+                epoch + Duration::from_nanos(70_000),
+            ];
+            match op {
+                0..=2 => {
+                    let at = targets[pick].max(wheel.now());
+                    seq += 1;
+                    prop_assert_eq!(wheel.schedule_at(at, seq), heap.schedule_at(at, seq));
+                }
+                3 => {
+                    let deadline = targets[pick] - Duration::from_nanos(1);
+                    if deadline >= wheel.now() {
+                        let a = wheel.pop_before(deadline);
+                        prop_assert_eq!(&a, &heap.pop_before(deadline));
+                        if let Some((at, _, s)) = a {
+                            if let Some((lat, ls)) = last {
+                                prop_assert!(at > lat || (at == lat && s > ls), "FIFO violated");
+                            }
+                            last = Some((at, s));
+                        }
+                    }
+                }
+                _ => {
+                    let a = wheel.pop();
+                    prop_assert_eq!(&a, &heap.pop());
+                    if let Some((at, _, s)) = a {
+                        if let Some((lat, ls)) = last {
+                            prop_assert!(at > lat || (at == lat && s > ls), "FIFO violated");
+                        }
+                        last = Some((at, s));
+                    }
+                    if wheel.is_empty() {
+                        epoch = wheel.now() + Duration::from_nanos(1);
+                    }
+                }
+            }
+        }
+        loop {
+            let a = wheel.pop();
+            prop_assert_eq!(&a, &heap.pop());
+            let Some((at, _, s)) = a else { break };
+            if let Some((lat, ls)) = last {
+                prop_assert!(at > lat || (at == lat && s > ls), "FIFO violated");
+            }
+            last = Some((at, s));
+        }
+    }
+
+    #[test]
     fn rng_below_always_in_bounds(seed in any::<u64>(), bound in 1u64..1_000_000, n in 1usize..100) {
         let mut rng = Rng::seed_from_u64(seed);
         for _ in 0..n {

@@ -25,4 +25,4 @@ pub mod stack;
 
 pub use config::TcpConfig;
 pub use conn::{ConnStats, Connection, TcpState};
-pub use stack::{OutboundSegment, SocketHandle, TcpStack};
+pub use stack::{OutboundSegment, PendingSegment, SocketHandle, TcpStack};

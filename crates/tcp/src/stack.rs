@@ -103,40 +103,56 @@ impl TcpStack {
 
     /// Collects every segment any socket wants to send.
     pub fn poll_transmit(&mut self, now: Instant) -> Vec<OutboundSegment> {
+        let src = self.addr;
         let mut out = Vec::new();
-        self.poll_transmit_into(now, &mut out);
+        self.poll_transmit_with(now, |seg| {
+            let ip =
+                Ipv4Repr { src, dst: seg.dst, protocol: IpProtocol::Tcp, ttl: 64, payload_len: seg.len() };
+            let mut bytes = Vec::with_capacity(seg.len());
+            seg.append(&ip, &mut bytes);
+            out.push(OutboundSegment { dst: seg.dst, bytes });
+        });
         out
     }
 
-    /// [`TcpStack::poll_transmit`] appending into a caller-recycled buffer
-    /// (the event loop's allocation-light variant — `pump_tcp` runs once
-    /// per delivered segment, so the per-call `Vec` was measurable).
-    pub fn poll_transmit_into(&mut self, now: Instant, out: &mut Vec<OutboundSegment>) {
-        let my_addr = self.addr;
+    /// Hands `send` every segment any socket wants to send, socket by
+    /// socket, each still lying in its socket's send buffer: the caller
+    /// serialises it ([`PendingSegment::append`]) straight into whatever
+    /// packet buffer it goes out in — no intermediate `Vec` per segment.
+    pub fn poll_transmit_with(&mut self, now: Instant, mut send: impl FnMut(PendingSegment<'_>)) {
         for c in &mut self.sockets {
             while let Some((repr, range)) = c.next_segment(now) {
-                let dst = c.remote().addr;
-                // Straight from the send buffer into the segment; only a
-                // payload that straddles the ring's seam is joined first.
-                let joined;
-                let payload = match c.tx_pieces(range) {
-                    (whole, []) | ([], whole) => whole,
-                    (head, tail) => {
-                        joined = [head, tail].concat();
-                        &joined[..]
-                    }
-                };
-                let ip = Ipv4Repr {
-                    src: my_addr,
-                    dst,
-                    protocol: IpProtocol::Tcp,
-                    ttl: 64,
-                    payload_len: tcp::HEADER_LEN + payload.len(),
-                };
-                let mut bytes = vec![0u8; tcp::HEADER_LEN + payload.len()];
-                repr.emit(&ip, payload, &mut bytes);
-                out.push(OutboundSegment { dst, bytes });
+                send(PendingSegment { dst: c.remote().addr, repr, payload: c.tx_pieces(range) });
             }
         }
+    }
+}
+
+/// A segment a socket has decided to send, its payload still in the
+/// socket's send ring (one slice, or two where it straddles the seam).
+#[derive(Debug)]
+pub struct PendingSegment<'a> {
+    /// Destination IP (the network layer routes it).
+    pub dst: Ipv4Addr,
+    repr: TcpRepr,
+    payload: (&'a [u8], &'a [u8]),
+}
+
+impl PendingSegment<'_> {
+    /// Serialised length: TCP header + payload.
+    #[allow(clippy::len_without_is_empty)] // a segment always has its header
+    pub fn len(&self) -> usize {
+        tcp::HEADER_LEN + self.payload.0.len() + self.payload.1.len()
+    }
+
+    /// Appends header + payload to `out`, checksum (over `ip`'s
+    /// pseudo-header) filled: each payload byte is copied once, out of
+    /// the send ring into its place in the packet.
+    pub fn append(&self, ip: &Ipv4Repr, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + tcp::HEADER_LEN, 0);
+        out.extend_from_slice(self.payload.0);
+        out.extend_from_slice(self.payload.1);
+        self.repr.emit_header(ip, &mut out[at..]);
     }
 }

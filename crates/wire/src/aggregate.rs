@@ -62,13 +62,19 @@ impl AggregateBuilder {
         Self::default()
     }
 
-    /// Creates an empty builder with `psdu_bytes` pre-reserved.
+    /// Creates an empty builder with room for `psdu_bytes` of PSDU and
+    /// `subframes` slots pre-reserved.
     ///
     /// Assembly runs once per transmit opportunity; callers that know
-    /// the aggregate size cap pass it here so the PSDU buffer is sized
-    /// once instead of doubling through a dozen reallocations.
-    pub fn with_capacity(psdu_bytes: usize) -> Self {
-        AggregateBuilder { psdu: Vec::with_capacity(psdu_bytes), ..Self::default() }
+    /// the aggregate size cap and how many frames are waiting pass them
+    /// here so both buffers are sized once instead of doubling through
+    /// reallocations.
+    pub fn with_capacity(psdu_bytes: usize, subframes: usize) -> Self {
+        AggregateBuilder {
+            psdu: Vec::with_capacity(psdu_bytes),
+            slots: Vec::with_capacity(subframes),
+            ..Self::default()
+        }
     }
 
     /// Appends one subframe to the PSDU, returning its range.
@@ -164,7 +170,9 @@ impl<'a> ParsedSubframe<'a> {
 /// Returns the recovered subframes. Structural corruption (a length field
 /// escaping the portion) truncates that portion's results.
 pub fn parse_aggregate<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubframe<'a>> {
-    parse_aggregate_inner(hdr, psdu, true)
+    let mut out = Vec::new();
+    parse_aggregate_inner(hdr, psdu, true, &mut out);
+    out
 }
 
 /// [`parse_aggregate`] for a PSDU *known to be bit-identical* to what the
@@ -177,16 +185,27 @@ pub fn parse_aggregate<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubfram
 ///
 /// Never use this on bytes that may have been damaged in flight.
 pub fn parse_aggregate_trusted<'a>(hdr: &PhyHeader, psdu: &'a [u8]) -> Vec<ParsedSubframe<'a>> {
-    parse_aggregate_inner(hdr, psdu, false)
+    let mut out = Vec::new();
+    parse_aggregate_trusted_into(hdr, psdu, &mut out);
+    out
 }
 
-fn parse_aggregate_inner<'a>(hdr: &PhyHeader, psdu: &'a [u8], verify: bool) -> Vec<ParsedSubframe<'a>> {
-    let mut out = Vec::new();
+/// [`parse_aggregate_trusted`] appending to a buffer the caller reuses
+/// (the event loop parses one aggregate per transmission).
+pub fn parse_aggregate_trusted_into<'a>(hdr: &PhyHeader, psdu: &'a [u8], out: &mut Vec<ParsedSubframe<'a>>) {
+    parse_aggregate_inner(hdr, psdu, false, out);
+}
+
+fn parse_aggregate_inner<'a>(
+    hdr: &PhyHeader,
+    psdu: &'a [u8],
+    verify: bool,
+    out: &mut Vec<ParsedSubframe<'a>>,
+) {
     let bl = (hdr.bcast_len as usize).min(psdu.len());
     let ul_end = (bl + hdr.ucast_len as usize).min(psdu.len());
-    parse_portion(&psdu[..bl], 0, Portion::Broadcast, verify, &mut out);
-    parse_portion(&psdu[bl..ul_end], bl, Portion::Unicast, verify, &mut out);
-    out
+    parse_portion(&psdu[..bl], 0, Portion::Broadcast, verify, out);
+    parse_portion(&psdu[bl..ul_end], bl, Portion::Unicast, verify, out);
 }
 
 fn parse_portion<'a>(

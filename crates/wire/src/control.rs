@@ -22,6 +22,8 @@ pub const CTS_LEN: usize = 14;
 pub const ACK_LEN: usize = 14;
 /// On-air size of a Block ACK frame (ACK + 64-bit subframe bitmap).
 pub const BLOCK_ACK_LEN: usize = 22;
+/// The longest control frame on the air (a Block ACK).
+pub const MAX_CONTROL_LEN: usize = BLOCK_ACK_LEN;
 
 /// A parsed control frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,37 +95,42 @@ impl ControlFrame {
         }
     }
 
-    /// Serializes to on-air bytes (including FCS).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.on_air_len());
-        match self {
+    /// Writes the on-air bytes (FCS included) into the front of `buf`
+    /// and returns how many were written ([`ControlFrame::on_air_len`]).
+    ///
+    /// # Panics
+    /// Panics if `buf` is shorter than the frame; [`MAX_CONTROL_LEN`]
+    /// bytes hold any control frame.
+    pub fn emit(&self, buf: &mut [u8]) -> usize {
+        let len = self.on_air_len();
+        let buf = &mut buf[..len];
+        let (ty, duration_us, ra) = match self {
             ControlFrame::Rts { duration_us, ra, ta } => {
-                out.extend_from_slice(&FrameType::Rts.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-                out.extend_from_slice(&ta.octets());
+                buf[10..16].copy_from_slice(&ta.octets());
+                (FrameType::Rts, duration_us, ra)
             }
-            ControlFrame::Cts { duration_us, ra } => {
-                out.extend_from_slice(&FrameType::Cts.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-            }
-            ControlFrame::Ack { duration_us, ra } => {
-                out.extend_from_slice(&FrameType::Ack.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-            }
+            ControlFrame::Cts { duration_us, ra } => (FrameType::Cts, duration_us, ra),
+            ControlFrame::Ack { duration_us, ra } => (FrameType::Ack, duration_us, ra),
             ControlFrame::BlockAck { duration_us, ra, bitmap } => {
-                out.extend_from_slice(&FrameType::BlockAck.to_bits().to_le_bytes());
-                out.extend_from_slice(&duration_us.to_le_bytes());
-                out.extend_from_slice(&ra.octets());
-                out.extend_from_slice(&bitmap.to_le_bytes());
+                buf[10..18].copy_from_slice(&bitmap.to_le_bytes());
+                (FrameType::BlockAck, duration_us, ra)
             }
-        }
-        let fcs = crc32(&out);
-        out.extend_from_slice(&fcs.to_le_bytes());
-        debug_assert_eq!(out.len(), self.on_air_len());
-        out
+        };
+        buf[0..2].copy_from_slice(&ty.to_bits().to_le_bytes());
+        buf[2..4].copy_from_slice(&duration_us.to_le_bytes());
+        buf[4..10].copy_from_slice(&ra.octets());
+        let body = len - FCS_TRAILER;
+        let fcs = crc32(&buf[..body]);
+        buf[body..].copy_from_slice(&fcs.to_le_bytes());
+        len
+    }
+
+    /// Serializes to on-air bytes (including FCS): [`ControlFrame::emit`]
+    /// into a fresh `Vec`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = [0u8; MAX_CONTROL_LEN];
+        let len = self.emit(&mut buf);
+        buf[..len].to_vec()
     }
 
     /// Parses a control frame, verifying length and FCS.

@@ -177,6 +177,14 @@ impl Ipv4Repr {
     /// caller's business.
     pub fn emit(&self, buf: &mut [u8]) {
         assert!(buf.len() >= self.packet_len(), "ipv4 emit buffer too small");
+        self.emit_header(buf);
+    }
+
+    /// [`Ipv4Repr::emit`] into a buffer that holds the header but not
+    /// (yet) the payload: the header does not depend on the payload
+    /// bytes, only on their length.
+    pub fn emit_header(&self, buf: &mut [u8]) {
+        assert!(buf.len() >= HEADER_LEN, "ipv4 emit buffer too small");
         buf[0] = 0x45; // v4, IHL 5
         buf[1] = 0; // DSCP/ECN
         buf[2..4].copy_from_slice(&(self.packet_len() as u16).to_be_bytes());

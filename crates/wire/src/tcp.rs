@@ -96,6 +96,16 @@ impl TcpRepr {
     /// computing the checksum from `ip`'s pseudo-header.
     pub fn emit(&self, ip: &Ipv4Repr, payload: &[u8], buf: &mut [u8]) {
         assert_eq!(buf.len(), HEADER_LEN + payload.len(), "tcp emit buffer size");
+        buf[HEADER_LEN..].copy_from_slice(payload);
+        self.emit_header(ip, buf);
+    }
+
+    /// Writes the header in front of a payload that is already in place
+    /// (`segment[HEADER_LEN..]`) and fills in the checksum over both —
+    /// for callers that build the payload straight into the packet.
+    pub fn emit_header(&self, ip: &Ipv4Repr, segment: &mut [u8]) {
+        assert!(segment.len() >= HEADER_LEN, "tcp emit buffer size");
+        let buf = segment;
         buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -105,7 +115,6 @@ impl TcpRepr {
         buf[14..16].copy_from_slice(&self.window.to_be_bytes());
         buf[16..18].copy_from_slice(&0u16.to_be_bytes()); // checksum
         buf[18..20].copy_from_slice(&0u16.to_be_bytes()); // urgent
-        buf[HEADER_LEN..].copy_from_slice(payload);
         let mut ck = ip.pseudo_header();
         ck.add_bytes(buf);
         let sum = ck.finish();

@@ -20,12 +20,21 @@ impl UdpRepr {
     /// computing the checksum over the pseudo-header from `ip`.
     pub fn emit(&self, ip: &Ipv4Repr, payload: &[u8], buf: &mut [u8]) {
         assert_eq!(buf.len(), HEADER_LEN + payload.len(), "udp emit buffer size");
-        let len = (HEADER_LEN + payload.len()) as u16;
+        buf[HEADER_LEN..].copy_from_slice(payload);
+        self.emit_header(ip, buf);
+    }
+
+    /// Writes the header in front of a payload that is already in place
+    /// (`datagram[HEADER_LEN..]`) and fills in the checksum over both —
+    /// for callers that build the payload straight into the packet.
+    pub fn emit_header(&self, ip: &Ipv4Repr, datagram: &mut [u8]) {
+        assert!(datagram.len() >= HEADER_LEN, "udp emit buffer size");
+        let buf = datagram;
+        let len = buf.len() as u16;
         buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         buf[4..6].copy_from_slice(&len.to_be_bytes());
         buf[6..8].copy_from_slice(&0u16.to_be_bytes());
-        buf[HEADER_LEN..].copy_from_slice(payload);
         let mut ck = ip.pseudo_header();
         ck.add_bytes(buf);
         let mut sum = ck.finish();

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use hydra_wire::aggregate::{parse_aggregate, AggregateBuilder, Portion};
 use hydra_wire::builder::{build_tcp_packet, build_udp_packet, is_pure_tcp_ack, parse_mpdu_payload, L4};
-use hydra_wire::control::ControlFrame;
+use hydra_wire::control::{ControlFrame, MAX_CONTROL_LEN};
 use hydra_wire::crc::{crc32, Crc32};
 use hydra_wire::encap::{EncapProto, EncapRepr};
 use hydra_wire::phy_hdr::{PhyHeader, RateCode};
@@ -34,6 +34,15 @@ fn arb_subframe_repr() -> impl Strategy<Value = SubframeRepr> {
             addr3: a3,
         },
     )
+}
+
+fn arb_control(kind: i32, duration_us: u16, ra: MacAddr, ta: MacAddr, bitmap: u64) -> ControlFrame {
+    match kind {
+        0 => ControlFrame::Rts { duration_us, ra, ta },
+        1 => ControlFrame::Cts { duration_us, ra },
+        2 => ControlFrame::Ack { duration_us, ra },
+        _ => ControlFrame::BlockAck { duration_us, ra, bitmap },
+    }
 }
 
 /// CRC-32 by its definition, one bit at a time: the oracle both routes
@@ -133,13 +142,35 @@ proptest! {
     }
 
     #[test]
-    fn control_frames_roundtrip(dur in any::<u16>(), ra in arb_mac(), ta in arb_mac(), kind in 0..3) {
-        let f = match kind {
-            0 => ControlFrame::Rts { duration_us: dur, ra, ta },
-            1 => ControlFrame::Cts { duration_us: dur, ra },
-            _ => ControlFrame::Ack { duration_us: dur, ra },
-        };
-        prop_assert_eq!(ControlFrame::parse(&f.to_bytes()).unwrap(), f);
+    fn control_frames_roundtrip(dur in any::<u16>(), ra in arb_mac(), ta in arb_mac(), bitmap in any::<u64>(), kind in 0..4) {
+        let f = arb_control(kind, dur, ra, ta, bitmap);
+        // One serialiser: `emit` into a scratch that is too long and
+        // pre-filled must write exactly the bytes `to_bytes` returns and
+        // nothing past them.
+        let mut buf = [0xA5u8; MAX_CONTROL_LEN + 3];
+        let n = f.emit(&mut buf);
+        let bytes = f.to_bytes();
+        prop_assert_eq!(n, f.on_air_len());
+        prop_assert_eq!(&buf[..n], &bytes[..]);
+        prop_assert!(buf[n..].iter().all(|&b| b == 0xA5));
+        prop_assert_eq!(ControlFrame::parse(&bytes).unwrap(), f);
+    }
+
+    #[test]
+    fn control_frames_reject_any_flipped_bit(dur in any::<u16>(), ra in arb_mac(), ta in arb_mac(), bitmap in any::<u64>()) {
+        // Every byte position of every variant, every bit: a single flip
+        // anywhere — type, duration, addresses, bitmap or the FCS itself —
+        // never parses, whichever check catches it.
+        for kind in 0..4 {
+            let bytes = arb_control(kind, dur, ra, ta, bitmap).to_bytes();
+            for pos in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[pos] ^= 1 << bit;
+                    prop_assert!(ControlFrame::parse(&bad).is_err(), "kind {} byte {} bit {}", kind, pos, bit);
+                }
+            }
+        }
     }
 
     #[test]
