@@ -32,6 +32,8 @@ impl Flooder {
     /// Creates a flooder emitting `payload_len`-byte beacons.
     pub fn new(interval: Duration, payload_len: usize, start: Instant) -> Self {
         assert!(payload_len >= 4);
+        // A zero interval would spin `poll_into` forever inside one event.
+        assert!(!interval.is_zero(), "flood interval must be positive");
         Flooder { interval, payload_len, start, stop: None, next_send: start, seq: 0, sent: 0 }
     }
 
@@ -93,6 +95,12 @@ impl FloodSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "flood interval must be positive")]
+    fn a_zero_interval_is_refused_at_construction() {
+        Flooder::new(Duration::ZERO, 32, Instant::ZERO);
+    }
 
     #[test]
     fn emits_at_interval() {

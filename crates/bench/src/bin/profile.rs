@@ -24,7 +24,7 @@ use std::io::Write as _;
 use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
 use hydra_bench::{CellResult, ExperimentRunner, RunnerTelemetry};
 use hydra_netsim::RunPerf;
-use hydra_netsim::{parse_scn, ScenarioSpec, TopologyKind};
+use hydra_netsim::{parse_scn, RunBudget, ScenarioSpec, TopologyKind};
 
 #[global_allocator]
 static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
@@ -65,15 +65,15 @@ options:
                        speeds up less than X times over the dense
                        reference (wall-clock; for record-generating
                        runs on quiet machines, not shared CI runners)
-  --chaos              fault-injection proof instead of profiling: run
-                       the smoke grid fault-free, re-run it with a
-                       deterministic failpoint schedule (a mid-run
-                       panic, a budget stall, a hard IO fault, plus a
-                       transient IO fault the bounded retry absorbs),
-                       assert failed cells carry FAILED(reason) labels
-                       and surviving cells are byte-identical to the
-                       fault-free pass, print `chaos=ok`, exit
-  --chaos-seed N       seed for the chaos fault schedule (default 7)
+  --chaos              fault-isolation proof instead of profiling: run
+                       the smoke grid fault-free, break two seed-picked
+                       cells (one spec that panics, one with a 50-event
+                       budget) and re-run the grid as one sweep at 1, 2
+                       and 4 threads, assert failed cells carry
+                       FAILED(reason) labels and surviving cells are
+                       byte-identical to the fault-free pass at every
+                       width, print `chaos=ok`, exit
+  --chaos-seed N       seed for the chaos victim selection (default 7)
   --threads LIST       runner mode instead of profiling: run the whole
                        grid (flattened into one work list, cache-less) at
                        each comma-separated thread count. Asserts event
@@ -290,114 +290,83 @@ fn run_scale() -> Vec<ScaleRow> {
         .collect()
 }
 
-/// One scheduled fault of the `--chaos` proof.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Fault {
-    /// `run.mid_event` panics mid-simulation; the cell must be
-    /// isolated and render `FAILED(panic)`.
-    Panic,
-    /// `run.mid_event` latches budget exhaustion; `FAILED(budget)`.
-    BudgetStall,
-    /// `run.io` fails every attempt, exhausting the bounded retry;
-    /// `FAILED(io)`.
-    HardIo,
-    /// `run.io` fails exactly once; the retry must absorb it and the
-    /// cell must match the fault-free pass byte for byte.
-    TransientIo,
-}
-
-/// The `--chaos` proof: the smoke grid fault-free, then again under a
-/// deterministic `stream_seed`-derived fault schedule. At least three
-/// cells take killing faults (panic / budget stall / hard IO) and one
-/// more takes a transient IO fault; the sweep must complete anyway,
-/// failed cells must label themselves, and every surviving cell —
-/// transient-IO victim included — must be byte-identical to its
-/// fault-free twin.
+/// The `--chaos` proof: the smoke grid fault-free, then again with two
+/// `stream_seed`-picked victim cells broken (one panics, one runs out of
+/// budget), as one sweep at 1, 2 and 4 threads. The faults are
+/// properties of the victim specs, so they fire in those cells on any
+/// thread, in any order. Every sweep must complete, failed cells must
+/// label themselves, and every surviving cell must be byte-identical to
+/// its fault-free twin at every width.
 fn run_chaos(chaos_seed: u64, seeds: u64) -> ! {
-    use hydra_sim::failpoint::{self, FailAction};
     let specs = smoke_grid().remove(0).1;
     let ncells = specs.len();
     assert!(ncells >= 4, "chaos proof needs the 4-cell smoke grid");
 
-    // Victim selection: draw seed-derived cell indices until four
-    // distinct cells are picked, then pair them with the fault kinds
-    // in order. Same seed → same schedule, on any machine.
+    // Victim selection: draw seed-derived cell indices until two
+    // distinct cells are picked. Same seed → same victims, on any
+    // machine.
     let mut victims: Vec<usize> = Vec::new();
     let mut draw = 0u64;
-    while victims.len() < 4 {
+    while victims.len() < 2 {
         let idx = (hydra_sim::stream_seed(chaos_seed, draw) % ncells as u64) as usize;
         if !victims.contains(&idx) {
             victims.push(idx);
         }
         draw += 1;
     }
-    let faults = [Fault::Panic, Fault::BudgetStall, Fault::HardIo, Fault::TransientIo];
-    let plan: Vec<(usize, Fault)> = victims.into_iter().zip(faults).collect();
-    let planned = |i: usize| plan.iter().find(|(v, _)| *v == i).map(|&(_, f)| f);
+    let (panics, starves) = (victims[0], victims[1]);
+    let expected = |i: usize| {
+        if i == panics {
+            Some("FAILED(panic)")
+        } else if i == starves {
+            Some("FAILED(budget)")
+        } else {
+            None
+        }
+    };
 
-    let runner = ExperimentRunner::sequential();
-    failpoint::disarm_all();
-    let baseline: Vec<CellResult> =
-        specs.iter().map(|s| runner.run_sweep(std::slice::from_ref(s), seeds).remove(0)).collect();
+    let baseline = ExperimentRunner::sequential().run_sweep(&specs, seeds);
     if let Some(bad) = baseline.iter().find(|c| c.failed()) {
         die(&format!("fault-free baseline already fails: {}", bad.failed_label()));
     }
+    let mut broken = specs;
+    // `Mac::new` rejects a zero-byte aggregate with a panic inside
+    // `build()`; any spec that panics inside build/run will do.
+    broken[panics].max_aggregate = 0;
+    broken[starves].budget = Some(RunBudget::events(50));
 
-    // The injected panics are expected; keep them off stderr so the CI
+    // The planted panics are expected; keep them off stderr so the CI
     // log shows only the verdict lines.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let chaos: Vec<CellResult> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            failpoint::disarm_all();
-            match planned(i) {
-                Some(Fault::Panic) => failpoint::arm("run.mid_event", FailAction::Panic, 50, u64::MAX),
-                Some(Fault::BudgetStall) => failpoint::arm("run.mid_event", FailAction::Stall, 50, u64::MAX),
-                Some(Fault::HardIo) => failpoint::arm("run.io", FailAction::Io, 0, u64::MAX),
-                Some(Fault::TransientIo) => failpoint::arm("run.io", FailAction::Io, 0, 1),
-                None => {}
-            }
-            let cell = runner.run_sweep(std::slice::from_ref(s), seeds).remove(0);
-            failpoint::disarm_all();
-            cell
-        })
-        .collect();
+    let sweeps: Vec<(usize, Vec<CellResult>)> =
+        [1, 2, 4].into_iter().map(|t| (t, ExperimentRunner::new(t).run_sweep(&broken, seeds))).collect();
     std::panic::set_hook(prev_hook);
 
-    let mut failed = 0usize;
-    for (i, (b, c)) in baseline.iter().zip(&chaos).enumerate() {
-        match planned(i) {
-            Some(fault @ (Fault::Panic | Fault::BudgetStall | Fault::HardIo)) => {
-                let expect = match fault {
-                    Fault::Panic => "FAILED(panic)",
-                    Fault::BudgetStall => "FAILED(budget)",
-                    _ => "FAILED(io)",
-                };
-                if !c.failed() || c.failed_label() != expect {
-                    die(&format!(
-                        "chaos cell {i}: expected {expect}, got failed={} label={}",
-                        c.failed(),
-                        c.failed_label()
-                    ));
+    for (threads, chaos) in &sweeps {
+        for (i, (b, c)) in baseline.iter().zip(chaos).enumerate() {
+            let at = format!("chaos cell {i} at {threads} thread(s)");
+            match expected(i) {
+                Some(label) => {
+                    if !c.failed() || c.failed_label() != label {
+                        die(&format!(
+                            "{at}: expected {label}, got failed={} label={}",
+                            c.failed(),
+                            c.failed_label()
+                        ));
+                    }
+                    eprintln!("{at}: {label} (planted, isolated)");
                 }
-                eprintln!("chaos cell {i}: {} (injected {fault:?}, isolated)", c.failed_label());
-                failed += 1;
-            }
-            Some(Fault::TransientIo) | None => {
-                if c.runs != b.runs {
-                    die(&format!("chaos cell {i}: surviving cell diverged from the fault-free run"));
+                None => {
+                    if c.runs != b.runs {
+                        die(&format!("{at}: surviving cell diverged from the fault-free run"));
+                    }
+                    eprintln!("{at}: ok (byte-identical to fault-free)");
                 }
-                let note = match planned(i) {
-                    Some(_) => "transient IO absorbed by retry, ",
-                    None => "",
-                };
-                eprintln!("chaos cell {i}: ok ({note}byte-identical to fault-free)");
             }
         }
     }
-    println!("chaos=ok cells={ncells} failed={failed} survivors={}", ncells - failed);
+    println!("chaos=ok cells={ncells} failed=2 survivors={}", ncells - 2);
     std::process::exit(0);
 }
 

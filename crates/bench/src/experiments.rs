@@ -1537,9 +1537,6 @@ mod tests {
 
     #[test]
     fn options_log_each_failed_replication_under_its_experiment_and_cell() {
-        // (Runs simulations, so it must not overlap a test that has a
-        // failpoint armed.)
-        let _guard = hydra_sim::failpoint::exclusive();
         let mut stalled = udp(1, Policy::Ua, Rate::R1_30, 20_000);
         stalled.duration = Duration::from_millis(200);
         let fine = stalled.clone();

@@ -47,9 +47,9 @@ use crate::sched::{self, JobStats, PoolTelemetry};
 use crate::sweeps::SharedCache;
 
 /// All replications of one sweep cell — failure-aware: a replication
-/// that panicked, tripped its [`hydra_netsim::RunBudget`], or hit a
-/// hard IO fault is an `Err` entry, and every accessor below stays
-/// total over such cells (no NaN means, no index panics).
+/// that panicked or tripped its [`hydra_netsim::RunBudget`] is an
+/// `Err` entry, and every accessor below stays total over such cells
+/// (no NaN means, no index panics).
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// The cell's spec (seed field as submitted; per-run seeds derived).
@@ -131,8 +131,8 @@ impl CellResult {
 
 /// What a `FAILED(reason)` table cell abbreviates: one
 /// `source:cell rep N: error` line per failed replication of `cells`,
-/// carrying the full [`RunError`] text (panic message, event count, IO
-/// error). Binaries print these to stderr after the table.
+/// carrying the full [`RunError`] text (panic message, event count).
+/// Binaries print these to stderr after the table.
 pub fn failure_lines<'a>(source: &str, cells: impl IntoIterator<Item = &'a CellResult>) -> Vec<String> {
     let mut lines = Vec::new();
     for (i, cell) in cells.into_iter().enumerate() {
@@ -304,13 +304,10 @@ impl ExperimentRunner {
     /// Whether this runner decomposes `spec` into per-domain subtasks.
     /// A pure function of the spec and the runner's *configuration* —
     /// never of the thread count — so event totals are identical at
-    /// every `threads` setting. Gated off under armed failpoints
-    /// (chaos schedules are phrased against whole-run event counts)
-    /// and for budgeted runs (a budget is a whole-run event cap).
+    /// every `threads` setting. Gated off for budgeted runs (a budget
+    /// is a whole-run event cap).
     fn wants_decompose(&self, spec: &ScenarioSpec) -> bool {
-        spec.budget.is_none()
-            && !hydra_sim::failpoint::armed()
-            && Self::predicted_cost(spec) >= self.decompose_min_cost
+        spec.budget.is_none() && Self::predicted_cost(spec) >= self.decompose_min_cost
     }
 
     /// Expands `specs × (1..=seeds)` into a work list, satisfies what it
@@ -366,8 +363,8 @@ impl ExperimentRunner {
         let fresh = self.execute(&work, &lpt_costs);
         if let Some(cache) = &self.cache {
             // Only successful runs are cached: a failed replication
-            // stays cold so a fixed spec (or a chaos-free rerun)
-            // simulates it again instead of replaying the failure.
+            // stays cold so a fixed spec simulates it again instead of
+            // replaying the failure.
             let records: Vec<_> = todo
                 .iter()
                 .zip(&fresh)
@@ -419,43 +416,16 @@ impl ExperimentRunner {
         self.try_run_one(spec).unwrap_or_else(|e| panic!("run failed: {e}"))
     }
 
-    /// One fault-isolated job: panics are contained by
-    /// [`ScenarioSpec::try_run`], and transient IO failures retry with
-    /// a short bounded backoff (1 ms, 2 ms — deterministic in attempt
-    /// count, so a chaos schedule that injects one transient fault
-    /// still converges to the fault-free outcome).
-    fn run_isolated(spec: &ScenarioSpec) -> Result<RunOutcome, RunError> {
-        let mut attempt: u32 = 0;
-        loop {
-            match spec.try_run() {
-                Err(RunError::Io(_)) if attempt < 2 => {
-                    attempt += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// One fault-isolated *domain* subtask of a decomposed cell: a
     /// panic anywhere in the domain run is caught here, inside the
     /// task, so it unwinds no worker and fails only its own cell.
     fn run_domain_isolated(plan: &ShardPlan<'_>, domain: u32) -> Result<RunOutcome, RunError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_domain(domain))).map_err(
-            |payload| {
-                RunError::Panicked(match payload.downcast::<String>() {
-                    Ok(s) => *s,
-                    Err(payload) => match payload.downcast::<&'static str>() {
-                        Ok(s) => (*s).to_string(),
-                        Err(_) => "non-string panic payload".to_string(),
-                    },
-                })
-            },
-        )
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_domain(domain)))
+            .map_err(|payload| RunError::Panicked(hydra_netsim::panic_message(payload)))
     }
 
     /// Executes the prepared work list; results come back in job order.
-    /// A job that fails — panic, budget, IO — yields its `Err` entry
+    /// A job that fails — panic or budget — yields its `Err` entry
     /// without disturbing any other job: worker threads never unwind
     /// (panics are caught inside every task).
     fn execute(&self, work: &[ScenarioSpec], lpt_costs: &[f64]) -> Vec<Result<RunOutcome, RunError>> {
@@ -477,7 +447,7 @@ impl ExperimentRunner {
             .zip(&plans)
             .zip(lpt_costs)
             .map(|((spec, plan), &cost)| match plan {
-                None => sched::Job::one(cost, move || Self::run_isolated(spec)),
+                None => sched::Job::one(cost, move || spec.try_run()),
                 Some(plan) => {
                     let parts = (0..plan.domains() as u32)
                         .map(|c| {
@@ -575,43 +545,36 @@ mod tests {
         }
     }
 
+    /// A spec that genuinely panics: `Mac::new` rejects a zero-byte
+    /// aggregate inside `build()`, under the same `catch_unwind` as the
+    /// run. Any spec that panics inside build/run will do.
+    fn panicking_spec() -> ScenarioSpec {
+        let mut spec = tiny_udp_spec();
+        spec.max_aggregate = 0;
+        spec
+    }
+
     #[test]
     fn a_panicking_job_is_isolated_and_the_cell_stays_total() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2)];
-        let clean = ExperimentRunner::sequential().run_sweep(&specs, 1);
+        let clean = ExperimentRunner::sequential().run_sweep(&[tiny_udp_spec().with_seed(2)], 1);
+        let cells =
+            ExperimentRunner::sequential().run_sweep(&[panicking_spec(), tiny_udp_spec().with_seed(2)], 1);
 
-        // Sequential runners execute jobs in order, so a one-shot panic
-        // 100 events in lands inside the first job only.
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 100, 1);
-        let runner = ExperimentRunner::sequential();
-        let cells = runner.run_sweep(&specs, 1);
-        hydra_sim::failpoint::disarm_all();
-
-        assert_eq!(
-            cells[0].runs[0],
-            Err(hydra_netsim::RunError::Panicked("failpoint run.mid_event fired".into()))
-        );
+        let message = "invalid MacConfig: \"max aggregate below one subframe\"";
+        assert_eq!(cells[0].runs[0], Err(hydra_netsim::RunError::Panicked(message.into())));
         assert!(cells[0].failed());
         assert_eq!(cells[0].failed_label(), "FAILED(panic)");
         assert!(cells[0].first().is_none(), "no usable run in the failed cell");
         assert_eq!(cells[0].mean_throughput_bps(), 0.0, "total, not NaN");
         assert_eq!(cells.iter().flat_map(CellResult::failures).count(), 1);
         // The surviving cell is byte-identical to the fault-free sweep.
-        assert_eq!(cells[1].runs, clean[1].runs);
+        assert_eq!(cells[1].runs, clean[0].runs);
         // What the label abbreviates is still there to print.
-        assert_eq!(
-            failure_lines("x.scn", &cells),
-            ["x.scn:0 rep 1: run panicked: failpoint run.mid_event fired"]
-        );
+        assert_eq!(failure_lines("x.scn", &cells), [format!("x.scn:0 rep 1: run panicked: {message}")]);
     }
 
     #[test]
     fn failure_lines_name_every_failed_replication_with_its_full_error() {
-        // (Runs simulations, so it must not overlap a test that has a
-        // failpoint armed.)
-        let _guard = hydra_sim::failpoint::exclusive();
         let mut stalled = tiny_udp_spec();
         stalled.budget = Some(hydra_netsim::RunBudget::events(50));
         let cells = ExperimentRunner::sequential().run_sweep(&[tiny_udp_spec(), stalled], 2);
@@ -627,36 +590,12 @@ mod tests {
 
     #[test]
     fn every_job_can_fail_without_poisoning_the_parallel_pool() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 0, u64::MAX);
-        let specs = vec![tiny_udp_spec(), tiny_udp_spec().with_seed(2)];
+        let specs = vec![panicking_spec(), panicking_spec().with_seed(2)];
         let runner = ExperimentRunner::new(2);
         let cells = runner.run_sweep(&specs, 2);
-        hydra_sim::failpoint::disarm_all();
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.runs.len() == 2 && c.runs.iter().all(Result::is_err)));
         assert_eq!(cells.iter().flat_map(CellResult::failures).count(), 4);
-    }
-
-    #[test]
-    fn transient_io_faults_retry_and_hard_ones_fail_the_cell() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let spec = tiny_udp_spec();
-        let clean = ExperimentRunner::sequential().try_run_one(spec.clone()).expect("clean run");
-
-        // One transient fault: the bounded retry recovers and the
-        // outcome matches the fault-free run exactly.
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let retried = ExperimentRunner::sequential().try_run_one(spec.clone());
-        assert_eq!(retried, Ok(clean));
-
-        // A persistent fault exhausts the retries and fails the cell.
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, u64::MAX);
-        let failed = ExperimentRunner::sequential().try_run_one(spec.clone());
-        assert!(matches!(failed, Err(hydra_netsim::RunError::Io(_))), "{failed:?}");
-        hydra_sim::failpoint::disarm_all();
     }
 
     #[test]

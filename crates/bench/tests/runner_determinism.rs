@@ -3,7 +3,7 @@
 //! twice, so flaky scheduling would be caught.
 
 use hydra_bench::{ExperimentRunner, Table};
-use hydra_netsim::{FlowSpec, FlowTraffic, Policy, ScenarioSpec, TopologyKind, Traffic};
+use hydra_netsim::{FlowSpec, FlowTraffic, Policy, RunBudget, RunError, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
 
@@ -181,29 +181,29 @@ fn tables_are_byte_identical_at_any_width() {
 
 #[test]
 fn chaos_failures_are_identical_at_every_thread_count() {
-    // Under an every-run panic schedule (times = MAX, so the failure
-    // set cannot depend on execution order), a stolen panicking job
-    // must be confined to its own cell and the whole failure pattern
-    // must match the sequential reference at every width.
-    let _guard = hydra_sim::failpoint::exclusive();
-    hydra_sim::failpoint::disarm_all();
-    let specs = fixed_sweep();
-    hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 50, u64::MAX);
+    // A sweep with a panicking first cell and a budget-starved last
+    // cell around healthy ones: each failure must stay confined to its
+    // own cell, and the whole pattern must match the sequential
+    // reference at every width.
+    let clean = ExperimentRunner::sequential().run_sweep(&fixed_sweep(), 1);
+    let mut specs = fixed_sweep();
+    let last = specs.len() - 1;
+    // `Mac::new` rejects a zero-byte aggregate inside `build()`; any
+    // spec that panics inside build/run will do.
+    specs[0].max_aggregate = 0;
+    specs[last].budget = Some(RunBudget::events(50));
     let reference = ExperimentRunner::sequential().run_sweep(&specs, 1);
-    let mut widths_checked = 0;
+    assert_eq!(reference[0].failed_label(), "FAILED(panic)");
+    assert_eq!(reference[last].runs, [Err(RunError::BudgetExhausted { events: 50 })]);
+    for (cell, expect) in reference[1..last].iter().zip(&clean[1..last]) {
+        assert_eq!(cell.runs, expect.runs, "a survivor differs from the clean sweep");
+    }
     for threads in [2, 4, 8] {
         let cells = ExperimentRunner::new(threads).run_sweep(&specs, 1);
         for (cell, expect) in cells.iter().zip(&reference) {
             assert_eq!(cell.runs, expect.runs, "chaos pattern diverged at {threads} threads");
         }
-        widths_checked += 1;
     }
-    hydra_sim::failpoint::disarm_all();
-    assert_eq!(widths_checked, 3);
-    assert!(
-        reference.iter().all(|c| c.runs.iter().all(Result::is_err)),
-        "every replication should have tripped the panic failpoint"
-    );
 }
 
 #[test]

@@ -38,8 +38,8 @@ pub use node::{Apps, Node};
 pub use scenario::{TcpRunResult, TcpScenario, UdpRunResult, UdpScenario};
 pub use scn::{parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta};
 pub use spec::{
-    Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome, RunPerf,
-    ScenarioSpec, ShardPlan, TopologyKind, Traffic,
+    panic_message, Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError,
+    RunOutcome, RunPerf, ScenarioSpec, ShardPlan, TopologyKind, Traffic,
 };
 pub use topology::Topology;
 pub use world::{MediumKind, World};

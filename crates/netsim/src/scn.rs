@@ -280,7 +280,15 @@ fn topo_to_text(t: TopologyKind) -> String {
     }
 }
 
+/// Node ids are `u16` on the wire, so no topology may name more nodes.
+const MAX_NODES: usize = u16::MAX as usize;
+
 fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
+    // `nodes` is `None` when the count overflowed.
+    let capped = |nodes: Option<usize>| match nodes {
+        Some(n) if n <= MAX_NODES => Ok(()),
+        _ => Err(format!("topology `{s}` has more than {MAX_NODES} nodes")),
+    };
     if s == "star" {
         return Ok(TopologyKind::Star);
     }
@@ -292,15 +300,17 @@ fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
         if hops == 0 {
             return Err("linear topology needs at least 1 hop".into());
         }
+        capped(hops.checked_add(1))?;
         return Ok(TopologyKind::Linear(hops));
     }
     if let Some(wh) = s.strip_prefix("grid:") {
         let (w, h) = wh.split_once('x').ok_or_else(|| format!("expected grid:WxH, got `{s}`"))?;
         let w: usize = w.parse().map_err(|_| format!("bad grid width in `{s}`"))?;
         let h: usize = h.parse().map_err(|_| format!("bad grid height in `{s}`"))?;
-        if w == 0 || h == 0 || w * h < 2 {
+        if w == 0 || h == 0 || (w, h) == (1, 1) {
             return Err(format!("grid {w}x{h} has fewer than 2 nodes"));
         }
+        capped(w.checked_mul(h))?;
         return Ok(TopologyKind::Grid { w, h });
     }
     if let Some(rest) = s.strip_prefix("mesh:") {
@@ -317,6 +327,7 @@ fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
         if area_m == 0 {
             return Err("mesh area must be at least 1 m".into());
         }
+        capped(Some(nodes))?;
         return Ok(TopologyKind::RandomMesh { nodes, area_m, seed });
     }
     Err(format!("unknown topology `{s}` (linear:H|star|grid:WxH|cross|mesh:NODES:AREA:SEED)"))
@@ -357,6 +368,16 @@ fn u32_from(s: &str, key: &str) -> Result<u32, String> {
     s.parse().map_err(|_| format!("bad {key} value `{s}`"))
 }
 
+/// A datagram payload length: every UDP source and the flooder stamp a
+/// 4-byte sequence number into it.
+fn payload_from(s: &str, key: &str) -> Result<usize, String> {
+    let payload = usize_from(s, key)?;
+    if payload < 4 {
+        return Err(format!("{key} {payload} is below the 4 B sequence header"));
+    }
+    Ok(payload)
+}
+
 fn bool_from(s: &str, key: &str) -> Result<bool, String> {
     match s {
         "on" => Ok(true),
@@ -385,13 +406,6 @@ impl FlowTraffic {
     /// Parses a flow-traffic token (`file:` is accepted as an alias of
     /// `tcp:`, matching the run-global `traffic=` spelling).
     pub fn from_token(s: &str) -> Result<FlowTraffic, String> {
-        let payload_of = |p: &str| -> Result<usize, String> {
-            let payload = usize_from(p, "flow payload")?;
-            if payload < 4 {
-                return Err(format!("flow payload {payload} is below the 4 B sequence header"));
-            }
-            Ok(payload)
-        };
         if let Some(bytes) = s.strip_prefix("tcp:").or_else(|| s.strip_prefix("file:")) {
             return Ok(FlowTraffic::FileTransfer { bytes: usize_from(bytes, "flow tcp bytes")? });
         }
@@ -402,7 +416,7 @@ impl FlowTraffic {
             if interval.is_zero() {
                 return Err("cbr interval must be positive".into());
             }
-            return Ok(FlowTraffic::Cbr { interval, payload: payload_of(payload)? });
+            return Ok(FlowTraffic::Cbr { interval, payload: payload_from(payload, "flow payload")? });
         }
         if let Some(rest) = s.strip_prefix("onoff:") {
             let parts: Vec<&str> = rest.split(':').collect();
@@ -418,7 +432,12 @@ impl FlowTraffic {
             if idle.is_zero() || interval.is_zero() {
                 return Err("onoff idle and interval must be positive".into());
             }
-            return Ok(FlowTraffic::OnOff { burst, idle, interval, payload: payload_of(payload)? });
+            return Ok(FlowTraffic::OnOff {
+                burst,
+                idle,
+                interval,
+                payload: payload_from(payload, "flow payload")?,
+            });
         }
         Err(format!(
             "unknown flow traffic `{s}` (tcp:BYTES|cbr:INTERVAL:PAYLOAD|onoff:BURST:IDLE:INTERVAL:PAYLOAD)"
@@ -669,8 +688,11 @@ impl ScenarioSpec {
                     let (i, p) = value
                         .split_once(':')
                         .ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{value}`"))?;
-                    spec.flooding =
-                        Some(Flooding { interval: dur_from_text(i)?, payload: usize_from(p, key)? });
+                    let interval = dur_from_text(i)?;
+                    if interval.is_zero() {
+                        return Err("flood interval must be positive".into());
+                    }
+                    spec.flooding = Some(Flooding { interval, payload: payload_from(p, "flood payload")? });
                 }
                 "budget" => spec.budget = Some(parse_budget(value)?),
                 "warmup" => spec.warmup = dur_from_text(value)?,
@@ -704,6 +726,9 @@ impl ScenarioSpec {
                 return Err(format!("duplicate flow port {}", fl.port));
             }
         }
+        // What `Mac::new` would panic on inside `build()` (the checked
+        // settings do not depend on the node).
+        spec.mac_config(0, &[]).validate()?;
         Ok(spec)
     }
 }
@@ -720,7 +745,7 @@ fn parse_traffic(s: &str) -> Result<Traffic, String> {
         if interval.is_zero() {
             return Err("cbr interval must be positive".into());
         }
-        return Ok(Traffic::Cbr { interval, payload: usize_from(payload, "cbr payload")? });
+        return Ok(Traffic::Cbr { interval, payload: payload_from(payload, "cbr payload")? });
     }
     Err(format!("unknown traffic `{s}` (file:BYTES|cbr:INTERVAL:PAYLOAD)"))
 }

@@ -390,9 +390,6 @@ pub enum RunError {
     },
     /// The run panicked; the payload message is preserved.
     Panicked(String),
-    /// An IO failure on the run path (transient by convention: the
-    /// experiment runner retries these with bounded backoff).
-    Io(String),
 }
 
 impl RunError {
@@ -402,7 +399,6 @@ impl RunError {
         match self {
             RunError::BudgetExhausted { .. } => "budget",
             RunError::Panicked(_) => "panic",
-            RunError::Io(_) => "io",
         }
     }
 }
@@ -414,7 +410,6 @@ impl std::fmt::Display for RunError {
                 write!(f, "run budget exhausted after {events} events")
             }
             RunError::Panicked(msg) => write!(f, "run panicked: {msg}"),
-            RunError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
@@ -690,7 +685,7 @@ impl ScenarioSpec {
         h.0
     }
 
-    fn mac_config(&self, node: usize, relays: &[usize]) -> MacConfig {
+    pub(crate) fn mac_config(&self, node: usize, relays: &[usize]) -> MacConfig {
         let mut cfg = MacConfig::hydra(self.rate);
         cfg.agg = self.policy.agg_for(relays.contains(&node));
         cfg.agg.sizing = self.sizing.unwrap_or(AggSizing::Fixed(self.max_aggregate));
@@ -801,22 +796,20 @@ impl ScenarioSpec {
     ///   `throughput_bps` is the worst *file-transfer* flow (the
     ///   foreground), so background intensity sweeps stay comparable.
     pub fn run(&self) -> RunOutcome {
-        // Infallible by construction for unbudgeted specs with no armed
-        // failpoint — the only `RunError` sources are the budget gate
-        // and injected faults. Budgeted specs should go through
-        // [`ScenarioSpec::try_run`]; here a tripped budget panics (and
-        // the experiment runner's `catch_unwind` still contains it).
+        // Infallible by construction for unbudgeted specs — the only
+        // `RunError` source below `try_run` is the budget gate. Budgeted
+        // specs should go through [`ScenarioSpec::try_run`]; here a
+        // tripped budget panics (and the experiment runner's
+        // `catch_unwind` still contains it).
         self.run_fallible().unwrap_or_else(|e| panic!("scenario run failed: {e}"))
     }
 
     /// Runs the scenario, containing every failure as a [`RunError`]:
     /// a tripped [`RunBudget`] comes back as
-    /// [`RunError::BudgetExhausted`], a panic anywhere in build/run is
-    /// caught and preserved as [`RunError::Panicked`], and injected IO
-    /// faults surface as [`RunError::Io`]. This is the entry point the
-    /// experiment runner uses for every job.
+    /// [`RunError::BudgetExhausted`] and a panic anywhere in build/run
+    /// is caught and preserved as [`RunError::Panicked`]. This is the
+    /// entry point the experiment runner uses for every job.
     pub fn try_run(&self) -> Result<RunOutcome, RunError> {
-        hydra_sim::failpoint::check_io("run.io").map_err(|e| RunError::Io(e.to_string()))?;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_fallible()))
             .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(payload))))
     }
@@ -1132,8 +1125,6 @@ impl ScenarioSpec {
     }
 }
 
-/// Renders a caught panic payload as a message (the common `String`
-/// and `&str` payloads verbatim; anything else gets a placeholder).
 /// A scenario's decomposition into collision domains — the shard-task
 /// handoff between [`ScenarioSpec::run_sharded`] and external
 /// schedulers (the bench runner executes one pool task per domain).
@@ -1262,7 +1253,9 @@ impl ShardPlan<'_> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload as a message (the common `String`
+/// and `&str` payloads verbatim; anything else gets a placeholder).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -1649,34 +1642,27 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn try_run_contains_injected_panics_and_io_faults() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
-        let spec = small_spec();
-
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Panic, 100, 1);
-        let err = spec.try_run().expect_err("armed panic failpoint");
-        assert_eq!(err, RunError::Panicked("failpoint run.mid_event fired".into()));
-        hydra_sim::failpoint::disarm_all();
-
-        hydra_sim::failpoint::arm("run.io", hydra_sim::failpoint::FailAction::Io, 0, 1);
-        let err = spec.try_run().expect_err("armed io failpoint");
-        assert!(matches!(err, RunError::Io(_)), "{err:?}");
-        // The site fired once; the next run is clean and matches an
-        // undisturbed one.
-        assert_eq!(spec.try_run().expect("failpoint exhausted"), spec.run());
-        hydra_sim::failpoint::disarm_all();
+    /// A spec that genuinely panics: `Mac::new` rejects a zero-byte
+    /// aggregate inside `build()`, under the same `catch_unwind` as the
+    /// run. Any spec that panics inside build/run will do.
+    fn panicking_spec() -> ScenarioSpec {
+        let mut spec = small_spec();
+        spec.max_aggregate = 0;
+        spec
     }
 
     #[test]
-    fn mid_event_stall_reports_budget_exhaustion() {
-        let _guard = hydra_sim::failpoint::exclusive();
-        hydra_sim::failpoint::disarm_all();
+    fn try_run_contains_panics() {
+        let err = panicking_spec().try_run().expect_err("a zero-byte aggregate cannot build");
+        assert_eq!(err.reason(), "panic");
+        let RunError::Panicked(msg) = err else { panic!("{err:?}") };
+        assert!(
+            msg.contains("invalid MacConfig") && msg.contains("max aggregate below one subframe"),
+            "{msg}"
+        );
+        // Nothing outlives a failed job: the next run on this thread is
+        // clean and matches an undisturbed one.
         let spec = small_spec();
-        hydra_sim::failpoint::arm("run.mid_event", hydra_sim::failpoint::FailAction::Stall, 250, 1);
-        let err = spec.try_run().expect_err("armed stall failpoint");
-        assert!(matches!(err, RunError::BudgetExhausted { .. }), "{err:?}");
-        hydra_sim::failpoint::disarm_all();
+        assert_eq!(spec.try_run().expect("healthy spec"), spec.run());
     }
 }

@@ -173,9 +173,9 @@ pub struct World {
     /// Fast-path flag: true iff any budget limit is armed (keeps the
     /// unbudgeted run loop at one extra predictable branch per event).
     budget_armed: bool,
-    /// Latched when a limit trips (or a `run.mid_event` stall failpoint
-    /// fires): every `run_until*` loop bails immediately, and
-    /// [`World::check_budget`] reports [`RunError::BudgetExhausted`].
+    /// Latched when a limit trips: every `run_until*` loop bails
+    /// immediately, and [`World::check_budget`] reports
+    /// [`RunError::BudgetExhausted`].
     pub budget_exhausted: bool,
 }
 
@@ -319,24 +319,11 @@ impl World {
         }
     }
 
-    /// Post-dispatch gate shared by every run loop: polls the
-    /// `run.mid_event` failpoint, then the armed budget. Returns true
-    /// when the loop must bail. One relaxed atomic load plus one bool
-    /// check when nothing is armed.
+    /// Post-dispatch gate shared by every run loop: checks the armed
+    /// budget. Returns true when the loop must bail. One bool check
+    /// when no budget is armed.
     #[inline]
     fn after_event(&mut self) -> bool {
-        if hydra_sim::failpoint::armed() {
-            match hydra_sim::failpoint::hit("run.mid_event") {
-                Some(hydra_sim::failpoint::FailAction::Panic) => {
-                    panic!("failpoint run.mid_event fired")
-                }
-                Some(hydra_sim::failpoint::FailAction::Stall) => {
-                    self.budget_exhausted = true;
-                    return true;
-                }
-                _ => {}
-            }
-        }
         if !self.budget_armed {
             return false;
         }

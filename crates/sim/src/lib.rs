@@ -11,8 +11,6 @@
 //! * [`stats`] — Welford accumulators and per-category time ledgers;
 //! * [`alloc_count`] — an opt-in counting global allocator, the
 //!   measurement side of the allocation-light hot-path work;
-//! * [`failpoint`] — named, deterministic fault-injection sites
-//!   (zero-cost when disarmed) for proving recovery paths;
 //! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:
 //!   indices handed out off a shared cursor, results back in index
 //!   order (sweep jobs and collision domains both run on it).
@@ -34,7 +32,6 @@
 
 pub mod alloc_count;
 pub mod event;
-pub mod failpoint;
 pub mod pool;
 pub mod rng;
 pub mod stats;
