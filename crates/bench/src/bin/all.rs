@@ -28,7 +28,11 @@ fn main() {
         match argv[i].as_str() {
             "--seeds" => {
                 i += 1;
-                opts.seeds = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| die("bad --seeds"));
+                opts.seeds = match argv.get(i).and_then(|v| v.parse().ok()) {
+                    Some(0) => die("seeds must be at least 1"),
+                    Some(n) => n,
+                    None => die("bad --seeds"),
+                };
             }
             "--threads" => {
                 i += 1;

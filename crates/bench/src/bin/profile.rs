@@ -143,7 +143,13 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--grid" => a.grid = val(&mut i),
-            "--seeds" => a.seeds = val(&mut i).parse().unwrap_or_else(|_| die("bad --seeds")),
+            "--seeds" => {
+                a.seeds = match val(&mut i).parse() {
+                    Ok(0) => die("seeds must be at least 1"),
+                    Ok(n) => n,
+                    Err(_) => die("bad --seeds"),
+                }
+            }
             "--out" => {
                 a.out = val(&mut i);
                 a.out_set = true;

@@ -249,7 +249,13 @@ fn parse() -> Args {
             "--policy" => a.policy = parse_policy(&val(&mut i)),
             "--rate" => a.rate = parse_rate(&val(&mut i)),
             "--bcast-rate" => a.bcast_rate = Some(parse_rate(&val(&mut i))),
-            "--seeds" => a.seeds = val(&mut i).parse().unwrap_or_else(|_| die("bad --seeds")),
+            "--seeds" => {
+                a.seeds = match val(&mut i).parse() {
+                    Ok(0) => die("seeds must be at least 1"),
+                    Ok(n) => n,
+                    Err(_) => die("bad --seeds"),
+                }
+            }
             "--threads" => a.threads = val(&mut i).parse().unwrap_or_else(|_| die("bad --threads")),
             "--file-kb" => a.file_kb = val(&mut i).parse().unwrap_or_else(|_| die("bad --file-kb")),
             "--interval-ms" => {

@@ -67,7 +67,13 @@ fn parse_args() -> Args {
             argv.get(*i).cloned().unwrap_or_else(|| die("missing value"))
         };
         match argv[i].as_str() {
-            "--seeds" => a.seeds = Some(val(&mut i).parse().unwrap_or_else(|_| die("bad --seeds"))),
+            "--seeds" => {
+                a.seeds = match val(&mut i).parse() {
+                    Ok(0) => die("seeds must be at least 1"),
+                    Ok(n) => Some(n),
+                    Err(_) => die("bad --seeds"),
+                }
+            }
             "--threads" => a.threads = val(&mut i).parse().unwrap_or_else(|_| die("bad --threads")),
             "--no-cache" => a.use_cache = false,
             "--cache-dir" => a.cache_dir = Some(val(&mut i)),

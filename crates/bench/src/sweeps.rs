@@ -27,6 +27,21 @@
 //! that the index will hold — no intermediate document tree; see
 //! docs/PERFORMANCE.md, "Result store: warm open".
 //!
+//! The reader expects what the writer wrote, and checks it cheaply
+//! before doing general work. Each decoder lists an object's keys in
+//! the order the writer emits them; the reader first tests the key
+//! after the last one it found, as one prefix compare of `"key":`
+//! against the remaining bytes, and only on a miss reads the key as a
+//! string and looks it up — so escaped keys, whitespace, another order,
+//! repeats and unknown keys all still decode as before. A plain run of
+//! digits is folded into a `u64` as it is read, and a short
+//! `[-]digits.digits` float is one exact division (Clinger's fast
+//! path); every other number goes through `str::parse`. Category names
+//! that are the MAC's own (`hydra_core::counters::cat::ALL`) come back
+//! as borrowed `&'static str`s, so neither decoding nor cloning a node
+//! report allocates a name. None of this changes the grammar or the
+//! bytes on disk.
+//!
 //! ## Crash safety
 //!
 //! Every line carries a CRC-32 trailer (`{json}#crc:xxxxxxxx`, the
@@ -62,6 +77,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
+use hydra_core::counters::cat;
 use hydra_netsim::{
     FlowOutcome, FlowSpec, FlowTraffic, NodeReport, RunOutcome, RunPerf, RunReport, ScenarioSpec,
 };
@@ -319,10 +335,13 @@ impl ConcurrentCache {
         let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
         file.write_all(batch.as_bytes())?;
         // Publish: clone the table (Arc values, so outcomes are shared,
-        // not copied), fold the batch in, swap the snapshot.
+        // not copied), fold the batch in, swap the snapshot. Each
+        // outcome goes in as a reopen would read it back: no telemetry
+        // (a hit cost no simulation), the event count kept as the hint.
         let mut next = (*self.index()).clone();
         for &(hash, rep, _, outcome) in records {
-            next.insert((hash, rep), Arc::new(outcome.clone()), events_of(outcome));
+            let stored = RunOutcome { perf: RunPerf::default(), ..outcome.clone() };
+            next.insert((hash, rep), Arc::new(stored), events_of(outcome));
         }
         *self.index.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         Ok(())
@@ -519,39 +538,38 @@ impl fmt::Display for Quoted<'_> {
 /// overflowing the stack.
 const MAX_DEPTH: u32 = 16;
 
-/// One pass over an object's members. The first occurrence of a listed
-/// key runs its reader (a value of the wrong type rejects the record);
-/// repeats and unlisted keys are skipped with their syntax checked.
-/// Every `required` key must then have been seen.
+/// One pass over an object's members, listed in the order
+/// [`encode_record`] writes them (that order is the reader's fast path;
+/// see [`Reader::object`]). The first occurrence of a listed key runs
+/// its reader (a value of the wrong type rejects the record); repeats
+/// and unlisted keys are skipped with their syntax checked. Every key
+/// not marked `optional` must then have been seen.
 macro_rules! members {
-    ($r:ident; required { $($req:literal => $read_req:expr,)* }) => {
-        members!($r; required { $($req => $read_req,)* } optional {})
-    };
-    ($r:ident; required { $($req:literal => $read_req:expr,)* } optional { $($opt:literal => $read_opt:expr,)* }) => {{
-        let required: u32 = (1 << [$($req),*].len()) - 1;
+    (@required) => { true };
+    (@required optional) => { false };
+    ($r:ident; { $($($optional:ident)? $key:literal => $read:expr,)* }) => {{
+        const KEYS: &[&str] = &[$(concat!("\"", $key, "\":")),*];
+        const REQUIRED: &[bool] = &[$(members!(@required $($optional)?)),*];
+        const { assert!(KEYS.len() <= 32, "`seen` is a u32 bitset") };
         let mut seen = 0u32;
-        $r.object(|$r, key| {
-            let mut bit = 1u32;
+        $r.object(KEYS, |$r, at| {
+            let at = match at {
+                Some(at) if seen & 1 << at == 0 => at,
+                _ => return $r.skip(),
+            };
+            seen |= 1 << at;
+            let mut i = 0;
             $(
-                if key == $req && seen & bit == 0 {
-                    seen |= bit;
-                    $read_req;
+                if at == i {
+                    $read;
                     return Some(());
                 }
-                bit <<= 1;
+                i += 1;
             )*
-            $(
-                if key == $opt && seen & bit == 0 {
-                    seen |= bit;
-                    $read_opt;
-                    return Some(());
-                }
-                bit <<= 1;
-            )*
-            let _ = bit; // (reads the last shift, for `unused_assignments`)
-            $r.skip()
+            let _ = i; // (reads the last increment, for `unused_assignments`)
+            unreachable!("`object` hands over positions in KEYS")
         })?;
-        if seen & required != required {
+        if REQUIRED.iter().enumerate().any(|(at, &required)| required && seen & 1 << at == 0) {
             return None;
         }
     }};
@@ -565,14 +583,14 @@ fn decode_record(json: &[u8]) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
     // not get past here as a `str`.
     let r = &mut Reader::new(std::str::from_utf8(json).ok()?);
     let (mut hash, mut rep, mut events, mut outcome) = (0, 0, None, None);
-    members!(r; required {
+    members!(r; {
         "schema" => if r.string()? != CACHE_SCHEMA { return None },
         "hash" => hash = u64::from_str_radix(r.string()?.strip_prefix("0x")?, 16).ok()?,
         "rep" => rep = r.u64()?,
-        "outcome" => outcome = Some(decode_outcome(r)?),
-    } optional {
+        // For people reading the file; the key already names the spec.
+        optional "scn" => r.skip()?,
         // A hint of the wrong type is no hint, not a bad record.
-        "events" => events = {
+        optional "events" => events = {
             let at = r.pos;
             let n = r.u64();
             if n.is_none() {
@@ -581,6 +599,7 @@ fn decode_record(json: &[u8]) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
             }
             n
         },
+        "outcome" => outcome = Some(decode_outcome(r)?),
     });
     r.at_end().then_some(((hash, rep), outcome?, events))
 }
@@ -595,7 +614,7 @@ fn decode_outcome(r: &mut Reader<'_>) -> Option<RunOutcome> {
         // cost no simulation), keeping cached == fresh under PartialEq.
         perf: RunPerf::default(),
     };
-    members!(r; required {
+    members!(r; {
         "completed" => o.completed = r.bool()?,
         "throughput_bps" => o.throughput_bps = r.f64()?,
         "per_flow" => r.array(|r| {
@@ -615,15 +634,14 @@ fn decode_outcome(r: &mut Reader<'_>) -> Option<RunOutcome> {
 fn decode_flow(r: &mut Reader<'_>) -> Option<FlowOutcome> {
     let (mut src, mut dst, mut port, mut traffic, mut bytes, mut bps, mut completed_at) =
         (0, 0, 0, None, 0, 0.0, None);
-    members!(r; required {
+    members!(r; {
         "src" => src = r.u64()? as usize,
         "dst" => dst = r.u64()? as usize,
         "port" => port = u16::try_from(r.u64()?).ok()?,
         "traffic" => traffic = Some(FlowTraffic::from_token(&r.string()?).ok()?),
         "bytes" => bytes = r.u64()?,
         "bps" => bps = r.f64()?,
-    } optional {
-        "completed_at_ns" => completed_at = Some(Instant::from_nanos(r.u64()?)),
+        optional "completed_at_ns" => completed_at = Some(Instant::from_nanos(r.u64()?)),
     });
     Some(FlowOutcome::new(FlowSpec { src, dst, port, traffic: traffic? }, bytes, bps, completed_at))
 }
@@ -651,7 +669,7 @@ fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
         collisions_seen: 0,
         forwarded: 0,
     };
-    members!(r; required {
+    members!(r; {
         "node" => n.node = r.u64()? as usize,
         "tx_data_frames" => n.tx_data_frames = r.u64()?,
         "tx_control" => n.tx_control = r.u64()?,
@@ -662,7 +680,11 @@ fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
         "time_overhead" => n.time_overhead = r.f64()?,
         "time_by_category" => r.array(|r| {
             let (name, secs) = r.pair(Reader::string, Reader::f64)?;
-            n.time_by_category.push((name.into_owned(), secs));
+            if n.time_by_category.is_empty() {
+                // Room for the MAC's whole ledger: one allocation a node.
+                n.time_by_category.reserve_exact(cat::ALL.len());
+            }
+            n.time_by_category.push((category(name), secs));
             Some(())
         })?,
         "retries" => n.retries = r.u64()?,
@@ -678,6 +700,32 @@ fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
         "forwarded" => n.forwarded = r.u64()?,
     });
     Some(n)
+}
+
+/// A category name as a report holds it: the MAC's own `&'static str`
+/// when it is one of [`cat::ALL`] (every name this simulator writes),
+/// an owned copy otherwise — so decoding a store, and cloning what it
+/// decoded, allocates no names.
+fn category(name: Cow<'_, str>) -> Cow<'static, str> {
+    match cat::ALL.into_iter().find(|&known| name == known) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(name.into_owned()),
+    }
+}
+
+/// The largest digit string Clinger's fast path takes: 15 significant
+/// digits, well inside the 2^53 an `f64` holds exactly.
+const SHORT_MAX: u64 = 999_999_999_999_999;
+
+/// `10^k` for every `k` whose power an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18,
+    1e19, 1e20, 1e21, 1e22,
+];
+
+/// The bytes a number token is scanned over.
+fn in_number(c: u8) -> bool {
+    matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
 }
 
 /// A number token: integers without sign, `.` or exponent stay exact.
@@ -704,6 +752,11 @@ impl<'a> Reader<'a> {
 
     fn byte(&self, at: usize) -> Option<u8> {
         self.s.as_bytes().get(at).copied()
+    }
+
+    /// The bytes not read yet.
+    fn rest(&self) -> &'a [u8] {
+        &self.s.as_bytes()[self.pos..]
     }
 
     /// The next non-whitespace byte, not consumed.
@@ -746,12 +799,36 @@ impl<'a> Reader<'a> {
         self.items(b'[', b']', item)
     }
 
-    /// Hands each member's key to `member`, which must read its value.
-    fn object(&mut self, mut member: impl FnMut(&mut Self, &str) -> Option<()>) -> Option<()> {
+    /// Hands each member's position in `keys` (`None` for an unlisted
+    /// key) to `member`, which must read its value. `keys` holds each
+    /// key as its `"key":` text, in the order the writer emits them: the
+    /// key after the last one found is tested first, as one prefix
+    /// compare on the remaining bytes. Anything else — escapes,
+    /// whitespace, another order, repeats, unknown keys — reads the key
+    /// as a string and looks it up.
+    fn object(
+        &mut self,
+        keys: &[&str],
+        mut member: impl FnMut(&mut Self, Option<usize>) -> Option<()>,
+    ) -> Option<()> {
+        let mut next = 0;
         self.items(b'{', b'}', |r| {
-            let key = r.string()?;
-            r.eat(b':')?;
-            member(r, &key)
+            r.peek()?;
+            let at = match keys.get(next) {
+                Some(key) if r.rest().starts_with(key.as_bytes()) => {
+                    r.pos += key.len();
+                    Some(next)
+                }
+                _ => {
+                    let key = r.string()?;
+                    r.eat(b':')?;
+                    keys.iter().position(|k| k[1..k.len() - 2] == *key)
+                }
+            };
+            if let Some(at) = at {
+                next = at + 1;
+            }
+            member(r, at)
         })
     }
 
@@ -812,9 +889,54 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Folds the digits at the cursor into `m` (`m * 10 + digit` each)
+    /// for as long as `m` stays at most `max`, and returns it. The cursor
+    /// stops at the first byte that is not a digit, or at the digit that
+    /// would carry `m` past `max`.
+    fn digits(&mut self, mut m: u64, max: u64) -> u64 {
+        while let Some(c @ b'0'..=b'9') = self.byte(self.pos) {
+            let digit = u64::from(c - b'0');
+            if m > (max - digit) / 10 {
+                break;
+            }
+            m = m * 10 + digit;
+            self.pos += 1;
+        }
+        m
+    }
+
     fn number(&mut self) -> Option<Num> {
-        let (start, mut exact) = (self.pos, self.byte(self.pos)? != b'-');
-        while let Some(c @ (b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) = self.byte(self.pos) {
+        let start = self.pos;
+        // The two shapes the writer emits are read in one pass. A plain
+        // run of digits (every counter) is folded into a u64 as it is
+        // read. `[-]digits.digits` with at most 15 significant digits and
+        // no exponent (most floats) is Clinger's fast path: the digits as
+        // one integer m ≤ SHORT_MAX over 10^k, k ≤ 22 — both exact in an
+        // f64 — is one correctly rounded division, the bits `str::parse`
+        // returns. Any other token, or an overflow, goes to `str::parse`.
+        let negative = self.byte(start) == Some(b'-');
+        self.pos += usize::from(negative);
+        let int_start = self.pos;
+        let n = self.digits(0, u64::MAX);
+        if self.pos > int_start {
+            match self.byte(self.pos) {
+                Some(b'.') if n <= SHORT_MAX => {
+                    self.pos += 1;
+                    let frac_start = self.pos;
+                    let m = self.digits(n, SHORT_MAX);
+                    let k = self.pos - frac_start;
+                    if (1..POW10.len()).contains(&k) && !self.byte(self.pos).is_some_and(in_number) {
+                        let v = m as f64 / POW10[k];
+                        return Some(Num::Float(if negative { -v } else { v }));
+                    }
+                }
+                next if !negative && !next.is_some_and(in_number) => return Some(Num::Int(n)),
+                _ => {}
+            }
+        }
+        self.pos = start;
+        let mut exact = self.byte(start)? != b'-';
+        while let Some(c) = self.byte(self.pos).filter(|&c| in_number(c)) {
             exact &= !matches!(c, b'.' | b'e' | b'E');
             self.pos += 1;
         }
@@ -860,13 +982,13 @@ impl<'a> Reader<'a> {
     }
 
     fn lit(&mut self, text: &str) -> Option<()> {
-        self.s.as_bytes()[self.pos..].starts_with(text.as_bytes()).then(|| self.pos += text.len())
+        self.rest().starts_with(text.as_bytes()).then(|| self.pos += text.len())
     }
 
     /// Any one value, syntax-checked and dropped.
     fn skip(&mut self) -> Option<()> {
         match self.peek()? {
-            b'{' => self.object(|r, _| r.skip()),
+            b'{' => self.object(&[], |r, _| r.skip()),
             b'[' => self.array(Self::skip),
             b'"' => self.string().map(drop),
             b't' => self.lit("true"),
@@ -1095,6 +1217,67 @@ mod tests {
             let parsed = Reader::new(&Float(v).to_string()).f64().unwrap();
             assert!(parsed.to_bits() == v.to_bits() || (parsed.is_nan() && v.is_nan()));
         }
+    }
+
+    #[test]
+    fn numbers_on_either_side_of_the_fast_paths_read_as_str_parse_reads_them() {
+        let float = |text: &str| Reader::new(text).f64().map(f64::to_bits);
+        let counter = |text: &str| Reader::new(text).u64();
+        for text in [
+            // Taken by the fast path: short decimals, leading zeros, -0.
+            "0.012",
+            "-0.0",
+            "1140.0",
+            "007.50",
+            "00000000000000000001.5",
+            "999999999999999.0",
+            "0.0000000000000000000001",
+            // Left to `str::parse`: 16 significant digits, a 10^23
+            // divisor, an exponent, a missing side of the point, signs.
+            "9999999999999999.0",
+            "1234567890.123456",
+            "0.00000000000000000000001",
+            "1.5e3",
+            "1.5E-3",
+            ".5",
+            "5.",
+            "-5",
+            "+1.0",
+            "--1.0",
+            "1.2.3",
+            "1-2",
+        ] {
+            assert_eq!(float(text), text.parse::<f64>().ok().map(f64::to_bits), "`{text}`");
+        }
+        for text in
+            ["0", "007", "18446744073709551615", "18446744073709551616", "+5", "5+3", "-0", "1.0", "1e0"]
+        {
+            assert_eq!(counter(text), text.parse::<u64>().ok(), "`{text}`");
+        }
+    }
+
+    #[test]
+    fn an_appended_outcome_is_served_as_a_reopen_would_serve_it() {
+        let dir = tmp_dir("append-perf");
+        let spec = tiny_spec();
+        let outcome = spec.run();
+        assert!(outcome.perf.events_processed > 0 && outcome.perf.wall_ms > 0.0);
+        let cache = ConcurrentCache::open(&dir).unwrap();
+        put(&cache, &spec, 1, &outcome).unwrap();
+        let index = cache.index();
+        let hit = index.get(spec.stable_hash(), 1).expect("indexed on append");
+        // (`RunPerf` has no `PartialEq`: it is never compared in earnest.)
+        let zero = format!("{:?}", RunPerf::default());
+        assert_eq!(format!("{:?}", hit.perf), zero, "a hit reports no telemetry");
+        assert_eq!(**hit, outcome);
+        assert_eq!(index.events_hint(spec.stable_hash()), Some(outcome.perf.events_processed));
+        let reopened = ConcurrentCache::open(&dir).unwrap().index();
+        assert_eq!(
+            format!("{:?}", reopened.get(spec.stable_hash(), 1).unwrap().perf),
+            zero,
+            "nor after a reopen"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

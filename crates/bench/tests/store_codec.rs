@@ -9,9 +9,11 @@
 //! The format is frozen until `CACHE_SCHEMA` is bumped, so the file is
 //! never regenerated.
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 use hydra_bench::{CacheStats, ConcurrentCache, CACHE_SCHEMA};
+use hydra_core::counters::cat;
 use hydra_netsim::{
     FlowOutcome, FlowSpec, FlowTraffic, NodeReport, Policy, RunOutcome, RunPerf, RunReport, ScenarioSpec,
     TopologyKind, Traffic,
@@ -87,6 +89,14 @@ fn arbitrary_name(rng: &mut TestRng) -> String {
     (0..rng.below(12)).map(|_| POOL[rng.below(POOL.len() as u64) as usize]).collect()
 }
 
+/// One of the MAC's own category names, or an arbitrary one.
+fn arbitrary_category(rng: &mut TestRng) -> Cow<'static, str> {
+    match rng.below(2) {
+        0 => Cow::Borrowed(cat::ALL[rng.below(cat::ALL.len() as u64) as usize]),
+        _ => Cow::Owned(arbitrary_name(rng)),
+    }
+}
+
 fn arbitrary_traffic(rng: &mut TestRng) -> FlowTraffic {
     let dur = |rng: &mut TestRng| Duration::from_nanos(1 + rng.below(u64::MAX - 1));
     let payload = |rng: &mut TestRng| 4 + rng.below(5000) as usize;
@@ -125,7 +135,9 @@ fn arbitrary_outcome(rng: &mut TestRng) -> RunOutcome {
             subframes_sent: (rng.next_u64(), rng.below(10)),
             size_overhead: arbitrary_f64(rng),
             time_overhead: arbitrary_f64(rng),
-            time_by_category: (0..rng.below(5)).map(|_| (arbitrary_name(rng), arbitrary_f64(rng))).collect(),
+            time_by_category: (0..rng.below(5))
+                .map(|_| (arbitrary_category(rng), arbitrary_f64(rng)))
+                .collect(),
             retries: rng.next_u64(),
             retry_drops: rng.below(3),
             queue_overflow: rng.next_u64(),
@@ -302,8 +314,9 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     );
     assert_eq!(sender.size_overhead.to_bits(), 0.033101045296167246f64.to_bits());
     assert_eq!(sender.time_by_category.len(), 7);
-    assert_eq!(sender.time_by_category[0], ("difs".to_string(), 0.012));
-    assert_eq!(sender.time_by_category[6], ("phy".to_string(), 0.01610772));
+    assert_eq!(sender.time_by_category[0], (Cow::Borrowed(cat::DIFS), 0.012));
+    assert_eq!(sender.time_by_category[6], (Cow::Borrowed(cat::PHY), 0.01610772));
+    assert!(sender.time_by_category.iter().all(|(name, _)| matches!(name, Cow::Borrowed(_))));
     assert_eq!((sink.node, sink.tx_control, sink.unicast_ok), (1, 120, 60));
     assert!(sink.time_by_category.is_empty());
 
@@ -336,8 +349,10 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     assert_eq!(n.subframes_sent, (3, u64::MAX));
     assert_eq!(
         n.time_by_category,
-        [("a\"b\\c\nd\te\rf\u{1}g é".to_string(), 1e300), (String::new(), 5e-324)]
+        [(Cow::Borrowed("a\"b\\c\nd\te\rf\u{1}g é"), 1e300), (Cow::Borrowed(""), 5e-324)]
     );
+    // Names outside `cat::ALL` come back owned, as they were written.
+    assert!(n.time_by_category.iter().all(|(name, _)| matches!(name, Cow::Owned(_))));
     assert!(edge.report.nodes[1].time_by_category.is_empty());
 
     // Line 4: a transfer that missed its deadline beside one that made it.
@@ -413,9 +428,17 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         ("\"tx_data_frames\":60", "\"tx_data_frames\":60.0"),
         ("\"subframes_sent\":[60,0]", "\"subframes_sent\":[60.0,0]"),
         ("\"port\":9000", "\"port\":65536"),
+        ("\"at_ns\":1200000000", "\"at_ns\":18446744073709551616"),
     ] {
         assert_eq!(load_edited(from, to), None, "`{to}` must not load");
     }
+    // The widest counter still loads; a digit run too long for a u64
+    // that goes on as a float is that float.
+    let widest =
+        load_edited("\"at_ns\":1200000000", "\"at_ns\":18446744073709551615").expect("u64::MAX loads");
+    assert_eq!(widest.report.at, Instant::from_nanos(u64::MAX));
+    let long = load_edited("\"bps\":418000.0", "\"bps\":99999999999999999999.5").expect("a float loads");
+    assert_eq!(long.per_flow[0].bps.to_bits(), 99999999999999999999.5f64.to_bits());
     // f64 fields: an integer is a float…
     assert_eq!(
         load_edited("\"throughput_bps\":418000.0", "\"throughput_bps\":418000"),
@@ -449,6 +472,113 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
     assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v3"), None);
     // A hint of the wrong type is dropped; the record still loads.
     assert_eq!(load_edited("\"events\":1142", "\"events\":\"many\""), Some(original));
+}
+
+// ---------------------------------------------------------------------
+// The reader's fast paths are exact
+// ---------------------------------------------------------------------
+
+/// `n` random decimal digits.
+fn digits(rng: &mut TestRng, n: u64) -> String {
+    (0..n).map(|_| char::from(b'0' + rng.below(10) as u8)).collect()
+}
+
+/// `[-]digits.digits`: 1–8 integer digits, 1–24 fraction digits, so
+/// both sides of the 15-significant-digit and 10^22 limits come up.
+fn short_decimal_text(rng: &mut TestRng) -> String {
+    let sign = if rng.below(2) == 0 { "-" } else { "" };
+    let (int, frac) = (1 + rng.below(8), 1 + rng.below(24));
+    format!("{sign}{}.{}", digits(rng, int), digits(rng, frac))
+}
+
+/// Fixture line 1 with a `["x",TEXT]` ledger entry per text appended to
+/// the sender's, loaded; the floats the reader made of the texts.
+fn read_floats(texts: &[String]) -> Vec<f64> {
+    let last = "[\"phy\",0.01610772]";
+    let extra: String = texts.iter().map(|text| format!(",[\"x\",{text}]")).collect();
+    let json = fixture_json(1).replacen(last, &format!("{last}{extra}"), 1);
+    let cache = open_bytes(&tmp_dir("floats"), &sealed(json.as_bytes()));
+    let index = cache.index();
+    let sender = &index.get(UDP_HASH, 1).expect("the record loads").report.nodes[0];
+    sender.time_by_category[7..].iter().map(|&(_, v)| v).collect()
+}
+
+proptest! {
+    /// Every float the reader returns has the bits `str::parse::<f64>`
+    /// gives the same text: the shortest `{:?}` text of arbitrary finite
+    /// floats and of nanosecond-valued seconds (what the writer emits),
+    /// and random short decimals of both signs.
+    #[test]
+    fn floats_read_as_str_parse_reads_them(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let mut texts = Vec::new();
+        while texts.len() < 96 {
+            let v = arbitrary_f64(&mut rng);
+            if v.is_finite() {
+                texts.push(format!("{v:?}"));
+                let secs = rng.below(10_000_000_000) as f64 / 1e9;
+                texts.push(format!("{:?}", if rng.below(2) == 0 { secs } else { -secs }));
+                texts.push(short_decimal_text(&mut rng));
+            }
+        }
+        let read = read_floats(&texts);
+        prop_assert_eq!(read.len(), texts.len());
+        for (text, got) in texts.iter().zip(&read) {
+            let want = text.parse::<f64>().expect("valid float text");
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "`{}`", text);
+        }
+    }
+
+    /// Every counter the reader returns is `str::parse::<u64>` of the same
+    /// digit run (up to 21 digits, leading zeros included, and runs
+    /// within 8 of `u64::MAX` where folding must stop), and a run
+    /// `str::parse` rejects as out of range rejects the record.
+    #[test]
+    fn digit_runs_read_as_str_parse_reads_them(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let runs: Vec<String> = (0..16)
+            .map(|_| {
+                if rng.below(4) == 0 {
+                    return (u128::from(u64::MAX) - 8 + u128::from(rng.below(17))).to_string();
+                }
+                let len = 1 + rng.below(21);
+                let zeros = if rng.below(4) == 0 { rng.below(len) } else { 0 };
+                "0".repeat(zeros as usize) + &digits(&mut rng, len - zeros)
+            })
+            .collect();
+        let json = fixture_json(1);
+        let mut bytes = Vec::new();
+        for (rep, run) in (1..).zip(&runs) {
+            let line = json
+                .replacen("\"rep\":1", &format!("\"rep\":{rep}"), 1)
+                .replacen("\"at_ns\":1200000000", &format!("\"at_ns\":{run}"), 1);
+            bytes.extend(sealed(line.as_bytes()));
+        }
+        let cache = open_bytes(&tmp_dir("digit-runs"), &bytes);
+        let index = cache.index();
+        for (rep, run) in (1..).zip(&runs) {
+            let read = index.get(UDP_HASH, rep).map(|o| o.report.at.as_nanos());
+            prop_assert_eq!(read, run.parse::<u64>().ok(), "`{}`", run);
+        }
+    }
+}
+
+#[test]
+fn escaped_keys_decode_like_plain_ones() {
+    // The expected-key test compares raw bytes, so a key spelled with
+    // `\u` escapes misses it and must be found by the general path.
+    let json = fixture_json(1);
+    let escaped = json
+        .replace("\"node\":", "\"\\u006eode\":")
+        .replace("\"bps\":", "\"\\u0062ps\":")
+        .replacen("\"outcome\":", "\"\\u006futcome\":", 1);
+    assert_eq!(escaped.matches("\\u00").count(), 4, "two nodes, one flow, one outcome");
+    let plain = open_bytes(&tmp_dir("keys-plain"), &sealed(json.as_bytes()));
+    let cache = open_bytes(&tmp_dir("keys-escaped"), &sealed(escaped.as_bytes()));
+    assert_eq!(cache.stats(), CacheStats::default());
+    let (want, got) = (plain.index(), cache.index());
+    let (want, got) = (want.get(UDP_HASH, 1).unwrap(), got.get(UDP_HASH, 1).expect("escaped keys load"));
+    assert_eq!(persisted(got), persisted(want));
 }
 
 // ---------------------------------------------------------------------

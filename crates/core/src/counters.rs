@@ -18,6 +18,10 @@ pub mod cat {
     pub const SIFS: &str = "sifs";
     /// Backoff slots actually elapsed.
     pub const BACKOFF: &str = "backoff";
+
+    /// Every category above. A report rebuilt from stored text maps a
+    /// name found here back to the `&'static str`, so it owns no copy.
+    pub const ALL: [&str; 7] = [PAYLOAD, MAC_HEADER, PHY, CONTROL, DIFS, SIFS, BACKOFF];
 }
 
 /// Everything a MAC counts. Plain data; netsim aggregates into reports.

@@ -1,6 +1,8 @@
 //! Extracting per-run reports from node counters (feeds Tables 3–8) and
 //! labeling per-flow results ([`FlowOutcome`]).
 
+use std::borrow::Cow;
+
 use hydra_sim::{Duration, Instant};
 
 use crate::spec::FlowSpec;
@@ -81,10 +83,11 @@ pub struct NodeReport {
     pub size_overhead: f64,
     /// Time overhead fraction (Table 4 accounting).
     pub time_overhead: f64,
-    /// Time by category, seconds. (Owned strings so reports can be
-    /// rebuilt from the persistent result cache, not only collected
-    /// from a live world.)
-    pub time_by_category: Vec<(String, f64)>,
+    /// Time by category, seconds. A name is the MAC's `&'static str`
+    /// (`hydra_core::counters::cat`) when collected from a live world
+    /// or decoded from the result cache; only a name outside
+    /// `cat::ALL`, read back from a cache record, is owned.
+    pub time_by_category: Vec<(Cow<'static, str>, f64)>,
     /// Burst retransmissions.
     pub retries: u64,
     /// Bursts dropped at the retry limit.
@@ -137,7 +140,11 @@ impl RunReport {
                     subframes_sent: (c.tx_unicast_subframes, c.tx_broadcast_subframes),
                     size_overhead: c.size_overhead(),
                     time_overhead: c.time_overhead(),
-                    time_by_category: c.time.iter().map(|(k, d)| (k.to_string(), d.as_secs_f64())).collect(),
+                    time_by_category: c
+                        .time
+                        .iter()
+                        .map(|(k, d)| (Cow::Borrowed(k), d.as_secs_f64()))
+                        .collect(),
                     retries: c.retries,
                     retry_drops: c.retry_drops,
                     queue_overflow: n.mac.queues().overflow_drops,
