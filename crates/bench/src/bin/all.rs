@@ -13,6 +13,7 @@
 use std::io::Write;
 
 use hydra_bench::ConcurrentCache;
+use hydra_netsim::check_seeds;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -28,9 +29,9 @@ fn main() {
         match argv[i].as_str() {
             "--seeds" => {
                 i += 1;
-                opts.seeds = match argv.get(i).and_then(|v| v.parse().ok()) {
-                    Some(0) => die("seeds must be at least 1"),
-                    Some(n) => n,
+                opts.seeds = match argv.get(i).and_then(|v| v.parse().ok()).map(check_seeds) {
+                    Some(Ok(n)) => n,
+                    Some(Err(e)) => die(&e),
                     None => die("bad --seeds"),
                 };
             }

@@ -24,7 +24,7 @@ use std::io::Write as _;
 use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
 use hydra_bench::{CellResult, ExperimentRunner, RunnerTelemetry};
 use hydra_netsim::RunPerf;
-use hydra_netsim::{parse_scn, RunBudget, ScenarioSpec, TopologyKind};
+use hydra_netsim::{check_seeds, parse_scn, RunBudget, ScenarioSpec, TopologyKind};
 
 #[global_allocator]
 static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
@@ -144,9 +144,9 @@ fn parse_args() -> Args {
         match argv[i].as_str() {
             "--grid" => a.grid = val(&mut i),
             "--seeds" => {
-                a.seeds = match val(&mut i).parse() {
-                    Ok(0) => die("seeds must be at least 1"),
-                    Ok(n) => n,
+                a.seeds = match val(&mut i).parse().map(check_seeds) {
+                    Ok(Ok(n)) => n,
+                    Ok(Err(e)) => die(&e),
                     Err(_) => die("bad --seeds"),
                 }
             }

@@ -36,7 +36,8 @@
 use hydra_bench::{failure_lines, ExperimentRunner, Table};
 use hydra_core::AckPolicy;
 use hydra_netsim::{
-    Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, MediumKind, Policy, ScenarioSpec, TopologyKind, Traffic,
+    check_seeds, Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, MediumKind, Policy, ScenarioSpec,
+    TopologyKind, Traffic,
 };
 use hydra_phy::{LinkErrorModel, PhyProfile, Rate};
 use hydra_sim::Duration;
@@ -250,9 +251,9 @@ fn parse() -> Args {
             "--rate" => a.rate = parse_rate(&val(&mut i)),
             "--bcast-rate" => a.bcast_rate = Some(parse_rate(&val(&mut i))),
             "--seeds" => {
-                a.seeds = match val(&mut i).parse() {
-                    Ok(0) => die("seeds must be at least 1"),
-                    Ok(n) => n,
+                a.seeds = match val(&mut i).parse().map(check_seeds) {
+                    Ok(Ok(n)) => n,
+                    Ok(Err(e)) => die(&e),
                     Err(_) => die("bad --seeds"),
                 }
             }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use hydra_bench::experiments::{shipped_sweep_meta, shipped_sweeps};
 use hydra_bench::{failure_lines, ConcurrentCache, ExperimentRunner, Table};
-use hydra_netsim::{parse_scn_file, render_scn};
+use hydra_netsim::{check_seeds, parse_scn_file, render_scn};
 
 struct Args {
     files: Vec<String>,
@@ -68,9 +68,9 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--seeds" => {
-                a.seeds = match val(&mut i).parse() {
-                    Ok(0) => die("seeds must be at least 1"),
-                    Ok(n) => Some(n),
+                a.seeds = match val(&mut i).parse().map(check_seeds) {
+                    Ok(Ok(n)) => Some(n),
+                    Ok(Err(e)) => die(&e),
                     Err(_) => die("bad --seeds"),
                 }
             }

@@ -42,6 +42,14 @@
 //! report allocates a name. None of this changes the grammar or the
 //! bytes on disk.
 //!
+//! The open streams the file: it reads `runs.jsonl` through one
+//! bounded window (1 MiB, grown only to fit the longest line) and
+//! decodes each sealed line in place, so a warm rerun never holds the
+//! store's bytes beside the index they decode into. The index holds
+//! each outcome once; its per-node reports are a shared slice
+//! ([`hydra_netsim::NodeReports`]), so a hit handed to a sweep shares
+//! them instead of copying them.
+//!
 //! ## Crash safety
 //!
 //! Every line carries a CRC-32 trailer (`{json}#crc:xxxxxxxx`, the
@@ -54,6 +62,12 @@
 //! line, so damage that is not even UTF-8 costs one record, not the
 //! store. A corrupt cache never aborts a run and never serves a damaged
 //! outcome.
+//!
+//! Compaction takes two streaming passes. The first, the open itself,
+//! copies each damaged line out as it meets it (damage is rare, so this
+//! stays small). Only when it found any does a second pass re-read the
+//! same bytes, write every sealed line to `runs.jsonl.tmp` and rename
+//! that over the live file.
 //!
 //! ## Concurrency
 //!
@@ -72,14 +86,15 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::io::{BufRead as _, Write as _};
+use std::fs::File;
+use std::io::{BufRead as _, Read, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use hydra_core::counters::cat;
 use hydra_netsim::{
-    FlowOutcome, FlowSpec, FlowTraffic, NodeReport, RunOutcome, RunPerf, RunReport, ScenarioSpec,
+    FlowOutcome, FlowSpec, FlowTraffic, NodeReport, NodeReports, RunOutcome, RunPerf, RunReport, ScenarioSpec,
 };
 use hydra_sim::Instant;
 use hydra_wire::crc::crc32;
@@ -212,8 +227,9 @@ impl ConcurrentCache {
 
     /// Opens (creating if needed) the cache file `runs.jsonl` under
     /// `dir`, decoding every readable record with the current schema
-    /// straight into the published index — one pass over the file's
-    /// bytes.
+    /// straight into the published index. The file is streamed through
+    /// one bounded read window (1 MiB, grown only to fit the
+    /// longest line), so an open never holds the whole store in memory.
     ///
     /// Lines that fail their CRC trailer (torn appends, bit flips,
     /// non-UTF-8 damage, pre-CRC caches) are moved byte for byte to
@@ -225,43 +241,56 @@ impl ConcurrentCache {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join("runs.jsonl");
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let mut file = match File::open(&path) {
+            Ok(file) => Some(file),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let mut index = CacheIndex::default();
         let mut skipped = 0;
-        let (mut kept, mut quarantined) = (Vec::new(), Vec::new());
-        let mut rest = bytes.as_slice();
-        while !rest.is_empty() {
-            // `skip_until` is the standard library's vectorised byte
-            // search; it advances `rest` past the newline it finds.
-            let line = rest;
-            let line = line[..rest.skip_until(b'\n')?].trim_ascii();
-            if line.is_empty() {
-                continue;
-            }
-            match unseal(line) {
-                Some(json) => {
-                    kept.push(line);
-                    match decode_record(json) {
+        // Damaged lines are rare, so they are copied out as they are met.
+        let mut quarantined = Vec::new();
+        let mut nodes = Vec::new();
+        let read = match &mut file {
+            Some(file) => for_each_line(file, |line| {
+                match unseal(line) {
+                    Some(json) => match decode_record(json, &mut nodes) {
                         Some((key, outcome, events)) => index.insert(key, Arc::new(outcome), events),
                         None => skipped += 1,
-                    }
+                    },
+                    None => quarantined.push(line.to_vec()),
                 }
-                None => quarantined.push(line),
-            }
-        }
-        if !quarantined.is_empty() {
+                Ok(())
+            })?,
+            None => 0,
+        };
+        if let Some(mut file) = file.filter(|_| !quarantined.is_empty()) {
             let mut corrupt =
                 std::fs::OpenOptions::new().create(true).append(true).open(dir.join("runs.corrupt.jsonl"))?;
-            corrupt.write_all(&join_lines(&quarantined))?;
-            // Compact via tmp + rename so a crash mid-compaction
-            // leaves either the old file or the new one, never a
-            // half-written mixture.
+            corrupt.write_all(&quarantined.join(&b'\n'))?;
+            corrupt.write_all(b"\n")?;
+            // Compact via tmp + rename so a crash mid-compaction leaves
+            // either the old file or the new one, never a half-written
+            // mixture. The second pass reads exactly the bytes the first
+            // one judged and keeps every sealed line.
             let tmp = dir.join("runs.jsonl.tmp");
-            std::fs::write(&tmp, join_lines(&kept))?;
+            let mut out = std::io::BufWriter::new(File::create(&tmp)?);
+            file.seek(SeekFrom::Start(0))?;
+            let mut kept = 0u64;
+            for_each_line(&mut file.take(read), |line| {
+                if unseal(line).is_none() {
+                    return Ok(());
+                }
+                kept += 1;
+                out.write_all(line)?;
+                out.write_all(b"\n")
+            })?;
+            if kept == 0 {
+                // An all-damaged store compacts to one newline, as it
+                // always has.
+                out.write_all(b"\n")?;
+            }
+            out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
             std::fs::rename(&tmp, &path)?;
         }
         Ok(ConcurrentCache {
@@ -354,11 +383,56 @@ fn events_of(outcome: &RunOutcome) -> Option<u64> {
     Some(outcome.perf.events_processed).filter(|&n| n > 0)
 }
 
-/// `lines`, each terminated by `\n`.
-fn join_lines(lines: &[&[u8]]) -> Vec<u8> {
-    let mut out = lines.join(&b'\n');
-    out.push(b'\n');
-    out
+/// The read window [`ConcurrentCache::open`] streams the store through:
+/// large enough that the system-call count is negligible, small beside
+/// a store of any size. A longer line grows the window to fit it.
+const READ_WINDOW: usize = 1 << 20;
+
+/// Calls `line` on every line of `file` with surrounding ASCII
+/// whitespace trimmed (so `\r\n` endings read like `\n`), skipping
+/// blank lines; a final line needs no newline. Returns the number of
+/// bytes read.
+fn for_each_line(
+    file: &mut impl Read,
+    mut line: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<u64> {
+    let mut on_line = |bytes: &[u8]| match bytes.trim_ascii() {
+        [] => Ok(()),
+        trimmed => line(trimmed),
+    };
+    let mut window = vec![0; READ_WINDOW];
+    // `window[start..end]` is unread by `line`; `window[start..scanned]`
+    // is already known to hold no newline.
+    let (mut start, mut scanned, mut end, mut total) = (0, 0, 0, 0u64);
+    loop {
+        let mut rest = &window[scanned..end];
+        // `skip_until` is the standard library's vectorised byte search;
+        // it stops just past the newline, or at the end of `rest`.
+        let step = rest.skip_until(b'\n')?;
+        if step > 0 && window[scanned + step - 1] == b'\n' {
+            on_line(&window[start..scanned + step - 1])?;
+            (start, scanned) = (scanned + step, scanned + step);
+            continue;
+        }
+        // No newline left: keep the partial line, moved to the front,
+        // and refill behind it — growing the window only when the line
+        // already fills it.
+        window.copy_within(start..end, 0);
+        (scanned, end, start) = (end - start, end - start, 0);
+        if end == window.len() {
+            window.resize(2 * window.len(), 0);
+        }
+        let n = match file.read(&mut window[end..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            on_line(&window[..end])?;
+            return Ok(total);
+        }
+        (end, total) = (end + n, total + n as u64);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -577,8 +651,11 @@ macro_rules! members {
 
 /// Decodes one record; `None` for anything unreadable or tagged with a
 /// foreign schema. The third element is the optional `events`
-/// scheduling hint — kept apart from the outcome on purpose.
-fn decode_record(json: &[u8]) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
+/// scheduling hint — kept apart from the outcome on purpose. `nodes` is
+/// scratch space, reused across records so that each report's nodes
+/// are gathered without regrowing a vector and moved into their shared
+/// slice with one allocation of exactly their size.
+fn decode_record(json: &[u8], nodes: &mut Vec<NodeReport>) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
     // Checked once per line: the file is read as bytes, and damage must
     // not get past here as a `str`.
     let r = &mut Reader::new(std::str::from_utf8(json).ok()?);
@@ -599,21 +676,22 @@ fn decode_record(json: &[u8]) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
             }
             n
         },
-        "outcome" => outcome = Some(decode_outcome(r)?),
+        "outcome" => outcome = Some(decode_outcome(r, nodes)?),
     });
     r.at_end().then_some(((hash, rep), outcome?, events))
 }
 
-fn decode_outcome(r: &mut Reader<'_>) -> Option<RunOutcome> {
+fn decode_outcome(r: &mut Reader<'_>, nodes: &mut Vec<NodeReport>) -> Option<RunOutcome> {
     let mut o = RunOutcome {
         completed: false,
         throughput_bps: 0.0,
         per_flow: Vec::new(),
-        report: RunReport { nodes: Vec::new(), at: Instant::ZERO, collisions: 0 },
+        report: RunReport { nodes: NodeReports::default(), at: Instant::ZERO, collisions: 0 },
         // Telemetry is never persisted: a cache hit reports zeros (it
         // cost no simulation), keeping cached == fresh under PartialEq.
         perf: RunPerf::default(),
     };
+    nodes.clear();
     members!(r; {
         "completed" => o.completed = r.bool()?,
         "throughput_bps" => o.throughput_bps = r.f64()?,
@@ -624,10 +702,11 @@ fn decode_outcome(r: &mut Reader<'_>) -> Option<RunOutcome> {
         "at_ns" => o.report.at = Instant::from_nanos(r.u64()?),
         "collisions" => o.report.collisions = r.u64()?,
         "nodes" => r.array(|r| {
-            o.report.nodes.push(decode_node(r)?);
+            nodes.push(decode_node(r)?);
             Some(())
         })?,
     });
+    o.report.nodes = nodes.drain(..).collect();
     Some(o)
 }
 
@@ -1047,7 +1126,8 @@ mod tests {
         let spec = tiny_spec();
         let outcome = spec.run();
         let line = encoded(&spec, 1, &outcome, None);
-        let ((hash, rep), back, events) = decode_record(line.as_bytes()).expect("decode own record");
+        let ((hash, rep), back, events) =
+            decode_record(line.as_bytes(), &mut Vec::new()).expect("decode own record");
         assert_eq!(hash, spec.stable_hash());
         assert_eq!(rep, 1);
         assert_eq!(events, None);
@@ -1073,7 +1153,7 @@ mod tests {
         assert_eq!(outcome.per_flow.len(), 2);
         assert!(outcome.per_flow[0].completed_at.is_some(), "transfer should finish");
         let line = encoded(&spec, 1, &outcome, Some(4321));
-        let (_, back, events) = decode_record(line.as_bytes()).expect("decode mixed record");
+        let (_, back, events) = decode_record(line.as_bytes(), &mut Vec::new()).expect("decode mixed record");
         assert_eq!(events, Some(4321), "the scheduling hint rides along");
         assert_eq!(back, outcome, "labeled per-flow outcomes must survive the cache");
         assert_eq!(back.per_flow[0].kind, FlowKind::FileTransfer);
@@ -1208,7 +1288,7 @@ mod tests {
         assert_eq!(Reader::new(" 42").u64(), Some(42));
         assert_eq!(Reader::new("\"a\\\"b\\u0041\"").string().as_deref(), Some("a\"bA"));
         assert_eq!(Reader::new("\"\\ud800\"").string(), None, "a lone surrogate is no char");
-        assert!(decode_record(b"{\"x\":\"\xff\"}").is_none(), "records are checked UTF-8");
+        assert!(decode_record(b"{\"x\":\"\xff\"}", &mut Vec::new()).is_none(), "records are checked UTF-8");
     }
 
     #[test]

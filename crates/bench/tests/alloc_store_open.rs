@@ -1,5 +1,6 @@
 //! Allocation guard for the warm open: what decoding one stored node
-//! report costs, and that category names stay borrowed end to end.
+//! report costs, that no file-sized buffer is allocated, and that
+//! category names stay borrowed end to end.
 //!
 //! A warm rerun is a store open (`ConcurrentCache::open`) plus lookups,
 //! and the open decodes every record on disk — so its allocations scale
@@ -7,7 +8,7 @@
 //! its airtime ledger, allocated once; its category names are the MAC's
 //! own `&'static str`s, mapped back on decode through `cat::ALL`. A MAC
 //! category missing from `cat::ALL` would silently come back as an
-//! owned `String` per node; the second half of the test catches that
+//! owned `String` per node; the third part of the test catches that
 //! on a real Table 4 cell.
 //!
 //! This file holds exactly one test: the counters are process-wide, so
@@ -136,7 +137,26 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     // ledger vector, sized once. Bound: 1.5x the new count.
     assert!(per_node < 1.53, "warm-open allocations regressed: {per_node:.2} per decoded node");
 
-    // Half 2: a live Table 4 cell's ledger names are the MAC's own, and
+    // Half 2: bytes, over a store of four such records. The open streams
+    // the file through one bounded window instead of reading it whole,
+    // so what it allocates is that window plus what it decodes.
+    let dir = TmpDir::new("bytes");
+    let records: Vec<_> = (1..=4).map(|rep| (spec.stable_hash(), rep, spec, &outcome)).collect();
+    ConcurrentCache::open(&dir.0).unwrap().append_batch(&records).unwrap();
+    let file = std::fs::metadata(dir.0.join("runs.jsonl")).unwrap().len();
+    let before = alloc_stats();
+    let cache = ConcurrentCache::open(&dir.0).unwrap();
+    let bytes = alloc_stats().since(before).allocated_bytes;
+    assert_eq!(cache.len(), 4);
+    eprintln!("warm open: {bytes} bytes allocated for a {file}-byte store of four 1000-node records");
+    // Exact and repeatable. The whole-file reader this replaced, which
+    // read the 2 457 152-byte file into one buffer and regrew a node
+    // vector per record, measured 5 054 021 bytes; the streaming open
+    // 3 253 125 (a 1 MiB window, one exactly-sized node slice per
+    // record). Bound: 1.25x the new figure, which the old reader fails.
+    assert!(bytes < 4_066_000, "warm-open bytes regressed: {bytes} allocated (file: {file} bytes)");
+
+    // Half 3: a live Table 4 cell's ledger names are the MAC's own, and
     // stay so through the store.
     let table4 = cells(include_str!("../../../examples/sweeps/table4_time_overhead.scn"));
     let live = table4[0].run();

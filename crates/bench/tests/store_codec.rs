@@ -634,3 +634,122 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
     };
     assert_eq!((with_extra(15), with_extra(16)), (1, 0));
 }
+
+// ---------------------------------------------------------------------
+// The streaming open
+// ---------------------------------------------------------------------
+
+/// A 1000-node `ext_scale`-shaped outcome written as wide as a record
+/// gets: every counter near `u64::MAX`, every float 17 significant
+/// digits, all of `cat::ALL` in each ledger plus as many names of a
+/// newer MAC (owned on decode). Its line is longer than the 1 MiB
+/// window the open streams through, so the window must grow to fit it.
+fn widest_scale_outcome() -> RunOutcome {
+    let wide = |x: u64| u64::MAX - x * 7_919;
+    let ratio = |x: u64| 1.0 / (3.0 + x as f64);
+    let nodes = (0..1000u64)
+        .map(|x| NodeReport {
+            node: x as usize,
+            tx_data_frames: wide(x),
+            tx_control: wide(x + 1),
+            avg_frame_size: 11_400.0 * ratio(x),
+            avg_subframes: 1.0 + ratio(x),
+            subframes_sent: (wide(x + 2), wide(x + 3)),
+            size_overhead: ratio(x + 4),
+            time_overhead: ratio(x + 5),
+            time_by_category: (0u64..)
+                .zip(cat::ALL)
+                .flat_map(|(j, name)| {
+                    [(Cow::Borrowed(name), ratio(x + j)), (Cow::Owned(format!("{name}_next")), ratio(x * j))]
+                })
+                .collect(),
+            retries: wide(x + 6),
+            retry_drops: wide(x + 7),
+            queue_overflow: wide(x + 8),
+            acks_classified: wide(x + 9),
+            bcast_filtered: wide(x + 10),
+            bcast_ok: wide(x + 11),
+            bcast_crc_fail: wide(x + 12),
+            unicast_ok: wide(x + 13),
+            unicast_crc_drops: wide(x + 14),
+            collisions_seen: wide(x + 15),
+            forwarded: wide(x + 16),
+        })
+        .collect();
+    RunOutcome {
+        completed: true,
+        throughput_bps: 12_288.0 / 3.0,
+        per_flow: Vec::new(),
+        report: RunReport { nodes, at: Instant::from_nanos(3_000_000_000), collisions: 4_271 },
+        perf: RunPerf::default(),
+    }
+}
+
+#[test]
+fn the_streaming_open_reads_what_the_whole_file_read_did() {
+    const WIDE_HASH: u64 = 0x0b16_0000_0000_0001;
+    let wide = widest_scale_outcome();
+    let wide_line = {
+        let dir = tmp_dir("stream-wide");
+        let spec = udp_spec();
+        ConcurrentCache::open(&dir.0).unwrap().append_batch(&[(WIDE_HASH, 1, &spec, &wide)]).unwrap();
+        let mut line = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
+        assert_eq!(line.pop(), Some(b'\n'));
+        line
+    };
+    assert!(wide_line.len() > 1 << 20, "the record is {} bytes, inside the window", wide_line.len());
+    let line = |n: usize| FIXTURE.split(|&b| b == b'\n').nth(n - 1).unwrap();
+    // A CRC-valid record whose JSON is not UTF-8 reaches the decoder.
+    let mut non_utf8 = fixture_json(1).replacen("\"rep\":1", "\"rep\":5", 1).into_bytes();
+    non_utf8[30] |= 0x80;
+    let non_utf8 = sealed(&non_utf8);
+    let mut damaged = line(2).to_vec();
+    damaged[40] ^= 0x01;
+    let torn = &line(3)[..line(3).len() / 2];
+    let bytes = [
+        &wide_line[..],
+        b"\r\n\r\n   \n",
+        line(1),
+        b"\r\n",
+        &non_utf8,
+        &damaged,
+        b"\n\n",
+        line(4),
+        b"\r\n",
+        torn,
+    ]
+    .concat();
+
+    let dir = tmp_dir("stream");
+    let cache = open_bytes(&dir, &bytes);
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 1, quarantined: 2 });
+    // The same index as the intact lines alone give.
+    let clean = open_bytes(
+        &tmp_dir("stream-clean"),
+        &[&wide_line[..], b"\n", line(1), b"\n", line(4), b"\n"].concat(),
+    );
+    let (index, want) = (cache.index(), clean.index());
+    assert_eq!(index.len(), 3);
+    assert_eq!(**index.get(WIDE_HASH, 1).expect("the wide record loads"), wide);
+    for (hash, rep) in [(WIDE_HASH, 1), (UDP_HASH, 1), (0xdead_beef_0000_0001, 1)] {
+        assert_eq!(index.get(hash, rep), want.get(hash, rep), "{hash:#x}/{rep}");
+    }
+
+    // Compaction: the intact lines, trimmed, one `\n` each; the damaged
+    // ones, out of band. Length and CRC-32 of both files as the
+    // whole-file reader wrote them for these bytes.
+    let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
+    let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
+    let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
+    assert_eq!(live, [&kept[..], b"\n"].concat());
+    assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
+    let pin = |bytes: &[u8]| (bytes.len(), hydra_wire::crc::crc32(bytes));
+    assert_eq!((pin(&live), pin(&corrupt)), ((1_198_063, 0xda04_387d), (2_229, 0xef56_38de)));
+    let healed = ConcurrentCache::open(&dir.0).unwrap();
+    assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
+
+    // A store whose every line is damaged compacts to a lone newline.
+    let dir = tmp_dir("stream-all-damaged");
+    assert_eq!(open_bytes(&dir, &[&damaged[..], b"\r\n", torn].concat()).stats().quarantined, 2);
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), b"\n");
+}

@@ -140,3 +140,31 @@ fn editing_one_spec_invalidates_only_its_cells() {
     assert_eq!(stats.misses, specs.len() as u64, "one new replication per spec");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn warm_hits_share_their_node_reports_with_the_index() {
+    let dir = tmp_dir("share");
+    let specs = sweep();
+    let seeds = 2;
+    render(
+        &ExperimentRunner::new(2).with_cache(Arc::new(ConcurrentCache::open(&dir).unwrap())),
+        &specs,
+        seeds,
+    );
+
+    // Every hit is a clone of the index's outcome, and a clone shares
+    // the per-node reports instead of copying them.
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    let index = cache.index();
+    let cells = ExperimentRunner::new(2).with_cache(cache.clone()).run_sweep(&specs, seeds);
+    assert_eq!(cache.stats().misses, 0);
+    for (spec, cell) in specs.iter().zip(&cells) {
+        for (rep, run) in (1..).zip(&cell.runs) {
+            let hit = run.as_ref().expect("a hit cannot fail");
+            let stored = index.get(spec.stable_hash(), rep).expect("indexed");
+            assert!(!hit.report.nodes.is_empty());
+            assert_eq!(hit.report.nodes.as_ptr(), stored.report.nodes.as_ptr(), "rep {rep} copied its nodes");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

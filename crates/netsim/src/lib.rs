@@ -33,10 +33,12 @@ pub mod spec;
 pub mod topology;
 pub mod world;
 
-pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, RunReport};
+pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, NodeReports, RunReport};
 pub use node::{Apps, Node};
 pub use scenario::{TcpRunResult, TcpScenario, UdpRunResult, UdpScenario};
-pub use scn::{parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta};
+pub use scn::{
+    check_seeds, parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta, MAX_SEEDS,
+};
 pub use spec::{
     panic_message, Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError,
     RunOutcome, RunPerf, ScenarioSpec, ShardPlan, TopologyKind, Traffic,

@@ -2,6 +2,9 @@
 //! labeling per-flow results ([`FlowOutcome`]).
 
 use std::borrow::Cow;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use hydra_sim::{Duration, Instant};
 
@@ -112,11 +115,57 @@ pub struct NodeReport {
     pub forwarded: u64,
 }
 
+/// A run's per-node reports: an immutable slice shared by every clone.
+///
+/// A finished report is never edited, so a clone of a [`RunReport`] —
+/// a result-store hit, the store's own published copy, a kept pass —
+/// shares the node reports instead of copying them. It reads like the
+/// `Vec<NodeReport>` it replaces: it derefs to the slice, iterates by
+/// reference, compares by content and prints exactly as the `Vec` did,
+/// so `{:?}` digests and `==` are unchanged.
+#[derive(Clone, Default, PartialEq)]
+pub struct NodeReports(Arc<[NodeReport]>);
+
+impl Deref for NodeReports {
+    type Target = [NodeReport];
+
+    fn deref(&self) -> &[NodeReport] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a NodeReports {
+    type Item = &'a NodeReport;
+    type IntoIter = std::slice::Iter<'a, NodeReport>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<NodeReport>> for NodeReports {
+    fn from(nodes: Vec<NodeReport>) -> NodeReports {
+        NodeReports(nodes.into())
+    }
+}
+
+impl FromIterator<NodeReport> for NodeReports {
+    fn from_iter<I: IntoIterator<Item = NodeReport>>(nodes: I) -> NodeReports {
+        NodeReports(nodes.into_iter().collect())
+    }
+}
+
+impl fmt::Debug for NodeReports {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
 /// A whole-run report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Per-node snapshots.
-    pub nodes: Vec<NodeReport>,
+    /// Per-node snapshots, shared between clones.
+    pub nodes: NodeReports,
     /// Virtual time at collection.
     pub at: Instant,
     /// Total collided receptions.
@@ -187,4 +236,85 @@ pub fn mbps(bps: f64) -> f64 {
 /// Convenience: a duration as milliseconds.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    fn arbitrary_f64(rng: &mut TestRng) -> f64 {
+        match rng.below(4) {
+            0 => [f64::NAN, f64::INFINITY, -0.0, 0.0][rng.below(4) as usize],
+            1 => rng.unit_f64(),
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    fn arbitrary_node(rng: &mut TestRng) -> NodeReport {
+        let mut counter = || match rng.below(3) {
+            0 => 0,
+            1 => rng.below(100),
+            _ => rng.next_u64(),
+        };
+        let counters: [u64; 16] = std::array::from_fn(|_| counter());
+        let ledger = (0..rng.below(4))
+            .map(|i| {
+                let name = match rng.below(2) {
+                    0 => Cow::Borrowed(["difs", "sifs", "a\"b\n"][i as usize % 3]),
+                    _ => Cow::Owned(format!("cat{}", rng.below(3))),
+                };
+                (name, arbitrary_f64(rng))
+            })
+            .collect();
+        NodeReport {
+            node: counters[0] as usize,
+            tx_data_frames: counters[1],
+            tx_control: counters[2],
+            avg_frame_size: arbitrary_f64(rng),
+            avg_subframes: arbitrary_f64(rng),
+            subframes_sent: (counters[3], counters[4]),
+            size_overhead: arbitrary_f64(rng),
+            time_overhead: arbitrary_f64(rng),
+            time_by_category: ledger,
+            retries: counters[5],
+            retry_drops: counters[6],
+            queue_overflow: counters[7],
+            acks_classified: counters[8],
+            bcast_filtered: counters[9],
+            bcast_ok: counters[10],
+            bcast_crc_fail: counters[11],
+            unicast_ok: counters[12],
+            unicast_crc_drops: counters[13],
+            collisions_seen: counters[14],
+            forwarded: counters[15],
+        }
+    }
+
+    proptest! {
+        /// `NodeReports` prints and compares exactly as the `Vec` it was
+        /// built from — the `{:?}` digests and `==` checks that predate
+        /// it cannot tell the difference — and its clones share.
+        #[test]
+        fn node_reports_read_like_the_vec_they_replace(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let a: Vec<NodeReport> = (0..rng.below(4)).map(|_| arbitrary_node(&mut rng)).collect();
+            // Equal to `a`, a one-field edit of it, or unrelated.
+            let mut b = a.clone();
+            match (rng.below(3), b.last_mut()) {
+                (0, _) => {}
+                (1, Some(last)) => last.forwarded ^= 1 << rng.below(64),
+                _ => b = (0..rng.below(4)).map(|_| arbitrary_node(&mut rng)).collect(),
+            }
+            let (shared_a, shared_b) = (NodeReports::from(a.clone()), b.iter().cloned().collect::<NodeReports>());
+            prop_assert_eq!(format!("{shared_a:?}"), format!("{a:?}"));
+            prop_assert_eq!(format!("{shared_b:#?}"), format!("{b:#?}"));
+            prop_assert_eq!(shared_a == shared_b, a == b);
+            // NaN makes a report unequal to itself, in both shapes.
+            prop_assert_eq!(shared_a == shared_a.clone(), a == a);
+            prop_assert_eq!(shared_a.clone().as_ptr(), shared_a.as_ptr());
+            prop_assert_eq!((&shared_a).into_iter().count(), a.len());
+        }
+    }
 }

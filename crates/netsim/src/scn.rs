@@ -82,8 +82,8 @@ pub fn parse_scn(text: &str) -> Result<Vec<ScenarioSpec>, ScnError> {
 /// run or their hashes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepMeta {
-    /// Default replications per scenario (overridden by an explicit
-    /// `--seeds`).
+    /// Default replications per scenario, 1 ..= [`MAX_SEEDS`]
+    /// (overridden by an explicit `--seeds`).
     pub seeds: Option<u64>,
     /// Table caption for the sweep.
     pub caption: Option<String>,
@@ -111,6 +111,21 @@ impl SweepMeta {
             out.push_str(&format!("#! note={note}\n"));
         }
         out
+    }
+}
+
+/// The most replications a sweep may ask for. Every replication is a
+/// job slot reserved up front, so a larger count is a usage error, not
+/// an allocation the process cannot survive.
+pub const MAX_SEEDS: u64 = 100_000;
+
+/// Checks a replication count from a `#! seeds=` directive or a
+/// `--seeds` flag: `Err` holds the words every caller reports.
+pub fn check_seeds(seeds: u64) -> Result<u64, String> {
+    match seeds {
+        0 => Err("seeds must be at least 1".into()),
+        n if n > MAX_SEEDS => Err(format!("seeds must be at most {MAX_SEEDS}")),
+        n => Ok(n),
     }
 }
 
@@ -149,10 +164,7 @@ pub fn parse_scn_file(text: &str) -> Result<SweepFile, ScnError> {
                     }
                     let seeds: u64 =
                         value.trim().parse().map_err(|_| err(format!("bad seeds value `{value}`")))?;
-                    if seeds == 0 {
-                        return Err(err("seeds must be at least 1".into()));
-                    }
-                    file.meta.seeds = Some(seeds);
+                    file.meta.seeds = Some(check_seeds(seeds).map_err(err)?);
                 }
                 "caption" => {
                     if file.meta.caption.is_some() {
@@ -1225,6 +1237,8 @@ mod directive_tests {
     fn bad_directives_report_line_numbers() {
         for (text, why) in [
             ("#! seeds=0\n", "zero seeds"),
+            ("#! seeds=100001\n", "seeds past MAX_SEEDS"),
+            ("#! seeds=18446744073709551615\n", "seeds at u64::MAX"),
             ("#! seeds=abc\n", "non-numeric seeds"),
             ("#! seeds=1\n#! seeds=2\n", "duplicate seeds"),
             ("#! caption=a\n#! caption=b\n", "duplicate caption"),
@@ -1236,6 +1250,10 @@ mod directive_tests {
         }
         // The duplicate errors point at the second occurrence.
         assert_eq!(parse_scn_file("#! seeds=1\n#! seeds=2\n").unwrap_err().line, 2);
+        // The bound is inclusive, and the error says what it is.
+        assert_eq!(parse_scn_file(&format!("#! seeds={MAX_SEEDS}\n")).unwrap().meta.seeds, Some(MAX_SEEDS));
+        let err = parse_scn_file("\n#! seeds=100001\n").unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (2, "seeds must be at most 100000"));
     }
 
     #[test]

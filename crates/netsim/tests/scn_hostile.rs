@@ -112,6 +112,14 @@ const KEYS: &[(&str, &[&str])] = &[
     ("tcp_time_wait", &["0s", "1s"]),
 ];
 
+/// Every `#!` directive with values it accepts and values just past
+/// what it accepts (`seeds` is bounded by `MAX_SEEDS` = 100 000).
+const DIRECTIVES: &[(&str, &[&str])] = &[
+    ("seeds", &["1", "3", "100000", "100001", "0", "4294967296", "18446744073709551615"]),
+    ("caption", &["Figure X", ""]),
+    ("note", &["paper: BA > UA", ""]),
+];
+
 /// Values no key wants.
 const JUNK: &[&str] = &["", "=", ":", "::", "x", "0x10", "+1", "1e3", "∞", "\u{0}", "a=b", "#", "#!"];
 
@@ -166,7 +174,13 @@ proptest! {
     fn key_value_soups_parse_or_fail_with_a_line_number(
         with_base in any::<bool>(),
         picks in proptest::collection::vec((0usize..KEYS.len(), any::<u16>(), 0u8..8), 0..7),
+        directives in proptest::collection::vec((0usize..DIRECTIVES.len(), any::<u16>()), 0..3),
     ) {
+        let mut head = String::from("# soup\n");
+        for (key, value) in directives {
+            let (key, values) = DIRECTIVES[key];
+            head.push_str(&format!("#! {key}={}\n", values[usize::from(value) % values.len()]));
+        }
         let mut line = String::from(if with_base { BASE } else { "" });
         for (key, value, junk) in picks {
             let (key, values) = KEYS[key];
@@ -174,7 +188,7 @@ proptest! {
             let pool = if junk == 0 { JUNK } else { values };
             line.push_str(&format!(" {key}={}", pool[usize::from(value) % pool.len()]));
         }
-        check(&format!("# soup\n{line}\n"))?;
+        check(&format!("{head}{line}\n"))?;
     }
 }
 
