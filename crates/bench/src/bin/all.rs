@@ -7,10 +7,12 @@
 //! By default runs consult (and extend) the persistent result cache at
 //! `results/cache/runs.jsonl`: a warm rerun simulates nothing and
 //! rebuilds byte-identical tables from disk; editing a spec in
-//! `experiments.rs` re-runs only that spec's cells. `--no-cache` forces
-//! every cell to simulate. Cache hit/miss counts go to stderr so stdout
-//! (and the results file) stay comparable between cold and warm runs.
+//! `experiments.rs` re-runs only that spec's cells. With `--no-cache`
+//! nothing is read from or written to disk; each distinct run simulates
+//! once, in memory. Cache hit/miss counts go to stderr so stdout (and
+//! the results file) stay comparable between cold and warm runs.
 use std::io::Write;
+use std::sync::Arc;
 
 use hydra_bench::ConcurrentCache;
 use hydra_netsim::check_seeds;
@@ -46,14 +48,14 @@ fn main() {
         i += 1;
     }
     if use_cache {
-        // A damaged or unopenable cache degrades to cache-less — it
-        // must never keep the grid from running.
+        // A damaged or unopenable cache degrades to the memory-only
+        // store — it must never keep the grid from running.
         match ConcurrentCache::open_default() {
             Ok(cache) => {
                 eprintln!("result cache: {} runs on disk", cache.len());
-                opts.cache = Some(std::sync::Arc::new(cache));
+                opts.cache = Arc::new(cache);
             }
-            Err(e) => eprintln!("warning: result cache unavailable ({e}); simulating everything"),
+            Err(e) => eprintln!("warning: result cache unavailable ({e}); keeping runs in memory"),
         }
     }
     let text = hydra_bench::experiments::run_all(&opts);
@@ -62,9 +64,7 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("create results/experiments.txt: {e}")));
     f.write_all(text.as_bytes()).unwrap_or_else(|e| die(&format!("write results/experiments.txt: {e}")));
     eprintln!("wrote results/experiments.txt");
-    if let Some(cache) = &opts.cache {
-        eprintln!("result cache: {}", cache.stats());
-    }
+    eprintln!("result cache: {}", opts.cache.stats());
     let failures = opts.failure_lines();
     for line in &failures {
         eprintln!("{line}");

@@ -7,10 +7,11 @@
 //!     [--baseline-wall-s S] [--note TEXT]
 //! ```
 //!
-//! The workload is always sequential and cache-less, so the event counts
-//! it reports are **deterministic** — CI runs the smoke grid twice and
-//! diffs them (wall times are machine noise and live in separate
-//! fields). `--grid full` runs every shipped sweep at one seed, the
+//! The workload is always sequential, and each grid runs on a fresh
+//! runner whose memory-only store starts empty, so every run a grid
+//! reports is simulated and the event counts are **deterministic** — CI
+//! runs the smoke grid twice and diffs them (wall times are machine
+//! noise and live in separate fields). `--grid full` runs every shipped sweep at one seed, the
 //! reference workload for before/after comparisons; `--baseline-wall-s`
 //! folds in a previously measured wall time for the same workload so
 //! the emitted JSON carries both sides of a speedup claim.
@@ -19,6 +20,7 @@
 //! installed by default: `allocations_per_1k_events` is the number the
 //! allocation-regression test bounds.
 
+use std::collections::HashSet;
 use std::io::Write as _;
 
 use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
@@ -32,8 +34,9 @@ static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
 const HELP: &str = "\
 usage: profile [options]
 
-Runs a deterministic, sequential, cache-less grid with allocation
-counting enabled and writes a JSON profile report.
+Runs a deterministic, sequential grid (each sweep on a fresh runner, so
+every run simulates) with allocation counting enabled and writes a JSON
+profile report.
 
 options:
   --grid full|smoke    workload: every shipped sweep x 1 seed (default),
@@ -75,7 +78,8 @@ options:
                        width, print `chaos=ok`, exit
   --chaos-seed N       seed for the chaos victim selection (default 7)
   --threads LIST       runner mode instead of profiling: run the whole
-                       grid (flattened into one work list, cache-less) at
+                       grid (flattened into one work list on a fresh
+                       runner, so each distinct run simulates once) at
                        each comma-separated thread count. Asserts event
                        totals are identical at every width, prints
                        per-width makespan / busy / efficiency, and writes
@@ -384,12 +388,13 @@ struct WidthPoint {
 }
 
 /// The `--threads` mode: the whole grid flattened into one work list,
-/// run cache-less at every requested width. Event totals are asserted
-/// identical across widths (the determinism claim measured, not
-/// assumed) and the per-width telemetry goes into a
-/// `hydra-agg.bench-runner.v2` report. Wall-clock makespans say nothing
-/// about a schedule once threads outnumber cores, so such widths carry
-/// `unmeasured` in place of their timings.
+/// run on a fresh runner at every requested width, so each distinct
+/// `(stable_hash, replication)` simulates once and its repeats are
+/// hits. Event totals are asserted identical across widths (the
+/// determinism claim measured, not assumed) and the per-width telemetry
+/// goes into a `hydra-agg.bench-runner.v2` report. Wall-clock
+/// makespans say nothing about a schedule once threads outnumber
+/// cores, so such widths carry `unmeasured` in place of their timings.
 fn run_threads(args: &Args, widths: &[usize]) -> ! {
     let grids = match args.grid.as_str() {
         "full" => shipped_sweeps().into_iter().map(|(n, s)| (n.to_string(), s)).collect(),
@@ -400,6 +405,8 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
     // one small sweep at a time.
     let specs: Vec<ScenarioSpec> = grids.into_iter().flat_map(|(_, s)| s).collect();
     let njobs = specs.len() as u64 * args.seeds;
+    let distinct: HashSet<u64> = specs.iter().map(ScenarioSpec::stable_hash).collect();
+    let nruns = distinct.len() as u64 * args.seeds;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let points: Vec<WidthPoint> = widths
@@ -414,7 +421,7 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
                 }
             }
             let t = runner.telemetry();
-            assert_eq!(t.jobs, njobs, "x{threads}: job count mismatch");
+            assert_eq!(t.jobs, nruns, "x{threads}: simulated other than each distinct run once");
             eprintln!(
                 "x{threads}: {} jobs (+{} shard tasks), makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}{}",
                 t.jobs,
@@ -441,11 +448,12 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
     j.push_str(&format!("  \"grid\": {},\n", quote(&args.grid)));
     j.push_str(&format!("  \"seeds\": {},\n", args.seeds));
     j.push_str(&format!("  \"jobs\": {},\n", njobs));
+    j.push_str(&format!("  \"simulated\": {},\n", nruns));
     j.push_str(&format!("  \"machine_cores\": {cores},\n"));
     if let Some(note) = &args.note {
         j.push_str(&format!("  \"note\": {},\n", quote(note)));
     }
-    j.push_str("  \"measurement_note\": \"each point is one cache-less pass over the flattened grid; makespan and busy are wall-clock, so a width above machine_cores is marked unmeasured\",\n");
+    j.push_str("  \"measurement_note\": \"each point is one pass over the flattened grid on a fresh runner, each distinct run simulated once; makespan and busy are wall-clock, so a width above machine_cores is marked unmeasured\",\n");
     j.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let t = &p.telemetry;
@@ -496,9 +504,10 @@ fn main() {
         other => die(&format!("unknown grid `{other}` (full|smoke)")),
     };
 
-    // Sequential + cache-less: the event counts below must reproduce
-    // run-to-run and machine-to-machine.
-    let runner = ExperimentRunner::sequential();
+    // Sequential, one fresh runner (and so one empty store) per grid:
+    // the event counts below must reproduce run-to-run and
+    // machine-to-machine, and each grid's count covers every run in it
+    // even when an earlier grid already ran the same cell.
     let mut sweeps: Vec<SweepPerf> = Vec::new();
     let mut total = RunPerf::default();
     // `--queue check` accumulator: both walls over the same runs, on the
@@ -516,7 +525,7 @@ fn main() {
             })
         };
         let runs: Vec<_> = match args.queue {
-            QueueMode::Wheel => runner
+            QueueMode::Wheel => ExperimentRunner::sequential()
                 .run_sweep(&specs, args.seeds)
                 .into_iter()
                 .flat_map(|c| c.runs)

@@ -13,8 +13,10 @@
 //!
 //! Like `--bin all`, runs consult and extend the persistent result
 //! cache (default `results/cache/`): a warm rerun of an unchanged file
-//! simulates nothing and prints byte-identical tables. Cache statistics
-//! go to stderr so stdout stays comparable across runs.
+//! simulates nothing and prints byte-identical tables. With `--no-cache`
+//! the store lives in memory only: nothing touches the disk, and each
+//! distinct run across all the given files still simulates once. Cache
+//! statistics go to stderr so stdout stays comparable across runs.
 
 use std::sync::Arc;
 
@@ -44,7 +46,8 @@ options:
   --seeds N        replications per scenario (default: the file's
                    `#! seeds=` directive, else 3)
   --threads N      worker threads (0 = one per CPU, default)
-  --no-cache       always simulate; do not read or write the result cache
+  --no-cache       nothing is read from or written to disk; each
+                   distinct run simulates once
   --cache-dir DIR  result cache location (default results/cache)
   --export DIR     write every shipped experiment grid as DIR/<name>.scn
                    (regenerates examples/sweeps/) and exit
@@ -167,23 +170,17 @@ fn main() {
         return;
     }
     let mut runner = ExperimentRunner::new(a.threads);
-    let cache = if a.use_cache {
+    if a.use_cache {
         let cache = match &a.cache_dir {
             Some(dir) => ConcurrentCache::open(dir),
             None => ConcurrentCache::open_default(),
         }
         .unwrap_or_else(|e| die(&format!("open result cache: {e}")));
         eprintln!("result cache: {} runs on disk", cache.len());
-        let cache = Arc::new(cache);
-        runner = runner.with_cache(cache.clone());
-        Some(cache)
-    } else {
-        None
-    };
-    let failures: usize = a.files.iter().map(|file| run_file(&runner, file, a.seeds)).sum();
-    if let Some(cache) = cache {
-        eprintln!("result cache: {}", cache.stats());
+        runner = runner.with_cache(Arc::new(cache));
     }
+    let failures: usize = a.files.iter().map(|file| run_file(&runner, file, a.seeds)).sum();
+    eprintln!("result cache: {}", runner.cache().stats());
     if failures > 0 {
         eprintln!("{failures} replication(s) FAILED — see the per-seed columns above");
         std::process::exit(1);

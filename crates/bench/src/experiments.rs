@@ -9,6 +9,8 @@
 //! crossovers fall — are the claims being reproduced (see
 //! EXPERIMENTS.md for per-experiment commentary).
 
+use std::sync::Arc;
+
 use hydra_core::{AckPolicy, AggSizing};
 use hydra_netsim::{
     Flooding, FlowSpec, FlowTraffic, MediumKind, Policy, ScenarioSpec, SweepMeta, TopologyKind,
@@ -19,6 +21,7 @@ use hydra_sim::Duration;
 use crate::paper;
 use crate::report::{bytes, mbps, pct, Table};
 use crate::runner::{failure_lines, CellResult, ExperimentRunner};
+use crate::sweeps::{ConcurrentCache, SharedCache};
 
 /// Harness options.
 #[derive(Debug, Clone)]
@@ -27,9 +30,11 @@ pub struct Opts {
     pub seeds: u64,
     /// Runner worker threads (0 = one per available CPU).
     pub threads: usize,
-    /// Persistent result cache shared by every experiment; `None` =
-    /// always simulate (hermetic, e.g. under test).
-    pub cache: Option<crate::sweeps::SharedCache>,
+    /// The result store every experiment run from these options shares
+    /// (and so do clones of them): memory-only by default, so a run
+    /// another experiment already simulated is a hit, and file-backed
+    /// for the CLI binaries.
+    pub cache: SharedCache,
     /// What the `FAILED(reason)` table cells abbreviate: one line per
     /// failed replication (see [`failure_lines`]), in run order, shared
     /// by every experiment these options drive. The driving binary
@@ -40,31 +45,32 @@ pub struct Opts {
 
 impl Default for Opts {
     fn default() -> Self {
-        Opts { seeds: 3, threads: 0, cache: None, failure_log: Default::default() }
+        Opts {
+            seeds: 3,
+            threads: 0,
+            cache: Arc::new(ConcurrentCache::in_memory()),
+            failure_log: Default::default(),
+        }
     }
 }
 
 impl Opts {
-    /// Options for the CLI binaries: the defaults plus the persistent
-    /// result cache at `results/cache/`, so single-figure bins reuse
+    /// Options for the CLI binaries: the defaults with the persistent
+    /// result store at `results/cache/`, so single-figure bins reuse
     /// (and extend) runs that `--bin all` / `--bin sweep` already
-    /// simulated. Falls back to cache-less on I/O errors. Tests use
+    /// simulated. Keeps the memory-only store on I/O errors. Tests use
     /// [`Opts::default`], which never touches the disk.
     pub fn cli() -> Self {
         let mut opts = Opts::default();
-        match crate::sweeps::ConcurrentCache::open_default() {
-            Ok(cache) => opts.cache = Some(std::sync::Arc::new(cache)),
-            Err(e) => eprintln!("warning: result cache unavailable ({e}); simulating everything"),
+        match ConcurrentCache::open_default() {
+            Ok(cache) => opts.cache = Arc::new(cache),
+            Err(e) => eprintln!("warning: result cache unavailable ({e}); keeping runs in memory"),
         }
         opts
     }
 
     fn runner(&self) -> ExperimentRunner {
-        let runner = ExperimentRunner::new(self.threads);
-        match &self.cache {
-            Some(cache) => runner.with_cache(cache.clone()),
-            None => runner,
-        }
+        ExperimentRunner::new(self.threads).with_cache(Arc::clone(&self.cache))
     }
 
     /// Runs experiment `name`'s grid, logging every failed replication

@@ -7,6 +7,18 @@
 //! the list longest-first on the one executor ([`crate::sched`]), and
 //! hands the outcomes back in sweep order.
 //!
+//! ## The store
+//!
+//! Every runner carries exactly one result store
+//! ([`crate::sweeps::ConcurrentCache`]): memory-only from
+//! [`ExperimentRunner::new`], file-backed after
+//! [`ExperimentRunner::with_cache`]. A sweep looks every job up in it,
+//! simulates each missing `(stable_hash, replication)` key once — a key
+//! listed twice in one sweep included — and publishes the successful
+//! runs back. So a distinct run simulates at most once per store, and
+//! every repeat is a hit. Failed replications are never stored: a
+//! failing key simulates again the next time a sweep asks for it.
+//!
 //! ## Scheduling
 //!
 //! Jobs start in descending predicted cost, so a sweep's long pole —
@@ -15,7 +27,7 @@
 //! worker frees up next takes the next job. Costs come from
 //! [`ExperimentRunner::predicted_cost`], a spec-feature model
 //! (nodes × flows × span × rate), *calibrated* by recorded event counts
-//! when the attached cache has seen the spec before. Cost predictions
+//! when the runner's store has seen the spec before. Cost predictions
 //! only ever reorder work; results are byte-identical in any order.
 //!
 //! Sufficiently large multi-domain cells additionally decompose into
@@ -38,13 +50,14 @@
 //! `seed` field verbatim for compatibility with the paper-era
 //! `TcpScenario`/`UdpScenario` front-ends.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hydra_netsim::{FlowTraffic, RunError, RunOutcome, ScenarioSpec, ShardPlan, TopologyKind};
+use hydra_netsim::{FlowTraffic, RunError, RunOutcome, RunPerf, ScenarioSpec, ShardPlan, TopologyKind};
 use hydra_sim::stream_seed;
 
 use crate::sched::{self, JobStats, PoolTelemetry};
-use crate::sweeps::SharedCache;
+use crate::sweeps::{ConcurrentCache, SharedCache};
 
 /// All replications of one sweep cell — failure-aware: a replication
 /// that panicked or tripped its [`hydra_netsim::RunBudget`] is an
@@ -164,7 +177,8 @@ pub struct RunnerTelemetry {
     pub capacity_ms: f64,
     /// Worker threads of the most recent dispatch.
     pub threads: usize,
-    /// Per-job stats of the most recent dispatch, in job order.
+    /// Per-job stats of the most recent sweep's dispatch, in job order;
+    /// empty when that sweep simulated nothing.
     pub per_job: Vec<JobStats>,
 }
 
@@ -199,28 +213,31 @@ impl RunnerTelemetry {
 /// heavy multi-domain grid shows up.
 pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 
-/// Executes sweeps of [`ScenarioSpec`]s across OS threads, optionally
-/// consulting a persistent [`crate::sweeps::ConcurrentCache`] before
-/// dispatching any run and appending every fresh outcome to it.
+/// Executes sweeps of [`ScenarioSpec`]s across OS threads, consulting
+/// its result store ([`ConcurrentCache`]) before dispatching any run
+/// and publishing every fresh outcome to it. Clones share the store and
+/// the telemetry.
 #[derive(Debug, Clone)]
 pub struct ExperimentRunner {
     /// Worker threads; 0 = one per available CPU.
     pub threads: usize,
     /// Predicted-cost floor for intra-cell domain decomposition.
     decompose_min_cost: f64,
-    /// Persistent result store; `None` = always simulate.
-    cache: Option<SharedCache>,
+    /// The result store: memory-only unless [`Self::with_cache`] swapped
+    /// in a file-backed one.
+    cache: SharedCache,
     /// Scheduler telemetry (shared across clones).
     telemetry: Arc<Mutex<RunnerTelemetry>>,
 }
 
 impl ExperimentRunner {
-    /// A runner with an explicit thread count (0 = auto).
+    /// A runner with an explicit thread count (0 = auto) and its own
+    /// memory-only store, shared with nothing but its clones.
     pub fn new(threads: usize) -> Self {
         ExperimentRunner {
             threads,
             decompose_min_cost: DECOMPOSE_MIN_COST,
-            cache: None,
+            cache: Arc::new(ConcurrentCache::in_memory()),
             telemetry: Arc::new(Mutex::new(RunnerTelemetry::default())),
         }
     }
@@ -230,12 +247,18 @@ impl ExperimentRunner {
         Self::new(1)
     }
 
-    /// Attaches a persistent result cache: cells whose
-    /// `(stable_hash, replication)` key is already stored skip
-    /// simulation entirely, and fresh runs are appended for next time.
+    /// Swaps in `cache` as this runner's store — typically a file-backed
+    /// one from [`ConcurrentCache::open`], so cells already on disk skip
+    /// simulation and fresh runs are appended for next time.
     pub fn with_cache(mut self, cache: SharedCache) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
+    }
+
+    /// The runner's result store (its [`ConcurrentCache::stats`] are the
+    /// session's hit / miss counts).
+    pub fn cache(&self) -> &SharedCache {
+        &self.cache
     }
 
     /// Overrides the decomposition threshold (predicted events; 0.0
@@ -311,76 +334,80 @@ impl ExperimentRunner {
     }
 
     /// Expands `specs × (1..=seeds)` into a work list, satisfies what it
-    /// can from the attached cache's snapshot index, executes the rest
-    /// on the scheduler, and returns one [`CellResult`] per spec, in
-    /// order. Fresh outcomes are appended to the cache as one batch, in
-    /// job order, so the store stays deterministic for a given cold
-    /// sweep.
+    /// can from a snapshot of the store's index, simulates each missing
+    /// key once on the scheduler, and returns one [`CellResult`] per
+    /// spec, in order. A key listed again later in the sweep is a hit on
+    /// its one run. Fresh outcomes are appended to the store as one
+    /// batch, in job order, so a file-backed store stays deterministic
+    /// for a given cold sweep.
     pub fn run_sweep(&self, specs: &[ScenarioSpec], seeds: u64) -> Vec<CellResult> {
         assert!(seeds >= 1, "a sweep needs at least one seed");
-        // (cell index, replication, cache key) per job, in job order.
-        let mut jobs = Vec::with_capacity(specs.len() * seeds as usize);
+        /// Where one job's result comes from.
+        enum Slot {
+            /// The store already held it.
+            Hit(RunOutcome),
+            /// Simulated by this sweep: entry `n` of the run list.
+            Run(usize),
+            /// A key an earlier job of this sweep simulates: a hit on run `n`.
+            Repeat(usize),
+        }
+        let index = self.cache.index();
+        // (cell index, replication, key) per distinct run, in job order.
+        let mut runs: Vec<(usize, u64, u64)> = Vec::new();
+        let mut run_of: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut slots = Vec::with_capacity(specs.len() * seeds as usize);
         for (cell, spec) in specs.iter().enumerate() {
             let hash = spec.stable_hash();
             for rep in 1..=seeds {
-                jobs.push((cell, rep, hash));
+                slots.push(match index.get(hash, rep) {
+                    Some(outcome) => Slot::Hit((**outcome).clone()),
+                    None => match run_of.entry((hash, rep)) {
+                        Entry::Occupied(run) => Slot::Repeat(*run.get()),
+                        Entry::Vacant(entry) => {
+                            entry.insert(runs.len());
+                            runs.push((cell, rep, hash));
+                            Slot::Run(runs.len() - 1)
+                        }
+                    },
+                });
             }
         }
-        let mut results: Vec<Option<Result<RunOutcome, RunError>>> = (0..jobs.len()).map(|_| None).collect();
-        let index = self.cache.as_ref().map(|c| c.index());
-        if let Some(index) = &index {
-            let (mut hits, mut misses) = (0u64, 0u64);
-            for (slot, &(_, rep, hash)) in results.iter_mut().zip(&jobs) {
-                match index.get(hash, rep) {
-                    Some(outcome) => {
-                        hits += 1;
-                        *slot = Some(Ok((**outcome).clone()));
-                    }
-                    None => misses += 1,
-                }
-            }
-            if let Some(cache) = &self.cache {
-                cache.note(hits, misses);
-            }
-        }
-        let todo: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
-        let mut work = Vec::with_capacity(todo.len());
-        let mut lpt_costs = Vec::with_capacity(todo.len());
-        for &i in &todo {
-            let (cell, rep, hash) = jobs[i];
+        self.cache.note((slots.len() - runs.len()) as u64, runs.len() as u64);
+        let mut work = Vec::with_capacity(runs.len());
+        let mut lpt_costs = Vec::with_capacity(runs.len());
+        for &(cell, rep, hash) in &runs {
             let spec = &specs[cell];
             // LPT ordering cost: the recorded event count when the
-            // cache has seen this spec, the feature model otherwise.
+            // store has seen this spec, the feature model otherwise.
             // Ordering never affects results, so the hint is safe; the
             // *decomposition* decision deliberately ignores it.
-            let cost = index
-                .as_ref()
-                .and_then(|ix| ix.events_hint(hash))
-                .map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
+            let cost = index.events_hint(hash).map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
             lpt_costs.push(cost);
             work.push(spec.clone().with_seed(stream_seed(hash, rep)));
         }
         let fresh = self.execute(&work, &lpt_costs);
-        if let Some(cache) = &self.cache {
-            // Only successful runs are cached: a failed replication
-            // stays cold so a fixed spec simulates it again instead of
-            // replaying the failure.
-            let records: Vec<_> = todo
-                .iter()
-                .zip(&fresh)
-                .filter_map(|(&i, result)| {
-                    let (cell, rep, hash) = jobs[i];
-                    result.as_ref().ok().map(|outcome| (hash, rep, &specs[cell], outcome))
-                })
-                .collect();
-            if let Err(e) = cache.append_batch(&records) {
-                eprintln!("warning: result cache append failed: {e}");
+        // Only successful runs are stored: a failed replication stays
+        // cold so a fixed spec simulates it again instead of replaying
+        // the failure.
+        let records: Vec<_> = runs
+            .iter()
+            .zip(&fresh)
+            .filter_map(|(&(cell, rep, hash), result)| {
+                result.as_ref().ok().map(|outcome| (hash, rep, &specs[cell], outcome))
+            })
+            .collect();
+        if let Err(e) = self.cache.append_batch(&records) {
+            eprintln!("warning: result cache append failed: {e}");
+        }
+        let mut outcomes = slots.into_iter().map(|slot| match slot {
+            Slot::Hit(outcome) => Ok(outcome),
+            Slot::Run(n) => fresh[n].clone(),
+            // Served as the store serves a hit: no telemetry, since it
+            // cost no simulation.
+            Slot::Repeat(n) => {
+                fresh[n].clone().map(|outcome| RunOutcome { perf: RunPerf::default(), ..outcome })
             }
-        }
-        for (i, outcome) in todo.into_iter().zip(fresh) {
-            results[i] = Some(outcome);
-        }
-        let mut outcomes = results.into_iter().map(|r| r.expect("every job resolved"));
+        });
         specs
             .iter()
             .map(|spec| CellResult {
@@ -427,8 +454,14 @@ impl ExperimentRunner {
     /// Executes the prepared work list; results come back in job order.
     /// A job that fails — panic or budget — yields its `Err` entry
     /// without disturbing any other job: worker threads never unwind
-    /// (panics are caught inside every task).
+    /// (panics are caught inside every task). An empty list dispatches
+    /// nothing: the telemetry totals stand, and `per_job` is cleared
+    /// because the most recent sweep ran no job.
     fn execute(&self, work: &[ScenarioSpec], lpt_costs: &[f64]) -> Vec<Result<RunOutcome, RunError>> {
+        if work.is_empty() {
+            self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).per_job.clear();
+            return Vec::new();
+        }
         // Decomposition plans are built (and the decision made)
         // identically at every thread count; `exact()` excludes the
         // pure-file-transfer mode whose merged bookkeeping differs
@@ -481,6 +514,7 @@ impl ExperimentRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweeps::CacheStats;
     use hydra_netsim::{Policy, TopologyKind};
     use hydra_phy::Rate;
     use hydra_sim::Duration;
@@ -610,6 +644,86 @@ mod tests {
         assert!(t.makespan_ms > 0.0);
         assert!(t.parallel_efficiency() > 0.0);
         assert_eq!(t.per_job.len(), 1, "per-job stats track the last sweep");
+    }
+
+    #[test]
+    fn a_sweep_with_nothing_fresh_leaves_the_totals_alone() {
+        let runner = ExperimentRunner::new(2);
+        runner.run_sweep(&[tiny_udp_spec()], 2);
+        let before = runner.telemetry();
+        assert_eq!((before.sweeps, before.jobs, before.threads, before.per_job.len()), (1, 2, 2, 2));
+        runner.run_sweep(&[tiny_udp_spec()], 2);
+        let after = runner.telemetry();
+        assert_eq!((after.sweeps, after.jobs, after.threads), (1, 2, 2), "an empty dispatch was counted");
+        assert_eq!(
+            (after.makespan_ms, after.busy_ms, after.capacity_ms),
+            (before.makespan_ms, before.busy_ms, before.capacity_ms)
+        );
+        assert!(after.per_job.is_empty(), "the most recent sweep ran no job");
+    }
+
+    #[test]
+    fn a_second_sweep_is_served_from_the_store() {
+        let specs = [tiny_udp_spec(), tiny_udp_spec().with_seed(2)];
+        let runner = ExperimentRunner::sequential();
+        let first = runner.run_sweep(&specs, 2);
+        let second = runner.run_sweep(&specs, 2);
+        assert_eq!(runner.telemetry().jobs, 4, "the second sweep simulated");
+        assert_eq!(runner.cache().stats(), CacheStats { hits: 4, misses: 4, skipped: 0, quarantined: 0 });
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.runs, b.runs);
+            for (a, b) in a.ok_runs().zip(b.ok_runs()) {
+                assert_eq!(a.report.nodes.as_ptr(), b.report.nodes.as_ptr(), "a hit copied its nodes");
+                assert_eq!(b.perf.events_processed, 0, "a hit cost no simulation");
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_listed_twice_in_one_sweep_simulates_once() {
+        let (a, b) = (tiny_udp_spec(), tiny_udp_spec().with_seed(2));
+        let runner = ExperimentRunner::new(2);
+        let cells = runner.run_sweep(&[a.clone(), b, a], 2);
+        assert_eq!(runner.telemetry().jobs, 4);
+        assert_eq!(runner.cache().stats(), CacheStats { hits: 2, misses: 4, skipped: 0, quarantined: 0 });
+        assert_eq!(cells[2].runs, cells[0].runs);
+        for (run, repeat) in cells[0].ok_runs().zip(cells[2].ok_runs()) {
+            assert!(run.perf.events_processed > 0);
+            assert_eq!(repeat.perf.events_processed, 0, "a repeat is a hit");
+            assert_eq!(run.report.nodes.as_ptr(), repeat.report.nodes.as_ptr());
+        }
+    }
+
+    #[test]
+    fn two_runners_share_nothing_and_clones_share_everything() {
+        let (one, two) = (ExperimentRunner::sequential(), ExperimentRunner::sequential());
+        assert!(!Arc::ptr_eq(one.cache(), two.cache()));
+        assert!(Arc::ptr_eq(one.cache(), one.clone().cache()));
+        let a = one.run_sweep(&[tiny_udp_spec()], 1);
+        let b = two.run_sweep(&[tiny_udp_spec()], 1);
+        assert_eq!(a[0].runs, b[0].runs);
+        assert_eq!((one.telemetry().jobs, two.telemetry().jobs), (1, 1), "each runner simulated its own");
+        assert_eq!(two.cache().stats().hits, 0);
+        one.clone().run_sweep(&[tiny_udp_spec()], 1);
+        assert_eq!(one.telemetry().jobs, 1, "a clone hits its original's store");
+        assert_eq!(one.cache().stats().hits, 1);
+    }
+
+    #[test]
+    fn a_failed_replication_simulates_again_on_the_next_request() {
+        let mut stalled = tiny_udp_spec();
+        stalled.budget = Some(hydra_netsim::RunBudget::events(50));
+        let specs = [panicking_spec(), stalled];
+        let runner = ExperimentRunner::sequential();
+        let first = runner.run_sweep(&specs, 2);
+        let second = runner.run_sweep(&specs, 2);
+        assert_eq!(runner.telemetry().jobs, 8, "every failure re-ran");
+        assert_eq!(runner.cache().stats(), CacheStats { hits: 0, misses: 8, skipped: 0, quarantined: 0 });
+        assert!(runner.cache().is_empty(), "no failure is stored");
+        for (a, b) in first.iter().zip(&second) {
+            assert!(a.runs.iter().all(Result::is_err));
+            assert_eq!(a.runs, b.runs);
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! byte-identical tables: floats are written in shortest-round-trip
 //! form and parsed back bit-exactly.
 //!
+//! Every runner carries one store. Without a directory it is
+//! [`ConcurrentCache::in_memory`]: the same index, counters and publish
+//! step, but no file, so no record is ever encoded. Either way each
+//! distinct `(stable_hash, replication)` simulates at most once per
+//! store, and a repeat — in a later sweep or the same one — is a hit.
+//!
 //! Editing a spec changes its `stable_hash`, which invalidates exactly
 //! that cell's replications and nothing else. The key cannot see
 //! *code* edits, though: after changing simulation behaviour (MAC,
@@ -119,7 +125,7 @@ pub type SharedCache = Arc<ConcurrentCache>;
 /// Session counters: how the cache performed since it was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from disk (runs *not* simulated).
+    /// Lookups answered from the store (runs *not* simulated).
     pub hits: u64,
     /// Lookups that missed and were simulated.
     pub misses: u64,
@@ -195,14 +201,17 @@ impl CacheIndex {
     }
 }
 
-/// A persistent `(stable_hash, replication) → RunOutcome` store backed
-/// by an append-only JSON-lines file, shared across threads: lock-free
-/// read path (an `Arc` snapshot per sweep), a single writer lock held
-/// only while a batch commits, and atomic session counters. See the
-/// module docs' *Concurrency* section for the full story.
+/// A `(stable_hash, replication) → RunOutcome` store shared across
+/// threads: lock-free read path (an `Arc` snapshot per sweep), a single
+/// writer lock held only while a batch commits, and atomic session
+/// counters. [`ConcurrentCache::open`] backs it with an append-only
+/// JSON-lines file; [`ConcurrentCache::in_memory`] keeps the same index
+/// with no file behind it. See the module docs' *Concurrency* section
+/// for the full story.
 #[derive(Debug)]
 pub struct ConcurrentCache {
-    path: PathBuf,
+    /// The store file; `None` for a memory-only store.
+    path: Option<PathBuf>,
     /// Serialises appends from this handle. (Cross-*process* writers
     /// are serialised by `O_APPEND` at write granularity instead.)
     writer: Mutex<()>,
@@ -294,14 +303,27 @@ impl ConcurrentCache {
             std::fs::rename(&tmp, &path)?;
         }
         Ok(ConcurrentCache {
-            path,
-            writer: Mutex::new(()),
+            path: Some(path),
             index: RwLock::new(Arc::new(index)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             skipped,
             quarantined: quarantined.len() as u64,
+            ..Self::in_memory()
         })
+    }
+
+    /// An empty store that lives only in this process: the same index,
+    /// counters and publish step as [`ConcurrentCache::open`], with no
+    /// file to read, encode for or append to.
+    pub fn in_memory() -> ConcurrentCache {
+        ConcurrentCache {
+            path: None,
+            writer: Mutex::new(()),
+            index: RwLock::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            skipped: 0,
+            quarantined: 0,
+        }
     }
 
     /// The current snapshot. Take one per sweep and resolve every
@@ -343,26 +365,28 @@ impl ConcurrentCache {
     /// republishes the snapshot once. All-or-nothing in this process
     /// (the open / write error path indexes nothing); a
     /// torn tail on disk is caught by the per-line CRC at the next
-    /// open.
+    /// open. A memory-only store skips straight to the publish.
     pub fn append_batch(&self, records: &[(u64, u64, &ScenarioSpec, &RunOutcome)]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut batch = String::with_capacity(records.len() * 512);
-        for &(hash, rep, spec, outcome) in records {
-            let start = batch.len();
-            encode_record(&mut batch, hash, rep, &spec.to_scn(), outcome, events_of(outcome))
-                .and_then(|()| seal(&mut batch, start))
-                .expect("writing to a String cannot fail");
-            batch.push('\n');
+        if let Some(path) = &self.path {
+            let mut batch = String::with_capacity(records.len() * 512);
+            for &(hash, rep, spec, outcome) in records {
+                let start = batch.len();
+                encode_record(&mut batch, hash, rep, &spec.to_scn(), outcome, events_of(outcome))
+                    .and_then(|()| seal(&mut batch, start))
+                    .expect("writing to a String cannot fail");
+                batch.push('\n');
+            }
+            // One write of the whole batch: under O_APPEND concurrent
+            // writers (e.g. `--bin all` and `--bin sweep` sharing the
+            // default cache) interleave at write granularity, so a
+            // record must never be split across calls.
+            let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+            file.write_all(batch.as_bytes())?;
         }
-        // One write of the whole batch: under O_APPEND concurrent
-        // writers (e.g. `--bin all` and `--bin sweep` sharing the
-        // default cache) interleave at write granularity, so a record
-        // must never be split across calls.
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
-        file.write_all(batch.as_bytes())?;
         // Publish: clone the table (Arc values, so outcomes are shared,
         // not copied), fold the batch in, swap the snapshot. Each
         // outcome goes in as a reopen would read it back: no telemetry
@@ -1358,6 +1382,22 @@ mod tests {
             "nor after a reopen"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_memory_only_store_publishes_as_the_file_store_does() {
+        let spec = tiny_spec();
+        let outcome = spec.run();
+        let cache = ConcurrentCache::in_memory();
+        assert!(cache.path.is_none() && cache.is_empty());
+        put(&cache, &spec, 1, &outcome).unwrap();
+        let index = cache.index();
+        let hit = index.get(spec.stable_hash(), 1).expect("indexed on append");
+        assert_eq!(**hit, outcome);
+        assert_eq!(hit.perf.events_processed, 0, "a hit reports no telemetry");
+        assert_eq!(hit.report.nodes.as_ptr(), outcome.report.nodes.as_ptr(), "node reports are shared");
+        assert_eq!(index.events_hint(spec.stable_hash()), Some(outcome.perf.events_processed));
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

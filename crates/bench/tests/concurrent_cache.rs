@@ -34,7 +34,8 @@ fn concurrent_runners_lose_nothing_and_duplicate_nothing() {
     let specs_b: Vec<ScenarioSpec> = (11..=13).map(tiny_spec).collect();
     const SEEDS: u64 = 2;
 
-    // Cache-less references, computed up front.
+    // References from runners with their own memory-only stores,
+    // computed up front.
     let ref_a = ExperimentRunner::sequential().run_sweep(&specs_a, SEEDS);
     let ref_b = ExperimentRunner::sequential().run_sweep(&specs_b, SEEDS);
 

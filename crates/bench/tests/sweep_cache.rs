@@ -67,8 +67,8 @@ fn warm_rerun_simulates_nothing_and_matches_byte_for_byte() {
     assert_eq!(stats.hits, specs.len() as u64 * seeds);
     assert_eq!(warm, cold, "cached tables must be byte-identical");
 
-    // Uncached runner agrees with both (the cache changes cost, never
-    // results).
+    // A runner on its own memory-only store agrees with both (the cache
+    // changes cost, never results).
     let uncached = render(&ExperimentRunner::new(2), &specs, seeds);
     assert_eq!(uncached, cold);
     let _ = std::fs::remove_dir_all(&dir);
