@@ -47,7 +47,7 @@ fn bench_dispatch(c: &mut Criterion, n: usize) {
                 let jobs: Vec<sched::Job<'_, usize>> =
                     (0..n).map(|i| sched::Job::one(((i * 37) % 101) as f64, move || i)).collect();
                 let (results, telemetry) = sched::execute(jobs, threads);
-                black_box((results.len(), telemetry.tasks))
+                black_box((results.len(), telemetry.jobs))
             })
         });
     }

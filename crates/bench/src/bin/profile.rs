@@ -55,9 +55,8 @@ options:
                        workload; adds a before/after comparison block
   --scale              also run the mesh scale grid: constant-density
                        random meshes at several node counts, each cell
-                       simulated twice — sparse medium + sharded engine
-                       vs the dense O(n^2) reference medium on the
-                       sequential engine — with outcome equality
+                       simulated twice — sparse medium vs the dense
+                       O(n^2) reference medium — with outcome equality
                        asserted and events/s + speedup recorded in a
                        `scale` block of the report
   --assert-events-per-s N
@@ -256,11 +255,9 @@ impl ScaleRow {
     }
 }
 
-/// Runs the mesh scale grid: each cell once on the sparse medium via
-/// the sharded engine (`run_sharded(0)`, which takes the plain
-/// sequential path on single-domain worlds) and once on the dense
-/// O(n²) reference medium, asserting the two produce identical
-/// outcomes. Wall times include world construction for both sides —
+/// Runs the mesh scale grid: each cell once on the sparse medium
+/// (`run()`) and once on the dense O(n²) reference medium, asserting
+/// the two produce identical outcomes. Wall times include world construction for both sides —
 /// each engine pays its own setup.
 fn run_scale() -> Vec<ScaleRow> {
     scale_profile_specs()
@@ -271,12 +268,12 @@ fn run_scale() -> Vec<ScaleRow> {
             };
             let (flows, domains) = (spec.effective_flows().len(), spec.build().component_count());
             let t0 = std::time::Instant::now();
-            let sparse = spec.run_sharded(0);
+            let sparse = spec.run();
             let sparse_wall_s = t0.elapsed().as_secs_f64();
             let t0 = std::time::Instant::now();
             let dense = spec.run_dense_reference();
             let dense_wall_s = t0.elapsed().as_secs_f64();
-            assert_eq!(sparse, dense, "sparse/sharded diverged from dense reference at {nodes} nodes");
+            assert_eq!(sparse, dense, "sparse diverged from dense reference at {nodes} nodes");
             let row = ScaleRow {
                 nodes,
                 side_m: area_m,
@@ -423,9 +420,8 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
             let t = runner.telemetry();
             assert_eq!(t.jobs, nruns, "x{threads}: simulated other than each distinct run once");
             eprintln!(
-                "x{threads}: {} jobs (+{} shard tasks), makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}{}",
+                "x{threads}: {} jobs, makespan {:.1} ms, busy {:.1} ms, efficiency {:.2}{}",
                 t.jobs,
-                t.shard_tasks,
                 t.makespan_ms,
                 t.busy_ms,
                 t.parallel_efficiency(),
@@ -468,9 +464,8 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
             )
         };
         j.push_str(&format!(
-            "    {{\"threads\": {}, \"shard_tasks\": {}, \"events_processed\": {}, {timing}}}{}\n",
+            "    {{\"threads\": {}, \"events_processed\": {}, {timing}}}{}\n",
             p.threads,
-            t.shard_tasks,
             p.events,
             if i + 1 < points.len() { "," } else { "" },
         ));
@@ -625,7 +620,7 @@ fn main() {
             ));
         }
         j.push_str("  ],\n");
-        j.push_str("  \"scale_note\": \"constant-density random meshes, pure CBR (nodes/4 flows); each cell run on the sparse medium + sharded engine and on the dense O(n^2) reference medium + sequential engine, outcomes asserted identical; wall times include world construction\",\n");
+        j.push_str("  \"scale_note\": \"constant-density random meshes, pure CBR (nodes/4 flows); each cell run on the sparse medium and on the dense O(n^2) reference medium, outcomes asserted identical; wall times include world construction\",\n");
     }
     j.push_str(&format!(
         "  \"total\": {{\"events_processed\": {}, \"events_stale\": {}, \"timer_rearms\": {}, \"stale_ratio\": {:.4}, \"wall_s\": {:.2}, \"events_per_sec\": {:.0}, \"allocations\": {}, \"allocations_per_1k_events\": {:.1}}}",

@@ -1066,7 +1066,7 @@ pub fn ext_mixed(opts: &Opts) -> Table {
 /// so growing the node count grows the *extent* of the network, not
 /// its local contention. All three stay one collision domain — the
 /// carrier-sense graph is connected — which is exactly the regime the
-/// sparse medium (not sharding) accelerates.
+/// sparse medium accelerates.
 const EXT_SCALE_MESHES: [(usize, u32); 3] = [(100, 58), (300, 100), (1000, 182)];
 const EXT_SCALE_SEED: u64 = 7;
 /// Per-flow CBR load: 160 B datagrams every 250 ms (~5 kb/s offered).
@@ -1184,9 +1184,8 @@ pub fn ext_scale(opts: &Opts) -> Table {
 ///
 /// Node counts are chosen to bracket the dense backend's collapse: on
 /// one core the sparse medium alone crosses 4× at ≈350 nodes and
-/// reaches >10× at 1000 (sharding adds nothing here — these meshes are
-/// one collision domain, and the profiling hosts are small); the
-/// 100-node row documents the near-crossover regime.
+/// reaches >10× at 1000; the 100-node row documents the near-crossover
+/// regime.
 pub fn scale_profile_specs() -> Vec<(usize, ScenarioSpec)> {
     [(100usize, 58u32), (400, 115), (700, 152), (1000, 182)]
         .iter()

@@ -30,14 +30,6 @@
 //! when the runner's store has seen the spec before. Cost predictions
 //! only ever reorder work; results are byte-identical in any order.
 //!
-//! Sufficiently large multi-domain cells additionally decompose into
-//! per-collision-domain subtasks ([`hydra_netsim::ShardPlan`]) that sit
-//! in the same task list as every other job — intra-cell parallelism on
-//! the *same* workers, no second pool. The decomposition decision is a
-//! **pure function of the spec and runner configuration** — never of
-//! the thread count, the machine, or cache contents — so a given runner
-//! produces the same event totals at every thread count.
-//!
 //! Determinism: each run's world seed is derived from the spec's
 //! [`ScenarioSpec::stable_hash`] (which covers every field, including
 //! the spec's own `seed`) and the replication index via
@@ -47,13 +39,12 @@
 //! sequential output — while specs differing only in `seed` replicate
 //! as independent cells. Note the derived world seed intentionally
 //! differs from calling [`ScenarioSpec::run`] directly, which uses the
-//! `seed` field verbatim for compatibility with the paper-era
-//! `TcpScenario`/`UdpScenario` front-ends.
+//! `seed` field verbatim.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hydra_netsim::{FlowTraffic, RunError, RunOutcome, RunPerf, ScenarioSpec, ShardPlan, TopologyKind};
+use hydra_netsim::{FlowTraffic, RunError, RunOutcome, RunPerf, ScenarioSpec, Topology, TopologyKind};
 use hydra_sim::stream_seed;
 
 use crate::sched::{self, JobStats, PoolTelemetry};
@@ -162,15 +153,13 @@ pub struct RunnerTelemetry {
     pub sweeps: u64,
     /// Fresh jobs executed.
     pub jobs: u64,
-    /// Tasks beyond one-per-job — intra-cell shard subtasks.
-    pub shard_tasks: u64,
     /// Always 0: workers pull from one shared list, so there is nothing
     /// to steal. Kept because the benchmark harness reports it as
     /// `bench.runner.steals`.
     pub steals: u64,
     /// Summed dispatch makespans, ms.
     pub makespan_ms: f64,
-    /// Summed task execution time, ms.
+    /// Summed job execution time, ms.
     pub busy_ms: f64,
     /// Summed `threads × makespan` per dispatch, ms: the worker time
     /// that was on offer.
@@ -196,7 +185,6 @@ impl RunnerTelemetry {
     fn absorb(&mut self, pool: &PoolTelemetry) {
         self.sweeps += 1;
         self.jobs += pool.jobs as u64;
-        self.shard_tasks += (pool.tasks - pool.jobs) as u64;
         self.makespan_ms += pool.makespan_ms;
         self.busy_ms += pool.busy_ms;
         self.capacity_ms += pool.threads as f64 * pool.makespan_ms;
@@ -204,14 +192,6 @@ impl RunnerTelemetry {
         self.per_job = pool.per_job.clone();
     }
 }
-
-/// Default decomposition threshold, in predicted events: roughly ten
-/// paper-scale cells. Below it a cell is cheaper to run whole than to
-/// pay the per-domain rebuild overhead; the shipped grids' multi-domain
-/// cells all sit below it, so decomposition is opt-in via
-/// [`ExperimentRunner::with_decompose_min_cost`] until a genuinely
-/// heavy multi-domain grid shows up.
-pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 
 /// Executes sweeps of [`ScenarioSpec`]s across OS threads, consulting
 /// its result store ([`ConcurrentCache`]) before dispatching any run
@@ -221,8 +201,6 @@ pub const DECOMPOSE_MIN_COST: f64 = 3e6;
 pub struct ExperimentRunner {
     /// Worker threads; 0 = one per available CPU.
     pub threads: usize,
-    /// Predicted-cost floor for intra-cell domain decomposition.
-    decompose_min_cost: f64,
     /// The result store: memory-only unless [`Self::with_cache`] swapped
     /// in a file-backed one.
     cache: SharedCache,
@@ -236,7 +214,6 @@ impl ExperimentRunner {
     pub fn new(threads: usize) -> Self {
         ExperimentRunner {
             threads,
-            decompose_min_cost: DECOMPOSE_MIN_COST,
             cache: Arc::new(ConcurrentCache::in_memory()),
             telemetry: Arc::new(Mutex::new(RunnerTelemetry::default())),
         }
@@ -259,14 +236,6 @@ impl ExperimentRunner {
     /// session's hit / miss counts).
     pub fn cache(&self) -> &SharedCache {
         &self.cache
-    }
-
-    /// Overrides the decomposition threshold (predicted events; 0.0
-    /// decomposes every eligible multi-domain cell — tests use this to
-    /// force the shard path on small specs).
-    pub fn with_decompose_min_cost(mut self, min_cost: f64) -> Self {
-        self.decompose_min_cost = min_cost;
-        self
     }
 
     /// A snapshot of the accumulated scheduler telemetry.
@@ -293,13 +262,26 @@ impl ExperimentRunner {
     /// jobs (a 1000-node mesh must predict far above a 6-node chain);
     /// recorded event counts from the cache override it for specs seen
     /// before. Pure function of the spec: no machine state, no RNG.
+    ///
+    /// Never panics on a topology the `.scn` parser accepts: it runs
+    /// outside every job's failure containment, so a spec that cannot
+    /// build must still get a cost and fail inside its own job.
     pub fn predicted_cost(spec: &ScenarioSpec) -> f64 {
         let n = spec.topology.node_count() as f64;
         let span = (spec.warmup + spec.duration).as_secs_f64();
         let rate_bps = spec.rate.bits_per_sec() as f64;
+        let traffic: Vec<FlowTraffic> = match spec.topology {
+            // The non-asserting pair search: a placement without one
+            // routable pair prices as no flows here, and its job's
+            // `try_run` reports the assertion as the cell's failure.
+            TopologyKind::RandomMesh { nodes, area_m, seed } if spec.flows.is_empty() => {
+                vec![spec.traffic.per_flow(); Topology::try_mesh_default_pairs(nodes, area_m, seed).len()]
+            }
+            _ => spec.effective_flows().iter().map(|f| f.traffic).collect(),
+        };
         let mut frames = 0.0;
-        for flow in spec.effective_flows() {
-            frames += match flow.traffic {
+        for traffic in traffic {
+            frames += match traffic {
                 FlowTraffic::Cbr { interval, .. } => span / interval.as_secs_f64().max(1e-9),
                 FlowTraffic::OnOff { burst, idle, interval, .. } => {
                     let period =
@@ -322,15 +304,6 @@ impl ExperimentRunner {
             _ => 30.0,
         };
         frames * events_per_frame + n * 50.0
-    }
-
-    /// Whether this runner decomposes `spec` into per-domain subtasks.
-    /// A pure function of the spec and the runner's *configuration* —
-    /// never of the thread count — so event totals are identical at
-    /// every `threads` setting. Gated off for budgeted runs (a budget
-    /// is a whole-run event cap).
-    fn wants_decompose(&self, spec: &ScenarioSpec) -> bool {
-        spec.budget.is_none() && Self::predicted_cost(spec) >= self.decompose_min_cost
     }
 
     /// Expands `specs × (1..=seeds)` into a work list, satisfies what it
@@ -379,8 +352,7 @@ impl ExperimentRunner {
             let spec = &specs[cell];
             // LPT ordering cost: the recorded event count when the
             // store has seen this spec, the feature model otherwise.
-            // Ordering never affects results, so the hint is safe; the
-            // *decomposition* decision deliberately ignores it.
+            // Ordering never affects results, so the hint is safe.
             let cost = index.events_hint(hash).map_or_else(|| Self::predicted_cost(spec), |n| n as f64);
             lpt_costs.push(cost);
             work.push(spec.clone().with_seed(stream_seed(hash, rep)));
@@ -443,14 +415,6 @@ impl ExperimentRunner {
         self.try_run_one(spec).unwrap_or_else(|e| panic!("run failed: {e}"))
     }
 
-    /// One fault-isolated *domain* subtask of a decomposed cell: a
-    /// panic anywhere in the domain run is caught here, inside the
-    /// task, so it unwinds no worker and fails only its own cell.
-    fn run_domain_isolated(plan: &ShardPlan<'_>, domain: u32) -> Result<RunOutcome, RunError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_domain(domain)))
-            .map_err(|payload| RunError::Panicked(hydra_netsim::panic_message(payload)))
-    }
-
     /// Executes the prepared work list; results come back in job order.
     /// A job that fails — panic or budget — yields its `Err` entry
     /// without disturbing any other job: worker threads never unwind
@@ -462,48 +426,10 @@ impl ExperimentRunner {
             self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).per_job.clear();
             return Vec::new();
         }
-        // Decomposition plans are built (and the decision made)
-        // identically at every thread count; `exact()` excludes the
-        // pure-file-transfer mode whose merged bookkeeping differs
-        // from a whole run.
-        let plans: Vec<Option<ShardPlan<'_>>> = work
+        let jobs = work
             .iter()
-            .map(|spec| {
-                if !self.wants_decompose(spec) {
-                    return None;
-                }
-                spec.shard_plan().filter(|p| p.exact() && p.domains() > 1)
-            })
-            .collect();
-        let jobs: Vec<sched::Job<'_, Result<RunOutcome, RunError>>> = work
-            .iter()
-            .zip(&plans)
             .zip(lpt_costs)
-            .map(|((spec, plan), &cost)| match plan {
-                None => sched::Job::one(cost, move || spec.try_run()),
-                Some(plan) => {
-                    let parts = (0..plan.domains() as u32)
-                        .map(|c| {
-                            let thunk: sched::Thunk<'_, Result<RunOutcome, RunError>> =
-                                Box::new(move || Self::run_domain_isolated(plan, c));
-                            (cost * plan.cost_share(c), thunk)
-                        })
-                        .collect();
-                    sched::Job {
-                        cost,
-                        work: sched::Work::Parts {
-                            parts,
-                            merge: Box::new(move |outcomes| {
-                                let mut by_comp = Vec::with_capacity(outcomes.len());
-                                for o in outcomes {
-                                    by_comp.push(o?);
-                                }
-                                Ok(plan.merge(by_comp))
-                            }),
-                        },
-                    }
-                }
-            })
+            .map(|(spec, &cost)| sched::Job::one(cost, move || spec.try_run()))
             .collect();
         let (results, pool) = sched::execute(jobs, self.thread_count());
         self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
@@ -608,6 +534,24 @@ mod tests {
     }
 
     #[test]
+    fn an_unroutable_mesh_fails_in_its_own_cell() {
+        // Two nodes 1 km apart: no pair is routable, so the default
+        // flows cannot be chosen. Pricing the job must not panic; the
+        // failure belongs to the job's own run.
+        let unroutable = ScenarioSpec::from_scn(
+            "topo=mesh:2:1000:1 policy=ba rate=1.3 traffic=cbr:250ms:160 medium=spatial:1.0 \
+             warmup=200ms duration=1s",
+        )
+        .expect("the line parses");
+        let clean = ExperimentRunner::sequential().run_sweep(&[tiny_udp_spec()], 1);
+        let cells = ExperimentRunner::new(2).run_sweep(&[unroutable, tiny_udp_spec()], 1);
+        assert_eq!(cells[0].failed_label(), "FAILED(panic)");
+        let Some(RunError::Panicked(message)) = cells[0].failure() else { panic!("{:?}", cells[0].runs) };
+        assert!(message.contains("no routable flow pair found"), "{message}");
+        assert_eq!(cells[1].runs, clean[0].runs);
+    }
+
+    #[test]
     fn failure_lines_name_every_failed_replication_with_its_full_error() {
         let mut stalled = tiny_udp_spec();
         stalled.budget = Some(hydra_netsim::RunBudget::events(50));
@@ -640,7 +584,6 @@ mod tests {
         let t = runner.telemetry();
         assert_eq!(t.sweeps, 2);
         assert_eq!(t.jobs, 3);
-        assert_eq!(t.shard_tasks, 0, "tiny chains never decompose");
         assert!(t.makespan_ms > 0.0);
         assert!(t.parallel_efficiency() > 0.0);
         assert_eq!(t.per_job.len(), 1, "per-job stats track the last sweep");

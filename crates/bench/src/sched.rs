@@ -1,36 +1,28 @@
-//! The sweep executor: one cost-sorted task list on one shared cursor.
+//! The sweep executor: one cost-sorted job list on one shared cursor.
 //!
 //! The experiment runner's unit of work is a whole simulation run —
 //! milliseconds to seconds each, every one known before dispatch — so
 //! this module optimises for *schedule quality* on heterogeneous job
 //! sets, not for nanosecond dispatch, and needs exactly one idea:
 //!
-//! * **Longest first**: jobs (and the parts of decomposed jobs) are
-//!   flattened into one task list sorted by predicted cost descending,
-//!   submission index ascending, and workers pull from the front of
-//!   it ([`hydra_sim::pool::run_indexed`]). That is greedy list
-//!   scheduling in LPT order — the classic 4/3-approximation to
-//!   makespan — with *actual* finish times, not predicted ones,
-//!   deciding who takes the next task: a sweep's long pole starts
-//!   immediately, and a worker stuck on it strands nothing, because
-//!   no task belongs to a worker until that worker starts it.
-//! * **Shard subtasks**: a job may decompose into parts
-//!   ([`Work::Parts`]) that sit in the same list as every other task —
-//!   this is how multi-domain cells cooperate with
-//!   `hydra_netsim::ScenarioSpec::shard_plan` instead of nesting a
-//!   second pool. Parts are merged, in part order, once the list has
-//!   drained.
+//! **Longest first**: jobs are sorted by predicted cost descending,
+//! submission index ascending, and workers pull from the front of the
+//! list ([`hydra_sim::pool::run_indexed`]). That is greedy list
+//! scheduling in LPT order — the classic 4/3-approximation to makespan
+//! — with *actual* finish times, not predicted ones, deciding who takes
+//! the next job: a sweep's long pole starts immediately, and a worker
+//! stuck on it strands nothing, because no job belongs to a worker
+//! until that worker starts it.
 //!
 //! Determinism: results land in **job order** regardless of cost
 //! order, thread count, or which worker ran what — nothing a job
 //! computes can depend on any of them. Telemetry (queue waits, busy
 //! time) is measurement and never feeds back into results.
 //!
-//! Closures must not unwind: a panicking task takes the whole dispatch
+//! Closures must not unwind: a panicking job takes the whole dispatch
 //! down. The runner guarantees this by catching panics *inside* every
-//! task (`try_run` / `catch_unwind` around domain runs), which is also
-//! what confines a panicking job to its own cell on whichever worker it
-//! lands.
+//! job (`try_run`), which is also what confines a panicking job to its
+//! own cell on whichever worker it lands.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -38,51 +30,29 @@ use std::time::Instant;
 /// A boxed unit of work returning `T`.
 pub type Thunk<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
-/// A boxed fold of part results (in part order) into a job result.
-pub type Merge<'a, T> = Box<dyn FnOnce(Vec<T>) -> T + Send + 'a>;
-
-/// How one job executes.
-pub enum Work<'a, T> {
-    /// One indivisible task.
-    One(Thunk<'a, T>),
-    /// Independent parts (each `(cost, thunk)`) scheduled as separate
-    /// tasks; `merge` folds the part results (in part order) into the
-    /// job result on the calling thread once every task has run.
-    Parts {
-        /// The shard tasks, in a fixed order the merge relies on.
-        parts: Vec<(f64, Thunk<'a, T>)>,
-        /// Fold of the part results, in part order.
-        merge: Merge<'a, T>,
-    },
-}
-
 /// One schedulable job: a predicted cost (arbitrary but consistent
 /// units; only the ordering matters) plus its work.
 pub struct Job<'a, T> {
-    /// Predicted work (higher = starts earlier). A decomposed job is
-    /// ordered by its parts' own costs instead.
+    /// Predicted work (higher = starts earlier).
     pub cost: f64,
     /// The work itself.
-    pub work: Work<'a, T>,
+    pub thunk: Thunk<'a, T>,
 }
 
 impl<'a, T> Job<'a, T> {
-    /// A single-task job.
+    /// A job from a closure.
     pub fn one(cost: f64, f: impl FnOnce() -> T + Send + 'a) -> Self {
-        Job { cost, work: Work::One(Box::new(f)) }
+        Job { cost, thunk: Box::new(f) }
     }
 }
 
 /// Per-job schedule telemetry (measurement only; never affects results).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobStats {
-    /// Time from dispatch start to the job's first task starting, ms.
+    /// Time from dispatch start to the job starting, ms.
     pub queue_wait_ms: f64,
-    /// Time from the job's first task starting to its last task
-    /// finishing, ms.
+    /// Time from the job starting to it finishing, ms.
     pub wall_ms: f64,
-    /// Tasks the job expanded into (1 unless decomposed).
-    pub parts: u32,
 }
 
 /// Whole-dispatch telemetry for one `execute` call.
@@ -92,90 +62,53 @@ pub struct PoolTelemetry {
     pub threads: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Tasks executed (≥ jobs when cells decomposed).
-    pub tasks: usize,
-    /// Wall time of the whole dispatch, merges included, ms.
+    /// Wall time of the whole dispatch, ms.
     pub makespan_ms: f64,
-    /// Summed task execution time across workers, ms.
+    /// Summed job execution time across workers, ms.
     pub busy_ms: f64,
     /// Per-job stats, in job order.
     pub per_job: Vec<JobStats>,
 }
 
 /// Executes `jobs` on `threads` workers, returning results **in job
-/// order** plus the schedule telemetry. Tasks start in cost-descending
+/// order** plus the schedule telemetry. Jobs start in cost-descending
 /// order (ties in submission order) at every width; `threads <= 1`
 /// runs that same order on the calling thread.
 pub fn execute<'a, T: Send + 'a>(jobs: Vec<Job<'a, T>>, threads: usize) -> (Vec<T>, PoolTelemetry) {
-    struct Task<'a, T> {
-        cost: f64,
-        /// Taken by whichever worker the cursor hands this task to.
-        thunk: Mutex<Option<Thunk<'a, T>>>,
-    }
-    // Flatten in job order, so each job's tasks are one contiguous run.
-    let mut tasks: Vec<Task<'a, T>> = Vec::with_capacity(jobs.len());
-    let mut merges: Vec<(usize, Option<Merge<'a, T>>)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        match job.work {
-            Work::One(f) => {
-                tasks.push(Task { cost: job.cost, thunk: Mutex::new(Some(f)) });
-                merges.push((1, None));
-            }
-            Work::Parts { parts, merge } => {
-                merges.push((parts.len(), Some(merge)));
-                tasks.extend(parts.into_iter().map(|(cost, f)| Task { cost, thunk: Mutex::new(Some(f)) }));
-            }
-        }
-    }
     // Longest first; the stable sort keeps ties in submission order.
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| tasks[b].cost.total_cmp(&tasks[a].cost));
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by(|&a, &b| jobs[b].cost.total_cmp(&jobs[a].cost));
+    // Each thunk is taken by whichever worker the cursor hands its job to.
+    let thunks: Vec<Mutex<Option<Thunk<'a, T>>>> =
+        jobs.into_iter().map(|j| Mutex::new(Some(j.thunk))).collect();
 
-    let width = threads.clamp(1, tasks.len().max(1));
+    let width = threads.clamp(1, thunks.len().max(1));
     let t0 = Instant::now();
     let now_ms = || t0.elapsed().as_secs_f64() * 1e3;
     let ran = hydra_sim::pool::run_indexed(order.len(), width, |k| {
-        let thunk = tasks[order[k]].thunk.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let thunk = thunks[order[k]].lock().unwrap_or_else(PoisonError::into_inner).take();
         let started = now_ms();
-        let result = thunk.expect("the cursor hands each task out once")();
+        let result = thunk.expect("the cursor hands each job out once")();
         (result, started, now_ms())
     });
 
-    // Regroup: back into task (= job, part) order, then fold each job.
+    // Back into job order.
     let mut ran: Vec<(usize, (T, f64, f64))> = order.into_iter().zip(ran).collect();
-    ran.sort_unstable_by_key(|&(task, _)| task);
-    let mut by_task = ran.into_iter().map(|(_, r)| r);
+    ran.sort_unstable_by_key(|&(job, _)| job);
     let mut telemetry = PoolTelemetry {
         threads: width,
-        jobs: merges.len(),
-        tasks: tasks.len(),
-        per_job: Vec::with_capacity(merges.len()),
+        jobs: ran.len(),
+        per_job: Vec::with_capacity(ran.len()),
         ..PoolTelemetry::default()
     };
-    let mut results = Vec::with_capacity(merges.len());
-    for (nparts, merge) in merges {
-        let (mut first, mut last) = (f64::INFINITY, 0.0f64);
-        let parts: Vec<T> = by_task
-            .by_ref()
-            .take(nparts)
-            .map(|(result, started, done)| {
-                first = first.min(started);
-                last = last.max(done);
-                telemetry.busy_ms += done - started;
-                result
-            })
-            .collect();
-        let first = first.min(last);
-        telemetry.per_job.push(JobStats {
-            queue_wait_ms: first,
-            wall_ms: last - first,
-            parts: nparts as u32,
-        });
-        results.push(match merge {
-            Some(merge) => merge(parts),
-            None => parts.into_iter().next().expect("a single-task job has one result"),
-        });
-    }
+    let results = ran
+        .into_iter()
+        .map(|(_, (result, started, done))| {
+            telemetry.busy_ms += done - started;
+            telemetry.per_job.push(JobStats { queue_wait_ms: started, wall_ms: done - started });
+            result
+        })
+        .collect();
     telemetry.makespan_ms = now_ms();
     (results, telemetry)
 }
@@ -194,36 +127,6 @@ mod tests {
             let (results, telemetry) = execute(jobs, threads);
             assert_eq!(results, (0..50).map(|i| i * 2).collect::<Vec<_>>());
             assert_eq!(telemetry.jobs, 50);
-            assert_eq!(telemetry.tasks, 50);
-        }
-    }
-
-    #[test]
-    fn parts_merge_in_part_order_wherever_they_run() {
-        for threads in [1, 3, 8] {
-            let jobs: Vec<Job<'_, Vec<u32>>> = (0u32..8)
-                .map(|j| {
-                    let parts: Vec<(f64, Thunk<'_, Vec<u32>>)> = (0..5)
-                        .map(|p| {
-                            let cost = ((j * 5 + p) % 7) as f64;
-                            (cost, Box::new(move || vec![j * 10 + p]) as Thunk<'_, Vec<u32>>)
-                        })
-                        .collect();
-                    Job {
-                        cost: 10.0,
-                        work: Work::Parts {
-                            parts,
-                            merge: Box::new(|parts: Vec<Vec<u32>>| parts.into_iter().flatten().collect()),
-                        },
-                    }
-                })
-                .collect();
-            let (results, telemetry) = execute(jobs, threads);
-            for (j, r) in results.iter().enumerate() {
-                let j = j as u32;
-                assert_eq!(*r, (0..5).map(|p| j * 10 + p).collect::<Vec<_>>());
-            }
-            assert_eq!(telemetry.tasks, 40);
         }
     }
 
@@ -251,26 +154,12 @@ mod tests {
         // asserted: a claimed task may be descheduled before it starts).
         let ticket = AtomicUsize::new(0);
         let take = || ticket.fetch_add(1, Ordering::Relaxed);
-        let part = |cost: f64| -> (f64, Thunk<'_, Vec<usize>>) { (cost, Box::new(move || vec![take()])) };
-        let jobs: Vec<Job<'_, Vec<usize>>> = vec![
-            Job::one(2.0, || vec![take()]),
-            Job::one(9.0, || vec![take()]),
-            Job {
-                // Ordered by its parts' costs, not its own.
-                cost: 100.0,
-                work: Work::Parts {
-                    parts: vec![part(5.0), part(9.0), part(1.0)],
-                    merge: Box::new(|parts| parts.into_iter().flatten().collect()),
-                },
-            },
-            Job::one(5.0, || vec![take()]),
-            Job::one(7.0, || vec![take()]),
-        ];
+        let jobs: Vec<Job<'_, usize>> =
+            [2.0, 9.0, 5.0, 9.0, 1.0, 5.0, 7.0].into_iter().map(|cost| Job::one(cost, take)).collect();
         let (tickets, telemetry) = execute(jobs, 1);
-        // Costs in task order: 2, 9, [5, 9, 1], 5, 7 → start ranks.
-        assert_eq!(tickets, [vec![5], vec![0], vec![3, 1, 6], vec![4], vec![2]]);
-        assert_eq!((telemetry.jobs, telemetry.tasks, telemetry.threads), (5, 7, 1));
-        assert_eq!(telemetry.per_job.iter().map(|j| j.parts).collect::<Vec<_>>(), [1, 1, 3, 1, 1]);
+        // Costs in job order: 2, 9, 5, 9, 1, 5, 7 → start ranks.
+        assert_eq!(tickets, [5, 0, 3, 1, 6, 4, 2]);
+        assert_eq!((telemetry.jobs, telemetry.threads, telemetry.per_job.len()), (7, 1, 7));
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! twice, so flaky scheduling would be caught.
 
 use hydra_bench::{ExperimentRunner, Table};
-use hydra_netsim::{FlowSpec, FlowTraffic, Policy, RunBudget, RunError, ScenarioSpec, TopologyKind, Traffic};
-use hydra_phy::Rate;
+use hydra_netsim::{
+    FlowOutcome, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, ScenarioSpec,
+    TopologyKind, Traffic,
+};
+use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
 
 /// A mixed TCP-foreground + CBR-background spec on the 2-hop chain
@@ -113,8 +116,7 @@ fn mixed_tcp_cbr_parallel_equals_sequential() {
 }
 
 /// A mixed TCP/CBR spec on a sparse random mesh that fragments into
-/// several collision domains, with traffic in more than one of them —
-/// the sharded engine's interesting case.
+/// several collision domains, with traffic in more than one of them.
 fn mesh_mixed_spec() -> ScenarioSpec {
     let kind = TopologyKind::RandomMesh { nodes: 30, area_m: 80, seed: 2 };
     let mut s = ScenarioSpec::udp(kind, Policy::Ba, Rate::R1_30, Duration::from_millis(40)).spatial(1.0);
@@ -130,46 +132,40 @@ fn mesh_mixed_spec() -> ScenarioSpec {
 }
 
 #[test]
-fn sharded_equals_sequential_across_collision_domains() {
-    let spec = mesh_mixed_spec();
-    // The test is only meaningful if the medium really fragments and
-    // traffic spans more than one domain.
-    let world = spec.build();
-    assert!(world.component_count() > 1, "mesh must split into domains");
-    let domains: std::collections::HashSet<u32> =
-        spec.effective_flows().iter().map(|f| world.component_of(f.src)).collect();
-    assert!(domains.len() > 1, "flows must span more than one domain");
-
-    let seq = spec.run_sharded(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(spec.run_sharded(threads), seq, "domain workers diverged at {threads} threads");
-    }
-    // Mixed runs share a fixed horizon in every domain, so the sharded
-    // engine must reproduce the one-queue sequential engine exactly —
-    // per-node reports, collisions, and virtual end time included.
-    assert_eq!(seq, spec.run(), "sharded(1) diverged from the sequential engine");
-}
-
-#[test]
-fn sharded_is_the_sequential_engine_on_connected_worlds() {
-    // Grid, cross, and chain worlds are single-domain: run_sharded must
-    // take the sequential path exactly, whatever the thread count.
-    let mut grid = ScenarioSpec::tcp(TopologyKind::Grid { w: 3, h: 2 }, Policy::Ba, Rate::R2_60);
-    grid.traffic = Traffic::FileTransfer { bytes: 10 * 1024 };
-    grid.warmup = Duration::from_millis(500);
-    grid.duration = Duration::from_secs(2);
-    let grid = grid.add_flow(FlowSpec {
-        src: 1,
-        dst: 4,
-        port: 9000,
-        traffic: FlowTraffic::Cbr { interval: Duration::from_millis(25), payload: 160 },
-    });
-    let mut cross = ScenarioSpec::tcp(TopologyKind::Cross, Policy::Dba, Rate::R1_30);
-    cross.traffic = Traffic::FileTransfer { bytes: 10 * 1024 };
-    cross.duration = Duration::from_secs(4);
-    for spec in [grid, cross, mixed_spec()] {
-        assert_eq!(spec.build().component_count(), 1);
-        assert_eq!(spec.run_sharded(4), spec.run());
+fn each_collision_domain_runs_alone_as_in_the_full_world() {
+    // A metamorphic relation: no frame, carrier-sense edge or channel
+    // draw crosses a collision-domain boundary (each domain owns its
+    // channel RNG stream, each link its error stream). So running only
+    // one domain's flows must give those flows, and that domain's nodes,
+    // exactly what they got in the full world — clean and under bursty
+    // loss with duplication and reorder.
+    let bursty = LinkErrorModel::GilbertElliott { p_gb: 0.05, p_bg: 0.45, ber_good: 0.0, ber_bad: 0.3 };
+    for link_error in [None, Some(LinkErrorSpec { model: Some(bursty), dup: 0.1, reorder: 0.1 })] {
+        let mut spec = mesh_mixed_spec();
+        spec.link_error = link_error;
+        let world = spec.build();
+        let flows = spec.effective_flows();
+        let full = spec.run();
+        let mut domains: Vec<u32> = flows.iter().map(|f| world.component_of(f.src)).collect();
+        domains.sort_unstable();
+        domains.dedup();
+        assert!(domains.len() > 1, "flows must span more than one domain");
+        for d in domains {
+            let (mine, expect): (Vec<FlowSpec>, Vec<FlowOutcome>) = flows
+                .iter()
+                .zip(&full.per_flow)
+                .filter(|(f, _)| world.component_of(f.src) == d)
+                .map(|(f, o)| (*f, o.clone()))
+                .unzip();
+            let alone = spec.clone().with_flow_specs(mine).run();
+            assert_eq!(alone.per_flow, expect, "domain {d} ({link_error:?}): flow outcomes moved");
+            for node in (0..world.nodes.len()).filter(|&i| world.component_of(i) == d) {
+                assert_eq!(
+                    alone.report.nodes[node], full.report.nodes[node],
+                    "domain {d} ({link_error:?}): node {node}'s report moved"
+                );
+            }
+        }
     }
 }
 
@@ -208,36 +204,6 @@ fn chaos_failures_are_identical_at_every_thread_count() {
         for (cell, expect) in cells.iter().zip(&reference) {
             assert_eq!(cell.runs, expect.runs, "chaos pattern diverged at {threads} threads");
         }
-    }
-}
-
-#[test]
-fn forced_decomposition_is_thread_invariant() {
-    // Force the multi-domain mesh cell through the shard-subtask path
-    // (threshold 0.0) and check the decomposition contract: outcomes
-    // equal the whole-run reference, and the *event totals* — which do
-    // differ from a whole run by a fixed per-domain constant — are
-    // identical at every thread count, because the decomposition
-    // decision is a pure function of the spec.
-    let spec = mesh_mixed_spec();
-    let whole = ExperimentRunner::sequential().run_sweep(std::slice::from_ref(&spec), 1);
-    let forced = ExperimentRunner::sequential().with_decompose_min_cost(0.0);
-    let reference = forced.run_sweep(std::slice::from_ref(&spec), 1);
-    let telemetry = forced.telemetry();
-    assert!(telemetry.shard_tasks > 0, "the mesh cell must actually decompose");
-    assert_eq!(reference[0].runs, whole[0].runs, "decomposed outcomes must match the whole run");
-    let events = reference[0].runs[0].as_ref().expect("decomposed run ok").perf.events_processed;
-    assert!(events > 0);
-    for threads in [2, 4, 8] {
-        let runner = ExperimentRunner::new(threads).with_decompose_min_cost(0.0);
-        let cells = runner.run_sweep(std::slice::from_ref(&spec), 1);
-        assert_eq!(cells[0].runs, reference[0].runs, "decomposed run diverged at {threads} threads");
-        assert_eq!(
-            cells[0].runs[0].as_ref().expect("run ok").perf.events_processed,
-            events,
-            "event totals must be thread-count-invariant at {threads} threads"
-        );
-        assert!(runner.telemetry().shard_tasks > 0, "decomposition is width-independent");
     }
 }
 

@@ -9,9 +9,8 @@
 //!   UDP CBR, and on/off bursts can share one world), warmup/duration,
 //!   seed. `build()` yields a ready [`World`], `run()` a
 //!   [`spec::RunOutcome`] with labeled [`metrics::FlowOutcome`]s.
-//! * [`scenario::TcpScenario`] / [`scenario::UdpScenario`] — thin
-//!   paper-era front-ends over the spec (file transfers over chains,
-//!   stars, grids, crosses; CBR with optional flooding).
+//!   [`ScenarioSpec::tcp`] and [`ScenarioSpec::udp`] give the paper's
+//!   file-transfer and CBR defaults.
 //!
 //! Every run is deterministic in its spec + seed — on any thread, in
 //! any order.
@@ -27,7 +26,6 @@
 
 pub mod metrics;
 pub mod node;
-pub mod scenario;
 pub mod scn;
 pub mod spec;
 pub mod topology;
@@ -35,13 +33,12 @@ pub mod world;
 
 pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, NodeReports, RunReport};
 pub use node::{Apps, Node};
-pub use scenario::{TcpRunResult, TcpScenario, UdpRunResult, UdpScenario};
 pub use scn::{
     check_seeds, parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta, MAX_SEEDS,
 };
 pub use spec::{
     panic_message, Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError,
-    RunOutcome, RunPerf, ScenarioSpec, ShardPlan, TopologyKind, Traffic,
+    RunOutcome, RunPerf, ScenarioSpec, TopologyKind, Traffic,
 };
 pub use topology::Topology;
 pub use world::{MediumKind, World};

@@ -702,18 +702,6 @@ impl ScenarioSpec {
     /// applications — one installation per flow, TCP stacks and UDP
     /// sources/sinks side by side.
     pub fn build(&self) -> World {
-        self.build_component(None)
-    }
-
-    /// [`ScenarioSpec::build`], optionally restricted to one collision
-    /// domain: when `only` is set, the world is constructed identically
-    /// (same topology, routes, MAC RNG streams, per-domain channel RNG
-    /// streams) but traffic is installed only where it belongs — flows
-    /// whose source lives in the domain, flooders on the domain's own
-    /// nodes. Since frames can never cross a domain boundary, the
-    /// restricted world replays exactly the domain's slice of the full
-    /// sequential schedule.
-    fn build_component(&self, only: Option<u32>) -> World {
         let mut topo = self.topology.build();
         let relays = self.relays();
         let flows = self.effective_flows();
@@ -732,20 +720,11 @@ impl ScenarioSpec {
             self.mac_config(i, &relays)
         });
         if let Some(le) = self.link_error {
-            // Per-link streams are derived statelessly from the seed and
-            // the link id, so a restricted (sharded) build reproduces
-            // each of its links' draws bit-for-bit.
             world.set_link_error(le);
         }
 
         let stop = Instant::ZERO + self.warmup + self.duration + Duration::from_secs(1);
         for (i, f) in flows.iter().enumerate() {
-            // Flow ports and UDP source ports stay keyed by the flow's
-            // *original* index, so a restricted build installs exactly
-            // the same sources the full build would.
-            if only.is_some_and(|c| world.component_of(f.src) != c) {
-                continue;
-            }
             match f.traffic {
                 FlowTraffic::FileTransfer { bytes } => {
                     install_transfer(&mut world, f.src, f.dst, f.port, bytes, &self.tcp);
@@ -768,9 +747,6 @@ impl ScenarioSpec {
         }
         if let Some(fl) = self.flooding {
             for i in 0..world.nodes.len() {
-                if only.is_some_and(|c| world.component_of(i) != c) {
-                    continue;
-                }
                 // Stagger starts so flooders don't align.
                 let start = Instant::ZERO + Duration::from_millis(13 * (i as u64 + 1));
                 let node = &mut world.nodes[i];
@@ -817,11 +793,7 @@ impl ScenarioSpec {
     /// Build + run with the budget armed; shared by [`ScenarioSpec::run`]
     /// and [`ScenarioSpec::try_run`]. Panics are NOT caught here.
     fn run_fallible(&self) -> Result<RunOutcome, RunError> {
-        let flows = self.effective_flows();
-        let started = std::time::Instant::now();
-        let allocs0 = hydra_sim::alloc_stats();
-        let world = self.build();
-        self.run_in(world, &flows, Self::run_mode(&flows), started, allocs0)
+        self.run_prepared(|_| {})
     }
 
     /// [`ScenarioSpec::run`] with the medium swapped to its dense O(n²)
@@ -831,13 +803,7 @@ impl ScenarioSpec {
     /// the property tests exercise, and the "dense sequential" baseline
     /// the profiler's scale grid measures speedups against.
     pub fn run_dense_reference(&self) -> RunOutcome {
-        let flows = self.effective_flows();
-        let started = std::time::Instant::now();
-        let allocs0 = hydra_sim::alloc_stats();
-        let mut world = self.build();
-        world.densify_medium();
-        self.run_in(world, &flows, Self::run_mode(&flows), started, allocs0)
-            .unwrap_or_else(|e| panic!("reference run failed: {e}"))
+        self.run_prepared(World::densify_medium).unwrap_or_else(|e| panic!("reference run failed: {e}"))
     }
 
     /// [`ScenarioSpec::run`] with the event queue swapped to its
@@ -847,114 +813,30 @@ impl ScenarioSpec {
     /// [`ScenarioSpec::run_dense_reference`], asserted and timed by the
     /// profiler's `--queue` grid.
     pub fn run_heap_reference(&self) -> RunOutcome {
+        self.run_prepared(World::use_heap_reference_queue)
+            .unwrap_or_else(|e| panic!("reference run failed: {e}"))
+    }
+
+    /// Builds the world, lets `prepare` swap an engine backend, arms the
+    /// spec's [`RunBudget`] and runs in the mode the flow mix selects.
+    /// `Err` only when the budget trips.
+    fn run_prepared(&self, prepare: impl FnOnce(&mut World)) -> Result<RunOutcome, RunError> {
         let flows = self.effective_flows();
         let started = std::time::Instant::now();
         let allocs0 = hydra_sim::alloc_stats();
         let mut world = self.build();
-        world.use_heap_reference_queue();
-        self.run_in(world, &flows, Self::run_mode(&flows), started, allocs0)
-            .unwrap_or_else(|e| panic!("reference run failed: {e}"))
-    }
-
-    /// The orchestration mode a flow mix selects: `(has_file, has_window)`.
-    fn run_mode(flows: &[FlowSpec]) -> (bool, bool) {
-        let has_file = flows.iter().any(|f| f.traffic.is_file());
-        let has_window = flows.iter().any(|f| !f.traffic.is_file());
-        (has_file, has_window)
-    }
-
-    /// Runs a pre-built world under `mode` over `flows` (which must be
-    /// exactly the flows installed in `world`, in original order),
-    /// arming the spec's [`RunBudget`] first. `Err` only when the
-    /// budget trips.
-    fn run_in(
-        &self,
-        mut world: World,
-        flows: &[FlowSpec],
-        mode: (bool, bool),
-        started: std::time::Instant,
-        allocs0: hydra_sim::AllocStats,
-    ) -> Result<RunOutcome, RunError> {
+        prepare(&mut world);
         if let Some(budget) = self.budget {
             world.set_budget(budget);
         }
-        match mode {
-            (true, false) => self.run_tcp(world, flows, started, allocs0),
-            (false, true) => self.run_cbr(world, flows, started, allocs0),
-            (true, true) => self.run_mixed(world, flows, started, allocs0),
+        let has_file = flows.iter().any(|f| f.traffic.is_file());
+        let has_window = flows.iter().any(|f| !f.traffic.is_file());
+        match (has_file, has_window) {
+            (true, false) => self.run_tcp(world, &flows, started, allocs0),
+            (false, true) => self.run_cbr(world, &flows, started, allocs0),
+            (true, true) => self.run_mixed(world, &flows, started, allocs0),
             (false, false) => unreachable!("a topology always has at least one default flow"),
         }
-    }
-
-    /// Runs the scenario with one worker thread per collision domain
-    /// (connected component of the carrier-sense graph), merging the
-    /// per-domain results into the sequential outcome.
-    ///
-    /// Domains are causally independent — no frame, carrier-sense edge,
-    /// or channel draw crosses a component boundary (the per-domain
-    /// channel RNG streams in [`World`] make the last one true by
-    /// construction) — so each domain's slice of the global event
-    /// schedule replays identically in its own restricted world, and:
-    ///
-    /// * per-flow outcomes (bytes, goodput, completion times), the
-    ///   `completed` flag, and the headline throughput are **always**
-    ///   identical to [`ScenarioSpec::run`];
-    /// * per-node reports and collision counts match wherever every
-    ///   domain runs the same virtual span as the sequential engine —
-    ///   window-measured and mixed runs (both run to the fixed
-    ///   horizon), and single-domain worlds (which take the sequential
-    ///   path exactly: `threads` is ignored and `run()` is called).
-    ///   Pure file-transfer runs on a *multi*-domain medium stop each
-    ///   domain at its own completion instant, so post-completion
-    ///   bookkeeping (FIN exchanges after the last payload byte) can
-    ///   differ from the sequential engine's tail.
-    ///
-    /// `threads = 0` asks for one worker per available CPU;
-    /// `threads = 1` runs the domains sequentially on the calling
-    /// thread (the reference schedule the determinism tests compare
-    /// against). Which thread runs which domain never matters: every
-    /// domain world is built and run in isolation and the merge is by
-    /// domain index.
-    pub fn run_sharded(&self, threads: usize) -> RunOutcome {
-        let Some(plan) = self.shard_plan() else { return self.run() };
-        plan.merge(hydra_sim::pool::run_indexed(plan.domains(), threads, |c| plan.run_domain(c as u32)))
-    }
-
-    /// The scenario's decomposition into collision domains, or `None`
-    /// when the world is a single domain (nothing to decompose). This
-    /// is the shard-task handoff external schedulers use: the bench
-    /// runner turns each domain into one pool task
-    /// ([`ShardPlan::run_domain`]) and reassembles the outcome with
-    /// [`ShardPlan::merge`]; [`ScenarioSpec::run_sharded`] is the
-    /// self-contained form of the same machinery.
-    pub fn shard_plan(&self) -> Option<ShardPlan<'_>> {
-        let started = std::time::Instant::now();
-        let allocs0 = hydra_sim::alloc_stats();
-        let flows = self.effective_flows();
-        // Discover the collision domains from the medium alone (cheap
-        // next to a run; routes are not needed for geometry).
-        let topo = self.topology.build();
-        let profile = PhyProfile::hydra();
-        let medium = self.medium.build_medium(&topo, &profile);
-        let comps = medium.components();
-        if comps.len() <= 1 {
-            return None;
-        }
-        let mut comp_of = vec![0u32; topo.n];
-        let mut domain_nodes = vec![0usize; comps.len()];
-        for (c, members) in comps.iter().enumerate() {
-            domain_nodes[c] = members.len();
-            for &i in members {
-                comp_of[i] = c as u32;
-            }
-        }
-        let mut domain_flows = vec![0usize; comps.len()];
-        for f in &flows {
-            domain_flows[comp_of[f.src] as usize] += 1;
-        }
-        let mode = Self::run_mode(&flows);
-        let n = topo.n;
-        Some(ShardPlan { spec: self, flows, mode, comp_of, domain_nodes, domain_flows, n, started, allocs0 })
     }
 
     /// Telemetry for a finished world (allocation deltas vs the marks
@@ -1122,134 +1004,6 @@ impl ScenarioSpec {
             report: RunReport::collect(&world, now),
             perf: Self::collect_perf(&world, started, allocs0),
         })
-    }
-}
-
-/// A scenario's decomposition into collision domains — the shard-task
-/// handoff between [`ScenarioSpec::run_sharded`] and external
-/// schedulers (the bench runner executes one pool task per domain).
-///
-/// Domains are causally independent (see
-/// [`ScenarioSpec::run_sharded`]'s contract), so [`ShardPlan::run_domain`]
-/// calls may execute in any order, on any threads, and
-/// [`ShardPlan::merge`] reassembles the sequential outcome. A plan
-/// whose [`ShardPlan::exact`] is `false` (pure file-transfer traffic
-/// on a multi-domain medium) still merges per-flow results exactly but
-/// may differ from [`ScenarioSpec::run`] in post-completion node
-/// bookkeeping — schedulers that promise byte-identical tables must
-/// not decompose such cells.
-#[derive(Debug)]
-pub struct ShardPlan<'a> {
-    spec: &'a ScenarioSpec,
-    flows: Vec<FlowSpec>,
-    /// `(has_file, has_window)` over the flow mix.
-    mode: (bool, bool),
-    comp_of: Vec<u32>,
-    domain_nodes: Vec<usize>,
-    domain_flows: Vec<usize>,
-    n: usize,
-    started: std::time::Instant,
-    allocs0: hydra_sim::AllocStats,
-}
-
-impl ShardPlan<'_> {
-    /// Number of collision domains (always ≥ 2: single-domain worlds
-    /// return no plan).
-    pub fn domains(&self) -> usize {
-        self.domain_nodes.len()
-    }
-
-    /// Nodes living in domain `c`.
-    pub fn domain_nodes(&self, c: u32) -> usize {
-        self.domain_nodes[c as usize]
-    }
-
-    /// Flows whose source lives in domain `c`.
-    pub fn domain_flows(&self, c: u32) -> usize {
-        self.domain_flows[c as usize]
-    }
-
-    /// Domain `c`'s estimated share of the whole run's work, in
-    /// `(0, 1]`: traffic dominates event counts, nodes dominate world
-    /// construction. Schedulers use this to split a cell's predicted
-    /// cost across its shard tasks.
-    pub fn cost_share(&self, c: u32) -> f64 {
-        let weight = |d: usize| self.domain_nodes[d] as f64 + 8.0 * self.domain_flows[d] as f64;
-        let total: f64 = (0..self.domains()).map(weight).sum();
-        weight(c as usize) / total.max(1.0)
-    }
-
-    /// True when the decomposed outcome is byte-identical to
-    /// [`ScenarioSpec::run`] — window-measured and mixed runs, which
-    /// run every domain to the same fixed horizon. Pure file-transfer
-    /// multi-domain runs are *not* exact (each domain stops at its own
-    /// completion instant, so post-completion bookkeeping can differ).
-    pub fn exact(&self) -> bool {
-        self.mode != (true, false)
-    }
-
-    /// Builds and runs domain `c`'s restricted world, replaying exactly
-    /// that domain's slice of the sequential schedule.
-    ///
-    /// Panics on a domain failure (a tripped budget — each domain world
-    /// gets the spec's full budget, as documented in
-    /// docs/ROBUSTNESS.md); callers that must survive failures wrap the
-    /// call in `catch_unwind`, as the experiment runner does.
-    pub fn run_domain(&self, c: u32) -> RunOutcome {
-        let sub: Vec<FlowSpec> = self.flows.iter().filter(|f| self.comp_of[f.src] == c).copied().collect();
-        let world = self.spec.build_component(Some(c));
-        self.spec
-            .run_in(world, &sub, self.mode, std::time::Instant::now(), hydra_sim::alloc_stats())
-            .unwrap_or_else(|e| panic!("domain run failed: {e}"))
-    }
-
-    /// Merges the per-domain outcomes (indexed by domain, one per
-    /// domain) back into the whole-run outcome: each flow and node
-    /// belongs to exactly one domain, event/queue tallies sum, and the
-    /// wall clock spans from plan creation to the merge.
-    pub fn merge(&self, by_comp: Vec<RunOutcome>) -> RunOutcome {
-        assert_eq!(by_comp.len(), self.domains(), "one outcome per domain");
-        let mut sub_iters: Vec<std::vec::IntoIter<FlowOutcome>> =
-            by_comp.iter().map(|o| o.per_flow.clone().into_iter()).collect();
-        let per_flow: Vec<FlowOutcome> = self
-            .flows
-            .iter()
-            .map(|f| sub_iters[self.comp_of[f.src] as usize].next().expect("one outcome per flow"))
-            .collect();
-        let (has_file, _) = self.mode;
-        let headline: Vec<FlowOutcome> = if has_file {
-            per_flow.iter().filter(|o| o.flow.traffic.is_file()).cloned().collect()
-        } else {
-            per_flow.clone()
-        };
-        let report = RunReport {
-            nodes: (0..self.n).map(|i| by_comp[self.comp_of[i] as usize].report.nodes[i].clone()).collect(),
-            at: by_comp.iter().map(|o| o.report.at).max().expect("at least one domain"),
-            collisions: by_comp.iter().map(|o| o.report.collisions).sum(),
-        };
-        let allocs = hydra_sim::alloc_stats().since(self.allocs0);
-        RunOutcome {
-            completed: by_comp.iter().all(|o| o.completed),
-            throughput_bps: ScenarioSpec::worst_bps(&headline),
-            per_flow,
-            report,
-            perf: RunPerf {
-                events_processed: by_comp.iter().map(|o| o.perf.events_processed).sum(),
-                events_stale: by_comp.iter().map(|o| o.perf.events_stale).sum(),
-                timer_rearms: by_comp.iter().map(|o| o.perf.timer_rearms).sum(),
-                queue: by_comp.iter().fold(hydra_sim::QueueStats::default(), |acc, o| {
-                    hydra_sim::QueueStats {
-                        scheduled: acc.scheduled + o.perf.queue.scheduled,
-                        popped: acc.popped + o.perf.queue.popped,
-                        overflow_scheduled: acc.overflow_scheduled + o.perf.queue.overflow_scheduled,
-                        promoted: acc.promoted + o.perf.queue.promoted,
-                    }
-                }),
-                wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-                allocations: allocs.allocations,
-                allocated_bytes: allocs.allocated_bytes,
-            },
-        }
     }
 }
 

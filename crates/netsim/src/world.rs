@@ -113,10 +113,8 @@ pub struct World {
     /// medium has exactly one, forked identically to the historical
     /// single `fork(0xC0DE)` — byte-for-byte the legacy draw stream.
     /// Splitting by component makes each domain's channel randomness
-    /// independent of event interleaving across domains, which is what
-    /// lets [`ScenarioSpec::run_sharded`](crate::ScenarioSpec::run_sharded)
-    /// run domains on separate worker threads and still match the
-    /// sequential schedule exactly.
+    /// independent of event interleaving across domains: a domain's
+    /// draws depend only on its own traffic, never on another domain's.
     channel_rng: Vec<Rng>,
     /// Node → collision-domain index (indexes `channel_rng`).
     component_of: Vec<u32>,

@@ -1,8 +1,8 @@
 //! Integration tests for the per-link channel-error model: bursty
 //! (Gilbert–Elliott) and independent residual loss, duplication, and
 //! intra-aggregate reorder — all on deterministic per-link RNG streams,
-//! so every engine (sequential, sharded, dense/heap references) must
-//! agree bit-for-bit.
+//! so every engine (sparse, dense and heap references) must agree
+//! bit-for-bit.
 
 use hydra_netsim::{LinkErrorSpec, Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_phy::{LinkErrorModel, Rate};
@@ -38,9 +38,6 @@ fn every_engine_agrees_under_bursty_dup_and_reorder() {
     assert_eq!(spec.run(), reference, "sequential engine is not self-stable");
     assert_eq!(spec.run_dense_reference(), reference, "dense reference diverged");
     assert_eq!(spec.run_heap_reference(), reference, "heap reference diverged");
-    for threads in [1, 2, 4] {
-        assert_eq!(spec.run_sharded(threads), reference, "sharded({threads}) diverged");
-    }
 }
 
 #[test]
@@ -89,7 +86,6 @@ fn duplicated_corrupted_copies_take_the_checked_parse_path() {
     assert!(crc_failures > 0, "corrupted copies must hit the CRC-checked path");
     assert!(deliveries > 0, "clean copies must still deliver");
     // And the whole thing stays deterministic across engines.
-    assert_eq!(spec.run_sharded(4), out);
     assert_eq!(spec.run_dense_reference(), out);
 }
 

@@ -26,8 +26,8 @@
 //! Determinism: each link runs its own [`LinkErrorState`] over an
 //! [`Rng`] stream derived statelessly from a root seed and the link id
 //! (see [`link_stream`]), so draws on one link never perturb another
-//! link's stream, and sharded/restricted worlds that replay a subset of
-//! links reproduce each link's stream bit-for-bit.
+//! link's stream, and a world that carries traffic on only a subset of
+//! links reproduces each of those links' streams bit-for-bit.
 
 use hydra_sim::rng::stream_seed;
 use hydra_sim::Rng;

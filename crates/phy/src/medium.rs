@@ -673,8 +673,8 @@ impl Medium {
     /// nodes are connected if either direction senses), each sorted
     /// ascending, ordered by smallest member. Nodes in different
     /// components can never influence each other — no carrier sense, no
-    /// interference, no delivery — which is what makes per-component
-    /// sharded execution exact rather than approximate.
+    /// interference, no delivery — which is why each component can own
+    /// an independent channel RNG stream.
     pub fn components(&self) -> Vec<Vec<usize>> {
         let n = self.node_count();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];

@@ -133,13 +133,6 @@ impl TimeLedger {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
         self.categories.iter().copied()
     }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &TimeLedger) {
-        for (name, d) in other.iter() {
-            self.add(name, d);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,17 +198,5 @@ mod tests {
         l.add(PAYLOAD, Duration::from_micros(8));
         let rows: Vec<_> = l.iter().collect();
         assert_eq!(rows, vec![("payload", Duration::from_micros(13)), ("pay", Duration::from_micros(2))]);
-    }
-
-    #[test]
-    fn ledger_merge() {
-        let mut a = TimeLedger::new();
-        a.add("x", Duration::from_micros(1));
-        let mut b = TimeLedger::new();
-        b.add("x", Duration::from_micros(2));
-        b.add("y", Duration::from_micros(3));
-        a.merge(&b);
-        assert_eq!(a.get("x"), Duration::from_micros(3));
-        assert_eq!(a.get("y"), Duration::from_micros(3));
     }
 }

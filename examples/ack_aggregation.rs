@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example ack_aggregation`
 
-use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind};
+use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 
 fn main() {
-    let scenario = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
+    let scenario = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
     let result = scenario.run();
     assert!(result.completed);
 

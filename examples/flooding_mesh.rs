@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example flooding_mesh`
 
-use hydra_agg::netsim::{Policy, UdpScenario};
+use hydra_agg::netsim::{Flooding, Policy, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 use hydra_agg::sim::Duration;
 
@@ -17,22 +17,22 @@ fn main() {
     println!("{:>16} | {:>10} | {:>10} | {:>6}", "flood interval", "NA (Mbps)", "BA (Mbps)", "gap");
     println!("{:-<16}-+-{:-<10}-+-{:-<10}-+-{:-<6}", "", "", "", "");
     for flood_ms in [0u64, 50, 100, 250, 500, 1000] {
-        let mut na = UdpScenario::new(2, Policy::Na, rate, Duration::from_millis(12));
-        let mut ba = UdpScenario::new(2, Policy::Ba, rate, Duration::from_millis(12));
-        if flood_ms > 0 {
-            na = na.with_flooding(Duration::from_millis(flood_ms));
-            ba = ba.with_flooding(Duration::from_millis(flood_ms));
-        }
-        let na = na.run();
-        let ba = ba.run();
+        let run = |policy| {
+            let mut s = ScenarioSpec::udp(TopologyKind::Linear(2), policy, rate, Duration::from_millis(12));
+            if flood_ms > 0 {
+                s.flooding = Some(Flooding { interval: Duration::from_millis(flood_ms), payload: 120 });
+            }
+            s.run().throughput_bps
+        };
+        let (na, ba) = (run(Policy::Na), run(Policy::Ba));
         let label =
             if flood_ms == 0 { "none".to_string() } else { format!("{:.2}s", flood_ms as f64 / 1000.0) };
         println!(
             "{:>16} | {:>10.3} | {:>10.3} | {:>5.1}%",
             label,
-            na.goodput_bps / 1e6,
-            ba.goodput_bps / 1e6,
-            (ba.goodput_bps / na.goodput_bps - 1.0) * 100.0
+            na / 1e6,
+            ba / 1e6,
+            (ba / na - 1.0) * 100.0
         );
     }
     println!("\nThe faster the flooding, the more NA pays per beacon (a whole DCF");

@@ -1,7 +1,7 @@
 //! Bit-stable reproducibility: identical seeds must give identical runs,
 //! across every scenario family the harness uses.
 
-use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind, UdpScenario};
+use hydra_agg::netsim::{Flooding, Policy, RunOutcome, ScenarioSpec, TopologyKind, Traffic};
 use hydra_agg::phy::Rate;
 use hydra_agg::sim::Duration;
 
@@ -10,14 +10,14 @@ fn tcp_runs_replay_exactly() {
     for topo in [TopologyKind::Linear(2), TopologyKind::Linear(3), TopologyKind::Star] {
         for policy in [Policy::Na, Policy::Ba] {
             let run = |seed| {
-                let mut s = TcpScenario::new(topo, policy, Rate::R1_30).with_seed(seed);
-                s.file_bytes = 50 * 1024;
+                let mut s = ScenarioSpec::tcp(topo, policy, Rate::R1_30).with_seed(seed);
+                s.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
                 s.run()
             };
             let a = run(11);
             let b = run(11);
             assert_eq!(a.throughput_bps, b.throughput_bps, "{topo:?} {}", policy.name());
-            assert_eq!(a.per_session_bps, b.per_session_bps);
+            assert_eq!(a.per_flow_bps(), b.per_flow_bps());
             assert_eq!(a.report.total_data_txs(), b.report.total_data_txs());
             assert_eq!(a.report.collisions, b.report.collisions);
             for (na, nb) in a.report.nodes.iter().zip(&b.report.nodes) {
@@ -32,13 +32,16 @@ fn tcp_runs_replay_exactly() {
 #[test]
 fn udp_runs_replay_exactly() {
     let run = || {
-        let mut s = UdpScenario::new(2, Policy::Ba, Rate::R1_30, Duration::from_millis(15)).with_seed(3);
-        s.measure = Duration::from_secs(5);
-        s.with_flooding(Duration::from_millis(300)).run()
+        let mut s =
+            ScenarioSpec::udp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30, Duration::from_millis(15))
+                .with_seed(3);
+        s.duration = Duration::from_secs(5);
+        s.flooding = Some(Flooding { interval: Duration::from_millis(300), payload: 120 });
+        s.run()
     };
     let a = run();
     let b = run();
-    assert_eq!(a.goodput_bps, b.goodput_bps);
+    assert_eq!(a.throughput_bps, b.throughput_bps);
     assert_eq!(a.report.total_data_txs(), b.report.total_data_txs());
 }
 
@@ -46,7 +49,7 @@ fn udp_runs_replay_exactly() {
 fn different_seeds_differ_but_agree_qualitatively() {
     let thr: Vec<f64> = (1..=4)
         .map(|seed| {
-            TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60)
+            ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60)
                 .with_seed(seed)
                 .run()
                 .throughput_bps
@@ -63,15 +66,14 @@ fn different_seeds_differ_but_agree_qualitatively() {
 #[test]
 fn fault_injected_runs_replay_exactly() {
     let run = || {
-        let mut s = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(5);
-        s.file_bytes = 30 * 1024;
+        let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(5);
+        s.traffic = Traffic::FileTransfer { bytes: 30 * 1024 };
         s.fault = Some((0.05, 0.05));
         s.run()
     };
     let a = run();
     let b = run();
     assert_eq!(a.throughput_bps, b.throughput_bps);
-    let retries =
-        |r: &hydra_agg::netsim::TcpRunResult| -> u64 { r.report.nodes.iter().map(|n| n.retries).sum() };
+    let retries = |r: &RunOutcome| -> u64 { r.report.nodes.iter().map(|n| n.retries).sum() };
     assert_eq!(retries(&a), retries(&b));
 }

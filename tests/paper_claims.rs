@@ -1,14 +1,14 @@
 //! The paper's central claims, asserted end-to-end through the full
 //! stack (application → TCP → IP → aggregation MAC → PHY → medium).
 
-use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind, UdpScenario};
+use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 use hydra_agg::sim::Duration;
 
 fn tcp_mbps(topo: TopologyKind, policy: Policy, rate: Rate) -> f64 {
     // Two seeds to damp backoff luck.
-    let a = TcpScenario::new(topo, policy, rate).with_seed(1).run();
-    let b = TcpScenario::new(topo, policy, rate).with_seed(2).run();
+    let a = ScenarioSpec::tcp(topo, policy, rate).with_seed(1).run();
+    let b = ScenarioSpec::tcp(topo, policy, rate).with_seed(2).run();
     assert!(a.completed && b.completed, "{} transfer incomplete", policy.name());
     (a.throughput_bps + b.throughput_bps) / 2.0 / 1e6
 }
@@ -53,7 +53,7 @@ fn claim_more_hops_increase_ba_benefit() {
     let avg = |topo, policy| {
         let mut sum = 0.0;
         for seed in 1..=5 {
-            sum += TcpScenario::new(topo, policy, Rate::R1_30).with_seed(seed).run().throughput_bps;
+            sum += ScenarioSpec::tcp(topo, policy, Rate::R1_30).with_seed(seed).run().throughput_bps;
         }
         sum / 5.0
     };
@@ -72,7 +72,7 @@ fn claim_star_congestion_favors_ba() {
     let avg = |policy| {
         let mut sum = 0.0;
         for seed in 1..=8 {
-            sum += TcpScenario::new(TopologyKind::Star, policy, Rate::R2_60)
+            sum += ScenarioSpec::tcp(TopologyKind::Star, policy, Rate::R2_60)
                 .with_seed(seed)
                 .run()
                 .throughput_bps;
@@ -106,10 +106,10 @@ fn claim_aggregation_size_cliff_at_coherence_budget() {
     // Paper §6.1 / Figure 7: throughput rises with the cap, then
     // collapses past ~120 Ksamples (5 KB at 0.65 Mbps, ~11 KB at 1.3).
     let run = |kb: usize, rate: Rate| {
-        let mut s = UdpScenario::new(1, Policy::Ua, rate, Duration::from_millis(6));
+        let mut s = ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, rate, Duration::from_millis(6));
         s.max_aggregate = kb * 1024;
-        s.measure = Duration::from_secs(5);
-        s.run().goodput_bps
+        s.duration = Duration::from_secs(5);
+        s.run().throughput_bps
     };
     // 0.65 Mbps: 5 KB good, 8 KB dead.
     let at5 = run(5, Rate::R0_65);
@@ -128,7 +128,7 @@ fn claim_fixed_slow_broadcast_rate_drags_ba_below_ua() {
     // Paper §6.4.1 / Figure 10: ACKs broadcast at 0.65 Mbps dominate the
     // frame once the unicast rate is high.
     let ua = tcp_mbps(TopologyKind::Linear(2), Policy::Ua, Rate::R2_60);
-    let mut s = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).with_seed(1);
+    let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).with_seed(1);
     s.broadcast_rate = Some(Rate::R0_65);
     let ba_slow = s.run().throughput_bps / 1e6;
     assert!(
@@ -141,7 +141,7 @@ fn claim_fixed_slow_broadcast_rate_drags_ba_below_ua() {
 fn claim_relay_transmission_count_shrinks_in_paper_order() {
     // Paper Table 3: TXs NA(100%) > UA > BA >= DBA.
     let tx = |p: Policy| {
-        TcpScenario::new(TopologyKind::Linear(2), p, Rate::R1_30).run().report.relay().tx_data_frames
+        ScenarioSpec::tcp(TopologyKind::Linear(2), p, Rate::R1_30).run().report.relay().tx_data_frames
     };
     let na = tx(Policy::Na);
     let ua = tx(Policy::Ua);
@@ -155,7 +155,7 @@ fn claim_time_overhead_ordering_matches_table4() {
     // Paper Table 4: overhead NA >> UA > BA at every rate, and overhead
     // grows with rate for every policy.
     let ovh = |p: Policy, r: Rate| {
-        TcpScenario::new(TopologyKind::Linear(2), p, r).run().report.time_overhead_pct(1)
+        ScenarioSpec::tcp(TopologyKind::Linear(2), p, r).run().report.time_overhead_pct(1)
     };
     for rate in [Rate::R0_65, Rate::R2_60] {
         let na = ovh(Policy::Na, rate);

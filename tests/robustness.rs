@@ -1,14 +1,14 @@
 //! Fault injection: the system must survive a hostile channel
 //! (smoltcp-style drop/corrupt testing, applied through the whole stack).
 
-use hydra_agg::netsim::{Policy, TcpScenario, TopologyKind};
+use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind, Traffic};
 use hydra_agg::phy::Rate;
 
 #[test]
 fn transfer_survives_frame_drops() {
     for policy in [Policy::Na, Policy::Ua, Policy::Ba] {
-        let mut s = TcpScenario::new(TopologyKind::Linear(2), policy, Rate::R1_30);
-        s.file_bytes = 60 * 1024;
+        let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30);
+        s.traffic = Traffic::FileTransfer { bytes: 60 * 1024 };
         s.fault = Some((0.05, 0.0)); // 5% of frames vanish
         let r = s.run();
         assert!(r.completed, "{}: transfer must survive 5% frame drops", policy.name());
@@ -20,8 +20,8 @@ fn transfer_survives_frame_drops() {
 #[test]
 fn transfer_survives_subframe_corruption() {
     for policy in [Policy::Ua, Policy::Ba] {
-        let mut s = TcpScenario::new(TopologyKind::Linear(2), policy, Rate::R1_30);
-        s.file_bytes = 60 * 1024;
+        let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30);
+        s.traffic = Traffic::FileTransfer { bytes: 60 * 1024 };
         s.fault = Some((0.0, 0.03)); // 3% of subframes corrupted
         let r = s.run();
         assert!(r.completed, "{}: transfer must survive corruption", policy.name());
@@ -34,8 +34,8 @@ fn transfer_survives_subframe_corruption() {
 
 #[test]
 fn corruption_costs_throughput() {
-    let clean = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).run();
-    let mut s = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
+    let clean = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).run();
+    let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
     s.fault = Some((0.0, 0.10));
     let dirty = s.run();
     assert!(dirty.completed);
@@ -55,7 +55,7 @@ fn block_ack_outperforms_normal_ack_under_corruption() {
     let run = |ack: AckPolicy| {
         let mut sum = 0.0;
         for seed in 1..=3 {
-            let mut s = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).with_seed(seed);
+            let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).with_seed(seed);
             s.fault = Some((0.0, 0.08));
             s.ack_policy = ack;
             let r = s.run();
@@ -73,8 +73,8 @@ fn block_ack_outperforms_normal_ack_under_corruption() {
 fn heavy_loss_fails_gracefully_not_catastrophically() {
     // 40% drop: the run may or may not finish inside the deadline, but it
     // must neither panic nor corrupt delivered data.
-    let mut s = TcpScenario::new(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    s.file_bytes = 20 * 1024;
+    let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
+    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
     s.fault = Some((0.4, 0.1));
     let _ = s.run();
 }
