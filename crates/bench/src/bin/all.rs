@@ -4,10 +4,14 @@
 //! cargo run --release -p hydra-bench --bin all [-- --seeds N --threads N --no-cache]
 //! ```
 //!
+//! Each table's grid is its file under `examples/sweeps/`, compiled in,
+//! run at the file's `#! seeds=` replications — or at `--seeds N` for
+//! every file when the flag is given.
+//!
 //! By default runs consult (and extend) the persistent result cache at
 //! `results/cache/runs.jsonl`: a warm rerun simulates nothing and
-//! rebuilds byte-identical tables from disk; editing a spec in
-//! `experiments.rs` re-runs only that spec's cells. With `--no-cache`
+//! rebuilds byte-identical tables from disk; editing a line of a
+//! `.scn` file (and rebuilding) re-runs only that line's cells. With `--no-cache`
 //! nothing is read from or written to disk; each distinct run simulates
 //! once, in memory. Cache hit/miss counts go to stderr so stdout (and
 //! the results file) stay comparable between cold and warm runs.
@@ -32,7 +36,7 @@ fn main() {
             "--seeds" => {
                 i += 1;
                 opts.seeds = match argv.get(i).and_then(|v| v.parse().ok()).map(check_seeds) {
-                    Some(Ok(n)) => n,
+                    Some(Ok(n)) => Some(n),
                     Some(Err(e)) => die(&e),
                     None => die("bad --seeds"),
                 };

@@ -23,10 +23,12 @@
 use std::collections::HashSet;
 use std::io::Write as _;
 
-use hydra_bench::experiments::{scale_profile_specs, shipped_sweeps};
+use hydra_bench::experiments::shipped_sweeps;
 use hydra_bench::{CellResult, ExperimentRunner, RunnerTelemetry};
 use hydra_netsim::RunPerf;
-use hydra_netsim::{check_seeds, parse_scn, RunBudget, ScenarioSpec, TopologyKind};
+use hydra_netsim::{check_seeds, parse_scn, Policy, RunBudget, ScenarioSpec, TopologyKind, Traffic};
+use hydra_phy::Rate;
+use hydra_sim::Duration;
 
 #[global_allocator]
 static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
@@ -255,12 +257,38 @@ impl ScaleRow {
     }
 }
 
+/// The `--scale` workload: one pure-CBR cell per node count, constant
+/// density (the `ext_scale` meshes' `side ≈ 5.73·√nodes`, placement
+/// seed 7), default mesh flows (`nodes/4` concurrent CBR flows at
+/// 160 B / 120 ms). Pure window-measured traffic so the dense-reference
+/// replay is horizon-bounded and event counts stay deterministic.
+/// Returns `(nodes, spec)` rows in ascending size.
+///
+/// Node counts are chosen to bracket the dense backend's collapse: on
+/// one core the sparse medium alone crosses 4× at ≈350 nodes and
+/// reaches >10× at 1000; the 100-node row documents the near-crossover
+/// regime.
+fn scale_specs() -> Vec<(usize, ScenarioSpec)> {
+    [(100usize, 58u32), (400, 115), (700, 152), (1000, 182)]
+        .iter()
+        .map(|&(nodes, side)| {
+            let kind = TopologyKind::RandomMesh { nodes, area_m: side, seed: 7 };
+            let interval = Duration::from_millis(120);
+            let mut spec = ScenarioSpec::udp(kind, Policy::Ba, Rate::R1_30, interval).spatial(1.0);
+            spec.traffic = Traffic::Cbr { interval, payload: 160 };
+            spec.warmup = Duration::from_millis(500);
+            spec.duration = Duration::from_secs(2);
+            (nodes, spec)
+        })
+        .collect()
+}
+
 /// Runs the mesh scale grid: each cell once on the sparse medium
 /// (`run()`) and once on the dense O(n²) reference medium, asserting
 /// the two produce identical outcomes. Wall times include world construction for both sides —
 /// each engine pays its own setup.
 fn run_scale() -> Vec<ScaleRow> {
-    scale_profile_specs()
+    scale_specs()
         .into_iter()
         .map(|(nodes, spec)| {
             let TopologyKind::RandomMesh { area_m, .. } = spec.topology else {

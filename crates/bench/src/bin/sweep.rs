@@ -3,13 +3,14 @@
 //! ```text
 //! cargo run --release -p hydra-bench --bin sweep -- FILE.scn [FILE.scn ...]
 //!     [--seeds N] [--threads N] [--no-cache] [--cache-dir DIR]
-//! cargo run --release -p hydra-bench --bin sweep -- --export DIR
 //! ```
 //!
 //! Each non-comment line of a `.scn` file is one [`hydra_netsim::ScenarioSpec`] in the
 //! `key=value` format documented in `docs/SCENARIO_FORMAT.md`. Every
-//! shipped experiment grid is checked in under `examples/sweeps/`;
-//! `--export DIR` regenerates those files from the in-code definitions.
+//! shipped experiment grid is a file under `examples/sweeps/` — the
+//! same file `--bin all` compiles in and renders as the paper's table.
+//! Every file is read and parsed before anything runs or the store
+//! opens, so a malformed file exits 2 with nothing printed or stored.
 //!
 //! Like `--bin all`, runs consult and extend the persistent result
 //! cache (default `results/cache/`): a warm rerun of an unchanged file
@@ -20,9 +21,8 @@
 
 use std::sync::Arc;
 
-use hydra_bench::experiments::{shipped_sweep_meta, shipped_sweeps};
 use hydra_bench::{failure_lines, ConcurrentCache, ExperimentRunner, Table};
-use hydra_netsim::{check_seeds, parse_scn_file, render_scn};
+use hydra_netsim::{check_seeds, parse_scn_file, SweepFile};
 
 struct Args {
     files: Vec<String>,
@@ -31,12 +31,10 @@ struct Args {
     threads: usize,
     cache_dir: Option<String>,
     use_cache: bool,
-    export: Option<String>,
 }
 
 const HELP: &str = "\
 usage: sweep FILE.scn [FILE.scn ...] [options]
-       sweep --export DIR
 
 Runs every scenario in the given .scn files through the parallel
 ExperimentRunner and prints one table per file. Line format (one
@@ -49,8 +47,6 @@ options:
   --no-cache       nothing is read from or written to disk; each
                    distinct run simulates once
   --cache-dir DIR  result cache location (default results/cache)
-  --export DIR     write every shipped experiment grid as DIR/<name>.scn
-                   (regenerates examples/sweeps/) and exit
   --help           this text
 ";
 
@@ -60,8 +56,7 @@ fn die(msg: &str) -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut a =
-        Args { files: Vec::new(), seeds: None, threads: 0, cache_dir: None, use_cache: true, export: None };
+    let mut a = Args { files: Vec::new(), seeds: None, threads: 0, cache_dir: None, use_cache: true };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -80,7 +75,6 @@ fn parse_args() -> Args {
             "--threads" => a.threads = val(&mut i).parse().unwrap_or_else(|_| die("bad --threads")),
             "--no-cache" => a.use_cache = false,
             "--cache-dir" => a.cache_dir = Some(val(&mut i)),
-            "--export" => a.export = Some(val(&mut i)),
             "--help" | "-h" => {
                 print!("{HELP}");
                 std::process::exit(0);
@@ -90,39 +84,21 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    if a.export.is_none() && a.files.is_empty() {
+    if a.files.is_empty() {
         die("no .scn files given");
     }
     a
 }
 
-/// Writes every shipped experiment grid as `<dir>/<name>.scn`, with
-/// its caption and default seed count as `#!` directives.
-fn export(dir: &str) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("create {dir}: {e}")));
-    for (name, specs) in shipped_sweeps() {
-        let path = format!("{dir}/{name}.scn");
-        let mut text = format!(
-            "# {name} — {count} scenarios, exported from hydra_bench::experiments::{name}_specs().\n\
-             # One ScenarioSpec per line (key=value fields); format: docs/SCENARIO_FORMAT.md.\n\
-             # Regenerate with: cargo run -p hydra-bench --bin sweep -- --export examples/sweeps\n",
-            count = specs.len()
-        );
-        text.push_str(&shipped_sweep_meta(name).render());
-        text.push_str(&render_scn(&specs));
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        println!("wrote {path} ({} scenarios)", specs.len());
-    }
+/// Reads and parses one `.scn` file; exits 2 naming it if either fails.
+fn read_file(path: &str) -> SweepFile {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
+    parse_scn_file(&text).unwrap_or_else(|e| die(&format!("{path}:{e}")))
 }
 
 /// Runs one file and prints its table; returns how many replications
 /// failed (each one named on stderr).
-fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) -> usize {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    let file = match parse_scn_file(&text) {
-        Ok(file) => file,
-        Err(e) => die(&format!("{path}:{e}")),
-    };
+fn run_file(runner: &ExperimentRunner, path: &str, file: &SweepFile, cli_seeds: Option<u64>) -> usize {
     if file.specs.is_empty() {
         eprintln!("{path}: no scenarios, skipping");
         return 0;
@@ -165,10 +141,7 @@ fn run_file(runner: &ExperimentRunner, path: &str, cli_seeds: Option<u64>) -> us
 
 fn main() {
     let a = parse_args();
-    if let Some(dir) = &a.export {
-        export(dir);
-        return;
-    }
+    let files: Vec<SweepFile> = a.files.iter().map(|path| read_file(path)).collect();
     let mut runner = ExperimentRunner::new(a.threads);
     if a.use_cache {
         let cache = match &a.cache_dir {
@@ -179,7 +152,8 @@ fn main() {
         eprintln!("result cache: {} runs on disk", cache.len());
         runner = runner.with_cache(Arc::new(cache));
     }
-    let failures: usize = a.files.iter().map(|file| run_file(&runner, file, a.seeds)).sum();
+    let failures: usize =
+        a.files.iter().zip(&files).map(|(path, file)| run_file(&runner, path, file, a.seeds)).sum();
     eprintln!("result cache: {}", runner.cache().stats());
     if failures > 0 {
         eprintln!("{failures} replication(s) FAILED — see the per-seed columns above");

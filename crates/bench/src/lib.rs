@@ -1,15 +1,17 @@
 //! # hydra-bench — the experiment harness
 //!
-//! One function per table/figure of the paper, each expressed as a grid
-//! of [`hydra_netsim::ScenarioSpec`]s driven through the parallel
-//! [`runner::ExperimentRunner`] and folded into a [`report::Table`]
-//! comparing the paper's reported numbers against this reproduction.
-//! Thin binaries in `src/bin/` print individual experiments;
-//! `src/bin/all.rs` regenerates everything and writes the results file
-//! that EXPERIMENTS.md quotes.
+//! One function per table/figure of the paper. Each experiment's grid
+//! of [`hydra_netsim::ScenarioSpec`]s is its `.scn` file under
+//! `examples/sweeps/` — the only definition, compiled in — driven
+//! through the parallel [`runner::ExperimentRunner`] and folded into a
+//! [`report::Table`] comparing the paper's reported numbers against
+//! this reproduction. Thin binaries in `src/bin/` print individual
+//! experiments; `src/bin/all.rs` regenerates everything into
+//! `results/experiments.txt` (checked in as
+//! `tests/golden/experiments.txt`; `docs/REPRODUCTION.md` maps each
+//! table to its paper item and claim).
 //!
-//! Sweeps are also *data*: every shipped grid is exported as a `.scn`
-//! file under `examples/sweeps/` (run them with `--bin sweep`), and
+//! The same files run with `--bin sweep`, and
 //! [`sweeps::ConcurrentCache`] persists every outcome keyed by
 //! `(stable_hash, replication)` so warm reruns of `--bin all` /
 //! `--bin sweep` simulate nothing and rebuild byte-identical tables.

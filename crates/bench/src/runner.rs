@@ -389,19 +389,6 @@ impl ExperimentRunner {
             .collect()
     }
 
-    /// Runs a grid of cells (rows of specs), preserving shape. All cells
-    /// across all rows execute in one shared work list, so a slow row
-    /// does not serialise the rest.
-    pub fn run_grid(&self, grid: Vec<Vec<ScenarioSpec>>, seeds: u64) -> Vec<Vec<CellResult>> {
-        let widths: Vec<usize> = grid.iter().map(|row| row.len()).collect();
-        let flat: Vec<ScenarioSpec> = grid.into_iter().flatten().collect();
-        let mut cells = self.run_sweep(&flat, seeds).into_iter();
-        widths
-            .into_iter()
-            .map(|w| (0..w).map(|_| cells.next().expect("one cell per spec")).collect())
-            .collect()
-    }
-
     /// Runs a single spec once with the derived replication-1 seed,
     /// surfacing any failure as the [`RunError`] it was.
     pub fn try_run_one(&self, spec: ScenarioSpec) -> Result<RunOutcome, RunError> {
@@ -472,8 +459,6 @@ mod tests {
         let cells = ExperimentRunner::sequential().run_sweep(&specs, 2);
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].runs.len(), 2);
-        let grid = ExperimentRunner::sequential().run_grid(vec![vec![tiny_udp_spec()], specs], 1);
-        assert_eq!(grid.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

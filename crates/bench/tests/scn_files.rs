@@ -1,12 +1,19 @@
 //! The `.scn` corpus tests: every shipped experiment grid round-trips
-//! through the text format, and the checked-in files under
-//! `examples/sweeps/` stay in lockstep with the in-code definitions.
+//! through the text format, and the files under `examples/sweeps/` are
+//! exactly the registry the experiments compile in, each carrying the
+//! caption and replication count its table needs.
 
-use hydra_bench::experiments::{shipped_sweep_meta, shipped_sweeps};
-use hydra_netsim::{parse_scn, parse_scn_file, ScenarioSpec};
+use hydra_bench::experiments::shipped_sweeps;
+use hydra_netsim::{parse_scn, parse_scn_file, ScenarioSpec, SweepFile};
 
 fn sweeps_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/sweeps")
+}
+
+fn read_sweep(name: &str) -> SweepFile {
+    let path = sweeps_dir().join(format!("{name}.scn"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    parse_scn_file(&text).unwrap_or_else(|e| panic!("{}:{e}", path.display()))
 }
 
 /// Round-trip guarantee over the whole shipped corpus: serialize →
@@ -29,39 +36,35 @@ fn every_shipped_spec_round_trips() {
     assert!(total > 250, "expected the full corpus, saw {total} specs");
 }
 
-/// The checked-in `.scn` files are generated artifacts: each must parse
-/// and yield exactly the spec list its experiment builds in code. A
-/// failure here means `--bin sweep -- --export examples/sweeps` needs
-/// re-running (or a file was edited by hand).
+/// The registry and the directory agree both ways: every shipped sweep
+/// `<name>` is the file `examples/sweeps/<name>.scn`, and every `.scn`
+/// there (except the hand-written CI smoke sweep) is a shipped sweep.
 #[test]
-fn example_files_match_the_code() {
-    let dir = sweeps_dir();
-    let mut expected_files: Vec<String> = Vec::new();
-    for (name, specs) in shipped_sweeps() {
-        let path = dir.join(format!("{name}.scn"));
-        expected_files.push(format!("{name}.scn"));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} — regenerate with --bin sweep -- --export", path.display()));
-        let parsed = parse_scn_file(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            parsed.specs,
-            specs,
-            "{name}.scn diverged from {name}_specs(); regenerate with `--bin sweep -- --export examples/sweeps`"
-        );
-        assert_eq!(
-            parsed.meta,
-            shipped_sweep_meta(name),
-            "{name}.scn directives diverged from shipped_sweep_meta(); regenerate with --export"
-        );
+fn every_sweep_file_is_registered() {
+    let sweeps = shipped_sweeps();
+    for (name, specs) in &sweeps {
+        assert_eq!(&read_sweep(name).specs, specs, "{name}: the registry compiled in another file");
     }
-    // No orphans: every .scn in the directory belongs to a shipped
-    // sweep (except the tiny CI smoke sweep, which is hand-written).
-    for entry in std::fs::read_dir(&dir).expect("examples/sweeps exists") {
+    for entry in std::fs::read_dir(sweeps_dir()).expect("examples/sweeps exists") {
         let file = entry.unwrap().file_name().into_string().unwrap();
-        if !file.ends_with(".scn") || file == "smoke.scn" {
+        let Some(name) = file.strip_suffix(".scn") else { continue };
+        if name == "smoke" {
             continue;
         }
-        assert!(expected_files.contains(&file), "orphan sweep file examples/sweeps/{file}");
+        assert!(sweeps.iter().any(|(n, _)| *n == name), "orphan sweep file examples/sweeps/{file}");
+    }
+}
+
+/// The directives are the only source of each table's title and
+/// replication count: every registered file declares one `caption` and
+/// one `seeds` (duplicates are already parse errors), so a missing one
+/// fails here rather than at render time in `--bin all`.
+#[test]
+fn registered_files_declare_a_caption_and_seeds() {
+    for (name, _) in shipped_sweeps() {
+        let meta = read_sweep(name).meta;
+        assert!(meta.caption.as_deref().is_some_and(|c| !c.is_empty()), "{name}.scn: no `#! caption=`");
+        assert!(meta.seeds.is_some(), "{name}.scn: no `#! seeds=`");
     }
 }
 

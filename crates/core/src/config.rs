@@ -48,8 +48,8 @@ pub struct AggPolicy {
     /// at relays — paper §6.4.3). 1 = transmit as soon as possible.
     pub min_frames_before_tx: usize,
     /// Deadlock guard for `min_frames_before_tx > 1`: flush whatever is
-    /// queued after this long. The paper does not specify one; see
-    /// DESIGN.md §7.
+    /// queued after this long. The paper does not specify one; the
+    /// DBA flush timeout row of docs/REPRODUCTION.md sweeps it.
     pub flush_timeout: Duration,
 }
 
@@ -155,7 +155,8 @@ pub struct MacConfig {
 }
 
 impl MacConfig {
-    /// The calibrated Hydra MAC (see DESIGN.md §6): SIFS 150 µs,
+    /// The calibrated Hydra MAC (checked by the Table 2 and Table 4 rows
+    /// of docs/REPRODUCTION.md): SIFS 150 µs,
     /// DIFS 200 µs (SIFS + 2 slots), slot 25 µs, CW 32–1024, 7 retries,
     /// RTS/CTS on. Mean initial backoff is 15.5 slots ≈ 388 µs — the
     /// value back-solved from the paper's Table 2/4 anchors.

@@ -4,7 +4,8 @@
 //!
 //! * [`rates`] — the 0.65–6.5 Mbps MCS ladder (802.11n ÷ 10);
 //! * [`profile`] — timing/sampling constants calibrated against the
-//!   paper's own numbers (see DESIGN.md §6);
+//!   paper's own numbers (the Table 2 and Table 4 rows of
+//!   docs/REPRODUCTION.md);
 //! * [`frame`] — on-air frames and airtime breakdowns;
 //! * [`ber`] — AWGN BER math (Q-function, M-QAM approximations);
 //! * [`channel`] — composable channel models: AWGN, channel-estimate

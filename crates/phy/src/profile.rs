@@ -9,7 +9,7 @@ use crate::rates::Rate;
 /// `hydra()` encodes the testbed of paper Table 1 / §5. The timing
 /// constants were calibrated analytically against the paper's own
 /// cross-checkable numbers (Table 2 NA throughput and Table 4 NA time
-/// overhead); see DESIGN.md §6.
+/// overhead; the Table 2 and Table 4 rows of docs/REPRODUCTION.md).
 #[derive(Debug, Clone)]
 pub struct PhyProfile {
     /// Complex baseband sample rate (samples/s). Hydra streams ~2 Msps

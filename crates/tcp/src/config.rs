@@ -15,7 +15,8 @@ pub struct TcpConfig {
     /// 16 KB) caps in-flight data at ~12 segments of the paper's MSS.
     /// This bound is what keeps relay aggregation at the paper's observed
     /// depth (its Table 3/8 frame sizes imply a shallow pipe) while still
-    /// feeding 3-hop pipelines; see EXPERIMENTS.md for the sensitivity.
+    /// feeding 3-hop pipelines (the Table 3 and Table 8 rows of
+    /// docs/REPRODUCTION.md).
     pub send_buffer: usize,
     /// Initial congestion window in segments (RFC 2581: 2).
     pub initial_cwnd_segments: u32,
