@@ -8,13 +8,13 @@
 use hydra_bench::microbench::Criterion;
 use hydra_bench::{criterion_group, criterion_main};
 
-use hydra_netsim::{Flooding, Policy, ScenarioSpec, TopologyKind, Traffic};
+use hydra_netsim::{Flooding, FlowTraffic, Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::{Duration, EventQueue, Instant};
 
 fn small_tcp(topo: TopologyKind, policy: Policy, rate: Rate) -> f64 {
     let mut s = ScenarioSpec::tcp(topo, policy, rate);
-    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+    s.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
     s.run().throughput_bps
 }
 

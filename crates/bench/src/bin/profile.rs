@@ -26,7 +26,7 @@ use std::io::Write as _;
 use hydra_bench::experiments::shipped_sweeps;
 use hydra_bench::{CellResult, ExperimentRunner, RunnerTelemetry};
 use hydra_netsim::RunPerf;
-use hydra_netsim::{check_seeds, parse_scn, Policy, RunBudget, ScenarioSpec, TopologyKind, Traffic};
+use hydra_netsim::{check_seeds, parse_scn, FlowTraffic, Policy, RunBudget, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
 
@@ -275,7 +275,7 @@ fn scale_specs() -> Vec<(usize, ScenarioSpec)> {
             let kind = TopologyKind::RandomMesh { nodes, area_m: side, seed: 7 };
             let interval = Duration::from_millis(120);
             let mut spec = ScenarioSpec::udp(kind, Policy::Ba, Rate::R1_30, interval).spatial(1.0);
-            spec.traffic = Traffic::Cbr { interval, payload: 160 };
+            spec.traffic = FlowTraffic::Cbr { interval, payload: 160 };
             spec.warmup = Duration::from_millis(500);
             spec.duration = Duration::from_secs(2);
             (nodes, spec)

@@ -275,7 +275,7 @@ impl ExperimentRunner {
             // routable pair prices as no flows here, and its job's
             // `try_run` reports the assertion as the cell's failure.
             TopologyKind::RandomMesh { nodes, area_m, seed } if spec.flows.is_empty() => {
-                vec![spec.traffic.per_flow(); Topology::try_mesh_default_pairs(nodes, area_m, seed).len()]
+                vec![spec.traffic; Topology::try_mesh_default_pairs(nodes, area_m, seed).len()]
             }
             _ => spec.effective_flows().iter().map(|f| f.traffic).collect(),
         };

@@ -1162,9 +1162,9 @@ mod tests {
 
     #[test]
     fn mixed_outcome_round_trips_with_flow_labels() {
-        use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, Policy, Traffic};
+        use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, Policy};
         let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30);
-        spec.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+        spec.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
         spec.warmup = Duration::from_millis(200);
         spec.duration = Duration::from_secs(2);
         let spec = spec.add_flow(FlowSpec {

@@ -5,7 +5,7 @@
 use hydra_bench::{ExperimentRunner, Table};
 use hydra_netsim::{
     FlowOutcome, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, ScenarioSpec,
-    TopologyKind, Traffic,
+    TopologyKind,
 };
 use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
@@ -14,7 +14,7 @@ use hydra_sim::Duration;
 /// (both flows in one world — the per-flow traffic engine).
 fn mixed_spec() -> ScenarioSpec {
     let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+    s.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
     s.warmup = Duration::from_millis(500);
     s.duration = Duration::from_secs(2);
     s.add_flow(FlowSpec {
@@ -34,11 +34,11 @@ fn fixed_sweep() -> Vec<ScenarioSpec> {
     let mut specs = Vec::new();
     for policy in [Policy::Ua, Policy::Ba] {
         let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30);
-        s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+        s.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
         specs.push(s);
     }
     let mut star = ScenarioSpec::tcp(TopologyKind::Star, Policy::Ba, Rate::R2_60);
-    star.traffic = Traffic::FileTransfer { bytes: 10 * 1024 };
+    star.traffic = FlowTraffic::FileTransfer { bytes: 10 * 1024 };
     specs.push(star);
     let mut udp =
         ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(10));

@@ -16,7 +16,7 @@ use hydra_bench::{CacheStats, ConcurrentCache, CACHE_SCHEMA};
 use hydra_core::counters::cat;
 use hydra_netsim::{
     FlowOutcome, FlowSpec, FlowTraffic, NodeReport, Policy, RunOutcome, RunPerf, RunReport, ScenarioSpec,
-    TopologyKind, Traffic,
+    TopologyKind,
 };
 use hydra_phy::Rate;
 use hydra_sim::{Duration, Instant};
@@ -171,7 +171,7 @@ fn udp_spec() -> ScenarioSpec {
 
 fn mixed_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30);
-    spec.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+    spec.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
     spec.warmup = Duration::from_millis(200);
     spec.duration = Duration::from_secs(2);
     spec.add_flow(FlowSpec {

@@ -33,12 +33,10 @@ pub mod world;
 
 pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, NodeReports, RunReport};
 pub use node::{Apps, Node};
-pub use scn::{
-    check_seeds, parse_scn, parse_scn_file, render_scn, ScnError, SweepFile, SweepMeta, MAX_SEEDS,
-};
+pub use scn::{check_seeds, parse_scn, parse_scn_file, ScnError, SweepFile, SweepMeta, MAX_SEEDS};
 pub use spec::{
-    panic_message, Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError,
-    RunOutcome, RunPerf, ScenarioSpec, TopologyKind, Traffic,
+    panic_message, Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome,
+    RunPerf, ScenarioSpec, TopologyKind,
 };
 pub use topology::Topology;
 pub use world::{MediumKind, World};

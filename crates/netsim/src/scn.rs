@@ -24,8 +24,7 @@ use hydra_sim::Duration;
 use hydra_tcp::TcpConfig;
 
 use crate::spec::{
-    Flooding, Flow, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, ScenarioSpec, TopologyKind,
-    Traffic,
+    Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, ScenarioSpec, TopologyKind,
 };
 use crate::world::MediumKind;
 
@@ -89,29 +88,6 @@ pub struct SweepMeta {
     pub caption: Option<String>,
     /// Table footnotes, in file order.
     pub notes: Vec<String>,
-}
-
-impl SweepMeta {
-    /// True when no directive is set.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_none() && self.caption.is_none() && self.notes.is_empty()
-    }
-
-    /// Renders the canonical directive lines (empty when nothing is
-    /// set), in the fixed order caption, seeds, notes.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if let Some(caption) = &self.caption {
-            out.push_str(&format!("#! caption={caption}\n"));
-        }
-        if let Some(seeds) = self.seeds {
-            out.push_str(&format!("#! seeds={seeds}\n"));
-        }
-        for note in &self.notes {
-            out.push_str(&format!("#! note={note}\n"));
-        }
-        out
-    }
 }
 
 /// The most replications a sweep may ask for. Every replication is a
@@ -186,16 +162,6 @@ pub fn parse_scn_file(text: &str) -> Result<SweepFile, ScnError> {
         file.specs.push(spec);
     }
     Ok(file)
-}
-
-/// Renders a list of specs as a `.scn` file body (no header comment).
-pub fn render_scn(specs: &[ScenarioSpec]) -> String {
-    let mut out = String::new();
-    for s in specs {
-        out.push_str(&s.to_scn());
-        out.push('\n');
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -401,8 +367,8 @@ fn bool_from(s: &str, key: &str) -> Result<bool, String> {
 impl FlowTraffic {
     /// The canonical flow-traffic token: `tcp:BYTES`,
     /// `cbr:INTERVAL:PAYLOAD`, or `onoff:BURST:IDLE:INTERVAL:PAYLOAD`
-    /// (as used after the port in a `flow=` field, by `--mix`, and in
-    /// the result cache's flow labels).
+    /// (as used after the port in a `flow=` field, as a window-traffic
+    /// `traffic=` value, and in the result cache's flow labels).
     pub fn to_token(&self) -> String {
         match *self {
             FlowTraffic::FileTransfer { bytes } => format!("tcp:{bytes}"),
@@ -416,45 +382,58 @@ impl FlowTraffic {
     }
 
     /// Parses a flow-traffic token (`file:` is accepted as an alias of
-    /// `tcp:`, matching the run-global `traffic=` spelling).
+    /// `tcp:`, matching the `traffic=` spelling).
     pub fn from_token(s: &str) -> Result<FlowTraffic, String> {
-        if let Some(bytes) = s.strip_prefix("tcp:").or_else(|| s.strip_prefix("file:")) {
-            return Ok(FlowTraffic::FileTransfer { bytes: usize_from(bytes, "flow tcp bytes")? });
-        }
-        if let Some(rest) = s.strip_prefix("cbr:") {
-            let (interval, payload) =
-                rest.split_once(':').ok_or_else(|| format!("expected cbr:INTERVAL:PAYLOAD, got `{s}`"))?;
-            let interval = dur_from_text(interval)?;
-            if interval.is_zero() {
-                return Err("cbr interval must be positive".into());
-            }
-            return Ok(FlowTraffic::Cbr { interval, payload: payload_from(payload, "flow payload")? });
-        }
-        if let Some(rest) = s.strip_prefix("onoff:") {
-            let parts: Vec<&str> = rest.split(':').collect();
-            let [burst, idle, interval, payload] = parts[..] else {
-                return Err(format!("expected onoff:BURST:IDLE:INTERVAL:PAYLOAD, got `{s}`"));
-            };
-            let burst = u32_from(burst, "onoff burst")?;
-            if burst == 0 {
-                return Err("onoff burst must be at least 1 packet".into());
-            }
-            let idle = dur_from_text(idle)?;
-            let interval = dur_from_text(interval)?;
-            if idle.is_zero() || interval.is_zero() {
-                return Err("onoff idle and interval must be positive".into());
-            }
-            return Ok(FlowTraffic::OnOff {
-                burst,
-                idle,
-                interval,
-                payload: payload_from(payload, "flow payload")?,
-            });
-        }
-        Err(format!(
-            "unknown flow traffic `{s}` (tcp:BYTES|cbr:INTERVAL:PAYLOAD|onoff:BURST:IDLE:INTERVAL:PAYLOAD)"
-        ))
+        traffic_from_text(s, false)
     }
+}
+
+/// Parses a flow-traffic token: a `flow=` field's, or with `global` set
+/// the `traffic=` key's. One grammar; `global` only picks the words of
+/// the errors, which each key has kept since before they shared it.
+fn traffic_from_text(s: &str, global: bool) -> Result<FlowTraffic, String> {
+    let (key, bytes_key, cbr_payload, onoff_payload) = if global {
+        ("traffic=", "traffic file bytes", "cbr payload", "onoff payload")
+    } else {
+        ("", "flow tcp bytes", "flow payload", "flow payload")
+    };
+    if let Some(bytes) = s.strip_prefix("file:").or_else(|| s.strip_prefix("tcp:")) {
+        return Ok(FlowTraffic::FileTransfer { bytes: usize_from(bytes, bytes_key)? });
+    }
+    if let Some(rest) = s.strip_prefix("cbr:") {
+        let (interval, payload) =
+            rest.split_once(':').ok_or_else(|| format!("expected {key}cbr:INTERVAL:PAYLOAD, got `{s}`"))?;
+        let interval = dur_from_text(interval)?;
+        if interval.is_zero() {
+            return Err("cbr interval must be positive".into());
+        }
+        return Ok(FlowTraffic::Cbr { interval, payload: payload_from(payload, cbr_payload)? });
+    }
+    if let Some(rest) = s.strip_prefix("onoff:") {
+        let parts: Vec<&str> = rest.split(':').collect();
+        let [burst, idle, interval, payload] = parts[..] else {
+            return Err(format!("expected {key}onoff:BURST:IDLE:INTERVAL:PAYLOAD, got `{s}`"));
+        };
+        let burst = u32_from(burst, "onoff burst")?;
+        if burst == 0 {
+            return Err("onoff burst must be at least 1 packet".into());
+        }
+        let idle = dur_from_text(idle)?;
+        let interval = dur_from_text(interval)?;
+        if idle.is_zero() || interval.is_zero() {
+            return Err("onoff idle and interval must be positive".into());
+        }
+        return Ok(FlowTraffic::OnOff {
+            burst,
+            idle,
+            interval,
+            payload: payload_from(payload, onoff_payload)?,
+        });
+    }
+    Err(format!(
+        "unknown {} `{s}` (file:BYTES|tcp:BYTES|cbr:INTERVAL:PAYLOAD|onoff:BURST:IDLE:INTERVAL:PAYLOAD)",
+        if global { "traffic" } else { "flow traffic" }
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -470,19 +449,15 @@ impl ScenarioSpec {
     pub fn to_scn(&self) -> String {
         // The baseline the line's overrides are measured against: the
         // traffic-matched constructor at this topology/policy/rate.
-        let base = match self.traffic {
-            Traffic::FileTransfer { .. } => ScenarioSpec::tcp(self.topology, self.policy, self.rate),
-            Traffic::Cbr { .. } => ScenarioSpec::udp(self.topology, self.policy, self.rate, Duration::ZERO),
-        };
+        let base = traffic_base(self.topology, self.policy, self.rate, self.traffic);
         let mut f = Vec::new();
         f.push(format!("topo={}", topo_to_text(self.topology)));
         f.push(format!("policy={}", policy_to_text(self.policy)));
         f.push(format!("rate={}", rate_to_text(self.rate)));
         match self.traffic {
-            Traffic::FileTransfer { bytes } => f.push(format!("traffic=file:{bytes}")),
-            Traffic::Cbr { interval, payload } => {
-                f.push(format!("traffic=cbr:{}:{payload}", dur_to_text(interval)));
-            }
+            // `file:` is the canonical `traffic=` spelling of `tcp:`.
+            FlowTraffic::FileTransfer { bytes } => f.push(format!("traffic=file:{bytes}")),
+            window => f.push(format!("traffic={}", window.to_token())),
         }
         if let MediumKind::Spatial { spacing_m } = self.medium {
             f.push(format!("medium=spatial:{}", f64_to_text(spacing_m)));
@@ -493,13 +468,12 @@ impl ScenarioSpec {
         if !self.flows.is_empty() {
             // Canonical choice between the two flow spellings: the
             // compact legacy `flows=` whenever every flow just carries
-            // the run-global default traffic, one `flow=` field per
-            // flow otherwise. (Legacy lines therefore re-serialize
+            // the spec's `traffic`, one `flow=` field per flow
+            // otherwise. (Legacy lines therefore re-serialize
             // byte-identically, and a `flow=` line whose traffic all
             // equals the default canonicalises to the legacy form —
             // same value, same hash.)
-            let global = self.traffic.per_flow();
-            if self.flows.iter().all(|fl| fl.traffic == global) {
+            if self.flows.iter().all(|fl| fl.traffic == self.traffic) {
                 let flows: Vec<String> =
                     self.flows.iter().map(|fl| format!("{}>{}:{}", fl.src, fl.dst, fl.port)).collect();
                 f.push(format!("flows={}", flows.join(",")));
@@ -652,16 +626,8 @@ impl ScenarioSpec {
         let topo = topo_from_text(require("topo")?)?;
         let policy = policy_from_text(require("policy")?)?;
         let rate = rate_from_text(require("rate")?)?;
-        let traffic = parse_traffic(require("traffic")?)?;
-
-        // The traffic-matched constructor supplies every default
-        // (notably the CBR 2 s warmup / 20 s window vs the file
-        // transfer's 300 s deadline).
-        let mut spec = match traffic {
-            Traffic::FileTransfer { .. } => ScenarioSpec::tcp(topo, policy, rate),
-            Traffic::Cbr { .. } => ScenarioSpec::udp(topo, policy, rate, Duration::ZERO),
-        };
-        spec.traffic = traffic;
+        let traffic = traffic_from_text(require("traffic")?, true)?;
+        let mut spec = traffic_base(topo, policy, rate, traffic);
 
         for &(key, value) in &fields {
             match key {
@@ -674,8 +640,7 @@ impl ScenarioSpec {
                                     cannot be mixed on one line"
                             .into());
                     }
-                    let global = spec.traffic.per_flow();
-                    spec.flows = parse_flows(value)?.into_iter().map(|f| f.with_traffic(global)).collect();
+                    spec.flows = parse_flows(value, spec.traffic)?;
                 }
                 "flow" => spec.flows.push(parse_flow_spec(value)?),
                 "max_agg" => spec.max_aggregate = usize_from(value, key)?,
@@ -745,21 +710,16 @@ impl ScenarioSpec {
     }
 }
 
-fn parse_traffic(s: &str) -> Result<Traffic, String> {
-    if let Some(bytes) = s.strip_prefix("file:") {
-        return Ok(Traffic::FileTransfer { bytes: usize_from(bytes, "traffic file bytes")? });
-    }
-    if let Some(rest) = s.strip_prefix("cbr:") {
-        let (interval, payload) = rest
-            .split_once(':')
-            .ok_or_else(|| format!("expected traffic=cbr:INTERVAL:PAYLOAD, got `{s}`"))?;
-        let interval = dur_from_text(interval)?;
-        if interval.is_zero() {
-            return Err("cbr interval must be positive".into());
-        }
-        return Ok(Traffic::Cbr { interval, payload: payload_from(payload, "cbr payload")? });
-    }
-    Err(format!("unknown traffic `{s}` (file:BYTES|cbr:INTERVAL:PAYLOAD)"))
+/// The traffic-matched constructor, carrying `traffic`: it supplies
+/// every default (notably window traffic's 2 s warmup / 20 s window vs
+/// the file transfer's 300 s deadline).
+fn traffic_base(topo: TopologyKind, policy: Policy, rate: Rate, traffic: FlowTraffic) -> ScenarioSpec {
+    let base = if traffic.is_file() {
+        ScenarioSpec::tcp(topo, policy, rate)
+    } else {
+        ScenarioSpec::udp(topo, policy, rate, Duration::ZERO)
+    };
+    ScenarioSpec { traffic, ..base }
 }
 
 fn parse_medium(s: &str) -> Result<MediumKind, String> {
@@ -864,17 +824,19 @@ fn parse_sizing(s: &str) -> Result<AggSizing, String> {
     Err(format!("unknown sizing `{s}` (fixed:BYTES|budget:SAMPLES)"))
 }
 
-fn parse_flows(s: &str) -> Result<Vec<Flow>, String> {
+/// Parses a `flows=` endpoint list; every flow carries `traffic`.
+fn parse_flows(s: &str, traffic: FlowTraffic) -> Result<Vec<FlowSpec>, String> {
     let mut flows = Vec::new();
     for part in s.split(',') {
         let (src, rest) =
             part.split_once('>').ok_or_else(|| format!("expected SRC>DST:PORT, got `{part}`"))?;
         let (dst, port) =
             rest.split_once(':').ok_or_else(|| format!("expected SRC>DST:PORT, got `{part}`"))?;
-        flows.push(Flow {
+        flows.push(FlowSpec {
             src: usize_from(src, "flow src")?,
             dst: usize_from(dst, "flow dst")?,
             port: port.parse().map_err(|_| format!("bad flow port `{port}`"))?,
+            traffic,
         });
     }
     if flows.is_empty() {
@@ -928,8 +890,10 @@ mod tests {
         );
         spec.medium = MediumKind::Spatial { spacing_m: 7.25 };
         spec.broadcast_rate = Some(Rate::R0_65);
-        spec =
-            spec.with_flows(vec![Flow { src: 0, dst: 5, port: 9000 }, Flow { src: 5, dst: 0, port: 9001 }]);
+        spec = spec.clone().with_flow_specs(vec![
+            FlowSpec { src: 0, dst: 5, port: 9000, traffic: spec.traffic },
+            FlowSpec { src: 5, dst: 0, port: 9001, traffic: spec.traffic },
+        ]);
         spec.max_aggregate = 11 * 1024;
         spec.sizing = Some(AggSizing::CoherenceBudget(110_000));
         spec.ack_policy = AckPolicy::Block;
@@ -1140,14 +1104,14 @@ mod tests {
         assert!(!line.contains("flows="), "mixed specs use flow= fields only: {line}");
         roundtrip(&spec);
         // Same endpoints, legacy homogeneous traffic: a different cell.
-        let legacy = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30)
-            .with_flows(vec![Flow { src: 0, dst: 2, port: 5001 }]);
+        let mut legacy = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
+        legacy.flows = vec![FlowSpec { src: 0, dst: 2, port: 5001, traffic: legacy.traffic }];
         assert_ne!(spec.stable_hash(), legacy.stable_hash());
     }
 
     #[test]
     fn uniform_flow_lines_canonicalise_to_the_legacy_form() {
-        // flow= fields whose traffic all equals the run-global default
+        // flow= fields whose traffic all equals the line's `traffic=`
         // parse to the same value as the legacy flows= spelling — and
         // therefore the same stable hash and cache cells.
         let legacy = "topo=star policy=ba rate=1.3 traffic=file:204800 flows=2>0:5001,3>0:5002";
@@ -1188,16 +1152,33 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_inverse_on_a_mixed_sweep() {
-        let specs = vec![
-            ScenarioSpec::tcp(TopologyKind::Star, Policy::Ua, Rate::R1_95),
-            ScenarioSpec::udp(TopologyKind::Linear(3), Policy::Ba, Rate::R0_65, Duration::from_millis(16))
-                .spatial(7.0),
-        ];
-        let text = render_scn(&specs);
-        let back = parse_scn(&text).unwrap();
-        assert_eq!(back, specs);
-        assert_eq!(render_scn(&back), text);
+    fn traffic_takes_every_flow_traffic_token() {
+        let line = |traffic: &str| format!("topo=star policy=ba rate=1.3 traffic={traffic}");
+        // `tcp:` is an alias; `file:` stays the canonical spelling.
+        let tcp = ScenarioSpec::from_scn(&line("tcp:20480")).unwrap();
+        assert_eq!(tcp, ScenarioSpec::from_scn(&line("file:20480")).unwrap());
+        assert_eq!(tcp.to_scn(), line("file:20480"));
+        // On/off is window traffic: the CBR endpoints and defaults.
+        let onoff = ScenarioSpec::from_scn(&line("onoff:3:1s:10ms:100")).unwrap();
+        assert_eq!(onoff.to_scn(), line("onoff:3:1s:10ms:100"));
+        let cbr = ScenarioSpec::udp(TopologyKind::Star, Policy::Ba, Rate::R1_30, Duration::from_millis(10));
+        assert_eq!((onoff.warmup, onoff.duration), (cbr.warmup, cbr.duration));
+        let ports: Vec<u16> = onoff.effective_flows().iter().map(|f| f.port).collect();
+        assert_eq!(ports, [9000]);
+        roundtrip(&onoff);
+        // Each key keeps the words of its errors.
+        for (traffic, err) in [
+            ("cbr:20ms:3", "cbr payload 3 is below the 4 B sequence header"),
+            ("cbr:20ms", "expected traffic=cbr:INTERVAL:PAYLOAD, got `cbr:20ms`"),
+            ("file:x", "bad traffic file bytes value `x`"),
+            ("onoff:0:1s:10ms:100", "onoff burst must be at least 1 packet"),
+        ] {
+            assert_eq!(ScenarioSpec::from_scn(&line(traffic)), Err(err.to_string()), "{traffic}");
+        }
+        assert_eq!(
+            FlowTraffic::from_token("cbr:20ms:3"),
+            Err("flow payload 3 is below the 4 B sequence header".to_string())
+        );
     }
 }
 
@@ -1208,7 +1189,7 @@ mod directive_tests {
     const BODY: &str = "topo=linear:2 policy=ba rate=1.3 traffic=file:204800\n";
 
     #[test]
-    fn directives_parse_and_render_canonically() {
+    fn directives_parse_in_file_order() {
         let text = format!(
             "#! caption=Figure X — demo sweep\n#! seeds=5\n# plain comment\n#! note=first\n#! note=second\n{BODY}"
         );
@@ -1217,20 +1198,10 @@ mod directive_tests {
         assert_eq!(file.meta.caption.as_deref(), Some("Figure X — demo sweep"));
         assert_eq!(file.meta.notes, vec!["first", "second"]);
         assert_eq!(file.specs.len(), 1);
-        assert_eq!(
-            file.meta.render(),
-            "#! caption=Figure X — demo sweep\n#! seeds=5\n#! note=first\n#! note=second\n"
-        );
         // Directives are invisible to the plain parser.
         assert_eq!(parse_scn(&text).unwrap(), file.specs);
-    }
-
-    #[test]
-    fn empty_meta_renders_nothing() {
-        assert!(SweepMeta::default().is_empty());
-        assert_eq!(SweepMeta::default().render(), "");
-        let file = parse_scn_file(BODY).unwrap();
-        assert!(file.meta.is_empty());
+        // A file without directives has none set.
+        assert_eq!(parse_scn_file(BODY).unwrap().meta, SweepMeta::default());
     }
 
     #[test]

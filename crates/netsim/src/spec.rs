@@ -10,11 +10,12 @@
 //!
 //! Traffic is a **per-flow** property: each [`FlowSpec`] carries its own
 //! [`FlowTraffic`], so one world can run TCP file transfers next to UDP
-//! CBR background and on/off bursts. The run-global [`Traffic`] field
-//! survives as the *default* the topology's flows inherit (and as the
-//! compatibility anchor that keeps every pre-existing spec's
-//! [`ScenarioSpec::stable_hash`] — and therefore every derived world
-//! seed, cache key, and published table — byte-identical).
+//! CBR background and on/off bursts. [`ScenarioSpec::traffic`] is the
+//! same type: the traffic the topology's default flows carry (the
+//! `.scn` key `traffic=`). Its derived `Debug` text is part of
+//! [`ScenarioSpec::stable_hash`]'s input, so renaming a variant or a
+//! field of [`FlowTraffic`] would move every derived world seed, cache
+//! key, and published table (the golden hashes pin them).
 
 use hydra_app::{FileReceiver, FileSender, FloodSink, Flooder, UdpCbr, UdpSink, PAPER_UDP_PAYLOAD};
 use hydra_core::{AckPolicy, AggPolicy, AggSizing, MacConfig};
@@ -141,81 +142,41 @@ impl TopologyKind {
         }
     }
 
-    /// The default flow endpoints for TCP file transfers on this
-    /// topology.
-    fn default_tcp_flows(&self) -> Vec<Flow> {
-        match self {
+    /// The default flows on this topology, each carrying `traffic`.
+    /// File transfers get one session per server (ports from 5001);
+    /// window traffic — CBR or on/off — gets one flow per sender (ports
+    /// from 9000), so the star has two TCP sessions but one CBR flow.
+    fn default_flows(&self, traffic: FlowTraffic) -> Vec<FlowSpec> {
+        let file = traffic.is_file();
+        let first_port = if file { 5001 } else { 9000 };
+        let flow = |src, dst, k: usize| FlowSpec { src, dst, port: first_port + k as u16, traffic };
+        match *self {
             // Server = node 0, client = last node (paper Figure 5).
-            TopologyKind::Linear(h) => vec![Flow { src: 0, dst: *h, port: 5001 }],
+            TopologyKind::Linear(h) => vec![flow(0, h, 0)],
             // Two sessions: servers 2 and 3 → client 0 via center 1
             // (paper Figure 6 / §6.4.5).
-            TopologyKind::Star => {
-                vec![Flow { src: 2, dst: 0, port: 5001 }, Flow { src: 3, dst: 0, port: 5002 }]
-            }
+            TopologyKind::Star if file => vec![flow(2, 0, 0), flow(3, 0, 1)],
+            TopologyKind::Star => vec![flow(2, 0, 0)],
             // Corner-to-corner: maximal hop count under x-first routing.
-            TopologyKind::Grid { w, h } => vec![Flow { src: 0, dst: w * h - 1, port: 5001 }],
+            TopologyKind::Grid { w, h } => vec![flow(0, w * h - 1, 0)],
             // West→east and north→south, crossing at the center relay.
-            TopologyKind::Cross => {
-                vec![Flow { src: 0, dst: 1, port: 5001 }, Flow { src: 2, dst: 3, port: 5002 }]
-            }
+            TopologyKind::Cross => vec![flow(0, 1, 0), flow(2, 3, 1)],
             // ≈ nodes/4 greedily-routable pairs from the mesh seed.
             TopologyKind::RandomMesh { nodes, area_m, seed } => {
-                Topology::mesh_default_pairs(*nodes, *area_m, *seed)
+                Topology::mesh_default_pairs(nodes, area_m, seed)
                     .into_iter()
                     .enumerate()
-                    .map(|(i, (src, dst))| Flow { src, dst, port: 5001 + i as u16 })
-                    .collect()
-            }
-        }
-    }
-
-    /// The default flow endpoints for UDP CBR traffic on this topology.
-    fn default_cbr_flows(&self) -> Vec<Flow> {
-        match self {
-            TopologyKind::Linear(h) => vec![Flow { src: 0, dst: *h, port: 9000 }],
-            TopologyKind::Star => vec![Flow { src: 2, dst: 0, port: 9000 }],
-            TopologyKind::Grid { w, h } => vec![Flow { src: 0, dst: w * h - 1, port: 9000 }],
-            TopologyKind::Cross => {
-                vec![Flow { src: 0, dst: 1, port: 9000 }, Flow { src: 2, dst: 3, port: 9001 }]
-            }
-            TopologyKind::RandomMesh { nodes, area_m, seed } => {
-                Topology::mesh_default_pairs(*nodes, *area_m, *seed)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (src, dst))| Flow { src, dst, port: 9000 + i as u16 })
+                    .map(|(i, (src, dst))| flow(src, dst, i))
                     .collect()
             }
         }
     }
 }
 
-/// A bare flow endpoint triple (no per-flow traffic): the legacy form
-/// kept for topology defaults and for call sites that attach the
-/// run-global [`Traffic`] to every flow via
-/// [`ScenarioSpec::with_flows`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flow {
-    /// Source node (TCP server / CBR sender).
-    pub src: usize,
-    /// Destination node (TCP client / CBR sink).
-    pub dst: usize,
-    /// Destination port (TCP listen port or UDP sink port). Must be
-    /// unique per flow.
-    pub port: u16,
-}
-
-impl Flow {
-    /// Attaches a traffic description, yielding a full [`FlowSpec`].
-    pub fn with_traffic(self, traffic: FlowTraffic) -> FlowSpec {
-        FlowSpec { src: self.src, dst: self.dst, port: self.port, traffic }
-    }
-}
-
-/// The traffic one flow offers.
-///
-/// Unlike the run-global [`Traffic`], this is a *per-flow* property:
-/// a [`ScenarioSpec`] can mix file transfers, CBR, and on/off bursts
-/// in one world.
+/// The traffic one flow offers. A [`ScenarioSpec`] can mix file
+/// transfers, CBR, and on/off bursts in one world; its
+/// [`ScenarioSpec::traffic`] is the one the topology's default flows
+/// carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowTraffic {
     /// One-way TCP file transfer of `bytes`; the flow completes when
@@ -277,38 +238,6 @@ pub struct FlowSpec {
     pub port: u16,
     /// What this flow sends.
     pub traffic: FlowTraffic,
-}
-
-/// The scenario's default traffic, inherited by every flow that does
-/// not carry its own [`FlowTraffic`] override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Traffic {
-    /// One-way TCP file transfer of `bytes` on every default flow
-    /// (paper §5). The run ends when every transfer completes (or the
-    /// deadline hits).
-    FileTransfer {
-        /// Bytes per transfer (paper: 0.2 MB).
-        bytes: usize,
-    },
-    /// UDP constant-bit-rate traffic on every default flow (paper
-    /// §6.1–6.3). The run measures goodput over `duration` after
-    /// `warmup`.
-    Cbr {
-        /// Inter-packet interval at each source.
-        interval: Duration,
-        /// UDP payload length (default: the paper's 1140 B MAC frames).
-        payload: usize,
-    },
-}
-
-impl Traffic {
-    /// The per-flow equivalent of this run-global default.
-    pub fn per_flow(&self) -> FlowTraffic {
-        match *self {
-            Traffic::FileTransfer { bytes } => FlowTraffic::FileTransfer { bytes },
-            Traffic::Cbr { interval, payload } => FlowTraffic::Cbr { interval, payload },
-        }
-    }
 }
 
 /// Per-node broadcast flooding riding on top of the main traffic
@@ -437,9 +366,9 @@ pub struct ScenarioSpec {
     pub rate: Rate,
     /// Broadcast-portion rate (`None` = same as unicast; Figure 10 fixes it).
     pub broadcast_rate: Option<Rate>,
-    /// The default traffic (what flows without an override send, and
-    /// what the topology's default flows carry when `flows` is empty).
-    pub traffic: Traffic,
+    /// The default traffic: what the topology's default flows carry
+    /// when `flows` is empty, and what a `flows=` endpoint list sends.
+    pub traffic: FlowTraffic,
     /// Flows with their per-flow traffic; empty = the topology's
     /// defaults, every one carrying [`ScenarioSpec::traffic`].
     pub flows: Vec<FlowSpec>,
@@ -483,7 +412,7 @@ pub struct ScenarioSpec {
 
 /// The canonical rendering [`ScenarioSpec::stable_hash`] is computed
 /// over. Hand-written (instead of derived) for exactly one reason:
-/// flows that simply inherit the run-global [`Traffic`] must render as
+/// flows that simply carry [`ScenarioSpec::traffic`] must render as
 /// the pre-per-flow `Flow { src, dst, port }` so every legacy spec —
 /// paper grids, user `.scn` lines with `flows=`, the whole result
 /// cache — keeps the hash it had when `flows` was a `Vec<Flow>`. Flows
@@ -540,7 +469,7 @@ impl ScenarioSpec {
             .field("rate", &self.rate)
             .field("broadcast_rate", &self.broadcast_rate)
             .field("traffic", &self.traffic)
-            .field("flows", &FlowsDebug(&self.flows, self.traffic.per_flow()))
+            .field("flows", &FlowsDebug(&self.flows, self.traffic))
             .field("max_aggregate", &self.max_aggregate)
             .field("sizing", &self.sizing)
             .field("ack_policy", &self.ack_policy)
@@ -566,7 +495,7 @@ impl ScenarioSpec {
             policy,
             rate,
             broadcast_rate: None,
-            traffic: Traffic::FileTransfer { bytes: hydra_app::PAPER_FILE_BYTES },
+            traffic: FlowTraffic::FileTransfer { bytes: hydra_app::PAPER_FILE_BYTES },
             flows: Vec::new(),
             max_aggregate: AggPolicy::PAPER_MAX_AGG,
             sizing: None,
@@ -588,7 +517,7 @@ impl ScenarioSpec {
     /// 2 s warmup, 20 s measurement.
     pub fn udp(topology: TopologyKind, policy: Policy, rate: Rate, interval: Duration) -> Self {
         ScenarioSpec {
-            traffic: Traffic::Cbr { interval, payload: PAPER_UDP_PAYLOAD },
+            traffic: FlowTraffic::Cbr { interval, payload: PAPER_UDP_PAYLOAD },
             warmup: Duration::from_secs(2),
             duration: Duration::from_secs(20),
             ..Self::tcp(topology, policy, rate)
@@ -598,14 +527,6 @@ impl ScenarioSpec {
     /// Overrides the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the flow endpoints; every flow carries the spec's
-    /// current default [`Traffic`] (the legacy run-global semantics).
-    pub fn with_flows(mut self, flows: Vec<Flow>) -> Self {
-        let traffic = self.traffic.per_flow();
-        self.flows = flows.into_iter().map(|f| f.with_traffic(traffic)).collect();
         self
     }
 
@@ -632,17 +553,12 @@ impl ScenarioSpec {
     }
 
     /// The effective flows: explicit ones, or the topology defaults
-    /// carrying the run-global default traffic.
+    /// carrying [`ScenarioSpec::traffic`].
     pub fn effective_flows(&self) -> Vec<FlowSpec> {
         if !self.flows.is_empty() {
             return self.flows.clone();
         }
-        let traffic = self.traffic.per_flow();
-        let endpoints = match self.traffic {
-            Traffic::FileTransfer { .. } => self.topology.default_tcp_flows(),
-            Traffic::Cbr { .. } => self.topology.default_cbr_flows(),
-        };
-        endpoints.into_iter().map(|f| f.with_traffic(traffic)).collect()
+        self.topology.default_flows(self.traffic)
     }
 
     /// Relay nodes: everything that is not an endpoint of some flow.
@@ -1208,9 +1124,12 @@ mod tests {
         let mut all = budgeted.clone();
         all.link_error = lossy.link_error;
         let mixed = ScenarioSpec::udp(TopologyKind::Star, Policy::Ua, Rate::R2_60, Duration::from_millis(20))
-            .with_flow_specs(vec![
-                Flow { src: 0, dst: 2, port: 9 }.with_traffic(FlowTraffic::FileTransfer { bytes: 5000 })
-            ]);
+            .with_flow_specs(vec![FlowSpec {
+                src: 0,
+                dst: 2,
+                port: 9,
+                traffic: FlowTraffic::FileTransfer { bytes: 5000 },
+            }]);
         for s in [&s5, &lossy, &budgeted, &all, &mixed] {
             assert_eq!(s.stable_hash(), strip(s), "{s:?}");
         }
@@ -1230,7 +1149,7 @@ mod tests {
             for f in spec.effective_flows() {
                 assert!(f.src < n && f.dst < n, "{kind:?}: flow out of range");
                 assert_ne!(f.src, f.dst);
-                assert_eq!(f.traffic, spec.traffic.per_flow(), "defaults inherit the global traffic");
+                assert_eq!(f.traffic, spec.traffic, "defaults carry the spec's traffic");
             }
         }
     }
@@ -1260,19 +1179,25 @@ mod tests {
         assert_eq!(plain.stable_hash(), 0xf4a8_be67_a0cd_9e2b);
 
         // Explicit legacy flows render as the old `Flow { .. }`.
-        let flows = plain.clone().with_flows(vec![Flow { src: 0, dst: 2, port: 5001 }]);
+        let flows = plain.clone().with_flow_specs(vec![FlowSpec {
+            src: 0,
+            dst: 2,
+            port: 5001,
+            traffic: plain.traffic,
+        }]);
         assert!(format!("{flows:?}").contains("flows: [Flow { src: 0, dst: 2, port: 5001 }]"));
         assert_eq!(flows.stable_hash(), 0x9b55_695f_0eed_372f);
 
         let mut udp =
             ScenarioSpec::udp(TopologyKind::Star, Policy::Ua, Rate::R0_65, Duration::from_millis(10));
-        udp = udp
-            .clone()
-            .with_flows(vec![Flow { src: 2, dst: 0, port: 9000 }, Flow { src: 3, dst: 0, port: 9001 }]);
+        udp = udp.clone().with_flow_specs(vec![
+            FlowSpec { src: 2, dst: 0, port: 9000, traffic: udp.traffic },
+            FlowSpec { src: 3, dst: 0, port: 9001, traffic: udp.traffic },
+        ]);
         assert_eq!(udp.stable_hash(), 0x447f_7705_ed37_b3c6);
 
         let mut cross = ScenarioSpec::tcp(TopologyKind::Cross, Policy::Dba, Rate::R2_60);
-        cross.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
+        cross.traffic = FlowTraffic::FileTransfer { bytes: 50 * 1024 };
         cross.flooding = Some(Flooding { interval: Duration::from_millis(250), payload: 120 });
         assert_eq!(cross.stable_hash(), 0xbed7_0200_2d9d_19de);
     }
@@ -1280,9 +1205,14 @@ mod tests {
     #[test]
     fn mixed_flows_render_distinctly_and_hash_differently() {
         let base = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-        let legacy = base.clone().with_flows(vec![Flow { src: 0, dst: 2, port: 5001 }]);
+        let legacy = base.clone().with_flow_specs(vec![FlowSpec {
+            src: 0,
+            dst: 2,
+            port: 5001,
+            traffic: base.traffic,
+        }]);
         let mixed = base.clone().with_flow_specs(vec![
-            FlowSpec { src: 0, dst: 2, port: 5001, traffic: base.traffic.per_flow() },
+            FlowSpec { src: 0, dst: 2, port: 5001, traffic: base.traffic },
             FlowSpec {
                 src: 0,
                 dst: 2,
@@ -1354,7 +1284,7 @@ mod tests {
     /// A tiny spec that finishes fast — the budget/failure tests' workhorse.
     fn small_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Na, Rate::R5_20);
-        spec.traffic = Traffic::FileTransfer { bytes: 10 * 1024 };
+        spec.traffic = FlowTraffic::FileTransfer { bytes: 10 * 1024 };
         spec
     }
 

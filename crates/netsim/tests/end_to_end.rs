@@ -122,9 +122,9 @@ fn flooding_reduces_goodput_more_without_aggregation() {
 
 #[test]
 fn mixed_tcp_and_cbr_share_one_world() {
-    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, Traffic};
+    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic};
     let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    spec.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
+    spec.traffic = FlowTraffic::FileTransfer { bytes: 50 * 1024 };
     spec.warmup = Duration::from_millis(500);
     spec.duration = Duration::from_secs(5);
     let spec = spec.add_flow(FlowSpec {
@@ -152,9 +152,9 @@ fn mixed_tcp_and_cbr_share_one_world() {
 
 #[test]
 fn background_load_slows_the_foreground_transfer() {
-    use hydra_netsim::{FlowSpec, FlowTraffic, Traffic};
+    use hydra_netsim::{FlowSpec, FlowTraffic};
     let mut alone = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    alone.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
+    alone.traffic = FlowTraffic::FileTransfer { bytes: 50 * 1024 };
     let quiet = alone.clone().run();
     let loaded = {
         let mut s = alone.clone();
@@ -179,12 +179,12 @@ fn background_load_slows_the_foreground_transfer() {
 
 #[test]
 fn on_off_background_flows_deliver() {
-    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic, Traffic};
+    use hydra_netsim::{FlowKind, FlowSpec, FlowTraffic};
     let mut spec =
         ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(20));
     spec.warmup = Duration::from_millis(500);
     spec.duration = Duration::from_secs(4);
-    spec.traffic = Traffic::Cbr { interval: Duration::from_millis(20), payload: 1045 };
+    spec.traffic = FlowTraffic::Cbr { interval: Duration::from_millis(20), payload: 1045 };
     let spec = spec.add_flow(FlowSpec {
         src: 1,
         dst: 0,
@@ -241,10 +241,10 @@ fn na_sends_single_subframe_frames() {
 
 #[test]
 fn grid_corner_to_corner_transfer_completes() {
-    use hydra_netsim::Traffic;
+    use hydra_netsim::FlowTraffic;
     // 3x2 grid, corner-to-corner: 3 hops under x-first routing.
     let mut spec = ScenarioSpec::tcp(TopologyKind::Grid { w: 3, h: 2 }, Policy::Ba, Rate::R2_60);
-    spec.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
+    spec.traffic = FlowTraffic::FileTransfer { bytes: 50 * 1024 };
     let r = spec.run();
     assert!(r.completed, "grid transfer did not complete");
     assert!(r.throughput_bps > 20_000.0, "implausibly low {}", r.throughput_bps);
@@ -254,9 +254,9 @@ fn grid_corner_to_corner_transfer_completes() {
 
 #[test]
 fn cross_runs_two_sessions_through_shared_relay() {
-    use hydra_netsim::Traffic;
+    use hydra_netsim::FlowTraffic;
     let mut spec = ScenarioSpec::tcp(TopologyKind::Cross, Policy::Ba, Rate::R1_30);
-    spec.traffic = Traffic::FileTransfer { bytes: 30 * 1024 };
+    spec.traffic = FlowTraffic::FileTransfer { bytes: 30 * 1024 };
     let r = spec.run();
     assert!(r.completed, "cross transfers did not complete");
     assert_eq!(r.per_flow.len(), 2);

@@ -4,14 +4,14 @@
 //! so every engine (sparse, dense and heap references) must agree
 //! bit-for-bit.
 
-use hydra_netsim::{LinkErrorSpec, Policy, ScenarioSpec, TopologyKind, Traffic};
+use hydra_netsim::{FlowTraffic, LinkErrorSpec, Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
 
 /// A short 2-hop TCP transfer with the given link-error spec.
 fn tcp_spec(le: Option<LinkErrorSpec>) -> ScenarioSpec {
     let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+    s.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
     s.link_error = le;
     s
 }

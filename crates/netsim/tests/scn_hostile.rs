@@ -65,7 +65,19 @@ const KEYS: &[(&str, &[&str])] = &[
     ("rate", &["0.65", "1.3", "1.30", "6.5", "9.9"]),
     (
         "traffic",
-        &["file:0", "file:20480", "cbr:20ms:160", "cbr:20ms:4", "cbr:20ms:3", "cbr:0s:160", "cbr:1ns:4"],
+        &[
+            "file:0",
+            "file:20480",
+            "tcp:20480",
+            "cbr:20ms:160",
+            "cbr:20ms:4",
+            "cbr:20ms:3",
+            "cbr:0s:160",
+            "cbr:1ns:4",
+            "cbr:20ms",
+            "onoff:3:1s:10ms:100",
+            "onoff:0:1s:10ms:100",
+        ],
     ),
     ("medium", &["shared", "spatial:7.0", "spatial:0.0", "spatial:1e308", "spatial:NaN", "spatial:-0.0"]),
     ("bcast", &["0.65", "6.5", "7"]),

@@ -104,22 +104,6 @@ impl LinkErrorModel {
             LinkErrorModel::GilbertElliott { p_bg, .. } => (p_bg > 0.0).then(|| 1.0 / p_bg),
         }
     }
-
-    /// A Gilbert–Elliott model whose stationary loss matches `mean_ber`
-    /// while concentrating the errors in bursts of mean length
-    /// `1/p_bg`: the good state is clean (`ber_good = 0`) and
-    /// `ber_bad = mean_ber / π_b`. Used by the `ext_burst` experiment
-    /// to compare bursty against independent loss at matched mean.
-    ///
-    /// # Panics
-    /// If `p_gb + p_bg == 0` or the implied `ber_bad` exceeds 1.
-    pub fn bursty_with_mean(mean_ber: f64, p_gb: f64, p_bg: f64) -> Self {
-        let pi_b = p_gb / (p_gb + p_bg);
-        assert!(pi_b > 0.0, "degenerate Gilbert–Elliott chain");
-        let ber_bad = mean_ber / pi_b;
-        assert!(ber_bad <= 1.0, "mean {mean_ber} unreachable with π_b = {pi_b}");
-        LinkErrorModel::GilbertElliott { p_gb, p_bg, ber_good: 0.0, ber_bad }
-    }
 }
 
 /// Seed of one directed link's error stream: statelessly derived from
@@ -208,15 +192,6 @@ mod tests {
         assert_eq!(GE.mean_burst_len(), Some(1.0 / 0.45));
         assert_eq!(LinkErrorModel::Independent { ber: 0.25 }.stationary_loss(), 0.25);
         assert_eq!(LinkErrorModel::Independent { ber: 0.25 }.mean_burst_len(), None);
-    }
-
-    #[test]
-    fn bursty_with_mean_matches_requested_mean() {
-        let m = LinkErrorModel::bursty_with_mean(0.05, 0.05, 0.45);
-        assert!((m.stationary_loss() - 0.05).abs() < 1e-12);
-        let LinkErrorModel::GilbertElliott { ber_good, ber_bad, .. } = m else { panic!() };
-        assert_eq!(ber_good, 0.0);
-        assert!((ber_bad - 0.5).abs() < 1e-12);
     }
 
     /// Satellite oracle 1: empirical loss over ≥10k transmissions

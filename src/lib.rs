@@ -31,13 +31,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind, Traffic};
+//! use hydra_agg::netsim::{FlowTraffic, Policy, ScenarioSpec, TopologyKind};
 //! use hydra_agg::phy::Rate;
 //!
 //! // The paper's headline experiment: a 0.2 MB transfer over two hops
 //! // with TCP ACKs riding as broadcast subframes (Figure 11, "BA").
 //! let mut scenario = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60);
-//! scenario.traffic = Traffic::FileTransfer { bytes: 20 * 1024 }; // trimmed for the doctest
+//! scenario.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 }; // trimmed for the doctest
 //! let result = scenario.run();
 //! assert!(result.completed);
 //! println!("end-to-end throughput: {:.3} Mbps", result.throughput_bps / 1e6);

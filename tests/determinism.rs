@@ -1,7 +1,7 @@
 //! Bit-stable reproducibility: identical seeds must give identical runs,
 //! across every scenario family the harness uses.
 
-use hydra_agg::netsim::{Flooding, Policy, RunOutcome, ScenarioSpec, TopologyKind, Traffic};
+use hydra_agg::netsim::{Flooding, FlowTraffic, Policy, RunOutcome, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 use hydra_agg::sim::Duration;
 
@@ -11,7 +11,7 @@ fn tcp_runs_replay_exactly() {
         for policy in [Policy::Na, Policy::Ba] {
             let run = |seed| {
                 let mut s = ScenarioSpec::tcp(topo, policy, Rate::R1_30).with_seed(seed);
-                s.traffic = Traffic::FileTransfer { bytes: 50 * 1024 };
+                s.traffic = FlowTraffic::FileTransfer { bytes: 50 * 1024 };
                 s.run()
             };
             let a = run(11);
@@ -67,7 +67,7 @@ fn different_seeds_differ_but_agree_qualitatively() {
 fn fault_injected_runs_replay_exactly() {
     let run = || {
         let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(5);
-        s.traffic = Traffic::FileTransfer { bytes: 30 * 1024 };
+        s.traffic = FlowTraffic::FileTransfer { bytes: 30 * 1024 };
         s.fault = Some((0.05, 0.05));
         s.run()
     };

@@ -1,14 +1,14 @@
 //! Fault injection: the system must survive a hostile channel
 //! (smoltcp-style drop/corrupt testing, applied through the whole stack).
 
-use hydra_agg::netsim::{Policy, ScenarioSpec, TopologyKind, Traffic};
+use hydra_agg::netsim::{FlowTraffic, Policy, ScenarioSpec, TopologyKind};
 use hydra_agg::phy::Rate;
 
 #[test]
 fn transfer_survives_frame_drops() {
     for policy in [Policy::Na, Policy::Ua, Policy::Ba] {
         let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30);
-        s.traffic = Traffic::FileTransfer { bytes: 60 * 1024 };
+        s.traffic = FlowTraffic::FileTransfer { bytes: 60 * 1024 };
         s.fault = Some((0.05, 0.0)); // 5% of frames vanish
         let r = s.run();
         assert!(r.completed, "{}: transfer must survive 5% frame drops", policy.name());
@@ -21,7 +21,7 @@ fn transfer_survives_frame_drops() {
 fn transfer_survives_subframe_corruption() {
     for policy in [Policy::Ua, Policy::Ba] {
         let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), policy, Rate::R1_30);
-        s.traffic = Traffic::FileTransfer { bytes: 60 * 1024 };
+        s.traffic = FlowTraffic::FileTransfer { bytes: 60 * 1024 };
         s.fault = Some((0.0, 0.03)); // 3% of subframes corrupted
         let r = s.run();
         assert!(r.completed, "{}: transfer must survive corruption", policy.name());
@@ -74,7 +74,7 @@ fn heavy_loss_fails_gracefully_not_catastrophically() {
     // 40% drop: the run may or may not finish inside the deadline, but it
     // must neither panic nor corrupt delivered data.
     let mut s = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30);
-    s.traffic = Traffic::FileTransfer { bytes: 20 * 1024 };
+    s.traffic = FlowTraffic::FileTransfer { bytes: 20 * 1024 };
     s.fault = Some((0.4, 0.1));
     let _ = s.run();
 }
