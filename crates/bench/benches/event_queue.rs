@@ -1,13 +1,12 @@
-//! Micro-benchmarks for the event engine: the calendar queue against
-//! its `BinaryHeap` reference oracle, isolated from MAC/PHY work.
+//! Micro-benchmarks for the event engine: the calendar queue, isolated
+//! from MAC/PHY work.
 //!
-//! Three shapes, each run on both backends:
+//! Three shapes:
 //!
 //! * `fill_drain` — schedule N events, then pop all N. Each iteration
 //!   builds a fresh queue, so the wheel's bucket allocation is charged
-//!   here too — it loses the small one-shot shape on constant factors
-//!   and amortises only over a queue's lifetime (the hold model below,
-//!   which is what a run loop actually does).
+//!   here too; it amortises only over a queue's lifetime (the hold model
+//!   below, which is what a run loop actually does).
 //! * `hold_churn` — prefill N pending, then pop-one/schedule-one for
 //!   many cycles at a bounded horizon: the classic hold model, and the
 //!   steady state of a DES run loop.
@@ -41,60 +40,48 @@ impl Lcg {
     }
 }
 
-fn queue(heap: bool) -> EventQueue<u64> {
-    if heap {
-        EventQueue::heap_reference()
-    } else {
-        EventQueue::new()
-    }
-}
-
 fn bench_fill_drain(c: &mut Criterion, n: u64) {
     let mut g = c.benchmark_group(&format!("event_queue_fill_drain_{n}"));
-    for (label, heap) in [("wheel", false), ("heap", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = queue(heap);
-                let mut rng = Lcg(0x9E3779B97F4A7C15);
-                for i in 0..n {
-                    // Spread over a ~100 ms horizon, as a busy world does.
-                    q.schedule_at(Instant::from_micros(rng.next() % 100_000), i);
-                }
-                let mut acc = 0u64;
-                while let Some((_, _, v)) = q.pop() {
-                    acc = acc.wrapping_add(v);
-                }
-                black_box(acc)
-            })
-        });
-    }
+    g.bench_function("wheel", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::<u64>::new();
+            let mut rng = Lcg(0x9E3779B97F4A7C15);
+            for i in 0..n {
+                // Spread over a ~100 ms horizon, as a busy world does.
+                q.schedule_at(Instant::from_micros(rng.next() % 100_000), i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, _, v)) = q.pop() {
+                acc = acc.wrapping_add(v);
+            }
+            black_box(acc)
+        })
+    });
     g.finish();
 }
 
 fn bench_hold_churn(c: &mut Criterion, pending: u64) {
     const CYCLES: u64 = 10_000;
     let mut g = c.benchmark_group(&format!("event_queue_hold_churn_{pending}"));
-    for (label, heap) in [("wheel", false), ("heap", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = queue(heap);
-                let mut rng = Lcg(0xD1B54A32D192ED03);
-                for i in 0..pending {
-                    q.schedule_at(Instant::from_micros(rng.next() % 10_000), i);
-                }
-                let mut acc = 0u64;
-                for _ in 0..CYCLES {
-                    let (now, _, v) = q.pop().expect("queue stays at `pending` events");
-                    acc = acc.wrapping_add(v);
-                    // Reschedule relative to the popped time: the pending
-                    // set neither grows nor drains, it slides forward.
-                    let at = now + hydra_sim::Duration::from_micros(rng.next() % 10_000 + 1);
-                    q.schedule_at(at, v);
-                }
-                black_box(acc)
-            })
-        });
-    }
+    g.bench_function("wheel", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::<u64>::new();
+            let mut rng = Lcg(0xD1B54A32D192ED03);
+            for i in 0..pending {
+                q.schedule_at(Instant::from_micros(rng.next() % 10_000), i);
+            }
+            let mut acc = 0u64;
+            for _ in 0..CYCLES {
+                let (now, _, v) = q.pop().expect("queue stays at `pending` events");
+                acc = acc.wrapping_add(v);
+                // Reschedule relative to the popped time: the pending
+                // set neither grows nor drains, it slides forward.
+                let at = now + hydra_sim::Duration::from_micros(rng.next() % 10_000 + 1);
+                q.schedule_at(at, v);
+            }
+            black_box(acc)
+        })
+    });
     g.finish();
 }
 
@@ -105,23 +92,21 @@ fn bench_stale_storm(c: &mut Criterion) {
     const SLOTS: u64 = 8;
     const REARMS: u64 = 1_000;
     let mut g = c.benchmark_group("event_queue_stale_storm");
-    for (label, heap) in [("wheel", false), ("heap", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut q = queue(heap);
-                for round in 0..REARMS {
-                    for slot in 0..SLOTS {
-                        q.schedule_at(Instant::from_micros(round * 100 + slot * 9 + 10), slot);
-                    }
+    g.bench_function("wheel", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::<u64>::new();
+            for round in 0..REARMS {
+                for slot in 0..SLOTS {
+                    q.schedule_at(Instant::from_micros(round * 100 + slot * 9 + 10), slot);
                 }
-                let mut acc = 0u64;
-                while let Some((_, _, v)) = q.pop() {
-                    acc = acc.wrapping_add(v);
-                }
-                black_box(acc)
-            })
-        });
-    }
+            }
+            let mut acc = 0u64;
+            while let Some((_, _, v)) = q.pop() {
+                acc = acc.wrapping_add(v);
+            }
+            black_box(acc)
+        })
+    });
     g.finish();
 }
 

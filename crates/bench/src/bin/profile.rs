@@ -3,18 +3,17 @@
 //!
 //! ```text
 //! cargo run --release -p hydra-bench --bin profile -- \
-//!     [--grid full|smoke] [--seeds N] [--out PATH] [--queue wheel|heap|check] \
-//!     [--baseline-wall-s S] [--note TEXT]
+//!     [--grid full|smoke] [--seeds N] [--out PATH] [--scale] [--chaos] \
+//!     [--threads LIST]
 //! ```
 //!
 //! The workload is always sequential, and each grid runs on a fresh
 //! runner whose memory-only store starts empty, so every run a grid
 //! reports is simulated and the event counts are **deterministic** — CI
 //! runs the smoke grid twice and diffs them (wall times are machine
-//! noise and live in separate fields). `--grid full` runs every shipped sweep at one seed, the
-//! reference workload for before/after comparisons; `--baseline-wall-s`
-//! folds in a previously measured wall time for the same workload so
-//! the emitted JSON carries both sides of a speedup claim.
+//! noise and live in separate fields). `--grid full` runs every shipped
+//! sweep at one seed; its stdout, one event count per sweep, is checked
+//! in as `tests/golden/profile_full.txt`, and CI diffs it.
 //!
 //! This binary is the only place the counting global allocator is
 //! installed by default: `allocations_per_1k_events` is the number the
@@ -45,16 +44,6 @@ options:
                        or the 4-cell smoke grid for CI
   --seeds N            replications per scenario (default 1)
   --out PATH           report path (default results/BENCH_profile.json)
-  --queue wheel|heap|check
-                       event-queue backend for the grid: the calendar
-                       queue (default), the BinaryHeap reference oracle,
-                       or both per run with outcomes asserted identical
-                       and the wall-time ratio recorded in a
-                       `queue_comparison` block — the CI equivalence
-                       smoke and the fair same-machine measure of the
-                       scheduler swap
-  --baseline-wall-s S  wall seconds previously measured for this same
-                       workload; adds a before/after comparison block
   --scale              also run the mesh scale grid: constant-density
                        random meshes at several node counts, each cell
                        simulated twice — sparse medium vs the dense
@@ -87,7 +76,6 @@ options:
                        the report to results/profile_runner.json unless
                        --out is given. A width above the machine's core
                        count is recorded as unmeasured, not timed
-  --note TEXT          free-form provenance note embedded in the report
   --help               this text
 ";
 
@@ -96,26 +84,12 @@ struct Args {
     seeds: u64,
     out: String,
     out_set: bool,
-    queue: QueueMode,
-    baseline_wall_s: Option<f64>,
     scale: bool,
     assert_events_per_s: Option<f64>,
     assert_scale_speedup: Option<f64>,
-    note: Option<String>,
     chaos: bool,
     chaos_seed: u64,
     threads: Option<Vec<usize>>,
-}
-
-/// Which event-queue backend the grid runs on.
-#[derive(Clone, Copy, PartialEq)]
-enum QueueMode {
-    /// The calendar queue — the engine's real backend (default).
-    Wheel,
-    /// The `BinaryHeap` reference oracle (`run_heap_reference`).
-    Heap,
-    /// Both per run, outcomes asserted identical, both walls recorded.
-    Check,
 }
 
 fn die(msg: &str) -> ! {
@@ -129,12 +103,9 @@ fn parse_args() -> Args {
         seeds: 1,
         out: "results/BENCH_profile.json".into(),
         out_set: false,
-        queue: QueueMode::Wheel,
-        baseline_wall_s: None,
         scale: false,
         assert_events_per_s: None,
         assert_scale_speedup: None,
-        note: None,
         chaos: false,
         chaos_seed: 7,
         threads: None,
@@ -169,17 +140,6 @@ fn parse_args() -> Args {
                 }
                 a.threads = Some(widths);
             }
-            "--queue" => {
-                a.queue = match val(&mut i).as_str() {
-                    "wheel" => QueueMode::Wheel,
-                    "heap" => QueueMode::Heap,
-                    "check" => QueueMode::Check,
-                    other => die(&format!("unknown queue `{other}` (wheel|heap|check)")),
-                }
-            }
-            "--baseline-wall-s" => {
-                a.baseline_wall_s = Some(val(&mut i).parse().unwrap_or_else(|_| die("bad wall seconds")))
-            }
             "--scale" => a.scale = true,
             "--assert-events-per-s" => {
                 a.assert_events_per_s =
@@ -191,7 +151,6 @@ fn parse_args() -> Args {
             }
             "--chaos" => a.chaos = true,
             "--chaos-seed" => a.chaos_seed = val(&mut i).parse().unwrap_or_else(|_| die("bad --chaos-seed")),
-            "--note" => a.note = Some(val(&mut i)),
             "--help" | "-h" => {
                 print!("{HELP}");
                 std::process::exit(0);
@@ -474,9 +433,6 @@ fn run_threads(args: &Args, widths: &[usize]) -> ! {
     j.push_str(&format!("  \"jobs\": {},\n", njobs));
     j.push_str(&format!("  \"simulated\": {},\n", nruns));
     j.push_str(&format!("  \"machine_cores\": {cores},\n"));
-    if let Some(note) = &args.note {
-        j.push_str(&format!("  \"note\": {},\n", quote(note)));
-    }
     j.push_str("  \"measurement_note\": \"each point is one pass over the flattened grid on a fresh runner, each distinct run simulated once; makespan and busy are wall-clock, so a width above machine_cores is marked unmeasured\",\n");
     j.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
@@ -533,40 +489,14 @@ fn main() {
     // even when an earlier grid already ran the same cell.
     let mut sweeps: Vec<SweepPerf> = Vec::new();
     let mut total = RunPerf::default();
-    // `--queue check` accumulator: both walls over the same runs, on the
-    // same machine, interleaved — the fair scheduler A/B.
-    let mut check_wheel_wall_ms = 0.0;
-    let mut check_heap_wall_ms = 0.0;
-    let mut check_runs = 0u64;
     let started = std::time::Instant::now();
     for (name, specs) in grids {
-        // Replication seeds derive exactly as in the runner, so every
-        // queue mode simulates the identical workload.
-        let jobs = || {
-            specs.iter().flat_map(|spec| {
-                (1..=args.seeds).map(|rep| spec.clone().with_seed(ExperimentRunner::run_seed(spec, rep)))
-            })
-        };
-        let runs: Vec<_> = match args.queue {
-            QueueMode::Wheel => ExperimentRunner::sequential()
-                .run_sweep(&specs, args.seeds)
-                .into_iter()
-                .flat_map(|c| c.runs)
-                .map(|r| r.unwrap_or_else(|e| die(&format!("profiling run failed in {name}: {e}"))))
-                .collect(),
-            QueueMode::Heap => jobs().map(|spec| spec.run_heap_reference()).collect(),
-            QueueMode::Check => jobs()
-                .map(|spec| {
-                    let wheel = spec.run();
-                    let heap = spec.run_heap_reference();
-                    assert_eq!(wheel, heap, "heap reference diverged from calendar queue in {name}");
-                    check_wheel_wall_ms += wheel.perf.wall_ms;
-                    check_heap_wall_ms += heap.perf.wall_ms;
-                    check_runs += 1;
-                    wheel
-                })
-                .collect(),
-        };
+        let runs: Vec<_> = ExperimentRunner::sequential()
+            .run_sweep(&specs, args.seeds)
+            .into_iter()
+            .flat_map(|c| c.runs)
+            .map(|r| r.unwrap_or_else(|e| die(&format!("profiling run failed in {name}: {e}"))))
+            .collect();
         let mut perf = RunPerf::default();
         for run in &runs {
             perf.events_processed += run.perf.events_processed;
@@ -601,17 +531,6 @@ fn main() {
     j.push_str("  \"schema\": \"hydra-agg.bench-profile.v1\",\n");
     j.push_str(&format!("  \"grid\": {},\n", quote(&args.grid)));
     j.push_str(&format!("  \"seeds\": {},\n", args.seeds));
-    j.push_str(&format!(
-        "  \"queue\": {},\n",
-        quote(match args.queue {
-            QueueMode::Wheel => "wheel",
-            QueueMode::Heap => "heap",
-            QueueMode::Check => "check",
-        })
-    ));
-    if let Some(note) = &args.note {
-        j.push_str(&format!("  \"note\": {},\n", quote(note)));
-    }
     j.push_str("  \"sweeps\": [\n");
     for (i, s) in sweeps.iter().enumerate() {
         j.push_str(&format!(
@@ -661,29 +580,6 @@ fn main() {
         total.allocations,
         total.allocations as f64 / (total.events_processed.max(1) as f64 / 1e3),
     ));
-    if args.queue == QueueMode::Check {
-        let (wheel_s, heap_s) = (check_wheel_wall_ms / 1e3, check_heap_wall_ms / 1e3);
-        j.push_str(&format!(
-            ",\n  \"queue_comparison\": {{\"runs\": {}, \"outcomes_identical\": true, \"wheel_wall_s\": {:.2}, \"heap_wall_s\": {:.2}, \"wheel_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"note\": \"every run simulated on both queue backends back to back on the same machine; outcome equality asserted per run\"}}",
-            check_runs,
-            wheel_s,
-            heap_s,
-            total.events_processed as f64 / wheel_s.max(1e-9),
-            total.events_processed as f64 / heap_s.max(1e-9),
-            heap_s / wheel_s.max(1e-9),
-        ));
-    }
-    if let Some(before_s) = args.baseline_wall_s {
-        j.push_str(&format!(
-            ",\n  \"baseline_comparison\": {{\"workload\": {}, \"before_wall_s\": {:.2}, \"after_wall_s\": {:.2}, \"before_events_per_sec\": {:.0}, \"after_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"note\": \"events normalized to the post-refactor batched event count for both sides\"}}",
-            quote(&args.grid),
-            before_s,
-            wall_total_s,
-            total.events_processed as f64 / before_s,
-            total.events_processed as f64 / wall_total_s,
-            before_s / wall_total_s,
-        ));
-    }
     j.push_str("\n}\n");
 
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
@@ -698,9 +594,6 @@ fn main() {
     println!("events_processed_total={}", total.events_processed);
     println!("events_stale_total={}", total.events_stale);
     println!("timer_rearms_total={}", total.timer_rearms);
-    if args.queue == QueueMode::Check {
-        println!("queue_equivalence=ok runs={check_runs}");
-    }
     for s in &sweeps {
         println!("events_processed[{}]={}", s.name, s.perf.events_processed);
     }
@@ -730,14 +623,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-    if args.queue == QueueMode::Check {
-        eprintln!(
-            "queue check: {check_runs} runs identical on both backends; wheel {:.2} s vs heap {:.2} s ({:.2}x)",
-            check_wheel_wall_ms / 1e3,
-            check_heap_wall_ms / 1e3,
-            check_heap_wall_ms / check_wheel_wall_ms.max(1e-9),
-        );
     }
     eprintln!(
         "total: {} events ({:.1}% stale timers) in {wall_total_s:.2} s ({:.0} ev/s) -> {}",

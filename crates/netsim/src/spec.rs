@@ -675,18 +675,21 @@ impl ScenarioSpec {
 
     /// Runs the scenario to completion and reports.
     ///
-    /// * All-file-transfer specs run until every transfer completes or
-    ///   the `warmup + duration` horizon passes (warmup defaults to
-    ///   zero for file traffic, so this is the paper's `duration`
-    ///   deadline) — the paper's TCP semantics.
-    /// * Specs without file transfers run for `warmup + duration` and
-    ///   measure goodput over the window — the paper's UDP semantics.
-    /// * Mixed specs run to the horizon `warmup + duration`: window
-    ///   flows measure over `[warmup, warmup+duration]` exactly as in
-    ///   a pure UDP run, and every file transfer must finish by the
-    ///   horizon for the run to count as `completed`. The headline
-    ///   `throughput_bps` is the worst *file-transfer* flow (the
-    ///   foreground), so background intensity sweeps stay comparable.
+    /// One loop serves every flow mix; its horizon is `warmup + duration`.
+    /// * File transfers run until every transfer completes or the horizon
+    ///   passes (warmup defaults to zero for file traffic, so this is the
+    ///   paper's `duration` deadline) — the paper's TCP semantics. A spec
+    ///   with only file flows has no warm-up phase.
+    /// * Window flows (CBR, on/off) measure goodput over
+    ///   `[warmup, warmup + duration]`, so a run with any of them goes on
+    ///   to the horizon even after every transfer has finished — the
+    ///   paper's UDP semantics, and background-intensity sweeps stay
+    ///   comparable.
+    ///
+    /// `completed` says every file transfer finished by the horizon
+    /// (always true without file flows). The headline `throughput_bps`
+    /// is the worst file-transfer flow (the foreground) when there is
+    /// one, else the worst window flow.
     pub fn run(&self) -> RunOutcome {
         // Infallible by construction for unbudgeted specs — the only
         // `RunError` source below `try_run` is the budget gate. Budgeted
@@ -722,20 +725,9 @@ impl ScenarioSpec {
         self.run_prepared(World::densify_medium).unwrap_or_else(|e| panic!("reference run failed: {e}"))
     }
 
-    /// [`ScenarioSpec::run`] with the event queue swapped to its
-    /// `BinaryHeap` reference backend before the first event fires. Pop
-    /// order is identical by construction, so the outcome must be
-    /// event-for-event identical to `run()` — the scheduler analogue of
-    /// [`ScenarioSpec::run_dense_reference`], asserted and timed by the
-    /// profiler's `--queue` grid.
-    pub fn run_heap_reference(&self) -> RunOutcome {
-        self.run_prepared(World::use_heap_reference_queue)
-            .unwrap_or_else(|e| panic!("reference run failed: {e}"))
-    }
-
-    /// Builds the world, lets `prepare` swap an engine backend, arms the
-    /// spec's [`RunBudget`] and runs in the mode the flow mix selects.
-    /// `Err` only when the budget trips.
+    /// Builds the world, lets `prepare` swap the medium, arms the spec's
+    /// [`RunBudget`] and runs the one loop [`ScenarioSpec::run`]
+    /// describes. `Err` only when the budget trips.
     fn run_prepared(&self, prepare: impl FnOnce(&mut World)) -> Result<RunOutcome, RunError> {
         let flows = self.effective_flows();
         let started = std::time::Instant::now();
@@ -747,178 +739,64 @@ impl ScenarioSpec {
         }
         let has_file = flows.iter().any(|f| f.traffic.is_file());
         let has_window = flows.iter().any(|f| !f.traffic.is_file());
-        match (has_file, has_window) {
-            (true, false) => self.run_tcp(world, &flows, started, allocs0),
-            (false, true) => self.run_cbr(world, &flows, started, allocs0),
-            (true, true) => self.run_mixed(world, &flows, started, allocs0),
-            (false, false) => unreachable!("a topology always has at least one default flow"),
-        }
-    }
-
-    /// Telemetry for a finished world (allocation deltas vs the marks
-    /// taken before `build()`).
-    fn collect_perf(world: &World, started: std::time::Instant, allocs0: hydra_sim::AllocStats) -> RunPerf {
-        let allocs = hydra_sim::alloc_stats().since(allocs0);
-        RunPerf {
-            events_processed: world.events_processed,
-            events_stale: world.events_stale,
-            timer_rearms: world.timer_rearms(),
-            queue: world.queue_stats(),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            allocations: allocs.allocations,
-            allocated_bytes: allocs.allocated_bytes,
-        }
-    }
-
-    /// Labeled outcomes for the file-transfer flows, in flow order.
-    /// Receivers are installed in flow order, so the k-th file flow
-    /// targeting a node owns the k-th `file_rx` slot there.
-    fn file_outcomes(world: &World, flows: &[FlowSpec]) -> Vec<FlowOutcome> {
-        let mut next_rx = vec![0usize; world.nodes.len()];
-        flows
-            .iter()
-            .filter(|f| f.traffic.is_file())
-            .map(|f| {
-                let idx = next_rx[f.dst];
-                next_rx[f.dst] += 1;
-                let (rx, _) = &world.nodes[f.dst].apps.file_rx[idx];
-                FlowOutcome::new(
-                    *f,
-                    rx.received as u64,
-                    rx.throughput_bps(Instant::ZERO).unwrap_or(0.0),
-                    rx.completed_at,
-                )
-            })
-            .collect()
-    }
-
-    /// The worst (slowest) throughput across a set of flow outcomes —
-    /// the paper reports the worst session for multi-session runs.
-    fn worst_bps(outcomes: &[FlowOutcome]) -> f64 {
-        let worst = outcomes.iter().map(|o| o.bps).fold(f64::INFINITY, f64::min);
-        if worst.is_finite() {
-            worst
-        } else {
-            0.0
-        }
-    }
-
-    fn run_tcp(
-        &self,
-        mut world: World,
-        flows: &[FlowSpec],
-        started: std::time::Instant,
-        allocs0: hydra_sim::AllocStats,
-    ) -> Result<RunOutcome, RunError> {
-        world.start();
-        // The same horizon a mixed run uses (warmup is zero for every
-        // legacy file-transfer spec, so this is the paper's `duration`
-        // deadline there) — keeping the two run modes comparable when a
-        // sweep varies only the background flows.
-        let deadline = Instant::ZERO + self.warmup + self.duration;
-        let done = world.run_until_transfers_complete(deadline);
-        world.check_budget()?;
-        let now = world.now();
-        let per_flow = Self::file_outcomes(&world, flows);
-        Ok(RunOutcome {
-            completed: done,
-            throughput_bps: Self::worst_bps(&per_flow),
-            per_flow,
-            report: RunReport::collect(&world, now),
-            perf: Self::collect_perf(&world, started, allocs0),
-        })
-    }
-
-    fn run_cbr(
-        &self,
-        mut world: World,
-        flows: &[FlowSpec],
-        started: std::time::Instant,
-        allocs0: hydra_sim::AllocStats,
-    ) -> Result<RunOutcome, RunError> {
-        world.start();
-        // One measurement per flow, keyed by its (sink node, port) pair —
-        // flows sharing a sink node stay separate.
-        world.run_until(Instant::ZERO + self.warmup);
-        let start: Vec<u64> = flows.iter().map(|f| udp_bytes_at(&world, f)).collect();
-        world.run_until(Instant::ZERO + self.warmup + self.duration);
-        world.check_budget()?;
-        let per_flow = Self::window_outcomes(&world, flows, &start, self.duration);
-        let now = world.now();
-        Ok(RunOutcome {
-            completed: true,
-            throughput_bps: Self::worst_bps(&per_flow),
-            per_flow,
-            report: RunReport::collect(&world, now),
-            perf: Self::collect_perf(&world, started, allocs0),
-        })
-    }
-
-    /// Labeled outcomes for window-measured (CBR/on-off) flows given
-    /// their byte counts at the window start. `starts` must align with
-    /// `flows` (file flows' entries are ignored).
-    fn window_outcomes(
-        world: &World,
-        flows: &[FlowSpec],
-        starts: &[u64],
-        window: Duration,
-    ) -> Vec<FlowOutcome> {
-        let secs = window.as_secs_f64();
-        flows
-            .iter()
-            .zip(starts)
-            .filter(|(f, _)| !f.traffic.is_file())
-            .map(|(f, &s0)| {
-                let bytes = udp_bytes_at(world, f) - s0;
-                FlowOutcome::new(*f, bytes, if secs > 0.0 { bytes as f64 * 8.0 / secs } else { 0.0 }, None)
-            })
-            .collect()
-    }
-
-    /// Heterogeneous run: TCP file transfers and window-measured UDP
-    /// flows in one world (see [`ScenarioSpec::run`] for the
-    /// semantics). Results come back in flow order.
-    fn run_mixed(
-        &self,
-        mut world: World,
-        flows: &[FlowSpec],
-        started: std::time::Instant,
-        allocs0: hydra_sim::AllocStats,
-    ) -> Result<RunOutcome, RunError> {
-        world.start();
-        world.run_until(Instant::ZERO + self.warmup);
-        let start: Vec<u64> = flows.iter().map(|f| udp_bytes_at(&world, f)).collect();
-        // Run to the horizon even if every transfer finishes early, so
-        // the UDP window is always exactly `duration` wide (cells of a
-        // background-intensity sweep stay comparable).
         let horizon = Instant::ZERO + self.warmup + self.duration;
-        world.run_until_transfers_complete(horizon);
-        world.run_until(horizon);
+        world.start();
+        if has_window {
+            world.run_until(Instant::ZERO + self.warmup);
+        }
+        // Each window flow's bytes at the window start, keyed by its
+        // (sink node, port) pair — flows sharing a sink node stay apart.
+        let starts: Vec<u64> = flows.iter().map(|f| udp_bytes_at(&world, f)).collect();
+        if has_file {
+            world.run_until_transfers_complete(horizon);
+        }
+        if has_window {
+            world.run_until(horizon);
+        }
         world.check_budget()?;
-        let completed = world.transfers_complete();
-        let file = Self::file_outcomes(&world, flows);
-        let window = Self::window_outcomes(&world, flows, &start, self.duration);
-        // Stitch back into flow order.
-        let (mut fi, mut wi) = (file.into_iter(), window.into_iter());
+        let secs = self.duration.as_secs_f64();
+        // Receivers are installed in flow order, so the k-th file flow
+        // targeting a node owns the k-th `file_rx` slot there.
+        let mut next_rx = vec![0usize; world.nodes.len()];
         let per_flow: Vec<FlowOutcome> = flows
             .iter()
-            .map(|f| {
+            .zip(&starts)
+            .map(|(f, &s0)| {
                 if f.traffic.is_file() {
-                    fi.next().expect("one outcome per file flow")
+                    let (rx, _) = &world.nodes[f.dst].apps.file_rx[next_rx[f.dst]];
+                    next_rx[f.dst] += 1;
+                    let bps = rx.throughput_bps(Instant::ZERO).unwrap_or(0.0);
+                    FlowOutcome::new(*f, rx.received as u64, bps, rx.completed_at)
                 } else {
-                    wi.next().expect("one outcome per window flow")
+                    let bytes = udp_bytes_at(&world, f) - s0;
+                    let bps = if secs > 0.0 { bytes as f64 * 8.0 / secs } else { 0.0 };
+                    FlowOutcome::new(*f, bytes, bps, None)
                 }
             })
             .collect();
-        let foreground: Vec<FlowOutcome> =
-            per_flow.iter().filter(|o| o.flow.traffic.is_file()).cloned().collect();
-        let now = world.now();
+        // The worst flow of the headline kind: the paper reports the
+        // worst session of a multi-session run.
+        let worst = per_flow
+            .iter()
+            .filter(|o| o.flow.traffic.is_file() == has_file)
+            .map(|o| o.bps)
+            .fold(f64::INFINITY, f64::min);
+        let report = RunReport::collect(&world, world.now());
+        let allocs = hydra_sim::alloc_stats().since(allocs0);
         Ok(RunOutcome {
-            completed,
-            throughput_bps: Self::worst_bps(&foreground),
+            completed: world.transfers_complete(),
+            throughput_bps: if worst.is_finite() { worst } else { 0.0 },
             per_flow,
-            report: RunReport::collect(&world, now),
-            perf: Self::collect_perf(&world, started, allocs0),
+            report,
+            perf: RunPerf {
+                events_processed: world.events_processed,
+                events_stale: world.events_stale,
+                timer_rearms: world.timer_rearms(),
+                queue: world.queue_stats(),
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                allocations: allocs.allocations,
+                allocated_bytes: allocs.allocated_bytes,
+            },
         })
     }
 }
@@ -1324,6 +1202,20 @@ mod tests {
         // Seeds derive from the *spec's own* seed field here (both 1),
         // so the worlds are identical and outcomes must match exactly.
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn file_only_specs_have_no_warm_up_phase() {
+        // The 10 KB transfer finishes well inside the first second, so a
+        // warm-up phase would keep dispatching past its completion.
+        let mut cold = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Ba, Rate::R2_60);
+        cold.traffic = FlowTraffic::FileTransfer { bytes: 10 * 1024 };
+        let mut warm = cold.clone();
+        warm.warmup = Duration::from_secs(1);
+        let (a, b) = (cold.run(), warm.run());
+        assert!(a.per_flow[0].completed_at.is_some_and(|t| t < Instant::ZERO + warm.warmup));
+        assert_eq!(a, b);
+        assert_eq!(a.perf.events_processed, b.perf.events_processed);
     }
 
     /// A spec that genuinely panics: `Mac::new` rejects a zero-byte

@@ -381,16 +381,6 @@ impl World {
         self.medium = self.medium.dense_reference();
     }
 
-    /// Swaps the event queue for its `BinaryHeap` reference backend —
-    /// same pop order, O(log n) operations. The executable specification
-    /// the calendar wheel is tested against (the scheduler analogue of
-    /// [`World::densify_medium`]), and the profiler's `--queue` baseline.
-    /// Pending events, ids, and virtual time carry over, so it can be
-    /// called on a fully built world.
-    pub fn use_heap_reference_queue(&mut self) {
-        self.events.convert_to_heap_reference();
-    }
-
     /// Queue-operation counters (schedules, pops, overflow traffic).
     pub fn queue_stats(&self) -> QueueStats {
         self.events.stats()
@@ -403,8 +393,7 @@ impl World {
     }
 
     /// True when every installed TCP file transfer has completed — the
-    /// run-termination condition for file-transfer flows (also usable
-    /// directly as a [`World::run_until_condition`] predicate).
+    /// run-termination condition for file-transfer flows.
     pub fn transfers_complete(&self) -> bool {
         self.nodes.iter().all(|n| n.apps.file_rx.iter().all(|(r, _)| r.completed_at.is_some()))
     }
@@ -446,61 +435,40 @@ impl World {
     /// Runs until the queue drains or `deadline` passes. Returns the
     /// number of events processed.
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
-        let mut processed = 0;
+        let before = self.events_processed;
+        self.run_loop(deadline, false);
+        self.events_processed - before
+    }
+
+    /// Runs until every installed transfer has completed
+    /// ([`World::transfers_complete`]), the queue drains, or `deadline`
+    /// passes. Returns true if the transfers completed.
+    pub fn run_until_transfers_complete(&mut self, deadline: Instant) -> bool {
+        self.run_loop(deadline, true)
+    }
+
+    /// The one dispatch loop: pops and dispatches events due by
+    /// `deadline` until the queue drains, the armed budget trips, or —
+    /// with `until_complete` — every transfer has completed (the only
+    /// case that returns true).
+    ///
+    /// Completion is checked after the first event of the call and then
+    /// only after events that touched TCP: it is latched and can only
+    /// flip during a `pump_tcp` (which raises `tcp_activity`), so the
+    /// O(nodes × flows) scan does not run after every CS edge and MAC
+    /// timer. A run that completes on its last budgeted event finished
+    /// *within* budget, so completion is checked before the budget.
+    fn run_loop(&mut self, deadline: Instant, until_complete: bool) -> bool {
         if self.budget_exhausted {
-            return processed;
+            return false;
         }
+        self.tcp_activity |= until_complete;
         // `pop_before` locates-and-pops in one queue pass (the former
         // peek + pop walked the calendar buckets twice per event).
         while let Some((_, _, ev)) = self.events.pop_before(deadline) {
             self.dispatch(ev);
-            processed += 1;
-            if self.after_event() {
-                break;
-            }
-        }
-        self.events_processed += processed;
-        processed
-    }
-
-    /// Runs until `pred(world)` or the deadline; checks after each event.
-    /// Returns true if the predicate fired.
-    pub fn run_until_condition(&mut self, deadline: Instant, mut pred: impl FnMut(&World) -> bool) -> bool {
-        if self.budget_exhausted {
-            return false;
-        }
-        while let Some((_, _, ev)) = self.events.pop_before(deadline) {
-            self.dispatch(ev);
             self.events_processed += 1;
-            // A run that satisfies its predicate on the last budgeted
-            // event finished *within* budget — check the predicate first.
-            if pred(self) {
-                return true;
-            }
-            if self.after_event() {
-                return false;
-            }
-        }
-        false
-    }
-
-    /// [`World::run_until_condition`] specialised to
-    /// [`World::transfers_complete`], gated by the TCP-activity dirty
-    /// flag: completion is latched and can only flip during a `pump_tcp`,
-    /// so the O(nodes × flows) scan runs once per TCP-active event
-    /// instead of after every CS edge and MAC timer. Same result, same
-    /// event counts.
-    pub fn run_until_transfers_complete(&mut self, deadline: Instant) -> bool {
-        if self.budget_exhausted {
-            return false;
-        }
-        // Mirror `run_until_condition`'s semantics, which checks the
-        // predicate after the first event regardless of its kind.
-        self.tcp_activity = true;
-        while let Some((_, _, ev)) = self.events.pop_before(deadline) {
-            self.dispatch(ev);
-            self.events_processed += 1;
-            if self.tcp_activity {
+            if until_complete && self.tcp_activity {
                 self.tcp_activity = false;
                 if self.transfers_complete() {
                     return true;

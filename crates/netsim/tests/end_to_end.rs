@@ -140,6 +140,11 @@ fn mixed_tcp_and_cbr_share_one_world() {
     assert_eq!(fg.kind, FlowKind::FileTransfer);
     assert_eq!(fg.bytes, 50 * 1024);
     assert!(fg.completed_at.is_some());
+    // The transfer finishing does not end the run: the CBR window needs
+    // the full horizon, and a 20 ms CBR keeps events coming up to it.
+    let horizon = hydra_sim::Instant::ZERO + spec.warmup + spec.duration;
+    assert!(r.report.at > fg.completed_at.unwrap(), "run stopped at the transfer's completion");
+    assert!(r.report.at <= horizon && horizon - r.report.at <= Duration::from_millis(20), "{}", r.report.at);
     assert!(fg.bps > 20_000.0, "foreground {}", fg.bps);
     assert_eq!(bg.kind, FlowKind::Cbr);
     assert!(bg.completed_at.is_none(), "window flows have no completion time");
@@ -202,6 +207,8 @@ fn on_off_background_flows_deliver() {
     // Offered: 4 × 160 B per (3·5 + 80) ms ≈ 54 kbit/s.
     assert!(r.per_flow[1].bps > 20_000.0, "on/off goodput {}", r.per_flow[1].bps);
     assert!(r.per_flow[1].bps < 60_000.0);
+    // Without a file flow the headline is the worst window flow.
+    assert_eq!(r.throughput_bps, r.per_flow_bps().into_iter().fold(f64::INFINITY, f64::min));
 }
 
 #[test]

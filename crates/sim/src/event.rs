@@ -5,9 +5,9 @@
 //! two events scheduled for the same instant always execute in the order
 //! they were scheduled, regardless of queue internals.
 //!
-//! # Backends
+//! # Structure
 //!
-//! The default backend is a **calendar queue** (hierarchical timer wheel):
+//! The queue is a **calendar queue** (hierarchical timer wheel):
 //! near-horizon events land in one of [`WHEEL_BUCKETS`] buckets of
 //! [`BUCKET_GRANULARITY_NS`] ns each — sized to the MAC's natural tick
 //! (slot-time / SIFS are 9–16 µs) — giving O(1) `schedule_at` and
@@ -25,15 +25,13 @@
 //! doublings, where one `Vec` per bucket cost it an allocation for each
 //! of the ~2 000 buckets it visited once.
 //!
-//! The previous `BinaryHeap` implementation survives as
-//! [`EventQueue::heap_reference`] — a test oracle mirroring
-//! `Medium::dense_reference()` — and both backends produce byte-identical
-//! pop sequences (proven by property tests and the profiler's `--queue`
-//! grid).
+//! The property tests replay arbitrary schedule / pop / `pop_before`
+//! mixes against a plain `BinaryHeap` ordered by `(time, seq)` and
+//! require identical pop sequences.
 //!
 //! # Determinism argument
 //!
-//! Pop order is exactly ascending `(time, seq)` in both backends:
+//! Pop order is exactly ascending `(time, seq)`:
 //!
 //! * bucket time ranges are disjoint and scanned in ascending order, so
 //!   cross-bucket order is automatic;
@@ -383,18 +381,9 @@ impl<E> Wheel<E> {
     }
 }
 
-// One queue lives per world and the wheel is the only variant on the
-// hot path, so the size skew (the inline occupancy bitmap) is fine —
-// boxing it would buy nothing but a pointer chase per operation.
-#[allow(clippy::large_enum_variant)]
-enum Backend<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     now: Instant,
     stats: QueueStats,
@@ -407,46 +396,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at t = 0 using the calendar-wheel backend.
+    /// Creates an empty queue at t = 0.
     pub fn new() -> Self {
-        EventQueue {
-            backend: Backend::Wheel(Wheel::new()),
-            next_seq: 0,
-            now: Instant::ZERO,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Creates an empty queue using the original `BinaryHeap` backend.
-    ///
-    /// Kept as a reference oracle (mirroring `Medium::dense_reference()`):
-    /// property tests and the profiler's `--queue` grid assert that both
-    /// backends produce identical pop sequences, then time them.
-    pub fn heap_reference() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            now: Instant::ZERO,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Converts this queue to the heap-reference backend in place,
-    /// preserving every pending entry, `now`, ids, and counters.
-    ///
-    /// Lets a fully-built world be re-based onto the oracle backend (the
-    /// same pattern as `World::densify_medium`).
-    pub fn convert_to_heap_reference(&mut self) {
-        if let Backend::Wheel(wheel) = &mut self.backend {
-            let mut heap = std::mem::take(&mut wheel.overflow);
-            heap.extend(wheel.slab.drain(..).filter_map(|(entry, _)| entry));
-            self.backend = Backend::Heap(heap);
-        }
-    }
-
-    /// True if this queue uses the heap-reference backend.
-    pub fn is_heap_reference(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
+        EventQueue { wheel: Wheel::new(), next_seq: 0, now: Instant::ZERO, stats: QueueStats::default() }
     }
 
     /// The current simulation time: the timestamp of the last popped event
@@ -468,14 +420,8 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
-        let entry = Entry { at, seq, payload };
-        match &mut self.backend {
-            Backend::Wheel(wheel) => {
-                if wheel.insert(entry) {
-                    self.stats.overflow_scheduled += 1;
-                }
-            }
-            Backend::Heap(heap) => heap.push(entry),
+        if self.wheel.insert(Entry { at, seq, payload }) {
+            self.stats.overflow_scheduled += 1;
         }
         EventId(seq)
     }
@@ -487,13 +433,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(Instant, EventId, E)> {
-        let e = match &mut self.backend {
-            Backend::Wheel(wheel) => {
-                let idx = wheel.locate_next(&mut self.stats, None)?;
-                wheel.pop_from(idx)
-            }
-            Backend::Heap(heap) => heap.pop()?,
-        };
+        let idx = self.wheel.locate_next(&mut self.stats, None)?;
+        let e = self.wheel.pop_from(idx);
         debug_assert!(e.at >= self.now, "queue returned an out-of-order event");
         self.now = e.at;
         self.stats.popped += 1;
@@ -506,18 +447,8 @@ impl<E> EventQueue<E> {
     /// scan instead of two. Returns `None` (leaving the queue untouched)
     /// when the queue is empty or the next event is after `deadline`.
     pub fn pop_before(&mut self, deadline: Instant) -> Option<(Instant, EventId, E)> {
-        let e = match &mut self.backend {
-            Backend::Wheel(wheel) => {
-                let idx = wheel.locate_next(&mut self.stats, Some(deadline))?;
-                wheel.pop_from(idx)
-            }
-            Backend::Heap(heap) => {
-                if heap.peek()?.at > deadline {
-                    return None;
-                }
-                heap.pop()?
-            }
-        };
+        let idx = self.wheel.locate_next(&mut self.stats, Some(deadline))?;
+        let e = self.wheel.pop_from(idx);
         debug_assert!(e.at >= self.now, "queue returned an out-of-order event");
         self.now = e.at;
         self.stats.popped += 1;
@@ -526,18 +457,12 @@ impl<E> EventQueue<E> {
 
     /// The time of the next event without popping it.
     pub fn peek_time(&self) -> Option<Instant> {
-        match &self.backend {
-            Backend::Wheel(wheel) => wheel.peek_time(),
-            Backend::Heap(heap) => heap.peek().map(|e| e.at),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(wheel) => wheel.len(),
-            Backend::Heap(heap) => heap.len(),
-        }
+        self.wheel.len()
     }
 
     /// True if no events are pending.
@@ -765,14 +690,6 @@ mod tests {
         assert_eq!(rest, vec!["b", "c1", "c2", "c3", "c4"]);
     }
 
-    /// The wheel behind a queue built with [`EventQueue::new`].
-    fn wheel_of<E>(q: &EventQueue<E>) -> &Wheel<E> {
-        match &q.backend {
-            Backend::Wheel(w) => w,
-            Backend::Heap(_) => panic!("heap backend"),
-        }
-    }
-
     #[test]
     fn slab_slots_are_reused_once_the_peak_is_reached() {
         // Hold `pending` events while time marches through several wheel
@@ -786,7 +703,7 @@ mod tests {
                 q.schedule_at(Instant::from_micros(rng.below(10_000)), i);
             }
             let (peak_len, peak_cap) = {
-                let w = wheel_of(&q);
+                let w = &q.wheel;
                 assert_eq!(w.slab.len(), pending, "one slot per pending event");
                 (w.slab.len(), w.slab.capacity())
             };
@@ -798,7 +715,7 @@ mod tests {
                 assert_eq!(q.len(), pending);
             }
             assert!(touched.len() > 1_000, "the churn visits many buckets ({})", touched.len());
-            let w = wheel_of(&q);
+            let w = &q.wheel;
             assert_eq!(w.slab.len(), peak_len, "slab length at {pending} pending");
             assert_eq!(w.slab.capacity(), peak_cap, "slab capacity at {pending} pending");
             // The sorted buffer never holds more than the fullest bucket.
@@ -824,44 +741,5 @@ mod tests {
             assert_eq!(p, i);
             q.schedule_at(t + step, i + 1);
         }
-    }
-
-    #[test]
-    fn heap_reference_matches_wheel_smoke() {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
-        assert!(heap.is_heap_reference());
-        assert!(!wheel.is_heap_reference());
-        let times = [5u64, 5, 3, 1_000_000_000, 8, 5, 40_000_000, 8, 1_000_000_000, 0, 77, 34_000_000];
-        for (i, t) in times.iter().enumerate() {
-            wheel.schedule_at(Instant::from_nanos(*t), i);
-            heap.schedule_at(Instant::from_nanos(*t), i);
-        }
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn convert_to_heap_reference_preserves_pending() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Instant::from_micros(10), "a");
-        q.schedule_at(Instant::from_secs(10), "far");
-        q.schedule_at(Instant::from_micros(10), "b");
-        q.pop(); // "a"; now = 10 µs
-        q.convert_to_heap_reference();
-        assert!(q.is_heap_reference());
-        assert_eq!(q.now(), Instant::from_micros(10));
-        assert_eq!(q.len(), 2);
-        let c = q.schedule_at(Instant::from_micros(10), "c");
-        assert_eq!(c, EventId(3), "seq continues across conversion");
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("b"));
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("c"));
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("far"));
     }
 }

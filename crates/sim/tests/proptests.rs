@@ -1,8 +1,81 @@
 //! Property tests for the simulation engine's core invariants.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use hydra_sim::{Duration, EventQueue, Instant, Rng, TimerSet};
+use hydra_sim::{Duration, EventId, EventQueue, Instant, Rng, TimerSet};
+
+/// The reference every `wheel ≡ heap` property checks the calendar queue
+/// against: a `BinaryHeap` of `(time, seq)`, so events pop earliest first
+/// and same-instant ties pop in scheduling order. Payloads wait in a
+/// side table indexed by `seq`, so they need no ordering of their own.
+struct HeapOracle<E> {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+    payloads: Vec<Option<E>>,
+    now: Instant,
+}
+
+impl<E> HeapOracle<E> {
+    fn new() -> Self {
+        HeapOracle { heap: BinaryHeap::new(), payloads: Vec::new(), now: Instant::ZERO }
+    }
+
+    fn schedule_at(&mut self, at: Instant, payload: E) -> EventId {
+        let seq = self.payloads.len() as u64;
+        self.payloads.push(Some(payload));
+        self.heap.push(Reverse((at, seq)));
+        EventId(seq)
+    }
+
+    fn pop(&mut self) -> Option<(Instant, EventId, E)> {
+        let Reverse((at, seq)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, EventId(seq), self.payloads[seq as usize].take().expect("each event pops once")))
+    }
+
+    fn pop_before(&mut self, deadline: Instant) -> Option<(Instant, EventId, E)> {
+        if self.peek_time()? > deadline {
+            return None;
+        }
+        self.pop()
+    }
+
+    fn peek_time(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse((at, _))| *at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn now(&self) -> Instant {
+        self.now
+    }
+}
+
+#[test]
+fn event_queue_matches_heap_oracle_on_a_fixed_schedule() {
+    // Same-instant ties, sub-bucket gaps, one event just past the 33.6 ms
+    // wheel horizon and two far beyond it, scheduled out of order.
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapOracle::new();
+    let times = [5u64, 5, 3, 1_000_000_000, 8, 5, 40_000_000, 8, 1_000_000_000, 0, 77, 34_000_000];
+    for (i, t) in times.iter().enumerate() {
+        assert_eq!(
+            wheel.schedule_at(Instant::from_nanos(*t), i),
+            heap.schedule_at(Instant::from_nanos(*t), i)
+        );
+    }
+    loop {
+        let a = wheel.pop();
+        assert_eq!(a, heap.pop());
+        if a.is_none() {
+            break;
+        }
+    }
+}
 
 proptest! {
     #[test]
@@ -50,7 +123,7 @@ proptest! {
         // and far-future overflow (60 s >> the 33.6 ms wheel horizon).
         const DELAYS: [u64; 6] = [0, 1, 5_000, 8_192, 1_000_000, 60_000_000_000];
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
+        let mut heap = HeapOracle::new();
         let mut payload = 0u64;
         for (op, pick) in ops {
             match op {
@@ -58,7 +131,7 @@ proptest! {
                     payload += 1;
                     let d = Duration::from_nanos(DELAYS[pick]);
                     let a = wheel.schedule_after(d, payload);
-                    let b = heap.schedule_after(d, payload);
+                    let b = heap.schedule_at(heap.now() + d, payload);
                     prop_assert_eq!(a, b, "EventIds diverged");
                 }
                 2 => prop_assert_eq!(wheel.pop(), heap.pop()),
@@ -87,9 +160,10 @@ proptest! {
         // Timer-style re-arms: the same logical slots get re-scheduled at a
         // handful of *absolute* instants over and over (many same-instant
         // FIFO ties, some in the overflow level), interleaved with pops.
-        // Both backends must agree on every pop, including tie order.
+        // The wheel must agree with the oracle on every pop, tie order
+        // included.
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
+        let mut heap = HeapOracle::new();
         let mut arm = 0u64;
         for (op, pick) in ops {
             match op {
@@ -119,7 +193,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+        prop_assert_eq!(wheel.scheduled_total(), arm);
     }
 
     #[test]
@@ -135,9 +209,9 @@ proptest! {
         // back complete and in order — whatever mix of earlier-bucket,
         // same-bucket and later-bucket schedules follows the probe.
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
+        let mut heap = HeapOracle::new();
         let mut payload = 0u64;
-        let mut both = |wheel: &mut EventQueue<u64>, heap: &mut EventQueue<u64>, at: Instant| {
+        let mut both = |wheel: &mut EventQueue<u64>, heap: &mut HeapOracle<u64>, at: Instant| {
             payload += 1;
             let a = wheel.schedule_at(at, payload);
             let b = heap.schedule_at(at, payload);
@@ -185,18 +259,18 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_converts_and_peeks_with_a_sorted_cursor_bucket(
+    fn event_queue_peeks_with_a_sorted_cursor_bucket(
         times in proptest::collection::vec(0u64..40_000, 2..60),
         popped in 0usize..30,
         probe in any::<bool>(),
         extra in proptest::collection::vec(0u64..40_000, 0..20),
     ) {
-        // `peek_time` and `convert_to_heap_reference` while the cursor
-        // bucket holds sorted, partly consumed entries (after pops) or
-        // sorted, untouched ones (after a not-due probe): nothing is lost,
-        // nothing is reordered, ids and `now` carry over.
+        // `peek_time` while the cursor bucket holds sorted, partly
+        // consumed entries (after pops) or sorted, untouched ones (after a
+        // not-due probe), then schedules on top: nothing is lost, nothing
+        // is reordered.
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
+        let mut heap = HeapOracle::new();
         for (i, t) in times.iter().enumerate() {
             wheel.schedule_at(Instant::from_nanos(*t), i);
             heap.schedule_at(Instant::from_nanos(*t), i);
@@ -212,8 +286,6 @@ proptest! {
             }
         }
         prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-        wheel.convert_to_heap_reference();
-        prop_assert!(wheel.is_heap_reference());
         prop_assert_eq!(wheel.len(), heap.len());
         prop_assert_eq!(wheel.now(), heap.now());
         prop_assert_eq!(wheel.peek_time(), heap.peek_time());
@@ -242,7 +314,7 @@ proptest! {
         // linked before the bucket was sorted, binary-inserted after, or
         // spilled back and sorted again.
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::heap_reference();
+        let mut heap = HeapOracle::new();
         let mut seq = 0u64;
         let mut epoch = Instant::ZERO;
         let mut last: Option<(Instant, u64)> = None;

@@ -45,9 +45,7 @@ fn main() {
     // Run to completion.
     world.start();
     let deadline = Instant::ZERO + Duration::from_secs(600);
-    let done = world.run_until_condition(deadline, |w| {
-        w.nodes[hops].apps.file_rx.iter().all(|(r, _)| r.completed_at.is_some())
-    });
+    let done = world.run_until_transfers_complete(deadline);
     assert!(done, "transfer stuck");
 
     let rx = &world.nodes[hops].apps.file_rx[0].0;
