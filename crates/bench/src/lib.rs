@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod microbench;
 pub mod paper;
 pub mod report;
 pub mod runner;

@@ -56,9 +56,12 @@ fn fixed_sweep() -> Vec<ScenarioSpec> {
 }
 
 /// Folds a sweep's results into the rendered table the harness would
-/// print — full float formatting, so any divergence shows up.
-fn render(runner: &ExperimentRunner, seeds: u64) -> String {
+/// print — full float formatting, so any divergence shows up — beside
+/// the summed `events_processed`, which `RunOutcome` equality (and so
+/// the table) leaves out.
+fn render(runner: &ExperimentRunner, seeds: u64) -> (String, u64) {
     let cells = runner.run_sweep(&fixed_sweep(), seeds);
+    let events = cells.iter().flat_map(|c| c.ok_runs()).map(|r| r.perf.events_processed).sum();
     let mut t = Table::new("determinism probe", &["cell", "mean bps", "per-run bps", "per-flow bps", "TXs"]);
     for (i, cell) in cells.iter().enumerate() {
         t.row(vec![
@@ -79,7 +82,7 @@ fn render(runner: &ExperimentRunner, seeds: u64) -> String {
         ]);
         assert!(!cell.failed(), "determinism probe cell {i} failed: {}", cell.failed_label());
     }
-    t.render()
+    (t.render(), events)
 }
 
 #[test]
@@ -173,7 +176,7 @@ fn each_collision_domain_runs_alone_as_in_the_full_world() {
 fn tables_are_byte_identical_at_any_width() {
     // The executor only decides what starts when and where; the
     // rendered table — full float formatting — must not move by a bit
-    // at any thread count.
+    // at any thread count, and neither may the number of events it took.
     let reference = render(&ExperimentRunner::sequential(), 1);
     for threads in [1, 2, 4, 8] {
         assert_eq!(render(&ExperimentRunner::new(threads), 1), reference, "{threads} threads diverged");
@@ -183,24 +186,26 @@ fn tables_are_byte_identical_at_any_width() {
 #[test]
 fn chaos_failures_are_identical_at_every_thread_count() {
     // A sweep with a panicking first cell and a budget-starved last
-    // cell around healthy ones: each failure must stay confined to its
-    // own cell, and the whole pattern must match the sequential
-    // reference at every width.
-    let clean = ExperimentRunner::sequential().run_sweep(&fixed_sweep(), 1);
+    // cell around healthy ones, two replications each: each failure
+    // must stay confined to its own cell, and the whole pattern must
+    // match the sequential reference at every width.
+    let seeds = 2;
+    let clean = ExperimentRunner::sequential().run_sweep(&fixed_sweep(), seeds);
     let mut specs = fixed_sweep();
     let last = specs.len() - 1;
     // `Mac::new` rejects a zero-byte aggregate inside `build()`; any
     // spec that panics inside build/run will do.
     specs[0].max_aggregate = 0;
     specs[last].budget = Some(RunBudget::events(50));
-    let reference = ExperimentRunner::sequential().run_sweep(&specs, 1);
+    let reference = ExperimentRunner::sequential().run_sweep(&specs, seeds);
     assert_eq!(reference[0].failed_label(), "FAILED(panic)");
-    assert_eq!(reference[last].runs, [Err(RunError::BudgetExhausted { events: 50 })]);
+    assert!(reference[0].runs.iter().all(|r| matches!(r, Err(RunError::Panicked(_)))));
+    assert_eq!(reference[last].runs, vec![Err(RunError::BudgetExhausted { events: 50 }); 2]);
     for (cell, expect) in reference[1..last].iter().zip(&clean[1..last]) {
         assert_eq!(cell.runs, expect.runs, "a survivor differs from the clean sweep");
     }
     for threads in [2, 4, 8] {
-        let cells = ExperimentRunner::new(threads).run_sweep(&specs, 1);
+        let cells = ExperimentRunner::new(threads).run_sweep(&specs, seeds);
         for (cell, expect) in cells.iter().zip(&reference) {
             assert_eq!(cell.runs, expect.runs, "chaos pattern diverged at {threads} threads");
         }

@@ -859,9 +859,9 @@ pub(crate) fn install_transfer(
 /// from every table — so a cached outcome and a fresh one still render
 /// byte-identically, and determinism tests keep passing on machines of
 /// any speed. The allocation counters are zero unless the binary
-/// installs [`hydra_sim::CountingAlloc`] (see `--bin profile`), and are
-/// process-wide — under a multi-threaded runner they include every
-/// concurrent run.
+/// installs [`hydra_sim::CountingAlloc`] (the `alloc_*` tests and the
+/// benchmark's `trace` binary do), and are process-wide — under a
+/// multi-threaded runner they include every concurrent run.
 #[derive(Debug, Clone, Default)]
 pub struct RunPerf {
     /// Events dispatched by the world's run loop.
@@ -1159,9 +1159,10 @@ mod tests {
         assert_eq!(spec.relays(), vec![1]);
     }
 
-    /// A tiny spec that finishes fast — the budget/failure tests' workhorse.
+    /// A tiny spec whose 10 KB transfer completes — the budget/failure
+    /// tests' workhorse.
     fn small_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Na, Rate::R5_20);
+        let mut spec = ScenarioSpec::tcp(TopologyKind::Linear(1), Policy::Na, Rate::R2_60);
         spec.traffic = FlowTraffic::FileTransfer { bytes: 10 * 1024 };
         spec
     }
@@ -1184,9 +1185,13 @@ mod tests {
     #[test]
     fn event_budget_trips_deterministically_and_try_run_reports_it() {
         let mut spec = small_spec();
-        spec.budget = Some(RunBudget::events(500));
-        let err = spec.try_run().expect_err("500 events cannot finish a transfer");
-        assert_eq!(err, RunError::BudgetExhausted { events: 500 });
+        let full = spec.run();
+        assert!(full.completed, "the unbudgeted transfer must complete");
+        // Half the events the completed transfer took cannot finish it.
+        let budget = full.perf.events_processed / 2;
+        spec.budget = Some(RunBudget::events(budget));
+        let err = spec.try_run().expect_err("half the events cannot finish the transfer");
+        assert_eq!(err, RunError::BudgetExhausted { events: budget });
         assert_eq!(err.reason(), "budget");
         // Deterministic: same spec, same trip point.
         assert_eq!(spec.try_run().expect_err("still budgeted"), err);
@@ -1202,6 +1207,8 @@ mod tests {
         // Seeds derive from the *spec's own* seed field here (both 1),
         // so the worlds are identical and outcomes must match exactly.
         assert_eq!(a, b);
+        assert!(b.completed);
+        assert_eq!(b.per_flow[0].bytes, 10 * 1024);
     }
 
     #[test]

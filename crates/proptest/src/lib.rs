@@ -4,8 +4,7 @@
 //! [`proptest`](https://crates.io/crates/proptest) crate, covering
 //! exactly the API surface this workspace's property tests use — so
 //! `tests/proptests.rs` in `hydra-sim`, `hydra-wire`, and `hydra-tcp`
-//! run offline and in CI with no feature gate and no registry access
-//! (the same approach as `hydra_bench::microbench` for criterion).
+//! run offline and in CI with no feature gate and no registry access.
 //!
 //! Supported surface:
 //!
