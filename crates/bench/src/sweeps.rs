@@ -25,6 +25,44 @@
 //! any field's meaning changes. Records with a foreign schema tag are
 //! ignored, not errors, so old caches degrade into cold ones.
 //!
+//! ## Record layout (`hydra-agg.run.v3`)
+//!
+//! One line per run, `{json}#crc:xxxxxxxx` (see *Crash safety*), where
+//! `json` is, with `N` an integer, `F` a float and `S` a string:
+//!
+//! ```text
+//! {"schema":"hydra-agg.run.v3","hash":"0x…","rep":N,"scn":S,"events":N,
+//!  "outcome":{"completed":true|false,"throughput_bps":F,
+//!             "per_flow":[{"src":N,"dst":N,"port":N,"traffic":S,"bytes":N,"bps":F,
+//!                          "completed_at_ns":N}, …],
+//!             "at_ns":N,"collisions":N,"nodes":[ROW, …]}}
+//! ```
+//!
+//! `events` (a scheduling hint) and `completed_at_ns` are optional, and
+//! `scn` is the spec's canonical `.scn` text, for people reading the
+//! file. Each `ROW` is one [`NodeReport`] as a positional array, its
+//! fields in declaration order and the subframe pair as two columns:
+//!
+//! ```text
+//! [node, tx_data_frames, tx_control, avg_frame_size, avg_subframes,
+//!  ucast_subframes, bcast_subframes, size_overhead, time_overhead,
+//!  [cat, secs, cat, secs, …], retries, retry_drops, queue_overflow,
+//!  acks_classified, bcast_filtered, bcast_ok, bcast_crc_fail,
+//!  unicast_ok, unicast_crc_drops, collisions_seen, forwarded]
+//! ```
+//!
+//! The nested list is the airtime ledger, flattened, in the report's own
+//! order: `cat` is the name's index in `hydra_core::counters::cat::ALL`
+//! when it is one of the MAC's names (every name this simulator writes)
+//! and the quoted name otherwise. The `node_row!` list is the row's one
+//! definition; the encoder and the decoder are both generated from it.
+//! Floats are shortest-round-trip text, and the non-finite ones are the
+//! quoted tokens `"NaN"`, `"inf"` and `"-inf"`. v2 wrote each report as
+//! a 20-key object; the rows hold the same values in a third of the
+//! bytes (docs/PERFORMANCE.md, "Warm open, fourth pass").
+//!
+//! ## The codec
+//!
 //! The workspace vendors no dependencies, so the codec below is a
 //! deliberately small JSON writer and a single-pass pull reader that
 //! cover exactly what the records need (objects, arrays, strings,
@@ -34,19 +72,20 @@
 //! docs/PERFORMANCE.md, "Result store: warm open".
 //!
 //! The reader expects what the writer wrote, and checks it cheaply
-//! before doing general work. Each decoder lists an object's keys in
-//! the order the writer emits them; the reader first tests the key
-//! after the last one it found, as one prefix compare of `"key":`
-//! against the remaining bytes, and only on a miss reads the key as a
-//! string and looks it up — so escaped keys, whitespace, another order,
-//! repeats and unknown keys all still decode as before. A plain run of
-//! digits is folded into a `u64` as it is read, and a short
-//! `[-]digits.digits` float is one exact division (Clinger's fast
-//! path); every other number goes through `str::parse`. Category names
-//! that are the MAC's own (`hydra_core::counters::cat::ALL`) come back
-//! as borrowed `&'static str`s, so neither decoding nor cloning a node
-//! report allocates a name. None of this changes the grammar or the
-//! bytes on disk.
+//! before doing general work. Each object decoder lists its keys in the
+//! order the writer emits them; the reader first tests the key after
+//! the last one it found, as one prefix compare of `"key":` against the
+//! remaining bytes, and only on a miss reads the key as a string and
+//! looks it up — so escaped keys, whitespace, another order, repeats and
+//! unknown keys all decode. A node row has no keys: it is read by
+//! position, every column of its kind, and a row with a column too many
+//! or too few, a category index past `cat::ALL` or a float where a
+//! counter goes rejects its record. A plain run of digits is folded into
+//! a `u64` as it is read, and a short `[-]digits.digits` float is one
+//! exact division (Clinger's fast path); every other number goes through
+//! `str::parse`, once, over the span already scanned. A category index
+//! comes back as the MAC's borrowed `&'static str`, so neither decoding
+//! nor cloning a node report allocates a name.
 //!
 //! The open streams the file: it reads `runs.jsonl` through one
 //! bounded window (1 MiB, grown only to fit the longest line) and
@@ -117,7 +156,10 @@ use hydra_wire::crc::crc32;
 /// v2: `RunOutcome` reports labeled per-flow results
 /// (`per_flow: [{src,dst,port,traffic,bytes,bps,completed_at_ns?}]`)
 /// instead of the bare `per_flow_bps` float array.
-pub const CACHE_SCHEMA: &str = "hydra-agg.run.v2";
+///
+/// v3: each node report is one positional row (see `node_row!`) instead
+/// of a 20-key object, its ledger categories indices into `cat::ALL`.
+pub const CACHE_SCHEMA: &str = "hydra-agg.run.v3";
 
 /// A cache shared between experiment functions and runner threads.
 pub type SharedCache = Arc<ConcurrentCache>;
@@ -544,48 +586,7 @@ fn encode_outcome(s: &mut String, o: &RunOutcome) -> fmt::Result {
         if i > 0 {
             s.push(',');
         }
-        write!(
-            s,
-            concat!(
-                "{{\"node\":{},\"tx_data_frames\":{},\"tx_control\":{},\"avg_frame_size\":{},",
-                "\"avg_subframes\":{},\"subframes_sent\":[{},{}],\"size_overhead\":{},",
-                "\"time_overhead\":{},\"time_by_category\":["
-            ),
-            n.node,
-            n.tx_data_frames,
-            n.tx_control,
-            Float(n.avg_frame_size),
-            Float(n.avg_subframes),
-            n.subframes_sent.0,
-            n.subframes_sent.1,
-            Float(n.size_overhead),
-            Float(n.time_overhead)
-        )?;
-        for (j, (k, v)) in n.time_by_category.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            write!(s, "[{},{}]", Quoted(k), Float(*v))?;
-        }
-        write!(
-            s,
-            concat!(
-                "],\"retries\":{},\"retry_drops\":{},\"queue_overflow\":{},\"acks_classified\":{},",
-                "\"bcast_filtered\":{},\"bcast_ok\":{},\"bcast_crc_fail\":{},\"unicast_ok\":{},",
-                "\"unicast_crc_drops\":{},\"collisions_seen\":{},\"forwarded\":{}}}"
-            ),
-            n.retries,
-            n.retry_drops,
-            n.queue_overflow,
-            n.acks_classified,
-            n.bcast_filtered,
-            n.bcast_ok,
-            n.bcast_crc_fail,
-            n.unicast_ok,
-            n.unicast_crc_drops,
-            n.collisions_seen,
-            n.forwarded
-        )?;
+        encode_node(s, n)?;
     }
     s.push_str("]}");
     Ok(())
@@ -628,10 +629,147 @@ impl fmt::Display for Quoted<'_> {
 }
 
 // ---------------------------------------------------------------------
+// Node rows
+// ---------------------------------------------------------------------
+
+/// Generates [`encode_node`] and [`decode_node`] from one list of a
+/// row's columns, so the writer and the reader cannot disagree on what a
+/// position holds. Each column is a kind and the [`NodeReport`] place it
+/// fills: `index` (the node, a `usize`), `count` (an exact `u64`),
+/// `float` (an `f64`, in [`Float`]'s spelling) or `ledger` (the airtime
+/// ledger, see [`encode_ledger`]).
+macro_rules! node_row {
+    ($($kind:ident $field:ident $(. $part:tt)?,)+) => {
+        /// Writes `n` as its row: `[column, column, …]`, no keys.
+        fn encode_node(s: &mut String, n: &NodeReport) -> fmt::Result {
+            s.push('[');
+            $(
+                node_row!(@write $kind, s, n.$field $(.$part)?)?;
+                s.push(',');
+            )+
+            s.pop();
+            s.push(']');
+            Ok(())
+        }
+
+        /// Reads one row by position: exactly the listed columns, each of
+        /// its kind, or `None`.
+        fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
+            let mut n = NodeReport {
+                node: 0,
+                tx_data_frames: 0,
+                tx_control: 0,
+                avg_frame_size: 0.0,
+                avg_subframes: 0.0,
+                subframes_sent: (0, 0),
+                size_overhead: 0.0,
+                time_overhead: 0.0,
+                time_by_category: Vec::new(),
+                retries: 0,
+                retry_drops: 0,
+                queue_overflow: 0,
+                acks_classified: 0,
+                bcast_filtered: 0,
+                bcast_ok: 0,
+                bcast_crc_fail: 0,
+                unicast_ok: 0,
+                unicast_crc_drops: 0,
+                collisions_seen: 0,
+                forwarded: 0,
+            };
+            let mut left = [$(stringify!($field)),+].len();
+            r.eat(b'[')?;
+            $(
+                node_row!(@read $kind, r, n.$field $(.$part)?);
+                left -= 1;
+                r.eat(if left == 0 { b']' } else { b',' })?;
+            )+
+            Some(n)
+        }
+    };
+    (@write index, $s:ident, $place:expr) => { write!($s, "{}", $place) };
+    (@write count, $s:ident, $place:expr) => { write!($s, "{}", $place) };
+    (@write float, $s:ident, $place:expr) => { write!($s, "{}", Float($place)) };
+    (@write ledger, $s:ident, $place:expr) => { encode_ledger($s, &$place) };
+    (@read index, $r:ident, $place:expr) => { $place = $r.u64()? as usize };
+    (@read count, $r:ident, $place:expr) => { $place = $r.u64()? };
+    (@read float, $r:ident, $place:expr) => { $place = $r.f64()? };
+    (@read ledger, $r:ident, $place:expr) => { $place = decode_ledger($r)? };
+}
+
+// The row: every `NodeReport` field in declaration order, the subframe
+// pair as two columns. Reordering this list, or `cat::ALL`, changes what
+// stored rows mean, so either needs a `CACHE_SCHEMA` bump.
+node_row! {
+    index node,
+    count tx_data_frames,
+    count tx_control,
+    float avg_frame_size,
+    float avg_subframes,
+    count subframes_sent.0,
+    count subframes_sent.1,
+    float size_overhead,
+    float time_overhead,
+    ledger time_by_category,
+    count retries,
+    count retry_drops,
+    count queue_overflow,
+    count acks_classified,
+    count bcast_filtered,
+    count bcast_ok,
+    count bcast_crc_fail,
+    count unicast_ok,
+    count unicast_crc_drops,
+    count collisions_seen,
+    count forwarded,
+}
+
+/// The airtime ledger as one flat list, `[cat,secs,cat,secs,…]`, in the
+/// report's own order. `cat` is the name's index in [`cat::ALL`] when
+/// it is one of the MAC's names (every name this simulator writes), and
+/// the quoted name otherwise.
+fn encode_ledger(s: &mut String, ledger: &[(Cow<'static, str>, f64)]) -> fmt::Result {
+    s.push('[');
+    for (j, (name, secs)) in ledger.iter().enumerate() {
+        if j > 0 {
+            s.push(',');
+        }
+        match cat::ALL.iter().position(|known| known == name) {
+            Some(at) => write!(s, "{at},{}", Float(*secs))?,
+            None => write!(s, "{},{}", Quoted(name), Float(*secs))?,
+        }
+    }
+    s.push(']');
+    Ok(())
+}
+
+/// Reads what [`encode_ledger`] writes. An index comes back as the MAC's
+/// own `&'static str` and a quoted name as an owned copy, so decoding a
+/// store, and cloning what it decoded, allocates no MAC names.
+fn decode_ledger(r: &mut Reader<'_>) -> Option<Vec<(Cow<'static, str>, f64)>> {
+    let mut ledger = Vec::new();
+    r.array(|r| {
+        let name = match r.peek()? {
+            b'"' => Cow::Owned(r.string()?.into_owned()),
+            _ => Cow::Borrowed(*cat::ALL.get(usize::try_from(r.u64()?).ok()?)?),
+        };
+        r.eat(b',')?;
+        let secs = r.f64()?;
+        if ledger.is_empty() {
+            // Room for the MAC's whole ledger: one allocation a node.
+            ledger.reserve_exact(cat::ALL.len());
+        }
+        ledger.push((name, secs));
+        Some(())
+    })?;
+    Some(ledger)
+}
+
+// ---------------------------------------------------------------------
 // Record decoding
 // ---------------------------------------------------------------------
 
-/// Containers a line may nest. Records nest 6 deep; the cap bounds the
+/// Containers a line may nest. Records nest 5 deep; the cap bounds the
 /// reader's recursion, so a hostile `[[[[…` line is skipped instead of
 /// overflowing the stack.
 const MAX_DEPTH: u32 = 16;
@@ -749,76 +887,12 @@ fn decode_flow(r: &mut Reader<'_>) -> Option<FlowOutcome> {
     Some(FlowOutcome::new(FlowSpec { src, dst, port, traffic: traffic? }, bytes, bps, completed_at))
 }
 
-fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
-    let mut n = NodeReport {
-        node: 0,
-        tx_data_frames: 0,
-        tx_control: 0,
-        avg_frame_size: 0.0,
-        avg_subframes: 0.0,
-        subframes_sent: (0, 0),
-        size_overhead: 0.0,
-        time_overhead: 0.0,
-        time_by_category: Vec::new(),
-        retries: 0,
-        retry_drops: 0,
-        queue_overflow: 0,
-        acks_classified: 0,
-        bcast_filtered: 0,
-        bcast_ok: 0,
-        bcast_crc_fail: 0,
-        unicast_ok: 0,
-        unicast_crc_drops: 0,
-        collisions_seen: 0,
-        forwarded: 0,
-    };
-    members!(r; {
-        "node" => n.node = r.u64()? as usize,
-        "tx_data_frames" => n.tx_data_frames = r.u64()?,
-        "tx_control" => n.tx_control = r.u64()?,
-        "avg_frame_size" => n.avg_frame_size = r.f64()?,
-        "avg_subframes" => n.avg_subframes = r.f64()?,
-        "subframes_sent" => n.subframes_sent = r.pair(Reader::u64, Reader::u64)?,
-        "size_overhead" => n.size_overhead = r.f64()?,
-        "time_overhead" => n.time_overhead = r.f64()?,
-        "time_by_category" => r.array(|r| {
-            let (name, secs) = r.pair(Reader::string, Reader::f64)?;
-            if n.time_by_category.is_empty() {
-                // Room for the MAC's whole ledger: one allocation a node.
-                n.time_by_category.reserve_exact(cat::ALL.len());
-            }
-            n.time_by_category.push((category(name), secs));
-            Some(())
-        })?,
-        "retries" => n.retries = r.u64()?,
-        "retry_drops" => n.retry_drops = r.u64()?,
-        "queue_overflow" => n.queue_overflow = r.u64()?,
-        "acks_classified" => n.acks_classified = r.u64()?,
-        "bcast_filtered" => n.bcast_filtered = r.u64()?,
-        "bcast_ok" => n.bcast_ok = r.u64()?,
-        "bcast_crc_fail" => n.bcast_crc_fail = r.u64()?,
-        "unicast_ok" => n.unicast_ok = r.u64()?,
-        "unicast_crc_drops" => n.unicast_crc_drops = r.u64()?,
-        "collisions_seen" => n.collisions_seen = r.u64()?,
-        "forwarded" => n.forwarded = r.u64()?,
-    });
-    Some(n)
-}
+/// The largest mantissa Clinger's fast path takes: 2^53, the last
+/// integer from which an `f64` holds every smaller one exactly.
+const EXACT_MAX: u64 = 1 << 53;
 
-/// A category name as a report holds it: the MAC's own `&'static str`
-/// when it is one of [`cat::ALL`] (every name this simulator writes),
-/// an owned copy otherwise — so decoding a store, and cloning what it
-/// decoded, allocates no names.
-fn category(name: Cow<'_, str>) -> Cow<'static, str> {
-    match cat::ALL.into_iter().find(|&known| name == known) {
-        Some(known) => Cow::Borrowed(known),
-        None => Cow::Owned(name.into_owned()),
-    }
-}
-
-/// The largest digit string Clinger's fast path takes: 15 significant
-/// digits, well inside the 2^53 an `f64` holds exactly.
-const SHORT_MAX: u64 = 999_999_999_999_999;
+/// The most digits folded into one `u64` (10^19 − 1 still fits).
+const FOLD_MAX: usize = 19;
 
 /// `10^k` for every `k` whose power an `f64` holds exactly.
 const POW10: [f64; 23] = [
@@ -853,6 +927,7 @@ impl<'a> Reader<'a> {
         Reader { s, pos: 0, depth: 0 }
     }
 
+    #[inline]
     fn byte(&self, at: usize) -> Option<u8> {
         self.s.as_bytes().get(at).copied()
     }
@@ -863,6 +938,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next non-whitespace byte, not consumed.
+    #[inline]
     fn peek(&mut self) -> Option<u8> {
         while matches!(self.byte(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -871,6 +947,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes the next non-whitespace byte, which must be `c`.
+    #[inline]
     fn eat(&mut self, c: u8) -> Option<()> {
         (self.peek()? == c).then(|| self.pos += 1)
     }
@@ -935,20 +1012,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// An array of exactly two values.
-    fn pair<A, B>(
-        &mut self,
-        first: impl FnOnce(&mut Self) -> Option<A>,
-        second: impl FnOnce(&mut Self) -> Option<B>,
-    ) -> Option<(A, B)> {
-        self.eat(b'[')?;
-        let a = first(self)?;
-        self.eat(b',')?;
-        let b = second(self)?;
-        self.eat(b']')?;
-        Some((a, b))
-    }
-
     /// A string, borrowed from the input unless it holds an escape.
     fn string(&mut self) -> Option<Cow<'a, str>> {
         self.eat(b'"')?;
@@ -992,53 +1055,68 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Folds the digits at the cursor into `m` (`m * 10 + digit` each)
-    /// for as long as `m` stays at most `max`, and returns it. The cursor
-    /// stops at the first byte that is not a digit, or at the digit that
-    /// would carry `m` past `max`.
-    fn digits(&mut self, mut m: u64, max: u64) -> u64 {
-        while let Some(c @ b'0'..=b'9') = self.byte(self.pos) {
-            let digit = u64::from(c - b'0');
-            if m > (max - digit) / 10 {
-                break;
+    /// Folds at most `room` digits from `at` into `m` (`m * 10 + digit`
+    /// each, so `m` never passes 10^19 − 1 when the digits it already
+    /// holds and `room` add up to at most [`FOLD_MAX`]); returns `m` and
+    /// where the folding stopped.
+    #[inline]
+    fn fold(&self, mut at: usize, mut m: u64, room: usize) -> (u64, usize) {
+        let end = at + room;
+        while at < end {
+            match self.byte(at) {
+                Some(c @ b'0'..=b'9') => m = m * 10 + u64::from(c - b'0'),
+                _ => break,
             }
-            m = m * 10 + digit;
-            self.pos += 1;
+            at += 1;
         }
-        m
+        (m, at)
     }
 
+    #[inline]
     fn number(&mut self) -> Option<Num> {
         let start = self.pos;
         // The two shapes the writer emits are read in one pass. A plain
-        // run of digits (every counter) is folded into a u64 as it is
-        // read. `[-]digits.digits` with at most 15 significant digits and
-        // no exponent (most floats) is Clinger's fast path: the digits as
-        // one integer m ≤ SHORT_MAX over 10^k, k ≤ 22 — both exact in an
-        // f64 — is one correctly rounded division, the bits `str::parse`
-        // returns. Any other token, or an overflow, goes to `str::parse`.
+        // run of at most 19 digits (every counter) is folded into a u64
+        // as it is read. `[-]digits.digits` with at most 19 digits, a
+        // mantissa m ≤ 2^53 and no exponent (most floats) is Clinger's
+        // fast path: m over 10^k, k ≤ 22 — both exact in an f64 — is one
+        // correctly rounded division, the bits `str::parse` returns. Any
+        // other token goes to `str::parse`.
         let negative = self.byte(start) == Some(b'-');
-        self.pos += usize::from(negative);
-        let int_start = self.pos;
-        let n = self.digits(0, u64::MAX);
-        if self.pos > int_start {
-            match self.byte(self.pos) {
-                Some(b'.') if n <= SHORT_MAX => {
-                    self.pos += 1;
-                    let frac_start = self.pos;
-                    let m = self.digits(n, SHORT_MAX);
-                    let k = self.pos - frac_start;
-                    if (1..POW10.len()).contains(&k) && !self.byte(self.pos).is_some_and(in_number) {
+        let int_start = start + usize::from(negative);
+        let (n, int_end) = self.fold(int_start, 0, FOLD_MAX);
+        let int_digits = int_end - int_start;
+        // Whether the token is still an unsigned integer.
+        let mut exact = !negative;
+        self.pos = int_end;
+        if int_digits > 0 {
+            match self.byte(int_end) {
+                Some(b'.') => {
+                    exact = false;
+                    let frac_start = int_end + 1;
+                    let (m, frac_end) = self.fold(frac_start, n, FOLD_MAX - int_digits);
+                    let k = frac_end - frac_start;
+                    self.pos = frac_end;
+                    if (1..POW10.len()).contains(&k)
+                        && m <= EXACT_MAX
+                        && !self.byte(frac_end).is_some_and(in_number)
+                    {
                         let v = m as f64 / POW10[k];
                         return Some(Num::Float(if negative { -v } else { v }));
                     }
                 }
-                next if !negative && !next.is_some_and(in_number) => return Some(Num::Int(n)),
+                next if exact && !next.is_some_and(in_number) => return Some(Num::Int(n)),
                 _ => {}
             }
         }
-        self.pos = start;
-        let mut exact = self.byte(start)? != b'-';
+        self.number_rest(start, exact)
+    }
+
+    /// A token the fast path declined, from `start`: scanned on from
+    /// where the fast path stopped (every byte before is a sign, a digit
+    /// or the point), then handed whole to `str::parse`, once.
+    #[cold]
+    fn number_rest(&mut self, start: usize, mut exact: bool) -> Option<Num> {
         while let Some(c) = self.byte(self.pos).filter(|&c| in_number(c)) {
             exact &= !matches!(c, b'.' | b'e' | b'E');
             self.pos += 1;
@@ -1052,8 +1130,15 @@ impl<'a> Reader<'a> {
     }
 
     /// An exact counter: `1.0` and `-1` are not integers here.
+    #[inline]
     fn u64(&mut self) -> Option<u64> {
         self.peek()?;
+        // A plain digit run, the shape of every counter written.
+        let (n, end) = self.fold(self.pos, 0, FOLD_MAX);
+        if end > self.pos && !self.byte(end).is_some_and(in_number) {
+            self.pos = end;
+            return Some(n);
+        }
         match self.number()? {
             Num::Int(n) => Some(n),
             Num::Float(_) => None,
@@ -1061,6 +1146,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A float: any number, or one of the quoted non-finite tokens.
+    #[inline]
     fn f64(&mut self) -> Option<f64> {
         if self.peek()? == b'"' {
             return match &*self.string()? {
@@ -1328,18 +1414,26 @@ mod tests {
         let float = |text: &str| Reader::new(text).f64().map(f64::to_bits);
         let counter = |text: &str| Reader::new(text).u64();
         for text in [
-            // Taken by the fast path: short decimals, leading zeros, -0.
+            // Taken by the fast path: short decimals, leading zeros, -0,
+            // a mantissa of exactly 2^53, 19 digits.
             "0.012",
             "-0.0",
             "1140.0",
             "007.50",
-            "00000000000000000001.5",
+            "000000000000000001.5",
             "999999999999999.0",
-            "0.0000000000000000000001",
-            // Left to `str::parse`: 16 significant digits, a 10^23
-            // divisor, an exponent, a missing side of the point, signs.
-            "9999999999999999.0",
             "1234567890.123456",
+            "900719925474099.2",
+            "0.000000000000000001",
+            // Left to `str::parse`: a mantissa past 2^53, 20 digits, a
+            // 10^23 divisor, an exponent, a missing side of the point,
+            // signs.
+            "900719925474099.3",
+            "9999999999999999.0",
+            "0000000000000000001.5",
+            "00000000000000000001.5",
+            "0.0000000000000000001",
+            "0.0000000000000000000001",
             "0.00000000000000000000001",
             "1.5e3",
             "1.5E-3",
@@ -1353,9 +1447,18 @@ mod tests {
         ] {
             assert_eq!(float(text), text.parse::<f64>().ok().map(f64::to_bits), "`{text}`");
         }
-        for text in
-            ["0", "007", "18446744073709551615", "18446744073709551616", "+5", "5+3", "-0", "1.0", "1e0"]
-        {
+        for text in [
+            "0",
+            "007",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "+5",
+            "5+3",
+            "-0",
+            "1.0",
+            "1e0",
+        ] {
             assert_eq!(counter(text), text.parse::<u64>().ok(), "`{text}`");
         }
     }

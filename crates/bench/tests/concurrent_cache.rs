@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hydra_bench::{ConcurrentCache, ExperimentRunner};
+use hydra_bench::{ConcurrentCache, ExperimentRunner, CACHE_SCHEMA};
 use hydra_netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -88,10 +88,12 @@ fn quarantine_still_works_on_a_co_written_file() {
         let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
         ExperimentRunner::new(2).with_cache(cache).run_sweep(&specs, 1);
     }
-    // A torn tail, as a crashed concurrent writer would leave.
+    // A torn tail, as a crashed concurrent writer would leave: a record
+    // of the current schema, cut mid-key.
     use std::io::Write as _;
     let mut file = std::fs::OpenOptions::new().append(true).open(dir.join("runs.jsonl")).unwrap();
-    file.write_all(b"{\"schema\":\"hydra-agg.run.v2\",\"hash\":\"0x0\",\"rep\":9,\"outc").unwrap();
+    let torn = format!("{{\"schema\":\"{CACHE_SCHEMA}\",\"hash\":\"0x0\",\"rep\":9,\"outc");
+    file.write_all(torn.as_bytes()).unwrap();
     drop(file);
 
     let cache = ConcurrentCache::open(&dir).unwrap();

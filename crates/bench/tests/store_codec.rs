@@ -3,11 +3,15 @@
 //! damaged, hostile, foreign — is skipped or quarantined and never
 //! panics, aborts, or fails the open.
 //!
-//! `data/runs_v2.jsonl` is a golden file written by the encoder of the
-//! commit *before* the single-pass codec (lines 1–4 verbatim from its
-//! `append_batch`; lines 5–8 are line 1 edited by hand and re-sealed).
+//! `data/runs_v3.jsonl` is the golden file of the current schema. Lines
+//! 1–4 are verbatim from `append_batch`, given the outcomes that
+//! `data/runs_v2.jsonl`'s lines 1–4 decode to under v2 (so every value
+//! pinned below is the one pinned before the bump); line 5 is v2's line
+//! 1, byte for byte; lines 6–8 are line 1 edited by hand and re-sealed.
 //! The format is frozen until `CACHE_SCHEMA` is bumped, so the file is
-//! never regenerated.
+//! never regenerated. `data/runs_v2.jsonl` — the previous schema's golden
+//! file, written by the encoder before the single-pass codec — stays as
+//! the foreign-schema fixture: a v2 store opens as a cold one.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -23,7 +27,8 @@ use hydra_sim::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const FIXTURE: &[u8] = include_bytes!("data/runs_v2.jsonl");
+const FIXTURE: &[u8] = include_bytes!("data/runs_v3.jsonl");
+const V2_FIXTURE: &[u8] = include_bytes!("data/runs_v2.jsonl");
 
 /// A scratch store directory, removed again on drop.
 struct TmpDir(PathBuf);
@@ -321,8 +326,8 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     assert!(sink.time_by_category.is_empty());
 
     // Lines 6–8 are line 1 under other keys: an unknown extra key at
-    // two levels, every object's keys reordered (with whitespace), and
-    // duplicated keys whose first occurrence wins.
+    // three levels, every object's keys reordered (with whitespace, in
+    // the rows too), and duplicated keys whose first occurrence wins.
     for rep in 2..=4 {
         assert_eq!(index.get(UDP_HASH, rep), Some(udp), "rep {rep} decodes like rep 1");
     }
@@ -401,6 +406,32 @@ fn the_encoder_reproduces_the_golden_bytes() {
     assert_eq!(String::from_utf8(written).unwrap(), std::str::from_utf8(&FIXTURE[..four_lines]).unwrap());
 }
 
+#[test]
+fn a_ledger_category_is_its_index_in_cat_all() {
+    // The stored index is the name's position in `cat::ALL`, so that
+    // order is part of the format: reordering it needs a schema bump.
+    assert_eq!(cat::ALL, ["payload", "mac_header", "phy", "control", "difs", "sifs", "backoff"]);
+    let ledger = "[4,0.012,6,0.02765,3,0.0660462,5,0.027,0,0.4098462,1,0.01107696,2,0.01610772]";
+    assert!(fixture_json(1).contains(ledger), "line 1's sender ledger, as written");
+    let index = open_bytes(&tmp_dir("cat-order"), FIXTURE).index();
+    let names: Vec<&str> =
+        index.get(UDP_HASH, 1).unwrap().report.nodes[0].time_by_category.iter().map(|(n, _)| &**n).collect();
+    assert_eq!(
+        names,
+        [cat::DIFS, cat::BACKOFF, cat::CONTROL, cat::SIFS, cat::PAYLOAD, cat::MAC_HEADER, cat::PHY]
+    );
+}
+
+#[test]
+fn a_v2_store_opens_cold_and_untouched() {
+    let dir = tmp_dir("v2");
+    let cache = open_bytes(&dir, V2_FIXTURE);
+    // Every line is sealed, so nothing is quarantined; none is v3.
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 8, quarantined: 0 });
+    assert!(cache.is_empty());
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V2_FIXTURE, "the old records are kept");
+}
+
 // ---------------------------------------------------------------------
 // Typed fields
 // ---------------------------------------------------------------------
@@ -425,8 +456,9 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         ("\"rep\":1", "\"rep\":1e0"),
         ("\"collisions\":0", "\"collisions\":0.0"),
         ("\"bytes\":52250", "\"bytes\":-52250"),
-        ("\"tx_data_frames\":60", "\"tx_data_frames\":60.0"),
-        ("\"subframes_sent\":[60,0]", "\"subframes_sent\":[60.0,0]"),
+        // The sender's row: `tx_data_frames`, then the unicast subframes.
+        ("[[0,60,", "[[0,60.0,"),
+        ("1.0,60,0,", "1.0,60.0,0,"),
         ("\"port\":9000", "\"port\":65536"),
         ("\"at_ns\":1200000000", "\"at_ns\":18446744073709551616"),
     ] {
@@ -444,14 +476,14 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         load_edited("\"throughput_bps\":418000.0", "\"throughput_bps\":418000"),
         Some(original.clone())
     );
-    assert_eq!(load_edited("\"avg_frame_size\":1140.0", "\"avg_frame_size\":1140"), Some(original.clone()));
+    assert_eq!(load_edited("60,1140.0,", "60,1140,"), Some(original.clone()));
     // …and the three quoted tokens are the non-finite values,
     for (token, expect) in
         [("\"NaN\"", f64::NAN), ("\"inf\"", f64::INFINITY), ("\"-inf\"", f64::NEG_INFINITY)]
     {
         let got = load_edited("\"bps\":418000.0", &format!("\"bps\":{token}")).expect("token loads");
         assert_eq!(format!("{:?}", got.per_flow[0].bps), format!("{expect:?}"));
-        let got = load_edited("[\"sifs\",0.027]", &format!("[\"sifs\",{token}]")).expect("token loads");
+        let got = load_edited("5,0.027,", &format!("5,{token},")).expect("token loads");
         assert_eq!(format!("{:?}", got.report.nodes[0].time_by_category[3].1), format!("{expect:?}"));
     }
     // in exactly those spellings, and only where a float belongs.
@@ -468,8 +500,8 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         assert_eq!(load_edited(from, to), None, "`{to}` must not load");
     }
     // A missing required key and a wrong schema are both just skipped.
-    assert_eq!(load_edited("\"forwarded\":0", "\"forwarded_\":0"), None);
-    assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v3"), None);
+    assert_eq!(load_edited("\"collisions\":0", "\"collisions_\":0"), None);
+    assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v2"), None);
     // A hint of the wrong type is dropped; the record still loads.
     assert_eq!(load_edited("\"events\":1142", "\"events\":\"many\""), Some(original));
 }
@@ -491,11 +523,11 @@ fn short_decimal_text(rng: &mut TestRng) -> String {
     format!("{sign}{}.{}", digits(rng, int), digits(rng, frac))
 }
 
-/// Fixture line 1 with a `["x",TEXT]` ledger entry per text appended to
+/// Fixture line 1 with a `"x",TEXT` ledger entry per text appended to
 /// the sender's, loaded; the floats the reader made of the texts.
 fn read_floats(texts: &[String]) -> Vec<f64> {
-    let last = "[\"phy\",0.01610772]";
-    let extra: String = texts.iter().map(|text| format!(",[\"x\",{text}]")).collect();
+    let last = "2,0.01610772";
+    let extra: String = texts.iter().map(|text| format!(",\"x\",{text}")).collect();
     let json = fixture_json(1).replacen(last, &format!("{last}{extra}"), 1);
     let cache = open_bytes(&tmp_dir("floats"), &sealed(json.as_bytes()));
     let index = cache.index();
@@ -569,10 +601,10 @@ fn escaped_keys_decode_like_plain_ones() {
     // `\u` escapes misses it and must be found by the general path.
     let json = fixture_json(1);
     let escaped = json
-        .replace("\"node\":", "\"\\u006eode\":")
+        .replace("\"nodes\":", "\"\\u006eodes\":")
         .replace("\"bps\":", "\"\\u0062ps\":")
         .replacen("\"outcome\":", "\"\\u006futcome\":", 1);
-    assert_eq!(escaped.matches("\\u00").count(), 4, "two nodes, one flow, one outcome");
+    assert_eq!(escaped.matches("\\u00").count(), 3, "one node list, one flow, one outcome");
     let plain = open_bytes(&tmp_dir("keys-plain"), &sealed(json.as_bytes()));
     let cache = open_bytes(&tmp_dir("keys-escaped"), &sealed(escaped.as_bytes()));
     assert_eq!(cache.stats(), CacheStats::default());
@@ -635,14 +667,63 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
     assert_eq!((with_extra(15), with_extra(16)), (1, 0));
 }
 
+#[test]
+fn a_hostile_row_costs_its_own_record_and_never_panics() {
+    let json = fixture_json(1);
+    let sender = "[0,60,60,1140.0,1.0,60,0,0.033101045296167246,0.280627138172895,[4,0.012,";
+    let sink = "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0]";
+    assert!(json.contains(sender) && json.contains(sink));
+    let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    for (from, to) in [
+        // A column too many or too few.
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0,0]".to_string()),
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0]".to_string()),
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[]]".to_string()),
+        (sink, "[]".to_string()),
+        // A category index past `cat::ALL`, or not an index at all.
+        ("[4,0.012,", "[7,0.012,".to_string()),
+        ("[4,0.012,", "[18446744073709551616,0.012,".to_string()),
+        ("[4,0.012,", "[-1,0.012,".to_string()),
+        ("[4,0.012,", "[4.0,0.012,".to_string()),
+        ("[4,0.012,", "[null,0.012,".to_string()),
+        // A category without its seconds.
+        ("[4,0.012,", "[4,".to_string()),
+        // A float where a counter goes: the node, a counter, a subframe count.
+        (sender, sender.replacen("[0,", "[0.0,", 1)),
+        (sink, sink.replacen(",120,", ",120.0,", 1)),
+        (sender, sender.replacen("1.0,60,0,", "1.0,60,0.0,", 1)),
+        // A row nested past `MAX_DEPTH`, where a row, a column or the
+        // ledger goes.
+        (sink, deep(16)),
+        (sink, deep(2_000_000)),
+        (sink, sink.replacen("[1,", &format!("[{},", deep(16)), 1)),
+        (sink, sink.replacen("[]", &deep(16), 1)),
+        // Not a row at all: the v2 object form, a bare number.
+        (sink, "{\"node\":1}".to_string()),
+        (sink, "1".to_string()),
+    ] {
+        let edited = json.replacen(from, &to, 1);
+        assert_ne!(edited, json, "`{to:.40}` edits the record");
+        let mut bytes = sealed(edited.as_bytes());
+        bytes.extend(sealed(fixture_json(2).as_bytes()));
+        let dir = tmp_dir("hostile-row");
+        let cache = open_bytes(&dir, &bytes);
+        assert_eq!(cache.stats(), CacheStats { skipped: 1, ..CacheStats::default() }, "`{to:.40}`");
+        let index = cache.index();
+        assert!(index.get(UDP_HASH, 1).is_none(), "`{to:.40}` must not load");
+        assert!(index.get(MIXED_HASH, 1).is_some(), "`{to:.40}` costs only its own record");
+        assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "the record stays in the file");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The streaming open
 // ---------------------------------------------------------------------
 
 /// A 1000-node `ext_scale`-shaped outcome written as wide as a record
 /// gets: every counter near `u64::MAX`, every float 17 significant
-/// digits, all of `cat::ALL` in each ledger plus as many names of a
-/// newer MAC (owned on decode). Its line is longer than the 1 MiB
+/// digits, all of `cat::ALL` in each ledger plus twice as many names of
+/// a newer MAC (owned on decode). Its line is longer than the 1 MiB
 /// window the open streams through, so the window must grow to fit it.
 fn widest_scale_outcome() -> RunOutcome {
     let wide = |x: u64| u64::MAX - x * 7_919;
@@ -660,7 +741,11 @@ fn widest_scale_outcome() -> RunOutcome {
             time_by_category: (0u64..)
                 .zip(cat::ALL)
                 .flat_map(|(j, name)| {
-                    [(Cow::Borrowed(name), ratio(x + j)), (Cow::Owned(format!("{name}_next")), ratio(x * j))]
+                    [
+                        (Cow::Borrowed(name), ratio(x + j)),
+                        (Cow::Owned(format!("{name}_next")), ratio(x * j)),
+                        (Cow::Owned(format!("{name}_after_next")), ratio(x * j + 1)),
+                    ]
                 })
                 .collect(),
             retries: wide(x + 6),
@@ -736,15 +821,16 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
     }
 
     // Compaction: the intact lines, trimmed, one `\n` each; the damaged
-    // ones, out of band. Length and CRC-32 of both files as the
-    // whole-file reader wrote them for these bytes.
+    // ones, out of band. Length and CRC-32 of both files, pinned for the
+    // v3 bytes (under v2 the whole-file reader and this open both wrote
+    // 1 198 063 and 2 229 bytes for the same lines).
     let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
     let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
     let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
     assert_eq!(live, [&kept[..], b"\n"].concat());
     assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
     let pin = |bytes: &[u8]| (bytes.len(), hydra_wire::crc::crc32(bytes));
-    assert_eq!((pin(&live), pin(&corrupt)), ((1_198_063, 0xda04_387d), (2_229, 0xef56_38de)));
+    assert_eq!((pin(&live), pin(&corrupt)), ((1_087_486, 0x14cf_de7e), (1_180, 0x711e_98a1)));
     let healed = ConcurrentCache::open(&dir.0).unwrap();
     assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Turn a raw file from sigprof.so / mallocsites.so into a table.
 
-  symbolise.py BINARY cpu.raw   [--root World::dispatch] [--top 40]
+  symbolise.py BINARY cpu.raw   [--root World::run_loop] [--top 40]
   symbolise.py BINARY alloc.raw --alloc [--depth 3]      [--top 25]
 
 CPU mode counts a sample for a function if the function is anywhere on
 its stack, inlined frames included (inclusive), and prints each
 function's share of all samples and of the samples that have --root on
-their stack; a sample whose leaf PC is outside the binary is also
-counted under its mapping's name (`[libc.so.6]`), which is how "time
-inside libc" is read off.  Allocation mode attributes each sampled call
+their stack (exiting non-zero when no sample does: a root that is
+inlined away prints under another name); a sample whose leaf PC is
+outside the binary is also counted under its mapping's name
+(`[libc.so.6]`), which is how "time inside libc" is read off.  Allocation mode attributes each sampled call
 to the innermost frame that is not allocator or container plumbing, and
 prints sites by share of calls, with the sampled bytes.
 
@@ -134,6 +135,8 @@ def cpu_table(names, samples, root, top):
             inclusive[(f, "rooted")] += has_root
         if pcs:
             leaf[names[pcs[0]][0]] += 1
+    if not rooted:
+        raise SystemExit(f"no sample of {total} has `{root}` on its stack: pick a --root the stacks hold")
     print(f"{total} samples, {rooted} with `{root}` on the stack\n")
     print(f"{'all %':>7} {'of root %':>9}  function (inclusive)")
     rows = [(f, n) for f, n in inclusive.items() if isinstance(f, str)]
@@ -166,7 +169,7 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("raw")
     ap.add_argument("--alloc", action="store_true", help="the raw file came from mallocsites.so")
-    ap.add_argument("--root", default="World::dispatch", help="CPU mode: the function shares are taken against")
+    ap.add_argument("--root", default="World::run_loop", help="CPU mode: the function shares are taken against")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--depth", type=int, default=1, help="allocation mode: frames per site (1 = the site alone)")
     args = ap.parse_args()
