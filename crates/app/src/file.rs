@@ -9,10 +9,9 @@ pub const PAPER_FILE_BYTES: usize = 200 * 1024;
 /// Knuth's multiplicative-hash constant (2³² / φ).
 const HASH_MUL: u32 = 2654435761;
 
-/// The file's content from offset `start` on: `byte_at(start)`,
-/// `byte_at(start + 1)`, … without end.
+/// The file's content from offset `start` on, without end.
 ///
-/// [`FileSender::byte_at`] is the top byte of `i · 2654435761 (mod 2³²)`,
+/// The byte at offset `i` is the top byte of `i · 2654435761 (mod 2³²)`,
 /// so each byte follows from the last by one wrapping add — no multiply
 /// per byte, and loops over this iterator vectorise. Sender and receiver
 /// touch every byte of every file; this is their shared inner loop.
@@ -42,12 +41,6 @@ impl FileSender {
     /// Creates a sender for `total` bytes.
     pub fn new(total: usize) -> Self {
         FileSender { total, written: 0, started_at: None, closed: false }
-    }
-
-    /// Deterministic file content at offset `i`.
-    #[inline]
-    pub fn byte_at(i: usize) -> u8 {
-        ((i as u32).wrapping_mul(HASH_MUL) >> 24) as u8
     }
 
     /// Feeds as much of the file as the socket accepts; closes when done.
@@ -142,6 +135,12 @@ mod tests {
     use hydra_tcp::TcpConfig;
     use hydra_wire::{Endpoint, Ipv4Addr};
 
+    /// The file's byte at offset `i`, one multiply per byte: the oracle
+    /// `content_from` must match.
+    fn byte_at(i: usize) -> u8 {
+        ((i as u32).wrapping_mul(HASH_MUL) >> 24) as u8
+    }
+
     fn pipe() -> (Connection, Connection) {
         let a = Endpoint::new(Ipv4Addr::from_node_id(0), 1);
         let b = Endpoint::new(Ipv4Addr::from_node_id(1), 2);
@@ -204,7 +203,7 @@ mod tests {
         // state manipulation is not possible; instead check byte_at is
         // non-trivial (a corruption would be detected with overwhelming
         // probability).
-        let pattern: Vec<u8> = (0..100).map(FileSender::byte_at).collect();
+        let pattern: Vec<u8> = (0..100).map(byte_at).collect();
         let distinct: std::collections::HashSet<u8> = pattern.iter().copied().collect();
         assert!(distinct.len() > 10, "pattern must not be constant");
         assert_eq!(rx.received, 0);
@@ -214,7 +213,7 @@ mod tests {
     fn content_iterator_is_byte_at() {
         // Across the 32-bit wrap of the offset too.
         for start in [0usize, 1, 12_345, u32::MAX as usize - 700] {
-            let want: Vec<u8> = (start..start + 1500).map(FileSender::byte_at).collect();
+            let want: Vec<u8> = (start..start + 1500).map(byte_at).collect();
             let got: Vec<u8> = content_from(start).take(1500).collect();
             assert_eq!(got, want, "from {start}");
         }

@@ -6,11 +6,6 @@
 
 use hydra_sim::{Duration, Instant};
 
-/// Shim + MAC overhead over a raw broadcast payload:
-/// MAC header 26 + FCS 4 + shim 37 (the subframe is further padded to the
-/// 160 B minimum if small).
-pub const FLOOD_FRAME_OVERHEAD: usize = 26 + 4 + 37;
-
 /// A fixed-rate broadcast flooder.
 #[derive(Debug)]
 pub struct Flooder {

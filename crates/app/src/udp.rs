@@ -6,7 +6,7 @@ use hydra_wire::Endpoint;
 
 /// Link/stack overhead between a UDP payload and its MAC frame:
 /// MAC header 26 + FCS 4 + shim 37 + IP 20 + UDP 8.
-pub const UDP_FRAME_OVERHEAD: usize = 26 + 4 + 37 + 20 + 8;
+const UDP_FRAME_OVERHEAD: usize = 26 + 4 + 37 + 20 + 8;
 
 /// The UDP payload size that yields the paper's 1140 B MAC frames.
 pub const PAPER_UDP_PAYLOAD: usize = 1140 - UDP_FRAME_OVERHEAD;
@@ -233,11 +233,6 @@ impl UdpSink {
         self.ports.get(&dst_port).map_or(0, |p| p.bytes)
     }
 
-    /// Ports that received traffic, ascending.
-    pub fn active_ports(&self) -> impl Iterator<Item = u16> + '_ {
-        self.ports.keys().copied()
-    }
-
     /// Application-level throughput in bits/s over `window`, all ports.
     pub fn throughput_bps(&self, window: Duration) -> f64 {
         if window.is_zero() {
@@ -329,7 +324,6 @@ mod tests {
         assert_eq!(sink.port_bytes(9001), 150);
         assert_eq!(sink.port(9001).unwrap().packets, 2);
         assert_eq!(sink.port(9001).unwrap().highest_seq, 2);
-        assert_eq!(sink.active_ports().collect::<Vec<_>>(), vec![9000, 9001]);
         assert_eq!(sink.port_bytes(1234), 0);
     }
 

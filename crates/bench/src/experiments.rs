@@ -35,7 +35,7 @@ pub struct Opts {
     /// The result store every experiment run from these options shares
     /// (and so do clones of them): memory-only by default, so a run
     /// another experiment already simulated is a hit, and file-backed
-    /// for the CLI binaries.
+    /// when `all` opens the persistent store.
     pub cache: SharedCache,
     /// What the `FAILED(reason)` table cells abbreviate: one line per
     /// failed replication (see [`failure_lines`]), in run order, shared
@@ -57,33 +57,6 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Options for the single-experiment binaries, which take no
-    /// arguments: any argument exits 2 and names the commands that do
-    /// take `--seeds`. Otherwise the defaults with the persistent result
-    /// store at `results/cache/`, so single-figure bins reuse (and
-    /// extend) runs that `--bin all` / `--bin sweep` already simulated.
-    /// Keeps the memory-only store on I/O errors. Tests use
-    /// [`Opts::default`], which never touches the disk.
-    pub fn cli() -> Self {
-        let mut args = std::env::args();
-        let bin = args.next().unwrap_or_default();
-        let bin =
-            std::path::Path::new(&bin).file_stem().map_or(String::new(), |s| s.to_string_lossy().into());
-        if let Some(arg) = args.next() {
-            eprintln!(
-                "error: {bin} takes no arguments (got `{arg}`); for N replications run\n  \
-                 sweep examples/sweeps/{bin}*.scn --seeds N\nor, for every table,\n  all --seeds N"
-            );
-            std::process::exit(2);
-        }
-        let mut opts = Opts::default();
-        match ConcurrentCache::open_default() {
-            Ok(cache) => opts.cache = Arc::new(cache),
-            Err(e) => eprintln!("warning: result cache unavailable ({e}); keeping runs in memory"),
-        }
-        opts
-    }
-
     fn runner(&self) -> ExperimentRunner {
         ExperimentRunner::new(self.threads).with_cache(Arc::clone(&self.cache))
     }
@@ -128,7 +101,7 @@ macro_rules! sweep_files {
     };
 }
 
-/// Every shipped experiment grid, in the order `run_all` renders them.
+/// Every shipped experiment grid, in the order [`TABLES`] renders them.
 const SHIPPED: [(&str, &str); 25] = sweep_files![
     "fig07_agg_size",
     "table2_udp",
@@ -155,6 +128,39 @@ const SHIPPED: [(&str, &str); 25] = sweep_files![
     "ablation_rts_cts",
     "ablation_delayed_ack",
     "ablation_broadcast_position",
+];
+
+/// Runs one entry of [`TABLES`] and returns its tables.
+type Render = fn(&Opts) -> Vec<Table>;
+
+/// Every table `all` prints, by the name that selects it (`all NAME`),
+/// in print order. A name is its sweep file's, except `ext_spatial`,
+/// which renders `ext_spatial_reuse` and `ext_spatial_rts` as two tables.
+pub const TABLES: [(&str, Render); 24] = [
+    ("fig07_agg_size", |o| vec![fig07_agg_size(o)]),
+    ("table2_udp", |o| vec![table2_udp(o)]),
+    ("fig08_unicast_tcp", |o| vec![fig08_unicast_tcp(o)]),
+    ("fig09_flooding", |o| vec![fig09_flooding(o)]),
+    ("fig10_fixed_bcast", |o| vec![fig10_fixed_bcast(o)]),
+    ("fig11_2hop", |o| vec![fig11_2hop(o)]),
+    ("fig12_topologies", |o| vec![fig12_topologies(o)]),
+    ("fig13_delayed", |o| vec![fig13_delayed(o)]),
+    ("fig14_no_forward", |o| vec![fig14_no_forward(o)]),
+    ("table3_relay", |o| vec![table3_relay(o)]),
+    ("table4_time_overhead", |o| vec![table4_time_overhead(o)]),
+    ("table5_6_7_star", table5_6_7_star),
+    ("table8_frame_sizes", |o| vec![table8_frame_sizes(o)]),
+    ("ext_topologies", |o| vec![ext_topologies(o)]),
+    ("ext_spatial", ext_spatial),
+    ("ext_mixed", |o| vec![ext_mixed(o)]),
+    ("ext_scale", |o| vec![ext_scale(o)]),
+    ("ext_burst", |o| vec![ext_burst(o)]),
+    ("ablation_block_ack", |o| vec![ablation_block_ack(o)]),
+    ("ablation_rate_adaptive_sizing", |o| vec![ablation_rate_adaptive_sizing(o)]),
+    ("ablation_dba_flush", |o| vec![ablation_dba_flush(o)]),
+    ("ablation_rts_cts", |o| vec![ablation_rts_cts(o)]),
+    ("ablation_delayed_ack", |o| vec![ablation_delayed_ack(o)]),
+    ("ablation_broadcast_position", |o| vec![ablation_broadcast_position(o)]),
 ];
 
 fn path(name: &str) -> String {
@@ -184,8 +190,23 @@ pub fn shipped_sweeps() -> Vec<(&'static str, Vec<ScenarioSpec>)> {
     SHIPPED.iter().map(|&(name, _)| (name, shipped(name).specs)).collect()
 }
 
-fn means(row: &[CellResult]) -> Vec<f64> {
-    row.iter().map(CellResult::mean_throughput_bps).collect()
+/// `num`'s mean throughput over `den`'s, or `None` when either cell
+/// has a failed replication or `den` delivered nothing: a ratio with a
+/// failed or starved side is no number, and [`ratio_cell`] prints it
+/// as `-`.
+fn ratio(num: &CellResult, den: &CellResult) -> Option<f64> {
+    let d = den.mean_throughput_bps();
+    (!num.failed() && !den.failed() && d != 0.0).then(|| num.mean_throughput_bps() / d)
+}
+
+/// A ratio column's cell: `f(r)`, or `-` for no ratio.
+fn ratio_cell(r: Option<f64>, f: impl FnOnce(f64) -> String) -> String {
+    r.map_or_else(|| "-".to_string(), f)
+}
+
+/// [`ratio`] as a percentage gain of `num` over `den`.
+fn gain_pct(num: &CellResult, den: &CellResult) -> Option<f64> {
+    ratio(num, den).map(|r| (r - 1.0) * 100.0)
 }
 
 /// Asserts a cell joined to a paper row by position is the paper's
@@ -208,7 +229,7 @@ fn assert_cell(name: &str, cell: &CellResult, policy: &str, topology: TopologyKi
 /// Figure 7: throughput climbs with the aggregation cap, then collapses
 /// once aggregates outgrow the ~120 Ksample channel-coherence budget
 /// (5 / 11 / 15 KB at 0.65 / 1.3 / 1.95 Mbps).
-pub fn fig07_agg_size(opts: &Opts) -> Table {
+fn fig07_agg_size(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig07_agg_size", 3);
 
     let mut t = Table::new(caption, &["max agg (KB)", "0.65 Mbps", "1.30 Mbps", "1.95 Mbps"]);
@@ -239,7 +260,7 @@ pub fn table2_udp_specs() -> Vec<Vec<ScenarioSpec>> {
 /// the file reproduces its *operating point* instead, offering the load
 /// the paper's UA sustained (~1.1× NA capacity; docs/REPRODUCTION.md,
 /// Table 2 row).
-pub fn table2_udp(opts: &Opts) -> Table {
+fn table2_udp(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("table2_udp", 2);
     assert_eq!(results.len(), paper::TABLE2.len(), "{}: one row per paper rate", path("table2_udp"));
 
@@ -252,12 +273,7 @@ pub fn table2_udp(opts: &Opts) -> Table {
         assert_eq!(rate.mbps(), p_rate, "{}: rows out of the paper's rate order", path("table2_udp"));
         assert_cell("table2_udp", &row[0], "NA", TopologyKind::Linear(2));
         assert_cell("table2_udp", &row[1], "UA", TopologyKind::Linear(2));
-        let (na, ua) = (row[0].mean_throughput_bps(), row[1].mean_throughput_bps());
-        let gain = if row[0].failed() || row[1].failed() || na == 0.0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", (ua / na - 1.0) * 100.0)
-        };
+        let gain = ratio_cell(gain_pct(&row[1], &row[0]), |g| format!("{g:.1}%"));
         t.row(vec![
             format!("{rate}"),
             format!("{p_na:.3}"),
@@ -282,14 +298,14 @@ fn rate_table(caption: String, headers: &[&str], results: &[Vec<CellResult>]) ->
     let mut t = Table::new(caption, headers);
     for row in results {
         let mut cells = vec![format!("{}", row[0].spec.rate)];
-        cells.extend(means(row).iter().map(|&m| mbps(m)));
+        cells.extend(row.iter().map(CellResult::mean_cell));
         t.row(cells);
     }
     t
 }
 
 /// Figure 8: one-way TCP transfer, NA vs UA, 2- and 3-hop chains.
-pub fn fig08_unicast_tcp(opts: &Opts) -> Table {
+fn fig08_unicast_tcp(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig08_unicast_tcp", 4);
     let mut t = rate_table(caption, &["rate", "2-hop NA", "2-hop UA", "3-hop NA", "3-hop UA"], &results);
     t.note("paper: UA > NA everywhere; improvement grows with rate; 2-hop > 3-hop");
@@ -301,7 +317,7 @@ pub fn fig08_unicast_tcp(opts: &Opts) -> Table {
 // ----------------------------------------------------------------------
 
 /// Figure 9: 2-hop UDP goodput vs flooding interval, aggregation on/off.
-pub fn fig09_flooding(opts: &Opts) -> Table {
+fn fig09_flooding(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig09_flooding", 4);
 
     let mut t = Table::new(caption, &["flood interval", "0.65 NA", "0.65 BA", "1.30 NA", "1.30 BA"]);
@@ -322,7 +338,7 @@ pub fn fig09_flooding(opts: &Opts) -> Table {
 
 /// Figure 10: 2-hop TCP; the broadcast (ACK) portion rides at a fixed
 /// rate while the unicast rate sweeps.
-pub fn fig10_fixed_bcast(opts: &Opts) -> Table {
+fn fig10_fixed_bcast(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig10_fixed_bcast", 4);
     let mut t = rate_table(caption, &["unicast rate", "BA(0.65)", "BA(1.3)", "BA(2.6)", "UA"], &results);
     t.note("paper: BA(0.65) beats UA only at 0.65 then falls below; BA(1.3) wins up to 1.3; BA(2.6) wins everywhere");
@@ -334,17 +350,18 @@ pub fn fig10_fixed_bcast(opts: &Opts) -> Table {
 // ----------------------------------------------------------------------
 
 /// Figure 11: 2-hop TCP, broadcast rate = unicast rate; NA / UA / BA.
-pub fn fig11_2hop(opts: &Opts) -> Table {
+fn fig11_2hop(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig11_2hop", 3);
 
     let mut t = Table::new(caption, &["rate", "NA", "UA", "BA", "BA/UA gap"]);
     let mut max_gap: f64 = 0.0;
     for row in &results {
-        let m = means(row);
-        let (na, ua, ba) = (m[0], m[1], m[2]);
-        let gap = (ba / ua - 1.0) * 100.0;
-        max_gap = max_gap.max(gap);
-        t.row(vec![format!("{}", row[0].spec.rate), mbps(na), mbps(ua), mbps(ba), format!("{gap:+.1}%")]);
+        let gap = gain_pct(&row[2], &row[1]);
+        max_gap = gap.map_or(max_gap, |g| max_gap.max(g));
+        let mut cells = vec![format!("{}", row[0].spec.rate)];
+        cells.extend(row.iter().map(CellResult::mean_cell));
+        cells.push(ratio_cell(gap, |g| format!("{g:+.1}%")));
+        t.row(cells);
     }
     t.note(format!(
         "paper: BA always >= UA, max gap ~{:.0}%; measured max gap {max_gap:.1}%",
@@ -358,16 +375,15 @@ pub fn fig11_2hop(opts: &Opts) -> Table {
 // ----------------------------------------------------------------------
 
 /// Figure 12: 3-hop linear and the 2-session star (worst-case session).
-pub fn fig12_topologies(opts: &Opts) -> Table {
+fn fig12_topologies(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig12_topologies", 5);
     let mut t =
         rate_table(caption, &["rate", "3-hop NA", "3-hop UA", "3-hop BA", "star UA", "star BA"], &results);
     let mut g3: f64 = 0.0;
     let mut gs: f64 = 0.0;
     for row in &results {
-        let m = means(row);
-        g3 = g3.max((m[2] / m[1] - 1.0) * 100.0);
-        gs = gs.max((m[4] / m[3] - 1.0) * 100.0);
+        g3 = gain_pct(&row[2], &row[1]).map_or(g3, |g| g3.max(g));
+        gs = gain_pct(&row[4], &row[3]).map_or(gs, |g| gs.max(g));
     }
     t.note(format!(
         "paper: max BA-UA gap {:.1}% (3-hop), {:.1}% (star); measured {g3:.1}% / {gs:.1}%",
@@ -382,7 +398,7 @@ pub fn fig12_topologies(opts: &Opts) -> Table {
 // ----------------------------------------------------------------------
 
 /// Figure 13: BA vs DBA (relays hold for 3 frames), 2- and 3-hop.
-pub fn fig13_delayed(opts: &Opts) -> Table {
+fn fig13_delayed(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig13_delayed", 4);
     let mut t = rate_table(caption, &["rate", "2-hop BA", "2-hop DBA", "3-hop BA", "3-hop DBA"], &results);
     t.note(format!(
@@ -399,19 +415,15 @@ pub fn fig13_delayed(opts: &Opts) -> Table {
 
 /// Figure 14: 3-hop TCP with forward aggregation disabled, isolating the
 /// benefit of combining opposite-direction traffic.
-pub fn fig14_no_forward(opts: &Opts) -> Table {
+fn fig14_no_forward(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("fig14_no_forward", 3);
 
     let mut t = Table::new(caption, &["rate", "NA", "BA no-forward", "BA", "fwd contribution"]);
     for row in &results {
-        let m = means(row);
-        t.row(vec![
-            format!("{}", row[0].spec.rate),
-            mbps(m[0]),
-            mbps(m[1]),
-            mbps(m[2]),
-            format!("{:+.1}%", (m[2] / m[1] - 1.0) * 100.0),
-        ]);
+        let mut cells = vec![format!("{}", row[0].spec.rate)];
+        cells.extend(row.iter().map(CellResult::mean_cell));
+        cells.push(ratio_cell(gain_pct(&row[2], &row[1]), |g| format!("{g:+.1}%")));
+        t.row(cells);
     }
     t.note(
         "paper: the BA vs no-forward gap widens with rate (forward aggregation matters more at high rates)",
@@ -425,7 +437,7 @@ pub fn fig14_no_forward(opts: &Opts) -> Table {
 
 /// Table 3: 2-hop relay averages — frame size, transmissions relative to
 /// NA, size overhead.
-pub fn table3_relay(opts: &Opts) -> Table {
+fn table3_relay(opts: &Opts) -> Table {
     let (caption, results) = opts.run("table3_relay");
     assert_eq!(results.len(), paper::TABLE3.len(), "{}: one cell per paper policy", path("table3_relay"));
     let na_base = results[0].first().map(|r| r.report.relay().tx_data_frames as f64);
@@ -476,7 +488,7 @@ pub fn table4_time_overhead_specs() -> Vec<Vec<ScenarioSpec>> {
 }
 
 /// Table 4: 2-hop relay time overhead by rate and policy.
-pub fn table4_time_overhead(opts: &Opts) -> Table {
+fn table4_time_overhead(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("table4_time_overhead", 4);
     assert_eq!(
         results.len(),
@@ -517,7 +529,7 @@ pub fn table4_time_overhead(opts: &Opts) -> Table {
 /// Tables 5, 6, 7: relay frame size / size overhead / TX percentage,
 /// 2-hop vs star. The file holds one 2-hop NA baseline, then a
 /// (2-hop, star) pair per paper policy.
-pub fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
+fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
     let name = "table5_6_7_star";
     let (_, mut results) = opts.run(name);
     let na = results.remove(0);
@@ -582,7 +594,7 @@ pub fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
 
 /// Table 8: average frame size at server / relay(s) / client for 2-hop
 /// and 3-hop chains under UA and BA.
-pub fn table8_frame_sizes(opts: &Opts) -> Table {
+fn table8_frame_sizes(opts: &Opts) -> Table {
     let name = "table8_frame_sizes";
     let (caption, results) = opts.run_rows(name, 2);
     assert_eq!(results.len(), paper::TABLE8.len(), "{}: one row per paper policy", path(name));
@@ -631,7 +643,7 @@ pub fn table8_frame_sizes(opts: &Opts) -> Table {
 /// declarative topology layer makes larger shapes one variant away.
 /// A 3×2 grid (corner-to-corner session, 3 hops under x-first routing)
 /// and a cross (two sessions sharing one relay) under UA vs BA.
-pub fn ext_topologies(opts: &Opts) -> Table {
+fn ext_topologies(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ext_topologies", 4);
     let mut t = rate_table(caption, &["rate", "grid UA", "grid BA", "cross UA", "cross BA"], &results);
     t.note(
@@ -662,7 +674,7 @@ pub fn ext_topologies(opts: &Opts) -> Table {
 ///   regime); at 7 m two-hop neighbours leave carrier-sense range while
 ///   still delivering to the node between them, and RTS/CTS flips from
 ///   cost to large win.
-pub fn ext_spatial(opts: &Opts) -> Vec<Table> {
+fn ext_spatial(opts: &Opts) -> Vec<Table> {
     // Table A — chain length × medium × policy (UDP saturation, 1.3 Mbps,
     // 5 m spacing: adjacent links are clean, interference spans ~2 hops).
     let (caption, results) = opts.run_rows("ext_spatial_reuse", 4);
@@ -747,7 +759,7 @@ fn mean_flow_bps(cell: &CellResult, idx: usize) -> f64 {
 /// per-frame overhead aggregation amortises: the BA-over-NA foreground
 /// gain should *grow* with background load, and BA should also deliver
 /// more of the background itself.
-pub fn ext_mixed(opts: &Opts) -> Table {
+fn ext_mixed(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ext_mixed", 3);
 
     let mut t = Table::new(
@@ -838,7 +850,7 @@ fn flow_class_stats(cell: &CellResult, file: bool) -> (f64, usize, usize) {
 /// far more weakly than on the paper's 2-hop chain: hidden-terminal
 /// collisions dominate, and the pure-UDP background is policy-blind —
 /// there are no TCP ACKs on those flows to aggregate or broadcast.
-pub fn ext_scale(opts: &Opts) -> Table {
+fn ext_scale(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ext_scale", 3);
 
     let mut t =
@@ -889,7 +901,7 @@ pub fn ext_scale(opts: &Opts) -> Table {
 /// clean-channel ordering. The extreme corner (bad-state loss 1.0,
 /// i.e. blackout bursts) instead exposes BA's one-shot broadcast
 /// ACKs, which are never retransmitted.
-pub fn ext_burst(opts: &Opts) -> Table {
+fn ext_burst(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ext_burst", 3);
     let model = |row: &[CellResult]| row[0].spec.link_error.as_ref().and_then(|e| e.model);
 
@@ -903,9 +915,10 @@ pub fn ext_burst(opts: &Opts) -> Table {
                 (label, format!("{:.0}%", m.stationary_loss() * 100.0))
             }
         };
-        let m = means(row);
-        let (na, ua, ba) = (m[0], m[1], m[2]);
-        t.row(vec![label.into(), mean, mbps(na), mbps(ua), mbps(ba), format!("{:.2}x", ua / na)]);
+        let mut cells = vec![label.into(), mean];
+        cells.extend(row.iter().map(CellResult::mean_cell));
+        cells.push(ratio_cell(ratio(&row[1], &row[0]), |r| format!("{r:.2}x")));
+        t.row(cells);
     }
     let bursty = results.iter().find_map(|row| match model(row) {
         Some(m @ LinkErrorModel::GilbertElliott { p_gb, p_bg, .. }) => Some((m, p_gb, p_bg)),
@@ -932,7 +945,7 @@ pub fn ext_burst(opts: &Opts) -> Table {
 
 /// Ablation: block ACK (paper §7 future work) vs all-or-nothing, under an
 /// oversized aggregation cap that crosses the coherence cliff.
-pub fn ablation_block_ack(opts: &Opts) -> Table {
+fn ablation_block_ack(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ablation_block_ack", 2);
 
     let mut t = Table::new(caption, &["max agg (KB)", "normal ACK", "block ACK"]);
@@ -947,7 +960,7 @@ pub fn ablation_block_ack(opts: &Opts) -> Table {
 
 /// Ablation: rate-adaptive aggregate sizing (paper §7) — spend a fixed
 /// sample budget instead of a fixed byte cap.
-pub fn ablation_rate_adaptive_sizing(opts: &Opts) -> Table {
+fn ablation_rate_adaptive_sizing(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ablation_rate_adaptive_sizing", 2);
     let mut t = rate_table(caption, &["rate", "fixed 5 KB", "110 Ksample budget"], &results);
     t.note("at high rates the sample budget admits larger aggregates than 5 KB, recovering headroom the fixed cap leaves");
@@ -957,24 +970,23 @@ pub fn ablation_rate_adaptive_sizing(opts: &Opts) -> Table {
 /// Ablation: DBA flush-timeout sensitivity (the paper leaves the
 /// deadlock guard unspecified). The file's first row holds the BA
 /// baselines, each later row DBA at one flush timeout.
-pub fn ablation_dba_flush(opts: &Opts) -> Table {
+fn ablation_dba_flush(opts: &Opts) -> Table {
     let (caption, mut results) = opts.run_rows("ablation_dba_flush", 2);
-    let ba = means(&results.remove(0));
+    let ba = results.remove(0);
 
     let mut t = Table::new(caption, &["flush (ms)", "2-hop DBA", "3-hop DBA"]);
     for row in &results {
         let flush = row[0].spec.flush_timeout.expect("every DBA row sets its flush timeout");
-        let m = means(row);
-        t.row(vec![format!("{}", flush.as_millis()), mbps(m[0]), mbps(m[1])]);
+        t.row(vec![format!("{}", flush.as_millis()), row[0].mean_cell(), row[1].mean_cell()]);
     }
-    t.note(format!("BA baselines: 2-hop {}, 3-hop {} Mbps", mbps(ba[0]), mbps(ba[1])));
+    t.note(format!("BA baselines: 2-hop {}, 3-hop {} Mbps", ba[0].mean_cell(), ba[1].mean_cell()));
     t.note("longer flushes trade aggregation depth against head-of-line delay");
     t
 }
 
 /// Ablation: RTS/CTS on vs off (the paper always uses RTS/CTS; all nodes
 /// are in carrier-sense range, so the handshake is pure overhead here).
-pub fn ablation_rts_cts(opts: &Opts) -> Table {
+fn ablation_rts_cts(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ablation_rts_cts", 2);
     let mut t = rate_table(caption, &["rate", "with RTS/CTS", "without"], &results);
     t.note("without hidden terminals the handshake costs two control frames + two SIFS per exchange");
@@ -984,7 +996,7 @@ pub fn ablation_rts_cts(opts: &Opts) -> Table {
 /// Ablation: delayed ACKs at the TCP receiver (off in the paper — its
 /// client ACKs every segment; delayed ACKs halve the ACK stream and so
 /// shrink the backward-aggregation benefit).
-pub fn ablation_delayed_ack(opts: &Opts) -> Table {
+fn ablation_delayed_ack(opts: &Opts) -> Table {
     let (caption, results) = opts.run_rows("ablation_delayed_ack", 2);
     rate_table(caption, &["rate", "ACK per segment (paper)", "delayed ACKs"], &results)
 }
@@ -993,7 +1005,7 @@ pub fn ablation_delayed_ack(opts: &Opts) -> Table {
 /// §4.2.3: close to the training sequences, where the channel estimate is
 /// freshest). Measured as per-portion CRC failure rates under aggregates
 /// that overrun the coherence budget.
-pub fn ablation_broadcast_position(opts: &Opts) -> Table {
+fn ablation_broadcast_position(opts: &Opts) -> Table {
     let (caption, results) = opts.run("ablation_broadcast_position");
 
     let mut t = Table::new(caption, &["max agg (KB)", "bcast CRC loss rate", "unicast portion drop rate"]);
@@ -1023,43 +1035,22 @@ pub fn ablation_broadcast_position(opts: &Opts) -> Table {
     t
 }
 
-/// Runs every experiment, printing each table; returns the rendered text.
-pub fn run_all(opts: &Opts) -> String {
+/// Renders the [`TABLES`] entries `names` selects (every entry when it
+/// is empty) in registry order, printing each table as it is done;
+/// returns the printed text.
+pub fn run_tables(opts: &Opts, names: &[String]) -> String {
     let mut out = String::new();
-    let mut emit = |t: Table| {
-        let s = t.render();
-        println!("{s}");
-        out.push_str(&s);
-        out.push('\n');
-    };
-    emit(fig07_agg_size(opts));
-    emit(table2_udp(opts));
-    emit(fig08_unicast_tcp(opts));
-    emit(fig09_flooding(opts));
-    emit(fig10_fixed_bcast(opts));
-    emit(fig11_2hop(opts));
-    emit(fig12_topologies(opts));
-    emit(fig13_delayed(opts));
-    emit(fig14_no_forward(opts));
-    emit(table3_relay(opts));
-    emit(table4_time_overhead(opts));
-    for t in table5_6_7_star(opts) {
-        emit(t);
+    for (name, render) in TABLES {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
+        for t in render(opts) {
+            let s = t.render();
+            println!("{s}");
+            out.push_str(&s);
+            out.push('\n');
+        }
     }
-    emit(table8_frame_sizes(opts));
-    emit(ext_topologies(opts));
-    for t in ext_spatial(opts) {
-        emit(t);
-    }
-    emit(ext_mixed(opts));
-    emit(ext_scale(opts));
-    emit(ext_burst(opts));
-    emit(ablation_block_ack(opts));
-    emit(ablation_rate_adaptive_sizing(opts));
-    emit(ablation_dba_flush(opts));
-    emit(ablation_rts_cts(opts));
-    emit(ablation_delayed_ack(opts));
-    emit(ablation_broadcast_position(opts));
     out
 }
 
@@ -1088,5 +1079,24 @@ mod tests {
                 "other:0 rep 2: run budget exhausted after 10 events",
             ]
         );
+    }
+
+    #[test]
+    fn a_failed_cell_prints_failed_and_a_ratio_with_a_failed_side_prints_a_dash() {
+        let mut fine =
+            ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(20));
+        fine.duration = Duration::from_millis(200);
+        let mut stalled = fine.clone();
+        stalled.budget = Some(hydra_netsim::RunBudget::events(10));
+        let row = ExperimentRunner::sequential().run_sweep(&[fine, stalled], 2);
+        assert!(row[1].first().is_none(), "every replication of the stalled cell fails");
+
+        let t = rate_table("t".into(), &["rate", "fine", "stalled"], std::slice::from_ref(&row));
+        assert_eq!(t.rows[0][1], mbps(row[0].mean_throughput_bps()));
+        assert_eq!(t.rows[0][2], "FAILED(budget)");
+        let dash = |r| ratio_cell(r, |g| format!("{g:+.1}%"));
+        assert_eq!(dash(gain_pct(&row[0], &row[1])), "-");
+        assert_eq!(dash(gain_pct(&row[1], &row[0])), "-");
+        assert_eq!(dash(gain_pct(&row[0], &row[0])), "+0.0%");
     }
 }

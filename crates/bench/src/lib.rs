@@ -5,11 +5,11 @@
 //! `examples/sweeps/` — the only definition, compiled in — driven
 //! through the parallel [`runner::ExperimentRunner`] and folded into a
 //! [`report::Table`] comparing the paper's reported numbers against
-//! this reproduction. Thin binaries in `src/bin/` print individual
-//! experiments; `src/bin/all.rs` regenerates everything into
+//! this reproduction. `src/bin/all.rs` regenerates everything into
 //! `results/experiments.txt` (checked in as
 //! `tests/golden/experiments.txt`; `docs/REPRODUCTION.md` maps each
-//! table to its paper item and claim).
+//! table to its paper item and claim), or prints only the tables named
+//! on its command line ([`experiments::TABLES`] lists the names).
 //!
 //! The same files run with `--bin sweep`, and
 //! [`sweeps::ConcurrentCache`] persists every outcome keyed by

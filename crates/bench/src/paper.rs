@@ -57,12 +57,5 @@ pub const FIG12_STAR_GAP_PCT: f64 = 11.0;
 
 /// Figure 13 — maximum DBA-over-BA gaps (2-hop, 3-hop).
 pub const FIG13_GAPS_PCT: (f64, f64) = (2.0, 4.0);
-
-/// §5 frame sizes that anchor the wire model.
-pub const MAC_FRAME_TCP_DATA: usize = 1464;
-/// See [`MAC_FRAME_TCP_DATA`].
-pub const MAC_FRAME_TCP_ACK: usize = 160;
-/// See [`MAC_FRAME_TCP_DATA`].
-pub const MAC_FRAME_UDP: usize = 1140;
 /// §6.1: the chosen maximum aggregation size (bytes).
 pub const MAX_AGG_SIZE: usize = 5 * 1024;

@@ -25,7 +25,7 @@
 //! e.g. one 1000-node mesh among dozens of 20-node paper cells — starts
 //! immediately instead of landing last on a busy worker, and whichever
 //! worker frees up next takes the next job. Costs come from
-//! [`ExperimentRunner::predicted_cost`], a spec-feature model
+//! `ExperimentRunner::predicted_cost`, a spec-feature model
 //! (nodes × flows × span × rate), *calibrated* by recorded event counts
 //! when the runner's store has seen the spec before. Cost predictions
 //! only ever reorder work; results are byte-identical in any order.
@@ -266,7 +266,7 @@ impl ExperimentRunner {
     /// Never panics on a topology the `.scn` parser accepts: it runs
     /// outside every job's failure containment, so a spec that cannot
     /// build must still get a cost and fail inside its own job.
-    pub fn predicted_cost(spec: &ScenarioSpec) -> f64 {
+    fn predicted_cost(spec: &ScenarioSpec) -> f64 {
         let n = spec.topology.node_count() as f64;
         let span = (spec.warmup + spec.duration).as_secs_f64();
         let rate_bps = spec.rate.bits_per_sec() as f64;
@@ -389,17 +389,12 @@ impl ExperimentRunner {
             .collect()
     }
 
-    /// Runs a single spec once with the derived replication-1 seed,
-    /// surfacing any failure as the [`RunError`] it was.
-    pub fn try_run_one(&self, spec: ScenarioSpec) -> Result<RunOutcome, RunError> {
-        self.run_sweep(std::slice::from_ref(&spec), 1).remove(0).runs.remove(0)
-    }
-
     /// Runs a single spec once with the derived replication-1 seed.
     /// Panics on a failed run — callers that must survive failures use
-    /// [`ExperimentRunner::try_run_one`].
+    /// [`ExperimentRunner::run_sweep`], whose cells carry each failure.
     pub fn run_one(&self, spec: ScenarioSpec) -> RunOutcome {
-        self.try_run_one(spec).unwrap_or_else(|e| panic!("run failed: {e}"))
+        let run = self.run_sweep(std::slice::from_ref(&spec), 1).remove(0).runs.remove(0);
+        run.unwrap_or_else(|e| panic!("run failed: {e}"))
     }
 
     /// Executes the prepared work list; results come back in job order.

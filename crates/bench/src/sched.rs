@@ -28,7 +28,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// A boxed unit of work returning `T`.
-pub type Thunk<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+type Thunk<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// One schedulable job: a predicted cost (arbitrary but consistent
 /// units; only the ordering matters) plus its work.

@@ -266,14 +266,10 @@ pub struct ConcurrentCache {
 }
 
 impl ConcurrentCache {
-    /// The default on-disk location, relative to the workspace root.
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("results/cache")
-    }
-
-    /// Opens (creating if needed) the cache under [`Self::default_dir`].
+    /// Opens (creating if needed) the cache under `results/cache`, the
+    /// default on-disk location relative to the workspace root.
     pub fn open_default() -> std::io::Result<ConcurrentCache> {
-        Self::open(Self::default_dir())
+        Self::open("results/cache")
     }
 
     /// Opens (creating if needed) the cache file `runs.jsonl` under

@@ -48,11 +48,6 @@ impl AssembledFrame {
     pub fn expects_ack(&self) -> bool {
         self.ucast_dest.is_some()
     }
-
-    /// Total subframes.
-    pub fn subframe_count(&self) -> usize {
-        self.bcast_count + self.ucast_burst.len()
-    }
 }
 
 /// Tracks the size budget while assembling.

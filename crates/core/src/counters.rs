@@ -1,6 +1,6 @@
 //! MAC-level counters feeding the paper's Tables 3–8.
 
-use hydra_sim::{Duration, Running, TimeLedger};
+use hydra_sim::{Running, TimeLedger};
 
 /// Time-ledger category names (Table 4's overhead decomposition).
 pub mod cat {
@@ -110,16 +110,12 @@ impl MacCounters {
     pub fn avg_frame_size(&self) -> f64 {
         self.frame_sizes.mean()
     }
-
-    /// Total airtime attributed to this MAC's transmissions.
-    pub fn busy_time(&self) -> Duration {
-        self.time.total()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_sim::Duration;
 
     #[test]
     fn size_overhead_empty_is_zero() {

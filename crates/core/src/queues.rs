@@ -125,13 +125,6 @@ impl TxQueues {
             self.ucast.push_front(f);
         }
     }
-
-    /// Puts broadcast frames back at the front, preserving order.
-    pub fn unshift_bcast(&mut self, frames: Vec<QueuedMpdu>) {
-        for f in frames.into_iter().rev() {
-            self.bcast.push_front(f);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -127,7 +127,8 @@ impl NetStack {
 
     /// Wraps a locally generated L4 segment for transmission. Returns the
     /// next-hop MAC and the MPDU payload, or `None` if no route exists.
-    pub fn send_l4(
+    #[cfg(test)]
+    fn send_l4(
         &mut self,
         protocol: IpProtocol,
         dst: Ipv4Addr,
@@ -136,8 +137,9 @@ impl NetStack {
         self.send_l4_with(protocol, dst, l4_bytes.len(), |_, out| out.extend_from_slice(l4_bytes))
     }
 
-    /// [`NetStack::send_l4`] for a segment that does not exist yet: the
-    /// MPDU buffer is sized once for shim + IPv4 header + `l4_len`, the
+    /// Wraps a locally generated L4 segment for transmission, returning
+    /// the next-hop MAC and the MPDU payload, or `None` if no route
+    /// exists. The segment need not exist yet: the MPDU buffer is sized once for shim + IPv4 header + `l4_len`, the
     /// two headers are written, and `write_l4` appends the `l4_len`-byte
     /// segment straight after them (it gets the IPv4 header for the
     /// pseudo-header checksum). A sender that builds its segment here

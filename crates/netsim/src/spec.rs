@@ -57,7 +57,7 @@ impl Policy {
 
     /// The aggregation policy for a node. DBA's 3-frame gate applies at
     /// *relay* nodes only (paper §6.4.3: "forces relay nodes to pause").
-    pub fn agg_for(&self, is_relay: bool) -> AggPolicy {
+    fn agg_for(&self, is_relay: bool) -> AggPolicy {
         match self {
             Policy::Na => AggPolicy::no_aggregation(),
             Policy::Ua => AggPolicy::unicast(),
@@ -299,12 +299,6 @@ impl RunBudget {
     /// Limit events only (the deterministic form).
     pub fn events(max_events: u64) -> Self {
         RunBudget { max_events: Some(max_events), max_wall: None }
-    }
-
-    /// True when neither limit is set — behaviourally identical to no
-    /// budget at all.
-    pub fn is_inert(&self) -> bool {
-        self.max_events.is_none() && self.max_wall.is_none()
     }
 }
 
@@ -884,15 +878,6 @@ pub struct RunPerf {
 }
 
 impl RunPerf {
-    /// Simulator throughput in events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ms > 0.0 {
-            self.events_processed as f64 / (self.wall_ms / 1e3)
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of dispatched events that were stale timers.
     pub fn stale_ratio(&self) -> f64 {
         if self.events_processed > 0 {

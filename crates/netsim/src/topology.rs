@@ -179,7 +179,7 @@ impl Topology {
     /// geometry, treating positions as metres (the mesh convention).
     /// Adjacency is the delivery-range graph under the same
     /// [`LinkBudget`] the spatial medium uses at spacing 1.0.
-    pub fn mesh_router(&self) -> MeshRouter {
+    fn mesh_router(&self) -> MeshRouter {
         let placement = Placement::new(self.positions.clone());
         let budget = LinkBudget::hydra(PhyProfile::hydra().default_snr_db);
         // Delivery range < cell size, so the 3×3 neighbourhood covers
@@ -209,8 +209,8 @@ impl Topology {
     ///
     /// # Panics
     /// Panics when greedy forwarding gets stuck before reaching `dst` —
-    /// callers that can tolerate unroutable pairs filter them first via
-    /// [`MeshRouter::routable`].
+    /// callers that can tolerate unroutable pairs take them from
+    /// [`Topology::try_mesh_default_pairs`], which keeps only routable ones.
     pub fn install_greedy_routes<I>(&mut self, pairs: I)
     where
         I: IntoIterator<Item = (usize, usize)>,
@@ -304,18 +304,13 @@ impl Topology {
 /// and fail at a local minimum — pairs that greedy routing cannot serve
 /// simply don't get flows, mirroring how a real geographic protocol
 /// would fall back to other traffic.
-pub struct MeshRouter {
+struct MeshRouter {
     placement: Placement,
     /// Delivery-range neighbours per node, ascending by index.
     neighbors: Vec<Vec<u32>>,
 }
 
 impl MeshRouter {
-    /// The delivery-range neighbours of `node`, ascending.
-    pub fn neighbors(&self, node: usize) -> &[u32] {
-        &self.neighbors[node]
-    }
-
     /// Greedy next hop from `at` toward `dst`: the neighbour strictly
     /// closer to `dst` (nearest first; the ascending neighbour order
     /// breaks ties to the smallest index). `None` at a local minimum.

@@ -36,7 +36,7 @@ use crate::topology::Topology;
 /// Carrier-sense detection latency: a node whose backoff expires in the
 /// same instant another node starts transmitting has not sensed it yet,
 /// so same-slot collisions happen as on real hardware.
-pub const CS_DELAY: Duration = Duration::from_micros(1);
+const CS_DELAY: Duration = Duration::from_micros(1);
 
 /// How the radio medium is built from a topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -362,11 +362,6 @@ impl World {
     /// The collision domain (sense-graph component index) `node` lives in.
     pub fn component_of(&self, node: usize) -> u32 {
         self.component_of[node]
-    }
-
-    /// Number of collision domains in this world's medium.
-    pub fn component_count(&self) -> usize {
-        self.channel_rng.len()
     }
 
     /// Swaps the medium for its dense O(n²) reference rebuild — same
@@ -761,7 +756,7 @@ impl World {
 
     /// Runs the TCP send path of a node: app pumps, socket polls, network
     /// wrap, MAC enqueue.
-    pub fn pump_tcp(&mut self, node: usize) {
+    fn pump_tcp(&mut self, node: usize) {
         let now = self.now();
         self.tcp_activity = true;
         // Applications first (fill send buffers / drain receive buffers).

@@ -14,7 +14,7 @@ pub fn q(x: f64) -> f64 {
 }
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e-7).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -25,12 +25,12 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Converts dB to linear power ratio.
-pub fn db_to_linear(db: f64) -> f64 {
+fn db_to_linear(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
 /// Uncoded BER for a modulation at a given symbol SNR (linear).
-pub fn uncoded_ber(modulation: Modulation, snr_linear: f64) -> f64 {
+fn uncoded_ber(modulation: Modulation, snr_linear: f64) -> f64 {
     match modulation {
         Modulation::Bpsk => q((2.0 * snr_linear).sqrt()),
         Modulation::Qpsk => q(snr_linear.sqrt()),

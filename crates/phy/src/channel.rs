@@ -153,12 +153,12 @@ pub struct CoherenceChannel {
 
 impl CoherenceChannel {
     /// Builds from a PHY profile.
-    pub fn from_profile(p: &PhyProfile) -> Self {
+    fn from_profile(p: &PhyProfile) -> Self {
         CoherenceChannel { threshold: p.coherence_samples, ramp: p.coherence_ramp.max(1) }
     }
 
     /// Corruption probability for a subframe ending at `end_sample`.
-    pub fn corruption_prob(&self, end_sample: u64) -> f64 {
+    fn corruption_prob(&self, end_sample: u64) -> f64 {
         if end_sample <= self.threshold {
             0.0
         } else {

@@ -13,13 +13,6 @@ use hydra_wire::Payload;
 use crate::profile::PhyProfile;
 use crate::rates::Rate;
 
-/// Shared per-subframe slot metadata: built once at assembly, then
-/// reference-counted through every receiver's copy of the frame (the
-/// channel model reads slots but never rewrites them). The assembler's
-/// `Vec` is adopted as it is — `Arc<[_]>` would copy it into a second
-/// allocation.
-pub type SharedSlots = Arc<Vec<SubframeSlot>>;
-
 /// A control frame's on-air bytes, held inline (at most
 /// [`MAX_CONTROL_LEN`] of them — no heap block per RTS / CTS / ACK), plus
 /// the frame itself for as long as the bytes are exactly what the sender
@@ -56,7 +49,7 @@ impl OnAirControl {
     ///
     /// # Panics
     /// Panics if `bytes` is longer than [`MAX_CONTROL_LEN`].
-    pub fn from_bytes(bytes: &[u8]) -> Self {
+    fn from_bytes(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= MAX_CONTROL_LEN, "{} bytes is no control frame", bytes.len());
         let mut buf = [0u8; MAX_CONTROL_LEN];
         buf[..bytes.len()].copy_from_slice(bytes);
@@ -94,7 +87,7 @@ impl core::fmt::Debug for OnAirControl {
 ///
 /// Cloning is cheap: control frames are a small inline value, and an
 /// aggregate's PSDU bytes and slot metadata are reference-counted
-/// ([`Payload`] / [`SharedSlots`]), so fanning one transmission out to N
+/// ([`Payload`] / `Arc`), so fanning one transmission out to N
 /// receivers bumps two counters per receiver instead of copying the
 /// whole frame N times. The channel model only materialises a private
 /// copy when it actually corrupts bytes (copy-on-corrupt, see
@@ -110,8 +103,12 @@ pub enum OnAirFrame {
         /// The PSDU: broadcast subframes followed by unicast subframes.
         psdu: Payload,
         /// Byte-range metadata for each subframe (for the channel model
-        /// and MAC accounting).
-        slots: SharedSlots,
+        /// and MAC accounting): built once at assembly, then
+        /// reference-counted through every receiver's copy of the frame
+        /// (the channel model reads slots but never rewrites them). The
+        /// assembler's `Vec` is adopted as it is — `Arc<[_]>` would copy
+        /// it into a second allocation.
+        slots: Arc<Vec<SubframeSlot>>,
     },
 }
 
@@ -158,14 +155,6 @@ impl OnAirFrame {
             OnAirFrame::Aggregate { phy_hdr, .. } => {
                 Rate::from_code(phy_hdr.ucast_rate).unwrap_or(profile.base_rate)
             }
-        }
-    }
-
-    /// Total PSDU/body bytes on the air (excluding preamble & PHY header).
-    pub fn body_bytes(&self) -> usize {
-        match self {
-            OnAirFrame::Control(b) => b.len(),
-            OnAirFrame::Aggregate { psdu, .. } => psdu.len(),
         }
     }
 

@@ -153,11 +153,6 @@ impl LinkErrorState {
             }
         }
     }
-
-    /// True while the link sits in the Gilbert–Elliott bad state.
-    pub fn is_bad(&self) -> bool {
-        self.bad
-    }
 }
 
 /// One transmission's link-error pass: a [`ChannelModel`] that corrupts
@@ -230,7 +225,7 @@ mod tests {
         let mut run = 0usize;
         for _ in 0..FRAMES {
             st.begin_frame();
-            if st.is_bad() {
+            if st.bad {
                 run += 1;
             } else if run > 0 {
                 bursts.push(run);

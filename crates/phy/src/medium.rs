@@ -1,8 +1,8 @@
 //! The shared broadcast medium: propagation, carrier sense, collisions.
 //!
 //! Sans-IO: the medium is a pure state machine. The event loop calls
-//! [`Medium::start_tx`] when a node begins transmitting and
-//! [`Medium::end_tx`] when the airtime elapses; the medium reports
+//! [`Medium::start_tx_into`] when a node begins transmitting and
+//! [`Medium::end_tx_into`] when the airtime elapses; the medium reports
 //! carrier-sense busy/idle edges and, at end of transmission, which
 //! receivers got a clean copy.
 //!
@@ -227,6 +227,7 @@ impl Sparse {
         }
     }
 
+    #[cfg(test)]
     fn set_link_classes(&mut self, from: usize, to: usize, link: Link) {
         assert!(self.active_count == 0, "cannot reclassify links while transmissions are in flight");
         let senses = link.senses || link.delivers;
@@ -285,7 +286,7 @@ impl Sparse {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn is_busy(&self, node: usize) -> bool {
         self.heard[node] > 0 || self.transmitting[node] > 0
     }
@@ -417,6 +418,7 @@ impl Dense {
         }
     }
 
+    #[cfg(test)]
     fn set_link_classes(&mut self, from: usize, to: usize, link: Link) {
         self.senses[from][to] = link.senses || link.delivers;
         self.delivers[from][to] = link.delivers;
@@ -435,6 +437,7 @@ impl Dense {
         self.heard[node] > 0 || self.active.iter().any(|a| a.tx_node == node)
     }
 
+    #[cfg(test)]
     fn is_transmitting(&self, node: usize) -> bool {
         self.active.iter().any(|a| a.tx_node == node)
     }
@@ -539,7 +542,7 @@ impl Medium {
     /// `links[from][to].snr_db` is the *effective* SNR handed to the
     /// channel model (implementation loss already applied). Delivery
     /// implies audibility: `delivers` forces `senses` on.
-    pub fn from_links(links: Vec<Vec<Link>>) -> Self {
+    fn from_links(links: Vec<Vec<Link>>) -> Self {
         Medium { imp: Backend::Sparse(Sparse::from_links(links)) }
     }
 
@@ -566,11 +569,6 @@ impl Medium {
         Medium { imp: Backend::Dense(Dense::from_links(links)) }
     }
 
-    /// True if this medium runs on the dense reference backend.
-    pub fn is_dense_reference(&self) -> bool {
-        matches!(self.imp, Backend::Dense(_))
-    }
-
     fn has_active_tx(&self) -> bool {
         match &self.imp {
             Backend::Sparse(s) => s.active_count > 0,
@@ -581,13 +579,15 @@ impl Medium {
     /// Overrides one directed link, keeping sense and delivery coupled
     /// (the paper-mode behaviour). For split classes use
     /// [`Medium::set_link_classes`].
-    pub fn set_link(&mut self, from: usize, to: usize, in_range: bool, snr_db: f64) {
+    #[cfg(test)]
+    fn set_link(&mut self, from: usize, to: usize, in_range: bool, snr_db: f64) {
         self.set_link_classes(from, to, Link { senses: in_range, delivers: in_range, snr_db });
     }
 
     /// Overrides one directed link with independent sense/delivery
     /// classes. Delivery implies audibility.
-    pub fn set_link_classes(&mut self, from: usize, to: usize, link: Link) {
+    #[cfg(test)]
+    fn set_link_classes(&mut self, from: usize, to: usize, link: Link) {
         match &mut self.imp {
             Backend::Sparse(s) => s.set_link_classes(from, to, link),
             Backend::Dense(d) => d.set_link_classes(from, to, link),
@@ -613,7 +613,8 @@ impl Medium {
     /// True if `node` senses the channel busy (hears a foreign
     /// transmission or is transmitting itself). O(1) on the sparse
     /// backend.
-    pub fn is_busy(&self, node: usize) -> bool {
+    #[cfg(test)]
+    fn is_busy(&self, node: usize) -> bool {
         match &self.imp {
             Backend::Sparse(s) => s.is_busy(node),
             Backend::Dense(d) => d.is_busy(node),
@@ -621,7 +622,8 @@ impl Medium {
     }
 
     /// True if `node` is currently transmitting.
-    pub fn is_transmitting(&self, node: usize) -> bool {
+    #[cfg(test)]
+    fn is_transmitting(&self, node: usize) -> bool {
         match &self.imp {
             Backend::Sparse(s) => s.transmitting[node] > 0,
             Backend::Dense(d) => d.is_transmitting(node),
@@ -651,7 +653,8 @@ impl Medium {
 
     /// Ends a transmission: returns deliveries and carrier-sense edges
     /// (allocating wrapper around [`Medium::end_tx_into`]).
-    pub fn end_tx(&mut self, id: TxId) -> (Vec<Delivery>, Vec<BusyEdge>) {
+    #[cfg(test)]
+    fn end_tx(&mut self, id: TxId) -> (Vec<Delivery>, Vec<BusyEdge>) {
         let mut deliveries = Vec::new();
         let mut edges = Vec::new();
         self.end_tx_into(id, &mut deliveries, &mut edges);
@@ -1021,7 +1024,7 @@ mod tests {
         let pl = Placement::new(pts);
         let sparse = Medium::from_placement(&pl, &budget, &p);
         let dense = sparse.dense_reference();
-        assert!(dense.is_dense_reference() && !sparse.is_dense_reference());
+        assert!(matches!(dense.imp, Backend::Dense(_)) && matches!(sparse.imp, Backend::Sparse(_)));
         for f in 0..10 {
             for t in 0..10 {
                 assert_eq!(sparse.link(f, t), dense.link(f, t), "link {f}->{t}");

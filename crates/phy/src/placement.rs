@@ -39,7 +39,7 @@ impl Placement {
     }
 
     /// Position of node `i`, metres.
-    pub fn position_m(&self, i: usize) -> (f64, f64) {
+    fn position_m(&self, i: usize) -> (f64, f64) {
         self.points[i]
     }
 
@@ -62,11 +62,6 @@ pub struct Link {
     pub delivers: bool,
     /// Link SNR in dB (effective — ready for the BER model).
     pub snr_db: f64,
-}
-
-impl Link {
-    /// A dead link: no energy, no frames.
-    pub const DOWN: Link = Link { senses: false, delivers: false, snr_db: f64::NEG_INFINITY };
 }
 
 /// The log-distance link budget mapping distance to link SNR and range
@@ -120,7 +115,7 @@ impl LinkBudget {
     }
 
     /// The distance at which raw SNR falls to `threshold_db`.
-    pub fn range_for(&self, threshold_db: f64) -> f64 {
+    fn range_for(&self, threshold_db: f64) -> f64 {
         self.ref_distance_m * 10f64.powf((self.snr_at_ref_db - threshold_db) / (10.0 * self.path_loss_exp))
     }
 

@@ -8,8 +8,8 @@
 //! # Structure
 //!
 //! The queue is a **calendar queue** (hierarchical timer wheel):
-//! near-horizon events land in one of [`WHEEL_BUCKETS`] buckets of
-//! [`BUCKET_GRANULARITY_NS`] ns each — sized to the MAC's natural tick
+//! near-horizon events land in one of 4096 buckets of 8.192 µs each
+//! (`WHEEL_BUCKETS`, `1 << BUCKET_SHIFT` ns) — sized to the MAC's natural tick
 //! (slot-time / SIFS are 9–16 µs) — giving O(1) `schedule_at` and
 //! amortised-O(1) `pop`. Events beyond the wheel horizon (warmup deadlines,
 //! OnOff periods, run horizons) go to a small overflow heap and are
@@ -57,13 +57,11 @@ pub struct EventId(pub u64);
 /// log2 of the wheel bucket width in nanoseconds: 2^13 = 8.192 µs, on the
 /// order of the MAC slot time (9 µs) and SIFS (16 µs), so consecutive MAC
 /// events usually land in the current or next bucket.
-pub const BUCKET_SHIFT: u32 = 13;
-/// Width of one wheel bucket in nanoseconds (8.192 µs).
-pub const BUCKET_GRANULARITY_NS: u64 = 1 << BUCKET_SHIFT;
+const BUCKET_SHIFT: u32 = 13;
 /// Number of near-horizon buckets. 4096 × 8.192 µs ≈ 33.6 ms of horizon —
 /// comfortably past every MAC/TCP timeout in the workload; only warmup and
 /// run-horizon sentinels overflow.
-pub const WHEEL_BUCKETS: usize = 4096;
+const WHEEL_BUCKETS: usize = 4096;
 
 const WHEEL_MASK: u64 = WHEEL_BUCKETS as u64 - 1;
 const WORDS: usize = WHEEL_BUCKETS / 64;

@@ -9,7 +9,7 @@
 //!   bit-stable across platforms and dependency upgrades;
 //! * [`timer::TimerSet`] — generation-counted lazy-cancellation timers;
 //! * [`stats`] — Welford accumulators and per-category time ledgers;
-//! * [`alloc_count`] — an opt-in counting global allocator, the
+//! * [`CountingAlloc`] — an opt-in counting global allocator, the
 //!   measurement side of the allocation-light hot-path work;
 //! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:
 //!   indices handed out off a shared cursor, results back in index
@@ -30,7 +30,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_count;
+mod alloc_count;
 pub mod event;
 pub mod pool;
 pub mod rng;

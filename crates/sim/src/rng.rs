@@ -72,15 +72,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -210,20 +201,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear in 1000 draws");
-    }
-
-    #[test]
-    fn range_inclusive_endpoints_reachable() {
-        let mut rng = Rng::seed_from_u64(9);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2000 {
-            let v = rng.range_inclusive(3, 6);
-            assert!((3..=6).contains(&v));
-            lo_seen |= v == 3;
-            hi_seen |= v == 6;
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Running {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (0 if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -168,7 +163,6 @@ mod tests {
         r.push(7.0);
         assert_eq!(r.mean(), 7.0);
         assert_eq!(r.variance(), 0.0);
-        assert_eq!(r.stddev(), 0.0);
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl Connection {
         self.cwnd
     }
 
-    /// Current retransmission timeout, for instrumentation.
-    pub fn rto(&self) -> Duration {
-        self.rto
-    }
-
     fn recv_window(&self) -> u16 {
         self.cfg.recv_buffer.saturating_sub(self.rx_buf.len()).min(u16::MAX as usize) as u16
     }

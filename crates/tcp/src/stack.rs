@@ -59,11 +59,6 @@ impl TcpStack {
         &mut self.sockets[h.0]
     }
 
-    /// Read-only access.
-    pub fn socket_ref(&self, h: SocketHandle) -> &Connection {
-        &self.sockets[h.0]
-    }
-
     /// Dispatches an incoming, already-validated segment.
     pub fn on_segment(&mut self, now: Instant, ip: &Ipv4Repr, repr: &TcpRepr, payload: &[u8]) {
         let from = Endpoint::new(ip.src, repr.src_port);

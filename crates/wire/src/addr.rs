@@ -12,8 +12,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The all-ones broadcast address.
     pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-    /// The all-zero (unset) address.
-    pub const NULL: MacAddr = MacAddr([0x00; 6]);
 
     /// A locally administered unicast address derived from a small node id.
     ///
@@ -27,16 +25,6 @@ impl MacAddr {
     /// True for the broadcast address.
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
-    }
-
-    /// True for a multicast (group) address: low bit of first octet set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for an ordinary unicast address.
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast()
     }
 
     /// Raw octets.
@@ -67,8 +55,6 @@ impl From<[u8; 6]> for MacAddr {
 pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
-    /// The unspecified address 0.0.0.0.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr([0; 4]);
     /// The limited broadcast address 255.255.255.255.
     pub const BROADCAST: Ipv4Addr = Ipv4Addr([0xFF; 4]);
 
@@ -90,11 +76,6 @@ impl Ipv4Addr {
     /// True for the limited broadcast address.
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
-    }
-
-    /// True for 0.0.0.0.
-    pub fn is_unspecified(&self) -> bool {
-        *self == Self::UNSPECIFIED
     }
 }
 
@@ -155,14 +136,13 @@ mod tests {
     #[test]
     fn mac_broadcast_properties() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::BROADCAST.is_unicast());
+        assert_eq!(MacAddr::BROADCAST.octets()[0] & 0x01, 1, "the group bit is set");
     }
 
     #[test]
     fn mac_from_node_id_is_local_unicast() {
         let m = MacAddr::from_node_id(3);
-        assert!(m.is_unicast());
+        assert_eq!(m.octets()[0] & 0x01, 0, "unicast: the group bit is clear");
         assert!(!m.is_broadcast());
         assert_eq!(m.octets()[5], 3);
         assert_ne!(MacAddr::from_node_id(1), MacAddr::from_node_id(2));

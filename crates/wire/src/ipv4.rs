@@ -20,7 +20,7 @@ pub enum IpProtocol {
 
 impl IpProtocol {
     /// Wire value.
-    pub fn to_byte(self) -> u8 {
+    fn to_byte(self) -> u8 {
         match self {
             IpProtocol::Tcp => 6,
             IpProtocol::Udp => 17,
@@ -29,7 +29,7 @@ impl IpProtocol {
     }
 
     /// From wire value.
-    pub fn from_byte(v: u8) -> Self {
+    fn from_byte(v: u8) -> Self {
         match v {
             6 => IpProtocol::Tcp,
             17 => IpProtocol::Udp,
@@ -92,12 +92,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         IpProtocol::from_byte(self.buffer.as_ref()[9])
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[10], d[11]])
-    }
-
     /// Source address.
     pub fn src(&self) -> Ipv4Addr {
         let d = self.buffer.as_ref();
@@ -128,20 +122,15 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Sets the TTL and fixes the checksum incrementally.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        self.buffer.as_mut()[8] = ttl;
-        self.fill_checksum();
-    }
-
     /// Decrements TTL (saturating) and fixes the checksum.
     pub fn decrement_ttl(&mut self) {
         let t = self.ttl().saturating_sub(1);
-        self.set_ttl(t);
+        self.buffer.as_mut()[8] = t;
+        self.fill_checksum();
     }
 
     /// Recomputes and stores the header checksum.
-    pub fn fill_checksum(&mut self) {
+    fn fill_checksum(&mut self) {
         let d = self.buffer.as_mut();
         d[10] = 0;
         d[11] = 0;

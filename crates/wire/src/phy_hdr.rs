@@ -39,12 +39,14 @@ pub struct PhyHeader {
 
 impl PhyHeader {
     /// A header describing a frame with only a unicast portion.
-    pub fn unicast_only(rate: RateCode, len: u16) -> Self {
+    #[cfg(test)]
+    fn unicast_only(rate: RateCode, len: u16) -> Self {
         PhyHeader { bcast_rate: rate, ucast_rate: rate, bcast_len: 0, ucast_len: len }
     }
 
     /// A header describing a frame with only a broadcast portion.
-    pub fn broadcast_only(rate: RateCode, len: u16) -> Self {
+    #[cfg(test)]
+    fn broadcast_only(rate: RateCode, len: u16) -> Self {
         PhyHeader { bcast_rate: rate, ucast_rate: rate, bcast_len: len, ucast_len: 0 }
     }
 

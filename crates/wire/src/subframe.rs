@@ -21,7 +21,7 @@ pub const HEADER_LEN: usize = 26;
 /// FCS length (bytes).
 pub const FCS_LEN: usize = 4;
 /// Subframes are padded to multiples of this.
-pub const ALIGN: usize = 4;
+const ALIGN: usize = 4;
 /// Minimum on-air subframe size; Hydra pads short frames (a pure TCP ACK
 /// becomes exactly 160 B on air, matching the paper's §5).
 pub const MIN_SUBFRAME: usize = 160;
@@ -72,12 +72,12 @@ const FC_NO_ACK: u16 = 0x0020;
 
 mod field {
     use core::ops::Range;
-    pub const FRAME_CONTROL: Range<usize> = 0..2;
-    pub const DURATION: Range<usize> = 2..4;
-    pub const ADDR1: Range<usize> = 4..10;
-    pub const ADDR2: Range<usize> = 10..16;
-    pub const ADDR3: Range<usize> = 16..22;
-    pub const LENGTH: Range<usize> = 22..24;
+    pub(super) const FRAME_CONTROL: Range<usize> = 0..2;
+    pub(super) const DURATION: Range<usize> = 2..4;
+    pub(super) const ADDR1: Range<usize> = 4..10;
+    pub(super) const ADDR2: Range<usize> = 10..16;
+    pub(super) const ADDR3: Range<usize> = 16..22;
+    pub(super) const LENGTH: Range<usize> = 22..24;
     // Bytes 24..26 are reserved and sent as zero (keeps the header at
     // the paper's 26 B: 2+2+6+6+6+2 = 24 payload-bearing bytes + 2).
 }
@@ -116,7 +116,7 @@ impl<T: AsRef<[u8]>> Subframe<T> {
     }
 
     /// Raw frame-control field.
-    pub fn frame_control(&self) -> u16 {
+    fn frame_control(&self) -> u16 {
         let d = self.buffer.as_ref();
         u16::from_le_bytes([d[field::FRAME_CONTROL.start], d[field::FRAME_CONTROL.start + 1]])
     }
@@ -207,7 +207,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Subframe<T> {
     }
 
     /// Sets type and flags.
-    pub fn set_type_flags(&mut self, ty: FrameType, retry: bool, no_ack: bool) {
+    fn set_type_flags(&mut self, ty: FrameType, retry: bool, no_ack: bool) {
         let mut fc = ty.to_bits();
         if retry {
             fc |= FC_RETRY;
@@ -219,38 +219,32 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Subframe<T> {
     }
 
     /// Sets the NAV duration (µs).
-    pub fn set_duration_us(&mut self, us: u16) {
+    fn set_duration_us(&mut self, us: u16) {
         self.buffer.as_mut()[field::DURATION].copy_from_slice(&us.to_le_bytes());
     }
 
     /// Sets the receiver address.
-    pub fn set_addr1(&mut self, a: MacAddr) {
+    fn set_addr1(&mut self, a: MacAddr) {
         self.buffer.as_mut()[field::ADDR1].copy_from_slice(&a.octets());
     }
 
     /// Sets the transmitter address.
-    pub fn set_addr2(&mut self, a: MacAddr) {
+    fn set_addr2(&mut self, a: MacAddr) {
         self.buffer.as_mut()[field::ADDR2].copy_from_slice(&a.octets());
     }
 
     /// Sets the source address.
-    pub fn set_addr3(&mut self, a: MacAddr) {
+    fn set_addr3(&mut self, a: MacAddr) {
         self.buffer.as_mut()[field::ADDR3].copy_from_slice(&a.octets());
     }
 
     /// Sets the payload length field.
-    pub fn set_payload_len(&mut self, len: u16) {
+    fn set_payload_len(&mut self, len: u16) {
         self.buffer.as_mut()[field::LENGTH].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let len = self.payload_len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..HEADER_LEN + len]
-    }
-
     /// Computes and stores the FCS. Call last.
-    pub fn fill_fcs(&mut self) {
+    fn fill_fcs(&mut self) {
         let len = self.payload_len() as usize;
         let d = self.buffer.as_mut();
         let fcs = crc32(&d[..HEADER_LEN + len]);
@@ -279,7 +273,7 @@ pub struct SubframeRepr {
 
 impl SubframeRepr {
     /// The *padded on-air* size of a subframe carrying `payload_len` bytes:
-    /// header + payload + FCS, rounded up to [`ALIGN`], floored at
+    /// header + payload + FCS, rounded up to a multiple of 4, floored at
     /// [`MIN_SUBFRAME`].
     pub fn on_air_len(payload_len: usize) -> usize {
         let raw = HEADER_LEN + payload_len + FCS_LEN;

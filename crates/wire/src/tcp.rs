@@ -36,14 +36,14 @@ impl TcpFlags {
     }
 
     /// True if any bit of `other` is set.
-    pub const fn intersects(self, other: TcpFlags) -> bool {
+    const fn intersects(self, other: TcpFlags) -> bool {
         self.0 & other.0 != 0
     }
 
     /// The paper's "pure TCP ACK" test, evaluated on flags alone:
     /// ACK set, and none of SYN/FIN/RST (connection setup/teardown/abort).
     /// Callers must additionally require an empty payload.
-    pub const fn is_bare_ack(self) -> bool {
+    const fn is_bare_ack(self) -> bool {
         self.contains(TcpFlags::ACK)
             && !self.intersects(TcpFlags(TcpFlags::SYN.0 | TcpFlags::FIN.0 | TcpFlags::RST.0))
     }
@@ -149,8 +149,10 @@ impl TcpRepr {
         ))
     }
 
-    /// The paper's "pure TCP ACK" predicate for a whole segment.
-    pub fn is_pure_ack(&self, payload_len: usize) -> bool {
+    /// The paper's "pure TCP ACK" predicate for a whole segment: the
+    /// oracle [`looks_like_pure_ack`] is tested against.
+    #[cfg(test)]
+    fn is_pure_ack(&self, payload_len: usize) -> bool {
         payload_len == 0 && self.flags.is_bare_ack()
     }
 }
