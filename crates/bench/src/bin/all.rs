@@ -7,9 +7,10 @@
 //!
 //! Each table's grid is its file under `examples/sweeps/`, compiled in,
 //! run at the file's `#! seeds=` replications — or at `--seeds N` for
-//! every file when the flag is given. A NAME selects one entry of
-//! [`experiments::TABLES`] (`all --help` lists them); named tables print
-//! in registry order and leave results/experiments.txt as it is.
+//! every file when the flag is given. A NAME selects one shipped file
+//! by its name ([`experiments::names`]; `all --help` lists them); named
+//! tables print in registry order and leave results/experiments.txt as
+//! it is.
 //!
 //! By default runs consult (and extend) the persistent result cache at
 //! `results/cache/runs.jsonl`: a warm rerun simulates nothing and
@@ -21,7 +22,7 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use hydra_bench::experiments::{self, Opts, TABLES};
+use hydra_bench::experiments::{self, Opts};
 use hydra_bench::ConcurrentCache;
 use hydra_netsim::check_seeds;
 
@@ -44,9 +45,9 @@ options:
 names:
 ";
 
-/// The usage text, the table names appended from [`TABLES`].
+/// The usage text, the table names appended from [`experiments::names`].
 fn help() -> String {
-    TABLES.iter().fold(HELP.to_string(), |text, (name, _)| text + "  " + name + "\n")
+    experiments::names().fold(HELP.to_string(), |text, name| text + "  " + name + "\n")
 }
 
 fn die(msg: &str) -> ! {
@@ -79,8 +80,8 @@ fn parse(argv: &[String]) -> Result<Cli, String> {
             "--no-cache" => cli.use_cache = false,
             "--help" => cli.help = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            name if !TABLES.iter().any(|(n, _)| *n == name) => {
-                let valid: Vec<&str> = TABLES.iter().map(|(n, _)| *n).collect();
+            name if !experiments::names().any(|n| n == name) => {
+                let valid: Vec<&str> = experiments::names().collect();
                 return Err(format!("unknown table {name}; valid names: {}", valid.join(" ")));
             }
             name if cli.names.iter().any(|n| n == name) => {}
@@ -162,8 +163,8 @@ mod tests {
     #[test]
     fn a_repeated_name_runs_once() {
         assert_eq!(
-            split("ext_spatial fig07_agg_size ext_spatial").unwrap().names,
-            ["ext_spatial", "fig07_agg_size"]
+            split("ext_spatial_rts fig07_agg_size ext_spatial_rts").unwrap().names,
+            ["ext_spatial_rts", "fig07_agg_size"]
         );
     }
 
@@ -171,11 +172,13 @@ mod tests {
     fn an_unknown_name_is_an_error_that_lists_the_valid_names() {
         let e = split("fig11_2hop fig99_nope").unwrap_err();
         assert!(e.starts_with("unknown table fig99_nope; valid names: "), "{e}");
-        for (name, _) in TABLES {
+        for name in experiments::names() {
             assert!(e.split(' ').any(|w| w == name), "{name} missing from: {e}");
         }
-        // A sweep file that is not a table of its own selects nothing.
-        assert!(split("ext_spatial_rts").is_err());
+        // Every shipped file is a table of its own, selected by its file
+        // name; the two spatial files no longer share one.
+        assert_eq!(split("ext_spatial_reuse ext_spatial_rts").unwrap().names.len(), 2);
+        assert!(split("ext_spatial").is_err());
     }
 
     #[test]

@@ -1,25 +1,29 @@
-//! One function per table/figure of the paper's evaluation (§6).
+//! The paper's tables and figures (§6), with this reproduction's
+//! extensions and ablations: one per shipped `.scn` file.
 //!
-//! Each experiment's scenario grid is its checked-in `.scn` file under
-//! `examples/sweeps/`, compiled in: the file is the only definition of
-//! the grid. Its spec lines are the table's cells in row-major order,
-//! its `#! caption=` titles the table and its `#! seeds=` sets the
-//! replication count (unless [`Opts::seeds`] overrides it). A renderer
-//! runs its file as one sweep on the parallel [`ExperimentRunner`],
-//! cuts the flat results into rows of its table's width, reads each
-//! row's label from the row's first spec, and folds the rows into a
-//! [`Table`] with the paper's numbers (where published) side by side
-//! with this reproduction's measurements. Absolute values depend on
+//! Each experiment is its checked-in file under `examples/sweeps/`,
+//! compiled in, and the file is the table. Its spec lines are the grid,
+//! its `#! caption=` titles the table, its `#! seeds=` sets the
+//! replication count (unless [`Opts::seeds`] overrides it), its
+//! `#! note=` lines are the footnotes and its `#! paper=` lines quote
+//! the paper's numbers. A file with a table block (`#! rows=`,
+//! `#! col=`, …; `docs/SCENARIO_FORMAT.md`) is drawn by [`render`],
+//! which joins every (row, column) pair to the one spec line whose
+//! fields match it — by value, so the lines may come in any order. A
+//! file the grammar cannot draw keeps a named renderer of the same
+//! signature, which reads its paper values and notes from the file
+//! (`docs/REACH.md` says what each one needs). Absolute values depend on
 //! testbed quirks we cannot recover; the *shapes* — who wins, by
 //! roughly what factor, where crossovers fall — are the claims being
 //! reproduced (docs/REPRODUCTION.md states the claim of each table).
 
 use std::sync::Arc;
 
-use hydra_netsim::{parse_scn_file, FlowTraffic, MediumKind, ScenarioSpec, SweepFile, TopologyKind};
+use hydra_netsim::{
+    parse_scn_file, FlowTraffic, Metric, Policy, RunOutcome, ScenarioSpec, Selector, SweepFile, TopologyKind,
+};
 use hydra_phy::LinkErrorModel;
 
-use crate::paper;
 use crate::report::{bytes, mbps, pct, Table};
 use crate::runner::{failure_lines, CellResult, ExperimentRunner};
 use crate::sweeps::{ConcurrentCache, SharedCache};
@@ -61,22 +65,6 @@ impl Opts {
         ExperimentRunner::new(self.threads).with_cache(Arc::clone(&self.cache))
     }
 
-    /// Runs shipped sweep `name` — its file's specs, [`Opts::seeds`] or
-    /// else the file's `#! seeds=` replications each — and returns the
-    /// file's caption with one cell per spec, in file order.
-    fn run(&self, name: &str) -> (String, Vec<CellResult>) {
-        let SweepFile { meta, specs } = shipped(name);
-        let seeds = self.seeds.or(meta.seeds).unwrap_or_else(|| panic!("{}: no `#! seeds=`", path(name)));
-        let caption = meta.caption.unwrap_or_else(|| panic!("{}: no `#! caption=`", path(name)));
-        (caption, self.run_sweep(name, &specs, seeds))
-    }
-
-    /// [`Opts::run`] with the cells cut into rows of `width`.
-    fn run_rows(&self, name: &str, width: usize) -> (String, Vec<Vec<CellResult>>) {
-        let (caption, cells) = self.run(name);
-        (caption, rows(name, cells, width))
-    }
-
     /// Runs `specs`, logging every failed replication under the cell's
     /// index in `examples/sweeps/<name>.scn`.
     fn run_sweep(&self, name: &str, specs: &[ScenarioSpec], seeds: u64) -> Vec<CellResult> {
@@ -93,75 +81,53 @@ impl Opts {
     }
 }
 
-/// Builds the registry from sweep names: each entry is the name and the
-/// text of `examples/sweeps/<name>.scn`, so the two cannot disagree.
+/// Draws a file's tables from its cells: one per spec line, in file
+/// order.
+type Render = fn(&SweepFile, &[CellResult]) -> Vec<Table>;
+
+/// Builds the registry: each entry is a sweep name, the text of
+/// `examples/sweeps/<name>.scn` (so the two cannot disagree) and the
+/// file's renderer.
 macro_rules! sweep_files {
-    ($($name:literal),* $(,)?) => {
-        [$(($name, include_str!(concat!("../../../examples/sweeps/", $name, ".scn")))),*]
+    ($($name:literal => $render:expr),* $(,)?) => {
+        [$(($name, include_str!(concat!("../../../examples/sweeps/", $name, ".scn")), $render as Render)),*]
     };
 }
 
-/// Every shipped experiment grid, in the order [`TABLES`] renders them.
-const SHIPPED: [(&str, &str); 25] = sweep_files![
-    "fig07_agg_size",
-    "table2_udp",
-    "fig08_unicast_tcp",
-    "fig09_flooding",
-    "fig10_fixed_bcast",
-    "fig11_2hop",
-    "fig12_topologies",
-    "fig13_delayed",
-    "fig14_no_forward",
-    "table3_relay",
-    "table4_time_overhead",
-    "table5_6_7_star",
-    "table8_frame_sizes",
-    "ext_topologies",
-    "ext_spatial_reuse",
-    "ext_spatial_rts",
-    "ext_mixed",
-    "ext_scale",
-    "ext_burst",
-    "ablation_block_ack",
-    "ablation_rate_adaptive_sizing",
-    "ablation_dba_flush",
-    "ablation_rts_cts",
-    "ablation_delayed_ack",
-    "ablation_broadcast_position",
+/// Every shipped experiment, in the order `all` prints them; the name
+/// selects it (`all NAME`).
+const SHIPPED: [(&str, &str, Render); 25] = sweep_files![
+    "fig07_agg_size" => render,
+    "table2_udp" => render,
+    "fig08_unicast_tcp" => render,
+    "fig09_flooding" => render,
+    "fig10_fixed_bcast" => render,
+    "fig11_2hop" => fig11_2hop,
+    "fig12_topologies" => fig12_topologies,
+    "fig13_delayed" => render,
+    "fig14_no_forward" => render,
+    "table3_relay" => table3_relay,
+    "table4_time_overhead" => render,
+    "table5_6_7_star" => table5_6_7_star,
+    "table8_frame_sizes" => table8_frame_sizes,
+    "ext_topologies" => render,
+    "ext_spatial_reuse" => render,
+    "ext_spatial_rts" => render,
+    "ext_mixed" => ext_mixed,
+    "ext_scale" => ext_scale,
+    "ext_burst" => ext_burst,
+    "ablation_block_ack" => render,
+    "ablation_rate_adaptive_sizing" => render,
+    "ablation_dba_flush" => ablation_dba_flush,
+    "ablation_rts_cts" => render,
+    "ablation_delayed_ack" => render,
+    "ablation_broadcast_position" => ablation_broadcast_position,
 ];
 
-/// Runs one entry of [`TABLES`] and returns its tables.
-type Render = fn(&Opts) -> Vec<Table>;
-
-/// Every table `all` prints, by the name that selects it (`all NAME`),
-/// in print order. A name is its sweep file's, except `ext_spatial`,
-/// which renders `ext_spatial_reuse` and `ext_spatial_rts` as two tables.
-pub const TABLES: [(&str, Render); 24] = [
-    ("fig07_agg_size", |o| vec![fig07_agg_size(o)]),
-    ("table2_udp", |o| vec![table2_udp(o)]),
-    ("fig08_unicast_tcp", |o| vec![fig08_unicast_tcp(o)]),
-    ("fig09_flooding", |o| vec![fig09_flooding(o)]),
-    ("fig10_fixed_bcast", |o| vec![fig10_fixed_bcast(o)]),
-    ("fig11_2hop", |o| vec![fig11_2hop(o)]),
-    ("fig12_topologies", |o| vec![fig12_topologies(o)]),
-    ("fig13_delayed", |o| vec![fig13_delayed(o)]),
-    ("fig14_no_forward", |o| vec![fig14_no_forward(o)]),
-    ("table3_relay", |o| vec![table3_relay(o)]),
-    ("table4_time_overhead", |o| vec![table4_time_overhead(o)]),
-    ("table5_6_7_star", table5_6_7_star),
-    ("table8_frame_sizes", |o| vec![table8_frame_sizes(o)]),
-    ("ext_topologies", |o| vec![ext_topologies(o)]),
-    ("ext_spatial", ext_spatial),
-    ("ext_mixed", |o| vec![ext_mixed(o)]),
-    ("ext_scale", |o| vec![ext_scale(o)]),
-    ("ext_burst", |o| vec![ext_burst(o)]),
-    ("ablation_block_ack", |o| vec![ablation_block_ack(o)]),
-    ("ablation_rate_adaptive_sizing", |o| vec![ablation_rate_adaptive_sizing(o)]),
-    ("ablation_dba_flush", |o| vec![ablation_dba_flush(o)]),
-    ("ablation_rts_cts", |o| vec![ablation_rts_cts(o)]),
-    ("ablation_delayed_ack", |o| vec![ablation_delayed_ack(o)]),
-    ("ablation_broadcast_position", |o| vec![ablation_broadcast_position(o)]),
-];
+/// The shipped experiments' names, in print order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    SHIPPED.iter().map(|&(name, ..)| name)
+}
 
 fn path(name: &str) -> String {
     format!("examples/sweeps/{name}.scn")
@@ -169,418 +135,317 @@ fn path(name: &str) -> String {
 
 /// Shipped sweep `name`'s file, parsed (strictly: directives included).
 fn shipped(name: &str) -> SweepFile {
-    let (_, text) =
-        SHIPPED.iter().find(|(n, _)| *n == name).unwrap_or_else(|| panic!("unknown shipped sweep `{name}`"));
+    let (_, text, _) =
+        SHIPPED.iter().find(|(n, ..)| *n == name).unwrap_or_else(|| panic!("unknown shipped sweep `{name}`"));
     parse_scn_file(text).unwrap_or_else(|e| panic!("{}:{e}", path(name)))
-}
-
-/// Cuts sweep `name`'s row-major cells into rows of `width`. A file
-/// whose cell count is not a whole number of rows does not fit its
-/// table: that panics, naming the file, rather than drop cells.
-fn rows<T>(name: &str, cells: Vec<T>, width: usize) -> Vec<Vec<T>> {
-    let n = cells.len();
-    assert!(n.is_multiple_of(width), "{}: {n} scenarios do not fill whole rows of {width}", path(name));
-    let mut cells = cells.into_iter();
-    (0..n / width).map(|_| cells.by_ref().take(width).collect()).collect()
 }
 
 /// Every shipped experiment grid as the spec list its file under
 /// `examples/sweeps/` carries, in registry order.
 pub fn shipped_sweeps() -> Vec<(&'static str, Vec<ScenarioSpec>)> {
-    SHIPPED.iter().map(|&(name, _)| (name, shipped(name).specs)).collect()
+    names().map(|name| (name, shipped(name).specs)).collect()
 }
-
-/// `num`'s mean throughput over `den`'s, or `None` when either cell
-/// has a failed replication or `den` delivered nothing: a ratio with a
-/// failed or starved side is no number, and [`ratio_cell`] prints it
-/// as `-`.
-fn ratio(num: &CellResult, den: &CellResult) -> Option<f64> {
-    let d = den.mean_throughput_bps();
-    (!num.failed() && !den.failed() && d != 0.0).then(|| num.mean_throughput_bps() / d)
-}
-
-/// A ratio column's cell: `f(r)`, or `-` for no ratio.
-fn ratio_cell(r: Option<f64>, f: impl FnOnce(f64) -> String) -> String {
-    r.map_or_else(|| "-".to_string(), f)
-}
-
-/// [`ratio`] as a percentage gain of `num` over `den`.
-fn gain_pct(num: &CellResult, den: &CellResult) -> Option<f64> {
-    ratio(num, den).map(|r| (r - 1.0) * 100.0)
-}
-
-/// Asserts a cell joined to a paper row by position is the paper's
-/// policy on the paper's topology, so a reordered file fails here
-/// instead of printing a wrong paper number beside the cell.
-fn assert_cell(name: &str, cell: &CellResult, policy: &str, topology: TopologyKind) {
-    let spec = &cell.spec;
-    assert!(
-        spec.policy.name() == policy && spec.topology == topology,
-        "{}: `{}` stands where the paper's {policy} on {topology:?} belongs",
-        path(name),
-        spec.to_scn()
-    );
-}
-
-// ----------------------------------------------------------------------
-// Figure 7 — throughput vs maximum aggregation size (1-hop UDP)
-// ----------------------------------------------------------------------
-
-/// Figure 7: throughput climbs with the aggregation cap, then collapses
-/// once aggregates outgrow the ~120 Ksample channel-coherence budget
-/// (5 / 11 / 15 KB at 0.65 / 1.3 / 1.95 Mbps).
-fn fig07_agg_size(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig07_agg_size", 3);
-
-    let mut t = Table::new(caption, &["max agg (KB)", "0.65 Mbps", "1.30 Mbps", "1.95 Mbps"]);
-    for row in &results {
-        let mut cells = vec![format!("{}", row[0].spec.max_aggregate / 1024)];
-        cells.extend(row.iter().map(|c| c.cell_with(|r| mbps(r.throughput_bps))));
-        t.row(cells);
-    }
-    for (rate, thr) in paper::FIG7_THRESHOLDS {
-        t.note(format!("paper: cliff at ~{thr} KB for {rate} Mbps (~120 Ksamples)"));
-    }
-    t
-}
-
-// ----------------------------------------------------------------------
-// Table 2 — 2-hop UDP, NA vs UA
-// ----------------------------------------------------------------------
 
 /// Table 2's cells: (NA, UA) per rate at the paper's operating points,
-/// read from `examples/sweeps/table2_udp.scn`.
+/// joined from the table block of `examples/sweeps/table2_udp.scn`.
 pub fn table2_udp_specs() -> Vec<Vec<ScenarioSpec>> {
-    rows("table2_udp", shipped("table2_udp").specs, 2)
-}
-
-/// Table 2: UDP over 2 hops, no aggregation vs unicast aggregation.
-///
-/// The paper's UDP app semantics ("data interval 3 s") are unrecoverable;
-/// the file reproduces its *operating point* instead, offering the load
-/// the paper's UA sustained (~1.1× NA capacity; docs/REPRODUCTION.md,
-/// Table 2 row).
-fn table2_udp(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("table2_udp", 2);
-    assert_eq!(results.len(), paper::TABLE2.len(), "{}: one row per paper rate", path("table2_udp"));
-
-    let mut t = Table::new(
-        caption,
-        &["rate", "NA paper", "NA here", "UA paper", "UA here", "gain paper", "gain here"],
-    );
-    for (row, (p_rate, p_na, p_ua, p_gain)) in results.iter().zip(paper::TABLE2) {
-        let rate = row[0].spec.rate;
-        assert_eq!(rate.mbps(), p_rate, "{}: rows out of the paper's rate order", path("table2_udp"));
-        assert_cell("table2_udp", &row[0], "NA", TopologyKind::Linear(2));
-        assert_cell("table2_udp", &row[1], "UA", TopologyKind::Linear(2));
-        let gain = ratio_cell(gain_pct(&row[1], &row[0]), |g| format!("{g:.1}%"));
-        t.row(vec![
-            format!("{rate}"),
-            format!("{p_na:.3}"),
-            row[0].mean_cell(),
-            format!("{p_ua:.3}"),
-            row[1].mean_cell(),
-            format!("{p_gain:.1}%"),
-            gain,
-        ]);
-    }
-    t.note("offered load set to the paper's UA operating point (~1.1x NA capacity)");
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 8 — TCP with unicast aggregation (2- and 3-hop)
-// ----------------------------------------------------------------------
-
-/// A rate-labelled throughput table: one row per rate (the row's first
-/// spec's), one mean-throughput column per cell.
-fn rate_table(caption: String, headers: &[&str], results: &[Vec<CellResult>]) -> Table {
-    let mut t = Table::new(caption, headers);
-    for row in results {
-        let mut cells = vec![format!("{}", row[0].spec.rate)];
-        cells.extend(row.iter().map(CellResult::mean_cell));
-        t.row(cells);
-    }
-    t
-}
-
-/// Figure 8: one-way TCP transfer, NA vs UA, 2- and 3-hop chains.
-fn fig08_unicast_tcp(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig08_unicast_tcp", 4);
-    let mut t = rate_table(caption, &["rate", "2-hop NA", "2-hop UA", "3-hop NA", "3-hop UA"], &results);
-    t.note("paper: UA > NA everywhere; improvement grows with rate; 2-hop > 3-hop");
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 9 — UDP under flooding
-// ----------------------------------------------------------------------
-
-/// Figure 9: 2-hop UDP goodput vs flooding interval, aggregation on/off.
-fn fig09_flooding(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig09_flooding", 4);
-
-    let mut t = Table::new(caption, &["flood interval", "0.65 NA", "0.65 BA", "1.30 NA", "1.30 BA"]);
-    for row in &results {
-        let flood = row[0].spec.flooding.expect("every fig09 cell floods");
-        let mut cells = vec![format!("{:.2}s", flood.interval.as_millis() as f64 / 1000.0)];
-        cells.extend(row.iter().map(|c| c.cell_with(|r| mbps(r.throughput_bps))));
-        t.row(cells);
-    }
-    t.note("paper: gap between aggregation and NA widens as the flooding interval shrinks");
-    t.note("paper anchors at 5 s interval: 0.26 (0.65 Mbps) and 0.47 (1.3 Mbps) with aggregation");
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 10 — BA with a fixed broadcast rate
-// ----------------------------------------------------------------------
-
-/// Figure 10: 2-hop TCP; the broadcast (ACK) portion rides at a fixed
-/// rate while the unicast rate sweeps.
-fn fig10_fixed_bcast(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig10_fixed_bcast", 4);
-    let mut t = rate_table(caption, &["unicast rate", "BA(0.65)", "BA(1.3)", "BA(2.6)", "UA"], &results);
-    t.note("paper: BA(0.65) beats UA only at 0.65 then falls below; BA(1.3) wins up to 1.3; BA(2.6) wins everywhere");
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 11 — 2-hop TCP ACK aggregation
-// ----------------------------------------------------------------------
-
-/// Figure 11: 2-hop TCP, broadcast rate = unicast rate; NA / UA / BA.
-fn fig11_2hop(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig11_2hop", 3);
-
-    let mut t = Table::new(caption, &["rate", "NA", "UA", "BA", "BA/UA gap"]);
-    let mut max_gap: f64 = 0.0;
-    for row in &results {
-        let gap = gain_pct(&row[2], &row[1]);
-        max_gap = gap.map_or(max_gap, |g| max_gap.max(g));
-        let mut cells = vec![format!("{}", row[0].spec.rate)];
-        cells.extend(row.iter().map(CellResult::mean_cell));
-        cells.push(ratio_cell(gap, |g| format!("{g:+.1}%")));
-        t.row(cells);
-    }
-    t.note(format!(
-        "paper: BA always >= UA, max gap ~{:.0}%; measured max gap {max_gap:.1}%",
-        paper::FIG11_MAX_GAP_PCT
-    ));
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 12 — more complex topologies
-// ----------------------------------------------------------------------
-
-/// Figure 12: 3-hop linear and the 2-session star (worst-case session).
-fn fig12_topologies(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig12_topologies", 5);
-    let mut t =
-        rate_table(caption, &["rate", "3-hop NA", "3-hop UA", "3-hop BA", "star UA", "star BA"], &results);
-    let mut g3: f64 = 0.0;
-    let mut gs: f64 = 0.0;
-    for row in &results {
-        g3 = gain_pct(&row[2], &row[1]).map_or(g3, |g| g3.max(g));
-        gs = gain_pct(&row[4], &row[3]).map_or(gs, |g| gs.max(g));
-    }
-    t.note(format!(
-        "paper: max BA-UA gap {:.1}% (3-hop), {:.1}% (star); measured {g3:.1}% / {gs:.1}%",
-        paper::FIG12_3HOP_GAP_PCT,
-        paper::FIG12_STAR_GAP_PCT
-    ));
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 13 — delayed aggregation
-// ----------------------------------------------------------------------
-
-/// Figure 13: BA vs DBA (relays hold for 3 frames), 2- and 3-hop.
-fn fig13_delayed(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig13_delayed", 4);
-    let mut t = rate_table(caption, &["rate", "2-hop BA", "2-hop DBA", "3-hop BA", "3-hop DBA"], &results);
-    t.note(format!(
-        "paper: DBA ~= BA at low rates; DBA ahead by ~{:.0}% (2-hop) / ~{:.0}% (3-hop) at high rates (smaller than the authors expected)",
-        paper::FIG13_GAPS_PCT.0,
-        paper::FIG13_GAPS_PCT.1
-    ));
-    t
-}
-
-// ----------------------------------------------------------------------
-// Figure 14 — forward vs backward aggregation
-// ----------------------------------------------------------------------
-
-/// Figure 14: 3-hop TCP with forward aggregation disabled, isolating the
-/// benefit of combining opposite-direction traffic.
-fn fig14_no_forward(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("fig14_no_forward", 3);
-
-    let mut t = Table::new(caption, &["rate", "NA", "BA no-forward", "BA", "fwd contribution"]);
-    for row in &results {
-        let mut cells = vec![format!("{}", row[0].spec.rate)];
-        cells.extend(row.iter().map(CellResult::mean_cell));
-        cells.push(ratio_cell(gain_pct(&row[2], &row[1]), |g| format!("{g:+.1}%")));
-        t.row(cells);
-    }
-    t.note(
-        "paper: the BA vs no-forward gap widens with rate (forward aggregation matters more at high rates)",
-    );
-    t
-}
-
-// ----------------------------------------------------------------------
-// Tables 3 & 4 — relay detail and time overhead
-// ----------------------------------------------------------------------
-
-/// Table 3: 2-hop relay averages — frame size, transmissions relative to
-/// NA, size overhead.
-fn table3_relay(opts: &Opts) -> Table {
-    let (caption, results) = opts.run("table3_relay");
-    assert_eq!(results.len(), paper::TABLE3.len(), "{}: one cell per paper policy", path("table3_relay"));
-    let na_base = results[0].first().map(|r| r.report.relay().tx_data_frames as f64);
-
-    let mut t = Table::new(
-        caption,
-        &["policy", "size paper", "size here", "TXs paper", "TXs here", "ovh paper", "ovh here"],
-    );
-    for (cell, (name, p_size, p_tx, p_ovh)) in results.iter().zip(paper::TABLE3) {
-        assert_cell("table3_relay", cell, name, TopologyKind::Linear(2));
-        let Some(run) = cell.first() else {
-            let failed = cell.failed_label();
-            t.row(vec![
-                name.into(),
-                bytes(p_size),
-                failed.clone(),
-                format!("{p_tx:.1}%"),
-                failed.clone(),
-                format!("{p_ovh:.2}%"),
-                failed,
-            ]);
-            continue;
-        };
-        let rel = run.report.relay();
-        let txs = match na_base {
-            Some(base) => format!("{:.1}%", rel.tx_data_frames as f64 / base * 100.0),
-            // The NA baseline cell failed: the ratio is uncomputable.
-            None => results[0].failed_label(),
-        };
-        t.row(vec![
-            name.into(),
-            bytes(p_size),
-            bytes(rel.avg_frame_size),
-            format!("{p_tx:.1}%"),
-            txs,
-            format!("{p_ovh:.2}%"),
-            pct(rel.size_overhead),
-        ]);
-    }
-    t.note("single 0.2 MB transfer at 1.3 Mbps, one seed (the paper does not state its rate)");
-    t
+    grid_specs("table2_udp")
 }
 
 /// Table 4's grid: the paper's rates × NA/UA/BA/DBA on the 2-hop chain,
-/// read from `examples/sweeps/table4_time_overhead.scn`.
+/// joined from the table block of
+/// `examples/sweeps/table4_time_overhead.scn`.
 pub fn table4_time_overhead_specs() -> Vec<Vec<ScenarioSpec>> {
-    rows("table4_time_overhead", shipped("table4_time_overhead").specs, 4)
+    grid_specs("table4_time_overhead")
 }
 
-/// Table 4: 2-hop relay time overhead by rate and policy.
-fn table4_time_overhead(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("table4_time_overhead", 4);
-    assert_eq!(
-        results.len(),
-        paper::TABLE4.len(),
-        "{}: one row per paper rate",
-        path("table4_time_overhead")
-    );
+/// Shipped sweep `name`'s table block as rows of spec lines, one per
+/// column.
+fn grid_specs(name: &str) -> Vec<Vec<ScenarioSpec>> {
+    let file = shipped(name);
+    let cols = file.meta.table.as_ref().map_or(0, |t| t.cols.len());
+    let rows = join(&file, &file.specs, |s| s);
+    rows.into_iter().map(|(_, row)| row[..cols].iter().map(|s| (*s).clone()).collect()).collect()
+}
 
-    let mut t = Table::new(caption, &["rate", "NA", "UA", "BA", "DBA"]);
-    for ((p_rate, p_na, p_ua, p_ba, p_dba), row) in paper::TABLE4.iter().zip(&results) {
-        let rate = row[0].spec.rate;
-        assert_eq!(
-            rate.mbps(),
-            *p_rate,
-            "{}: rows out of the paper's rate order",
-            path("table4_time_overhead")
-        );
-        let mut cells = vec![format!("{rate}")];
-        for ((p, cell), policy) in
-            [p_na, p_ua, p_ba, p_dba].into_iter().zip(row).zip(["NA", "UA", "BA", "DBA"])
-        {
-            assert_cell("table4_time_overhead", cell, policy, TopologyKind::Linear(2));
-            cells.push(cell.cell_with(|r| format!("{p:.1} / {:.1}", r.report.time_overhead_pct(1))));
+/// The rows of `file`'s table block over `items` (one per spec line, in
+/// file order; `spec` reads an item's line): each row's label and, per
+/// selector — the columns', then the gain's numerator and denominator —
+/// the one item of the row it matches. Rows ascend by the row key's
+/// value. A block that does not join (a row and selector matching no
+/// line, or two) panics naming the caption; a test holds every shipped
+/// file to it.
+fn join<'a, T>(
+    file: &SweepFile,
+    items: &'a [T],
+    spec: impl Fn(&T) -> &ScenarioSpec,
+) -> Vec<(String, Vec<&'a T>)> {
+    let caption = file.meta.caption.as_deref().unwrap_or_default();
+    let layout = file.meta.table.as_ref().unwrap_or_else(|| panic!("{caption}: no table block"));
+    let gain = layout.gain.iter().flat_map(|(num, den)| [&num.select, den]);
+    let selectors: Vec<&Selector> = layout.cols.iter().map(|c| &c.select).chain(gain).collect();
+    let keys: Vec<(f64, String)> = items.iter().map(|item| layout.rows.1.row(spec(item))).collect();
+    let mut rows: Vec<&(f64, String)> = keys.iter().collect();
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    rows.dedup_by(|a, b| a.1 == b.1);
+    let cell = |label: &str, (at, sel): (usize, &&Selector)| {
+        let row = items.iter().zip(&keys).filter(|(_, key)| key.1 == label);
+        let found: Vec<&T> = row.filter(|(item, _)| sel.matches(spec(item))).map(|(item, _)| item).collect();
+        match found[..] {
+            [item] => item,
+            _ => panic!("{caption}: row `{label}`, selector {}: {} spec lines, not one", at + 1, found.len()),
         }
-        t.row(cells);
-    }
-    t.note(
-        "overhead = (headers + control + DIFS + SIFS + backoff) / total attributable airtime at the relay",
-    );
-    t.note("the paper's exact ledger is unspecified; orderings and trends are the reproduced claims");
-    t
+    };
+    rows.iter()
+        .map(|(_, label)| (label.clone(), selectors.iter().enumerate().map(|s| cell(label, s)).collect()))
+        .collect()
 }
 
-// ----------------------------------------------------------------------
-// Tables 5–7 — star vs 2-hop relay comparison
-// ----------------------------------------------------------------------
-
-/// Tables 5, 6, 7: relay frame size / size overhead / TX percentage,
-/// 2-hop vs star. The file holds one 2-hop NA baseline, then a
-/// (2-hop, star) pair per paper policy.
-fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
-    let name = "table5_6_7_star";
-    let (_, mut results) = opts.run(name);
-    let na = results.remove(0);
-    assert_cell(name, &na, "NA", TopologyKind::Linear(2));
-    let pairs = rows(name, results, 2);
-    assert_eq!(pairs.len(), paper::TABLE5.len(), "{}: one pair per paper policy", path(name));
-    for (pair, (policy, ..)) in pairs.iter().zip(paper::TABLE5) {
-        assert_cell(name, &pair[0], policy, TopologyKind::Linear(2));
-        assert_cell(name, &pair[1], policy, TopologyKind::Star);
+/// Draws `file`'s table block from `cells` (one per spec line, in file
+/// order): the renderer of every file the grammar expresses. A data
+/// cell is the block's metric, the mean over the cell's successful
+/// replications (`FAILED(reason)` when none succeeded), shown as
+/// `paper / here` when a `#! paper=` line selects its spec, unless the
+/// column gives the paper a column of its own. The gain column is `-`
+/// when either side has a failed replication or the denominator is 0;
+/// it is signed unless it stands beside the paper's gain.
+pub fn render(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let rows = join(file, cells, |c| &c.spec);
+    let Some(layout) = &file.meta.table else { unreachable!("join checked the block") };
+    let (value, unit, precision) = metric(layout.metric);
+    let show = |v: f64| format!("{v:.precision$}");
+    let mut headers = vec![layout.rows.0.as_str()];
+    for col in layout.cols.iter().chain(layout.gain.iter().map(|(num, _)| num)) {
+        headers.extend(col.paper_header.as_deref());
+        headers.push(&col.header);
     }
+    let mut t = Table::new(caption(file), &headers);
+    let paper = |cell: &CellResult| paper_of(file, &cell.spec).map(|v| v[0]);
+    for (label, row) in rows {
+        let mut out = vec![label];
+        for (col, cell) in layout.cols.iter().zip(&row) {
+            let here = mean(cell, value).map_or_else(|| cell.failed_label(), |m| show(m / unit));
+            match (&col.paper_header, paper(cell)) {
+                (Some(_), p) => out.extend([p.map_or_else(dash, show), here]),
+                (None, Some(p)) if cell.first().is_some() => out.push(format!("{} / {here}", show(p))),
+                (None, _) => out.push(here),
+            }
+        }
+        if let (Some((g, _)), [.., num, den]) = (&layout.gain, &row[..]) {
+            let here = gain(num, den, value);
+            if g.paper_header.is_some() {
+                let p = paper(num).zip(paper(den)).map(|(n, d)| (n / d - 1.0) * 100.0);
+                out.extend([p, here].map(|g| g.map_or_else(dash, |g| format!("{g:.1}%"))));
+            } else {
+                out.push(here.map_or_else(dash, |g| format!("{g:+.1}%")));
+            }
+        }
+        t.row(out);
+    }
+    noted(t, file)
+}
 
-    let mut size_t = Table::new("Table 5 — relay frame size (paper / here, B)", &["policy", "2-hop", "star"]);
-    let mut ovh_t =
-        Table::new("Table 6 — relay size overhead (paper / here, %)", &["policy", "2-hop", "star"]);
-    let mut tx_t =
-        Table::new("Table 7 — relay TXs relative to NA (paper / here, %)", &["policy", "2-hop", "star"]);
+fn caption(file: &SweepFile) -> String {
+    file.meta.caption.clone().unwrap_or_default()
+}
+
+/// `t` with `file`'s notes after its own, as a renderer's result.
+fn noted(mut t: Table, file: &SweepFile) -> Vec<Table> {
+    t.notes.extend(file.meta.notes.iter().cloned());
+    vec![t]
+}
+
+fn dash() -> String {
+    "-".to_string()
+}
+
+/// A run's value of `metric`, what divides it for display (bit/s into
+/// Mbps), and the displayed decimals.
+type Value = fn(&RunOutcome) -> f64;
+const THROUGHPUT: Value = |run| run.throughput_bps;
+fn metric(metric: Metric) -> (Value, f64, usize) {
+    match metric {
+        Metric::Throughput => (THROUGHPUT, 1e6, 3),
+        Metric::RelayOverhead => (|run| run.report.time_overhead_pct(1), 1.0, 1),
+    }
+}
+
+/// The mean `value` over `cell`'s successful replications; `None` when
+/// none succeeded.
+fn mean(cell: &CellResult, value: impl Fn(&RunOutcome) -> f64) -> Option<f64> {
+    let (mut sum, mut n) = (0.0, 0u32);
+    for run in cell.ok_runs() {
+        sum += value(run);
+        n += 1;
+    }
+    (n > 0).then(|| sum / f64::from(n))
+}
+
+/// `num`'s mean over `den`'s, or `None` when either cell has a failed
+/// replication or `den`'s mean is zero: a ratio with a failed or
+/// starved side is no number, and prints `-`.
+fn ratio(num: &CellResult, den: &CellResult, value: Value) -> Option<f64> {
+    let (n, d) = (mean(num, value)?, mean(den, value)?);
+    (!num.failed() && !den.failed() && d != 0.0).then(|| n / d)
+}
+
+/// [`ratio`] as a percentage gain.
+fn gain(num: &CellResult, den: &CellResult, value: Value) -> Option<f64> {
+    ratio(num, den, value).map(|r| (r - 1.0) * 100.0)
+}
+
+/// The values of the `#! paper=` line that selects `spec`.
+fn paper_of<'a>(file: &'a SweepFile, spec: &ScenarioSpec) -> Option<&'a [f64]> {
+    file.meta.paper.iter().find(|(sel, _)| sel.matches(spec)).map(|(_, v)| &v[..])
+}
+
+/// The one cell of `cells` whose spec `f` accepts.
+fn pick<'a>(
+    cells: impl IntoIterator<Item = &'a CellResult>,
+    f: impl Fn(&ScenarioSpec) -> bool,
+) -> &'a CellResult {
+    let found: Vec<&CellResult> = cells.into_iter().filter(|c| f(&c.spec)).collect();
+    match found[..] {
+        [cell] => cell,
+        _ => panic!("{} spec lines where one belongs", found.len()),
+    }
+}
+
+/// The one cell of `row` per value of `key` in `values`.
+fn by<'a, K: PartialEq, const N: usize>(
+    row: &[&'a CellResult],
+    key: impl Fn(&ScenarioSpec) -> K,
+    values: [K; N],
+) -> [&'a CellResult; N] {
+    values.map(|v| pick(row.iter().copied(), |s| key(s) == v))
+}
+
+const POLICIES: [Policy; 3] = [Policy::Na, Policy::Ua, Policy::Ba];
+
+/// `cells` grouped by `key`, in the order of each key's first line.
+fn group<'a, K: PartialEq>(
+    cells: impl IntoIterator<Item = &'a CellResult>,
+    key: impl Fn(&ScenarioSpec) -> K,
+) -> Vec<(K, Vec<&'a CellResult>)> {
+    let mut groups: Vec<(K, Vec<&CellResult>)> = Vec::new();
+    for cell in cells {
+        let k = key(&cell.spec);
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(cell),
+            None => groups.push((k, vec![cell])),
+        }
+    }
+    groups
+}
+
+/// The largest of the gains that could be computed, or `-` when none
+/// could.
+fn max_gain(gains: impl Iterator<Item = Option<f64>>) -> String {
+    gains.flatten().reduce(f64::max).map_or_else(dash, |g| format!("{g:.1}%"))
+}
+
+/// Figures 11 and 12: the table block, its last note (the paper's gaps)
+/// followed by the largest BA-over-UA gap measured on each of
+/// `topologies`.
+fn with_gaps(file: &SweepFile, cells: &[CellResult], words: &str, topologies: &[TopologyKind]) -> Vec<Table> {
+    let cols = file.meta.table.as_ref().map_or(0, |t| t.cols.len());
+    let rows = join(file, cells, |c| &c.spec);
+    let gap = |topology| {
+        let ba_over_ua = |row: &[&CellResult]| {
+            let [ua, ba] =
+                by(row, |s| (s.policy, s.topology), [(Policy::Ua, topology), (Policy::Ba, topology)]);
+            gain(ba, ua, THROUGHPUT)
+        };
+        max_gain(rows.iter().map(|(_, row)| ba_over_ua(&row[..cols])))
+    };
+    let gaps: Vec<String> = topologies.iter().map(|&topology| gap(topology)).collect();
+    let mut tables = render(file, cells);
+    if let Some(note) = tables[0].notes.last_mut() {
+        note.push_str(&format!("; measured {words}{}", gaps.join(" / ")));
+    }
+    tables
+}
+
+fn fig11_2hop(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    with_gaps(file, cells, "max gap ", &[TopologyKind::Linear(2)])
+}
+
+fn fig12_topologies(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    with_gaps(file, cells, "", &[TopologyKind::Linear(3), TopologyKind::Star])
+}
+
+/// Table 3: 2-hop relay averages, one row per spec line with a
+/// `#! paper=` line, whose values are the paper's size (B), TXs
+/// relative to NA (%) and size overhead (%).
+fn table3_relay(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let headers = ["policy", "size paper", "size here", "TXs paper", "TXs here", "ovh paper", "ovh here"];
+    let mut t = Table::new(caption(file), &headers);
+    let na = pick(cells, |s| s.policy == Policy::Na);
+    let na_base = na.first().map(|r| r.report.relay().tx_data_frames as f64);
+    for cell in cells {
+        let Some(&[p_size, p_tx, p_ovh]) = paper_of(file, &cell.spec) else { continue };
+        let (size, txs, ovh) = match cell.first() {
+            None => (cell.failed_label(), cell.failed_label(), cell.failed_label()),
+            Some(run) => {
+                let rel = run.report.relay();
+                let txs = match na_base {
+                    Some(base) => format!("{:.1}%", rel.tx_data_frames as f64 / base * 100.0),
+                    // The NA baseline cell failed: the ratio is uncomputable.
+                    None => na.failed_label(),
+                };
+                (bytes(rel.avg_frame_size), txs, pct(rel.size_overhead))
+            }
+        };
+        let name = cell.spec.policy.name().to_string();
+        t.row(vec![name, bytes(p_size), size, format!("{p_tx:.1}%"), txs, format!("{p_ovh:.2}%"), ovh]);
+    }
+    noted(t, file)
+}
+
+/// Tables 5, 6, 7: relay frame size / size overhead / TXs relative to
+/// NA, 2-hop vs star, one row per policy with `#! paper=` lines, whose
+/// values are the paper's size (B), size overhead (%) and TXs (%).
+fn table5_6_7_star(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let na = pick(cells, |s| s.policy == Policy::Na);
+    let mut tables = [
+        ("Table 5 — relay frame size (paper / here, B)", 0),
+        ("Table 6 — relay size overhead (paper / here, %)", 2),
+        ("Table 7 — relay TXs relative to NA (paper / here, %)", 1),
+    ]
+    .map(|(title, precision)| (Table::new(title, &["policy", "2-hop", "star"]), precision));
+    let papered = cells.iter().filter(|c| paper_of(file, &c.spec).is_some());
+    let pairs = group(papered, |s| s.policy);
     // Every column is a ratio against the shared NA baseline, so a
     // single failed cell makes the whole comparison uncomputable:
     // degrade all three tables explicitly rather than abort the grid.
-    if let Some(bad) = std::iter::once(&na).chain(pairs.iter().flatten()).find(|c| c.first().is_none()) {
+    let bad = std::iter::once(na).chain(pairs.iter().flat_map(|(_, pair)| pair.iter().copied()));
+    if let Some(bad) = bad.into_iter().find(|c| c.first().is_none()) {
         let label = bad.failed_label();
-        for t in [&mut size_t, &mut ovh_t, &mut tx_t] {
+        for (t, _) in &mut tables {
             t.note(format!("unavailable: a replication {label}; rerun after the failure is fixed"));
         }
-        return vec![size_t, ovh_t, tx_t];
+        return tables.map(|(t, _)| t).into();
     }
     fn relay(c: &CellResult) -> &hydra_netsim::NodeReport {
         c.first().expect("no failures past the guard").report.relay()
     }
-    let na2 = relay(&na).tx_data_frames as f64;
-    // Paper convention: star NA baseline = 2x the 2-hop NA count.
-    let na_star = na2 * 2.0;
-    for (i, pair) in pairs.iter().enumerate() {
-        let name = pair[0].spec.policy.name();
-        let (r2, rs) = (relay(&pair[0]), relay(&pair[1]));
-        size_t.row(vec![
-            name.into(),
-            format!("{:.0} / {:.0}", paper::TABLE5[i].1, r2.avg_frame_size),
-            format!("{:.0} / {:.0}", paper::TABLE5[i].2, rs.avg_frame_size),
-        ]);
-        ovh_t.row(vec![
-            name.into(),
-            format!("{:.2} / {:.2}", paper::TABLE6[i].1, r2.size_overhead * 100.0),
-            format!("{:.2} / {:.2}", paper::TABLE6[i].2, rs.size_overhead * 100.0),
-        ]);
-        tx_t.row(vec![
-            name.into(),
-            format!("{:.1} / {:.1}", paper::TABLE7[i].1, r2.tx_data_frames as f64 / na2 * 100.0),
-            format!("{:.1} / {:.1}", paper::TABLE7[i].2, rs.tx_data_frames as f64 / na_star * 100.0),
-        ]);
+    let na2 = relay(na).tx_data_frames as f64;
+    for (policy, pair) in &pairs {
+        // Paper convention: star NA baseline = 2x the 2-hop NA count.
+        let sides = by(pair, |s| s.topology, [TopologyKind::Linear(2), TopologyKind::Star])
+            .map(|c| (paper_of(file, &c.spec).expect("a papered cell"), relay(c)));
+        let bases = [na2, na2 * 2.0];
+        for (i, (t, precision)) in tables.iter_mut().enumerate() {
+            let mut row = vec![policy.name().to_string()];
+            for ((paper, r), base) in sides.iter().zip(bases) {
+                let here =
+                    [r.avg_frame_size, r.size_overhead * 100.0, r.tx_data_frames as f64 / base * 100.0];
+                row.push(format!("{:.p$} / {:.p$}", paper[i], here[i], p = *precision));
+            }
+            t.row(row);
+        }
     }
+    let [(mut size_t, _), (ovh_t, _), (mut tx_t, _)] = tables;
     size_t.note("paper: UA size barely changes 2-hop->star; BA grows (cross-session ACK aggregation)");
     // EXPERIMENTS.md does not exist; the note keeps its words because
     // tests/golden/experiments.txt pins every rendered byte.
@@ -588,231 +453,78 @@ fn table5_6_7_star(opts: &Opts) -> Vec<Table> {
     vec![size_t, ovh_t, tx_t]
 }
 
-// ----------------------------------------------------------------------
-// Table 8 — frame sizes at every node
-// ----------------------------------------------------------------------
-
-/// Table 8: average frame size at server / relay(s) / client for 2-hop
-/// and 3-hop chains under UA and BA.
-fn table8_frame_sizes(opts: &Opts) -> Table {
-    let name = "table8_frame_sizes";
-    let (caption, results) = opts.run_rows(name, 2);
-    assert_eq!(results.len(), paper::TABLE8.len(), "{}: one row per paper policy", path(name));
-
-    let mut t = Table::new(
-        caption,
-        &["policy", "server(2)", "relay(2)", "client(2)", "server(3)", "relay1(3)", "relay2(3)", "client(3)"],
-    );
-    for (row, (policy, p)) in results.iter().zip(paper::TABLE8) {
-        assert_cell(name, &row[0], policy, TopologyKind::Linear(2));
-        assert_cell(name, &row[1], policy, TopologyKind::Linear(3));
-        let (Some(two), Some(three)) = (row[0].first(), row[1].first()) else {
-            let mark = |c: &CellResult| {
-                if c.first().is_none() {
-                    c.failed_label()
-                } else {
-                    "-".to_string()
-                }
-            };
-            let (m2, m3) = (mark(&row[0]), mark(&row[1]));
-            t.row(vec![policy.into(), m2.clone(), m2.clone(), m2, m3.clone(), m3.clone(), m3.clone(), m3]);
-            continue;
-        };
-        let (two, three) = (&two.report, &three.report);
-        let g = |r: &hydra_netsim::RunReport, n: usize| r.nodes[n].avg_frame_size;
-        t.row(vec![
-            policy.into(),
-            format!("{:.0} / {:.0}", p[0], g(two, 0)),
-            format!("{:.0} / {:.0}", p[1], g(two, 1)),
-            format!("{:.0} / {:.0}", p[2], g(two, 2)),
-            format!("{:.0} / {:.0}", p[3], g(three, 0)),
-            format!("{:.0} / {:.0}", p[4], g(three, 1)),
-            format!("{:.0} / {:.0}", p[5], g(three, 2)),
-            format!("{:.0} / {:.0}", p[6], g(three, 3)),
-        ]);
+/// Table 8: average frame size at every node of the 2- and 3-hop
+/// chains, one row per policy with `#! paper=` lines, whose values are
+/// the paper's size (B) at each node of the line's chain.
+fn table8_frame_sizes(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let headers =
+        ["policy", "server(2)", "relay(2)", "client(2)", "server(3)", "relay1(3)", "relay2(3)", "client(3)"];
+    let mut t = Table::new(caption(file), &headers);
+    for (policy, pair) in group(cells.iter().filter(|c| paper_of(file, &c.spec).is_some()), |s| s.policy) {
+        let chains = by(&pair, |s| s.topology, [TopologyKind::Linear(2), TopologyKind::Linear(3)]);
+        // Both chains' runs, or neither: a failed cell marks its own
+        // columns and dashes its partner's.
+        let both = chains.iter().all(|c| c.first().is_some());
+        let mut out = vec![policy.name().to_string()];
+        for cell in chains {
+            let paper = paper_of(file, &cell.spec).expect("a papered cell");
+            out.extend(paper.iter().enumerate().map(|(node, p)| match cell.first() {
+                Some(run) if both => format!("{p:.0} / {:.0}", run.report.nodes[node].avg_frame_size),
+                Some(_) => dash(),
+                None => cell.failed_label(),
+            }));
+        }
+        t.row(out);
     }
-    t.note("paper: servers ~2-3 subframe aggregates; clients 2-3 ACK clumps; relay aggregation deepens with hops");
-    t
+    noted(t, file)
 }
 
-// ----------------------------------------------------------------------
-// Extension — topologies beyond the paper (grid & cross)
-// ----------------------------------------------------------------------
-
-/// Extension: the paper stops at 3-hop chains and the star; the
-/// declarative topology layer makes larger shapes one variant away.
-/// A 3×2 grid (corner-to-corner session, 3 hops under x-first routing)
-/// and a cross (two sessions sharing one relay) under UA vs BA.
-fn ext_topologies(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ext_topologies", 4);
-    let mut t = rate_table(caption, &["rate", "grid UA", "grid BA", "cross UA", "cross BA"], &results);
-    t.note(
-        "grid: 3x2, corner-to-corner (3 hops x-first); cross: west->east and north->south sharing one relay",
-    );
-    t.note("worst session reported for the cross, matching the paper's star convention");
-    t.note("grid caveat: x-first routing makes the data (0->1->2->5) and ACK (5->4->3->0) paths");
-    t.note("relay-disjoint, so grid BA gains come from ACK broadcast classification alone — the cross");
-    t.note("isolates the cross-direction relay aggregation the grid cannot show");
-    t
-}
-
-// ----------------------------------------------------------------------
-// Extension — spatial medium: reuse on long chains, hidden terminals
-// ----------------------------------------------------------------------
-
-/// Extension: the paper's testbed packs every node into one
-/// carrier-sense domain, so multi-hop behaviour is pure scheduling. The
-/// spatial medium scales the chain's geometry instead; two effects the
-/// bench could never show appear:
-///
-/// * **Spatial reuse** — once the chain outgrows the interference
-///   footprint (≈4 hops at 5 m spacing under the hydra link budget),
-///   far-apart links transmit concurrently and aggregate goodput beats
-///   the single-domain equivalent, with the gap widening per hop.
-/// * **Hidden terminals & the RTS/CTS crossover** — at 2.5 m everything
-///   senses everything and the handshake is pure overhead (the paper's
-///   regime); at 7 m two-hop neighbours leave carrier-sense range while
-///   still delivering to the node between them, and RTS/CTS flips from
-///   cost to large win.
-fn ext_spatial(opts: &Opts) -> Vec<Table> {
-    // Table A — chain length × medium × policy (UDP saturation, 1.3 Mbps,
-    // 5 m spacing: adjacent links are clean, interference spans ~2 hops).
-    let (caption, results) = opts.run_rows("ext_spatial_reuse", 4);
-
-    let mut reuse = Table::new(
-        caption,
-        &["hops", "shared NA", "shared BA", "spatial NA", "spatial BA", "BA spatial gain"],
-    );
-    for row in &results {
-        let TopologyKind::Linear(hops) = row[0].spec.topology else {
-            panic!("{}: every cell is a linear chain", path("ext_spatial_reuse"))
-        };
-        let mut cells = vec![format!("{hops}")];
-        cells.extend(row.iter().map(|c| c.cell_with(|r| mbps(r.throughput_bps))));
-        cells.push(match (row[1].first(), row[3].first()) {
-            (Some(shared), Some(spatial)) => {
-                format!("{:+.1}%", (spatial.throughput_bps / shared.throughput_bps - 1.0) * 100.0)
-            }
-            _ => "-".to_string(),
-        });
-        reuse.row(cells);
-    }
-    reuse.note(
-        "5 m spacing: delivery 1 hop, carrier sense ~2 hops; beyond ~4 hops far links transmit concurrently",
-    );
-    reuse.note("short chains lose to interference CS cannot see; long chains win on pipelining — the gain grows per hop");
-
-    // Table B — spacing × RTS/CTS (3-hop chain, 0.65 Mbps so marginal
-    // links still decode). 7 m: adjacent nodes deliver but two-hop
-    // neighbours cannot sense each other — classic hidden terminals.
-    let (caption, results) = opts.run_rows("ext_spatial_rts", 2);
-
-    let mut rts = Table::new(caption, &["spacing (m)", "RTS/CTS on", "RTS/CTS off", "handshake effect"]);
-    for row in &results {
-        let MediumKind::Spatial { spacing_m } = row[0].spec.medium else {
-            panic!("{}: every cell is on the spatial medium", path("ext_spatial_rts"))
-        };
-        let effect = match (row[0].first(), row[1].first()) {
-            (Some(on), Some(off)) => {
-                format!("{:+.1}%", (on.throughput_bps / off.throughput_bps - 1.0) * 100.0)
-            }
-            _ => "-".to_string(),
-        };
-        rts.row(vec![
-            format!("{spacing_m}"),
-            row[0].cell_with(|r| mbps(r.throughput_bps)),
-            row[1].cell_with(|r| mbps(r.throughput_bps)),
-            effect,
-        ]);
-    }
-    rts.note("2.5 m: one carrier-sense domain, the handshake is pure overhead (paper regime)");
-    rts.note(
-        "7 m: hidden terminals — senders two hops apart cannot sense each other, RTS/CTS recovers the relay",
-    );
-    vec![reuse, rts]
-}
-
-// ----------------------------------------------------------------------
-// Extension — heterogeneous traffic: TCP foreground vs CBR background
-// ----------------------------------------------------------------------
-
-/// Mean throughput of flow `idx` across a cell's *successful*
-/// replications, bit/s; 0.0 when none survived.
-fn mean_flow_bps(cell: &CellResult, idx: usize) -> f64 {
-    let (mut sum, mut n) = (0.0, 0u32);
-    for r in cell.ok_runs() {
-        sum += r.per_flow[idx].bps;
-        n += 1;
-    }
-    if n > 0 {
-        sum / f64::from(n)
-    } else {
-        0.0
+/// A mixed-traffic row's label: flow 1's background load, or `none`.
+fn background(spec: &ScenarioSpec) -> String {
+    match spec.effective_flows().get(1).map(|f| f.traffic) {
+        None => "none".to_string(),
+        Some(FlowTraffic::Cbr { interval, payload }) => {
+            let ms = interval.as_millis();
+            let offered = payload as f64 * 8.0 / (ms as f64 / 1e3);
+            format!("{payload}B/{ms}ms ({:.0} kb/s)", offered / 1e3)
+        }
+        Some(other) => other.to_token(),
     }
 }
 
-/// Extension: the per-flow traffic engine runs a TCP file transfer and
-/// a small-frame CBR background flow in *one* world — the heterogeneous
-/// mix the paper's premise is about (many small frames contending with
-/// bulk data) but its run-global harness could not express. As the
-/// background intensifies, the channel fills with tiny frames whose
-/// per-frame overhead aggregation amortises: the BA-over-NA foreground
-/// gain should *grow* with background load, and BA should also deliver
-/// more of the background itself.
-fn ext_mixed(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ext_mixed", 3);
-
-    let mut t = Table::new(
-        caption,
-        &["background", "NA tcp", "NA cbr", "UA tcp", "UA cbr", "BA tcp", "BA cbr", "BA/NA tcp"],
-    );
-    for row in &results {
-        // Flow 0 is the transfer, flow 1 (when present) the background.
-        let label = match row[0].spec.effective_flows().get(1).map(|f| f.traffic) {
-            None => "none".to_string(),
-            Some(FlowTraffic::Cbr { interval, payload }) => {
-                let ms = interval.as_millis();
-                let offered = payload as f64 * 8.0 / (ms as f64 / 1e3);
-                format!("{payload}B/{ms}ms ({:.0} kb/s)", offered / 1e3)
-            }
-            Some(other) => panic!("{}: background must be CBR, got {other:?}", path("ext_mixed")),
-        };
-        let mut cells = vec![label];
+/// Extension, mixed traffic (docs/REPRODUCTION.md): one row per
+/// background load, the transfer's and the background's goodput per
+/// policy.
+fn ext_mixed(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let headers = ["background", "NA tcp", "NA cbr", "UA tcp", "UA cbr", "BA tcp", "BA cbr", "BA/NA tcp"];
+    let mut t = Table::new(caption(file), &headers);
+    // Flow 0 is the transfer, flow 1 (when present) the background.
+    let flow = |cell, idx: usize| mean(cell, |run| run.per_flow[idx].bps).unwrap_or(0.0);
+    for (label, row) in group(cells, background) {
+        let row = by(&row, |s| s.policy, POLICIES);
+        let mut out = vec![label];
         for cell in row {
             if cell.first().is_none() {
-                cells.push(cell.failed_label());
-                cells.push(cell.failed_label());
+                out.push(cell.failed_label());
+                out.push(cell.failed_label());
                 continue;
             }
             let starved = cell.ok_runs().any(|r| !r.completed);
-            cells.push(format!("{}{}", mbps(mean_flow_bps(cell, 0)), if starved { "*" } else { "" }));
-            cells.push(if cell.spec.effective_flows().len() > 1 {
-                mbps(mean_flow_bps(cell, 1))
-            } else {
-                "-".into()
-            });
+            out.push(format!("{}{}", mbps(flow(cell, 0)), if starved { "*" } else { "" }));
+            out.push(if cell.spec.effective_flows().len() > 1 { mbps(flow(cell, 1)) } else { dash() });
         }
-        let (na, ba) = (mean_flow_bps(&row[0], 0), mean_flow_bps(&row[2], 0));
-        cells.push(if row[0].first().is_none() || row[2].first().is_none() {
-            "-".into()
+        let (na, ba) = (flow(row[0], 0), flow(row[2], 0));
+        out.push(if row[0].first().is_none() || row[2].first().is_none() {
+            dash()
         } else if na > 0.0 {
             format!("{:+.1}%", (ba / na - 1.0) * 100.0)
         } else {
             "NA starved".into()
         });
-        t.row(cells);
+        t.row(out);
     }
-    t.note("one world per cell: 0.2 MB transfer 0->2:5001 + CBR background 0->2:9000 (160 B datagrams)");
-    t.note("mixed semantics: CBR measures over [1s, 21s]; the transfer must finish by the horizon");
-    t.note("expectation: the BA/NA foreground gain grows with background intensity (small frames");
-    t.note("are where aggregation pays); BA also sustains more of the background itself");
-    t.note("* = some replication's transfer missed the horizon (the policy starved the foreground)");
-    t
+    noted(t, file)
 }
-
-// ----------------------------------------------------------------------
-// Extension — thousand-node worlds: mesh scale under NA / UA / BA
-// ----------------------------------------------------------------------
 
 /// Mean per-flow goodput (bit/s) over a cell's replications of one
 /// flow class (`file` selects transfers vs CBR) — plus how many of
@@ -840,176 +552,90 @@ fn flow_class_stats(cell: &CellResult, file: bool) -> (f64, usize, usize) {
     (if count == 0 { 0.0 } else { sum / count as f64 }, good, total)
 }
 
-/// Extension: the paper's policies at mesh scale — 100/300/1000-node
-/// random meshes at roughly constant density (~6 delivery-range
-/// neighbours each), hundreds of concurrent flows, greedy-geographic
-/// multi-hop routes. Feasible at all because the sparse spatial medium
-/// keeps per-transmission work proportional to the neighbourhood, not
-/// the world (see `--bin profile --scale` for the engine-level
-/// numbers). BA keeps the best mean TCP goodput at every scale, but
-/// far more weakly than on the paper's 2-hop chain: hidden-terminal
-/// collisions dominate, and the pure-UDP background is policy-blind —
-/// there are no TCP ACKs on those flows to aggregate or broadcast.
-fn ext_scale(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ext_scale", 3);
-
-    let mut t =
-        Table::new(caption, &["mesh", "flows", "NA tcp", "UA tcp", "BA tcp", "NA cbr", "UA cbr", "BA cbr"]);
-    let kbps = |bps: f64| format!("{:.1}", bps / 1e3);
-    for row in &results {
-        let TopologyKind::RandomMesh { nodes, area_m, .. } = row[0].spec.topology else {
-            panic!("{}: every cell is a random mesh", path("ext_scale"))
+/// Extension, mesh scale (docs/REPRODUCTION.md): one row per mesh, the
+/// per-flow TCP and CBR goodput per policy.
+fn ext_scale(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let headers = ["mesh", "flows", "NA tcp", "UA tcp", "BA tcp", "NA cbr", "UA cbr", "BA cbr"];
+    let mut t = Table::new(caption(file), &headers);
+    for (topology, row) in group(cells, |s| s.topology) {
+        let TopologyKind::RandomMesh { nodes, area_m, .. } = topology else {
+            panic!("{}: every cell is a random mesh", caption(file))
         };
-        let (_, _, tcp_n) = flow_class_stats(&row[0], true);
-        let (_, _, cbr_n) = flow_class_stats(&row[0], false);
-        let mut cells = vec![format!("{nodes} nodes / {area_m} m"), format!("{tcp_n} tcp + {cbr_n} cbr")];
-        for cell in row {
-            cells.push(cell.cell_with(|_| {
-                let (bps, done, n) = flow_class_stats(cell, true);
-                format!("{} ({done}/{n})", kbps(bps))
+        let row = by(&row, |s| s.policy, POLICIES);
+        let (_, _, tcp_n) = flow_class_stats(row[0], true);
+        let (_, _, cbr_n) = flow_class_stats(row[0], false);
+        let mut out = vec![format!("{nodes} nodes / {area_m} m"), format!("{tcp_n} tcp + {cbr_n} cbr")];
+        for file_flows in [true, false] {
+            out.extend(row.iter().map(|cell| {
+                cell.cell_with(|_| {
+                    let (bps, good, n) = flow_class_stats(cell, file_flows);
+                    format!("{:.1} ({good}/{n})", bps / 1e3)
+                })
             }));
         }
-        for cell in row {
-            cells.push(cell.cell_with(|_| {
-                let (bps, alive, n) = flow_class_stats(cell, false);
-                format!("{} ({alive}/{n})", kbps(bps))
-            }));
-        }
-        t.row(cells);
+        t.row(out);
     }
-    t.note("constant-density meshes (~6 delivery neighbours), greedy-geographic routes, seed 7");
-    t.note("tcp = mean per-flow kb/s over 6 KB transfers (completed/total, first seed);");
-    t.note("cbr = mean per-flow kb/s of 160 B / 250 ms background (delivering/total)");
-    t.note("BA keeps the best mean TCP goodput at every scale, but gains are noisy next to the");
-    t.note("2-hop chain's: hidden-terminal collisions dominate, and the UDP background is");
-    t.note("policy-blind — no TCP ACKs ride those flows, so NA/UA/BA tie on cbr columns");
-    t
+    noted(t, file)
 }
 
-// ----------------------------------------------------------------------
-// Extension — bursty channels: Gilbert–Elliott vs independent loss
-// ----------------------------------------------------------------------
-
-/// Extension (beyond the paper): aggregation under *bursty* residual
-/// loss. The paper's testbed loss is well modelled as independent;
-/// real multi-hop channels cluster errors. The sweep's shape (and the
-/// genuinely-new result): independent per-subframe loss taxes
-/// aggregation specifically — a k-subframe aggregate takes a hit with
-/// probability `1-(1-p)^k`, so UA's lead over NA erodes and even
-/// inverts as p grows — while the *same mean loss* clustered into
-/// short bursts leaves most aggregates untouched and preserves the
-/// clean-channel ordering. The extreme corner (bad-state loss 1.0,
-/// i.e. blackout bursts) instead exposes BA's one-shot broadcast
-/// ACKs, which are never retransmitted.
-fn ext_burst(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ext_burst", 3);
-    let model = |row: &[CellResult]| row[0].spec.link_error.as_ref().and_then(|e| e.model);
-
-    let mut t = Table::new(caption, &["loss model", "mean", "NA", "UA", "BA", "UA/NA"]);
-    for row in &results {
-        let (label, mean) = match model(row) {
-            None => ("clean", "-".to_string()),
+/// Extension, bursty channels (docs/REPRODUCTION.md): one row per loss
+/// model, the first note computed from the Gilbert–Elliott rows.
+fn ext_burst(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let model = |s: &ScenarioSpec| s.link_error.as_ref().and_then(|e| e.model);
+    let mut t = Table::new(caption(file), &["loss model", "mean", "NA", "UA", "BA", "UA/NA"]);
+    for (m, row) in group(cells, model) {
+        let (label, mean) = match m {
+            None => ("clean", dash()),
             Some(m) => {
                 let label =
                     if matches!(m, LinkErrorModel::Independent { .. }) { "independent" } else { "bursty" };
                 (label, format!("{:.0}%", m.stationary_loss() * 100.0))
             }
         };
-        let mut cells = vec![label.into(), mean];
-        cells.extend(row.iter().map(CellResult::mean_cell));
-        cells.push(ratio_cell(ratio(&row[1], &row[0]), |r| format!("{r:.2}x")));
-        t.row(cells);
+        let row = by(&row, |s| s.policy, POLICIES);
+        let mut out = vec![label.into(), mean];
+        out.extend(row.iter().map(|c| c.mean_cell()));
+        out.push(ratio(row[1], row[0], THROUGHPUT).map_or_else(dash, |r| format!("{r:.2}x")));
+        t.row(out);
     }
-    let bursty = results.iter().find_map(|row| match model(row) {
+    let bursty = cells.iter().find_map(|c| match model(&c.spec) {
         Some(m @ LinkErrorModel::GilbertElliott { p_gb, p_bg, .. }) => Some((m, p_gb, p_bg)),
         _ => None,
     });
-    let (m, p_gb, p_bg) = bursty.unwrap_or_else(|| panic!("{}: no Gilbert–Elliott row", path("ext_burst")));
+    let (m, p_gb, p_bg) = bursty.unwrap_or_else(|| panic!("{}: no Gilbert–Elliott row", caption(file)));
     t.note(format!(
         "bursty = Gilbert–Elliott p_gb={p_gb}, p_bg={p_bg} ({:.0}% bad-state \
          occupancy, mean burst ~{:.1} frames), bad-state loss scaled to match the row's mean",
         m.stationary_bad() * 100.0,
         m.mean_burst_len().unwrap_or(f64::INFINITY)
     ));
-    t.note("beyond the paper: independent loss taxes aggregation specifically (a k-subframe aggregate");
-    t.note("is hit with probability 1-(1-p)^k), eroding UA's lead over NA as p grows; the same mean");
-    t.note("loss clustered into bursts leaves most aggregates clean and preserves the lead. The 10%");
-    t.note("bursty corner is blackout bursts (bad-state loss 1.0): they punish BA's one-shot broadcast ACKs");
-    t
+    noted(t, file)
 }
 
-// ----------------------------------------------------------------------
-// Ablations (design choices + the paper's §7 future work; the
-// "Ablations" rows of docs/REPRODUCTION.md)
-// ----------------------------------------------------------------------
-
-/// Ablation: block ACK (paper §7 future work) vs all-or-nothing, under an
-/// oversized aggregation cap that crosses the coherence cliff.
-fn ablation_block_ack(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ablation_block_ack", 2);
-
-    let mut t = Table::new(caption, &["max agg (KB)", "normal ACK", "block ACK"]);
-    for row in &results {
-        let mut cells = vec![format!("{}", row[0].spec.max_aggregate / 1024)];
-        cells.extend(row.iter().map(|c| c.cell_with(|r| mbps(r.throughput_bps))));
-        t.row(cells);
+/// Ablation, DBA flush timeout: one row per DBA flush timeout, 2- and
+/// 3-hop, with the BA baselines in the first note.
+fn ablation_dba_flush(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    fn chains<'a>(row: &[&'a CellResult]) -> [&'a CellResult; 2] {
+        by(row, |s| s.topology, [TopologyKind::Linear(2), TopologyKind::Linear(3)])
     }
-    t.note("block ACK retries only failed subframes, so it degrades gracefully past the cliff");
-    t
-}
-
-/// Ablation: rate-adaptive aggregate sizing (paper §7) — spend a fixed
-/// sample budget instead of a fixed byte cap.
-fn ablation_rate_adaptive_sizing(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ablation_rate_adaptive_sizing", 2);
-    let mut t = rate_table(caption, &["rate", "fixed 5 KB", "110 Ksample budget"], &results);
-    t.note("at high rates the sample budget admits larger aggregates than 5 KB, recovering headroom the fixed cap leaves");
-    t
-}
-
-/// Ablation: DBA flush-timeout sensitivity (the paper leaves the
-/// deadlock guard unspecified). The file's first row holds the BA
-/// baselines, each later row DBA at one flush timeout.
-fn ablation_dba_flush(opts: &Opts) -> Table {
-    let (caption, mut results) = opts.run_rows("ablation_dba_flush", 2);
-    let ba = results.remove(0);
-
-    let mut t = Table::new(caption, &["flush (ms)", "2-hop DBA", "3-hop DBA"]);
-    for row in &results {
-        let flush = row[0].spec.flush_timeout.expect("every DBA row sets its flush timeout");
-        t.row(vec![format!("{}", flush.as_millis()), row[0].mean_cell(), row[1].mean_cell()]);
+    let of = |policy| cells.iter().filter(move |c| c.spec.policy == policy);
+    let mut t = Table::new(caption(file), &["flush (ms)", "2-hop DBA", "3-hop DBA"]);
+    for (flush, row) in group(of(Policy::Dba), |s| s.flush_timeout) {
+        let [two, three] = chains(&row);
+        let flush = flush.map_or_else(dash, |f| f.as_millis().to_string());
+        t.row(vec![flush, two.mean_cell(), three.mean_cell()]);
     }
-    t.note(format!("BA baselines: 2-hop {}, 3-hop {} Mbps", ba[0].mean_cell(), ba[1].mean_cell()));
-    t.note("longer flushes trade aggregation depth against head-of-line delay");
-    t
+    let [two, three] = chains(&of(Policy::Ba).collect::<Vec<_>>());
+    t.note(format!("BA baselines: 2-hop {}, 3-hop {} Mbps", two.mean_cell(), three.mean_cell()));
+    noted(t, file)
 }
 
-/// Ablation: RTS/CTS on vs off (the paper always uses RTS/CTS; all nodes
-/// are in carrier-sense range, so the handshake is pure overhead here).
-fn ablation_rts_cts(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ablation_rts_cts", 2);
-    let mut t = rate_table(caption, &["rate", "with RTS/CTS", "without"], &results);
-    t.note("without hidden terminals the handshake costs two control frames + two SIFS per exchange");
-    t
-}
-
-/// Ablation: delayed ACKs at the TCP receiver (off in the paper — its
-/// client ACKs every segment; delayed ACKs halve the ACK stream and so
-/// shrink the backward-aggregation benefit).
-fn ablation_delayed_ack(opts: &Opts) -> Table {
-    let (caption, results) = opts.run_rows("ablation_delayed_ack", 2);
-    rate_table(caption, &["rate", "ACK per segment (paper)", "delayed ACKs"], &results)
-}
-
-/// Ablation: broadcast subframes ride at the front of the frame (paper
-/// §4.2.3: close to the training sequences, where the channel estimate is
-/// freshest). Measured as per-portion CRC failure rates under aggregates
-/// that overrun the coherence budget.
-fn ablation_broadcast_position(opts: &Opts) -> Table {
-    let (caption, results) = opts.run("ablation_broadcast_position");
-
-    let mut t = Table::new(caption, &["max agg (KB)", "bcast CRC loss rate", "unicast portion drop rate"]);
-    for cell in &results {
+/// Ablation, broadcast position: the per-portion CRC loss rates of each
+/// spec line's first run, one row per line.
+fn ablation_broadcast_position(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
+    let headers = ["max agg (KB)", "bcast CRC loss rate", "unicast portion drop rate"];
+    let mut t = Table::new(caption(file), &headers);
+    for cell in cells {
         let kb = cell.spec.max_aggregate / 1024;
         let Some(run) = cell.first() else {
             t.row(vec![format!("{kb}"), cell.failed_label(), cell.failed_label()]);
@@ -1031,20 +657,23 @@ fn ablation_broadcast_position(opts: &Opts) -> Table {
         };
         t.row(vec![format!("{kb}"), rate(b_fail, b_ok), rate(u_fail, u_ok)]);
     }
-    t.note("broadcast subframes sit early in the frame (paper §4.2.3): they survive oversizing that destroys the unicast tail");
-    t
+    noted(t, file)
 }
 
-/// Renders the [`TABLES`] entries `names` selects (every entry when it
-/// is empty) in registry order, printing each table as it is done;
-/// returns the printed text.
+/// Runs and draws the shipped experiments `names` selects (every one
+/// when it is empty) in registry order, printing each table as it is
+/// done; returns the printed text.
 pub fn run_tables(opts: &Opts, names: &[String]) -> String {
     let mut out = String::new();
-    for (name, render) in TABLES {
+    for (name, _, render) in SHIPPED {
         if !names.is_empty() && !names.iter().any(|n| n == name) {
             continue;
         }
-        for t in render(opts) {
+        let file = shipped(name);
+        let seeds =
+            opts.seeds.or(file.meta.seeds).unwrap_or_else(|| panic!("{}: no `#! seeds=`", path(name)));
+        let cells = opts.run_sweep(name, &file.specs, seeds);
+        for t in render(&file, &cells) {
             let s = t.render();
             println!("{s}");
             out.push_str(&s);
@@ -1057,9 +686,64 @@ pub fn run_tables(opts: &Opts, names: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_netsim::Policy;
+    use hydra_netsim::{NodeReport, RunError, RunOutcome, RunPerf, RunReport};
     use hydra_phy::Rate;
-    use hydra_sim::Duration;
+    use hydra_sim::{Duration, Instant};
+
+    /// A successful run: `throughput_bps`, and three nodes whose time
+    /// overhead is `overhead` (a fraction).
+    fn run(throughput_bps: f64, overhead: f64) -> Result<RunOutcome, RunError> {
+        let node = |node| NodeReport {
+            node,
+            tx_data_frames: 0,
+            tx_control: 0,
+            avg_frame_size: 0.0,
+            avg_subframes: 0.0,
+            subframes_sent: (0, 0),
+            size_overhead: 0.0,
+            time_overhead: overhead,
+            time_by_category: Vec::new(),
+            retries: 0,
+            retry_drops: 0,
+            queue_overflow: 0,
+            acks_classified: 0,
+            bcast_filtered: 0,
+            bcast_ok: 0,
+            bcast_crc_fail: 0,
+            unicast_ok: 0,
+            unicast_crc_drops: 0,
+            collisions_seen: 0,
+            forwarded: 0,
+        };
+        let nodes = (0..3).map(node).collect();
+        Ok(RunOutcome {
+            completed: true,
+            throughput_bps,
+            per_flow: Vec::new(),
+            report: RunReport { nodes, at: Instant::ZERO, collisions: 0 },
+            perf: RunPerf::default(),
+        })
+    }
+
+    fn mbps_run(mbps: f64) -> Result<RunOutcome, RunError> {
+        run(mbps * 1e6, 0.0)
+    }
+
+    fn failed() -> Result<RunOutcome, RunError> {
+        Err(RunError::BudgetExhausted { events: 10 })
+    }
+
+    /// Fabricated cells: one per spec line of `file`, its runs `runs(spec)`.
+    fn fabricate(
+        file: &SweepFile,
+        runs: impl Fn(&ScenarioSpec) -> Vec<Result<RunOutcome, RunError>>,
+    ) -> Vec<CellResult> {
+        file.specs.iter().map(|spec| CellResult { spec: spec.clone(), runs: runs(spec) }).collect()
+    }
+
+    fn text(name: &str) -> &'static str {
+        SHIPPED.iter().find(|(n, ..)| *n == name).expect("shipped").1
+    }
 
     #[test]
     fn options_log_each_failed_replication_under_its_experiment_and_cell() {
@@ -1083,20 +767,221 @@ mod tests {
 
     #[test]
     fn a_failed_cell_prints_failed_and_a_ratio_with_a_failed_side_prints_a_dash() {
-        let mut fine =
-            ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(20));
-        fine.duration = Duration::from_millis(200);
-        let mut stalled = fine.clone();
-        stalled.budget = Some(hydra_netsim::RunBudget::events(10));
-        let row = ExperimentRunner::sequential().run_sweep(&[fine, stalled], 2);
-        assert!(row[1].first().is_none(), "every replication of the stalled cell fails");
+        let file = parse_scn_file(
+            "#! rows=rate | rate\n#! col=fine | policy=ua\n#! col=stalled | policy=na\n\
+             #! gain=gain | policy=ua / policy=na\n\
+             topo=linear:1 policy=ua rate=1.3 traffic=cbr:20ms:1045 duration=200ms\n\
+             topo=linear:1 policy=na rate=1.3 traffic=cbr:20ms:1045 duration=200ms budget=events:10\n",
+        )
+        .unwrap();
+        let cells = ExperimentRunner::sequential().run_sweep(&file.specs, 2);
+        assert!(cells[1].first().is_none(), "every replication of the stalled cell fails");
 
-        let t = rate_table("t".into(), &["rate", "fine", "stalled"], std::slice::from_ref(&row));
-        assert_eq!(t.rows[0][1], mbps(row[0].mean_throughput_bps()));
+        let t = &render(&file, &cells)[0];
+        assert_eq!(t.rows[0][1], mbps(cells[0].mean_throughput_bps()));
         assert_eq!(t.rows[0][2], "FAILED(budget)");
-        let dash = |r| ratio_cell(r, |g| format!("{g:+.1}%"));
-        assert_eq!(dash(gain_pct(&row[0], &row[1])), "-");
-        assert_eq!(dash(gain_pct(&row[1], &row[0])), "-");
-        assert_eq!(dash(gain_pct(&row[0], &row[0])), "+0.0%");
+        assert_eq!(t.rows[0][3], "-");
+        assert_eq!(gain(&cells[1], &cells[0], THROUGHPUT), None);
+        assert_eq!(gain(&cells[0], &cells[0], THROUGHPUT), Some(0.0));
+    }
+
+    #[test]
+    fn every_table_renders_from_all_failed_cells() {
+        for (name, text, render) in SHIPPED {
+            let file = parse_scn_file(text).unwrap();
+            let tables = render(&file, &fabricate(&file, |_| vec![failed(), failed()]));
+            let Some(layout) = &file.meta.table else {
+                // A named renderer's table: each row shows the failure,
+                // or the table says it cannot be drawn.
+                for t in &tables {
+                    let unavailable = t.notes.iter().any(|n| n.starts_with("unavailable"));
+                    for row in &t.rows {
+                        assert!(unavailable || row.iter().any(|c| c == "FAILED(budget)"), "{name}: {row:?}");
+                    }
+                }
+                continue;
+            };
+            for row in &tables[0].rows {
+                let mut at = 1;
+                for col in &layout.cols {
+                    // The paper's own column keeps the paper's value.
+                    at += usize::from(col.paper_header.is_some());
+                    assert_eq!(row[at], "FAILED(budget)", "{name}: {row:?}");
+                    at += 1;
+                }
+                if let Some((g, _)) = &layout.gain {
+                    at += usize::from(g.paper_header.is_some());
+                    assert_eq!(row[at], "-", "{name}: {row:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shipped_selector_matches_exactly_one_spec_line() {
+        for name in names() {
+            let file = shipped(name);
+            if let Some(layout) = &file.meta.table {
+                // `join` panics unless every (row, selector) pair
+                // matches one line, and every line is some column's.
+                let rows = join(&file, &file.specs, |s| s);
+                for spec in &file.specs {
+                    let used = rows
+                        .iter()
+                        .any(|(_, row)| row[..layout.cols.len()].iter().any(|s| std::ptr::eq(*s, spec)));
+                    assert!(used, "{name}: `{}` is in no column", spec.to_scn());
+                }
+            }
+            for (select, _) in &file.meta.paper {
+                let n = file.specs.iter().filter(|s| select.matches(s)).count();
+                assert_eq!(n, 1, "{name}: paper line {select:?} matches {n} spec lines");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shuffled_file_renders_the_same_table() {
+        let text = text("table4_time_overhead");
+        let (directives, lines): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| l.starts_with('#'));
+        // Every third line first, then the rest backwards.
+        let mut shuffled: Vec<&str> = lines.iter().copied().step_by(3).collect();
+        shuffled.extend(lines.iter().enumerate().rev().filter(|(i, _)| i % 3 != 0).map(|(_, l)| *l));
+        assert_ne!(shuffled, lines);
+        let shuffled = [directives, shuffled].concat().join("\n");
+        // Each cell's numbers are a function of its spec alone.
+        let numbers = |spec: &ScenarioSpec| {
+            let h = spec.stable_hash() % 1000;
+            vec![run(h as f64 * 1e3, h as f64 / 2e3)]
+        };
+        let draw = |text: &str| {
+            let file = parse_scn_file(text).unwrap();
+            render(&file, &fabricate(&file, numbers))[0].render()
+        };
+        assert_eq!(draw(text), draw(&shuffled));
+    }
+
+    #[test]
+    fn an_inline_file_is_a_table_with_no_rust_of_its_own() {
+        let file = parse_scn_file(
+            "#! caption=Demo — BA vs UA by hops\n\
+             #! seeds=2\n\
+             #! rows=hops | topo\n\
+             #! col=UA | policy=ua\n\
+             #! col=BA paper, BA | policy=ba\n\
+             #! gain=BA/UA | policy=ba / policy=ua\n\
+             #! paper=topo=linear:3 policy=ba | 0.5\n\
+             #! note=fabricated numbers\n\
+             topo=linear:3 policy=ba rate=1.3 traffic=file:204800\n\
+             topo=linear:2 policy=ua rate=1.3 traffic=file:204800\n\
+             topo=linear:3 policy=ua rate=1.3 traffic=file:204800\n\
+             topo=linear:2 policy=ba rate=1.3 traffic=file:204800\n",
+        )
+        .unwrap();
+        let cells = fabricate(&file, |s| {
+            let mbps = match (s.topology, s.policy) {
+                (TopologyKind::Linear(2), Policy::Ua) => 1.0,
+                (TopologyKind::Linear(2), _) => 1.1,
+                (_, Policy::Ua) => 0.4,
+                _ => 0.5,
+            };
+            vec![mbps_run(mbps), mbps_run(mbps)]
+        });
+        assert_eq!(
+            render(&file, &cells)[0].render(),
+            "## Demo — BA vs UA by hops\n\
+             | hops | UA    | BA paper | BA    | BA/UA  |\n\
+             |------|-------|----------|-------|--------|\n\
+             | 2    | 1.000 | -        | 1.100 | +10.0% |\n\
+             | 3    | 0.400 | 0.500    | 0.500 | +25.0% |\n\
+             > fabricated numbers\n"
+        );
+    }
+
+    #[test]
+    fn a_cell_is_the_mean_of_its_replications_and_a_zero_denominator_prints_a_dash() {
+        let file = shipped("ext_spatial_rts");
+        // RTS/CTS on delivers 0.1 then 0.3 Mbps; off is starved.
+        let cells = fabricate(&file, |s| {
+            if s.rts_cts {
+                vec![mbps_run(0.1), mbps_run(0.3)]
+            } else {
+                vec![mbps_run(0.0), mbps_run(0.0)]
+            }
+        });
+        let t = &render(&file, &cells)[0];
+        assert_eq!(t.rows.len(), 3);
+        for row in &t.rows {
+            assert_eq!(row[1..], ["0.200", "0.000", "-"]);
+        }
+    }
+
+    #[test]
+    fn the_max_gap_notes_take_the_largest_gap_that_could_be_computed() {
+        let fig11 = shipped("fig11_2hop");
+        // BA trails UA at every rate: the largest gap is negative.
+        let trailing = fabricate(&fig11, |s| vec![mbps_run(if s.policy == Policy::Ba { 0.9 } else { 1.0 })]);
+        let note = |t: &[Table]| t[0].notes.last().cloned().unwrap();
+        assert_eq!(
+            note(&fig11_2hop(&fig11, &trailing)),
+            "paper: BA always >= UA, max gap ~10%; measured max gap -10.0%"
+        );
+        // No gap can be computed: a dash, not 0.0%.
+        let none = fabricate(&fig11, |s| vec![if s.policy == Policy::Ba { failed() } else { mbps_run(1.0) }]);
+        assert_eq!(
+            note(&fig11_2hop(&fig11, &none)),
+            "paper: BA always >= UA, max gap ~10%; measured max gap -"
+        );
+        let fig12 = shipped("fig12_topologies");
+        let none = fabricate(&fig12, |s| vec![if s.policy == Policy::Ba { failed() } else { mbps_run(1.0) }]);
+        assert!(note(&fig12_topologies(&fig12, &none)).ends_with("; measured - / -"));
+    }
+
+    #[test]
+    fn table2_and_table4_specs_are_the_grids_the_benchmark_reads() {
+        let grid =
+            |rates: &[&str], policies: &[&str], traffic: &dyn Fn(&str) -> String| -> Vec<Vec<ScenarioSpec>> {
+                let line = |rate: &str, policy: &str| {
+                    ScenarioSpec::from_scn(&format!(
+                        "topo=linear:2 policy={policy} rate={rate} traffic={}",
+                        traffic(rate)
+                    ))
+                    .unwrap()
+                };
+                rates.iter().map(|r| policies.iter().map(|p| line(r, p)).collect()).collect()
+            };
+        let cbr = |rate: &str| format!("cbr:{}:1045", if rate == "0.65" { "30600us" } else { "17400us" });
+        assert_eq!(table2_udp_specs(), grid(&["0.65", "1.3"], &["na", "ua"], &cbr));
+        let file = |_: &str| "file:204800".to_string();
+        let rates = ["0.65", "1.3", "1.95", "2.6"];
+        assert_eq!(table4_time_overhead_specs(), grid(&rates, &["na", "ua", "ba", "dba"], &file));
+    }
+
+    #[test]
+    fn the_benchmarks_paper_quotes_are_the_files_paper_lines() {
+        let quote = |name: &str, rate: f64, policy: Policy| {
+            let file = shipped(name);
+            let spec = pick_spec(&file, |s| s.rate.mbps() == rate && s.policy == policy);
+            let line = file.meta.paper.iter().find(|(sel, _)| sel.matches(spec));
+            line.unwrap_or_else(|| panic!("{name}: no paper line for {rate} {policy:?}")).1[0]
+        };
+        for (rate, na, ua, gain) in crate::paper::TABLE2 {
+            assert_eq!(
+                (quote("table2_udp", rate, Policy::Na), quote("table2_udp", rate, Policy::Ua)),
+                (na, ua)
+            );
+            // The file's paper gain is the ratio of its paper values.
+            assert_eq!(format!("{:.1}", (ua / na - 1.0) * 100.0), format!("{gain:.1}"));
+        }
+        for (rate, na, ua, ba, dba) in crate::paper::TABLE4 {
+            let q = |p| quote("table4_time_overhead", rate, p);
+            assert_eq!([q(Policy::Na), q(Policy::Ua), q(Policy::Ba), q(Policy::Dba)], [na, ua, ba, dba]);
+        }
+    }
+
+    /// The one spec line of `file` `f` accepts.
+    fn pick_spec(file: &SweepFile, f: impl Fn(&ScenarioSpec) -> bool) -> &ScenarioSpec {
+        let found: Vec<&ScenarioSpec> = file.specs.iter().filter(|s| f(s)).collect();
+        assert_eq!(found.len(), 1);
+        found[0]
     }
 }

@@ -1,15 +1,15 @@
 //! # hydra-bench — the experiment harness
 //!
-//! One function per table/figure of the paper. Each experiment's grid
-//! of [`hydra_netsim::ScenarioSpec`]s is its `.scn` file under
-//! `examples/sweeps/` — the only definition, compiled in — driven
-//! through the parallel [`runner::ExperimentRunner`] and folded into a
-//! [`report::Table`] comparing the paper's reported numbers against
-//! this reproduction. `src/bin/all.rs` regenerates everything into
-//! `results/experiments.txt` (checked in as
+//! One `.scn` file per table/figure of the paper. Each experiment's grid
+//! of [`hydra_netsim::ScenarioSpec`]s, its table layout and the paper's
+//! numbers are its file under `examples/sweeps/` — the only definition,
+//! compiled in — driven through the parallel [`runner::ExperimentRunner`]
+//! and drawn as a [`report::Table`] comparing the paper's reported
+//! numbers against this reproduction. `src/bin/all.rs` regenerates
+//! everything into `results/experiments.txt` (checked in as
 //! `tests/golden/experiments.txt`; `docs/REPRODUCTION.md` maps each
 //! table to its paper item and claim), or prints only the tables named
-//! on its command line ([`experiments::TABLES`] lists the names).
+//! on its command line ([`experiments::names`] lists them).
 //!
 //! The same files run with `--bin sweep`, and
 //! [`sweeps::ConcurrentCache`] persists every outcome keyed by

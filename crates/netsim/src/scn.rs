@@ -62,32 +62,124 @@ pub fn parse_scn(text: &str) -> Result<Vec<ScenarioSpec>, ScnError> {
     Ok(specs)
 }
 
-/// Sweep-level metadata carried by `#!` directive lines.
-///
-/// Directives let a `.scn` file describe the *sweep*, not just its
-/// cells, so data-driven tables carry the captions and replication
-/// counts the built-in experiment bins hard-code:
-///
-/// ```text
-/// #! caption=Figure 8 — TCP throughput (Mbps): unicast aggregation
-/// #! seeds=3
-/// #! note=paper: UA > NA everywhere; improvement grows with rate
-/// ```
-///
-/// `seeds` is the default replication count (a `--seeds` flag still
-/// wins); `caption` titles the rendered table; `note` lines (repeatable)
-/// become table footnotes. Directives are invisible to [`parse_scn`]
-/// (they parse as comments), so metadata never affects which scenarios
-/// run or their hashes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Sweep-level metadata carried by `#!` directive lines: the replication
+/// count (`seeds`; a `--seeds` flag still wins), the table's `caption`,
+/// its footnotes (`note`), the paper's numbers (`paper`) and its table
+/// block (`rows`, `metric`, `col`, `gain`). `docs/SCENARIO_FORMAT.md`
+/// has the grammar. Directives are invisible to [`parse_scn`] (they
+/// parse as comments), so they never change which scenarios run or
+/// their hashes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepMeta {
-    /// Default replications per scenario, 1 ..= [`MAX_SEEDS`]
-    /// (overridden by an explicit `--seeds`).
+    /// Default replications per scenario, 1 ..= [`MAX_SEEDS`].
     pub seeds: Option<u64>,
     /// Table caption for the sweep.
     pub caption: Option<String>,
     /// Table footnotes, in file order.
     pub notes: Vec<String>,
+    /// `#! paper=SELECTOR | VALUE…`, in file order: the paper's numbers
+    /// for the spec line the selector matches.
+    pub paper: Vec<(Selector, Vec<f64>)>,
+    /// The table block, when the file declares one.
+    pub table: Option<TableLayout>,
+}
+
+/// A partial spec line that picks spec lines by value: a spec matches
+/// when setting the selector's `key=value` fields on it changes nothing
+/// (so `rts=on` matches a line that omits `rts=`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selector(Vec<(String, String)>);
+
+impl Selector {
+    /// Parses `key=value` fields; one a spec line rejects is an error.
+    fn parse(text: &str) -> Result<Selector, String> {
+        let mut probe = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Na, Rate::R1_30);
+        let mut fields = Vec::new();
+        for tok in text.split_whitespace() {
+            let (key, value) = tok.split_once('=').ok_or_else(|| format!("`{tok}` is not key=value"))?;
+            apply_field(&mut probe, key, value)?;
+            fields.push((key.to_string(), value.to_string()));
+        }
+        if fields.is_empty() {
+            return Err("empty selector".into());
+        }
+        Ok(Selector(fields))
+    }
+
+    /// True when `spec` holds every field of the selector.
+    pub fn matches(&self, spec: &ScenarioSpec) -> bool {
+        let mut set = spec.clone();
+        self.0.iter().all(|(key, value)| apply_field(&mut set, key, value).is_ok()) && set == *spec
+    }
+}
+
+/// A file's table block: one row per value of the row key, ascending;
+/// one cell per column, the one spec line of the row its selector
+/// matches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TableLayout {
+    /// `#! rows=HEADER | KEY`: the label column's header and key.
+    pub rows: (String, RowKey),
+    /// `#! metric=`: what a data cell shows.
+    pub metric: Metric,
+    /// `#! col=[PAPER HEADER,] HEADER | SELECTOR`, in file order.
+    pub cols: Vec<Column>,
+    /// `#! gain=[PAPER HEADER,] HEADER | NUM / DEN`: the column of
+    /// NUM's gain over DEN, drawn last, and DEN.
+    pub gain: Option<(Column, Selector)>,
+}
+
+/// One column of a table block.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Column {
+    /// The header of the paper's own column before this one; without
+    /// it a paper value shares the cell (`paper / here`).
+    pub paper_header: Option<String>,
+    /// The column's header.
+    pub header: String,
+    /// Picks the column's spec line in each row.
+    pub select: Selector,
+}
+
+/// The spec field a table's rows are keyed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowKey {
+    /// `rate`.
+    Rate,
+    /// `max_agg`, labelled in KB.
+    MaxAgg,
+    /// `flood`'s interval, labelled in seconds.
+    Flood,
+    /// `topo`, a chain labelled by its hop count.
+    Topo,
+    /// `medium`, labelled by its spacing in metres.
+    Medium,
+}
+
+impl RowKey {
+    /// `spec`'s row: the value rows sort by, and the row's label.
+    pub fn row(self, spec: &ScenarioSpec) -> (f64, String) {
+        match (self, spec.topology, spec.medium, spec.flooding) {
+            (RowKey::Rate, ..) => (spec.rate.mbps(), spec.rate.to_string()),
+            (RowKey::MaxAgg, ..) => (spec.max_aggregate as f64, (spec.max_aggregate / 1024).to_string()),
+            (RowKey::Flood, _, _, Some(f)) => {
+                (f.interval.as_secs_f64(), format!("{:.2}s", f.interval.as_secs_f64()))
+            }
+            (RowKey::Topo, TopologyKind::Linear(hops), ..) => (hops as f64, hops.to_string()),
+            (RowKey::Medium, _, MediumKind::Spatial { spacing_m }, _) => (spacing_m, format!("{spacing_m}")),
+            _ => (0.0, "-".into()),
+        }
+    }
+}
+
+/// What a table block's data cell shows: the mean over its successful
+/// replications.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Headline throughput, in Mbps (the default).
+    Throughput,
+    /// `relay_overhead`: the relay's time overhead, in %.
+    RelayOverhead,
 }
 
 /// The most replications a sweep may ask for. Every replication is a
@@ -117,9 +209,8 @@ pub struct SweepFile {
 /// Parses a whole `.scn` file including its `#!` directive lines.
 ///
 /// Like [`parse_scn`] for the scenario lines; additionally each `#!`
-/// line must be a valid `key=value` directive (`seeds`, `caption`,
-/// `note`) — unknown or duplicate (non-`note`) directives are errors
-/// with their line number.
+/// line must be a valid `key=value` directive (see [`SweepMeta`]); a
+/// bad one is an error with its line number.
 pub fn parse_scn_file(text: &str) -> Result<SweepFile, ScnError> {
     let mut file = SweepFile::default();
     for (i, raw) in text.lines().enumerate() {
@@ -133,26 +224,7 @@ pub fn parse_scn_file(text: &str) -> Result<SweepFile, ScnError> {
             let (key, value) = directive
                 .split_once('=')
                 .ok_or_else(|| err(format!("directive `{directive}` is not key=value")))?;
-            match key.trim() {
-                "seeds" => {
-                    if file.meta.seeds.is_some() {
-                        return Err(err("duplicate `seeds` directive".into()));
-                    }
-                    let seeds: u64 =
-                        value.trim().parse().map_err(|_| err(format!("bad seeds value `{value}`")))?;
-                    file.meta.seeds = Some(check_seeds(seeds).map_err(err)?);
-                }
-                "caption" => {
-                    if file.meta.caption.is_some() {
-                        return Err(err("duplicate `caption` directive".into()));
-                    }
-                    file.meta.caption = Some(value.trim().to_string());
-                }
-                "note" => file.meta.notes.push(value.trim().to_string()),
-                other => {
-                    return Err(err(format!("unknown directive `{other}` (seeds|caption|note)")));
-                }
-            }
+            directive_into(&mut file.meta, key.trim(), value.trim()).map_err(err)?;
             continue;
         }
         if line.starts_with('#') {
@@ -162,6 +234,80 @@ pub fn parse_scn_file(text: &str) -> Result<SweepFile, ScnError> {
         file.specs.push(spec);
     }
     Ok(file)
+}
+
+/// Applies one `#! key=value` directive to `meta`.
+fn directive_into(meta: &mut SweepMeta, key: &str, value: &str) -> Result<(), String> {
+    // `LEFT | RIGHT`, each side trimmed.
+    let split = |what: &str| {
+        let (l, r) = value.split_once('|').ok_or_else(|| format!("expected `{key}={what}`"))?;
+        Ok::<_, String>((l.trim(), r.trim()))
+    };
+    // `[PAPER HEADER,] HEADER | SELECTOR`.
+    let column = |head: &str, select| {
+        let (paper_header, header) = match head.split_once(',') {
+            Some((paper, here)) => (Some(paper.trim().to_string()), here.trim()),
+            None => (None, head),
+        };
+        Ok::<_, String>(Column { paper_header, header: header.to_string(), select: Selector::parse(select)? })
+    };
+    let second_block = key == "rows" && meta.table.is_some();
+    let table = meta.table.as_mut().filter(|_| matches!(key, "metric" | "col" | "gain"));
+    match (key, table) {
+        ("seeds", _) if meta.seeds.is_some() => return Err("duplicate `seeds` directive".into()),
+        ("seeds", _) => {
+            let seeds: u64 = value.parse().map_err(|_| format!("bad seeds value `{value}`"))?;
+            meta.seeds = Some(check_seeds(seeds)?);
+        }
+        ("caption", _) if meta.caption.is_some() => return Err("duplicate `caption` directive".into()),
+        ("caption", _) => meta.caption = Some(value.to_string()),
+        ("note", _) => meta.notes.push(value.to_string()),
+        ("paper", _) => {
+            let (select, values) = split("SELECTOR | VALUE...")?;
+            let values = values.split_whitespace().map(f64_from_text).collect::<Result<Vec<_>, _>>()?;
+            if values.is_empty() {
+                return Err("a paper line needs at least one value".into());
+            }
+            meta.paper.push((Selector::parse(select)?, values));
+        }
+        ("rows", _) if second_block => return Err("a second table block (`rows` directive)".into()),
+        ("rows", _) => {
+            let (header, key) = split("HEADER | KEY")?;
+            let key = match key {
+                "rate" => RowKey::Rate,
+                "max_agg" => RowKey::MaxAgg,
+                "flood" => RowKey::Flood,
+                "topo" => RowKey::Topo,
+                "medium" => RowKey::Medium,
+                _ => return Err(format!("unknown row key `{key}` (rate|max_agg|flood|topo|medium)")),
+            };
+            let rows = (header.to_string(), key);
+            meta.table = Some(TableLayout { rows, metric: Metric::Throughput, cols: Vec::new(), gain: None });
+        }
+        ("metric" | "col" | "gain", None) => return Err(format!("`{key}` directive before the `rows` one")),
+        ("metric", Some(t)) => {
+            t.metric = match value {
+                "relay_overhead" => Metric::RelayOverhead,
+                _ => return Err(format!("unknown metric `{value}` (relay_overhead)")),
+            }
+        }
+        ("col", Some(t)) => {
+            let (head, select) = split("HEADER | SELECTOR")?;
+            t.cols.push(column(head, select)?);
+        }
+        ("gain", Some(t)) if t.gain.is_some() => return Err("duplicate `gain` directive".into()),
+        ("gain", Some(t)) => {
+            let (head, ratio) = split("HEADER | NUM / DEN")?;
+            let (num, den) = ratio.split_once(" / ").ok_or("expected `NUM / DEN` selectors")?;
+            t.gain = Some((column(head, num)?, Selector::parse(den)?));
+        }
+        (other, _) => {
+            return Err(format!(
+                "unknown directive `{other}` (seeds|caption|note|paper|rows|metric|col|gain)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -632,62 +778,12 @@ impl ScenarioSpec {
         for &(key, value) in &fields {
             match key {
                 "topo" | "policy" | "rate" | "traffic" => {}
-                "medium" => spec.medium = parse_medium(value)?,
-                "bcast" => spec.broadcast_rate = Some(rate_from_text(value)?),
-                "flows" => {
-                    if fields.iter().any(|(k, _)| *k == "flow") {
-                        return Err("`flows=` (shared traffic) and `flow=` (per-flow traffic) \
-                                    cannot be mixed on one line"
-                            .into());
-                    }
-                    spec.flows = parse_flows(value, spec.traffic)?;
+                "flows" if fields.iter().any(|(k, _)| *k == "flow") => {
+                    return Err("`flows=` (shared traffic) and `flow=` (per-flow traffic) \
+                                cannot be mixed on one line"
+                        .into());
                 }
-                "flow" => spec.flows.push(parse_flow_spec(value)?),
-                "max_agg" => spec.max_aggregate = usize_from(value, key)?,
-                "sizing" => spec.sizing = Some(parse_sizing(value)?),
-                "ack" => {
-                    spec.ack_policy = match value {
-                        "normal" => AckPolicy::Normal,
-                        "block" => AckPolicy::Block,
-                        _ => return Err(format!("bad ack value `{value}` (normal|block)")),
-                    }
-                }
-                "rts" => spec.rts_cts = bool_from(value, key)?,
-                "flush" => spec.flush_timeout = Some(dur_from_text(value)?),
-                "fault" => {
-                    let (d, c) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("expected fault=DROP:CORRUPT, got `{value}`"))?;
-                    spec.fault = Some((prob_from_text(d)?, prob_from_text(c)?));
-                }
-                "link_error" => spec.link_error = Some(parse_link_error(value)?),
-                "flood" => {
-                    let (i, p) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{value}`"))?;
-                    let interval = dur_from_text(i)?;
-                    if interval.is_zero() {
-                        return Err("flood interval must be positive".into());
-                    }
-                    spec.flooding = Some(Flooding { interval, payload: payload_from(p, "flood payload")? });
-                }
-                "budget" => spec.budget = Some(parse_budget(value)?),
-                "warmup" => spec.warmup = dur_from_text(value)?,
-                "duration" => spec.duration = dur_from_text(value)?,
-                "seed" => spec.seed = u64_from(value, key)?,
-                "tcp_mss" => spec.tcp.mss = usize_from(value, key)?,
-                "tcp_recv_buf" => spec.tcp.recv_buffer = usize_from(value, key)?,
-                "tcp_send_buf" => spec.tcp.send_buffer = usize_from(value, key)?,
-                "tcp_init_cwnd" => spec.tcp.initial_cwnd_segments = u32_from(value, key)?,
-                "tcp_ssthresh" => spec.tcp.initial_ssthresh = u32_from(value, key)?,
-                "tcp_rto_init" => spec.tcp.rto_initial = dur_from_text(value)?,
-                "tcp_rto_min" => spec.tcp.rto_min = dur_from_text(value)?,
-                "tcp_rto_max" => spec.tcp.rto_max = dur_from_text(value)?,
-                "tcp_delayed_ack" => spec.tcp.delayed_ack = bool_from(value, key)?,
-                "tcp_da_timeout" => spec.tcp.delayed_ack_timeout = dur_from_text(value)?,
-                "tcp_max_retx" => spec.tcp.max_retransmits = u32_from(value, key)?,
-                "tcp_time_wait" => spec.tcp.time_wait = dur_from_text(value)?,
-                _ => return Err(format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)")),
+                _ => apply_field(&mut spec, key, value)?,
             }
         }
 
@@ -720,6 +816,68 @@ fn traffic_base(topo: TopologyKind, policy: Policy, rate: Rate, traffic: FlowTra
         ScenarioSpec::udp(topo, policy, rate, Duration::ZERO)
     };
     ScenarioSpec { traffic, ..base }
+}
+
+/// Sets the field `key` of `spec` to `value`, parsed as on a spec line
+/// (the required keys included, without the defaults a line's
+/// `traffic=` picks). Shared by [`ScenarioSpec::from_scn`] and
+/// [`Selector`]: a selector field means what the line field means.
+fn apply_field(spec: &mut ScenarioSpec, key: &str, value: &str) -> Result<(), String> {
+    match key {
+        "topo" => spec.topology = topo_from_text(value)?,
+        "policy" => spec.policy = policy_from_text(value)?,
+        "rate" => spec.rate = rate_from_text(value)?,
+        "traffic" => spec.traffic = traffic_from_text(value, true)?,
+        "medium" => spec.medium = parse_medium(value)?,
+        "bcast" => spec.broadcast_rate = Some(rate_from_text(value)?),
+        "flows" => spec.flows = parse_flows(value, spec.traffic)?,
+        "flow" => spec.flows.push(parse_flow_spec(value)?),
+        "max_agg" => spec.max_aggregate = usize_from(value, key)?,
+        "sizing" => spec.sizing = parse_sizing(value)?,
+        "ack" => {
+            spec.ack_policy = match value {
+                "normal" => AckPolicy::Normal,
+                "block" => AckPolicy::Block,
+                _ => return Err(format!("bad ack value `{value}` (normal|block)")),
+            }
+        }
+        "rts" => spec.rts_cts = bool_from(value, key)?,
+        "flush" => spec.flush_timeout = Some(dur_from_text(value)?),
+        "fault" => {
+            let (d, c) =
+                value.split_once(':').ok_or_else(|| format!("expected fault=DROP:CORRUPT, got `{value}`"))?;
+            spec.fault = Some((prob_from_text(d)?, prob_from_text(c)?));
+        }
+        "link_error" => spec.link_error = Some(parse_link_error(value)?),
+        "flood" => {
+            let (i, p) = value
+                .split_once(':')
+                .ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{value}`"))?;
+            let interval = dur_from_text(i)?;
+            if interval.is_zero() {
+                return Err("flood interval must be positive".into());
+            }
+            spec.flooding = Some(Flooding { interval, payload: payload_from(p, "flood payload")? });
+        }
+        "budget" => spec.budget = Some(parse_budget(value)?),
+        "warmup" => spec.warmup = dur_from_text(value)?,
+        "duration" => spec.duration = dur_from_text(value)?,
+        "seed" => spec.seed = u64_from(value, key)?,
+        "tcp_mss" => spec.tcp.mss = usize_from(value, key)?,
+        "tcp_recv_buf" => spec.tcp.recv_buffer = usize_from(value, key)?,
+        "tcp_send_buf" => spec.tcp.send_buffer = usize_from(value, key)?,
+        "tcp_init_cwnd" => spec.tcp.initial_cwnd_segments = u32_from(value, key)?,
+        "tcp_ssthresh" => spec.tcp.initial_ssthresh = u32_from(value, key)?,
+        "tcp_rto_init" => spec.tcp.rto_initial = dur_from_text(value)?,
+        "tcp_rto_min" => spec.tcp.rto_min = dur_from_text(value)?,
+        "tcp_rto_max" => spec.tcp.rto_max = dur_from_text(value)?,
+        "tcp_delayed_ack" => spec.tcp.delayed_ack = bool_from(value, key)?,
+        "tcp_da_timeout" => spec.tcp.delayed_ack_timeout = dur_from_text(value)?,
+        "tcp_max_retx" => spec.tcp.max_retransmits = u32_from(value, key)?,
+        "tcp_time_wait" => spec.tcp.time_wait = dur_from_text(value)?,
+        _ => return Err(format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)")),
+    }
+    Ok(())
 }
 
 fn parse_medium(s: &str) -> Result<MediumKind, String> {
@@ -814,14 +972,19 @@ fn parse_budget(s: &str) -> Result<RunBudget, String> {
     Ok(budget)
 }
 
-fn parse_sizing(s: &str) -> Result<AggSizing, String> {
+/// Parses a `sizing=` value; `none` spells the default (no override:
+/// a fixed cap of `max_agg`), which the serializer omits.
+fn parse_sizing(s: &str) -> Result<Option<AggSizing>, String> {
+    if s == "none" {
+        return Ok(None);
+    }
     if let Some(b) = s.strip_prefix("fixed:") {
-        return Ok(AggSizing::Fixed(usize_from(b, "sizing fixed bytes")?));
+        return Ok(Some(AggSizing::Fixed(usize_from(b, "sizing fixed bytes")?)));
     }
     if let Some(samples) = s.strip_prefix("budget:") {
-        return Ok(AggSizing::CoherenceBudget(u64_from(samples, "sizing budget samples")?));
+        return Ok(Some(AggSizing::CoherenceBudget(u64_from(samples, "sizing budget samples")?)));
     }
-    Err(format!("unknown sizing `{s}` (fixed:BYTES|budget:SAMPLES)"))
+    Err(format!("unknown sizing `{s}` (none|fixed:BYTES|budget:SAMPLES)"))
 }
 
 /// Parses a `flows=` endpoint list; every flow carries `traffic`.
@@ -1225,6 +1388,58 @@ mod directive_tests {
         assert_eq!(parse_scn_file(&format!("#! seeds={MAX_SEEDS}\n")).unwrap().meta.seeds, Some(MAX_SEEDS));
         let err = parse_scn_file("\n#! seeds=100001\n").unwrap_err();
         assert_eq!((err.line, err.msg.as_str()), (2, "seeds must be at most 100000"));
+    }
+
+    #[test]
+    fn a_table_block_parses_into_its_layout() {
+        let text = format!(
+            "#! rows=rate | rate\n#! metric=relay_overhead\n#! col=NA | policy=na\n\
+             #! col=BA paper, BA | policy=ba rts=on\n#! gain=BA/NA | policy=ba / policy=na\n\
+             #! paper=policy=ba | 0.5 2\n{BODY}"
+        );
+        let meta = parse_scn_file(&text).unwrap().meta;
+        let table = meta.table.expect("a table block");
+        assert_eq!(table.rows, ("rate".to_string(), RowKey::Rate));
+        assert_eq!(table.metric, Metric::RelayOverhead);
+        let heads: Vec<_> =
+            table.cols.iter().map(|c| (c.paper_header.as_deref(), c.header.as_str())).collect();
+        assert_eq!(heads, [(None, "NA"), (Some("BA paper"), "BA")]);
+        let (gain, den) = table.gain.expect("a gain column");
+        assert_eq!((gain.paper_header, gain.header.as_str()), (None, "BA/NA"));
+        assert_eq!(meta.paper.len(), 1);
+        assert_eq!(meta.paper[0].1, [0.5, 2.0]);
+        // Selectors match by value: `rts=on` is the default a line omits.
+        let spec = parse_scn(BODY).unwrap().remove(0);
+        assert!(
+            table.cols[1].select.matches(&spec)
+                && gain.select.matches(&spec)
+                && meta.paper[0].0.matches(&spec)
+        );
+        assert!(!table.cols[0].select.matches(&spec) && !den.matches(&spec));
+        // Table directives are metadata: the specs and their hashes are
+        // those of the bare lines.
+        assert_eq!(parse_scn_file(&text).unwrap().specs, parse_scn(BODY).unwrap());
+    }
+
+    #[test]
+    fn sizing_none_spells_the_default_and_canonicalises_away() {
+        let spec = ScenarioSpec::from_scn(&format!("{} sizing=none", BODY.trim())).unwrap();
+        assert_eq!(spec, parse_scn(BODY).unwrap()[0]);
+        assert_eq!(spec.to_scn(), BODY.trim());
+    }
+
+    #[test]
+    fn row_keys_label_and_order_rows_by_value() {
+        let row = |key: RowKey, line: &str| key.row(&ScenarioSpec::from_scn(line).unwrap());
+        let base = BODY.trim();
+        assert_eq!(row(RowKey::Rate, base), (1.3, "1.30 Mbps".into()));
+        assert_eq!(row(RowKey::MaxAgg, &format!("{base} max_agg=11264")), (11264.0, "11".into()));
+        assert_eq!(row(RowKey::Flood, &format!("{base} flood=50ms:120")), (0.05, "0.05s".into()));
+        assert_eq!(
+            row(RowKey::Topo, "topo=linear:12 policy=ba rate=1.3 traffic=file:1"),
+            (12.0, "12".into())
+        );
+        assert_eq!(row(RowKey::Medium, &format!("{base} medium=spatial:5.0")), (5.0, "5".into()));
     }
 
     #[test]

@@ -96,7 +96,7 @@ const KEYS: &[(&str, &[&str])] = &[
         ],
     ),
     ("max_agg", &["5120", "11264", "160", "159", "0", "18446744073709551615"]),
-    ("sizing", &["fixed:5120", "fixed:160", "fixed:159", "budget:120000", "budget:1", "budget:0"]),
+    ("sizing", &["none", "fixed:5120", "fixed:160", "fixed:159", "budget:120000", "budget:1", "budget:0"]),
     ("ack", &["normal", "block", "none"]),
     ("rts", &["on", "off", "1"]),
     ("flush", &["0s", "5ms", "18446744073709551615ns", "18446744073709551615s"]),
@@ -125,11 +125,33 @@ const KEYS: &[(&str, &[&str])] = &[
 ];
 
 /// Every `#!` directive with values it accepts and values just past
-/// what it accepts (`seeds` is bounded by `MAX_SEEDS` = 100 000).
+/// what it accepts (`seeds` is bounded by `MAX_SEEDS` = 100 000; the
+/// table directives after `rows` need a `rows` line above them).
 const DIRECTIVES: &[(&str, &[&str])] = &[
     ("seeds", &["1", "3", "100000", "100001", "0", "4294967296", "18446744073709551615"]),
     ("caption", &["Figure X", ""]),
     ("note", &["paper: BA > UA", ""]),
+    ("rows", &["rate | rate", "hops | topo", "x | medium", "rate | shape", "rate", "|"]),
+    ("metric", &["relay_overhead", "throughput", "goodput", ""]),
+    (
+        "col",
+        &["NA | policy=na", "NA paper, NA | policy=na rate=1.3", "X | shape=round", "X | rate=9.9", "X |"],
+    ),
+    (
+        "gain",
+        &["g | policy=ba / policy=ua", "p, g | rts=on / rts=off", "g | policy=ba", "g | / ", "g | x / y"],
+    ),
+    (
+        "paper",
+        &[
+            "policy=na | 0.25",
+            "rate=0.65 | 1 2 3",
+            "policy=na | NaN",
+            "policy=na | inf",
+            "policy=na |",
+            "| 1",
+        ],
+    ),
 ];
 
 /// Values no key wants.
@@ -265,6 +287,38 @@ fn topologies_beyond_the_16_bit_node_id_space_are_rejected() {
         let spec = ScenarioSpec::from_scn(&format!("topo={topo} policy=ba rate=1.3 traffic=file:20480"))
             .unwrap_or_else(|e| panic!("{topo}: {e}"));
         assert_eq!(spec.topology.node_count(), 65535);
+    }
+}
+
+#[test]
+fn malformed_directives_are_errors_with_their_line_number() {
+    let block = "#! rows=rate | rate\n#! col=NA | policy=na\n";
+    for (directives, line, msg) in [
+        ("#! claim=BA >= UA\n", 2, "unknown directive `claim`"),
+        (block, 0, ""),
+        ("#! rows=rate | shape\n", 2, "unknown row key `shape`"),
+        ("#! col=NA | policy=na\n", 2, "`col` directive before the `rows` one"),
+        (&format!("{block}#! col=X | shape=round\n"), 4, "unknown key `shape`"),
+        (&format!("{block}#! col=X | policy=zz\n"), 4, "unknown policy `zz`"),
+        (&format!("{block}#! col=X | policy\n"), 4, "`policy` is not key=value"),
+        (&format!("{block}#! col=X |\n"), 4, "empty selector"),
+        (&format!("{block}#! gain=g | policy=ba\n"), 4, "expected `NUM / DEN` selectors"),
+        (&format!("{block}#! gain=g | policy=ba / rate=1.4\n"), 4, "unknown rate `1.4`"),
+        (&format!("{block}#! metric=goodput\n"), 4, "unknown metric `goodput`"),
+        (&format!("{block}#! rows=hops | topo\n"), 4, "a second table block (`rows` directive)"),
+        ("#! paper=rate=9.9 | 1\n", 2, "unknown rate `9.9`"),
+        ("#! paper=policy=na | NaN\n", 2, "`NaN` is not finite"),
+        ("#! paper=policy=na | -inf\n", 2, "`-inf` is not finite"),
+        ("#! paper=policy=na | 1e999\n", 2, "`1e999` is not finite"),
+        ("#! paper=policy=na | 0.25 x\n", 2, "bad number `x`"),
+        ("#! paper=policy=na |\n", 2, "a paper line needs at least one value"),
+        ("#! paper=policy=na 0.25\n", 2, "expected `paper=SELECTOR | VALUE...`"),
+    ] {
+        let text = format!("# reproducer\n{directives}{BASE}\n");
+        match parse_scn_file(&text) {
+            Ok(_) => assert_eq!(line, 0, "{text:?} parsed"),
+            Err(e) => assert!(e.line == line && e.msg.starts_with(msg), "{text:?}: {e}"),
+        }
     }
 }
 
