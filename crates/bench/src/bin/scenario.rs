@@ -10,17 +10,17 @@
 //!
 //! Every argument that does not start with `--` is a spec token; the
 //! tokens are joined into one line and parsed by
-//! [`ScenarioSpec::from_scn`], exactly as `--bin sweep` parses a file
+//! [`ScenarioSpec::from_scn`], exactly as `all FILE.scn` parses a file
 //! line, so the keys, their defaults and their checks are the ones in
 //! `docs/SCENARIO_FORMAT.md`. The spec is echoed in canonical form
 //! before the run; collect such lines in a file to run them as a batch
-//! — with result caching — via `--bin sweep`.
+//! — with result caching — via `all FILE.scn`.
 //!
 //! `--dump-links` prints the medium's connectivity/SNR matrix before
 //! running, so a spatial layout can be inspected without reading code.
 
 use hydra_bench::{failure_lines, ExperimentRunner, Table};
-use hydra_netsim::{check_seeds, MediumKind, ScenarioSpec};
+use hydra_netsim::{check_seeds, check_threads, MediumKind, ScenarioSpec};
 use hydra_phy::PhyProfile;
 
 const HELP: &str = "\
@@ -29,9 +29,9 @@ usage: scenario topo=T policy=P rate=R traffic=X [KEY=VALUE ...]
 
 Runs one ScenarioSpec written as the key=value tokens of one `.scn`
 line: topo, policy, rate and traffic are required, every other key
-keeps its default. The line is parsed exactly as `--bin sweep` parses a
-file line, echoed in canonical form, and run through the parallel
-ExperimentRunner. Every key, its values and its default:
+keeps its default. The line is parsed exactly as `all FILE.scn` parses
+a file line, echoed in canonical form, and run through the parallel
+ExperimentRunner; run such lines as a batch via `all FILE.scn`. Every key, its values and its default:
 docs/SCENARIO_FORMAT.md.
 
 examples:
@@ -44,7 +44,8 @@ examples:
 
 flags:
   --seeds N        replications (default 3)
-  --threads N      worker threads (0 = one per CPU, the default)
+  --threads N      worker threads (0 = one per CPU, the default; at
+                   most 256)
   --dump-links     print the connectivity/SNR matrix before running
   --help           this text
 ";
@@ -76,7 +77,10 @@ fn split_args(argv: &[String]) -> Result<Cli, String> {
                 let n = value(arg)?.parse().map_err(|_| "bad --seeds".to_string())?;
                 cli.seeds = check_seeds(n)?;
             }
-            "--threads" => cli.threads = value(arg)?.parse().map_err(|_| "bad --threads".to_string())?,
+            "--threads" => {
+                let n = value(arg)?.parse().map_err(|_| "bad --threads".to_string())?;
+                cli.threads = check_threads(n)?;
+            }
             "--dump-links" => cli.dump_links = true,
             "--help" => cli.help = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
@@ -158,7 +162,7 @@ fn main() {
     }
     let spec = ScenarioSpec::from_scn(&cli.line).unwrap_or_else(|e| die(&e));
     // The canonical .scn line: paste into a file and run it (with
-    // others) via `--bin sweep`. Format: docs/SCENARIO_FORMAT.md.
+    // others) via `all FILE.scn`. Format: docs/SCENARIO_FORMAT.md.
     println!("scn: {}\n", spec.to_scn());
     if cli.dump_links {
         dump_links(&spec);
@@ -274,6 +278,8 @@ mod tests {
         assert_eq!(split("--seeds").unwrap_err(), "--seeds needs a value");
         assert_eq!(split("--seeds 0").unwrap_err(), "seeds must be at least 1");
         assert_eq!(split("--threads x").unwrap_err(), "bad --threads");
+        assert_eq!(split("--threads 257").unwrap_err(), "threads must be at most 256");
+        assert_eq!(split("--threads 256").unwrap().threads, 256);
         // A token that is not key=value is the parser's to reject.
         let cli = split("tcp --seeds 1").unwrap();
         assert_eq!(ScenarioSpec::from_scn(&cli.line).unwrap_err(), "`tcp` is not key=value");

@@ -4,7 +4,7 @@
 //! Each experiment is its checked-in file under `examples/sweeps/`,
 //! compiled in, and the file is the table. Its spec lines are the grid,
 //! its `#! caption=` titles the table, its `#! seeds=` sets the
-//! replication count (unless [`Opts::seeds`] overrides it), its
+//! replication count (unless `all --seeds` overrides it), its
 //! `#! note=` lines are the footnotes and its `#! paper=` lines quote
 //! the paper's numbers. A file with a table block (`#! rows=`,
 //! `#! col=`, …; `docs/SCENARIO_FORMAT.md`) is drawn by [`render`],
@@ -17,8 +17,6 @@
 //! roughly what factor, where crossovers fall — are the claims being
 //! reproduced (docs/REPRODUCTION.md states the claim of each table).
 
-use std::sync::Arc;
-
 use hydra_netsim::{
     parse_scn_file, FlowTraffic, Metric, Policy, RunOutcome, ScenarioSpec, Selector, SweepFile, TopologyKind,
 };
@@ -26,60 +24,6 @@ use hydra_phy::LinkErrorModel;
 
 use crate::report::{bytes, mbps, pct, Table};
 use crate::runner::{failure_lines, CellResult, ExperimentRunner};
-use crate::sweeps::{ConcurrentCache, SharedCache};
-
-/// Harness options.
-#[derive(Debug, Clone)]
-pub struct Opts {
-    /// Replications per scenario in every experiment; `None` runs each
-    /// file's `#! seeds=` count.
-    pub seeds: Option<u64>,
-    /// Runner worker threads (0 = one per available CPU).
-    pub threads: usize,
-    /// The result store every experiment run from these options shares
-    /// (and so do clones of them): memory-only by default, so a run
-    /// another experiment already simulated is a hit, and file-backed
-    /// when `all` opens the persistent store.
-    pub cache: SharedCache,
-    /// What the `FAILED(reason)` table cells abbreviate: one line per
-    /// failed replication (see [`failure_lines`]), in run order, shared
-    /// by every experiment these options drive. The driving binary
-    /// prints them after the whole grid and picks its exit code from
-    /// them — failures degrade cells, they never abort runs.
-    failure_log: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            seeds: None,
-            threads: 0,
-            cache: Arc::new(ConcurrentCache::in_memory()),
-            failure_log: Default::default(),
-        }
-    }
-}
-
-impl Opts {
-    fn runner(&self) -> ExperimentRunner {
-        ExperimentRunner::new(self.threads).with_cache(Arc::clone(&self.cache))
-    }
-
-    /// Runs `specs`, logging every failed replication under the cell's
-    /// index in `examples/sweeps/<name>.scn`.
-    fn run_sweep(&self, name: &str, specs: &[ScenarioSpec], seeds: u64) -> Vec<CellResult> {
-        let results = self.runner().run_sweep(specs, seeds);
-        let lines = failure_lines(name, &results);
-        self.failure_log.lock().unwrap_or_else(std::sync::PoisonError::into_inner).extend(lines);
-        results
-    }
-
-    /// One `experiment:cell rep N: error` line per replication that
-    /// failed in any experiment run from these options so far.
-    pub fn failure_lines(&self) -> Vec<String> {
-        self.failure_log.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-    }
-}
 
 /// Draws a file's tables from its cells: one per spec line, in file
 /// order.
@@ -243,6 +187,34 @@ pub fn render(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
         t.row(out);
     }
     noted(t, file)
+}
+
+/// Lists `file`, read from `path` and run at `seeds` replications, one
+/// row per spec line in file order: the line, its mean throughput
+/// (marked `(STUCK)` when a replication did not finish, or
+/// `FAILED(reason)` when none succeeded) and every replication's
+/// throughput. The table `all FILE.scn` prints.
+pub fn listing(path: &str, file: &SweepFile, seeds: u64, cells: &[CellResult]) -> Table {
+    let title = match &file.meta.caption {
+        Some(caption) => format!("{caption} [{path} — {} scenarios × {seeds} seed(s)]", file.specs.len()),
+        None => format!("{path} — {} scenarios × {seeds} seed(s)", file.specs.len()),
+    };
+    let mut t = Table::new(title, &["#", "scenario", "mean Mbps", "per-seed Mbps"]);
+    for (i, cell) in cells.iter().enumerate() {
+        let per_seed: Vec<String> = cell
+            .runs
+            .iter()
+            .map(|r| match r {
+                Ok(run) => mbps(run.throughput_bps),
+                Err(e) => format!("FAILED({})", e.reason()),
+            })
+            .collect();
+        let stuck = cell.ok_runs().any(|r| !r.completed);
+        let mean = if stuck { format!("{} (STUCK)", cell.mean_cell()) } else { cell.mean_cell() };
+        t.row(vec![i.to_string(), cell.spec.to_scn(), mean, per_seed.join(" ")]);
+    }
+    t.notes.extend(file.meta.notes.iter().cloned());
+    t
 }
 
 fn caption(file: &SweepFile) -> String {
@@ -660,35 +632,50 @@ fn ablation_broadcast_position(file: &SweepFile, cells: &[CellResult]) -> Vec<Ta
     noted(t, file)
 }
 
-/// Runs and draws the shipped experiments `names` selects (every one
-/// when it is empty) in registry order, printing each table as it is
-/// done; returns the printed text.
-pub fn run_tables(opts: &Opts, names: &[String]) -> String {
-    let mut out = String::new();
-    for (name, _, render) in SHIPPED {
-        if !names.is_empty() && !names.iter().any(|n| n == name) {
-            continue;
-        }
-        let file = shipped(name);
-        let seeds =
-            opts.seeds.or(file.meta.seeds).unwrap_or_else(|| panic!("{}: no `#! seeds=`", path(name)));
-        let cells = opts.run_sweep(name, &file.specs, seeds);
-        for t in render(&file, &cells) {
+/// Runs through `runner`, and prints as each is done, the shipped
+/// experiments `names` selects, in registry order, then each of `files`
+/// (a path and its parsed text) as its [`listing`], in the order given.
+/// A file runs at `seeds` replications, else at its `#! seeds=`, else
+/// at 3. Returns the printed text and one line per failed replication
+/// (see [`failure_lines`]) under its experiment's name or file's path:
+/// failures degrade cells, they never abort runs.
+pub fn run_tables(
+    runner: &ExperimentRunner,
+    seeds: Option<u64>,
+    names: &[String],
+    files: &[(String, SweepFile)],
+) -> (String, Vec<String>) {
+    let (mut text, mut failures) = (String::new(), Vec::new());
+    let mut run = |source: &str, file: &SweepFile, draw: &dyn Fn(&[CellResult], u64) -> Vec<Table>| {
+        let seeds = seeds.or(file.meta.seeds).unwrap_or(3);
+        let cells = runner.run_sweep(&file.specs, seeds);
+        for t in draw(&cells, seeds) {
             let s = t.render();
             println!("{s}");
-            out.push_str(&s);
-            out.push('\n');
+            text.push_str(&s);
+            text.push('\n');
         }
+        failures.extend(failure_lines(source, &cells));
+    };
+    for &(name, _, render) in SHIPPED.iter().filter(|(n, ..)| names.iter().any(|m| m == n)) {
+        let file = shipped(name);
+        run(name, &file, &|cells, _| render(&file, cells));
     }
-    out
+    for (path, file) in files {
+        if file.specs.is_empty() {
+            eprintln!("{path}: no scenarios, skipping");
+            continue;
+        }
+        run(path, file, &|cells, seeds| vec![listing(path, file, seeds, cells)]);
+    }
+    (text, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hydra_netsim::{NodeReport, RunError, RunOutcome, RunPerf, RunReport};
-    use hydra_phy::Rate;
-    use hydra_sim::{Duration, Instant};
+    use hydra_sim::Instant;
 
     /// A successful run: `throughput_bps`, and three nodes whose time
     /// overhead is `overhead` (a fraction).
@@ -746,23 +733,76 @@ mod tests {
     }
 
     #[test]
-    fn options_log_each_failed_replication_under_its_experiment_and_cell() {
-        let mut stalled =
-            ScenarioSpec::udp(TopologyKind::Linear(1), Policy::Ua, Rate::R1_30, Duration::from_millis(20));
-        stalled.duration = Duration::from_millis(200);
-        let fine = stalled.clone();
-        stalled.budget = Some(hydra_netsim::RunBudget::events(10));
-        let opts = Opts { seeds: Some(1), threads: 1, ..Opts::default() };
-        opts.run_sweep("probe", &[fine.clone(), fine, stalled.clone()], 1);
-        opts.run_sweep("other", &[stalled], 2);
+    fn run_tables_logs_each_failed_replication_under_its_file_and_cell() {
+        let line = "topo=linear:1 policy=ua rate=1.3 traffic=cbr:20ms:1045 duration=200ms";
+        let stalled = format!("{line} budget=events:10");
+        let file = |text: String| parse_scn_file(&text).unwrap();
+        let files = [
+            ("probe.scn".to_string(), file(format!("#! seeds=1\n{line}\n{line}\n{stalled}\n"))),
+            ("other.scn".to_string(), file(format!("#! seeds=2\n{stalled}\n"))),
+            ("empty.scn".to_string(), file("# nothing to run\n".to_string())),
+        ];
+        let (text, failures) = run_tables(&ExperimentRunner::sequential(), None, &[], &files);
         assert_eq!(
-            opts.failure_lines(),
+            failures,
             [
-                "probe:2 rep 1: run budget exhausted after 10 events",
-                "other:0 rep 1: run budget exhausted after 10 events",
-                "other:0 rep 2: run budget exhausted after 10 events",
+                "probe.scn:2 rep 1: run budget exhausted after 10 events",
+                "other.scn:0 rep 1: run budget exhausted after 10 events",
+                "other.scn:0 rep 2: run budget exhausted after 10 events",
             ]
         );
+        // One listing per file with lines, each at its own `#! seeds=`.
+        let titles: Vec<&str> = text.lines().filter(|l| l.starts_with("## ")).collect();
+        assert_eq!(
+            titles,
+            ["## probe.scn — 3 scenarios × 1 seed(s)", "## other.scn — 1 scenarios × 2 seed(s)"]
+        );
+        // `--seeds` wins over the directive.
+        let (text, failures) = run_tables(&ExperimentRunner::sequential(), Some(1), &[], &files[1..]);
+        assert!(text.starts_with("## other.scn — 1 scenarios × 1 seed(s)\n"), "{text}");
+        assert_eq!(failures.len(), 1);
+    }
+
+    #[test]
+    fn a_listing_shows_every_replication_and_marks_stuck_and_failed_cells() {
+        let lines = "#! note=fabricated numbers\n\
+                     topo=linear:1 policy=ua rate=1.3 traffic=file:20480\n\
+                     topo=linear:1 policy=ba rate=1.3 traffic=file:20480\n\
+                     topo=linear:1 policy=na rate=1.3 traffic=file:20480\n\
+                     topo=linear:1 policy=dba rate=1.3 traffic=file:20480\n";
+        let stuck = |mbps| {
+            let mut r = mbps_run(mbps);
+            r.as_mut().unwrap().completed = false;
+            r
+        };
+        let runs = |s: &ScenarioSpec| match s.policy {
+            Policy::Ua => vec![mbps_run(0.5), mbps_run(0.25)],
+            Policy::Ba => vec![mbps_run(1.0), stuck(0.5)],
+            Policy::Na => vec![mbps_run(0.2), failed()],
+            _ => vec![failed(), failed()],
+        };
+        let file = parse_scn_file(lines).unwrap();
+        let t = listing("demo.scn", &file, 2, &fabricate(&file, runs));
+        assert_eq!(t.title, "demo.scn — 4 scenarios × 2 seed(s)");
+        assert_eq!(t.headers, ["#", "scenario", "mean Mbps", "per-seed Mbps"]);
+        for (i, (row, spec)) in t.rows.iter().zip(&file.specs).enumerate() {
+            assert_eq!(row[..2], [i.to_string(), spec.to_scn()]);
+        }
+        let numbers: Vec<[&str; 2]> = t.rows.iter().map(|r| [&*r[2], &*r[3]]).collect();
+        assert_eq!(
+            numbers,
+            [
+                ["0.375", "0.500 0.250"],
+                ["0.750 (STUCK)", "1.000 0.500"],
+                ["0.200", "0.200 FAILED(budget)"],
+                ["FAILED(budget)", "FAILED(budget) FAILED(budget)"],
+            ]
+        );
+        assert_eq!(t.notes, ["fabricated numbers"]);
+        // A caption leads the title; the path and counts follow it.
+        let file = parse_scn_file(&format!("#! caption=Demo\n{lines}")).unwrap();
+        let t = listing("demo.scn", &file, 2, &fabricate(&file, runs));
+        assert_eq!(t.title, "Demo [demo.scn — 4 scenarios × 2 seed(s)]");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! table to its paper item and claim), or prints only the tables named
 //! on its command line ([`experiments::names`] lists them).
 //!
-//! The same files run with `--bin sweep`, and
+//! Any other `.scn` file runs by path through the same binary (`all
+//! FILE.scn`, listed by [`experiments::listing`]), and
 //! [`sweeps::ConcurrentCache`] persists every outcome keyed by
-//! `(stable_hash, replication)` so warm reruns of `--bin all` /
-//! `--bin sweep` simulate nothing and rebuild byte-identical tables.
+//! `(stable_hash, replication)` so warm reruns of `all` simulate
+//! nothing and rebuild byte-identical tables.
 //!
 //! **Layer**: the top of the library stack — above `hydra-netsim`;
 //! nothing builds on it except its own binaries (and the `hydra-agg`

@@ -5,10 +5,10 @@
 //! derives the world seed from — and a finished run is pure data. This
 //! module stores that data as JSON lines (one record per run, tagged
 //! with [`CACHE_SCHEMA`]) under `results/cache/`, so a warm rerun of
-//! `--bin all` or `--bin sweep` executes **zero** simulations for cells
-//! whose spec and replication are already on disk and still renders
-//! byte-identical tables: floats are written in shortest-round-trip
-//! form and parsed back bit-exactly.
+//! `--bin all` (tables by name, or any `.scn` file by path) executes
+//! **zero** simulations for cells whose spec and replication are
+//! already on disk and still renders byte-identical tables: floats are
+//! written in shortest-round-trip form and parsed back bit-exactly.
 //!
 //! Every runner carries one store. Without a directory it is
 //! [`ConcurrentCache::in_memory`]: the same index, counters and publish
@@ -419,7 +419,7 @@ impl ConcurrentCache {
                 batch.push('\n');
             }
             // One write of the whole batch: under O_APPEND concurrent
-            // writers (e.g. `--bin all` and `--bin sweep` sharing the
+            // writers (e.g. two `--bin all` processes sharing the
             // default cache) interleave at write granularity, so a
             // record must never be split across calls.
             let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;

@@ -1,5 +1,5 @@
-//! Two runners sharing one cache directory concurrently — the shape
-//! `--bin all` and `--bin sweep` produce when they run side by side:
+//! Two runners sharing one cache directory concurrently — the shape two
+//! `--bin all` processes produce when they run side by side:
 //! separate `ConcurrentCache` handles (as separate processes would
 //! have), one `runs.jsonl`, `O_APPEND` interleaving. No record may be
 //! lost or duplicated, cached outcomes must equal fresh ones, and the

@@ -8,7 +8,7 @@
 //! rendering or the simulation itself — both invalidate the persistent
 //! result cache and every published table.
 
-use hydra_bench::experiments::shipped_sweeps;
+use hydra_bench::experiments::{listing, shipped_sweeps};
 use hydra_bench::ExperimentRunner;
 use hydra_netsim::ScenarioSpec;
 
@@ -74,25 +74,21 @@ fn shipped_sweep_stable_hashes_are_golden() {
     }
 }
 
-/// The smoke sweep's throughputs, formatted exactly as `--bin sweep`
-/// prints them. Captured from the pre-refactor build: 4 scenarios ×
-/// 2 replications.
+/// The smoke sweep's per-seed column as `all examples/sweeps/smoke.scn`
+/// lists it. Captured from the pre-refactor build: 4 scenarios × 2
+/// replications.
 const GOLDEN_SMOKE_MBPS: &[&str] = &["0.836 0.836", "0.543 0.502", "0.150 0.134", "0.830 0.844"];
 
 #[test]
 fn smoke_sweep_table_numbers_are_golden() {
-    let text =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweeps/smoke.scn"))
-            .expect("read smoke.scn");
-    let specs = hydra_netsim::parse_scn(&text).expect("parse smoke.scn");
-    assert_eq!(specs.len(), GOLDEN_SMOKE_MBPS.len());
-    let cells = ExperimentRunner::sequential().run_sweep(&specs, 2);
-    for (cell, golden) in cells.iter().zip(GOLDEN_SMOKE_MBPS) {
-        let got: Vec<String> = cell
-            .runs
-            .iter()
-            .map(|r| format!("{:.3}", r.as_ref().expect("smoke run failed").throughput_bps / 1e6))
-            .collect();
-        assert_eq!(got.join(" "), *golden, "throughput drifted for `{}`", cell.spec.to_scn());
+    let path = "examples/sweeps/smoke.scn";
+    let text = std::fs::read_to_string(format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR")))
+        .expect("read smoke.scn");
+    let file = hydra_netsim::parse_scn_file(&text).expect("parse smoke.scn");
+    assert_eq!(file.specs.len(), GOLDEN_SMOKE_MBPS.len());
+    let cells = ExperimentRunner::sequential().run_sweep(&file.specs, 2);
+    let table = listing(path, &file, 2, &cells);
+    for (row, golden) in table.rows.iter().zip(GOLDEN_SMOKE_MBPS) {
+        assert_eq!(row[3], *golden, "throughput drifted for `{}`", row[1]);
     }
 }

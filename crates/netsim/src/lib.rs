@@ -34,8 +34,8 @@ pub mod world;
 pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, NodeReports, RunReport};
 pub use node::{Apps, Node};
 pub use scn::{
-    check_seeds, parse_scn, parse_scn_file, Column, Metric, RowKey, ScnError, Selector, SweepFile, SweepMeta,
-    TableLayout, MAX_SEEDS,
+    check_seeds, check_threads, parse_scn, parse_scn_file, Column, Metric, RowKey, ScnError, Selector,
+    SweepFile, SweepMeta, TableLayout, MAX_SEEDS, MAX_THREADS,
 };
 pub use spec::{
     panic_message, Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome,

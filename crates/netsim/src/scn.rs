@@ -197,6 +197,20 @@ pub fn check_seeds(seeds: u64) -> Result<u64, String> {
     }
 }
 
+/// The most worker threads a command line may ask for. Each is an OS
+/// thread spawned per sweep, so a larger count is a usage error, not a
+/// process the machine has to survive.
+pub const MAX_THREADS: usize = 256;
+
+/// Checks a `--threads` flag (0 = one per available CPU): `Err` holds
+/// the words every caller reports.
+pub fn check_threads(threads: usize) -> Result<usize, String> {
+    match threads {
+        n if n > MAX_THREADS => Err(format!("threads must be at most {MAX_THREADS}")),
+        n => Ok(n),
+    }
+}
+
 /// A fully parsed `.scn` file: sweep metadata plus the scenario list.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepFile {
@@ -646,7 +660,12 @@ impl ScenarioSpec {
         if let Some(flush) = self.flush_timeout {
             f.push(format!("flush={}", dur_to_text(flush)));
         }
-        self.tcp_overrides(&mut f);
+        let paper = TcpConfig::hydra_paper();
+        for k in &TCP_KEYS {
+            if let Some(text) = (k.differs)(&self.tcp, &paper) {
+                f.push(format!("{}={text}", k.key));
+            }
+        }
         if let Some((drop, corrupt)) = self.fault {
             f.push(format!("fault={}:{}", f64_to_text(drop), f64_to_text(corrupt)));
         }
@@ -708,48 +727,6 @@ impl ScenarioSpec {
         f.join(" ")
     }
 
-    /// Appends `tcp_*` fields that differ from [`TcpConfig::hydra_paper`].
-    fn tcp_overrides(&self, f: &mut Vec<String>) {
-        let d = TcpConfig::hydra_paper();
-        let t = &self.tcp;
-        if t.mss != d.mss {
-            f.push(format!("tcp_mss={}", t.mss));
-        }
-        if t.recv_buffer != d.recv_buffer {
-            f.push(format!("tcp_recv_buf={}", t.recv_buffer));
-        }
-        if t.send_buffer != d.send_buffer {
-            f.push(format!("tcp_send_buf={}", t.send_buffer));
-        }
-        if t.initial_cwnd_segments != d.initial_cwnd_segments {
-            f.push(format!("tcp_init_cwnd={}", t.initial_cwnd_segments));
-        }
-        if t.initial_ssthresh != d.initial_ssthresh {
-            f.push(format!("tcp_ssthresh={}", t.initial_ssthresh));
-        }
-        if t.rto_initial != d.rto_initial {
-            f.push(format!("tcp_rto_init={}", dur_to_text(t.rto_initial)));
-        }
-        if t.rto_min != d.rto_min {
-            f.push(format!("tcp_rto_min={}", dur_to_text(t.rto_min)));
-        }
-        if t.rto_max != d.rto_max {
-            f.push(format!("tcp_rto_max={}", dur_to_text(t.rto_max)));
-        }
-        if t.delayed_ack != d.delayed_ack {
-            f.push(format!("tcp_delayed_ack={}", if t.delayed_ack { "on" } else { "off" }));
-        }
-        if t.delayed_ack_timeout != d.delayed_ack_timeout {
-            f.push(format!("tcp_da_timeout={}", dur_to_text(t.delayed_ack_timeout)));
-        }
-        if t.max_retransmits != d.max_retransmits {
-            f.push(format!("tcp_max_retx={}", t.max_retransmits));
-        }
-        if t.time_wait != d.time_wait {
-            f.push(format!("tcp_time_wait={}", dur_to_text(t.time_wait)));
-        }
-    }
-
     /// Parses one `.scn` line (strict: unknown keys, duplicate keys, or
     /// missing required keys are errors). The per-flow `flow=` key is
     /// the one deliberately repeatable key: each occurrence adds one
@@ -805,6 +782,56 @@ impl ScenarioSpec {
         Ok(spec)
     }
 }
+
+/// One `tcp_*` key of a spec line and the [`TcpConfig`] field it sets.
+struct TcpKey {
+    key: &'static str,
+    /// The field's canonical text in the first config, `None` when the
+    /// second has the same value.
+    differs: fn(&TcpConfig, &TcpConfig) -> Option<String>,
+    /// Parses a value into the field.
+    set: fn(&mut TcpConfig, &str) -> Result<(), String>,
+}
+
+/// A value codec: a value's canonical text, and its parser (whose errors
+/// name the key).
+type Codec<T> = (fn(&T) -> String, fn(&str, &str) -> Result<T, String>);
+const BYTES: Codec<usize> = (usize::to_string, usize_from);
+const COUNT: Codec<u32> = (u32::to_string, u32_from);
+const DUR: Codec<Duration> = (|d| dur_to_text(*d), |s, _| dur_from_text(s));
+const SWITCH: Codec<bool> = (|&on| String::from(if on { "on" } else { "off" }), bool_from);
+
+/// Builds [`TCP_KEYS`] from `key => field: codec` rows.
+macro_rules! tcp_keys {
+    ($($key:literal => $field:ident: $codec:ident),* $(,)?) => {
+        [$(TcpKey {
+            key: $key,
+            differs: |t, base| (t.$field != base.$field).then(|| ($codec.0)(&t.$field)),
+            set: |t, value| {
+                t.$field = ($codec.1)(value, $key)?;
+                Ok(())
+            },
+        }),*]
+    };
+}
+
+/// Every `tcp_*` key, in canonical order: [`ScenarioSpec::to_scn`]
+/// writes the ones whose field differs from [`TcpConfig::hydra_paper`],
+/// and a spec line may set any of them.
+const TCP_KEYS: [TcpKey; 12] = tcp_keys![
+    "tcp_mss" => mss: BYTES,
+    "tcp_recv_buf" => recv_buffer: BYTES,
+    "tcp_send_buf" => send_buffer: BYTES,
+    "tcp_init_cwnd" => initial_cwnd_segments: COUNT,
+    "tcp_ssthresh" => initial_ssthresh: COUNT,
+    "tcp_rto_init" => rto_initial: DUR,
+    "tcp_rto_min" => rto_min: DUR,
+    "tcp_rto_max" => rto_max: DUR,
+    "tcp_delayed_ack" => delayed_ack: SWITCH,
+    "tcp_da_timeout" => delayed_ack_timeout: DUR,
+    "tcp_max_retx" => max_retransmits: COUNT,
+    "tcp_time_wait" => time_wait: DUR,
+];
 
 /// The traffic-matched constructor, carrying `traffic`: it supplies
 /// every default (notably window traffic's 2 s warmup / 20 s window vs
@@ -863,19 +890,11 @@ fn apply_field(spec: &mut ScenarioSpec, key: &str, value: &str) -> Result<(), St
         "warmup" => spec.warmup = dur_from_text(value)?,
         "duration" => spec.duration = dur_from_text(value)?,
         "seed" => spec.seed = u64_from(value, key)?,
-        "tcp_mss" => spec.tcp.mss = usize_from(value, key)?,
-        "tcp_recv_buf" => spec.tcp.recv_buffer = usize_from(value, key)?,
-        "tcp_send_buf" => spec.tcp.send_buffer = usize_from(value, key)?,
-        "tcp_init_cwnd" => spec.tcp.initial_cwnd_segments = u32_from(value, key)?,
-        "tcp_ssthresh" => spec.tcp.initial_ssthresh = u32_from(value, key)?,
-        "tcp_rto_init" => spec.tcp.rto_initial = dur_from_text(value)?,
-        "tcp_rto_min" => spec.tcp.rto_min = dur_from_text(value)?,
-        "tcp_rto_max" => spec.tcp.rto_max = dur_from_text(value)?,
-        "tcp_delayed_ack" => spec.tcp.delayed_ack = bool_from(value, key)?,
-        "tcp_da_timeout" => spec.tcp.delayed_ack_timeout = dur_from_text(value)?,
-        "tcp_max_retx" => spec.tcp.max_retransmits = u32_from(value, key)?,
-        "tcp_time_wait" => spec.tcp.time_wait = dur_from_text(value)?,
-        _ => return Err(format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)")),
+        _ => {
+            let k = TCP_KEYS.iter().find(|k| k.key == key);
+            let k = k.ok_or_else(|| format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)"))?;
+            (k.set)(&mut spec.tcp, value)?;
+        }
     }
     Ok(())
 }
@@ -1086,6 +1105,57 @@ mod tests {
         spec.sizing = Some(AggSizing::Fixed(4096));
         spec.duration = Duration::from_nanos(1_234_567);
         roundtrip(&spec);
+    }
+
+    #[test]
+    fn every_tcp_key_round_trips_and_is_documented() {
+        // One non-default value per row of the table, in its order.
+        let values = [
+            ("tcp_mss", "1000"),
+            ("tcp_recv_buf", "32768"),
+            ("tcp_send_buf", "8192"),
+            ("tcp_init_cwnd", "4"),
+            ("tcp_ssthresh", "65535"),
+            ("tcp_rto_init", "3s"),
+            ("tcp_rto_min", "1ms"),
+            ("tcp_rto_max", "120s"),
+            ("tcp_delayed_ack", "on"),
+            ("tcp_da_timeout", "100ms"),
+            ("tcp_max_retx", "5"),
+            ("tcp_time_wait", "2500us"),
+        ];
+        assert_eq!(TCP_KEYS.map(|k| k.key), values.map(|(key, _)| key));
+        let base = "topo=linear:2 policy=ba rate=1.3 traffic=file:204800";
+        let paper = TcpConfig::hydra_paper();
+        for (key, value) in values {
+            let line = format!("{base} {key}={value}");
+            let spec = ScenarioSpec::from_scn(&line).unwrap();
+            assert_ne!(spec.tcp, paper, "{key}={value} is the default");
+            assert_eq!(spec.to_scn(), line);
+            roundtrip(&spec);
+        }
+        // All at once, written back in the table's order.
+        let all: Vec<String> = values.iter().map(|(key, value)| format!("{key}={value}")).collect();
+        let line = format!("{base} {}", all.join(" "));
+        let mut reversed = all.clone();
+        reversed.reverse();
+        let spec = ScenarioSpec::from_scn(&format!("{base} {}", reversed.join(" "))).unwrap();
+        assert_eq!(spec.to_scn(), line);
+        roundtrip(&spec);
+        assert_eq!(
+            ScenarioSpec::from_scn(&format!("{base} tcp_mss=x")).unwrap_err(),
+            "bad tcp_mss value `x`"
+        );
+        assert_eq!(
+            ScenarioSpec::from_scn(&format!("{base} tcp_nope=1")).unwrap_err(),
+            "unknown key `tcp_nope` (see docs/SCENARIO_FORMAT.md)"
+        );
+        // The format reference's TCP table lists exactly these keys.
+        let doc = include_str!("../../../docs/SCENARIO_FORMAT.md");
+        let documented: Vec<&str> =
+            doc.lines().filter_map(|l| l.strip_prefix("| `tcp_")?.split('`').next()).collect();
+        let keys: Vec<String> = TCP_KEYS.iter().map(|k| k.key["tcp_".len()..].to_string()).collect();
+        assert_eq!(documented, keys);
     }
 
     #[test]

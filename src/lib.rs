@@ -21,12 +21,12 @@
 //! * [`netsim`] — node assembly, topologies, scenario specs, metrics.
 //!
 //! The experiment harness itself (grids, the parallel runner, the
-//! persistent result cache, and the `all`/`sweep`/`scenario` binaries)
-//! lives one layer higher in `hydra-bench`, which is a CLI surface
-//! rather than a library and is deliberately *not* re-exported here.
-//! Whole sweeps can be described as data: one `ScenarioSpec` per line
-//! in a `.scn` file (see `docs/SCENARIO_FORMAT.md` and
-//! `examples/sweeps/`).
+//! persistent result cache, and the `all`/`scenario` binaries) lives
+//! one layer higher in `hydra-bench`, which is a CLI surface rather
+//! than a library and is deliberately *not* re-exported here. Whole
+//! sweeps can be described as data: one `ScenarioSpec` per line in a
+//! `.scn` file (see `docs/SCENARIO_FORMAT.md` and `examples/sweeps/`),
+//! run by `all FILE.scn`.
 //!
 //! ## Quickstart
 //!
