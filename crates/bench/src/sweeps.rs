@@ -18,74 +18,60 @@
 //!
 //! Editing a spec changes its `stable_hash`, which invalidates exactly
 //! that cell's replications and nothing else. The key cannot see
-//! *code* edits, though: after changing simulation behaviour (MAC,
-//! PHY, TCP, …) the same spec hashes the same but would simulate
-//! differently, so [`CACHE_SCHEMA`] must be bumped (it doubles as the
-//! simulator-revision token) — likewise when [`RunOutcome`]'s shape or
-//! any field's meaning changes. Records with a foreign schema tag are
-//! ignored, not errors, so old caches degrade into cold ones.
+//! *code* edits, though; [`CACHE_SCHEMA`] says when the store must be
+//! re-tagged for those. Records with a foreign schema tag are ignored,
+//! not errors, so old caches degrade into cold ones.
 //!
-//! ## Record layout (`hydra-agg.run.v3`)
+//! ## Record layout (`hydra-agg.run.v4`)
 //!
 //! One line per run, `{json}#crc:xxxxxxxx` (see *Crash safety*), where
-//! `json` is, with `N` an integer, `F` a float and `S` a string:
+//! `json` is one positional row, with no keys at any level:
 //!
 //! ```text
-//! {"schema":"hydra-agg.run.v3","hash":"0x…","rep":N,"scn":S,"events":N,
-//!  "outcome":{"completed":true|false,"throughput_bps":F,
-//!             "per_flow":[{"src":N,"dst":N,"port":N,"traffic":S,"bytes":N,"bps":F,
-//!                          "completed_at_ns":N}, …],
-//!             "at_ns":N,"collisions":N,"nodes":[ROW, …]}}
+//! [schema, "0x…hash", rep, scn, events|null, completed, throughput_bps,
+//!  [FLOW, …], at_ns, collisions, [ROW, …]]
+//! FLOW = [src, dst, port, "traffic token", bytes, bps, completed_at_ns|null]
+//! ROW  = [node, tx_data_frames, tx_control, avg_frame_size, avg_subframes,
+//!         ucast_subframes, bcast_subframes, size_overhead, time_overhead,
+//!         [cat, secs, cat, secs, …], retries, retry_drops, queue_overflow,
+//!         acks_classified, bcast_filtered, bcast_ok, bcast_crc_fail,
+//!         unicast_ok, unicast_crc_drops, collisions_seen, forwarded]
 //! ```
 //!
-//! `events` (a scheduling hint) and `completed_at_ns` are optional, and
-//! `scn` is the spec's canonical `.scn` text, for people reading the
-//! file. Each `ROW` is one [`NodeReport`] as a positional array, its
-//! fields in declaration order and the subframe pair as two columns:
-//!
-//! ```text
-//! [node, tx_data_frames, tx_control, avg_frame_size, avg_subframes,
-//!  ucast_subframes, bcast_subframes, size_overhead, time_overhead,
-//!  [cat, secs, cat, secs, …], retries, retry_drops, queue_overflow,
-//!  acks_classified, bcast_filtered, bcast_ok, bcast_crc_fail,
-//!  unicast_ok, unicast_crc_drops, collisions_seen, forwarded]
-//! ```
-//!
-//! The nested list is the airtime ledger, flattened, in the report's own
-//! order: `cat` is the name's index in `hydra_core::counters::cat::ALL`
-//! when it is one of the MAC's names (every name this simulator writes)
-//! and the quoted name otherwise. The `node_row!` list is the row's one
-//! definition; the encoder and the decoder are both generated from it.
+//! `events` is the spec's event count, a scheduling hint (see
+//! [`CacheIndex::events_hint`]); `scn` is the spec's canonical `.scn`
+//! text, for people reading the file (the key already names the spec).
+//! A `ROW` is one [`NodeReport`], its fields in declaration order and the
+//! subframe pair as two columns. Its nested list is the airtime ledger,
+//! flattened, in the report's own order: `cat` is the name's index in
+//! `hydra_core::counters::cat::ALL` when it is one of the MAC's names
+//! (every name this simulator writes) and the quoted name otherwise.
 //! Floats are shortest-round-trip text, and the non-finite ones are the
-//! quoted tokens `"NaN"`, `"inf"` and `"-inf"`. v2 wrote each report as
-//! a 20-key object; the rows hold the same values in a third of the
-//! bytes (docs/PERFORMANCE.md, "Warm open, fourth pass").
+//! quoted tokens `"NaN"`, `"inf"` and `"-inf"`.
 //!
 //! ## The codec
 //!
 //! The workspace vendors no dependencies, so the codec below is a
 //! deliberately small JSON writer and a single-pass pull reader that
-//! cover exactly what the records need (objects, arrays, strings,
-//! integers, shortest-form floats, booleans). The reader walks each
-//! line's bytes once and writes fields straight into the `RunOutcome`
-//! that the index will hold — no intermediate document tree; see
-//! docs/PERFORMANCE.md, "Result store: warm open".
+//! cover exactly what the records need (arrays, strings, integers,
+//! shortest-form floats, booleans, `null`). Each row kind — record, flow,
+//! node — is one `row!` list of columns, and the writer and the reader are
+//! both generated from it; each column's type says how it is spelled
+//! (`Column`). The reader walks each line's bytes once and writes
+//! fields straight into the `RunOutcome` that the index will hold — no
+//! intermediate document tree; see docs/PERFORMANCE.md, "Result store:
+//! warm open".
 //!
-//! The reader expects what the writer wrote, and checks it cheaply
-//! before doing general work. Each object decoder lists its keys in the
-//! order the writer emits them; the reader first tests the key after
-//! the last one it found, as one prefix compare of `"key":` against the
-//! remaining bytes, and only on a miss reads the key as a string and
-//! looks it up — so escaped keys, whitespace, another order, repeats and
-//! unknown keys all decode. A node row has no keys: it is read by
-//! position, every column of its kind, and a row with a column too many
-//! or too few, a category index past `cat::ALL` or a float where a
-//! counter goes rejects its record. A plain run of digits is folded into
-//! a `u64` as it is read, and a short `[-]digits.digits` float is one
-//! exact division (Clinger's fast path); every other number goes through
-//! `str::parse`, once, over the span already scanned. A category index
-//! comes back as the MAC's borrowed `&'static str`, so neither decoding
-//! nor cloning a node report allocates a name.
+//! The reader takes exactly what the writer writes: every column of a
+//! row in order, each of its type. A row with a column too many or too
+//! few, a column of another kind, a category index past `cat::ALL` or a
+//! foreign schema tag rejects its record, which is skipped. Rows nest to
+//! a fixed depth, so nothing recurses on the input. A plain run of digits
+//! is folded into a `u64` as it is read, and a short `[-]digits.digits`
+//! float is one exact division (Clinger's fast path); every other number
+//! goes through `str::parse`, once, over the span already scanned. A
+//! category index comes back as the MAC's borrowed `&'static str`, so
+//! neither decoding nor cloning a node report allocates a name.
 //!
 //! The open streams the file: it reads `runs.jsonl` through one
 //! bounded window (1 MiB, grown only to fit the longest line) and
@@ -146,20 +132,25 @@ use hydra_wire::crc::crc32;
 
 /// Schema tag stamped on every cache record; records with a foreign
 /// tag are skipped on load. This is the cache's *only* notion of
-/// simulator revision: bump it on any change to the record layout
-/// **or to simulation behaviour** (MAC, PHY, TCP, spec semantics —
-/// anything that would make an old outcome wrong for the same spec).
-/// The key `(stable_hash, replication)` only tracks the *scenario*;
-/// it cannot see code edits, so a stale tag silently serves stale
-/// numbers. When in doubt, bump — or `rm -rf results/cache`.
+/// simulator revision. The key `(stable_hash, replication)` only tracks
+/// the *scenario*: it cannot see code edits, so a stale tag silently
+/// serves stale numbers. Bump it on any change to the record layout (a
+/// column added, removed or reordered in a `row!` list, or `cat::ALL`
+/// reordered), to what a stored value means, or to simulation behaviour
+/// (MAC, PHY, TCP, spec semantics — anything that would make an old
+/// outcome wrong for the same spec). When in doubt, bump — or
+/// `rm -rf results/cache`.
 ///
 /// v2: `RunOutcome` reports labeled per-flow results
 /// (`per_flow: [{src,dst,port,traffic,bytes,bps,completed_at_ns?}]`)
 /// instead of the bare `per_flow_bps` float array.
 ///
-/// v3: each node report is one positional row (see `node_row!`) instead
-/// of a 20-key object, its ledger categories indices into `cat::ALL`.
-pub const CACHE_SCHEMA: &str = "hydra-agg.run.v3";
+/// v3: each node report is one positional row (see `row!`) instead of a
+/// 20-key object, its ledger categories indices into `cat::ALL`.
+///
+/// v4: the whole record is one positional row, its flows rows too; no
+/// keyed object is left.
+pub const CACHE_SCHEMA: &str = "hydra-agg.run.v4";
 
 /// A cache shared between experiment functions and runner threads.
 pub type SharedCache = Arc<ConcurrentCache>;
@@ -234,12 +225,12 @@ impl CacheIndex {
 
     /// Indexes one record; a later record for the same key replaces an
     /// earlier one, and a spec's hint is the largest count seen.
-    fn insert(&mut self, key: (u64, u64), outcome: Arc<RunOutcome>, events: Option<u64>) {
-        if let Some(n) = events {
-            let hint = self.events.entry(key.0).or_insert(0);
+    fn insert(&mut self, record: Record<'_>) {
+        if let Some(n) = record.events {
+            let hint = self.events.entry(record.hash.0).or_insert(0);
             *hint = (*hint).max(n);
         }
-        self.entries.insert(key, outcome);
+        self.entries.insert((record.hash.0, record.rep), Arc::new(record.outcome));
     }
 }
 
@@ -302,7 +293,7 @@ impl ConcurrentCache {
             Some(file) => for_each_line(file, |line| {
                 match unseal(line) {
                     Some(json) => match decode_record(json, &mut nodes) {
-                        Some((key, outcome, events)) => index.insert(key, Arc::new(outcome), events),
+                        Some(record) => index.insert(record),
                         None => skipped += 1,
                     },
                     None => quarantined.push(line.to_vec()),
@@ -408,12 +399,29 @@ impl ConcurrentCache {
         if records.is_empty() {
             return Ok(());
         }
+        // Each outcome is held as a reopen would read it back: no
+        // telemetry (a hit cost no simulation). A memory-only store
+        // writes no `.scn` text.
+        let records: Vec<Record> = records
+            .iter()
+            .map(|&(hash, rep, spec, outcome)| Record {
+                schema: Schema,
+                hash: Hex(hash),
+                rep,
+                scn: Cow::Owned(self.path.as_ref().map(|_| spec.to_scn()).unwrap_or_default()),
+                // The scheduling hint: the event count, when it
+                // simulated anything.
+                events: Some(outcome.perf.events_processed).filter(|&n| n > 0),
+                outcome: RunOutcome { perf: RunPerf::default(), ..outcome.clone() },
+            })
+            .collect();
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(path) = &self.path {
             let mut batch = String::with_capacity(records.len() * 512);
-            for &(hash, rep, spec, outcome) in records {
+            for record in &records {
                 let start = batch.len();
-                encode_record(&mut batch, hash, rep, &spec.to_scn(), outcome, events_of(outcome))
+                record
+                    .encode(&mut batch)
                     .and_then(|()| seal(&mut batch, start))
                     .expect("writing to a String cannot fail");
                 batch.push('\n');
@@ -426,23 +434,14 @@ impl ConcurrentCache {
             file.write_all(batch.as_bytes())?;
         }
         // Publish: clone the table (Arc values, so outcomes are shared,
-        // not copied), fold the batch in, swap the snapshot. Each
-        // outcome goes in as a reopen would read it back: no telemetry
-        // (a hit cost no simulation), the event count kept as the hint.
+        // not copied), fold the batch in, swap the snapshot.
         let mut next = (*self.index()).clone();
-        for &(hash, rep, _, outcome) in records {
-            let stored = RunOutcome { perf: RunPerf::default(), ..outcome.clone() };
-            next.insert((hash, rep), Arc::new(stored), events_of(outcome));
+        for record in records {
+            next.insert(record);
         }
         *self.index.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         Ok(())
     }
-}
-
-/// The scheduling hint a fresh outcome carries into its record: its
-/// event count, when it simulated anything.
-fn events_of(outcome: &RunOutcome) -> Option<u64> {
-    Some(outcome.perf.events_processed).filter(|&n| n > 0)
 }
 
 /// The read window [`ConcurrentCache::open`] streams the store through:
@@ -502,17 +501,16 @@ fn for_each_line(
 // ---------------------------------------------------------------------
 
 /// Appends the integrity trailer to the record that starts at `start`
-/// in `buf`: `{json}#crc:xxxxxxxx`, CRC-32 over the JSON bytes. `#`
-/// cannot occur inside a record (the JSON string escapes hold none, and
-/// `.scn` text has no `#`), so the trailer is recoverable with a plain
-/// reverse split.
+/// in `buf`: `{json}#crc:xxxxxxxx`, CRC-32 over the JSON bytes. A record
+/// may itself hold `#` (a quoted ledger name can), but the trailer holds
+/// none, so [`unseal`] must split at the *last* `#` of the line.
 fn seal(buf: &mut String, start: usize) -> fmt::Result {
     let crc = crc32(&buf.as_bytes()[start..]);
     write!(buf, "#crc:{crc:08x}")
 }
 
-/// Splits and verifies the trailer; `None` for a missing or failed
-/// check (a torn or corrupted line).
+/// Splits and verifies the trailer at the line's last `#` (see [`seal`]);
+/// `None` for a missing or failed check (a torn or corrupted line).
 fn unseal(line: &[u8]) -> Option<&[u8]> {
     let at = line.iter().rposition(|&b| b == b'#')?;
     let hex = std::str::from_utf8(line[at + 1..].strip_prefix(b"crc:")?).ok()?;
@@ -521,85 +519,322 @@ fn unseal(line: &[u8]) -> Option<&[u8]> {
 }
 
 // ---------------------------------------------------------------------
-// Record encoding
+// Rows
 // ---------------------------------------------------------------------
 
-/// Writes one record (without trailer) onto `s`.
-fn encode_record(
-    s: &mut String,
-    hash: u64,
+/// One store line: what [`ConcurrentCache::append_batch`] writes and
+/// [`ConcurrentCache::open`] reads back, column by column (its `row!`
+/// list is below). The reader borrows `scn` from the line.
+struct Record<'a> {
+    schema: Schema,
+    hash: Hex,
     rep: u64,
-    scn: &str,
-    outcome: &RunOutcome,
+    scn: Cow<'a, str>,
     events: Option<u64>,
-) -> fmt::Result {
-    let (schema, scn) = (Quoted(CACHE_SCHEMA), Quoted(scn));
-    write!(s, "{{\"schema\":{schema},\"hash\":\"{hash:#018x}\",\"rep\":{rep},\"scn\":{scn},")?;
-    if let Some(n) = events {
-        // Scheduling hint only (see `CacheIndex::events_hint`). An
-        // *optional* key: the decoder looks fields up by name, so old
-        // records without it — and old readers seeing it — both work,
-        // which is why this is not a CACHE_SCHEMA bump.
-        write!(s, "\"events\":{n},")?;
-    }
-    s.push_str("\"outcome\":");
-    encode_outcome(s, outcome)?;
-    s.push('}');
-    Ok(())
+    outcome: RunOutcome,
 }
 
-fn encode_outcome(s: &mut String, o: &RunOutcome) -> fmt::Result {
-    write!(
-        s,
-        "{{\"completed\":{},\"throughput_bps\":{},\"per_flow\":[",
-        o.completed,
-        Float(o.throughput_bps)
-    )?;
-    for (i, fo) in o.per_flow.iter().enumerate() {
+/// A value one column of a row holds: how the writer spells it, and the
+/// reader of exactly that spelling (`None` for anything else).
+trait Column<'a>: Sized {
+    /// What a list of these reserves at its first item.
+    const ROOM: usize = 0;
+
+    fn encode(&self, s: &mut String) -> fmt::Result;
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self>;
+}
+
+/// Makes `$ty` a row: `[column, column, …]`, no keys, one column per
+/// place listed, each a place in the value `$v`. The writer and the
+/// reader are both generated from the one list, so they cannot disagree
+/// on what a position holds. The reader fills `$blank` in, exactly the
+/// listed columns, each of its type, or gives `None`; `$done` makes the
+/// value out of the filled-in one, where that is not the value itself.
+macro_rules! row {
+    ($v:ident: $ty:ty = $blank:expr $(=> $done:expr)?; $($place:expr,)+) => {
+        impl<'a> Column<'a> for $ty {
+            fn encode(&self, s: &mut String) -> fmt::Result {
+                let $v = self;
+                s.push('[');
+                $(
+                    $place.encode(s)?;
+                    s.push(',');
+                )+
+                s.pop();
+                s.push(']');
+                Ok(())
+            }
+
+            fn decode(r: &mut Reader<'a>) -> Option<Self> {
+                let mut $v = $blank;
+                let mut left = [$(stringify!($place)),+].len();
+                r.eat(b'[')?;
+                $(
+                    $place = Column::decode(r)?;
+                    left -= 1;
+                    r.eat(if left == 0 { b']' } else { b',' })?;
+                )+
+                $(let $v = $done;)?
+                Some($v)
+            }
+        }
+    };
+}
+
+row! { rec: Record<'a> = Record {
+        schema: Schema,
+        hash: Hex(0),
+        rep: 0,
+        scn: Cow::Borrowed(""),
+        events: None,
+        outcome: RunOutcome {
+            completed: false,
+            throughput_bps: 0.0,
+            per_flow: Vec::new(),
+            report: RunReport { nodes: NodeReports::default(), at: Instant::ZERO, collisions: 0 },
+            // Telemetry is never persisted: a cache hit reports zeros (it
+            // cost no simulation), keeping cached == fresh under PartialEq.
+            perf: RunPerf::default(),
+        },
+    };
+    rec.schema,
+    rec.hash,
+    rec.rep,
+    rec.scn,
+    rec.events,
+    rec.outcome.completed,
+    rec.outcome.throughput_bps,
+    rec.outcome.per_flow,
+    rec.outcome.report.at,
+    rec.outcome.report.collisions,
+    rec.outcome.report.nodes,
+}
+
+// A flow's traffic is its canonical `.scn` token: the token round-trips
+// the exact value (durations are exact nanosecond multiples), and keeps
+// records human-readable.
+row! { f: FlowOutcome = FlowOutcome::new(
+        FlowSpec { src: 0, dst: 0, port: 0, traffic: FlowTraffic::FileTransfer { bytes: 0 } },
+        0,
+        0.0,
+        None,
+    ) => FlowOutcome::new(f.flow, f.bytes, f.bps, f.completed_at);
+    f.flow.src,
+    f.flow.dst,
+    f.flow.port,
+    f.flow.traffic,
+    f.bytes,
+    f.bps,
+    f.completed_at,
+}
+
+// Every `NodeReport` field in declaration order, the subframe pair as
+// two columns.
+row! { n: NodeReport = NodeReport {
+        node: 0,
+        tx_data_frames: 0,
+        tx_control: 0,
+        avg_frame_size: 0.0,
+        avg_subframes: 0.0,
+        subframes_sent: (0, 0),
+        size_overhead: 0.0,
+        time_overhead: 0.0,
+        time_by_category: Vec::new(),
+        retries: 0,
+        retry_drops: 0,
+        queue_overflow: 0,
+        acks_classified: 0,
+        bcast_filtered: 0,
+        bcast_ok: 0,
+        bcast_crc_fail: 0,
+        unicast_ok: 0,
+        unicast_crc_drops: 0,
+        collisions_seen: 0,
+        forwarded: 0,
+    };
+    n.node,
+    n.tx_data_frames,
+    n.tx_control,
+    n.avg_frame_size,
+    n.avg_subframes,
+    n.subframes_sent.0,
+    n.subframes_sent.1,
+    n.size_overhead,
+    n.time_overhead,
+    n.time_by_category,
+    n.retries,
+    n.retry_drops,
+    n.queue_overflow,
+    n.acks_classified,
+    n.bcast_filtered,
+    n.bcast_ok,
+    n.bcast_crc_fail,
+    n.unicast_ok,
+    n.unicast_crc_drops,
+    n.collisions_seen,
+    n.forwarded,
+}
+
+// ---------------------------------------------------------------------
+// Columns
+// ---------------------------------------------------------------------
+
+/// The schema column: it reads only [`CACHE_SCHEMA`].
+struct Schema;
+
+/// The spec hash, quoted as `"0x"` and 16 hex digits.
+struct Hex(u64);
+
+/// Makes each `$ty` a column spelled as one JSON scalar: `$encode`
+/// writes `$v` onto `$s`, `$decode` reads one from `$r`.
+macro_rules! scalar_columns {
+    ($($ty:ty: |$s:ident, $v:ident| $encode:expr, |$r:ident| $decode:expr;)+) => {$(
+        impl<'a> Column<'a> for $ty {
+            fn encode(&self, $s: &mut String) -> fmt::Result {
+                let $v = self;
+                $encode
+            }
+
+            fn decode($r: &mut Reader<'a>) -> Option<Self> {
+                $decode
+            }
+        }
+    )+};
+}
+
+scalar_columns! {
+    // Counters are exact: `1.0` and `-1` are not counters.
+    u64: |s, v| write!(s, "{v}"), |r| r.u64();
+    usize: |s, v| write!(s, "{v}"), |r| usize::try_from(r.u64()?).ok();
+    u16: |s, v| write!(s, "{v}"), |r| u16::try_from(r.u64()?).ok();
+    Instant: |s, v| write!(s, "{}", v.as_nanos()), |r| Some(Instant::from_nanos(r.u64()?));
+    bool: |s, v| write!(s, "{v}"), |r| match r.peek()? {
+        b't' => r.lit("true").map(|()| true),
+        _ => r.lit("false").map(|()| false),
+    };
+    Cow<'a, str>: |s, v| write!(s, "{}", Quoted(v)), |r| r.string();
+    FlowTraffic: |s, v| write!(s, "{}", Quoted(&v.to_token())),
+        |r| FlowTraffic::from_token(&r.string()?).ok();
+    Schema: |s, _v| write!(s, "{}", Quoted(CACHE_SCHEMA)),
+        |r| (r.string()? == CACHE_SCHEMA).then_some(Schema);
+    Hex: |s, v| write!(s, "\"{:#018x}\"", v.0),
+        |r| u64::from_str_radix(r.string()?.strip_prefix("0x")?, 16).ok().map(Hex);
+}
+
+/// A value, or `null` for none.
+impl<'a, T: Column<'a>> Column<'a> for Option<T> {
+    fn encode(&self, s: &mut String) -> fmt::Result {
+        match self {
+            Some(v) => v.encode(s),
+            None => s.write_str("null"),
+        }
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        match r.peek()? {
+            b'n' => r.lit("null").map(|()| None),
+            _ => T::decode(r).map(Some),
+        }
+    }
+}
+
+/// A list, `[item,item,…]`.
+impl<'a, T: Column<'a>> Column<'a> for Vec<T> {
+    fn encode(&self, s: &mut String) -> fmt::Result {
+        encode_list(s, self)
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        let mut items = Vec::new();
+        r.list(&mut items)?;
+        Some(items)
+    }
+}
+
+/// The node reports, a list gathered in the reader's scratch vector
+/// (reused across records, so no record regrows one) and moved into
+/// their shared slice with one allocation of exactly their size.
+impl<'a> Column<'a> for NodeReports {
+    fn encode(&self, s: &mut String) -> fmt::Result {
+        encode_list(s, self)
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        let mut nodes = std::mem::take(&mut r.nodes);
+        nodes.clear();
+        let read = r.list(&mut nodes).map(|()| nodes.drain(..).collect());
+        r.nodes = nodes;
+        read
+    }
+}
+
+/// One airtime-ledger entry as two columns, `cat,secs`, so that the
+/// ledger is one flat list. `cat` is the name's index in [`cat::ALL`]
+/// when it is one of the MAC's names (every name this simulator
+/// writes), and the quoted name otherwise. An index comes back as the
+/// MAC's own `&'static str` and a quoted name as an owned copy, so
+/// decoding a store, and cloning what it decoded, allocates no MAC names.
+impl<'a> Column<'a> for (Cow<'static, str>, f64) {
+    // Room for the MAC's whole ledger: one allocation a node.
+    const ROOM: usize = cat::ALL.len();
+
+    fn encode(&self, s: &mut String) -> fmt::Result {
+        match cat::ALL.iter().position(|known| *known == self.0) {
+            Some(at) => write!(s, "{at},")?,
+            None => write!(s, "{},", Quoted(&self.0))?,
+        }
+        self.1.encode(s)
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        let name = match r.peek()? {
+            b'"' => Cow::Owned(r.string()?.into_owned()),
+            _ => Cow::Borrowed(*cat::ALL.get(usize::try_from(r.u64()?).ok()?)?),
+        };
+        r.eat(b',')?;
+        Some((name, f64::decode(r)?))
+    }
+}
+
+fn encode_list<'a, T: Column<'a>>(s: &mut String, items: &[T]) -> fmt::Result {
+    s.push('[');
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        // The flow's traffic in its canonical `.scn` token form — the
-        // token round-trips the exact value (durations are exact
-        // nanosecond multiples), and keeps records human-readable.
-        write!(
-            s,
-            "{{\"src\":{},\"dst\":{},\"port\":{},\"traffic\":{},\"bytes\":{},\"bps\":{}",
-            fo.flow.src,
-            fo.flow.dst,
-            fo.flow.port,
-            Quoted(&fo.flow.traffic.to_token()),
-            fo.bytes,
-            Float(fo.bps)
-        )?;
-        if let Some(at) = fo.completed_at {
-            write!(s, ",\"completed_at_ns\":{}", at.as_nanos())?;
-        }
-        s.push('}');
+        item.encode(s)?;
     }
-    write!(s, "],\"at_ns\":{},\"collisions\":{},\"nodes\":[", o.report.at.as_nanos(), o.report.collisions)?;
-    for (i, n) in o.report.nodes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        encode_node(s, n)?;
-    }
-    s.push_str("]}");
+    s.push(']');
     Ok(())
 }
 
-/// Shortest-round-trip float text; non-finite values are quoted tokens
-/// the reader maps back (plain JSON has no spelling for them).
-struct Float(f64);
-
-impl fmt::Display for Float {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            v if v.is_finite() => fmt::Debug::fmt(&v, f),
-            v if v.is_nan() => f.write_str("\"NaN\""),
-            v if v > 0.0 => f.write_str("\"inf\""),
-            _ => f.write_str("\"-inf\""),
+/// Shortest-round-trip float text; the non-finite values are quoted
+/// tokens (plain JSON has no spelling for them). Any number reads as a
+/// float.
+impl<'a> Column<'a> for f64 {
+    fn encode(&self, s: &mut String) -> fmt::Result {
+        match *self {
+            v if v.is_finite() => write!(s, "{v:?}"),
+            v if v.is_nan() => s.write_str("\"NaN\""),
+            v if v > 0.0 => s.write_str("\"inf\""),
+            _ => s.write_str("\"-inf\""),
         }
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        if r.peek()? == b'"' {
+            return match &*r.string()? {
+                "NaN" => Some(f64::NAN),
+                "inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                _ => None,
+            };
+        }
+        Some(match r.number()? {
+            Num::Int(n) => n as f64,
+            Num::Float(v) => v,
+        })
     }
 }
 
@@ -625,262 +860,19 @@ impl fmt::Display for Quoted<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Node rows
+// Reading
 // ---------------------------------------------------------------------
 
-/// Generates [`encode_node`] and [`decode_node`] from one list of a
-/// row's columns, so the writer and the reader cannot disagree on what a
-/// position holds. Each column is a kind and the [`NodeReport`] place it
-/// fills: `index` (the node, a `usize`), `count` (an exact `u64`),
-/// `float` (an `f64`, in [`Float`]'s spelling) or `ledger` (the airtime
-/// ledger, see [`encode_ledger`]).
-macro_rules! node_row {
-    ($($kind:ident $field:ident $(. $part:tt)?,)+) => {
-        /// Writes `n` as its row: `[column, column, …]`, no keys.
-        fn encode_node(s: &mut String, n: &NodeReport) -> fmt::Result {
-            s.push('[');
-            $(
-                node_row!(@write $kind, s, n.$field $(.$part)?)?;
-                s.push(',');
-            )+
-            s.pop();
-            s.push(']');
-            Ok(())
-        }
-
-        /// Reads one row by position: exactly the listed columns, each of
-        /// its kind, or `None`.
-        fn decode_node(r: &mut Reader<'_>) -> Option<NodeReport> {
-            let mut n = NodeReport {
-                node: 0,
-                tx_data_frames: 0,
-                tx_control: 0,
-                avg_frame_size: 0.0,
-                avg_subframes: 0.0,
-                subframes_sent: (0, 0),
-                size_overhead: 0.0,
-                time_overhead: 0.0,
-                time_by_category: Vec::new(),
-                retries: 0,
-                retry_drops: 0,
-                queue_overflow: 0,
-                acks_classified: 0,
-                bcast_filtered: 0,
-                bcast_ok: 0,
-                bcast_crc_fail: 0,
-                unicast_ok: 0,
-                unicast_crc_drops: 0,
-                collisions_seen: 0,
-                forwarded: 0,
-            };
-            let mut left = [$(stringify!($field)),+].len();
-            r.eat(b'[')?;
-            $(
-                node_row!(@read $kind, r, n.$field $(.$part)?);
-                left -= 1;
-                r.eat(if left == 0 { b']' } else { b',' })?;
-            )+
-            Some(n)
-        }
-    };
-    (@write index, $s:ident, $place:expr) => { write!($s, "{}", $place) };
-    (@write count, $s:ident, $place:expr) => { write!($s, "{}", $place) };
-    (@write float, $s:ident, $place:expr) => { write!($s, "{}", Float($place)) };
-    (@write ledger, $s:ident, $place:expr) => { encode_ledger($s, &$place) };
-    (@read index, $r:ident, $place:expr) => { $place = $r.u64()? as usize };
-    (@read count, $r:ident, $place:expr) => { $place = $r.u64()? };
-    (@read float, $r:ident, $place:expr) => { $place = $r.f64()? };
-    (@read ledger, $r:ident, $place:expr) => { $place = decode_ledger($r)? };
-}
-
-// The row: every `NodeReport` field in declaration order, the subframe
-// pair as two columns. Reordering this list, or `cat::ALL`, changes what
-// stored rows mean, so either needs a `CACHE_SCHEMA` bump.
-node_row! {
-    index node,
-    count tx_data_frames,
-    count tx_control,
-    float avg_frame_size,
-    float avg_subframes,
-    count subframes_sent.0,
-    count subframes_sent.1,
-    float size_overhead,
-    float time_overhead,
-    ledger time_by_category,
-    count retries,
-    count retry_drops,
-    count queue_overflow,
-    count acks_classified,
-    count bcast_filtered,
-    count bcast_ok,
-    count bcast_crc_fail,
-    count unicast_ok,
-    count unicast_crc_drops,
-    count collisions_seen,
-    count forwarded,
-}
-
-/// The airtime ledger as one flat list, `[cat,secs,cat,secs,…]`, in the
-/// report's own order. `cat` is the name's index in [`cat::ALL`] when
-/// it is one of the MAC's names (every name this simulator writes), and
-/// the quoted name otherwise.
-fn encode_ledger(s: &mut String, ledger: &[(Cow<'static, str>, f64)]) -> fmt::Result {
-    s.push('[');
-    for (j, (name, secs)) in ledger.iter().enumerate() {
-        if j > 0 {
-            s.push(',');
-        }
-        match cat::ALL.iter().position(|known| known == name) {
-            Some(at) => write!(s, "{at},{}", Float(*secs))?,
-            None => write!(s, "{},{}", Quoted(name), Float(*secs))?,
-        }
-    }
-    s.push(']');
-    Ok(())
-}
-
-/// Reads what [`encode_ledger`] writes. An index comes back as the MAC's
-/// own `&'static str` and a quoted name as an owned copy, so decoding a
-/// store, and cloning what it decoded, allocates no MAC names.
-fn decode_ledger(r: &mut Reader<'_>) -> Option<Vec<(Cow<'static, str>, f64)>> {
-    let mut ledger = Vec::new();
-    r.array(|r| {
-        let name = match r.peek()? {
-            b'"' => Cow::Owned(r.string()?.into_owned()),
-            _ => Cow::Borrowed(*cat::ALL.get(usize::try_from(r.u64()?).ok()?)?),
-        };
-        r.eat(b',')?;
-        let secs = r.f64()?;
-        if ledger.is_empty() {
-            // Room for the MAC's whole ledger: one allocation a node.
-            ledger.reserve_exact(cat::ALL.len());
-        }
-        ledger.push((name, secs));
-        Some(())
-    })?;
-    Some(ledger)
-}
-
-// ---------------------------------------------------------------------
-// Record decoding
-// ---------------------------------------------------------------------
-
-/// Containers a line may nest. Records nest 5 deep; the cap bounds the
-/// reader's recursion, so a hostile `[[[[…` line is skipped instead of
-/// overflowing the stack.
-const MAX_DEPTH: u32 = 16;
-
-/// One pass over an object's members, listed in the order
-/// [`encode_record`] writes them (that order is the reader's fast path;
-/// see [`Reader::object`]). The first occurrence of a listed key runs
-/// its reader (a value of the wrong type rejects the record); repeats
-/// and unlisted keys are skipped with their syntax checked. Every key
-/// not marked `optional` must then have been seen.
-macro_rules! members {
-    (@required) => { true };
-    (@required optional) => { false };
-    ($r:ident; { $($($optional:ident)? $key:literal => $read:expr,)* }) => {{
-        const KEYS: &[&str] = &[$(concat!("\"", $key, "\":")),*];
-        const REQUIRED: &[bool] = &[$(members!(@required $($optional)?)),*];
-        const { assert!(KEYS.len() <= 32, "`seen` is a u32 bitset") };
-        let mut seen = 0u32;
-        $r.object(KEYS, |$r, at| {
-            let at = match at {
-                Some(at) if seen & 1 << at == 0 => at,
-                _ => return $r.skip(),
-            };
-            seen |= 1 << at;
-            let mut i = 0;
-            $(
-                if at == i {
-                    $read;
-                    return Some(());
-                }
-                i += 1;
-            )*
-            let _ = i; // (reads the last increment, for `unused_assignments`)
-            unreachable!("`object` hands over positions in KEYS")
-        })?;
-        if REQUIRED.iter().enumerate().any(|(at, &required)| required && seen & 1 << at == 0) {
-            return None;
-        }
-    }};
-}
-
-/// Decodes one record; `None` for anything unreadable or tagged with a
-/// foreign schema. The third element is the optional `events`
-/// scheduling hint — kept apart from the outcome on purpose. `nodes` is
-/// scratch space, reused across records so that each report's nodes
-/// are gathered without regrowing a vector and moved into their shared
-/// slice with one allocation of exactly their size.
-fn decode_record(json: &[u8], nodes: &mut Vec<NodeReport>) -> Option<((u64, u64), RunOutcome, Option<u64>)> {
+/// Decodes one record's JSON; `None` for anything but a record row of
+/// this schema. `nodes` is scratch space for [`NodeReports`]' reader,
+/// reused across records.
+fn decode_record<'a>(json: &'a [u8], nodes: &mut Vec<NodeReport>) -> Option<Record<'a>> {
     // Checked once per line: the file is read as bytes, and damage must
     // not get past here as a `str`.
-    let r = &mut Reader::new(std::str::from_utf8(json).ok()?);
-    let (mut hash, mut rep, mut events, mut outcome) = (0, 0, None, None);
-    members!(r; {
-        "schema" => if r.string()? != CACHE_SCHEMA { return None },
-        "hash" => hash = u64::from_str_radix(r.string()?.strip_prefix("0x")?, 16).ok()?,
-        "rep" => rep = r.u64()?,
-        // For people reading the file; the key already names the spec.
-        optional "scn" => r.skip()?,
-        // A hint of the wrong type is no hint, not a bad record.
-        optional "events" => events = {
-            let at = r.pos;
-            let n = r.u64();
-            if n.is_none() {
-                r.pos = at;
-                r.skip()?;
-            }
-            n
-        },
-        "outcome" => outcome = Some(decode_outcome(r, nodes)?),
-    });
-    r.at_end().then_some(((hash, rep), outcome?, events))
-}
-
-fn decode_outcome(r: &mut Reader<'_>, nodes: &mut Vec<NodeReport>) -> Option<RunOutcome> {
-    let mut o = RunOutcome {
-        completed: false,
-        throughput_bps: 0.0,
-        per_flow: Vec::new(),
-        report: RunReport { nodes: NodeReports::default(), at: Instant::ZERO, collisions: 0 },
-        // Telemetry is never persisted: a cache hit reports zeros (it
-        // cost no simulation), keeping cached == fresh under PartialEq.
-        perf: RunPerf::default(),
-    };
-    nodes.clear();
-    members!(r; {
-        "completed" => o.completed = r.bool()?,
-        "throughput_bps" => o.throughput_bps = r.f64()?,
-        "per_flow" => r.array(|r| {
-            o.per_flow.push(decode_flow(r)?);
-            Some(())
-        })?,
-        "at_ns" => o.report.at = Instant::from_nanos(r.u64()?),
-        "collisions" => o.report.collisions = r.u64()?,
-        "nodes" => r.array(|r| {
-            nodes.push(decode_node(r)?);
-            Some(())
-        })?,
-    });
-    o.report.nodes = nodes.drain(..).collect();
-    Some(o)
-}
-
-fn decode_flow(r: &mut Reader<'_>) -> Option<FlowOutcome> {
-    let (mut src, mut dst, mut port, mut traffic, mut bytes, mut bps, mut completed_at) =
-        (0, 0, 0, None, 0, 0.0, None);
-    members!(r; {
-        "src" => src = r.u64()? as usize,
-        "dst" => dst = r.u64()? as usize,
-        "port" => port = u16::try_from(r.u64()?).ok()?,
-        "traffic" => traffic = Some(FlowTraffic::from_token(&r.string()?).ok()?),
-        "bytes" => bytes = r.u64()?,
-        "bps" => bps = r.f64()?,
-        optional "completed_at_ns" => completed_at = Some(Instant::from_nanos(r.u64()?)),
-    });
-    Some(FlowOutcome::new(FlowSpec { src, dst, port, traffic: traffic? }, bytes, bps, completed_at))
+    let mut r = Reader { nodes: std::mem::take(nodes), ..Reader::new(std::str::from_utf8(json).ok()?) };
+    let record = Record::decode(&mut r).filter(|_| r.pos == r.s.len());
+    *nodes = r.nodes;
+    record
 }
 
 /// The largest mantissa Clinger's fast path takes: 2^53, the last
@@ -908,19 +900,20 @@ enum Num {
 }
 
 /// A pull reader over one record's text. Not a general-purpose JSON
-/// parser: just enough to read back what [`encode_record`] writes, with
-/// strict syntax so corruption surfaces as a skipped record. Every
-/// method consumes leading whitespace, then exactly one token or value,
-/// and returns `None` on anything else.
+/// parser: just enough to read back what the rows write, with strict
+/// syntax so corruption surfaces as a skipped record. Every method
+/// consumes exactly one token or value, with no whitespace around it
+/// (the writer writes none), and returns `None` on anything else.
 struct Reader<'a> {
     s: &'a str,
     pos: usize,
-    depth: u32,
+    /// Scratch for [`NodeReports`]' reader.
+    nodes: Vec<NodeReport>,
 }
 
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Self {
-        Reader { s, pos: 0, depth: 0 }
+        Reader { s, pos: 0, nodes: Vec::new() }
     }
 
     #[inline]
@@ -928,84 +921,31 @@ impl<'a> Reader<'a> {
         self.s.as_bytes().get(at).copied()
     }
 
-    /// The bytes not read yet.
-    fn rest(&self) -> &'a [u8] {
-        &self.s.as_bytes()[self.pos..]
-    }
-
-    /// The next non-whitespace byte, not consumed.
+    /// The next byte, not consumed.
     #[inline]
-    fn peek(&mut self) -> Option<u8> {
-        while matches!(self.byte(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+    fn peek(&self) -> Option<u8> {
         self.byte(self.pos)
     }
 
-    /// Consumes the next non-whitespace byte, which must be `c`.
+    /// Consumes the next byte, which must be `c`.
     #[inline]
     fn eat(&mut self, c: u8) -> Option<()> {
         (self.peek()? == c).then(|| self.pos += 1)
     }
 
-    /// True when only whitespace remains (trailing garbage is an error).
-    fn at_end(&mut self) -> bool {
-        self.peek().is_none()
-    }
-
-    /// `open item (, item)* close`, or `open close`; `item` reads one.
-    fn items(&mut self, open: u8, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.eat(open)?;
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return None;
-        }
-        if self.peek()? != close {
-            item(self)?;
+    /// `[item(,item)*]` or `[]`, each item pushed onto `items`, which
+    /// reserves its type's [`Column::ROOM`] at the first one.
+    fn list<T: Column<'a>>(&mut self, items: &mut Vec<T>) -> Option<()> {
+        self.eat(b'[')?;
+        if self.peek()? != b']' {
+            items.reserve_exact(T::ROOM);
+            items.push(T::decode(self)?);
             while self.peek()? == b',' {
                 self.pos += 1;
-                item(self)?;
+                items.push(T::decode(self)?);
             }
         }
-        self.depth -= 1;
-        self.eat(close)
-    }
-
-    fn array(&mut self, item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.items(b'[', b']', item)
-    }
-
-    /// Hands each member's position in `keys` (`None` for an unlisted
-    /// key) to `member`, which must read its value. `keys` holds each
-    /// key as its `"key":` text, in the order the writer emits them: the
-    /// key after the last one found is tested first, as one prefix
-    /// compare on the remaining bytes. Anything else — escapes,
-    /// whitespace, another order, repeats, unknown keys — reads the key
-    /// as a string and looks it up.
-    fn object(
-        &mut self,
-        keys: &[&str],
-        mut member: impl FnMut(&mut Self, Option<usize>) -> Option<()>,
-    ) -> Option<()> {
-        let mut next = 0;
-        self.items(b'{', b'}', |r| {
-            r.peek()?;
-            let at = match keys.get(next) {
-                Some(key) if r.rest().starts_with(key.as_bytes()) => {
-                    r.pos += key.len();
-                    Some(next)
-                }
-                _ => {
-                    let key = r.string()?;
-                    r.eat(b':')?;
-                    keys.iter().position(|k| k[1..k.len() - 2] == *key)
-                }
-            };
-            if let Some(at) = at {
-                next = at + 1;
-            }
-            member(r, at)
-        })
+        self.eat(b']')
     }
 
     /// A string, borrowed from the input unless it holds an escape.
@@ -1036,7 +976,6 @@ impl<'a> Reader<'a> {
             unescaped.push(match self.byte(self.pos)? {
                 b'"' => '"',
                 b'\\' => '\\',
-                b'/' => '/',
                 b'n' => '\n',
                 b't' => '\t',
                 b'r' => '\r',
@@ -1128,7 +1067,6 @@ impl<'a> Reader<'a> {
     /// An exact counter: `1.0` and `-1` are not integers here.
     #[inline]
     fn u64(&mut self) -> Option<u64> {
-        self.peek()?;
         // A plain digit run, the shape of every counter written.
         let (n, end) = self.fold(self.pos, 0, FOLD_MAX);
         if end > self.pos && !self.byte(end).is_some_and(in_number) {
@@ -1141,46 +1079,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A float: any number, or one of the quoted non-finite tokens.
-    #[inline]
-    fn f64(&mut self) -> Option<f64> {
-        if self.peek()? == b'"' {
-            return match &*self.string()? {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            };
-        }
-        Some(match self.number()? {
-            Num::Int(n) => n as f64,
-            Num::Float(v) => v,
-        })
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.peek()? {
-            b't' => self.lit("true").map(|()| true),
-            b'f' => self.lit("false").map(|()| false),
-            _ => None,
-        }
-    }
-
     fn lit(&mut self, text: &str) -> Option<()> {
-        self.rest().starts_with(text.as_bytes()).then(|| self.pos += text.len())
-    }
-
-    /// Any one value, syntax-checked and dropped.
-    fn skip(&mut self) -> Option<()> {
-        match self.peek()? {
-            b'{' => self.object(&[], |r, _| r.skip()),
-            b'[' => self.array(Self::skip),
-            b'"' => self.string().map(drop),
-            b't' => self.lit("true"),
-            b'f' => self.lit("false"),
-            b'n' => self.lit("null"),
-            _ => self.number().map(drop),
-        }
+        self.s.as_bytes()[self.pos..].starts_with(text.as_bytes()).then(|| self.pos += text.len())
     }
 }
 
@@ -1207,8 +1107,9 @@ mod tests {
 
     /// One record's JSON, as `append_batch` encodes it.
     fn encoded(spec: &ScenarioSpec, rep: u64, outcome: &RunOutcome, events: Option<u64>) -> String {
+        let (hash, scn, outcome) = (Hex(spec.stable_hash()), spec.to_scn().into(), outcome.clone());
         let mut json = String::new();
-        encode_record(&mut json, spec.stable_hash(), rep, &spec.to_scn(), outcome, events).unwrap();
+        Record { schema: Schema, hash, rep, scn, events, outcome }.encode(&mut json).unwrap();
         json
     }
 
@@ -1232,9 +1133,9 @@ mod tests {
         let spec = tiny_spec();
         let outcome = spec.run();
         let line = encoded(&spec, 1, &outcome, None);
-        let ((hash, rep), back, events) =
+        let Record { hash, rep, events, outcome: back, .. } =
             decode_record(line.as_bytes(), &mut Vec::new()).expect("decode own record");
-        assert_eq!(hash, spec.stable_hash());
+        assert_eq!(hash.0, spec.stable_hash());
         assert_eq!(rep, 1);
         assert_eq!(events, None);
         assert_eq!(back, outcome, "RunOutcome must survive the cache byte-exactly");
@@ -1259,7 +1160,8 @@ mod tests {
         assert_eq!(outcome.per_flow.len(), 2);
         assert!(outcome.per_flow[0].completed_at.is_some(), "transfer should finish");
         let line = encoded(&spec, 1, &outcome, Some(4321));
-        let (_, back, events) = decode_record(line.as_bytes(), &mut Vec::new()).expect("decode mixed record");
+        let Record { events, outcome: back, .. } =
+            decode_record(line.as_bytes(), &mut Vec::new()).expect("decode mixed record");
         assert_eq!(events, Some(4321), "the scheduling hint rides along");
         assert_eq!(back, outcome, "labeled per-flow outcomes must survive the cache");
         assert_eq!(back.per_flow[0].kind, FlowKind::FileTransfer);
@@ -1354,8 +1256,9 @@ mod tests {
         put(&ConcurrentCache::open(&dir).unwrap(), &spec, 1, &outcome).unwrap();
         let path = dir.join("runs.jsonl");
         let mut text = std::fs::read_to_string(&path).unwrap();
-        // Flip one digit inside a numeric field (valid JSON, wrong data).
-        let at = text.find("\"rep\":1").expect("rep field") + "\"rep\":".len();
+        // Flip one digit inside a numeric column (valid JSON, wrong data):
+        // the rep, after the quoted hash.
+        let at = text.find("\",1,\"").expect("rep column") + 2;
         text.replace_range(at..at + 1, "7");
         std::fs::write(&path, &text).unwrap();
         let c = ConcurrentCache::open(&dir).unwrap();
@@ -1374,40 +1277,57 @@ mod tests {
         assert_eq!(unseal(b"{\"a\":1}#crc:00000000"), None, "wrong crc");
         let tampered = line.replace("{\"a\":1}", "{\"a\":2}");
         assert_eq!(unseal(tampered.as_bytes()), None, "payload edit breaks the seal");
+        // A `#` inside the record is not the trailer's: the split is at the last one.
+        let hashed = sealed("[\"a#b\",\"#crc:00000000\"]");
+        assert_eq!(unseal(hashed.as_bytes()), Some(&b"[\"a#b\",\"#crc:00000000\"]"[..]));
     }
 
     #[test]
     fn the_reader_rejects_garbage() {
         let whole = |text: &str| {
             let mut r = Reader::new(text);
-            r.skip().is_some() && r.at_end()
+            Vec::<Vec<Option<u64>>>::decode(&mut r).is_some() && r.pos == text.len()
         };
-        for bad in
-            ["{", "[1,", "[1,]", "\"abc", "{\"a\":}", "{\"a\":1,}", "{\"a\":1} trailing", "tru", "1e", ""]
-        {
+        for bad in [
+            "[",
+            "[[1,",
+            "[[1,]]",
+            "[[1]",
+            "[[1]] trailing",
+            "[[1] ,[2]]",
+            " [[]]",
+            "[[nul]]",
+            "[[-0]]",
+            "[1]",
+            "{}",
+            "",
+        ] {
             assert!(!whole(bad), "`{bad}` should fail");
         }
-        for good in ["{}", " [ ] ", "{\"a\":[1,-2.5e3,{\"b\":null}],\"c\":\"x\",\"d\":true , \"e\":false}"] {
+        for good in ["[]", "[[]]", "[[1,null,0],[],[2]]"] {
             assert!(whole(good), "`{good}` should parse");
         }
-        assert_eq!(Reader::new("-3.5").f64(), Some(-3.5));
-        assert_eq!(Reader::new(" 42").u64(), Some(42));
+        assert_eq!(f64::decode(&mut Reader::new("-3.5")), Some(-3.5));
+        assert_eq!(Reader::new("42").u64(), Some(42));
+        assert_eq!(Reader::new(" 42").u64(), None, "the writer writes no whitespace");
         assert_eq!(Reader::new("\"a\\\"b\\u0041\"").string().as_deref(), Some("a\"bA"));
         assert_eq!(Reader::new("\"\\ud800\"").string(), None, "a lone surrogate is no char");
-        assert!(decode_record(b"{\"x\":\"\xff\"}", &mut Vec::new()).is_none(), "records are checked UTF-8");
+        assert!(decode_record(b"[\"\xff\"]", &mut Vec::new()).is_none(), "records are checked UTF-8");
     }
 
     #[test]
     fn non_finite_floats_survive() {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1, -0.0, 1e300] {
-            let parsed = Reader::new(&Float(v).to_string()).f64().unwrap();
+            let mut text = String::new();
+            v.encode(&mut text).unwrap();
+            let parsed = f64::decode(&mut Reader::new(&text)).unwrap();
             assert!(parsed.to_bits() == v.to_bits() || (parsed.is_nan() && v.is_nan()));
         }
     }
 
     #[test]
     fn numbers_on_either_side_of_the_fast_paths_read_as_str_parse_reads_them() {
-        let float = |text: &str| Reader::new(text).f64().map(f64::to_bits);
+        let float = |text: &str| f64::decode(&mut Reader::new(text)).map(f64::to_bits);
         let counter = |text: &str| Reader::new(text).u64();
         for text in [
             // Taken by the fast path: short decimals, leading zeros, -0,

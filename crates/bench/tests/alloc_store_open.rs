@@ -134,9 +134,9 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     // Counts are exact (same program, same allocations). The reader
     // before this guard, which owned a `String` per category name,
     // measured 9.02 per node (9 024 in all); this one 1.02 (1 024): the
-    // ledger vector, sized once. Bound: 1.5x the new count. The
-    // positional-row reader allocates what the object reader before it
-    // did: 1 025 in all.
+    // ledger vector, sized once. Bound: 1.5x the new count. Node rows,
+    // and then whole-record rows, allocate what the object reader before
+    // them did: 1 025 in all.
     assert!(per_node < 1.53, "warm-open allocations regressed: {per_node:.2} per decoded node");
 
     // Half 2: bytes, over a store of many such records. The open
@@ -154,13 +154,14 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     let bytes = alloc_stats().since(before).allocated_bytes;
     assert_eq!(cache.len(), RECORDS as usize);
     eprintln!("warm open: {bytes} bytes allocated for a {file}-byte store of {RECORDS} 1000-node records");
-    // Exact and repeatable: 12 393 509 bytes for a 5 862 927-byte file
+    // Exact and repeatable: 12 393 509 bytes for a 5 597 319-byte file
     // (a 1 MiB window, one exactly-sized node slice per record; the
     // scratch path's length moves it by a few bytes). Bound: 1.25x that.
     // An open that reads the file whole (`fs::read`, then the same
-    // per-line decode) allocates 17 207 860 and fails it. Each record
-    // adds about 457 000 decoded bytes and 244 000 file bytes, so below
-    // about 13 records that whole-file read would pass the bound.
+    // per-line decode) allocates 16 942 252 and fails it. Each record
+    // adds about 457 000 decoded bytes and 233 000 file bytes, so below
+    // 22 records that whole-file read would pass the bound (at 21 it
+    // allocates 14 871 730).
     assert!(bytes < 15_492_000, "warm-open bytes regressed: {bytes} allocated (file: {file} bytes)");
 
     // Half 3: a live Table 4 cell's ledger names are the MAC's own, and

@@ -89,10 +89,10 @@ fn quarantine_still_works_on_a_co_written_file() {
         ExperimentRunner::new(2).with_cache(cache).run_sweep(&specs, 1);
     }
     // A torn tail, as a crashed concurrent writer would leave: a record
-    // of the current schema, cut mid-key.
+    // of the current schema, cut mid-column.
     use std::io::Write as _;
     let mut file = std::fs::OpenOptions::new().append(true).open(dir.join("runs.jsonl")).unwrap();
-    let torn = format!("{{\"schema\":\"{CACHE_SCHEMA}\",\"hash\":\"0x0\",\"rep\":9,\"outc");
+    let torn = format!("[\"{CACHE_SCHEMA}\",\"0x0000000000000000\",9,\"topo=lin");
     file.write_all(torn.as_bytes()).unwrap();
     drop(file);
 

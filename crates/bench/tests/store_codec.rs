@@ -3,15 +3,16 @@
 //! damaged, hostile, foreign — is skipped or quarantined and never
 //! panics, aborts, or fails the open.
 //!
-//! `data/runs_v3.jsonl` is the golden file of the current schema. Lines
+//! `data/runs_v4.jsonl` is the golden file of the current schema. Lines
 //! 1–4 are verbatim from `append_batch`, given the outcomes that
-//! `data/runs_v2.jsonl`'s lines 1–4 decode to under v2 (so every value
-//! pinned below is the one pinned before the bump); line 5 is v2's line
-//! 1, byte for byte; lines 6–8 are line 1 edited by hand and re-sealed.
-//! The format is frozen until `CACHE_SCHEMA` is bumped, so the file is
-//! never regenerated. `data/runs_v2.jsonl` — the previous schema's golden
-//! file, written by the encoder before the single-pass codec — stays as
-//! the foreign-schema fixture: a v2 store opens as a cold one.
+//! `data/runs_v3.jsonl`'s lines 1–4 decode to under v3 (so every value
+//! pinned below is the one pinned before the bump), except that line 3's
+//! escaped ledger name gained a `#`; line 5 is v3's line 1, byte for
+//! byte; lines 6–8 are line 1 edited by hand and re-sealed. The format is
+//! frozen until `CACHE_SCHEMA` is bumped, so the file is never
+//! regenerated. `data/runs_v3.jsonl` — the previous schema's golden file,
+//! keyed objects around node rows — stays as the foreign-schema fixture:
+//! a v3 store opens as a cold one.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -27,8 +28,8 @@ use hydra_sim::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const FIXTURE: &[u8] = include_bytes!("data/runs_v3.jsonl");
-const V2_FIXTURE: &[u8] = include_bytes!("data/runs_v2.jsonl");
+const FIXTURE: &[u8] = include_bytes!("data/runs_v4.jsonl");
+const V3_FIXTURE: &[u8] = include_bytes!("data/runs_v3.jsonl");
 
 /// A scratch store directory, removed again on drop.
 struct TmpDir(PathBuf);
@@ -284,11 +285,13 @@ const MIXED_HASH: u64 = 0x01a4_8cff_3f17_7189;
 fn the_golden_store_decodes_to_the_pinned_values() {
     let dir = tmp_dir("golden");
     let cache = open_bytes(&dir, FIXTURE);
-    // Line 5 carries a foreign schema tag; nothing is damaged.
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 1, quarantined: 0 });
+    // Line 5 carries a foreign schema tag, and lines 6–8 are line 1 with
+    // a column too many, one too few, and two columns of different kinds
+    // swapped. Nothing is damaged, so all four are skipped and kept.
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 4, quarantined: 0 });
     assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), FIXTURE, "a clean open rewrites nothing");
     let index = cache.index();
-    assert_eq!(index.len(), 7);
+    assert_eq!(index.len(), 4);
     assert_eq!((udp_spec().stable_hash(), mixed_spec().stable_hash()), (UDP_HASH, MIXED_HASH));
     assert_eq!((index.events_hint(UDP_HASH), index.events_hint(MIXED_HASH)), (Some(1142), Some(2180)));
     assert_eq!(index.events_hint(0x00c0_ffee), None);
@@ -325,14 +328,6 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     assert_eq!((sink.node, sink.tx_control, sink.unicast_ok), (1, 120, 60));
     assert!(sink.time_by_category.is_empty());
 
-    // Lines 6–8 are line 1 under other keys: an unknown extra key at
-    // three levels, every object's keys reordered (with whitespace, in
-    // the rows too), and duplicated keys whose first occurrence wins.
-    for rep in 2..=4 {
-        assert_eq!(index.get(UDP_HASH, rep), Some(udp), "rep {rep} decodes like rep 1");
-    }
-    assert!(index.get(UDP_HASH, 9).is_none() && index.get(1, 4).is_none(), "a repeated key is ignored");
-
     // Line 2, TCP + CBR in one world.
     let mixed = index.get(MIXED_HASH, 1).unwrap();
     assert_eq!(mixed.throughput_bps.to_bits(), 0x4129_ac9c_7bd3_0fa7);
@@ -343,7 +338,8 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     );
     assert_eq!((mixed.report.nodes[0].tx_data_frames, mixed.report.nodes[1].tx_data_frames), (108, 6));
 
-    // Line 3: non-finite floats, escaped names, extreme integers.
+    // Line 3: non-finite floats, escaped names, extreme integers. The
+    // name holds a `#`, which the integrity trailer also begins with.
     let edge = index.get(0x00c0_ffee, 7).unwrap();
     assert!(!edge.completed && edge.throughput_bps.is_nan() && edge.per_flow.is_empty());
     assert_eq!(edge.report.at, Instant::from_nanos(u64::MAX));
@@ -354,7 +350,7 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     assert_eq!(n.subframes_sent, (3, u64::MAX));
     assert_eq!(
         n.time_by_category,
-        [(Cow::Borrowed("a\"b\\c\nd\te\rf\u{1}g é"), 1e300), (Cow::Borrowed(""), 5e-324)]
+        [(Cow::Borrowed("a\"b\\c\nd\te\rf\u{1}g #é"), 1e300), (Cow::Borrowed(""), 5e-324)]
     );
     // Names outside `cat::ALL` come back owned, as they were written.
     assert!(n.time_by_category.iter().all(|(name, _)| matches!(name, Cow::Owned(_))));
@@ -423,13 +419,13 @@ fn a_ledger_category_is_its_index_in_cat_all() {
 }
 
 #[test]
-fn a_v2_store_opens_cold_and_untouched() {
-    let dir = tmp_dir("v2");
-    let cache = open_bytes(&dir, V2_FIXTURE);
-    // Every line is sealed, so nothing is quarantined; none is v3.
+fn a_v3_store_opens_cold_and_untouched() {
+    let dir = tmp_dir("v3");
+    let cache = open_bytes(&dir, V3_FIXTURE);
+    // Every line is sealed, so nothing is quarantined; none is v4.
     assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 8, quarantined: 0 });
     assert!(cache.is_empty());
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V2_FIXTURE, "the old records are kept");
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V3_FIXTURE, "the old records are kept");
 }
 
 // ---------------------------------------------------------------------
@@ -446,64 +442,67 @@ fn load_edited(from: &str, to: &str) -> Option<RunOutcome> {
     cache.index().get(UDP_HASH, 1).map(|o| RunOutcome::clone(o))
 }
 
+/// Line 1's rep column, after the quoted hash.
+const REP: &str = "\"0x5e503de9e7a9cece\",1,";
+
 #[test]
 fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
-    let original = load_edited("\"rep\":1", "\"rep\":1").expect("the unedited record loads");
-    // u64 fields: no fraction, no exponent, no sign.
+    let original = load_edited(REP, REP).expect("the unedited record loads");
+    let rep = |text: &str| format!("\"0x5e503de9e7a9cece\",{text},");
+    // u64 columns: no fraction, no exponent, no sign.
     for (from, to) in [
-        ("\"rep\":1", "\"rep\":1.0"),
-        ("\"rep\":1", "\"rep\":-1"),
-        ("\"rep\":1", "\"rep\":1e0"),
-        ("\"collisions\":0", "\"collisions\":0.0"),
-        ("\"bytes\":52250", "\"bytes\":-52250"),
+        (REP, rep("1.0")),
+        (REP, rep("-1")),
+        (REP, rep("1e0")),
+        ("1200000000,0,[[", "1200000000,0.0,[[".to_string()),
+        (",52250,", ",-52250,".to_string()),
         // The sender's row: `tx_data_frames`, then the unicast subframes.
-        ("[[0,60,", "[[0,60.0,"),
-        ("1.0,60,0,", "1.0,60.0,0,"),
-        ("\"port\":9000", "\"port\":65536"),
-        ("\"at_ns\":1200000000", "\"at_ns\":18446744073709551616"),
+        ("[[0,60,", "[[0,60.0,".to_string()),
+        ("1.0,60,0,", "1.0,60.0,0,".to_string()),
+        (",9000,", ",65536,".to_string()),
+        ("]],1200000000,", "]],18446744073709551616,".to_string()),
     ] {
-        assert_eq!(load_edited(from, to), None, "`{to}` must not load");
+        assert_eq!(load_edited(from, &to), None, "`{to}` must not load");
     }
     // The widest counter still loads; a digit run too long for a u64
     // that goes on as a float is that float.
-    let widest =
-        load_edited("\"at_ns\":1200000000", "\"at_ns\":18446744073709551615").expect("u64::MAX loads");
+    let widest = load_edited("]],1200000000,", "]],18446744073709551615,").expect("u64::MAX loads");
     assert_eq!(widest.report.at, Instant::from_nanos(u64::MAX));
-    let long = load_edited("\"bps\":418000.0", "\"bps\":99999999999999999999.5").expect("a float loads");
+    let long = load_edited(",418000.0,null", ",99999999999999999999.5,null").expect("a float loads");
     assert_eq!(long.per_flow[0].bps.to_bits(), 99999999999999999999.5f64.to_bits());
-    // f64 fields: an integer is a float…
-    assert_eq!(
-        load_edited("\"throughput_bps\":418000.0", "\"throughput_bps\":418000"),
-        Some(original.clone())
-    );
+    // f64 columns: an integer is a float…
+    assert_eq!(load_edited("true,418000.0,", "true,418000,"), Some(original.clone()));
     assert_eq!(load_edited("60,1140.0,", "60,1140,"), Some(original.clone()));
     // …and the three quoted tokens are the non-finite values,
     for (token, expect) in
         [("\"NaN\"", f64::NAN), ("\"inf\"", f64::INFINITY), ("\"-inf\"", f64::NEG_INFINITY)]
     {
-        let got = load_edited("\"bps\":418000.0", &format!("\"bps\":{token}")).expect("token loads");
+        let got = load_edited(",418000.0,null", &format!(",{token},null")).expect("token loads");
         assert_eq!(format!("{:?}", got.per_flow[0].bps), format!("{expect:?}"));
         let got = load_edited("5,0.027,", &format!("5,{token},")).expect("token loads");
         assert_eq!(format!("{:?}", got.report.nodes[0].time_by_category[3].1), format!("{expect:?}"));
     }
     // in exactly those spellings, and only where a float belongs.
     for (from, to) in [
-        ("\"bps\":418000.0", "\"bps\":\"nan\""),
-        ("\"bps\":418000.0", "\"bps\":\"Infinity\""),
-        ("\"bps\":418000.0", "\"bps\":NaN"),
-        ("\"rep\":1", "\"rep\":\"NaN\""),
-        ("\"bytes\":52250", "\"bytes\":\"inf\""),
-        ("\"at_ns\":1200000000", "\"at_ns\":\"-inf\""),
-        ("\"completed\":true", "\"completed\":\"NaN\""),
-        ("\"completed\":true", "\"completed\":1"),
+        (",418000.0,null", ",\"nan\",null".to_string()),
+        (",418000.0,null", ",\"Infinity\",null".to_string()),
+        (",418000.0,null", ",NaN,null".to_string()),
+        (REP, rep("\"NaN\"")),
+        (",52250,", ",\"inf\",".to_string()),
+        ("]],1200000000,", "]],\"-inf\",".to_string()),
+        (",true,", ",\"NaN\",".to_string()),
+        (",true,", ",1,".to_string()),
     ] {
-        assert_eq!(load_edited(from, to), None, "`{to}` must not load");
+        assert_eq!(load_edited(from, &to), None, "`{to}` must not load");
     }
-    // A missing required key and a wrong schema are both just skipped.
-    assert_eq!(load_edited("\"collisions\":0", "\"collisions_\":0"), None);
-    assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v2"), None);
-    // A hint of the wrong type is dropped; the record still loads.
-    assert_eq!(load_edited("\"events\":1142", "\"events\":\"many\""), Some(original));
+    // A wrong schema is just skipped.
+    assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v3"), None);
+    // The hint is a counter or `null` (no hint); anything else rejects
+    // the record like any other column of the wrong kind.
+    assert_eq!(load_edited(",1142,true,", ",null,true,"), Some(original));
+    for to in [",\"many\",true,", ",1142.0,true,", ",-1,true,"] {
+        assert_eq!(load_edited(",1142,true,", to), None, "`{to}` must not load");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -582,8 +581,8 @@ proptest! {
         let mut bytes = Vec::new();
         for (rep, run) in (1..).zip(&runs) {
             let line = json
-                .replacen("\"rep\":1", &format!("\"rep\":{rep}"), 1)
-                .replacen("\"at_ns\":1200000000", &format!("\"at_ns\":{run}"), 1);
+                .replacen(REP, &format!("\"0x5e503de9e7a9cece\",{rep},"), 1)
+                .replacen("]],1200000000,", &format!("]],{run},"), 1);
             bytes.extend(sealed(line.as_bytes()));
         }
         let cache = open_bytes(&tmp_dir("digit-runs"), &bytes);
@@ -593,24 +592,6 @@ proptest! {
             prop_assert_eq!(read, run.parse::<u64>().ok(), "`{}`", run);
         }
     }
-}
-
-#[test]
-fn escaped_keys_decode_like_plain_ones() {
-    // The expected-key test compares raw bytes, so a key spelled with
-    // `\u` escapes misses it and must be found by the general path.
-    let json = fixture_json(1);
-    let escaped = json
-        .replace("\"nodes\":", "\"\\u006eodes\":")
-        .replace("\"bps\":", "\"\\u0062ps\":")
-        .replacen("\"outcome\":", "\"\\u006futcome\":", 1);
-    assert_eq!(escaped.matches("\\u00").count(), 3, "one node list, one flow, one outcome");
-    let plain = open_bytes(&tmp_dir("keys-plain"), &sealed(json.as_bytes()));
-    let cache = open_bytes(&tmp_dir("keys-escaped"), &sealed(escaped.as_bytes()));
-    assert_eq!(cache.stats(), CacheStats::default());
-    let (want, got) = (plain.index(), cache.index());
-    let (want, got) = (want.get(UDP_HASH, 1).unwrap(), got.get(UDP_HASH, 1).expect("escaped keys load"));
-    assert_eq!(persisted(got), persisted(want));
 }
 
 // ---------------------------------------------------------------------
@@ -628,23 +609,25 @@ fn a_non_utf8_byte_costs_one_record_not_the_store() {
 
     let dir = tmp_dir("non-utf8");
     let cache = open_bytes(&dir, &bytes);
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 1, quarantined: 1 });
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 4, quarantined: 1 });
     let index = cache.index();
-    assert_eq!(index.len(), 6, "every other record stays warm");
+    assert_eq!(index.len(), 3, "every other record stays warm");
     assert!(index.get(MIXED_HASH, 1).is_none(), "the damaged record went cold");
     assert!(index.get(UDP_HASH, 1).is_some() && index.get(0xdead_beef_0000_0001, 1).is_some());
     // The bad line is kept byte for byte, out of band.
     assert_eq!(std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap(), [&damaged[..], b"\n"].concat());
     let healed = ConcurrentCache::open(&dir.0).unwrap();
-    assert_eq!((healed.len(), healed.stats().quarantined), (6, 0));
+    assert_eq!((healed.len(), healed.stats().quarantined), (3, 0));
 }
+
+/// Line 1's flow list.
+const FLOWS: &str = "[[0,1,9000,\"cbr:20ms:1045\",52250,418000.0,null]]";
 
 #[test]
 fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() {
     let deep = vec![b'['; 2_000_000];
-    // The same depth under an unknown key of an otherwise fine record.
-    let nested =
-        fixture_json(1).replacen("\"rep\":1,", &format!("\"rep\":1,\"x\":{},", "[".repeat(2_000_000)), 1);
+    // The same depth where the flow list of an otherwise fine record goes.
+    let nested = fixture_json(1).replacen(FLOWS, &"[".repeat(2_000_000), 1);
     let mut bytes = sealed(&deep);
     bytes.extend(sealed(nested.as_bytes()));
     bytes.extend(sealed(fixture_json(2).as_bytes()));
@@ -654,17 +637,13 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
     assert_eq!(cache.len(), 1, "the record after the hostile lines loads");
     assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "intact lines stay in the file");
 
-    // The cap itself: a line is one container deep at its braces, so an
-    // unknown value may nest 15 more.
-    let with_extra = |depth: usize| {
-        let extra = format!("\"rep\":1,\"x\":{}{},", "[".repeat(depth), "]".repeat(depth));
-        open_bytes(
-            &tmp_dir("depth-cap"),
-            &sealed(fixture_json(1).replacen("\"rep\":1,", &extra, 1).as_bytes()),
-        )
-        .len()
+    // Rows nest to a fixed depth: an empty flow list loads, and any
+    // deeper nesting in its place does not.
+    let with_flows = |depth: usize| {
+        let flows = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        open_bytes(&tmp_dir("depth"), &sealed(fixture_json(1).replacen(FLOWS, &flows, 1).as_bytes())).len()
     };
-    assert_eq!((with_extra(15), with_extra(16)), (1, 0));
+    assert_eq!((with_flows(1), with_flows(2), with_flows(3), with_flows(16)), (1, 0, 0, 0));
 }
 
 #[test]
@@ -692,8 +671,7 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
         (sender, sender.replacen("[0,", "[0.0,", 1)),
         (sink, sink.replacen(",120,", ",120.0,", 1)),
         (sender, sender.replacen("1.0,60,0,", "1.0,60,0.0,", 1)),
-        // A row nested past `MAX_DEPTH`, where a row, a column or the
-        // ledger goes.
+        // Nesting where a row, a column or the ledger goes.
         (sink, deep(16)),
         (sink, deep(2_000_000)),
         (sink, sink.replacen("[1,", &format!("[{},", deep(16)), 1)),
@@ -785,7 +763,7 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
     assert!(wide_line.len() > 1 << 20, "the record is {} bytes, inside the window", wide_line.len());
     let line = |n: usize| FIXTURE.split(|&b| b == b'\n').nth(n - 1).unwrap();
     // A CRC-valid record whose JSON is not UTF-8 reaches the decoder.
-    let mut non_utf8 = fixture_json(1).replacen("\"rep\":1", "\"rep\":5", 1).into_bytes();
+    let mut non_utf8 = fixture_json(1).replacen(REP, "\"0x5e503de9e7a9cece\",5,", 1).into_bytes();
     non_utf8[30] |= 0x80;
     let non_utf8 = sealed(&non_utf8);
     let mut damaged = line(2).to_vec();
@@ -822,15 +800,14 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
 
     // Compaction: the intact lines, trimmed, one `\n` each; the damaged
     // ones, out of band. Length and CRC-32 of both files, pinned for the
-    // v3 bytes (under v2 the whole-file reader and this open both wrote
-    // 1 198 063 and 2 229 bytes for the same lines).
+    // v4 bytes.
     let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
     let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
     let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
     assert_eq!(live, [&kept[..], b"\n"].concat());
     assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
     let pin = |bytes: &[u8]| (bytes.len(), hydra_wire::crc::crc32(bytes));
-    assert_eq!((pin(&live), pin(&corrupt)), ((1_087_486, 0x14cf_de7e), (1_180, 0x711e_98a1)));
+    assert_eq!((pin(&live), pin(&corrupt)), ((1_086_829, 0x5eca_c3a6), (912, 0x5211_6060)));
     let healed = ConcurrentCache::open(&dir.0).unwrap();
     assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
 

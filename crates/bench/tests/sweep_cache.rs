@@ -92,7 +92,8 @@ fn corrupted_cache_degrades_to_cold_and_tables_stay_byte_identical() {
     let last = lines.last_mut().unwrap();
     last.truncate(torn);
     let first = &mut lines[0];
-    let at = first.find("\"rep\":").unwrap() + "\"rep\":".len();
+    // The rep column, after the hash's 16 hex digits and `",`.
+    let at = first.find(",\"0x").unwrap() + ",\"0x".len() + 16 + "\",".len();
     first.replace_range(at..at + 1, "9");
     std::fs::write(&path, lines.join("\n")).unwrap();
 
