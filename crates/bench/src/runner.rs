@@ -45,7 +45,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hydra_netsim::{FlowTraffic, RunError, RunOutcome, RunPerf, ScenarioSpec, Topology, TopologyKind};
-use hydra_sim::stream_seed;
+use hydra_sim::{stream_seed, Duration};
 
 use crate::sched::{self, JobStats, PoolTelemetry};
 use crate::sweeps::{ConcurrentCache, SharedCache};
@@ -268,7 +268,7 @@ impl ExperimentRunner {
     /// build must still get a cost and fail inside its own job.
     fn predicted_cost(spec: &ScenarioSpec) -> f64 {
         let n = spec.topology.node_count() as f64;
-        let span = (spec.warmup + spec.duration).as_secs_f64();
+        let span = spec.warmup.checked_add(spec.duration).unwrap_or(Duration::MAX).as_secs_f64();
         let rate_bps = spec.rate.bits_per_sec() as f64;
         let traffic: Vec<FlowTraffic> = match spec.topology {
             // The non-asserting pair search: a placement without one
@@ -425,7 +425,6 @@ mod tests {
     use crate::sweeps::CacheStats;
     use hydra_netsim::{Policy, TopologyKind};
     use hydra_phy::Rate;
-    use hydra_sim::Duration;
 
     fn tiny_udp_spec() -> ScenarioSpec {
         let mut spec =
@@ -528,6 +527,20 @@ mod tests {
         assert_eq!(cells[0].failed_label(), "FAILED(panic)");
         let Some(RunError::Panicked(message)) = cells[0].failure() else { panic!("{:?}", cells[0].runs) };
         assert!(message.contains("no routable flow pair found"), "{message}");
+        assert_eq!(cells[1].runs, clean[0].runs);
+    }
+
+    #[test]
+    fn a_horizon_past_the_clock_fails_in_its_own_cell() {
+        // The parser rejects this horizon; a spec built in Rust reaches
+        // the runner, and pricing it must not panic outside its job.
+        let mut far = tiny_udp_spec();
+        far.warmup = Duration::from_secs(18_446_744_073);
+        far.duration = Duration::from_secs(1);
+        let clean = ExperimentRunner::sequential().run_sweep(&[tiny_udp_spec()], 1);
+        let cells = ExperimentRunner::sequential().run_sweep(&[far, tiny_udp_spec()], 1);
+        let Some(RunError::Panicked(message)) = cells[0].failure() else { panic!("{:?}", cells[0].runs) };
+        assert!(message.contains("overflow"), "{message}");
         assert_eq!(cells[1].runs, clean[0].runs);
     }
 

@@ -124,7 +124,8 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
 
     let before = alloc_stats();
     let cache = ConcurrentCache::open(&dir.0).unwrap();
-    let allocs = alloc_stats().since(before).allocations;
+    let one = alloc_stats().since(before);
+    let allocs = one.allocations;
     let index = cache.index();
     let decoded = index.get(spec.stable_hash(), 1).expect("the record loads");
     assert_eq!(**decoded, outcome);
@@ -144,6 +145,7 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     // whole, so what it allocates is that window plus what it decodes.
     // The store must be several windows long, or a file-sized buffer
     // would cost no more than the window does.
+    const WINDOW: u64 = 1 << 20;
     const RECORDS: u64 = 24;
     let dir = TmpDir::new("bytes");
     let records: Vec<_> = (1..=RECORDS).map(|rep| (spec.stable_hash(), rep, spec, &outcome)).collect();
@@ -153,16 +155,25 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     let cache = ConcurrentCache::open(&dir.0).unwrap();
     let bytes = alloc_stats().since(before).allocated_bytes;
     assert_eq!(cache.len(), RECORDS as usize);
-    eprintln!("warm open: {bytes} bytes allocated for a {file}-byte store of {RECORDS} 1000-node records");
-    // Exact and repeatable: 12 393 509 bytes for a 5 597 319-byte file
-    // (a 1 MiB window, one exactly-sized node slice per record; the
-    // scratch path's length moves it by a few bytes). Bound: 1.25x that.
-    // An open that reads the file whole (`fs::read`, then the same
-    // per-line decode) allocates 16 942 252 and fails it. Each record
-    // adds about 457 000 decoded bytes and 233 000 file bytes, so below
-    // 22 records that whole-file read would pass the bound (at 21 it
-    // allocates 14 871 730).
-    assert!(bytes < 15_492_000, "warm-open bytes regressed: {bytes} allocated (file: {file} bytes)");
+    // Bound: the window, plus what the one-record open above allocated
+    // beyond its window for each record, plus half the file. That
+    // per-record figure also holds the decoder's node scratch, grown
+    // once per open, so the bound is loose for a windowed open: 12 393 509
+    // bytes for a 5 597 319-byte file against 23 853 371 (the scratch
+    // path's length moves each by a few bytes). An open that reads the
+    // file whole (`fs::read`, then the same per-line decode) allocates
+    // the file instead of the window in both opens, and fails: 16 942 252
+    // against 4 284 851 at 24 records, and so at 2, 5, 9 and 12.
+    let per_record =
+        one.allocated_bytes.checked_sub(WINDOW).expect("the one-record open reads through a window");
+    let bound = WINDOW + RECORDS * per_record + file / 2;
+    eprintln!(
+        "warm open: {bytes} bytes allocated for a {file}-byte store of {RECORDS} records, bound {bound}"
+    );
+    assert!(
+        bytes < bound,
+        "warm-open bytes regressed: {bytes} allocated, bound {bound} (file: {file} bytes)"
+    );
 
     // Half 3: a live Table 4 cell's ledger names are the MAC's own, and
     // stay so through the store.

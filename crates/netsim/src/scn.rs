@@ -1,10 +1,10 @@
 //! The `.scn` scenario-file format: one [`ScenarioSpec`] per line.
 //!
-//! A sweep that used to live as compiled Rust in a `fig*`/`table*` bin
-//! can instead live as data: each non-comment line is a whitespace-
-//! separated list of `key=value` fields describing one spec. The
-//! serializer ([`ScenarioSpec::to_scn`]) is *canonical* — it emits keys
-//! in a fixed order and omits every field that still holds its default —
+//! Each non-comment line is a whitespace-separated list of `key=value`
+//! fields describing one spec. Every key is one row of one table,
+//! `KEYS`, which both writes and reads it. The serializer
+//! ([`ScenarioSpec::to_scn`]) is *canonical* — it emits keys in the
+//! table's order and omits every field that still holds its default —
 //! and the parser ([`ScenarioSpec::from_scn`]) is strict (unknown or
 //! duplicate keys are errors), so:
 //!
@@ -18,10 +18,9 @@
 //! result cache. The full grammar, every key, and the defaults are
 //! documented in `docs/SCENARIO_FORMAT.md`.
 
-use hydra_core::{AckPolicy, AggPolicy, AggSizing};
+use hydra_core::{AckPolicy, AggSizing};
 use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
-use hydra_tcp::TcpConfig;
 
 use crate::spec::{
     Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, ScenarioSpec, TopologyKind,
@@ -97,7 +96,7 @@ impl Selector {
         let mut fields = Vec::new();
         for tok in text.split_whitespace() {
             let (key, value) = tok.split_once('=').ok_or_else(|| format!("`{tok}` is not key=value"))?;
-            apply_field(&mut probe, key, value)?;
+            (row(key)?.set)(&mut probe, value)?;
             fields.push((key.to_string(), value.to_string()));
         }
         if fields.is_empty() {
@@ -109,7 +108,8 @@ impl Selector {
     /// True when `spec` holds every field of the selector.
     pub fn matches(&self, spec: &ScenarioSpec) -> bool {
         let mut set = spec.clone();
-        self.0.iter().all(|(key, value)| apply_field(&mut set, key, value).is_ok()) && set == *spec
+        self.0.iter().all(|(key, value)| row(key).and_then(|row| (row.set)(&mut set, value)).is_ok())
+            && set == *spec
     }
 }
 
@@ -325,98 +325,105 @@ fn directive_into(meta: &mut SweepMeta, key: &str, value: &str) -> Result<(), St
 }
 
 // ---------------------------------------------------------------------
-// Canonical field rendering
+// Value codecs
 // ---------------------------------------------------------------------
 
-/// Canonical duration text: the largest of `s`/`ms`/`us`/`ns` that
-/// divides the value exactly (zero renders as `0s`).
+/// A value codec: the value's canonical text (`None` for an inert value,
+/// which has no spelling), and its parser (whose errors may name the key).
+/// Floats are written with `{:?}`, the shortest text that parses back
+/// bit-identically.
+type Codec<T> = (fn(&T) -> Option<String>, fn(&str, &str) -> Result<T, String>);
+
+/// Duration units, largest first.
+const UNITS: [(&str, u64); 4] = [("s", 1_000_000_000), ("ms", 1_000_000), ("us", 1_000), ("ns", 1)];
+
+/// Canonical duration text: the largest unit that divides the value
+/// exactly (zero renders as `0s`).
 fn dur_to_text(d: Duration) -> String {
     let ns = d.as_nanos();
-    if ns == 0 {
-        return "0s".into();
-    }
-    for (unit, per) in [("s", 1_000_000_000u64), ("ms", 1_000_000), ("us", 1_000)] {
-        if ns.is_multiple_of(per) {
-            return format!("{}{}", ns / per, unit);
-        }
-    }
-    format!("{ns}ns")
+    let (unit, per) =
+        UNITS.iter().find(|(_, per)| ns.is_multiple_of(*per)).expect("1 ns divides every value");
+    format!("{}{unit}", ns / per)
 }
 
 fn dur_from_text(s: &str) -> Result<Duration, String> {
-    let (digits, per) = if let Some(v) = s.strip_suffix("ns") {
-        (v, 1u64)
-    } else if let Some(v) = s.strip_suffix("us") {
-        (v, 1_000)
-    } else if let Some(v) = s.strip_suffix("ms") {
-        (v, 1_000_000)
-    } else if let Some(v) = s.strip_suffix('s') {
-        (v, 1_000_000_000)
-    } else {
-        return Err(format!("duration `{s}` needs a unit suffix (ns|us|ms|s)"));
-    };
+    // Smallest first: `ns`, `us` and `ms` all end in `s`.
+    let unit = UNITS.iter().rev().find_map(|&(unit, per)| Some((s.strip_suffix(unit)?, per)));
+    let (digits, per) = unit.ok_or_else(|| format!("duration `{s}` needs a unit suffix (ns|us|ms|s)"))?;
     let n: u64 = digits.parse().map_err(|_| format!("bad duration value `{s}`"))?;
     n.checked_mul(per).map(Duration::from_nanos).ok_or_else(|| format!("duration `{s}` overflows"))
 }
 
-/// Canonical rate text (`0.65`, `1.3`, … `6.5`).
-fn rate_to_text(r: Rate) -> &'static str {
-    match r {
-        Rate::R0_65 => "0.65",
-        Rate::R1_30 => "1.3",
-        Rate::R1_95 => "1.95",
-        Rate::R2_60 => "2.6",
-        Rate::R3_90 => "3.9",
-        Rate::R5_20 => "5.2",
-        Rate::R5_85 => "5.85",
-        Rate::R6_50 => "6.5",
-    }
+/// A number; the error names the key.
+fn num<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad {key} value `{s}`"))
 }
 
-fn rate_from_text(s: &str) -> Result<Rate, String> {
-    Ok(match s {
-        "0.65" => Rate::R0_65,
-        "1.3" | "1.30" => Rate::R1_30,
-        "1.95" => Rate::R1_95,
-        "2.6" | "2.60" => Rate::R2_60,
-        "3.9" | "3.90" => Rate::R3_90,
-        "5.2" | "5.20" => Rate::R5_20,
-        "5.85" => Rate::R5_85,
-        "6.5" | "6.50" => Rate::R6_50,
-        _ => return Err(format!("unknown rate `{s}` (0.65|1.3|1.95|2.6|3.9|5.2|5.85|6.5)")),
-    })
+const BYTES: Codec<usize> = (|v| Some(v.to_string()), num);
+const COUNT: Codec<u32> = (|v| Some(v.to_string()), num);
+const SEED: Codec<u64> = (|v| Some(v.to_string()), num);
+const DUR: Codec<Duration> = (|d| Some(dur_to_text(*d)), |s, _| dur_from_text(s));
+const FLUSH: Codec<Option<Duration>> = (|d| d.as_ref().and_then(DUR.0), |s, key| (DUR.1)(s, key).map(Some));
+
+/// A name table: each value with its canonical name first, then any
+/// other spelling a line may use for it.
+type Names<T> = [(T, &'static [&'static str])];
+
+fn name<T: PartialEq>(names: &Names<T>, v: &T) -> Option<String> {
+    let (_, spellings) = names.iter().find(|(named, _)| named == v).expect("the table names every value");
+    Some(spellings[0].to_string())
 }
 
-fn policy_to_text(p: Policy) -> &'static str {
-    match p {
-        Policy::Na => "na",
-        Policy::Ua => "ua",
-        Policy::Ba => "ba",
-        Policy::Dba => "dba",
-        Policy::BaNoForward => "ba-nofwd",
-    }
+/// The value `s` spells; `Err` lists the canonical names, `a|b|…`.
+fn named<T: Copy>(names: &Names<T>, s: &str) -> Result<T, String> {
+    let found = names.iter().find(|(_, spellings)| spellings.contains(&s)).map(|&(v, _)| v);
+    found.ok_or_else(|| names.iter().map(|(_, spellings)| spellings[0]).collect::<Vec<_>>().join("|"))
 }
 
-fn policy_from_text(s: &str) -> Result<Policy, String> {
-    Ok(match s {
-        "na" => Policy::Na,
-        "ua" => Policy::Ua,
-        "ba" => Policy::Ba,
-        "dba" => Policy::Dba,
-        "ba-nofwd" => Policy::BaNoForward,
-        _ => return Err(format!("unknown policy `{s}` (na|ua|ba|dba|ba-nofwd)")),
-    })
-}
+const RATES: &Names<Rate> = &[
+    (Rate::R0_65, &["0.65"]),
+    (Rate::R1_30, &["1.3", "1.30"]),
+    (Rate::R1_95, &["1.95"]),
+    (Rate::R2_60, &["2.6", "2.60"]),
+    (Rate::R3_90, &["3.9", "3.90"]),
+    (Rate::R5_20, &["5.2", "5.20"]),
+    (Rate::R5_85, &["5.85"]),
+    (Rate::R6_50, &["6.5", "6.50"]),
+];
+const RATE: Codec<Rate> =
+    (|r| name(RATES, r), |s, _| named(RATES, s).map_err(|all| format!("unknown rate `{s}` ({all})")));
+const BCAST: Codec<Option<Rate>> = (|r| r.as_ref().and_then(RATE.0), |s, key| (RATE.1)(s, key).map(Some));
 
-fn topo_to_text(t: TopologyKind) -> String {
-    match t {
-        TopologyKind::Linear(h) => format!("linear:{h}"),
-        TopologyKind::Star => "star".into(),
-        TopologyKind::Grid { w, h } => format!("grid:{w}x{h}"),
-        TopologyKind::Cross => "cross".into(),
-        TopologyKind::RandomMesh { nodes, area_m, seed } => format!("mesh:{nodes}:{area_m}:{seed}"),
-    }
-}
+const POLICIES: &Names<Policy> = &[
+    (Policy::Na, &["na"]),
+    (Policy::Ua, &["ua"]),
+    (Policy::Ba, &["ba"]),
+    (Policy::Dba, &["dba"]),
+    (Policy::BaNoForward, &["ba-nofwd"]),
+];
+const POLICY: Codec<Policy> =
+    (|p| name(POLICIES, p), |s, _| named(POLICIES, s).map_err(|all| format!("unknown policy `{s}` ({all})")));
+
+const ACKS: &Names<AckPolicy> = &[(AckPolicy::Normal, &["normal"]), (AckPolicy::Block, &["block"])];
+const ACK: Codec<AckPolicy> =
+    (|a| name(ACKS, a), |s, key| named(ACKS, s).map_err(|all| format!("bad {key} value `{s}` ({all})")));
+
+const ON_OFF: &Names<bool> = &[(true, &["on"]), (false, &["off"])];
+const SWITCH: Codec<bool> =
+    (|b| name(ON_OFF, b), |s, key| named(ON_OFF, s).map_err(|all| format!("bad {key} value `{s}` ({all})")));
+
+const TOPO: Codec<TopologyKind> = (
+    |t| {
+        Some(match *t {
+            TopologyKind::Linear(h) => format!("linear:{h}"),
+            TopologyKind::Star => "star".into(),
+            TopologyKind::Grid { w, h } => format!("grid:{w}x{h}"),
+            TopologyKind::Cross => "cross".into(),
+            TopologyKind::RandomMesh { nodes, area_m, seed } => format!("mesh:{nodes}:{area_m}:{seed}"),
+        })
+    },
+    |s, _| topo_from_text(s),
+);
 
 /// Node ids are `u16` on the wire, so no topology may name more nodes.
 const MAX_NODES: usize = u16::MAX as usize;
@@ -427,55 +434,59 @@ fn topo_from_text(s: &str) -> Result<TopologyKind, String> {
         Some(n) if n <= MAX_NODES => Ok(()),
         _ => Err(format!("topology `{s}` has more than {MAX_NODES} nodes")),
     };
-    if s == "star" {
-        return Ok(TopologyKind::Star);
-    }
-    if s == "cross" {
-        return Ok(TopologyKind::Cross);
-    }
-    if let Some(h) = s.strip_prefix("linear:") {
-        let hops: usize = h.parse().map_err(|_| format!("bad hop count in `{s}`"))?;
-        if hops == 0 {
-            return Err("linear topology needs at least 1 hop".into());
+    match s.split_once(':') {
+        None if s == "star" => Ok(TopologyKind::Star),
+        None if s == "cross" => Ok(TopologyKind::Cross),
+        Some(("linear", h)) => {
+            let hops: usize = h.parse().map_err(|_| format!("bad hop count in `{s}`"))?;
+            if hops == 0 {
+                return Err("linear topology needs at least 1 hop".into());
+            }
+            capped(hops.checked_add(1))?;
+            Ok(TopologyKind::Linear(hops))
         }
-        capped(hops.checked_add(1))?;
-        return Ok(TopologyKind::Linear(hops));
-    }
-    if let Some(wh) = s.strip_prefix("grid:") {
-        let (w, h) = wh.split_once('x').ok_or_else(|| format!("expected grid:WxH, got `{s}`"))?;
-        let w: usize = w.parse().map_err(|_| format!("bad grid width in `{s}`"))?;
-        let h: usize = h.parse().map_err(|_| format!("bad grid height in `{s}`"))?;
-        if w == 0 || h == 0 || (w, h) == (1, 1) {
-            return Err(format!("grid {w}x{h} has fewer than 2 nodes"));
+        Some(("grid", wh)) => {
+            let (w, h) = wh.split_once('x').ok_or_else(|| format!("expected grid:WxH, got `{s}`"))?;
+            let w: usize = w.parse().map_err(|_| format!("bad grid width in `{s}`"))?;
+            let h: usize = h.parse().map_err(|_| format!("bad grid height in `{s}`"))?;
+            if w == 0 || h == 0 || (w, h) == (1, 1) {
+                return Err(format!("grid {w}x{h} has fewer than 2 nodes"));
+            }
+            capped(w.checked_mul(h))?;
+            Ok(TopologyKind::Grid { w, h })
         }
-        capped(w.checked_mul(h))?;
-        return Ok(TopologyKind::Grid { w, h });
-    }
-    if let Some(rest) = s.strip_prefix("mesh:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        let [nodes, area, seed] = parts[..] else {
-            return Err(format!("expected mesh:NODES:AREA:SEED, got `{s}`"));
-        };
-        let nodes: usize = nodes.parse().map_err(|_| format!("bad mesh node count in `{s}`"))?;
-        let area_m: u32 = area.parse().map_err(|_| format!("bad mesh area in `{s}`"))?;
-        let seed: u64 = seed.parse().map_err(|_| format!("bad mesh seed in `{s}`"))?;
-        if nodes < 2 {
-            return Err("mesh topology needs at least 2 nodes".into());
+        Some(("mesh", rest)) => {
+            let [nodes, area, seed] =
+                parts(rest).ok_or_else(|| format!("expected mesh:NODES:AREA:SEED, got `{s}`"))?;
+            let nodes: usize = nodes.parse().map_err(|_| format!("bad mesh node count in `{s}`"))?;
+            let area_m: u32 = area.parse().map_err(|_| format!("bad mesh area in `{s}`"))?;
+            let seed: u64 = seed.parse().map_err(|_| format!("bad mesh seed in `{s}`"))?;
+            if nodes < 2 {
+                return Err("mesh topology needs at least 2 nodes".into());
+            }
+            if area_m == 0 {
+                return Err("mesh area must be at least 1 m".into());
+            }
+            capped(Some(nodes))?;
+            Ok(TopologyKind::RandomMesh { nodes, area_m, seed })
         }
-        if area_m == 0 {
-            return Err("mesh area must be at least 1 m".into());
-        }
-        capped(Some(nodes))?;
-        return Ok(TopologyKind::RandomMesh { nodes, area_m, seed });
+        _ => Err(format!("unknown topology `{s}` (linear:H|star|grid:WxH|cross|mesh:NODES:AREA:SEED)")),
     }
-    Err(format!("unknown topology `{s}` (linear:H|star|grid:WxH|cross|mesh:NODES:AREA:SEED)"))
 }
 
-/// Shortest-round-trip float text (Rust's `{:?}` guarantees the value
-/// parses back bit-identically).
-fn f64_to_text(v: f64) -> String {
-    format!("{v:?}")
-}
+const MEDIUM: Codec<MediumKind> = (
+    |m| match m {
+        MediumKind::SharedDomain => Some("shared".into()),
+        MediumKind::Spatial { spacing_m } => Some(format!("spatial:{spacing_m:?}")),
+    },
+    |s, _| match s.split_once(':') {
+        None if s == "shared" => Ok(MediumKind::SharedDomain),
+        Some(("spatial", spacing)) => {
+            Ok(MediumKind::Spatial { spacing_m: positive(f64_from_text(spacing)?, "spatial spacing")? })
+        }
+        _ => Err(format!("unknown medium `{s}` (shared|spatial:METRES)")),
+    },
+);
 
 fn f64_from_text(s: &str) -> Result<f64, String> {
     let v: f64 = s.parse().map_err(|_| format!("bad number `{s}`"))?;
@@ -494,34 +505,33 @@ fn prob_from_text(s: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-fn usize_from(s: &str, key: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("bad {key} value `{s}`"))
+/// `v`, when it is above zero; the error names `what`.
+fn positive<T: PartialOrd + Default>(v: T, what: &str) -> Result<T, String> {
+    if v > T::default() {
+        Ok(v)
+    } else {
+        Err(format!("{what} must be positive"))
+    }
 }
 
-fn u64_from(s: &str, key: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("bad {key} value `{s}`"))
-}
-
-fn u32_from(s: &str, key: &str) -> Result<u32, String> {
-    s.parse().map_err(|_| format!("bad {key} value `{s}`"))
+/// `s`'s `:`-separated parts, when there are exactly `N`.
+fn parts<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut split = s.split(':');
+    let mut parts = [""; N];
+    for part in &mut parts {
+        *part = split.next()?;
+    }
+    split.next().is_none().then_some(parts)
 }
 
 /// A datagram payload length: every UDP source and the flooder stamp a
 /// 4-byte sequence number into it.
 fn payload_from(s: &str, key: &str) -> Result<usize, String> {
-    let payload = usize_from(s, key)?;
+    let payload = num(s, key)?;
     if payload < 4 {
         return Err(format!("{key} {payload} is below the 4 B sequence header"));
     }
     Ok(payload)
-}
-
-fn bool_from(s: &str, key: &str) -> Result<bool, String> {
-    match s {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("bad {key} value `{s}` (on|off)")),
-    }
 }
 
 impl FlowTraffic {
@@ -532,9 +542,7 @@ impl FlowTraffic {
     pub fn to_token(&self) -> String {
         match *self {
             FlowTraffic::FileTransfer { bytes } => format!("tcp:{bytes}"),
-            FlowTraffic::Cbr { interval, payload } => {
-                format!("cbr:{}:{payload}", dur_to_text(interval))
-            }
+            FlowTraffic::Cbr { interval, payload } => format!("cbr:{}:{payload}", dur_to_text(interval)),
             FlowTraffic::OnOff { burst, idle, interval, payload } => {
                 format!("onoff:{burst}:{}:{}:{payload}", dur_to_text(idle), dur_to_text(interval))
             }
@@ -548,6 +556,15 @@ impl FlowTraffic {
     }
 }
 
+const TRAFFIC: Codec<FlowTraffic> = (
+    // `file:` is the canonical `traffic=` spelling of `tcp:`.
+    |t| match t {
+        FlowTraffic::FileTransfer { bytes } => Some(format!("file:{bytes}")),
+        window => Some(window.to_token()),
+    },
+    |s, _| traffic_from_text(s, true),
+);
+
 /// Parses a flow-traffic token: a `flow=` field's, or with `global` set
 /// the `traffic=` key's. One grammar; `global` only picks the words of
 /// the errors, which each key has kept since before they shared it.
@@ -558,37 +575,27 @@ fn traffic_from_text(s: &str, global: bool) -> Result<FlowTraffic, String> {
         ("", "flow tcp bytes", "flow payload", "flow payload")
     };
     if let Some(bytes) = s.strip_prefix("file:").or_else(|| s.strip_prefix("tcp:")) {
-        return Ok(FlowTraffic::FileTransfer { bytes: usize_from(bytes, bytes_key)? });
+        return Ok(FlowTraffic::FileTransfer { bytes: num(bytes, bytes_key)? });
     }
     if let Some(rest) = s.strip_prefix("cbr:") {
         let (interval, payload) =
             rest.split_once(':').ok_or_else(|| format!("expected {key}cbr:INTERVAL:PAYLOAD, got `{s}`"))?;
-        let interval = dur_from_text(interval)?;
-        if interval.is_zero() {
-            return Err("cbr interval must be positive".into());
-        }
+        let interval = positive(dur_from_text(interval)?, "cbr interval")?;
         return Ok(FlowTraffic::Cbr { interval, payload: payload_from(payload, cbr_payload)? });
     }
     if let Some(rest) = s.strip_prefix("onoff:") {
-        let parts: Vec<&str> = rest.split(':').collect();
-        let [burst, idle, interval, payload] = parts[..] else {
-            return Err(format!("expected {key}onoff:BURST:IDLE:INTERVAL:PAYLOAD, got `{s}`"));
-        };
-        let burst = u32_from(burst, "onoff burst")?;
+        let [burst, idle, interval, payload] = parts(rest)
+            .ok_or_else(|| format!("expected {key}onoff:BURST:IDLE:INTERVAL:PAYLOAD, got `{s}`"))?;
+        let burst = num(burst, "onoff burst")?;
         if burst == 0 {
             return Err("onoff burst must be at least 1 packet".into());
         }
-        let idle = dur_from_text(idle)?;
-        let interval = dur_from_text(interval)?;
+        let (idle, interval) = (dur_from_text(idle)?, dur_from_text(interval)?);
         if idle.is_zero() || interval.is_zero() {
             return Err("onoff idle and interval must be positive".into());
         }
-        return Ok(FlowTraffic::OnOff {
-            burst,
-            idle,
-            interval,
-            payload: payload_from(payload, onoff_payload)?,
-        });
+        let payload = payload_from(payload, onoff_payload)?;
+        return Ok(FlowTraffic::OnOff { burst, idle, interval, payload });
     }
     Err(format!(
         "unknown {} `{s}` (file:BYTES|tcp:BYTES|cbr:INTERVAL:PAYLOAD|onoff:BURST:IDLE:INTERVAL:PAYLOAD)",
@@ -596,9 +603,288 @@ fn traffic_from_text(s: &str, global: bool) -> Result<FlowTraffic, String> {
     ))
 }
 
+/// `sizing=none` spells the default (no override: a fixed cap of
+/// `max_agg`), so it is never written.
+const SIZING: Codec<Option<AggSizing>> = (
+    |sizing| match sizing.as_ref()? {
+        AggSizing::Fixed(b) => Some(format!("fixed:{b}")),
+        AggSizing::CoherenceBudget(samples) => Some(format!("budget:{samples}")),
+    },
+    |s, _| match s.split_once(':') {
+        None if s == "none" => Ok(None),
+        Some(("fixed", b)) => Ok(Some(AggSizing::Fixed(num(b, "sizing fixed bytes")?))),
+        Some(("budget", n)) => Ok(Some(AggSizing::CoherenceBudget(num(n, "sizing budget samples")?))),
+        _ => Err(format!("unknown sizing `{s}` (none|fixed:BYTES|budget:SAMPLES)")),
+    },
+);
+
+const FAULT: Codec<Option<(f64, f64)>> = (
+    |fault| fault.map(|(drop, corrupt)| format!("{drop:?}:{corrupt:?}")),
+    |s, _| {
+        let (drop, corrupt) =
+            s.split_once(':').ok_or_else(|| format!("expected fault=DROP:CORRUPT, got `{s}`"))?;
+        Ok(Some((prob_from_text(drop)?, prob_from_text(corrupt)?)))
+    },
+);
+
+const FLOOD: Codec<Option<Flooding>> = (
+    |flood| flood.map(|f| format!("{}:{}", dur_to_text(f.interval), f.payload)),
+    |s, _| {
+        let (interval, payload) =
+            s.split_once(':').ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{s}`"))?;
+        let interval = positive(dur_from_text(interval)?, "flood interval")?;
+        Ok(Some(Flooding { interval, payload: payload_from(payload, "flood payload")? }))
+    },
+);
+
+/// A clause list's text: the present clauses, comma-joined, or `None`
+/// when there are none (an inert value, with no spelling).
+fn clause_text<const N: usize>(clauses: [Option<String>; N]) -> Option<String> {
+    let clauses: Vec<String> = clauses.into_iter().flatten().collect();
+    (!clauses.is_empty()).then(|| clauses.join(","))
+}
+
+/// Reads a comma-separated clause list (`link_error=`, `budget=`): each
+/// clause starts with one of `known`'s prefixes, and `read` gets that
+/// prefix's index and the rest of the clause. Each prefix may appear at
+/// most once; prefixes that come with the same error share one slot, and
+/// a second clause in it gets that error.
+fn read_clauses(
+    s: &str,
+    key: &str,
+    hint: &str,
+    known: &[(&str, Option<&str>)],
+    mut read: impl FnMut(usize, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut filled = 0u32;
+    for clause in s.split(',') {
+        let found =
+            known.iter().enumerate().find_map(|(i, (prefix, _))| Some((i, clause.strip_prefix(prefix)?)));
+        let (i, rest) = found.ok_or_else(|| format!("unknown {key} clause `{clause}` ({hint})"))?;
+        let (prefix, shared) = known[i];
+        let slot = 1 << known.iter().position(|k| shared.is_some() && k.1 == shared).unwrap_or(i);
+        if filled & slot != 0 {
+            return Err(shared.map_or_else(|| format!("duplicate {key} clause `{prefix}`"), String::from));
+        }
+        filled |= slot;
+        read(i, rest)?;
+    }
+    Ok(())
+}
+
+/// `link_error=`: at most one error model clause, `ber:B` or
+/// `ge:P_GB:P_BG:BER_GOOD:BER_BAD`, then `dup:P` and `reorder:P`; every
+/// value a probability.
+const LINK_ERROR: Codec<Option<LinkErrorSpec>> = (
+    |le| {
+        let le = le.as_ref()?;
+        clause_text([
+            le.model.map(|model| match model {
+                LinkErrorModel::Independent { ber } => format!("ber:{ber:?}"),
+                LinkErrorModel::GilbertElliott { p_gb, p_bg, ber_good, ber_bad } => {
+                    format!("ge:{p_gb:?}:{p_bg:?}:{ber_good:?}:{ber_bad:?}")
+                }
+            }),
+            (le.dup > 0.0).then(|| format!("dup:{:?}", le.dup)),
+            (le.reorder > 0.0).then(|| format!("reorder:{:?}", le.reorder)),
+        ])
+    },
+    |s, key| {
+        let model = Some("link_error allows at most one error model clause (ber:|ge:)");
+        let known = [("ber:", model), ("ge:", model), ("dup:", None), ("reorder:", None)];
+        let mut le = LinkErrorSpec { model: None, dup: 0.0, reorder: 0.0 };
+        read_clauses(s, key, "ber:|ge:|dup:|reorder:", &known, |i, v| {
+            match i {
+                0 => le.model = Some(LinkErrorModel::Independent { ber: prob_from_text(v)? }),
+                1 => {
+                    let probs = parts(v)
+                        .ok_or_else(|| format!("expected ge:P_GB:P_BG:BER_GOOD:BER_BAD, got `ge:{v}`"));
+                    let [p_gb, p_bg, ber_good, ber_bad] = probs?.map(prob_from_text);
+                    let (p_gb, p_bg, ber_good, ber_bad) = (p_gb?, p_bg?, ber_good?, ber_bad?);
+                    le.model = Some(LinkErrorModel::GilbertElliott { p_gb, p_bg, ber_good, ber_bad });
+                }
+                2 => le.dup = prob_from_text(v)?,
+                _ => le.reorder = prob_from_text(v)?,
+            }
+            Ok(())
+        })?;
+        Ok(Some(le))
+    },
+);
+
+/// `budget=`: `events:N` (max dispatched events), then `wall:DURATION`
+/// (max wall-clock run time), both positive.
+const BUDGET: Codec<Option<RunBudget>> = (
+    |budget| {
+        let b = budget.as_ref()?;
+        clause_text([
+            b.max_events.map(|events| format!("events:{events}")),
+            b.max_wall.map(|wall| format!("wall:{}", dur_to_text(wall))),
+        ])
+    },
+    |s, key| {
+        let known = [("events:", None), ("wall:", None)];
+        let mut budget = RunBudget { max_events: None, max_wall: None };
+        read_clauses(s, key, "events:N|wall:DURATION", &known, |i, v| {
+            match i {
+                0 => budget.max_events = Some(positive(num(v, "budget events")?, "budget events")?),
+                _ => budget.max_wall = Some(positive(dur_from_text(v)?, "budget wall time")?),
+            }
+            Ok(())
+        })?;
+        Ok(Some(budget))
+    },
+);
+
+/// One flow: a `flow=` value, `SRC>DST:PORT:TRAFFIC`, or with `shared`
+/// a `flows=` entry, `SRC>DST:PORT`, carrying `shared`.
+fn flow_from(s: &str, shared: Option<FlowTraffic>) -> Result<FlowSpec, String> {
+    let form = if shared.is_some() { "SRC>DST:PORT" } else { "SRC>DST:PORT:TRAFFIC" };
+    let bad = || format!("expected {form}, got `{s}`");
+    let (src, rest) = s.split_once('>').ok_or_else(bad)?;
+    let (dst, rest) = rest.split_once(':').ok_or_else(bad)?;
+    let (port, token) = if shared.is_some() { (rest, "") } else { rest.split_once(':').ok_or_else(bad)? };
+    Ok(FlowSpec {
+        src: num(src, "flow src")?,
+        dst: num(dst, "flow dst")?,
+        port: port.parse().map_err(|_| format!("bad flow port `{port}`"))?,
+        traffic: match shared {
+            Some(traffic) => traffic,
+            None => FlowTraffic::from_token(token)?,
+        },
+    })
+}
+
+/// The text of `flows=` (without `own`) when every flow carries the
+/// line's `traffic`, of one `flow=` per flow (with `own`) otherwise: a
+/// `flow=` line whose flows all carry it is the same value.
+fn flows_text(spec: &ScenarioSpec, own: bool) -> Option<String> {
+    if spec.flows.is_empty() || spec.flows.iter().all(|f| f.traffic == spec.traffic) == own {
+        return None;
+    }
+    let text = |f: &FlowSpec| match own {
+        true => format!("{}>{}:{}:{}", f.src, f.dst, f.port, f.traffic.to_token()),
+        false => format!("{}>{}:{}", f.src, f.dst, f.port),
+    };
+    Some(spec.flows.iter().map(text).collect::<Vec<_>>().join(if own { " " } else { "," }))
+}
+
 // ---------------------------------------------------------------------
-// Serializer
+// The key table
 // ---------------------------------------------------------------------
+
+/// How often a key may appear on a spec line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Exactly once, and always written.
+    Required,
+    /// At most once.
+    Optional,
+    /// Any number of times, each adding one value.
+    Repeatable,
+}
+
+/// One `.scn` key and the spec field it sets.
+struct Key {
+    key: &'static str,
+    kind: Kind,
+    /// The field's canonical text, `None` when it equals the second
+    /// spec's (the traffic-matched base) or is inert. A repeatable key's
+    /// values are space-separated, one per field.
+    text: fn(&ScenarioSpec, &ScenarioSpec) -> Option<String>,
+    /// Parses a value into the field.
+    set: fn(&mut ScenarioSpec, &str) -> Result<(), String>,
+}
+
+/// One [`KEYS`] row from `KIND "key" => field.path: CODEC`.
+macro_rules! key {
+    ($kind:ident $key:literal => $($field:ident).+ : $codec:ident) => {
+        Key {
+            key: $key,
+            kind: Kind::$kind,
+            text: |spec, base| match Kind::$kind {
+                Kind::Optional if spec.$($field).+ == base.$($field).+ => None,
+                _ => ($codec.0)(&spec.$($field).+),
+            },
+            set: |spec, value| ($codec.1)(value, $key).map(|v| spec.$($field).+ = v),
+        }
+    };
+}
+
+/// Every `.scn` key, in canonical order, the required ones first:
+/// [`ScenarioSpec::to_scn`] writes each row's text, and a line's fields
+/// are parsed by their rows. `docs/SCENARIO_FORMAT.md`'s key tables list
+/// the same keys, in order.
+static KEYS: [Key; 32] = [
+    key!(Required "topo" => topology: TOPO),
+    key!(Required "policy" => policy: POLICY),
+    key!(Required "rate" => rate: RATE),
+    key!(Required "traffic" => traffic: TRAFFIC),
+    key!(Optional "medium" => medium: MEDIUM),
+    key!(Optional "bcast" => broadcast_rate: BCAST),
+    Key {
+        key: "flows",
+        kind: Kind::Optional,
+        text: |spec, _| flows_text(spec, false),
+        set: |spec, value| {
+            let flows = value.split(',').map(|flow| flow_from(flow, Some(spec.traffic)));
+            flows.collect::<Result<_, _>>().map(|flows| spec.flows = flows)
+        },
+    },
+    Key {
+        key: "flow",
+        kind: Kind::Repeatable,
+        text: |spec, _| flows_text(spec, true),
+        set: |spec, value| flow_from(value, None).map(|flow| spec.flows.push(flow)),
+    },
+    key!(Optional "max_agg" => max_aggregate: BYTES),
+    key!(Optional "sizing" => sizing: SIZING),
+    key!(Optional "ack" => ack_policy: ACK),
+    key!(Optional "rts" => rts_cts: SWITCH),
+    key!(Optional "flush" => flush_timeout: FLUSH),
+    key!(Optional "tcp_mss" => tcp.mss: BYTES),
+    key!(Optional "tcp_recv_buf" => tcp.recv_buffer: BYTES),
+    key!(Optional "tcp_send_buf" => tcp.send_buffer: BYTES),
+    key!(Optional "tcp_init_cwnd" => tcp.initial_cwnd_segments: COUNT),
+    key!(Optional "tcp_ssthresh" => tcp.initial_ssthresh: COUNT),
+    key!(Optional "tcp_rto_init" => tcp.rto_initial: DUR),
+    key!(Optional "tcp_rto_min" => tcp.rto_min: DUR),
+    key!(Optional "tcp_rto_max" => tcp.rto_max: DUR),
+    key!(Optional "tcp_delayed_ack" => tcp.delayed_ack: SWITCH),
+    key!(Optional "tcp_da_timeout" => tcp.delayed_ack_timeout: DUR),
+    key!(Optional "tcp_max_retx" => tcp.max_retransmits: COUNT),
+    key!(Optional "tcp_time_wait" => tcp.time_wait: DUR),
+    key!(Optional "fault" => fault: FAULT),
+    key!(Optional "link_error" => link_error: LINK_ERROR),
+    key!(Optional "flood" => flooding: FLOOD),
+    key!(Optional "budget" => budget: BUDGET),
+    key!(Optional "warmup" => warmup: DUR),
+    key!(Optional "duration" => duration: DUR),
+    key!(Optional "seed" => seed: SEED),
+];
+
+/// The row of `key`. Shared by [`ScenarioSpec::from_scn`] and
+/// [`Selector`]: a selector field means what the line field means.
+fn row(key: &str) -> Result<&'static Key, String> {
+    // Byte by byte: `==` calls the C library's `bcmp` for every row of
+    // the same length, and a large mesh line looks up `flow` hundreds of
+    // times.
+    KEYS.iter()
+        .find(|row| row.key.len() == key.len() && row.key.bytes().eq(key.bytes()))
+        .ok_or_else(|| format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)"))
+}
+
+/// The traffic-matched constructor, carrying `traffic`: it supplies
+/// every default (notably window traffic's 2 s warmup / 20 s window vs
+/// the file transfer's 300 s deadline).
+fn traffic_base(topo: TopologyKind, policy: Policy, rate: Rate, traffic: FlowTraffic) -> ScenarioSpec {
+    let base = if traffic.is_file() {
+        ScenarioSpec::tcp(topo, policy, rate)
+    } else {
+        ScenarioSpec::udp(topo, policy, rate, Duration::ZERO)
+    };
+    ScenarioSpec { traffic, ..base }
+}
 
 impl ScenarioSpec {
     /// Renders this spec as one canonical `.scn` line (no newline).
@@ -607,160 +893,51 @@ impl ScenarioSpec {
     /// equal specs always render identically and `to_scn` output is the
     /// canonical form `from_scn` round-trips to.
     pub fn to_scn(&self) -> String {
-        // The baseline the line's overrides are measured against: the
-        // traffic-matched constructor at this topology/policy/rate.
+        // The baseline the line's overrides are measured against.
         let base = traffic_base(self.topology, self.policy, self.rate, self.traffic);
-        let mut f = Vec::new();
-        f.push(format!("topo={}", topo_to_text(self.topology)));
-        f.push(format!("policy={}", policy_to_text(self.policy)));
-        f.push(format!("rate={}", rate_to_text(self.rate)));
-        match self.traffic {
-            // `file:` is the canonical `traffic=` spelling of `tcp:`.
-            FlowTraffic::FileTransfer { bytes } => f.push(format!("traffic=file:{bytes}")),
-            window => f.push(format!("traffic={}", window.to_token())),
-        }
-        if let MediumKind::Spatial { spacing_m } = self.medium {
-            f.push(format!("medium=spatial:{}", f64_to_text(spacing_m)));
-        }
-        if let Some(b) = self.broadcast_rate {
-            f.push(format!("bcast={}", rate_to_text(b)));
-        }
-        if !self.flows.is_empty() {
-            // Canonical choice between the two flow spellings: the
-            // compact legacy `flows=` whenever every flow just carries
-            // the spec's `traffic`, one `flow=` field per flow
-            // otherwise. (Legacy lines therefore re-serialize
-            // byte-identically, and a `flow=` line whose traffic all
-            // equals the default canonicalises to the legacy form —
-            // same value, same hash.)
-            if self.flows.iter().all(|fl| fl.traffic == self.traffic) {
-                let flows: Vec<String> =
-                    self.flows.iter().map(|fl| format!("{}>{}:{}", fl.src, fl.dst, fl.port)).collect();
-                f.push(format!("flows={}", flows.join(",")));
-            } else {
-                for fl in &self.flows {
-                    f.push(format!("flow={}>{}:{}:{}", fl.src, fl.dst, fl.port, fl.traffic.to_token()));
-                }
+        let mut fields = Vec::new();
+        for row in &KEYS {
+            if let Some(text) = (row.text)(self, &base) {
+                fields.extend(text.split(' ').map(|value| format!("{}={value}", row.key)));
             }
         }
-        if self.max_aggregate != AggPolicy::PAPER_MAX_AGG {
-            f.push(format!("max_agg={}", self.max_aggregate));
-        }
-        match self.sizing {
-            None => {}
-            Some(AggSizing::Fixed(b)) => f.push(format!("sizing=fixed:{b}")),
-            Some(AggSizing::CoherenceBudget(samples)) => f.push(format!("sizing=budget:{samples}")),
-        }
-        if self.ack_policy == AckPolicy::Block {
-            f.push("ack=block".into());
-        }
-        if !self.rts_cts {
-            f.push("rts=off".into());
-        }
-        if let Some(flush) = self.flush_timeout {
-            f.push(format!("flush={}", dur_to_text(flush)));
-        }
-        let paper = TcpConfig::hydra_paper();
-        for k in &TCP_KEYS {
-            if let Some(text) = (k.differs)(&self.tcp, &paper) {
-                f.push(format!("{}={text}", k.key));
-            }
-        }
-        if let Some((drop, corrupt)) = self.fault {
-            f.push(format!("fault={}:{}", f64_to_text(drop), f64_to_text(corrupt)));
-        }
-        if let Some(le) = self.link_error {
-            let mut clauses = Vec::new();
-            match le.model {
-                None => {}
-                Some(LinkErrorModel::Independent { ber }) => {
-                    clauses.push(format!("ber:{}", f64_to_text(ber)));
-                }
-                Some(LinkErrorModel::GilbertElliott { p_gb, p_bg, ber_good, ber_bad }) => {
-                    clauses.push(format!(
-                        "ge:{}:{}:{}:{}",
-                        f64_to_text(p_gb),
-                        f64_to_text(p_bg),
-                        f64_to_text(ber_good),
-                        f64_to_text(ber_bad)
-                    ));
-                }
-            }
-            if le.dup > 0.0 {
-                clauses.push(format!("dup:{}", f64_to_text(le.dup)));
-            }
-            if le.reorder > 0.0 {
-                clauses.push(format!("reorder:{}", f64_to_text(le.reorder)));
-            }
-            // A fully-default LinkErrorSpec (no model, no dup/reorder) is
-            // behaviourally inert and has no canonical spelling; omit it.
-            if !clauses.is_empty() {
-                f.push(format!("link_error={}", clauses.join(",")));
-            }
-        }
-        if let Some(fl) = self.flooding {
-            f.push(format!("flood={}:{}", dur_to_text(fl.interval), fl.payload));
-        }
-        if let Some(b) = self.budget {
-            let mut clauses = Vec::new();
-            if let Some(events) = b.max_events {
-                clauses.push(format!("events:{events}"));
-            }
-            if let Some(wall) = b.max_wall {
-                clauses.push(format!("wall:{}", dur_to_text(wall)));
-            }
-            // A fully-default RunBudget (no limit set) is behaviourally
-            // inert and has no canonical spelling; omit it.
-            if !clauses.is_empty() {
-                f.push(format!("budget={}", clauses.join(",")));
-            }
-        }
-        if self.warmup != base.warmup {
-            f.push(format!("warmup={}", dur_to_text(self.warmup)));
-        }
-        if self.duration != base.duration {
-            f.push(format!("duration={}", dur_to_text(self.duration)));
-        }
-        if self.seed != base.seed {
-            f.push(format!("seed={}", self.seed));
-        }
-        f.join(" ")
+        fields.join(" ")
     }
 
     /// Parses one `.scn` line (strict: unknown keys, duplicate keys, or
-    /// missing required keys are errors). The per-flow `flow=` key is
-    /// the one deliberately repeatable key: each occurrence adds one
-    /// flow, in line order.
+    /// missing required keys are errors). The repeatable key, `flow=`,
+    /// adds one flow per occurrence, in line order.
     pub fn from_scn(line: &str) -> Result<ScenarioSpec, String> {
-        let mut fields: Vec<(&str, &str)> = Vec::new();
+        let mut fields: Vec<(&str, &str, Option<&Key>)> = Vec::new();
         for tok in line.split_whitespace() {
             let (k, v) = tok.split_once('=').ok_or_else(|| format!("`{tok}` is not key=value"))?;
             if v.is_empty() {
                 return Err(format!("key `{k}` has an empty value"));
             }
-            if k != "flow" && fields.iter().any(|(seen, _)| *seen == k) {
+            let row = row(k).ok();
+            let repeatable = row.is_some_and(|row| row.kind == Kind::Repeatable);
+            if !repeatable && fields.iter().any(|(seen, ..)| *seen == k) {
                 return Err(format!("duplicate key `{k}`"));
             }
-            fields.push((k, v));
+            fields.push((k, v, row));
         }
-        let take = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let require = |key: &str| take(key).ok_or_else(|| format!("missing required key `{key}`"));
-
-        let topo = topo_from_text(require("topo")?)?;
-        let policy = policy_from_text(require("policy")?)?;
-        let rate = rate_from_text(require("rate")?)?;
-        let traffic = traffic_from_text(require("traffic")?, true)?;
-        let mut spec = traffic_base(topo, policy, rate, traffic);
-
-        for &(key, value) in &fields {
-            match key {
-                "topo" | "policy" | "rate" | "traffic" => {}
-                "flows" if fields.iter().any(|(k, _)| *k == "flow") => {
-                    return Err("`flows=` (shared traffic) and `flow=` (per-flow traffic) \
-                                cannot be mixed on one line"
-                        .into());
-                }
-                _ => apply_field(&mut spec, key, value)?,
+        // The required fields pick the base the others override.
+        let mut spec = ScenarioSpec::tcp(TopologyKind::Star, Policy::Na, Rate::R1_30);
+        for row in KEYS.iter().take_while(|row| row.kind == Kind::Required) {
+            let field = fields.iter().find(|(.., known)| known.is_some_and(|known| std::ptr::eq(known, row)));
+            let value = field.map(|(_, value, _)| *value);
+            (row.set)(&mut spec, value.ok_or_else(|| format!("missing required key `{}`", row.key))?)?;
+        }
+        let mut spec = traffic_base(spec.topology, spec.policy, spec.rate, spec.traffic);
+        for &(key, value, known) in &fields {
+            let row = known.map_or_else(|| row(key), Ok)?;
+            if key == "flows" && fields.iter().any(|(k, ..)| *k == "flow") {
+                return Err("`flows=` (shared traffic) and `flow=` (per-flow traffic) \
+                            cannot be mixed on one line"
+                    .into());
+            }
+            if row.kind != Kind::Required {
+                (row.set)(&mut spec, value)?;
             }
         }
 
@@ -777,269 +954,13 @@ impl ScenarioSpec {
             }
         }
         // What `Mac::new` would panic on inside `build()` (the checked
-        // settings do not depend on the node).
+        // settings do not depend on the node), and the clock `build()`
+        // stops, 1 s past the horizon.
         spec.mac_config(0, &[]).validate()?;
+        let stop = spec.warmup.checked_add(spec.duration).and_then(|h| h.checked_add(Duration::from_secs(1)));
+        stop.ok_or("the run horizon, warmup + duration + 1s, overflows the clock")?;
         Ok(spec)
     }
-}
-
-/// One `tcp_*` key of a spec line and the [`TcpConfig`] field it sets.
-struct TcpKey {
-    key: &'static str,
-    /// The field's canonical text in the first config, `None` when the
-    /// second has the same value.
-    differs: fn(&TcpConfig, &TcpConfig) -> Option<String>,
-    /// Parses a value into the field.
-    set: fn(&mut TcpConfig, &str) -> Result<(), String>,
-}
-
-/// A value codec: a value's canonical text, and its parser (whose errors
-/// name the key).
-type Codec<T> = (fn(&T) -> String, fn(&str, &str) -> Result<T, String>);
-const BYTES: Codec<usize> = (usize::to_string, usize_from);
-const COUNT: Codec<u32> = (u32::to_string, u32_from);
-const DUR: Codec<Duration> = (|d| dur_to_text(*d), |s, _| dur_from_text(s));
-const SWITCH: Codec<bool> = (|&on| String::from(if on { "on" } else { "off" }), bool_from);
-
-/// Builds [`TCP_KEYS`] from `key => field: codec` rows.
-macro_rules! tcp_keys {
-    ($($key:literal => $field:ident: $codec:ident),* $(,)?) => {
-        [$(TcpKey {
-            key: $key,
-            differs: |t, base| (t.$field != base.$field).then(|| ($codec.0)(&t.$field)),
-            set: |t, value| {
-                t.$field = ($codec.1)(value, $key)?;
-                Ok(())
-            },
-        }),*]
-    };
-}
-
-/// Every `tcp_*` key, in canonical order: [`ScenarioSpec::to_scn`]
-/// writes the ones whose field differs from [`TcpConfig::hydra_paper`],
-/// and a spec line may set any of them.
-const TCP_KEYS: [TcpKey; 12] = tcp_keys![
-    "tcp_mss" => mss: BYTES,
-    "tcp_recv_buf" => recv_buffer: BYTES,
-    "tcp_send_buf" => send_buffer: BYTES,
-    "tcp_init_cwnd" => initial_cwnd_segments: COUNT,
-    "tcp_ssthresh" => initial_ssthresh: COUNT,
-    "tcp_rto_init" => rto_initial: DUR,
-    "tcp_rto_min" => rto_min: DUR,
-    "tcp_rto_max" => rto_max: DUR,
-    "tcp_delayed_ack" => delayed_ack: SWITCH,
-    "tcp_da_timeout" => delayed_ack_timeout: DUR,
-    "tcp_max_retx" => max_retransmits: COUNT,
-    "tcp_time_wait" => time_wait: DUR,
-];
-
-/// The traffic-matched constructor, carrying `traffic`: it supplies
-/// every default (notably window traffic's 2 s warmup / 20 s window vs
-/// the file transfer's 300 s deadline).
-fn traffic_base(topo: TopologyKind, policy: Policy, rate: Rate, traffic: FlowTraffic) -> ScenarioSpec {
-    let base = if traffic.is_file() {
-        ScenarioSpec::tcp(topo, policy, rate)
-    } else {
-        ScenarioSpec::udp(topo, policy, rate, Duration::ZERO)
-    };
-    ScenarioSpec { traffic, ..base }
-}
-
-/// Sets the field `key` of `spec` to `value`, parsed as on a spec line
-/// (the required keys included, without the defaults a line's
-/// `traffic=` picks). Shared by [`ScenarioSpec::from_scn`] and
-/// [`Selector`]: a selector field means what the line field means.
-fn apply_field(spec: &mut ScenarioSpec, key: &str, value: &str) -> Result<(), String> {
-    match key {
-        "topo" => spec.topology = topo_from_text(value)?,
-        "policy" => spec.policy = policy_from_text(value)?,
-        "rate" => spec.rate = rate_from_text(value)?,
-        "traffic" => spec.traffic = traffic_from_text(value, true)?,
-        "medium" => spec.medium = parse_medium(value)?,
-        "bcast" => spec.broadcast_rate = Some(rate_from_text(value)?),
-        "flows" => spec.flows = parse_flows(value, spec.traffic)?,
-        "flow" => spec.flows.push(parse_flow_spec(value)?),
-        "max_agg" => spec.max_aggregate = usize_from(value, key)?,
-        "sizing" => spec.sizing = parse_sizing(value)?,
-        "ack" => {
-            spec.ack_policy = match value {
-                "normal" => AckPolicy::Normal,
-                "block" => AckPolicy::Block,
-                _ => return Err(format!("bad ack value `{value}` (normal|block)")),
-            }
-        }
-        "rts" => spec.rts_cts = bool_from(value, key)?,
-        "flush" => spec.flush_timeout = Some(dur_from_text(value)?),
-        "fault" => {
-            let (d, c) =
-                value.split_once(':').ok_or_else(|| format!("expected fault=DROP:CORRUPT, got `{value}`"))?;
-            spec.fault = Some((prob_from_text(d)?, prob_from_text(c)?));
-        }
-        "link_error" => spec.link_error = Some(parse_link_error(value)?),
-        "flood" => {
-            let (i, p) = value
-                .split_once(':')
-                .ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{value}`"))?;
-            let interval = dur_from_text(i)?;
-            if interval.is_zero() {
-                return Err("flood interval must be positive".into());
-            }
-            spec.flooding = Some(Flooding { interval, payload: payload_from(p, "flood payload")? });
-        }
-        "budget" => spec.budget = Some(parse_budget(value)?),
-        "warmup" => spec.warmup = dur_from_text(value)?,
-        "duration" => spec.duration = dur_from_text(value)?,
-        "seed" => spec.seed = u64_from(value, key)?,
-        _ => {
-            let k = TCP_KEYS.iter().find(|k| k.key == key);
-            let k = k.ok_or_else(|| format!("unknown key `{key}` (see docs/SCENARIO_FORMAT.md)"))?;
-            (k.set)(&mut spec.tcp, value)?;
-        }
-    }
-    Ok(())
-}
-
-fn parse_medium(s: &str) -> Result<MediumKind, String> {
-    if s == "shared" {
-        return Ok(MediumKind::SharedDomain);
-    }
-    if let Some(spacing) = s.strip_prefix("spatial:") {
-        let spacing_m = f64_from_text(spacing)?;
-        if spacing_m <= 0.0 {
-            return Err("spatial spacing must be positive".into());
-        }
-        return Ok(MediumKind::Spatial { spacing_m });
-    }
-    Err(format!("unknown medium `{s}` (shared|spatial:METRES)"))
-}
-
-/// Parses one `link_error=` value: comma-separated clauses in canonical
-/// order `ber:B` *or* `ge:P_GB:P_BG:BER_GOOD:BER_BAD` (at most one error
-/// model), then optional `dup:P` and `reorder:P`. All values are
-/// probabilities in `0..=1`.
-fn parse_link_error(s: &str) -> Result<LinkErrorSpec, String> {
-    let mut le = LinkErrorSpec { model: None, dup: 0.0, reorder: 0.0 };
-    let (mut seen_dup, mut seen_reorder) = (false, false);
-    for clause in s.split(',') {
-        if let Some(b) = clause.strip_prefix("ber:") {
-            if le.model.is_some() {
-                return Err("link_error allows at most one error model clause (ber:|ge:)".into());
-            }
-            le.model = Some(LinkErrorModel::Independent { ber: prob_from_text(b)? });
-        } else if let Some(rest) = clause.strip_prefix("ge:") {
-            if le.model.is_some() {
-                return Err("link_error allows at most one error model clause (ber:|ge:)".into());
-            }
-            let parts: Vec<&str> = rest.split(':').collect();
-            let [p_gb, p_bg, ber_good, ber_bad] = parts[..] else {
-                return Err(format!("expected ge:P_GB:P_BG:BER_GOOD:BER_BAD, got `{clause}`"));
-            };
-            le.model = Some(LinkErrorModel::GilbertElliott {
-                p_gb: prob_from_text(p_gb)?,
-                p_bg: prob_from_text(p_bg)?,
-                ber_good: prob_from_text(ber_good)?,
-                ber_bad: prob_from_text(ber_bad)?,
-            });
-        } else if let Some(p) = clause.strip_prefix("dup:") {
-            if seen_dup {
-                return Err("duplicate link_error clause `dup:`".into());
-            }
-            seen_dup = true;
-            le.dup = prob_from_text(p)?;
-        } else if let Some(p) = clause.strip_prefix("reorder:") {
-            if seen_reorder {
-                return Err("duplicate link_error clause `reorder:`".into());
-            }
-            seen_reorder = true;
-            le.reorder = prob_from_text(p)?;
-        } else {
-            return Err(format!("unknown link_error clause `{clause}` (ber:|ge:|dup:|reorder:)"));
-        }
-    }
-    Ok(le)
-}
-
-/// Parses one `budget=` value: comma-separated clauses in canonical
-/// order `events:N` (max dispatched events), then `wall:DURATION` (max
-/// wall-clock run time). At least one clause is required: an empty
-/// budget is inert and has no canonical spelling.
-fn parse_budget(s: &str) -> Result<RunBudget, String> {
-    let mut budget = RunBudget { max_events: None, max_wall: None };
-    for clause in s.split(',') {
-        if let Some(n) = clause.strip_prefix("events:") {
-            if budget.max_events.is_some() {
-                return Err("duplicate budget clause `events:`".into());
-            }
-            let events = u64_from(n, "budget events")?;
-            if events == 0 {
-                return Err("budget events must be positive".into());
-            }
-            budget.max_events = Some(events);
-        } else if let Some(d) = clause.strip_prefix("wall:") {
-            if budget.max_wall.is_some() {
-                return Err("duplicate budget clause `wall:`".into());
-            }
-            let wall = dur_from_text(d)?;
-            if wall.is_zero() {
-                return Err("budget wall time must be positive".into());
-            }
-            budget.max_wall = Some(wall);
-        } else {
-            return Err(format!("unknown budget clause `{clause}` (events:N|wall:DURATION)"));
-        }
-    }
-    Ok(budget)
-}
-
-/// Parses a `sizing=` value; `none` spells the default (no override:
-/// a fixed cap of `max_agg`), which the serializer omits.
-fn parse_sizing(s: &str) -> Result<Option<AggSizing>, String> {
-    if s == "none" {
-        return Ok(None);
-    }
-    if let Some(b) = s.strip_prefix("fixed:") {
-        return Ok(Some(AggSizing::Fixed(usize_from(b, "sizing fixed bytes")?)));
-    }
-    if let Some(samples) = s.strip_prefix("budget:") {
-        return Ok(Some(AggSizing::CoherenceBudget(u64_from(samples, "sizing budget samples")?)));
-    }
-    Err(format!("unknown sizing `{s}` (none|fixed:BYTES|budget:SAMPLES)"))
-}
-
-/// Parses a `flows=` endpoint list; every flow carries `traffic`.
-fn parse_flows(s: &str, traffic: FlowTraffic) -> Result<Vec<FlowSpec>, String> {
-    let mut flows = Vec::new();
-    for part in s.split(',') {
-        let (src, rest) =
-            part.split_once('>').ok_or_else(|| format!("expected SRC>DST:PORT, got `{part}`"))?;
-        let (dst, port) =
-            rest.split_once(':').ok_or_else(|| format!("expected SRC>DST:PORT, got `{part}`"))?;
-        flows.push(FlowSpec {
-            src: usize_from(src, "flow src")?,
-            dst: usize_from(dst, "flow dst")?,
-            port: port.parse().map_err(|_| format!("bad flow port `{port}`"))?,
-            traffic,
-        });
-    }
-    if flows.is_empty() {
-        return Err("flows= needs at least one SRC>DST:PORT".into());
-    }
-    Ok(flows)
-}
-
-/// Parses one `flow=` value: `SRC>DST:PORT:TRAFFIC` where `TRAFFIC` is
-/// a [`FlowTraffic`] token.
-fn parse_flow_spec(s: &str) -> Result<FlowSpec, String> {
-    let bad = || format!("expected SRC>DST:PORT:TRAFFIC, got `{s}`");
-    let (src, rest) = s.split_once('>').ok_or_else(bad)?;
-    let (dst, rest) = rest.split_once(':').ok_or_else(bad)?;
-    let (port, traffic) = rest.split_once(':').ok_or_else(bad)?;
-    Ok(FlowSpec {
-        src: usize_from(src, "flow src")?,
-        dst: usize_from(dst, "flow dst")?,
-        port: port.parse().map_err(|_| format!("bad flow port `{port}`"))?,
-        traffic: FlowTraffic::from_token(traffic)?,
-    })
 }
 
 #[cfg(test)]
@@ -1108,9 +1029,22 @@ mod tests {
     }
 
     #[test]
-    fn every_tcp_key_round_trips_and_is_documented() {
+    fn every_key_round_trips_and_is_documented() {
         // One non-default value per row of the table, in its order.
         let values = [
+            ("topo", "grid:3x2"),
+            ("policy", "dba"),
+            ("rate", "2.6"),
+            ("traffic", "cbr:20ms:160"),
+            ("medium", "spatial:7.25"),
+            ("bcast", "0.65"),
+            ("flows", "2>0:5001"),
+            ("flow", "0>2:9000:cbr:10ms:160"),
+            ("max_agg", "11264"),
+            ("sizing", "budget:110000"),
+            ("ack", "block"),
+            ("rts", "off"),
+            ("flush", "5ms"),
             ("tcp_mss", "1000"),
             ("tcp_recv_buf", "32768"),
             ("tcp_send_buf", "8192"),
@@ -1123,25 +1057,43 @@ mod tests {
             ("tcp_da_timeout", "100ms"),
             ("tcp_max_retx", "5"),
             ("tcp_time_wait", "2500us"),
+            ("fault", "0.01:0.125"),
+            ("link_error", "ge:0.05:0.45:0.001:0.3,dup:0.02,reorder:0.01"),
+            ("flood", "250ms:120"),
+            ("budget", "events:2000000,wall:30s"),
+            ("warmup", "500ms"),
+            ("duration", "5s"),
+            ("seed", "42"),
         ];
-        assert_eq!(TCP_KEYS.map(|k| k.key), values.map(|(key, _)| key));
-        let base = "topo=linear:2 policy=ba rate=1.3 traffic=file:204800";
-        let paper = TcpConfig::hydra_paper();
+        assert_eq!(KEYS.iter().map(|k| k.key).collect::<Vec<_>>(), values.map(|(key, _)| key));
+        let required = ["topo=linear:2", "policy=ba", "rate=1.3", "traffic=file:204800"];
+        let base = ScenarioSpec::from_scn(&required.join(" ")).unwrap();
         for (key, value) in values {
-            let line = format!("{base} {key}={value}");
-            let spec = ScenarioSpec::from_scn(&line).unwrap();
-            assert_ne!(spec.tcp, paper, "{key}={value} is the default");
+            // A required key's value replaces the base line's.
+            let mut fields = required.map(String::from).to_vec();
+            match fields.iter_mut().find(|f| f.starts_with(&format!("{key}="))) {
+                Some(field) => *field = format!("{key}={value}"),
+                None => fields.push(format!("{key}={value}")),
+            }
+            let line = fields.join(" ");
+            let spec = ScenarioSpec::from_scn(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            assert_ne!(spec, base, "{key}={value} is the default");
             assert_eq!(spec.to_scn(), line);
             roundtrip(&spec);
         }
-        // All at once, written back in the table's order.
-        let all: Vec<String> = values.iter().map(|(key, value)| format!("{key}={value}")).collect();
-        let line = format!("{base} {}", all.join(" "));
-        let mut reversed = all.clone();
-        reversed.reverse();
-        let spec = ScenarioSpec::from_scn(&format!("{base} {}", reversed.join(" "))).unwrap();
+        // Every optional key at once (`flow=` cannot join `flows=`),
+        // written back in the table's order.
+        let optional: Vec<String> = values[4..]
+            .iter()
+            .filter(|(key, _)| *key != "flow")
+            .map(|(key, value)| format!("{key}={value}"))
+            .collect();
+        let line = format!("{} {}", required.join(" "), optional.join(" "));
+        let reversed: Vec<&str> = optional.iter().rev().map(String::as_str).collect();
+        let spec = ScenarioSpec::from_scn(&format!("{} {}", required.join(" "), reversed.join(" "))).unwrap();
         assert_eq!(spec.to_scn(), line);
         roundtrip(&spec);
+        let base = required.join(" ");
         assert_eq!(
             ScenarioSpec::from_scn(&format!("{base} tcp_mss=x")).unwrap_err(),
             "bad tcp_mss value `x`"
@@ -1150,12 +1102,21 @@ mod tests {
             ScenarioSpec::from_scn(&format!("{base} tcp_nope=1")).unwrap_err(),
             "unknown key `tcp_nope` (see docs/SCENARIO_FORMAT.md)"
         );
-        // The format reference's TCP table lists exactly these keys.
+        // The format reference's Required, Optional and TCP tables list
+        // exactly these keys, in this order.
         let doc = include_str!("../../../docs/SCENARIO_FORMAT.md");
-        let documented: Vec<&str> =
-            doc.lines().filter_map(|l| l.strip_prefix("| `tcp_")?.split('`').next()).collect();
-        let keys: Vec<String> = TCP_KEYS.iter().map(|k| k.key["tcp_".len()..].to_string()).collect();
-        assert_eq!(documented, keys);
+        let table = |heading: &str| -> Vec<&str> {
+            let at = doc.find(heading).unwrap_or_else(|| panic!("no `{heading}` in the format reference"));
+            let rows =
+                doc[at..].lines().skip_while(|l| !l.starts_with('|')).take_while(|l| l.starts_with('|'));
+            rows.filter_map(|l| l.strip_prefix("| `")?.split('`').next()).collect()
+        };
+        let keys = |tcp: bool, kind: fn(Kind) -> bool| -> Vec<&str> {
+            KEYS.iter().filter(|k| k.key.starts_with("tcp_") == tcp && kind(k.kind)).map(|k| k.key).collect()
+        };
+        assert_eq!(table("\nRequired"), keys(false, |kind| kind == Kind::Required));
+        assert_eq!(table("\nOptional"), keys(false, |kind| kind != Kind::Required));
+        assert_eq!(table("\nTCP overrides"), keys(true, |_| true));
     }
 
     #[test]

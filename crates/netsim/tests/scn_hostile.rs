@@ -107,7 +107,7 @@ const KEYS: &[(&str, &[&str])] = &[
     ),
     ("flood", &["500ms:32", "1ns:4", "0s:10", "20ms:3", "20ms", "20ms:18446744073709551616"]),
     ("budget", &["events:50", "wall:1s", "events:50,wall:1s", "events:0", "wall:0s", "events:1,events:2"]),
-    ("warmup", &["0s", "2s", "18446744073709551615s"]),
+    ("warmup", &["0s", "2s", "18446744072s", "18446744073s", "18446744073709551615s"]),
     ("duration", &["0s", "20s", "18446744073709551615ns"]),
     ("seed", &["0", "1", "18446744073709551615", "18446744073709551616", "-1"]),
     ("tcp_mss", &["0", "1", "1357", "65536"]),
@@ -182,6 +182,21 @@ fn the_key_table_names_only_real_keys() {
         if let Err(e) = ScenarioSpec::from_scn(&format!("{BASE} {key}=?")) {
             assert!(!e.contains("unknown key"), "`{key}` is not a .scn key: {e}");
         }
+    }
+}
+
+#[test]
+fn the_key_table_names_every_documented_key() {
+    // The format reference's Required, Optional and TCP tables, which a
+    // unit test holds equal to the parser's own key table.
+    let doc = include_str!("../../../docs/SCENARIO_FORMAT.md");
+    let tables = &doc[doc.find("\n## Keys").expect("a Keys section")
+        ..doc.find("\n## Stable-hash").expect("a hash section")];
+    let documented: Vec<&str> =
+        tables.lines().filter_map(|l| l.strip_prefix("| `")?.split('`').next()).collect();
+    assert_eq!(documented.len(), 32, "the three key tables");
+    for key in documented {
+        assert!(KEYS.iter().any(|(k, _)| *k == key), "`{key}` has no hostile values");
     }
 }
 
@@ -330,6 +345,15 @@ fn settings_that_only_panicked_in_build_are_parse_errors() {
         "cbr payload 3 is below the 4 B sequence header"
     );
     assert_eq!(rejected(&format!("{BASE} max_agg=159")), "max aggregate below one subframe");
+    // `build()` stops the clock 1 s past `warmup + duration`.
+    for warmup in ["18446744073s", "18446744072s"] {
+        assert_eq!(
+            rejected(&format!(
+                "topo=linear:1 policy=na rate=1.3 traffic=cbr:10ms:160 warmup={warmup} duration=1s"
+            )),
+            "the run horizon, warmup + duration + 1s, overflows the clock"
+        );
+    }
     // An aggregate sized by `sizing=` never reads `max_agg`.
     assert!(ScenarioSpec::from_scn(&format!("{BASE} max_agg=159 sizing=budget:120000")).is_ok());
 }
