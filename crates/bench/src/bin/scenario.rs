@@ -227,7 +227,7 @@ fn main() {
             rel.tx_data_frames,
             rel.avg_frame_size,
             rel.avg_subframes,
-            rel.time_overhead * 100.0,
+            rel.ledger.time_overhead() * 100.0,
             rel.retries
         );
     }

@@ -674,12 +674,16 @@ pub fn run_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_core::{Cat, Ledger};
     use hydra_netsim::{NodeReport, RunError, RunOutcome, RunPerf, RunReport};
-    use hydra_sim::Instant;
+    use hydra_sim::{Duration, Instant};
 
     /// A successful run: `throughput_bps`, and three nodes whose time
-    /// overhead is `overhead` (a fraction).
-    fn run(throughput_bps: f64, overhead: f64) -> Result<RunOutcome, RunError> {
+    /// overhead is `overhead_ns` of every 1000 ns of airtime.
+    fn run(throughput_bps: f64, overhead_ns: u64) -> Result<RunOutcome, RunError> {
+        let mut ledger = Ledger::default();
+        ledger.add(Cat::Payload, Duration::from_nanos(1000 - overhead_ns));
+        ledger.add(Cat::Difs, Duration::from_nanos(overhead_ns));
         let node = |node| NodeReport {
             node,
             tx_data_frames: 0,
@@ -688,8 +692,7 @@ mod tests {
             avg_subframes: 0.0,
             subframes_sent: (0, 0),
             size_overhead: 0.0,
-            time_overhead: overhead,
-            time_by_category: Vec::new(),
+            ledger,
             retries: 0,
             retry_drops: 0,
             queue_overflow: 0,
@@ -713,7 +716,7 @@ mod tests {
     }
 
     fn mbps_run(mbps: f64) -> Result<RunOutcome, RunError> {
-        run(mbps * 1e6, 0.0)
+        run(mbps * 1e6, 0)
     }
 
     fn failed() -> Result<RunOutcome, RunError> {
@@ -891,7 +894,7 @@ mod tests {
         // Each cell's numbers are a function of its spec alone.
         let numbers = |spec: &ScenarioSpec| {
             let h = spec.stable_hash() % 1000;
-            vec![run(h as f64 * 1e3, h as f64 / 2e3)]
+            vec![run(h as f64 * 1e3, h / 2)]
         };
         let draw = |text: &str| {
             let file = parse_scn_file(text).unwrap();

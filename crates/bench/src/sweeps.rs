@@ -22,7 +22,7 @@
 //! re-tagged for those. Records with a foreign schema tag are ignored,
 //! not errors, so old caches degrade into cold ones.
 //!
-//! ## Record layout (`hydra-agg.run.v4`)
+//! ## Record layout (`hydra-agg.run.v5`)
 //!
 //! One line per run, `{json}#crc:xxxxxxxx` (see *Crash safety*), where
 //! `json` is one positional row, with no keys at any level:
@@ -32,22 +32,21 @@
 //!  [FLOW, …], at_ns, collisions, [ROW, …]]
 //! FLOW = [src, dst, port, "traffic token", bytes, bps, completed_at_ns|null]
 //! ROW  = [node, tx_data_frames, tx_control, avg_frame_size, avg_subframes,
-//!         ucast_subframes, bcast_subframes, size_overhead, time_overhead,
-//!         [cat, secs, cat, secs, …], retries, retry_drops, queue_overflow,
-//!         acks_classified, bcast_filtered, bcast_ok, bcast_crc_fail,
-//!         unicast_ok, unicast_crc_drops, collisions_seen, forwarded]
+//!         ucast_subframes, bcast_subframes, size_overhead,
+//!         payload_ns, mac_header_ns, phy_ns, control_ns, difs_ns, sifs_ns,
+//!         backoff_ns, retries, retry_drops, queue_overflow, acks_classified,
+//!         bcast_filtered, bcast_ok, bcast_crc_fail, unicast_ok,
+//!         unicast_crc_drops, collisions_seen, forwarded]
 //! ```
 //!
 //! `events` is the spec's event count, a scheduling hint (see
 //! [`CacheIndex::events_hint`]); `scn` is the spec's canonical `.scn`
 //! text, for people reading the file (the key already names the spec).
-//! A `ROW` is one [`NodeReport`], its fields in declaration order and the
-//! subframe pair as two columns. Its nested list is the airtime ledger,
-//! flattened, in the report's own order: `cat` is the name's index in
-//! `hydra_core::counters::cat::ALL` when it is one of the MAC's names
-//! (every name this simulator writes) and the quoted name otherwise.
-//! Floats are shortest-round-trip text, and the non-finite ones are the
-//! quoted tokens `"NaN"`, `"inf"` and `"-inf"`.
+//! A `ROW` is one [`NodeReport`], its fields in declaration order, the
+//! subframe pair as two columns and the airtime ledger as seven, integer
+//! nanoseconds in `hydra_core::Cat::ALL` order. Floats are
+//! shortest-round-trip text, and the non-finite ones are the quoted
+//! tokens `"NaN"`, `"inf"` and `"-inf"`.
 //!
 //! ## The codec
 //!
@@ -64,14 +63,14 @@
 //!
 //! The reader takes exactly what the writer writes: every column of a
 //! row in order, each of its type. A row with a column too many or too
-//! few, a column of another kind, a category index past `cat::ALL` or a
-//! foreign schema tag rejects its record, which is skipped. Rows nest to
-//! a fixed depth, so nothing recurses on the input. A plain run of digits
-//! is folded into a `u64` as it is read, and a short `[-]digits.digits`
-//! float is one exact division (Clinger's fast path); every other number
-//! goes through `str::parse`, once, over the span already scanned. A
-//! category index comes back as the MAC's borrowed `&'static str`, so
-//! neither decoding nor cloning a node report allocates a name.
+//! few, a column of another kind, a ledger whose total overflows `u64`
+//! nanoseconds or a foreign schema tag rejects its record, which is
+//! skipped. Rows nest to a fixed depth, so nothing recurses on the
+//! input. A plain run of digits is folded into a `u64` as it is read,
+//! and a short `[-]digits.digits` float is one exact division (Clinger's
+//! fast path); every other number goes through `str::parse`, once, over
+//! the span already scanned. A node report owns no heap memory, so
+//! decoding one allocates nothing of its own.
 //!
 //! The open streams the file: it reads `runs.jsonl` through one
 //! bounded window (1 MiB, grown only to fit the longest line) and
@@ -123,11 +122,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use hydra_core::counters::cat;
+use hydra_core::Ledger;
 use hydra_netsim::{
     FlowOutcome, FlowSpec, FlowTraffic, NodeReport, NodeReports, RunOutcome, RunPerf, RunReport, ScenarioSpec,
 };
-use hydra_sim::Instant;
+use hydra_sim::{Duration, Instant};
 use hydra_wire::crc::crc32;
 
 /// Schema tag stamped on every cache record; records with a foreign
@@ -135,10 +134,10 @@ use hydra_wire::crc::crc32;
 /// simulator revision. The key `(stable_hash, replication)` only tracks
 /// the *scenario*: it cannot see code edits, so a stale tag silently
 /// serves stale numbers. Bump it on any change to the record layout (a
-/// column added, removed or reordered in a `row!` list, or `cat::ALL`
-/// reordered), to what a stored value means, or to simulation behaviour
-/// (MAC, PHY, TCP, spec semantics — anything that would make an old
-/// outcome wrong for the same spec). When in doubt, bump — or
+/// column added, removed or reordered in a `row!` list, or a `Cat`
+/// reordered or added), to what a stored value means, or to simulation
+/// behaviour (MAC, PHY, TCP, spec semantics — anything that would make
+/// an old outcome wrong for the same spec). When in doubt, bump — or
 /// `rm -rf results/cache`.
 ///
 /// v2: `RunOutcome` reports labeled per-flow results
@@ -150,7 +149,11 @@ use hydra_wire::crc::crc32;
 ///
 /// v4: the whole record is one positional row, its flows rows too; no
 /// keyed object is left.
-pub const CACHE_SCHEMA: &str = "hydra-agg.run.v4";
+///
+/// v5: a node row's ledger is seven integer-nanosecond columns in
+/// `Cat::ALL` order, and its `time_overhead` column is gone (the ratio is
+/// derived from the ledger).
+pub const CACHE_SCHEMA: &str = "hydra-agg.run.v5";
 
 /// A cache shared between experiment functions and runner threads.
 pub type SharedCache = Arc<ConcurrentCache>;
@@ -502,7 +505,7 @@ fn for_each_line(
 
 /// Appends the integrity trailer to the record that starts at `start`
 /// in `buf`: `{json}#crc:xxxxxxxx`, CRC-32 over the JSON bytes. A record
-/// may itself hold `#` (a quoted ledger name can), but the trailer holds
+/// may itself hold `#` (a quoted string can), but the trailer holds
 /// none, so [`unseal`] must split at the *last* `#` of the line.
 fn seal(buf: &mut String, start: usize) -> fmt::Result {
     let crc = crc32(&buf.as_bytes()[start..]);
@@ -537,9 +540,6 @@ struct Record<'a> {
 /// A value one column of a row holds: how the writer spells it, and the
 /// reader of exactly that spelling (`None` for anything else).
 trait Column<'a>: Sized {
-    /// What a list of these reserves at its first item.
-    const ROOM: usize = 0;
-
     fn encode(&self, s: &mut String) -> fmt::Result;
 
     fn decode(r: &mut Reader<'a>) -> Option<Self>;
@@ -630,7 +630,7 @@ row! { f: FlowOutcome = FlowOutcome::new(
 }
 
 // Every `NodeReport` field in declaration order, the subframe pair as
-// two columns.
+// two columns and the ledger as seven.
 row! { n: NodeReport = NodeReport {
         node: 0,
         tx_data_frames: 0,
@@ -639,8 +639,7 @@ row! { n: NodeReport = NodeReport {
         avg_subframes: 0.0,
         subframes_sent: (0, 0),
         size_overhead: 0.0,
-        time_overhead: 0.0,
-        time_by_category: Vec::new(),
+        ledger: Ledger::default(),
         retries: 0,
         retry_drops: 0,
         queue_overflow: 0,
@@ -661,8 +660,7 @@ row! { n: NodeReport = NodeReport {
     n.subframes_sent.0,
     n.subframes_sent.1,
     n.size_overhead,
-    n.time_overhead,
-    n.time_by_category,
+    n.ledger,
     n.retries,
     n.retry_drops,
     n.queue_overflow,
@@ -709,6 +707,7 @@ scalar_columns! {
     usize: |s, v| write!(s, "{v}"), |r| usize::try_from(r.u64()?).ok();
     u16: |s, v| write!(s, "{v}"), |r| u16::try_from(r.u64()?).ok();
     Instant: |s, v| write!(s, "{}", v.as_nanos()), |r| Some(Instant::from_nanos(r.u64()?));
+    Duration: |s, v| write!(s, "{}", v.as_nanos()), |r| Some(Duration::from_nanos(r.u64()?));
     bool: |s, v| write!(s, "{v}"), |r| match r.peek()? {
         b't' => r.lit("true").map(|()| true),
         _ => r.lit("false").map(|()| false),
@@ -769,31 +768,30 @@ impl<'a> Column<'a> for NodeReports {
     }
 }
 
-/// One airtime-ledger entry as two columns, `cat,secs`, so that the
-/// ledger is one flat list. `cat` is the name's index in [`cat::ALL`]
-/// when it is one of the MAC's names (every name this simulator
-/// writes), and the quoted name otherwise. An index comes back as the
-/// MAC's own `&'static str` and a quoted name as an owned copy, so
-/// decoding a store, and cloning what it decoded, allocates no MAC names.
-impl<'a> Column<'a> for (Cow<'static, str>, f64) {
-    // Room for the MAC's whole ledger: one allocation a node.
-    const ROOM: usize = cat::ALL.len();
-
+/// The airtime ledger as seven columns, its slots in
+/// [`hydra_core::Cat::ALL`] order. No run writes a ledger whose total
+/// overflows, and reading one rejects its row, so no stored value can
+/// make [`Ledger::total`] panic.
+impl<'a> Column<'a> for Ledger {
     fn encode(&self, s: &mut String) -> fmt::Result {
-        match cat::ALL.iter().position(|known| *known == self.0) {
-            Some(at) => write!(s, "{at},")?,
-            None => write!(s, "{},", Quoted(&self.0))?,
+        for d in self.0 {
+            d.encode(s)?;
+            s.push(',');
         }
-        self.1.encode(s)
+        s.pop();
+        Ok(())
     }
 
     fn decode(r: &mut Reader<'a>) -> Option<Self> {
-        let name = match r.peek()? {
-            b'"' => Cow::Owned(r.string()?.into_owned()),
-            _ => Cow::Borrowed(*cat::ALL.get(usize::try_from(r.u64()?).ok()?)?),
-        };
-        r.eat(b',')?;
-        Some((name, f64::decode(r)?))
+        let mut ledger = Ledger::default();
+        for (i, slot) in ledger.0.iter_mut().enumerate() {
+            if i > 0 {
+                r.eat(b',')?;
+            }
+            *slot = Duration::decode(r)?;
+        }
+        ledger.0.iter().try_fold(Duration::ZERO, |sum, &d| sum.checked_add(d))?;
+        Some(ledger)
     }
 }
 
@@ -933,12 +931,10 @@ impl<'a> Reader<'a> {
         (self.peek()? == c).then(|| self.pos += 1)
     }
 
-    /// `[item(,item)*]` or `[]`, each item pushed onto `items`, which
-    /// reserves its type's [`Column::ROOM`] at the first one.
+    /// `[item(,item)*]` or `[]`, each item pushed onto `items`.
     fn list<T: Column<'a>>(&mut self, items: &mut Vec<T>) -> Option<()> {
         self.eat(b'[')?;
         if self.peek()? != b']' {
-            items.reserve_exact(T::ROOM);
             items.push(T::decode(self)?);
             while self.peek()? == b',' {
                 self.pos += 1;

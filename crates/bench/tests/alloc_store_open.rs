@@ -1,26 +1,23 @@
 //! Allocation guard for the warm open: what decoding one stored node
-//! report costs, that no file-sized buffer is allocated, and that
-//! category names stay borrowed end to end.
+//! report costs, that no file-sized buffer is allocated, and that a
+//! node report can own no name (or anything else) on the heap.
 //!
 //! A warm rerun is a store open (`ConcurrentCache::open`) plus lookups,
 //! and the open decodes every record on disk — so its allocations scale
-//! with the store, not with the sweep. A node report owns one vector,
-//! its airtime ledger, allocated once; its category names are the MAC's
-//! own `&'static str`s, mapped back on decode through `cat::ALL`. A MAC
-//! category missing from `cat::ALL` would silently come back as an
-//! owned `String` per node; the third part of the test catches that
-//! on a real Table 4 cell.
+//! with the store, not with the sweep. A node report owns no heap
+//! memory (its airtime ledger is a fixed array), so a record's node
+//! reports cost one allocation, their shared slice, however many there
+//! are.
 //!
 //! This file holds exactly one test: the counters are process-wide, so
 //! it must not share its process with concurrently allocating tests.
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 
 use hydra_bench::ConcurrentCache;
-use hydra_core::counters::cat;
+use hydra_core::Ledger;
 use hydra_netsim::{parse_scn_file, FlowOutcome, NodeReport, RunOutcome, RunPerf, RunReport, ScenarioSpec};
-use hydra_sim::{alloc_stats, Instant};
+use hydra_sim::{alloc_stats, Duration, Instant};
 
 #[global_allocator]
 static ALLOC: hydra_sim::CountingAlloc = hydra_sim::CountingAlloc;
@@ -49,8 +46,7 @@ fn cells(text: &str) -> Vec<ScenarioSpec> {
 
 /// An outcome shaped like a 1000-node `ext_scale` cell's: one labeled
 /// result per flow of `spec`, and a report per node with every counter
-/// set and all seven categories in the ledger. Times are whole
-/// nanoseconds in seconds (short decimals, as a run writes them);
+/// and every ledger slot set. Ledger slots are airtimes under 0.1 s;
 /// averages and overheads are ratios (full 17-digit floats).
 fn ext_scale_shaped(spec: &ScenarioSpec) -> RunOutcome {
     let per_flow = spec
@@ -72,11 +68,9 @@ fn ext_scale_shaped(spec: &ScenarioSpec) -> RunOutcome {
             avg_subframes: 1.0 + (x % 5) as f64 / 7.0,
             subframes_sent: (40 + x % 97, x % 11),
             size_overhead: 0.0331 + (x % 17) as f64 / 9_973.0,
-            time_overhead: 0.25 + (x % 19) as f64 / 7_919.0,
-            time_by_category: (0u64..)
-                .zip(cat::ALL)
-                .map(|(j, name)| (Cow::Borrowed(name), ((x * 7_919 + j * 104_729) % 99_999_989) as f64 / 1e9))
-                .collect(),
+            ledger: Ledger(std::array::from_fn(|j| {
+                Duration::from_nanos((x * 7_919 + j as u64 * 104_729) % 99_999_989)
+            })),
             retries: x % 7,
             retry_drops: x % 3,
             queue_overflow: x % 5,
@@ -99,17 +93,12 @@ fn ext_scale_shaped(spec: &ScenarioSpec) -> RunOutcome {
     }
 }
 
-/// Every category name in `report` is a borrowed `cat::ALL` entry.
-fn assert_names_borrowed(what: &str, report: &RunReport) {
-    let mut names = 0;
-    for node in &report.nodes {
-        for (name, _) in &node.time_by_category {
-            assert!(matches!(name, Cow::Borrowed(_)), "{what}: node {} owns `{name}`", node.node);
-            assert!(cat::ALL.contains(&&**name), "{what}: `{name}` is not in cat::ALL");
-            names += 1;
-        }
-    }
-    assert!(names > 0, "{what}: no ledger entries at all");
+/// The heap bytes a decoded outcome owns: its place in the index's
+/// `Arc`, its shared node slice and its flow vector.
+fn heap_bytes(o: &RunOutcome) -> u64 {
+    let arc = 2 * size_of::<usize>();
+    let nodes = arc + size_of_val(&*o.report.nodes);
+    (arc + size_of::<RunOutcome>() + nodes + o.per_flow.capacity() * size_of::<FlowOutcome>()) as u64
 }
 
 #[test]
@@ -131,14 +120,12 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     assert_eq!(**decoded, outcome);
     let nodes = decoded.report.nodes.len();
     let per_node = allocs as f64 / nodes as f64;
-    eprintln!("warm open: {per_node:.2} allocations per decoded node ({allocs} for {nodes} nodes)");
-    // Counts are exact (same program, same allocations). The reader
-    // before this guard, which owned a `String` per category name,
-    // measured 9.02 per node (9 024 in all); this one 1.02 (1 024): the
-    // ledger vector, sized once. Bound: 1.5x the new count. Node rows,
-    // and then whole-record rows, allocate what the object reader before
-    // them did: 1 025 in all.
-    assert!(per_node < 1.53, "warm-open allocations regressed: {per_node:.2} per decoded node");
+    eprintln!("warm open: {per_node:.3} allocations per decoded node ({allocs} for {nodes} nodes)");
+    // Counts are exact (same program, same allocations): 0.025, 25 in
+    // all and none of them a node's own (the window, the node slice, the
+    // decoder's scratch and the flow vector growing, the index). One
+    // allocation per node would be 1.025. Bound: 1.5x the count.
+    assert!(per_node < 0.0375, "warm-open allocations regressed: {per_node:.3} per decoded node");
 
     // Half 2: bytes, over a store of many such records. The open
     // streams the file through one bounded window instead of reading it
@@ -154,19 +141,17 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     let before = alloc_stats();
     let cache = ConcurrentCache::open(&dir.0).unwrap();
     let bytes = alloc_stats().since(before).allocated_bytes;
-    assert_eq!(cache.len(), RECORDS as usize);
-    // Bound: the window, plus what the one-record open above allocated
-    // beyond its window for each record, plus half the file. That
-    // per-record figure also holds the decoder's node scratch, grown
-    // once per open, so the bound is loose for a windowed open: 12 393 509
-    // bytes for a 5 597 319-byte file against 23 853 371 (the scratch
-    // path's length moves each by a few bytes). An open that reads the
-    // file whole (`fs::read`, then the same per-line decode) allocates
-    // the file instead of the window in both opens, and fails: 16 942 252
-    // against 4 284 851 at 24 records, and so at 2, 5, 9 and 12.
-    let per_record =
-        one.allocated_bytes.checked_sub(WINDOW).expect("the one-record open reads through a window");
-    let bound = WINDOW + RECORDS * per_record + file / 2;
+    let index = cache.index();
+    let heap: u64 = (1..=RECORDS).map(|rep| heap_bytes(index.get(spec.stable_hash(), rep).unwrap())).sum();
+    // Bound: the window, plus the heap the decoded records own, plus half
+    // that again for the vectors' growth on the way there (the decoder's
+    // node scratch, once per open, and each flow vector). 7 642 565 bytes
+    // for a 4 097 343-byte file against 9 427 936 (the scratch path's
+    // length moves each by a few bytes). An open that also allocates a
+    // file-sized buffer fails, whether beside the window (11 739 908) or
+    // instead of it (a whole-file `fs::read`, then the same per-line
+    // decode: 10 691 332).
+    let bound = WINDOW + heap + heap / 2;
     eprintln!(
         "warm open: {bytes} bytes allocated for a {file}-byte store of {RECORDS} records, bound {bound}"
     );
@@ -175,16 +160,9 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
         "warm-open bytes regressed: {bytes} allocated, bound {bound} (file: {file} bytes)"
     );
 
-    // Half 3: a live Table 4 cell's ledger names are the MAC's own, and
-    // stay so through the store.
-    let table4 = cells(include_str!("../../../examples/sweeps/table4_time_overhead.scn"));
-    let live = table4[0].run();
-    assert_names_borrowed("collected", &live.report);
-    let dir = TmpDir::new("table4");
-    let spec = &table4[0];
-    ConcurrentCache::open(&dir.0).unwrap().append_batch(&[(spec.stable_hash(), 1, spec, &live)]).unwrap();
-    let index = ConcurrentCache::open(&dir.0).unwrap().index();
-    let stored = index.get(spec.stable_hash(), 1).expect("the live record loads");
-    assert_eq!(**stored, live);
-    assert_names_borrowed("decoded", &stored.report);
+    // Half 3: a node report owns nothing that needs dropping, so no
+    // category name (or any other field) can come back as an owned
+    // `String` per node. A heap-owning field, such as the named ledger
+    // vector this report once carried, fails this.
+    assert!(!std::mem::needs_drop::<NodeReport>(), "a node report owns heap memory");
 }

@@ -3,33 +3,33 @@
 //! damaged, hostile, foreign — is skipped or quarantined and never
 //! panics, aborts, or fails the open.
 //!
-//! `data/runs_v4.jsonl` is the golden file of the current schema. Lines
-//! 1–4 are verbatim from `append_batch`, given the outcomes that
-//! `data/runs_v3.jsonl`'s lines 1–4 decode to under v3 (so every value
-//! pinned below is the one pinned before the bump), except that line 3's
-//! escaped ledger name gained a `#`; line 5 is v3's line 1, byte for
-//! byte; lines 6–8 are line 1 edited by hand and re-sealed. The format is
+//! `data/runs_v5.jsonl` is the golden file of the current schema. Lines
+//! 1, 2 and 4 are verbatim from `append_batch`, given the outcomes that
+//! `data/runs_v4.jsonl`'s lines 1, 2 and 4 decode to under v4 with each
+//! ledger in whole nanoseconds (so every value pinned below is the one
+//! pinned before the bump); line 3 holds the edge values, its ledgers the
+//! extremes that do not overflow; line 5 is v4's line 1, byte for byte;
+//! lines 6–9 are line 1 edited by hand and re-sealed. The format is
 //! frozen until `CACHE_SCHEMA` is bumped, so the file is never
-//! regenerated. `data/runs_v3.jsonl` — the previous schema's golden file,
-//! keyed objects around node rows — stays as the foreign-schema fixture:
-//! a v3 store opens as a cold one.
+//! regenerated. `data/runs_v4.jsonl` — the previous schema's golden file,
+//! its ledgers lists of named seconds — stays as the foreign-schema
+//! fixture: a v4 store opens as a cold one.
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 
 use hydra_bench::{CacheStats, ConcurrentCache, CACHE_SCHEMA};
-use hydra_core::counters::cat;
+use hydra_core::{Cat, Ledger};
 use hydra_netsim::{
-    FlowOutcome, FlowSpec, FlowTraffic, NodeReport, Policy, RunOutcome, RunPerf, RunReport, ScenarioSpec,
-    TopologyKind,
+    parse_scn_file, FlowOutcome, FlowSpec, FlowTraffic, NodeReport, Policy, RunOutcome, RunPerf, RunReport,
+    ScenarioSpec, TopologyKind,
 };
 use hydra_phy::Rate;
 use hydra_sim::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const FIXTURE: &[u8] = include_bytes!("data/runs_v4.jsonl");
-const V3_FIXTURE: &[u8] = include_bytes!("data/runs_v3.jsonl");
+const FIXTURE: &[u8] = include_bytes!("data/runs_v5.jsonl");
+const V4_FIXTURE: &[u8] = include_bytes!("data/runs_v4.jsonl");
 
 /// A scratch store directory, removed again on drop.
 struct TmpDir(PathBuf);
@@ -87,20 +87,21 @@ fn arbitrary_f64(rng: &mut TestRng) -> f64 {
     }
 }
 
-fn arbitrary_name(rng: &mut TestRng) -> String {
-    const POOL: [char; 20] = [
-        'a', 'Z', '0', ' ', '_', '"', '\\', '/', '\n', '\t', '\r', '\u{1}', '\u{1f}', '#', ':', '{', 'é',
-        '\u{85}', '\u{2028}', '𝄞',
-    ];
-    (0..rng.below(12)).map(|_| POOL[rng.below(POOL.len() as u64) as usize]).collect()
-}
-
-/// One of the MAC's own category names, or an arbitrary one.
-fn arbitrary_category(rng: &mut TestRng) -> Cow<'static, str> {
-    match rng.below(2) {
-        0 => Cow::Borrowed(cat::ALL[rng.below(cat::ALL.len() as u64) as usize]),
-        _ => Cow::Owned(arbitrary_name(rng)),
+/// A ledger as a run or a hostile file could hold it without
+/// overflowing: zeros, airtimes, slots up to a seventh of the range, or
+/// the whole range in one slot.
+fn arbitrary_ledger(rng: &mut TestRng) -> Ledger {
+    let mut slots = [0; Cat::ALL.len()];
+    match rng.below(4) {
+        0 => {}
+        1 => slots[rng.below(7) as usize] = u64::MAX,
+        _ => {
+            slots = std::array::from_fn(|_| {
+                [0, rng.below(1 << 40), rng.below(u64::MAX / 7)][rng.below(3) as usize]
+            })
+        }
     }
+    Ledger(slots.map(Duration::from_nanos))
 }
 
 fn arbitrary_traffic(rng: &mut TestRng) -> FlowTraffic {
@@ -140,10 +141,7 @@ fn arbitrary_outcome(rng: &mut TestRng) -> RunOutcome {
             avg_subframes: arbitrary_f64(rng),
             subframes_sent: (rng.next_u64(), rng.below(10)),
             size_overhead: arbitrary_f64(rng),
-            time_overhead: arbitrary_f64(rng),
-            time_by_category: (0..rng.below(5))
-                .map(|_| (arbitrary_category(rng), arbitrary_f64(rng)))
-                .collect(),
+            ledger: arbitrary_ledger(rng),
             retries: rng.next_u64(),
             retry_drops: rng.below(3),
             queue_overflow: rng.next_u64(),
@@ -202,7 +200,7 @@ fn arbitrary_store(tag: &str, seed: u64, n: u64) -> (Vec<RunOutcome>, Vec<u8>) {
 
 proptest! {
     /// encode → seal → open is the identity on everything persisted,
-    /// non-finite floats, empty lists and escaped names included.
+    /// non-finite floats, empty lists and ledger extremes included.
     #[test]
     fn arbitrary_outcomes_round_trip_bit_exactly(seed in any::<u64>()) {
         let (outcomes, bytes) = arbitrary_store("roundtrip-fill", seed, 3);
@@ -285,10 +283,12 @@ const MIXED_HASH: u64 = 0x01a4_8cff_3f17_7189;
 fn the_golden_store_decodes_to_the_pinned_values() {
     let dir = tmp_dir("golden");
     let cache = open_bytes(&dir, FIXTURE);
-    // Line 5 carries a foreign schema tag, and lines 6–8 are line 1 with
-    // a column too many, one too few, and two columns of different kinds
-    // swapped. Nothing is damaged, so all four are skipped and kept.
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 4, quarantined: 0 });
+    // Line 5 carries a foreign schema tag, and lines 6–9 are line 1 with
+    // a column too many, one too few, two columns of different kinds
+    // swapped, and a sender ledger whose total overflows. Nothing is
+    // damaged, so all five are skipped and kept; line 9 in particular
+    // does not replace line 1.
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 5, quarantined: 0 });
     assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), FIXTURE, "a clean open rewrites nothing");
     let index = cache.index();
     assert_eq!(index.len(), 4);
@@ -321,12 +321,13 @@ fn the_golden_store_decodes_to_the_pinned_values() {
         (0, 60, 60, 1140.0)
     );
     assert_eq!(sender.size_overhead.to_bits(), 0.033101045296167246f64.to_bits());
-    assert_eq!(sender.time_by_category.len(), 7);
-    assert_eq!(sender.time_by_category[0], (Cow::Borrowed(cat::DIFS), 0.012));
-    assert_eq!(sender.time_by_category[6], (Cow::Borrowed(cat::PHY), 0.01610772));
-    assert!(sender.time_by_category.iter().all(|(name, _)| matches!(name, Cow::Borrowed(_))));
+    assert_eq!(sender.ledger[Cat::Difs], Duration::from_nanos(12_000_000));
+    assert_eq!(sender.ledger[Cat::Phy], Duration::from_nanos(16_107_720));
+    assert_eq!(sender.ledger.total(), Duration::from_nanos(569_727_080));
+    // The ratio v4 stored beside the ledger is the one it derives.
+    assert_eq!(sender.ledger.time_overhead().to_bits(), 0.280627138172895f64.to_bits());
     assert_eq!((sink.node, sink.tx_control, sink.unicast_ok), (1, 120, 60));
-    assert!(sink.time_by_category.is_empty());
+    assert_eq!((sink.ledger, sink.ledger.time_overhead()), (Ledger::default(), 0.0));
 
     // Line 2, TCP + CBR in one world.
     let mixed = index.get(MIXED_HASH, 1).unwrap();
@@ -337,24 +338,27 @@ fn the_golden_store_decodes_to_the_pinned_values() {
         (16000, 64000.0, None)
     );
     assert_eq!((mixed.report.nodes[0].tx_data_frames, mixed.report.nodes[1].tx_data_frames), (108, 6));
+    let overhead = |n: usize| mixed.report.nodes[n].ledger.time_overhead().to_bits();
+    assert_eq!(
+        (overhead(0), overhead(1)),
+        (0.49833814014888345f64.to_bits(), 0.7437933791197716f64.to_bits())
+    );
 
-    // Line 3: non-finite floats, escaped names, extreme integers. The
-    // name holds a `#`, which the integrity trailer also begins with.
+    // Line 3: non-finite floats, extreme integers, and the ledger
+    // extremes that do not overflow: a total of exactly `u64::MAX`
+    // nanoseconds, spread over every slot or held in one.
     let edge = index.get(0x00c0_ffee, 7).unwrap();
     assert!(!edge.completed && edge.throughput_bps.is_nan() && edge.per_flow.is_empty());
     assert_eq!(edge.report.at, Instant::from_nanos(u64::MAX));
-    let n = &edge.report.nodes[0];
+    let [n, m] = &edge.report.nodes[..] else { panic!("two nodes") };
     assert!(n.avg_frame_size.is_nan());
     assert_eq!((n.avg_subframes, n.size_overhead), (f64::INFINITY, f64::NEG_INFINITY));
-    assert_eq!(n.time_overhead.to_bits(), (-0.0f64).to_bits());
     assert_eq!(n.subframes_sent, (3, u64::MAX));
-    assert_eq!(
-        n.time_by_category,
-        [(Cow::Borrowed("a\"b\\c\nd\te\rf\u{1}g #é"), 1e300), (Cow::Borrowed(""), 5e-324)]
-    );
-    // Names outside `cat::ALL` come back owned, as they were written.
-    assert!(n.time_by_category.iter().all(|(name, _)| matches!(name, Cow::Owned(_))));
-    assert!(edge.report.nodes[1].time_by_category.is_empty());
+    assert_eq!(n.ledger[Cat::Payload], Duration::from_nanos(u64::MAX - 6));
+    assert!(Cat::ALL[1..].iter().all(|&c| n.ledger[c] == Duration::from_nanos(1)));
+    assert_eq!((n.ledger.total(), m.ledger.total()), (Duration::MAX, Duration::MAX));
+    assert_eq!(n.ledger.time_overhead(), 6.0 / 1e9 / (u64::MAX as f64 / 1e9));
+    assert_eq!((m.ledger[Cat::Backoff], m.ledger.time_overhead()), (Duration::MAX, 1.0));
 
     // Line 4: a transfer that missed its deadline beside one that made it.
     let stuck = index.get(0xdead_beef_0000_0001, 1).unwrap();
@@ -377,9 +381,8 @@ fn the_golden_store_decodes_to_the_pinned_values() {
 fn the_encoder_reproduces_the_golden_bytes() {
     let golden = open_bytes(&tmp_dir("golden-read"), FIXTURE).index();
     let (udp, mixed) = (udp_spec(), mixed_spec());
-    // What the parent's `append_batch` was given for lines 1–4. The
-    // event count is not part of a decoded outcome; it comes back from
-    // the hint.
+    // What `append_batch` was given for lines 1–4. The event count is
+    // not part of a decoded outcome; it comes back from the hint.
     let fresh = |hash, rep| {
         let mut outcome = RunOutcome::clone(golden.get(hash, rep).unwrap());
         outcome.perf.events_processed = golden.events_hint(hash).unwrap_or(0);
@@ -404,28 +407,57 @@ fn the_encoder_reproduces_the_golden_bytes() {
 
 #[test]
 fn a_ledger_category_is_its_index_in_cat_all() {
-    // The stored index is the name's position in `cat::ALL`, so that
-    // order is part of the format: reordering it needs a schema bump.
-    assert_eq!(cat::ALL, ["payload", "mac_header", "phy", "control", "difs", "sifs", "backoff"]);
-    let ledger = "[4,0.012,6,0.02765,3,0.0660462,5,0.027,0,0.4098462,1,0.01107696,2,0.01610772]";
+    // A ledger's slots are written in `Cat::ALL` order, so a category's
+    // column is its index there and that order is part of the format: reordering or adding a `Cat` needs a schema bump.
+    let order = [Cat::Payload, Cat::MacHeader, Cat::Phy, Cat::Control, Cat::Difs, Cat::Sifs, Cat::Backoff];
+    assert_eq!(Cat::ALL, order);
+    let ledger = ",0.033101045296167246,409846200,11076960,16107720,66046200,12000000,27000000,27650000,0,";
     assert!(fixture_json(1).contains(ledger), "line 1's sender ledger, as written");
     let index = open_bytes(&tmp_dir("cat-order"), FIXTURE).index();
-    let names: Vec<&str> =
-        index.get(UDP_HASH, 1).unwrap().report.nodes[0].time_by_category.iter().map(|(n, _)| &**n).collect();
-    assert_eq!(
-        names,
-        [cat::DIFS, cat::BACKOFF, cat::CONTROL, cat::SIFS, cat::PAYLOAD, cat::MAC_HEADER, cat::PHY]
-    );
+    let sender = &index.get(UDP_HASH, 1).unwrap().report.nodes[0];
+    let nanos = Cat::ALL.map(|c| sender.ledger[c].as_nanos());
+    assert_eq!(nanos, [409_846_200, 11_076_960, 16_107_720, 66_046_200, 12_000_000, 27_000_000, 27_650_000]);
 }
 
 #[test]
-fn a_v3_store_opens_cold_and_untouched() {
-    let dir = tmp_dir("v3");
-    let cache = open_bytes(&dir, V3_FIXTURE);
-    // Every line is sealed, so nothing is quarantined; none is v4.
+fn a_v4_store_opens_cold_and_untouched() {
+    let dir = tmp_dir("v4");
+    let cache = open_bytes(&dir, V4_FIXTURE);
+    // Every line is sealed, so nothing is quarantined; none is v5.
     assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 8, quarantined: 0 });
     assert!(cache.is_empty());
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V3_FIXTURE, "the old records are kept");
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V4_FIXTURE, "the old records are kept");
+}
+
+/// Table 4's relay ledger, run live, survives the store exactly: every
+/// category, in nanoseconds, and the ratio Table 4 prints, bit for bit
+/// the one the MAC's own ledger gives.
+#[test]
+fn a_live_table4_relay_ledger_survives_the_store_exactly() {
+    let file = parse_scn_file(include_str!("../../../examples/sweeps/table4_time_overhead.scn")).unwrap();
+    for policy in [Policy::Na, Policy::Ua, Policy::Ba, Policy::Dba] {
+        let spec = file.specs.iter().find(|s| s.rate == Rate::R0_65 && s.policy == policy).unwrap();
+        // The relay's MAC, run as `run()` runs a file-transfer cell.
+        let mut world = spec.build();
+        world.start();
+        world.run_until_transfers_complete(Instant::ZERO + spec.warmup + spec.duration);
+        let mac = world.nodes[1].mac.counters.time;
+        let live = spec.run();
+        assert_eq!(live.report.nodes[1].ledger, mac, "{policy:?}: the report holds the MAC's ledger");
+        assert!(Cat::ALL.iter().all(|&c| !mac[c].is_zero()), "{policy:?}: an empty category: {mac:?}");
+        // Table 4's ratio, as the MAC has always computed it.
+        let (payload, total) = (mac[Cat::Payload], mac.total());
+        let ratio = (total - payload).as_secs_f64() / total.as_secs_f64();
+
+        let dir = tmp_dir("table4");
+        ConcurrentCache::open(&dir.0).unwrap().append_batch(&[(spec.stable_hash(), 1, spec, &live)]).unwrap();
+        let index = ConcurrentCache::open(&dir.0).unwrap().index();
+        let stored = index.get(spec.stable_hash(), 1).expect("the live record loads");
+        assert_eq!(**stored, live, "{policy:?}");
+        let relay = &stored.report.nodes[1].ledger;
+        assert_eq!((relay.time_overhead().to_bits(), *relay), (ratio.to_bits(), mac), "{policy:?}");
+        assert_eq!(stored.report.time_overhead_pct(1).to_bits(), (ratio * 100.0).to_bits(), "{policy:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -461,6 +493,11 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         ("1.0,60,0,", "1.0,60.0,0,".to_string()),
         (",9000,", ",65536,".to_string()),
         ("]],1200000000,", "]],18446744073709551616,".to_string()),
+        // A ledger slot is a counter of nanoseconds, not seconds.
+        (",409846200,", ",409846200.0,".to_string()),
+        (",409846200,", ",0.4098462,".to_string()),
+        (",409846200,", ",-409846200,".to_string()),
+        (",409846200,", ",18446744073709551616,".to_string()),
     ] {
         assert_eq!(load_edited(from, &to), None, "`{to}` must not load");
     }
@@ -479,8 +516,8 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
     {
         let got = load_edited(",418000.0,null", &format!(",{token},null")).expect("token loads");
         assert_eq!(format!("{:?}", got.per_flow[0].bps), format!("{expect:?}"));
-        let got = load_edited("5,0.027,", &format!("5,{token},")).expect("token loads");
-        assert_eq!(format!("{:?}", got.report.nodes[0].time_by_category[3].1), format!("{expect:?}"));
+        let got = load_edited(",0,0.033101045296167246,", &format!(",0,{token},")).expect("token loads");
+        assert_eq!(format!("{:?}", got.report.nodes[0].size_overhead), format!("{expect:?}"));
     }
     // in exactly those spellings, and only where a float belongs.
     for (from, to) in [
@@ -492,6 +529,7 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         ("]],1200000000,", "]],\"-inf\",".to_string()),
         (",true,", ",\"NaN\",".to_string()),
         (",true,", ",1,".to_string()),
+        (",409846200,", ",\"inf\",".to_string()),
     ] {
         assert_eq!(load_edited(from, &to), None, "`{to}` must not load");
     }
@@ -522,16 +560,15 @@ fn short_decimal_text(rng: &mut TestRng) -> String {
     format!("{sign}{}.{}", digits(rng, int), digits(rng, frac))
 }
 
-/// Fixture line 1 with a `"x",TEXT` ledger entry per text appended to
-/// the sender's, loaded; the floats the reader made of the texts.
+/// Fixture line 1 with a flow whose `bps` is TEXT appended per text,
+/// loaded; the floats the reader made of the texts.
 fn read_floats(texts: &[String]) -> Vec<f64> {
-    let last = "2,0.01610772";
-    let extra: String = texts.iter().map(|text| format!(",\"x\",{text}")).collect();
-    let json = fixture_json(1).replacen(last, &format!("{last}{extra}"), 1);
+    let extra: String =
+        texts.iter().map(|text| format!(",[0,1,9000,\"cbr:20ms:1045\",52250,{text},null]")).collect();
+    let json = fixture_json(1).replacen(FLOWS, &format!("{}{extra}]", &FLOWS[..FLOWS.len() - 1]), 1);
     let cache = open_bytes(&tmp_dir("floats"), &sealed(json.as_bytes()));
     let index = cache.index();
-    let sender = &index.get(UDP_HASH, 1).expect("the record loads").report.nodes[0];
-    sender.time_by_category[7..].iter().map(|&(_, v)| v).collect()
+    index.get(UDP_HASH, 1).expect("the record loads").per_flow[1..].iter().map(|f| f.bps).collect()
 }
 
 proptest! {
@@ -609,7 +646,7 @@ fn a_non_utf8_byte_costs_one_record_not_the_store() {
 
     let dir = tmp_dir("non-utf8");
     let cache = open_bytes(&dir, &bytes);
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 4, quarantined: 1 });
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 5, quarantined: 1 });
     let index = cache.index();
     assert_eq!(index.len(), 3, "every other record stays warm");
     assert!(index.get(MIXED_HASH, 1).is_none(), "the damaged record went cold");
@@ -649,33 +686,44 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
 #[test]
 fn a_hostile_row_costs_its_own_record_and_never_panics() {
     let json = fixture_json(1);
-    let sender = "[0,60,60,1140.0,1.0,60,0,0.033101045296167246,0.280627138172895,[4,0.012,";
-    let sink = "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0]";
+    let sender = "[0,60,60,1140.0,1.0,60,0,0.033101045296167246,409846200,";
+    // The sink's row around a ledger of seven columns' text.
+    let sink_with = |ledger: &str| format!("[1,0,120,0.0,0.0,0,0,0.0,{ledger},0,0,0,0,0,0,0,60,0,0,0]");
+    let sink_row = sink_with("0,0,0,0,0,0,0");
+    let sink = sink_row.as_str();
     assert!(json.contains(sender) && json.contains(sink));
+    // The widest ledgers load: a total of exactly `u64::MAX`.
+    for ledger in ["18446744073709551615,0,0,0,0,0,0", "0,0,0,0,0,1,18446744073709551614"] {
+        let cache = open_bytes(
+            &tmp_dir("wide-ledger"),
+            &sealed(json.replacen(sink, &sink_with(ledger), 1).as_bytes()),
+        );
+        let total = cache.index().get(UDP_HASH, 1).expect("the record loads").report.nodes[1].ledger.total();
+        assert_eq!(total, Duration::MAX, "{ledger}");
+    }
     let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     for (from, to) in [
         // A column too many or too few.
-        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0,0]".to_string()),
-        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0]".to_string()),
-        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[]]".to_string()),
+        (sink, sink_with("0,0,0,0,0,0,0,0")),
+        (sink, sink_with("0,0,0,0,0,0")),
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0,0,0,0,0,0,0]".to_string()),
         (sink, "[]".to_string()),
-        // A category index past `cat::ALL`, or not an index at all.
-        ("[4,0.012,", "[7,0.012,".to_string()),
-        ("[4,0.012,", "[18446744073709551616,0.012,".to_string()),
-        ("[4,0.012,", "[-1,0.012,".to_string()),
-        ("[4,0.012,", "[4.0,0.012,".to_string()),
-        ("[4,0.012,", "[null,0.012,".to_string()),
-        // A category without its seconds.
-        ("[4,0.012,", "[4,".to_string()),
+        // A ledger whose total overflows `u64` nanoseconds, at any split.
+        (sink, sink_with("18446744073709551615,1,0,0,0,0,0")),
+        (sink, sink_with("0,0,0,0,0,18446744073709551615,18446744073709551615")),
+        (sink, sink_with("9223372036854775808,0,0,9223372036854775808,0,0,0")),
+        // The v4 ledger: a ratio, then a list of named seconds.
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0]".to_string()),
+        (sender, sender.replacen(",409846200,", ",0.280627138172895,[0,0.4098462],", 1)),
         // A float where a counter goes: the node, a counter, a subframe count.
         (sender, sender.replacen("[0,", "[0.0,", 1)),
         (sink, sink.replacen(",120,", ",120.0,", 1)),
         (sender, sender.replacen("1.0,60,0,", "1.0,60,0.0,", 1)),
-        // Nesting where a row, a column or the ledger goes.
+        // Nesting where a row, a column or a ledger slot goes.
         (sink, deep(16)),
         (sink, deep(2_000_000)),
         (sink, sink.replacen("[1,", &format!("[{},", deep(16)), 1)),
-        (sink, sink.replacen("[]", &deep(16), 1)),
+        (sink, sink_with(&format!("{},0,0,0,0,0,0", deep(16)))),
         // Not a row at all: the v2 object form, a bare number.
         (sink, "{\"node\":1}".to_string()),
         (sink, "1".to_string()),
@@ -698,15 +746,15 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
 // The streaming open
 // ---------------------------------------------------------------------
 
-/// A 1000-node `ext_scale`-shaped outcome written as wide as a record
+/// A 2500-node `ext_scale`-shaped outcome written as wide as a record
 /// gets: every counter near `u64::MAX`, every float 17 significant
-/// digits, all of `cat::ALL` in each ledger plus twice as many names of
-/// a newer MAC (owned on decode). Its line is longer than the 1 MiB
-/// window the open streams through, so the window must grow to fit it.
+/// digits, every ledger slot 19 digits. Its line is longer than the
+/// 1 MiB window the open streams through, so the window must grow to
+/// fit it.
 fn widest_scale_outcome() -> RunOutcome {
     let wide = |x: u64| u64::MAX - x * 7_919;
     let ratio = |x: u64| 1.0 / (3.0 + x as f64);
-    let nodes = (0..1000u64)
+    let nodes = (0..2500u64)
         .map(|x| NodeReport {
             node: x as usize,
             tx_data_frames: wide(x),
@@ -715,17 +763,9 @@ fn widest_scale_outcome() -> RunOutcome {
             avg_subframes: 1.0 + ratio(x),
             subframes_sent: (wide(x + 2), wide(x + 3)),
             size_overhead: ratio(x + 4),
-            time_overhead: ratio(x + 5),
-            time_by_category: (0u64..)
-                .zip(cat::ALL)
-                .flat_map(|(j, name)| {
-                    [
-                        (Cow::Borrowed(name), ratio(x + j)),
-                        (Cow::Owned(format!("{name}_next")), ratio(x * j)),
-                        (Cow::Owned(format!("{name}_after_next")), ratio(x * j + 1)),
-                    ]
-                })
-                .collect(),
+            ledger: Ledger(std::array::from_fn(|j| {
+                Duration::from_nanos(u64::MAX / 7 - x * 7_919 - j as u64)
+            })),
             retries: wide(x + 6),
             retry_drops: wide(x + 7),
             queue_overflow: wide(x + 8),
@@ -800,14 +840,14 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
 
     // Compaction: the intact lines, trimmed, one `\n` each; the damaged
     // ones, out of band. Length and CRC-32 of both files, pinned for the
-    // v4 bytes.
+    // v5 bytes.
     let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
     let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
     let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
     assert_eq!(live, [&kept[..], b"\n"].concat());
     assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
     let pin = |bytes: &[u8]| (bytes.len(), hydra_wire::crc::crc32(bytes));
-    assert_eq!((pin(&live), pin(&corrupt)), ((1_086_829, 0x5eca_c3a6), (912, 0x5211_6060)));
+    assert_eq!((pin(&live), pin(&corrupt)), ((1_300_469, 0x6a13_5077), (822, 0x22a4_b5c9)));
     let healed = ConcurrentCache::open(&dir.0).unwrap();
     assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
 

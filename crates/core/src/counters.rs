@@ -1,27 +1,69 @@
 //! MAC-level counters feeding the paper's Tables 3–8.
 
-use hydra_sim::{Running, TimeLedger};
+use std::ops::Index;
 
-/// Time-ledger category names (Table 4's overhead decomposition).
-pub mod cat {
+use hydra_sim::{Duration, Running};
+
+/// An airtime category: Table 4's decomposition of a node's time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cat {
     /// MPDU payload bits (the "useful" time; excludes padding).
-    pub const PAYLOAD: &str = "payload";
+    Payload,
     /// MAC subframe headers + FCS + padding.
-    pub const MAC_HEADER: &str = "mac_header";
+    MacHeader,
     /// PHY preamble + PHY header.
-    pub const PHY: &str = "phy";
+    Phy,
     /// RTS/CTS/ACK airtime (including their preambles).
-    pub const CONTROL: &str = "control";
+    Control,
     /// DIFS waits.
-    pub const DIFS: &str = "difs";
+    Difs,
     /// SIFS waits within exchanges.
-    pub const SIFS: &str = "sifs";
+    Sifs,
     /// Backoff slots actually elapsed.
-    pub const BACKOFF: &str = "backoff";
+    Backoff,
+}
 
-    /// Every category above. A report rebuilt from stored text maps a
-    /// name found here back to the `&'static str`, so it owns no copy.
-    pub const ALL: [&str; 7] = [PAYLOAD, MAC_HEADER, PHY, CONTROL, DIFS, SIFS, BACKOFF];
+impl Cat {
+    /// Every category, in declaration order: a [`Ledger`]'s slots, and
+    /// the order a stored ledger is written in. A new variant is listed
+    /// here too, or it has no slot and its first [`Ledger::add`] panics.
+    pub const ALL: [Cat; 7] =
+        [Cat::Payload, Cat::MacHeader, Cat::Phy, Cat::Control, Cat::Difs, Cat::Sifs, Cat::Backoff];
+}
+
+/// Airtime by [`Cat`] in exact nanoseconds, one slot per category, so
+/// no category can be missing from [`Ledger::total`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger(pub [Duration; Cat::ALL.len()]);
+
+impl Ledger {
+    /// Adds `d` to `cat`.
+    pub fn add(&mut self, cat: Cat, d: Duration) {
+        self.0[cat as usize] += d;
+    }
+
+    /// Sum over all categories.
+    pub fn total(&self) -> Duration {
+        self.0.iter().fold(Duration::ZERO, |acc, &d| acc + d)
+    }
+
+    /// Time overhead fraction per Table 4: everything except payload
+    /// time, over the total attributable time.
+    pub fn time_overhead(&self) -> f64 {
+        let total = self.total();
+        if total.is_zero() {
+            return 0.0;
+        }
+        (total - self[Cat::Payload]).as_secs_f64() / total.as_secs_f64()
+    }
+}
+
+impl Index<Cat> for Ledger {
+    type Output = Duration;
+
+    fn index(&self, cat: Cat) -> &Duration {
+        &self.0[cat as usize]
+    }
 }
 
 /// Everything a MAC counts. Plain data; netsim aggregates into reports.
@@ -58,7 +100,7 @@ pub struct MacCounters {
     pub tx_phy_header_bytes: u64,
 
     /// Airtime ledger (Table 4).
-    pub time: TimeLedger,
+    pub time: Ledger,
 
     /// Aggregates received intact (unicast portion fully valid & ours).
     pub rx_unicast_ok: u64,
@@ -94,18 +136,6 @@ impl MacCounters {
         (self.tx_overhead_bytes + self.tx_phy_header_bytes) as f64 / total as f64
     }
 
-    /// Time overhead fraction per Table 4: everything except payload time,
-    /// over the total attributable time.
-    pub fn time_overhead(&self) -> f64 {
-        let payload = self.time.get(cat::PAYLOAD);
-        let overhead = self.time.total_except(cat::PAYLOAD);
-        let total = payload + overhead;
-        if total.is_zero() {
-            return 0.0;
-        }
-        overhead.as_secs_f64() / total.as_secs_f64()
-    }
-
     /// Average transmitted data-frame size in bytes.
     pub fn avg_frame_size(&self) -> f64 {
         self.frame_sizes.mean()
@@ -115,7 +145,6 @@ impl MacCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_sim::Duration;
 
     #[test]
     fn size_overhead_empty_is_zero() {
@@ -134,11 +163,14 @@ mod tests {
 
     #[test]
     fn time_overhead_math() {
-        let mut c = MacCounters::new();
-        c.time.add(cat::PAYLOAD, Duration::from_micros(750));
-        c.time.add(cat::MAC_HEADER, Duration::from_micros(100));
-        c.time.add(cat::DIFS, Duration::from_micros(150));
-        assert!((c.time_overhead() - 0.25).abs() < 1e-12);
+        let mut l = Ledger::default();
+        assert_eq!(l.time_overhead(), 0.0);
+        l.add(Cat::Payload, Duration::from_micros(750));
+        l.add(Cat::MacHeader, Duration::from_micros(100));
+        l.add(Cat::Difs, Duration::from_micros(150));
+        assert_eq!((l[Cat::Payload], l[Cat::Sifs]), (Duration::from_micros(750), Duration::ZERO));
+        assert_eq!(l.total(), Duration::from_micros(1000));
+        assert!((l.time_overhead() - 0.25).abs() < 1e-12);
     }
 
     #[test]

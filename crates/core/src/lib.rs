@@ -37,6 +37,6 @@ pub mod queues;
 pub use assembler::{assemble, AssembledFrame};
 pub use classifier::{Classification, Classifier, ClassifierStats};
 pub use config::{AckPolicy, AggPolicy, AggSizing, MacConfig};
-pub use counters::MacCounters;
+pub use counters::{Cat, Ledger, MacCounters};
 pub use mac::{Mac, MacInput, MacOutput, MacSink};
 pub use queues::{QueueKind, QueuedMpdu, TxQueues};

@@ -31,7 +31,7 @@ use hydra_wire::{parse_aggregate, MacAddr, Payload};
 use crate::assembler::{assemble, AssembledFrame};
 use crate::classifier::Classifier;
 use crate::config::{AckPolicy, MacConfig};
-use crate::counters::{cat, MacCounters};
+use crate::counters::{Cat, MacCounters};
 use crate::queues::{QueuedMpdu, TxQueues};
 
 /// Inputs to the MAC state machine.
@@ -403,12 +403,12 @@ impl Mac {
         self.timers.cancel(Slot::Backoff as usize);
         let elapsed = now.saturating_duration_since(started);
         let difs_part = elapsed.min(self.cfg.difs);
-        self.counters.time.add(cat::DIFS, difs_part);
+        self.counters.time.add(Cat::Difs, difs_part);
         let after_difs = elapsed.saturating_sub(self.cfg.difs);
         let consumed = (after_difs.as_nanos() / self.cfg.slot.as_nanos().max(1)) as u32;
         let consumed = consumed.min(self.backoff_slots);
         self.backoff_slots -= consumed;
-        self.counters.time.add(cat::BACKOFF, self.cfg.slot * consumed as u64);
+        self.counters.time.add(Cat::Backoff, self.cfg.slot * consumed as u64);
     }
 
     fn on_busy(&mut self, now: Instant) {
@@ -445,8 +445,8 @@ impl Mac {
     /// Backoff complete: assemble and launch the exchange.
     fn tx_opportunity(&mut self, now: Instant, out: &mut dyn MacSink) {
         // Account the fully elapsed DIFS + backoff.
-        self.counters.time.add(cat::DIFS, self.cfg.difs);
-        self.counters.time.add(cat::BACKOFF, self.cfg.slot * self.backoff_slots as u64);
+        self.counters.time.add(Cat::Difs, self.cfg.difs);
+        self.counters.time.add(Cat::Backoff, self.cfg.slot * self.backoff_slots as u64);
         self.backoff_slots = 0;
         self.backoff_pending = false;
         self.countdown_from = None;
@@ -476,7 +476,7 @@ impl Mac {
                 ta: self.addr,
             };
             self.counters.tx_rts += 1;
-            self.counters.time.add(cat::CONTROL, self.control_airtime(RTS_LEN));
+            self.counters.time.add(Cat::Control, self.control_airtime(RTS_LEN));
             self.current = Some(frame);
             self.state = State::TxRts;
             out.push(MacOutput::StartTx(OnAirFrame::control_frame(&rts)));
@@ -523,9 +523,9 @@ impl Mac {
             header += self.profile.time_for(ovh, rate);
         }
         self.counters.tx_overhead_bytes += overhead_bytes;
-        self.counters.time.add(cat::PAYLOAD, payload);
-        self.counters.time.add(cat::MAC_HEADER, header);
-        self.counters.time.add(cat::PHY, self.profile.preamble + self.profile.phy_header_time());
+        self.counters.time.add(Cat::Payload, payload);
+        self.counters.time.add(Cat::MacHeader, header);
+        self.counters.time.add(Cat::Phy, self.profile.preamble + self.profile.phy_header_time());
     }
 
     /// Launches the data aggregate (after CTS, or directly without RTS).
@@ -574,8 +574,8 @@ impl Mac {
     /// Successful exchange: burst delivered and acknowledged.
     fn finish_success(&mut self, now: Instant, out: &mut dyn MacSink) {
         self.timers.cancel(Slot::AckTimeout as usize);
-        self.counters.time.add(cat::CONTROL, self.control_airtime(self.expected_ack_len()));
-        self.counters.time.add(cat::SIFS, self.cfg.sifs);
+        self.counters.time.add(Cat::Control, self.control_airtime(self.expected_ack_len()));
+        self.counters.time.add(Cat::Sifs, self.cfg.sifs);
         self.current = None;
         self.retry_count = 0;
         self.cw = self.cfg.cw_min;
@@ -632,7 +632,7 @@ impl Mac {
                 if self.state == State::AwaitCts {
                     // The wait was real airtime lost to the failed handshake.
                     self.counters.time.add(
-                        cat::CONTROL,
+                        Cat::Control,
                         self.cfg.sifs + self.control_airtime(CTS_LEN) + self.cfg.timeout_margin,
                     );
                     self.fail_attempt(now, out);
@@ -641,7 +641,7 @@ impl Mac {
             s if s == Slot::AckTimeout as usize => {
                 if self.state == State::AwaitAck {
                     self.counters.time.add(
-                        cat::CONTROL,
+                        Cat::Control,
                         self.cfg.sifs
                             + self.control_airtime(self.expected_ack_len())
                             + self.cfg.timeout_margin,
@@ -661,7 +661,7 @@ impl Mac {
                     out.push(MacOutput::StartTx(OnAirFrame::control_frame(&ack)));
                 }
                 Some(AfterSifs::Data) => {
-                    self.counters.time.add(cat::SIFS, self.cfg.sifs);
+                    self.counters.time.add(Cat::Sifs, self.cfg.sifs);
                     self.start_data_tx(now, out);
                 }
                 None => {}
@@ -730,8 +730,8 @@ impl Mac {
             ControlFrame::Cts { duration_us, ra } => {
                 if ra == self.addr && self.state == State::AwaitCts {
                     self.timers.cancel(Slot::CtsTimeout as usize);
-                    self.counters.time.add(cat::SIFS, self.cfg.sifs);
-                    self.counters.time.add(cat::CONTROL, self.control_airtime(CTS_LEN));
+                    self.counters.time.add(Cat::Sifs, self.cfg.sifs);
+                    self.counters.time.add(Cat::Control, self.control_airtime(CTS_LEN));
                     self.respond_after_sifs(now, AfterSifs::Data, out);
                 } else if ra != self.addr {
                     self.set_nav(now, duration_us, out);
@@ -772,8 +772,8 @@ impl Mac {
         } else {
             self.current = Some(frame);
             self.timers.cancel(Slot::AckTimeout as usize);
-            self.counters.time.add(cat::CONTROL, self.control_airtime(BLOCK_ACK_LEN));
-            self.counters.time.add(cat::SIFS, self.cfg.sifs);
+            self.counters.time.add(Cat::Control, self.control_airtime(BLOCK_ACK_LEN));
+            self.counters.time.add(Cat::Sifs, self.cfg.sifs);
             self.fail_attempt(now, out);
         }
     }

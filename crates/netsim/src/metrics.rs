@@ -1,11 +1,11 @@
 //! Extracting per-run reports from node counters (feeds Tables 3–8) and
 //! labeling per-flow results ([`FlowOutcome`]).
 
-use std::borrow::Cow;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use hydra_core::Ledger;
 use hydra_sim::{Duration, Instant};
 
 use crate::spec::FlowSpec;
@@ -84,13 +84,8 @@ pub struct NodeReport {
     pub subframes_sent: (u64, u64),
     /// Size overhead fraction (MAC+PHY header bytes / total on air).
     pub size_overhead: f64,
-    /// Time overhead fraction (Table 4 accounting).
-    pub time_overhead: f64,
-    /// Time by category, seconds. A name is the MAC's `&'static str`
-    /// (`hydra_core::counters::cat`) when collected from a live world
-    /// or decoded from the result cache; only a name outside
-    /// `cat::ALL`, read back from a cache record, is owned.
-    pub time_by_category: Vec<(Cow<'static, str>, f64)>,
+    /// Airtime by category, exact nanoseconds (Table 4 accounting).
+    pub ledger: Ledger,
     /// Burst retransmissions.
     pub retries: u64,
     /// Bursts dropped at the retry limit.
@@ -188,12 +183,7 @@ impl RunReport {
                     avg_subframes: c.subframes_per_frame.mean(),
                     subframes_sent: (c.tx_unicast_subframes, c.tx_broadcast_subframes),
                     size_overhead: c.size_overhead(),
-                    time_overhead: c.time_overhead(),
-                    time_by_category: c
-                        .time
-                        .iter()
-                        .map(|(k, d)| (Cow::Borrowed(k), d.as_secs_f64()))
-                        .collect(),
+                    ledger: c.time,
                     retries: c.retries,
                     retry_drops: c.retry_drops,
                     queue_overflow: n.mac.queues().overflow_drops,
@@ -224,7 +214,7 @@ impl RunReport {
 
     /// Time overhead at a node as a percentage.
     pub fn time_overhead_pct(&self, node: usize) -> f64 {
-        self.nodes[node].time_overhead * 100.0
+        self.nodes[node].ledger.time_overhead() * 100.0
     }
 }
 
@@ -258,16 +248,7 @@ mod tests {
             1 => rng.below(100),
             _ => rng.next_u64(),
         };
-        let counters: [u64; 16] = std::array::from_fn(|_| counter());
-        let ledger = (0..rng.below(4))
-            .map(|i| {
-                let name = match rng.below(2) {
-                    0 => Cow::Borrowed(["difs", "sifs", "a\"b\n"][i as usize % 3]),
-                    _ => Cow::Owned(format!("cat{}", rng.below(3))),
-                };
-                (name, arbitrary_f64(rng))
-            })
-            .collect();
+        let counters: [u64; 23] = std::array::from_fn(|_| counter());
         NodeReport {
             node: counters[0] as usize,
             tx_data_frames: counters[1],
@@ -276,8 +257,7 @@ mod tests {
             avg_subframes: arbitrary_f64(rng),
             subframes_sent: (counters[3], counters[4]),
             size_overhead: arbitrary_f64(rng),
-            time_overhead: arbitrary_f64(rng),
-            time_by_category: ledger,
+            ledger: Ledger(std::array::from_fn(|i| Duration::from_nanos(counters[16 + i]))),
             retries: counters[5],
             retry_drops: counters[6],
             queue_overflow: counters[7],

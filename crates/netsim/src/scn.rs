@@ -942,6 +942,12 @@ impl ScenarioSpec {
         }
 
         let n = spec.topology.node_count();
+        // The first flow, in line order, whose port an earlier flow holds:
+        // sorted by (port, position), the second of a run of equal ports.
+        let mut ports: Vec<(u16, usize)> =
+            spec.flows.iter().enumerate().map(|(i, fl)| (fl.port, i)).collect();
+        ports.sort_unstable();
+        let duplicate = ports.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
         for (i, fl) in spec.flows.iter().enumerate() {
             if fl.src >= n || fl.dst >= n {
                 return Err(format!("flow {}>{} out of range for {n}-node topology", fl.src, fl.dst));
@@ -949,7 +955,7 @@ impl ScenarioSpec {
             if fl.src == fl.dst {
                 return Err(format!("flow {}>{} has equal endpoints", fl.src, fl.dst));
             }
-            if spec.flows[..i].iter().any(|prev| prev.port == fl.port) {
+            if duplicate == Some(i) {
                 return Err(format!("duplicate flow port {}", fl.port));
             }
         }
@@ -1316,6 +1322,33 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.stable_hash(), b.stable_hash());
         assert_eq!(b.to_scn(), legacy, "canonical form is the compact legacy spelling");
+    }
+
+    #[test]
+    fn a_duplicate_port_names_the_first_flow_that_repeats_one() {
+        let base = "topo=linear:2 policy=ba rate=1.3 traffic=file:204800";
+        let line = |ports: &[u16]| {
+            let flows: String = ports.iter().map(|p| format!(" flow=0>2:{p}:tcp:1000")).collect();
+            ScenarioSpec::from_scn(&format!("{base}{flows}"))
+        };
+        // 300 flows whose only repeat is the last one's.
+        let mut ports: Vec<u16> = (5000..5299).collect();
+        ports.push(5123);
+        assert_eq!(line(&ports).unwrap_err(), "duplicate flow port 5123");
+        ports.pop();
+        assert_eq!(line(&ports).map(|spec| spec.flows.len()), Ok(299));
+        // The first in line order, not the first port repeated, nor the
+        // smallest: flow 3 repeats flow 2's port before flow 4 repeats
+        // flow 0's.
+        assert_eq!(line(&[9, 8, 7, 7, 9, 9]).unwrap_err(), "duplicate flow port 7");
+        // Per flow, the range and endpoint checks come first.
+        let bad_range = format!("{base} flow=0>2:7:tcp:1 flow=0>9:8:tcp:1 flow=0>2:7:tcp:1");
+        assert_eq!(
+            ScenarioSpec::from_scn(&bad_range).unwrap_err(),
+            "flow 0>9 out of range for 3-node topology"
+        );
+        let late_range = format!("{base} flow=0>2:7:tcp:1 flow=0>2:7:tcp:1 flow=0>9:8:tcp:1");
+        assert_eq!(ScenarioSpec::from_scn(&late_range).unwrap_err(), "duplicate flow port 7");
     }
 
     #[test]
