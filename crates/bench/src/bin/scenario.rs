@@ -225,7 +225,7 @@ fn main() {
         println!(
             "\nrelay (node {relay}, run 1): {} TXs, avg {:.0} B, {:.2} subframes, time-ovh {:.1}%, {} retries",
             rel.tx_data_frames,
-            rel.avg_frame_size,
+            rel.avg_frame_size(),
             rel.avg_subframes,
             rel.ledger.time_overhead() * 100.0,
             rel.retries

@@ -18,7 +18,8 @@
 //! reproduced (docs/REPRODUCTION.md states the claim of each table).
 
 use hydra_netsim::{
-    parse_scn_file, FlowTraffic, Metric, Policy, RunOutcome, ScenarioSpec, Selector, SweepFile, TopologyKind,
+    parse_scn_file, FlowTraffic, Metric, Policy, RunOutcome, RunReport, ScenarioSpec, Selector, SweepFile,
+    TopologyKind,
 };
 use hydra_phy::LinkErrorModel;
 
@@ -365,7 +366,7 @@ fn table3_relay(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
                     // The NA baseline cell failed: the ratio is uncomputable.
                     None => na.failed_label(),
                 };
-                (bytes(rel.avg_frame_size), txs, pct(rel.size_overhead))
+                (bytes(rel.avg_frame_size()), txs, pct(rel.size_overhead(run.report.phy_header_bytes)))
             }
         };
         let name = cell.spec.policy.name().to_string();
@@ -398,20 +399,24 @@ fn table5_6_7_star(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
         }
         return tables.map(|(t, _)| t).into();
     }
-    fn relay(c: &CellResult) -> &hydra_netsim::NodeReport {
-        c.first().expect("no failures past the guard").report.relay()
+    fn report(c: &CellResult) -> &RunReport {
+        &c.first().expect("no failures past the guard").report
     }
-    let na2 = relay(na).tx_data_frames as f64;
+    let na2 = report(na).relay().tx_data_frames as f64;
     for (policy, pair) in &pairs {
         // Paper convention: star NA baseline = 2x the 2-hop NA count.
         let sides = by(pair, |s| s.topology, [TopologyKind::Linear(2), TopologyKind::Star])
-            .map(|c| (paper_of(file, &c.spec).expect("a papered cell"), relay(c)));
+            .map(|c| (paper_of(file, &c.spec).expect("a papered cell"), report(c)));
         let bases = [na2, na2 * 2.0];
         for (i, (t, precision)) in tables.iter_mut().enumerate() {
             let mut row = vec![policy.name().to_string()];
             for ((paper, r), base) in sides.iter().zip(bases) {
-                let here =
-                    [r.avg_frame_size, r.size_overhead * 100.0, r.tx_data_frames as f64 / base * 100.0];
+                let relay = r.relay();
+                let here = [
+                    relay.avg_frame_size(),
+                    r.size_overhead(1) * 100.0,
+                    relay.tx_data_frames as f64 / base * 100.0,
+                ];
                 row.push(format!("{:.p$} / {:.p$}", paper[i], here[i], p = *precision));
             }
             t.row(row);
@@ -441,7 +446,7 @@ fn table8_frame_sizes(file: &SweepFile, cells: &[CellResult]) -> Vec<Table> {
         for cell in chains {
             let paper = paper_of(file, &cell.spec).expect("a papered cell");
             out.extend(paper.iter().enumerate().map(|(node, p)| match cell.first() {
-                Some(run) if both => format!("{p:.0} / {:.0}", run.report.nodes[node].avg_frame_size),
+                Some(run) if both => format!("{p:.0} / {:.0}", run.report.nodes[node].avg_frame_size()),
                 Some(_) => dash(),
                 None => cell.failed_label(),
             }));
@@ -460,7 +465,7 @@ fn background(spec: &ScenarioSpec) -> String {
             let offered = payload as f64 * 8.0 / (ms as f64 / 1e3);
             format!("{payload}B/{ms}ms ({:.0} kb/s)", offered / 1e3)
         }
-        Some(other) => other.to_token(),
+        Some(other) => other.to_string(),
     }
 }
 
@@ -675,7 +680,7 @@ pub fn run_tables(
 mod tests {
     use super::*;
     use hydra_core::{Cat, Ledger};
-    use hydra_netsim::{NodeReport, RunError, RunOutcome, RunPerf, RunReport};
+    use hydra_netsim::{NodeReport, RunError, RunOutcome, RunPerf};
     use hydra_sim::{Duration, Instant};
 
     /// A successful run: `throughput_bps`, and three nodes whose time
@@ -684,33 +689,13 @@ mod tests {
         let mut ledger = Ledger::default();
         ledger.add(Cat::Payload, Duration::from_nanos(1000 - overhead_ns));
         ledger.add(Cat::Difs, Duration::from_nanos(overhead_ns));
-        let node = |node| NodeReport {
-            node,
-            tx_data_frames: 0,
-            tx_control: 0,
-            avg_frame_size: 0.0,
-            avg_subframes: 0.0,
-            subframes_sent: (0, 0),
-            size_overhead: 0.0,
-            ledger,
-            retries: 0,
-            retry_drops: 0,
-            queue_overflow: 0,
-            acks_classified: 0,
-            bcast_filtered: 0,
-            bcast_ok: 0,
-            bcast_crc_fail: 0,
-            unicast_ok: 0,
-            unicast_crc_drops: 0,
-            collisions_seen: 0,
-            forwarded: 0,
-        };
+        let node = |node| NodeReport { node, ledger, ..NodeReport::default() };
         let nodes = (0..3).map(node).collect();
         Ok(RunOutcome {
             completed: true,
             throughput_bps,
             per_flow: Vec::new(),
-            report: RunReport { nodes, at: Instant::ZERO, collisions: 0 },
+            report: RunReport { nodes, at: Instant::ZERO, collisions: 0, phy_header_bytes: 8 },
             perf: RunPerf::default(),
         })
     }

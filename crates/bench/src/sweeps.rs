@@ -7,7 +7,9 @@
 //! with [`CACHE_SCHEMA`]) under `results/cache/`, so a warm rerun of
 //! `--bin all` (tables by name, or any `.scn` file by path) executes
 //! **zero** simulations for cells whose spec and replication are
-//! already on disk and still renders byte-identical tables: floats are
+//! already on disk and still renders byte-identical tables: a node
+//! report is stored as counts, from which its ratios are derived
+//! exactly as on the live run, and the few floats (throughputs) are
 //! written in shortest-round-trip form and parsed back bit-exactly.
 //!
 //! Every runner carries one store. Without a directory it is
@@ -22,17 +24,17 @@
 //! re-tagged for those. Records with a foreign schema tag are ignored,
 //! not errors, so old caches degrade into cold ones.
 //!
-//! ## Record layout (`hydra-agg.run.v5`)
+//! ## Record layout (`hydra-agg.run.v6`)
 //!
 //! One line per run, `{json}#crc:xxxxxxxx` (see *Crash safety*), where
 //! `json` is one positional row, with no keys at any level:
 //!
 //! ```text
 //! [schema, "0x…hash", rep, scn, events|null, completed, throughput_bps,
-//!  [FLOW, …], at_ns, collisions, [ROW, …]]
+//!  [FLOW, …], at_ns, collisions, phy_header_bytes, [ROW, …]]
 //! FLOW = [src, dst, port, "traffic token", bytes, bps, completed_at_ns|null]
-//! ROW  = [node, tx_data_frames, tx_control, avg_frame_size, avg_subframes,
-//!         ucast_subframes, bcast_subframes, size_overhead,
+//! ROW  = [node, tx_data_frames, tx_control, tx_psdu_bytes,
+//!         ucast_subframes, bcast_subframes, tx_overhead_bytes,
 //!         payload_ns, mac_header_ns, phy_ns, control_ns, difs_ns, sifs_ns,
 //!         backoff_ns, retries, retry_drops, queue_overflow, acks_classified,
 //!         bcast_filtered, bcast_ok, bcast_crc_fail, unicast_ok,
@@ -44,9 +46,11 @@
 //! text, for people reading the file (the key already names the spec).
 //! A `ROW` is one [`NodeReport`], its fields in declaration order, the
 //! subframe pair as two columns and the airtime ledger as seven, integer
-//! nanoseconds in `hydra_core::Cat::ALL` order. Floats are
-//! shortest-round-trip text, and the non-finite ones are the quoted
-//! tokens `"NaN"`, `"inf"` and `"-inf"`.
+//! nanoseconds in `hydra_core::Cat::ALL` order; every column is an
+//! integer, and `avg_subframes`, derived from the counts, is not stored.
+//! Floats (`throughput_bps`, a flow's `bps`) are shortest-round-trip
+//! text, and the non-finite ones are the quoted tokens `"NaN"`, `"inf"`
+//! and `"-inf"`.
 //!
 //! ## The codec
 //!
@@ -70,7 +74,9 @@
 //! and a short `[-]digits.digits` float is one exact division (Clinger's
 //! fast path); every other number goes through `str::parse`, once, over
 //! the span already scanned. A node report owns no heap memory, so
-//! decoding one allocates nothing of its own.
+//! decoding one allocates nothing of its own, and a record's node and
+//! flow lists are gathered in scratch reused across records, so each
+//! costs one allocation of exactly its size.
 //!
 //! The open streams the file: it reads `runs.jsonl` through one
 //! bounded window (1 MiB, grown only to fit the longest line) and
@@ -153,7 +159,11 @@ use hydra_wire::crc::crc32;
 /// v5: a node row's ledger is seven integer-nanosecond columns in
 /// `Cat::ALL` order, and its `time_overhead` column is gone (the ratio is
 /// derived from the ledger).
-pub const CACHE_SCHEMA: &str = "hydra-agg.run.v5";
+///
+/// v6: a node row holds only integers: PSDU and overhead byte counts
+/// replace the `avg_frame_size` and `size_overhead` floats, the record
+/// gains the run's `phy_header_bytes`, and `avg_subframes` is derived.
+pub const CACHE_SCHEMA: &str = "hydra-agg.run.v6";
 
 /// A cache shared between experiment functions and runner threads.
 pub type SharedCache = Arc<ConcurrentCache>;
@@ -291,11 +301,11 @@ impl ConcurrentCache {
         let mut skipped = 0;
         // Damaged lines are rare, so they are copied out as they are met.
         let mut quarantined = Vec::new();
-        let mut nodes = Vec::new();
+        let mut scratch = Scratch::default();
         let read = match &mut file {
             Some(file) => for_each_line(file, |line| {
                 match unseal(line) {
-                    Some(json) => match decode_record(json, &mut nodes) {
+                    Some(json) => match decode_record(json, &mut scratch) {
                         Some(record) => index.insert(record),
                         None => skipped += 1,
                     },
@@ -592,7 +602,12 @@ row! { rec: Record<'a> = Record {
             completed: false,
             throughput_bps: 0.0,
             per_flow: Vec::new(),
-            report: RunReport { nodes: NodeReports::default(), at: Instant::ZERO, collisions: 0 },
+            report: RunReport {
+                nodes: NodeReports::default(),
+                at: Instant::ZERO,
+                collisions: 0,
+                phy_header_bytes: 0,
+            },
             // Telemetry is never persisted: a cache hit reports zeros (it
             // cost no simulation), keeping cached == fresh under PartialEq.
             perf: RunPerf::default(),
@@ -608,6 +623,7 @@ row! { rec: Record<'a> = Record {
     rec.outcome.per_flow,
     rec.outcome.report.at,
     rec.outcome.report.collisions,
+    rec.outcome.report.phy_header_bytes,
     rec.outcome.report.nodes,
 }
 
@@ -629,37 +645,16 @@ row! { f: FlowOutcome = FlowOutcome::new(
     f.completed_at,
 }
 
-// Every `NodeReport` field in declaration order, the subframe pair as
-// two columns and the ledger as seven.
-row! { n: NodeReport = NodeReport {
-        node: 0,
-        tx_data_frames: 0,
-        tx_control: 0,
-        avg_frame_size: 0.0,
-        avg_subframes: 0.0,
-        subframes_sent: (0, 0),
-        size_overhead: 0.0,
-        ledger: Ledger::default(),
-        retries: 0,
-        retry_drops: 0,
-        queue_overflow: 0,
-        acks_classified: 0,
-        bcast_filtered: 0,
-        bcast_ok: 0,
-        bcast_crc_fail: 0,
-        unicast_ok: 0,
-        unicast_crc_drops: 0,
-        collisions_seen: 0,
-        forwarded: 0,
-    };
+// Every stored `NodeReport` field in declaration order, the subframe
+// pair as two columns and the ledger as seven; `avg_subframes` is derived.
+row! { n: NodeReport = NodeReport::default() => n.with_avg_subframes();
     n.node,
     n.tx_data_frames,
     n.tx_control,
-    n.avg_frame_size,
-    n.avg_subframes,
+    n.tx_psdu_bytes,
     n.subframes_sent.0,
     n.subframes_sent.1,
-    n.size_overhead,
+    n.tx_overhead_bytes,
     n.ledger,
     n.retries,
     n.retry_drops,
@@ -713,7 +708,7 @@ scalar_columns! {
         _ => r.lit("false").map(|()| false),
     };
     Cow<'a, str>: |s, v| write!(s, "{}", Quoted(v)), |r| r.string();
-    FlowTraffic: |s, v| write!(s, "{}", Quoted(&v.to_token())),
+    FlowTraffic: |s, v| write!(s, "{}", Quoted(&v.to_string())),
         |r| FlowTraffic::from_token(&r.string()?).ok();
     Schema: |s, _v| write!(s, "{}", Quoted(CACHE_SCHEMA)),
         |r| (r.string()? == CACHE_SCHEMA).then_some(Schema);
@@ -738,33 +733,26 @@ impl<'a, T: Column<'a>> Column<'a> for Option<T> {
     }
 }
 
-/// A list, `[item,item,…]`.
-impl<'a, T: Column<'a>> Column<'a> for Vec<T> {
+/// The flows, a list (see [`Reader::scratch_list`]).
+impl<'a> Column<'a> for Vec<FlowOutcome> {
     fn encode(&self, s: &mut String) -> fmt::Result {
         encode_list(s, self)
     }
 
     fn decode(r: &mut Reader<'a>) -> Option<Self> {
-        let mut items = Vec::new();
-        r.list(&mut items)?;
-        Some(items)
+        r.scratch_list(|scratch| &mut scratch.flows)
     }
 }
 
-/// The node reports, a list gathered in the reader's scratch vector
-/// (reused across records, so no record regrows one) and moved into
-/// their shared slice with one allocation of exactly their size.
+/// The node reports, a list (see [`Reader::scratch_list`]) moved into
+/// their shared slice.
 impl<'a> Column<'a> for NodeReports {
     fn encode(&self, s: &mut String) -> fmt::Result {
         encode_list(s, self)
     }
 
     fn decode(r: &mut Reader<'a>) -> Option<Self> {
-        let mut nodes = std::mem::take(&mut r.nodes);
-        nodes.clear();
-        let read = r.list(&mut nodes).map(|()| nodes.drain(..).collect());
-        r.nodes = nodes;
-        read
+        r.scratch_list(|scratch| &mut scratch.nodes)
     }
 }
 
@@ -862,15 +850,22 @@ impl fmt::Display for Quoted<'_> {
 // ---------------------------------------------------------------------
 
 /// Decodes one record's JSON; `None` for anything but a record row of
-/// this schema. `nodes` is scratch space for [`NodeReports`]' reader,
-/// reused across records.
-fn decode_record<'a>(json: &'a [u8], nodes: &mut Vec<NodeReport>) -> Option<Record<'a>> {
+/// this schema. `scratch` is reused across records.
+fn decode_record<'a>(json: &'a [u8], scratch: &mut Scratch) -> Option<Record<'a>> {
     // Checked once per line: the file is read as bytes, and damage must
     // not get past here as a `str`.
-    let mut r = Reader { nodes: std::mem::take(nodes), ..Reader::new(std::str::from_utf8(json).ok()?) };
+    let mut r = Reader { scratch: std::mem::take(scratch), ..Reader::new(std::str::from_utf8(json).ok()?) };
     let record = Record::decode(&mut r).filter(|_| r.pos == r.s.len());
-    *nodes = r.nodes;
+    *scratch = r.scratch;
     record
+}
+
+/// The lists a record's rows are gathered in before each is moved into
+/// its own allocation.
+#[derive(Default)]
+struct Scratch {
+    nodes: Vec<NodeReport>,
+    flows: Vec<FlowOutcome>,
 }
 
 /// The largest mantissa Clinger's fast path takes: 2^53, the last
@@ -905,13 +900,12 @@ enum Num {
 struct Reader<'a> {
     s: &'a str,
     pos: usize,
-    /// Scratch for [`NodeReports`]' reader.
-    nodes: Vec<NodeReport>,
+    scratch: Scratch,
 }
 
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Self {
-        Reader { s, pos: 0, nodes: Vec::new() }
+        Reader { s, pos: 0, scratch: Scratch::default() }
     }
 
     #[inline]
@@ -942,6 +936,20 @@ impl<'a> Reader<'a> {
             }
         }
         self.eat(b']')
+    }
+
+    /// A list gathered in the scratch vector `list` picks (reused across
+    /// records, so no record regrows one), then collected with one
+    /// allocation of exactly its length.
+    fn scratch_list<T: Column<'a>, C: FromIterator<T>>(
+        &mut self,
+        list: fn(&mut Scratch) -> &mut Vec<T>,
+    ) -> Option<C> {
+        let mut items = std::mem::take(list(&mut self.scratch));
+        items.clear();
+        let read = self.list(&mut items).map(|()| items.drain(..).collect());
+        *list(&mut self.scratch) = items;
+        read
     }
 
     /// A string, borrowed from the input unless it holds an escape.
@@ -1130,7 +1138,7 @@ mod tests {
         let outcome = spec.run();
         let line = encoded(&spec, 1, &outcome, None);
         let Record { hash, rep, events, outcome: back, .. } =
-            decode_record(line.as_bytes(), &mut Vec::new()).expect("decode own record");
+            decode_record(line.as_bytes(), &mut Scratch::default()).expect("decode own record");
         assert_eq!(hash.0, spec.stable_hash());
         assert_eq!(rep, 1);
         assert_eq!(events, None);
@@ -1157,7 +1165,7 @@ mod tests {
         assert!(outcome.per_flow[0].completed_at.is_some(), "transfer should finish");
         let line = encoded(&spec, 1, &outcome, Some(4321));
         let Record { events, outcome: back, .. } =
-            decode_record(line.as_bytes(), &mut Vec::new()).expect("decode mixed record");
+            decode_record(line.as_bytes(), &mut Scratch::default()).expect("decode mixed record");
         assert_eq!(events, Some(4321), "the scheduling hint rides along");
         assert_eq!(back, outcome, "labeled per-flow outcomes must survive the cache");
         assert_eq!(back.per_flow[0].kind, FlowKind::FileTransfer);
@@ -1278,11 +1286,24 @@ mod tests {
         assert_eq!(unseal(hashed.as_bytes()), Some(&b"[\"a#b\",\"#crc:00000000\"]"[..]));
     }
 
+    /// A list of counters or nulls, read and dropped.
+    struct Ints;
+
+    impl<'a> Column<'a> for Ints {
+        fn encode(&self, _: &mut String) -> fmt::Result {
+            unreachable!("read only")
+        }
+
+        fn decode(r: &mut Reader<'a>) -> Option<Self> {
+            r.list(&mut Vec::<Option<u64>>::new()).map(|()| Ints)
+        }
+    }
+
     #[test]
     fn the_reader_rejects_garbage() {
         let whole = |text: &str| {
             let mut r = Reader::new(text);
-            Vec::<Vec<Option<u64>>>::decode(&mut r).is_some() && r.pos == text.len()
+            r.list(&mut Vec::<Ints>::new()).is_some() && r.pos == text.len()
         };
         for bad in [
             "[",
@@ -1308,7 +1329,7 @@ mod tests {
         assert_eq!(Reader::new(" 42").u64(), None, "the writer writes no whitespace");
         assert_eq!(Reader::new("\"a\\\"b\\u0041\"").string().as_deref(), Some("a\"bA"));
         assert_eq!(Reader::new("\"\\ud800\"").string(), None, "a lone surrogate is no char");
-        assert!(decode_record(b"[\"\xff\"]", &mut Vec::new()).is_none(), "records are checked UTF-8");
+        assert!(decode_record(b"[\"\xff\"]", &mut Scratch::default()).is_none(), "records are checked UTF-8");
     }
 
     #[test]

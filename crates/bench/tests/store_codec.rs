@@ -3,17 +3,19 @@
 //! damaged, hostile, foreign — is skipped or quarantined and never
 //! panics, aborts, or fails the open.
 //!
-//! `data/runs_v5.jsonl` is the golden file of the current schema. Lines
+//! `data/runs_v6.jsonl` is the golden file of the current schema. Lines
 //! 1, 2 and 4 are verbatim from `append_batch`, given the outcomes that
-//! `data/runs_v4.jsonl`'s lines 1, 2 and 4 decode to under v4 with each
-//! ledger in whole nanoseconds (so every value pinned below is the one
-//! pinned before the bump); line 3 holds the edge values, its ledgers the
-//! extremes that do not overflow; line 5 is v4's line 1, byte for byte;
-//! lines 6–9 are line 1 edited by hand and re-sealed. The format is
-//! frozen until `CACHE_SCHEMA` is bumped, so the file is never
-//! regenerated. `data/runs_v4.jsonl` — the previous schema's golden file,
-//! its ledgers lists of named seconds — stays as the foreign-schema
-//! fixture: a v4 store opens as a cold one.
+//! `data/runs_v5.jsonl`'s lines 1, 2 and 4 decode to under v5 with each
+//! node's average frame size and size overhead rebuilt as the byte
+//! counts they were computed from (every value pinned below is the one
+//! pinned before the bump, except line 2's node 0 `avg_subframes`, now
+//! 128 / 108 rather than its running mean one ulp away); line 3 holds the
+//! edge values, its ledgers the extremes that do not overflow; line 5 is
+//! v5's line 1, byte for byte; lines 6–9 are line 1 edited by hand and
+//! re-sealed. The format is frozen until `CACHE_SCHEMA` is bumped, so the
+//! file is never regenerated. `data/runs_v5.jsonl` — the previous
+//! schema's golden file, its node rows holding floats — stays as the
+//! foreign-schema fixture: a v5 store opens as a cold one.
 
 use std::path::PathBuf;
 
@@ -28,8 +30,8 @@ use hydra_sim::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const FIXTURE: &[u8] = include_bytes!("data/runs_v5.jsonl");
-const V4_FIXTURE: &[u8] = include_bytes!("data/runs_v4.jsonl");
+const FIXTURE: &[u8] = include_bytes!("data/runs_v6.jsonl");
+const V5_FIXTURE: &[u8] = include_bytes!("data/runs_v5.jsonl");
 
 /// A scratch store directory, removed again on drop.
 struct TmpDir(PathBuf);
@@ -137,10 +139,10 @@ fn arbitrary_outcome(rng: &mut TestRng) -> RunOutcome {
             node: rng.below(5000) as usize,
             tx_data_frames: rng.next_u64(),
             tx_control: rng.below(100),
-            avg_frame_size: arbitrary_f64(rng),
-            avg_subframes: arbitrary_f64(rng),
+            tx_psdu_bytes: rng.next_u64(),
+            avg_subframes: 0.0,
             subframes_sent: (rng.next_u64(), rng.below(10)),
-            size_overhead: arbitrary_f64(rng),
+            tx_overhead_bytes: rng.below(1 << 40),
             ledger: arbitrary_ledger(rng),
             retries: rng.next_u64(),
             retry_drops: rng.below(3),
@@ -154,12 +156,19 @@ fn arbitrary_outcome(rng: &mut TestRng) -> RunOutcome {
             collisions_seen: rng.below(3),
             forwarded: rng.next_u64(),
         })
+        .map(NodeReport::with_avg_subframes)
         .collect();
+    let report = RunReport {
+        nodes,
+        at: Instant::from_nanos(rng.next_u64()),
+        collisions: rng.next_u64(),
+        phy_header_bytes: [8, rng.next_u64()][rng.below(2) as usize],
+    };
     RunOutcome {
         completed: rng.below(2) == 0,
         throughput_bps: arbitrary_f64(rng),
         per_flow,
-        report: RunReport { nodes, at: Instant::from_nanos(rng.next_u64()), collisions: rng.next_u64() },
+        report,
         // Only the event count reaches the store (as the `events` hint).
         perf: RunPerf { events_processed: rng.below(3) * rng.below(1 << 40), ..RunPerf::default() },
     }
@@ -314,13 +323,18 @@ fn the_golden_store_decodes_to_the_pinned_values() {
             None
         )]
     );
-    assert_eq!((udp.report.at, udp.report.collisions), (Instant::from_nanos(1_200_000_000), 0));
+    assert_eq!(
+        (udp.report.at, udp.report.collisions, udp.report.phy_header_bytes),
+        (Instant::from_nanos(1_200_000_000), 0, 8)
+    );
     let [sender, sink] = &udp.report.nodes[..] else { panic!("two nodes") };
     assert_eq!(
-        (sender.node, sender.tx_data_frames, sender.tx_control, sender.avg_frame_size),
+        (sender.node, sender.tx_data_frames, sender.tx_control, sender.avg_frame_size()),
         (0, 60, 60, 1140.0)
     );
-    assert_eq!(sender.size_overhead.to_bits(), 0.033101045296167246f64.to_bits());
+    assert_eq!((sender.tx_psdu_bytes, sender.tx_overhead_bytes, sender.avg_subframes), (68_400, 1_800, 1.0));
+    // The ratios v5 stored are the ones the counts give.
+    assert_eq!(udp.report.size_overhead(0).to_bits(), 0.033101045296167246f64.to_bits());
     assert_eq!(sender.ledger[Cat::Difs], Duration::from_nanos(12_000_000));
     assert_eq!(sender.ledger[Cat::Phy], Duration::from_nanos(16_107_720));
     assert_eq!(sender.ledger.total(), Duration::from_nanos(569_727_080));
@@ -328,6 +342,7 @@ fn the_golden_store_decodes_to_the_pinned_values() {
     assert_eq!(sender.ledger.time_overhead().to_bits(), 0.280627138172895f64.to_bits());
     assert_eq!((sink.node, sink.tx_control, sink.unicast_ok), (1, 120, 60));
     assert_eq!((sink.ledger, sink.ledger.time_overhead()), (Ledger::default(), 0.0));
+    assert_eq!((sink.avg_frame_size(), sink.avg_subframes, udp.report.size_overhead(1)), (0.0, 0.0, 0.0));
 
     // Line 2, TCP + CBR in one world.
     let mixed = index.get(MIXED_HASH, 1).unwrap();
@@ -337,23 +352,38 @@ fn the_golden_store_decodes_to_the_pinned_values() {
         (mixed.per_flow[1].bytes, mixed.per_flow[1].bps, mixed.per_flow[1].completed_at),
         (16000, 64000.0, None)
     );
-    assert_eq!((mixed.report.nodes[0].tx_data_frames, mixed.report.nodes[1].tx_data_frames), (108, 6));
+    let [client, server] = &mixed.report.nodes[..] else { panic!("two nodes") };
+    assert_eq!((client.tx_data_frames, server.tx_data_frames), (108, 6));
+    assert_eq!(
+        (
+            client.avg_frame_size().to_bits(),
+            client.avg_subframes,
+            server.avg_frame_size(),
+            server.avg_subframes
+        ),
+        (469.18518518518516f64.to_bits(), 128.0 / 108.0, 480.0, 3.0)
+    );
+    assert_eq!(
+        (mixed.report.size_overhead(0).to_bits(), mixed.report.size_overhead(1).to_bits()),
+        (0.09546724619683328f64.to_bits(), 0.5266393442622951f64.to_bits())
+    );
     let overhead = |n: usize| mixed.report.nodes[n].ledger.time_overhead().to_bits();
     assert_eq!(
         (overhead(0), overhead(1)),
         (0.49833814014888345f64.to_bits(), 0.7437933791197716f64.to_bits())
     );
 
-    // Line 3: non-finite floats, extreme integers, and the ledger
+    // Line 3: a non-finite float, extreme integers, and the ledger
     // extremes that do not overflow: a total of exactly `u64::MAX`
-    // nanoseconds, spread over every slot or held in one.
+    // nanoseconds, spread over every slot or held in one. The ratios of
+    // counts that sum past `u64::MAX` are still finite.
     let edge = index.get(0x00c0_ffee, 7).unwrap();
     assert!(!edge.completed && edge.throughput_bps.is_nan() && edge.per_flow.is_empty());
-    assert_eq!(edge.report.at, Instant::from_nanos(u64::MAX));
+    assert_eq!((edge.report.at, edge.report.phy_header_bytes), (Instant::from_nanos(u64::MAX), u64::MAX));
     let [n, m] = &edge.report.nodes[..] else { panic!("two nodes") };
-    assert!(n.avg_frame_size.is_nan());
-    assert_eq!((n.avg_subframes, n.size_overhead), (f64::INFINITY, f64::NEG_INFINITY));
-    assert_eq!(n.subframes_sent, (3, u64::MAX));
+    assert_eq!((n.tx_psdu_bytes, n.tx_overhead_bytes, n.subframes_sent), (u64::MAX, u64::MAX, (3, u64::MAX)));
+    assert_eq!((n.avg_frame_size(), n.avg_subframes), (u64::MAX as f64, u64::MAX as f64));
+    assert_eq!(edge.report.size_overhead(0), 1.0);
     assert_eq!(n.ledger[Cat::Payload], Duration::from_nanos(u64::MAX - 6));
     assert!(Cat::ALL[1..].iter().all(|&c| n.ledger[c] == Duration::from_nanos(1)));
     assert_eq!((n.ledger.total(), m.ledger.total()), (Duration::MAX, Duration::MAX));
@@ -411,7 +441,7 @@ fn a_ledger_category_is_its_index_in_cat_all() {
     // column is its index there and that order is part of the format: reordering or adding a `Cat` needs a schema bump.
     let order = [Cat::Payload, Cat::MacHeader, Cat::Phy, Cat::Control, Cat::Difs, Cat::Sifs, Cat::Backoff];
     assert_eq!(Cat::ALL, order);
-    let ledger = ",0.033101045296167246,409846200,11076960,16107720,66046200,12000000,27000000,27650000,0,";
+    let ledger = ",1800,409846200,11076960,16107720,66046200,12000000,27000000,27650000,0,";
     assert!(fixture_json(1).contains(ledger), "line 1's sender ledger, as written");
     let index = open_bytes(&tmp_dir("cat-order"), FIXTURE).index();
     let sender = &index.get(UDP_HASH, 1).unwrap().report.nodes[0];
@@ -420,13 +450,13 @@ fn a_ledger_category_is_its_index_in_cat_all() {
 }
 
 #[test]
-fn a_v4_store_opens_cold_and_untouched() {
-    let dir = tmp_dir("v4");
-    let cache = open_bytes(&dir, V4_FIXTURE);
-    // Every line is sealed, so nothing is quarantined; none is v5.
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 8, quarantined: 0 });
+fn a_v5_store_opens_cold_and_untouched() {
+    let dir = tmp_dir("v5");
+    let cache = open_bytes(&dir, V5_FIXTURE);
+    // Every line is sealed, so nothing is quarantined; none is v6.
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 9, quarantined: 0 });
     assert!(cache.is_empty());
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V4_FIXTURE, "the old records are kept");
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V5_FIXTURE, "the old records are kept");
 }
 
 /// Table 4's relay ledger, run live, survives the store exactly: every
@@ -460,6 +490,116 @@ fn a_live_table4_relay_ledger_survives_the_store_exactly() {
     }
 }
 
+/// Welford's running mean, the one the MAC kept per data frame before a
+/// report held the counts its averages are now divided from.
+#[derive(Clone, Copy, Default)]
+struct RunningMean {
+    n: u64,
+    mean: f64,
+}
+
+impl RunningMean {
+    fn push(&mut self, x: f64) {
+        self.n += 1;
+        self.mean += (x - self.mean) / self.n as f64;
+    }
+}
+
+/// How many representable doubles apart two non-negative values are.
+fn ulps(a: f64, b: f64) -> u64 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+/// Every cell of the tables that print the ratios a node report derives
+/// from counts (Table 3's relay, Tables 5–7's 2-hop and star relays,
+/// Table 8's every node), run live at its spec seed: the size overhead
+/// is bit for bit the MAC's, the averages are within a few ulps of the
+/// running means the MAC used to keep, and the store keeps all of it.
+/// A debug build also checks, on every data frame, that its subframes
+/// are its unicast and broadcast ones, the invariant `avg_subframes`
+/// rests on.
+#[test]
+fn the_ratio_tables_derive_from_counts_what_the_macs_measured() {
+    let mut specs: Vec<ScenarioSpec> = [
+        include_str!("../../../examples/sweeps/table3_relay.scn"),
+        include_str!("../../../examples/sweeps/table5_6_7_star.scn"),
+        include_str!("../../../examples/sweeps/table8_frame_sizes.scn"),
+    ]
+    .into_iter()
+    .flat_map(|text| parse_scn_file(text).unwrap().specs)
+    .collect();
+    specs.sort_by_key(ScenarioSpec::stable_hash);
+    specs.dedup();
+    assert_eq!(specs.len(), 8, "the three tables' distinct cells");
+    // No node starts two data frames within a step: a frame's preamble
+    // alone outlasts it.
+    const STEP: Duration = Duration::from_micros(100);
+    let mut records = Vec::new();
+    for spec in &specs {
+        // The run `run()` makes (file transfers only, so one loop to
+        // completion), stepped, to see each data frame as it starts.
+        let mut world = spec.build();
+        world.start();
+        let horizon = Instant::ZERO + spec.warmup + spec.duration;
+        let mut seen =
+            vec![(0u64, 0u64, 0u64, RunningMean::default(), RunningMean::default()); world.nodes.len()];
+        let mut until = Instant::ZERO;
+        while until < horizon {
+            until = (until + STEP).min(horizon);
+            let done = world.run_until_transfers_complete(until);
+            for (node, (frames, psdu, subframes, size_mean, subframe_mean)) in
+                world.nodes.iter().zip(&mut seen)
+            {
+                let c = &node.mac.counters;
+                let now =
+                    (c.tx_data_frames, c.tx_psdu_bytes, c.tx_unicast_subframes + c.tx_broadcast_subframes);
+                match now.0 - *frames {
+                    0 => {}
+                    1 => {
+                        size_mean.push((now.1 - *psdu) as f64);
+                        subframe_mean.push((now.2 - *subframes) as f64);
+                    }
+                    n => panic!("{n} data frames started within one step"),
+                }
+                (*frames, *psdu, *subframes) = now;
+            }
+            if done {
+                break;
+            }
+        }
+        let live = spec.run();
+        assert_eq!(live.report, RunReport::collect(&world, live.report.at), "{spec:?}: the stepped run");
+        for ((n, node), (.., size_mean, subframe_mean)) in
+            live.report.nodes.iter().zip(&world.nodes).zip(&seen)
+        {
+            let mac = &node.mac.counters;
+            let size_overhead = live.report.size_overhead(n.node);
+            assert_eq!(size_overhead.to_bits(), mac.size_overhead().to_bits(), "{spec:?} node {}", n.node);
+            assert_eq!(n.avg_frame_size().to_bits(), mac.avg_frame_size().to_bits());
+            assert_eq!(size_mean.n, n.tx_data_frames);
+            // At most 4 apart in these cells; the running mean's own
+            // rounding is what moves.
+            assert!(ulps(n.avg_frame_size(), size_mean.mean) <= 8, "{spec:?} node {}", n.node);
+            assert!(ulps(n.avg_subframes, subframe_mean.mean) <= 8, "{spec:?} node {}", n.node);
+        }
+        records.push((spec.stable_hash(), 1, spec, live));
+    }
+    let dir = tmp_dir("ratios");
+    let batch: Vec<_> = records.iter().map(|(hash, rep, spec, live)| (*hash, *rep, *spec, live)).collect();
+    ConcurrentCache::open(&dir.0).unwrap().append_batch(&batch).unwrap();
+    let index = ConcurrentCache::open(&dir.0).unwrap().index();
+    for (hash, rep, spec, live) in &records {
+        let stored = index.get(*hash, *rep).expect("the live record loads");
+        assert_eq!(**stored, *live, "{spec:?}");
+        for node in 0..live.report.nodes.len() {
+            assert_eq!(
+                stored.report.size_overhead(node).to_bits(),
+                live.report.size_overhead(node).to_bits()
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Typed fields
 // ---------------------------------------------------------------------
@@ -486,11 +626,18 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         (REP, rep("1.0")),
         (REP, rep("-1")),
         (REP, rep("1e0")),
-        ("1200000000,0,[[", "1200000000,0.0,[[".to_string()),
+        ("1200000000,0,8,[[", "1200000000,0.0,8,[[".to_string()),
+        (",0,8,[[", ",0,8.0,[[".to_string()),
+        (",0,8,[[", ",0,-8,[[".to_string()),
         (",52250,", ",-52250,".to_string()),
-        // The sender's row: `tx_data_frames`, then the unicast subframes.
+        // The sender's row: `tx_data_frames`, the PSDU bytes, the unicast
+        // subframes, the overhead bytes.
         ("[[0,60,", "[[0,60.0,".to_string()),
-        ("1.0,60,0,", "1.0,60.0,0,".to_string()),
+        (",68400,", ",68400.0,".to_string()),
+        (",68400,", ",6.84e4,".to_string()),
+        ("68400,60,0,", "68400,60.0,0,".to_string()),
+        (",1800,", ",1800.5,".to_string()),
+        (",1800,", ",-1800,".to_string()),
         (",9000,", ",65536,".to_string()),
         ("]],1200000000,", "]],18446744073709551616,".to_string()),
         // A ledger slot is a counter of nanoseconds, not seconds.
@@ -509,15 +656,12 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
     assert_eq!(long.per_flow[0].bps.to_bits(), 99999999999999999999.5f64.to_bits());
     // f64 columns: an integer is a float…
     assert_eq!(load_edited("true,418000.0,", "true,418000,"), Some(original.clone()));
-    assert_eq!(load_edited("60,1140.0,", "60,1140,"), Some(original.clone()));
     // …and the three quoted tokens are the non-finite values,
     for (token, expect) in
         [("\"NaN\"", f64::NAN), ("\"inf\"", f64::INFINITY), ("\"-inf\"", f64::NEG_INFINITY)]
     {
         let got = load_edited(",418000.0,null", &format!(",{token},null")).expect("token loads");
         assert_eq!(format!("{:?}", got.per_flow[0].bps), format!("{expect:?}"));
-        let got = load_edited(",0,0.033101045296167246,", &format!(",0,{token},")).expect("token loads");
-        assert_eq!(format!("{:?}", got.report.nodes[0].size_overhead), format!("{expect:?}"));
     }
     // in exactly those spellings, and only where a float belongs.
     for (from, to) in [
@@ -530,6 +674,8 @@ fn counters_are_exact_integers_and_floats_take_integers_and_tokens() {
         (",true,", ",\"NaN\",".to_string()),
         (",true,", ",1,".to_string()),
         (",409846200,", ",\"inf\",".to_string()),
+        (",1800,", ",\"NaN\",".to_string()),
+        (",0,8,[[", ",0,\"inf\",[[".to_string()),
     ] {
         assert_eq!(load_edited(from, &to), None, "`{to}` must not load");
     }
@@ -686,9 +832,9 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
 #[test]
 fn a_hostile_row_costs_its_own_record_and_never_panics() {
     let json = fixture_json(1);
-    let sender = "[0,60,60,1140.0,1.0,60,0,0.033101045296167246,409846200,";
+    let sender = "[0,60,60,68400,60,0,1800,409846200,";
     // The sink's row around a ledger of seven columns' text.
-    let sink_with = |ledger: &str| format!("[1,0,120,0.0,0.0,0,0,0.0,{ledger},0,0,0,0,0,0,0,60,0,0,0]");
+    let sink_with = |ledger: &str| format!("[1,0,120,0,0,0,0,{ledger},0,0,0,0,0,0,0,60,0,0,0]");
     let sink_row = sink_with("0,0,0,0,0,0,0");
     let sink = sink_row.as_str();
     assert!(json.contains(sender) && json.contains(sink));
@@ -706,19 +852,18 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
         // A column too many or too few.
         (sink, sink_with("0,0,0,0,0,0,0,0")),
         (sink, sink_with("0,0,0,0,0,0")),
-        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0,0,0,0,0,0,0]".to_string()),
+        (sink, "[1,0,120,0,0,0,0,0,0,0,0,0,0,0,0]".to_string()),
         (sink, "[]".to_string()),
         // A ledger whose total overflows `u64` nanoseconds, at any split.
         (sink, sink_with("18446744073709551615,1,0,0,0,0,0")),
         (sink, sink_with("0,0,0,0,0,18446744073709551615,18446744073709551615")),
         (sink, sink_with("9223372036854775808,0,0,9223372036854775808,0,0,0")),
-        // The v4 ledger: a ratio, then a list of named seconds.
-        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0.0,[],0,0,0,0,0,0,0,60,0,0,0]".to_string()),
+        // The v5 row, its averages and size overhead floats, and the v4
+        // ledger: a ratio, then a list of named seconds.
+        (sink, "[1,0,120,0.0,0.0,0,0,0.0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,60,0,0,0]".to_string()),
+        (sender, "[0,60,60,1140.0,1.0,60,0,0.033101045296167246,409846200,".to_string()),
+        (sink, "[1,0,120,0,0,0,0,0.0,[],0,0,0,0,0,0,0,60,0,0,0]".to_string()),
         (sender, sender.replacen(",409846200,", ",0.280627138172895,[0,0.4098462],", 1)),
-        // A float where a counter goes: the node, a counter, a subframe count.
-        (sender, sender.replacen("[0,", "[0.0,", 1)),
-        (sink, sink.replacen(",120,", ",120.0,", 1)),
-        (sender, sender.replacen("1.0,60,0,", "1.0,60,0.0,", 1)),
         // Nesting where a row, a column or a ledger slot goes.
         (sink, deep(16)),
         (sink, deep(2_000_000)),
@@ -728,18 +873,34 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
         (sink, "{\"node\":1}".to_string()),
         (sink, "1".to_string()),
     ] {
-        let edited = json.replacen(from, &to, 1);
-        assert_ne!(edited, json, "`{to:.40}` edits the record");
-        let mut bytes = sealed(edited.as_bytes());
-        bytes.extend(sealed(fixture_json(2).as_bytes()));
-        let dir = tmp_dir("hostile-row");
-        let cache = open_bytes(&dir, &bytes);
-        assert_eq!(cache.stats(), CacheStats { skipped: 1, ..CacheStats::default() }, "`{to:.40}`");
-        let index = cache.index();
-        assert!(index.get(UDP_HASH, 1).is_none(), "`{to:.40}` must not load");
-        assert!(index.get(MIXED_HASH, 1).is_some(), "`{to:.40}` costs only its own record");
-        assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "the record stays in the file");
+        assert_costs_only_its_record(&json.replacen(from, &to, 1), &json);
     }
+    // A float, a sign, a fraction or an exponent in any column of a node
+    // row: every column is a count.
+    let columns: Vec<&str> = sink[1..sink.len() - 1].split(',').collect();
+    for at in 0..columns.len() {
+        for bad in ["0.0", "-0", "1.5", "1e0", "\"inf\""] {
+            let mut edited = columns.clone();
+            edited[at] = bad;
+            assert_costs_only_its_record(&json.replacen(sink, &format!("[{}]", edited.join(",")), 1), &json);
+        }
+    }
+}
+
+/// `edited`, a hostile edit of fixture line 1's `json`, sealed in a
+/// store beside line 2: it is skipped and kept, and line 2 loads.
+fn assert_costs_only_its_record(edited: &str, json: &str) {
+    let to = &edited[edited.bytes().zip(json.bytes()).take_while(|(a, b)| a == b).count()..];
+    assert_ne!(edited, json, "`{to:.40}` edits the record");
+    let mut bytes = sealed(edited.as_bytes());
+    bytes.extend(sealed(fixture_json(2).as_bytes()));
+    let dir = tmp_dir("hostile-row");
+    let cache = open_bytes(&dir, &bytes);
+    assert_eq!(cache.stats(), CacheStats { skipped: 1, ..CacheStats::default() }, "`{to:.40}`");
+    let index = cache.index();
+    assert!(index.get(UDP_HASH, 1).is_none(), "`{to:.40}` must not load");
+    assert!(index.get(MIXED_HASH, 1).is_some(), "`{to:.40}` costs only its own record");
+    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "the record stays in the file");
 }
 
 // ---------------------------------------------------------------------
@@ -747,22 +908,20 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
 // ---------------------------------------------------------------------
 
 /// A 2500-node `ext_scale`-shaped outcome written as wide as a record
-/// gets: every counter near `u64::MAX`, every float 17 significant
-/// digits, every ledger slot 19 digits. Its line is longer than the
+/// gets: every counter near `u64::MAX`, every ledger slot 19 digits. Its line is longer than the
 /// 1 MiB window the open streams through, so the window must grow to
 /// fit it.
 fn widest_scale_outcome() -> RunOutcome {
     let wide = |x: u64| u64::MAX - x * 7_919;
-    let ratio = |x: u64| 1.0 / (3.0 + x as f64);
     let nodes = (0..2500u64)
         .map(|x| NodeReport {
             node: x as usize,
             tx_data_frames: wide(x),
             tx_control: wide(x + 1),
-            avg_frame_size: 11_400.0 * ratio(x),
-            avg_subframes: 1.0 + ratio(x),
+            tx_psdu_bytes: wide(x + 4),
+            avg_subframes: 0.0,
             subframes_sent: (wide(x + 2), wide(x + 3)),
-            size_overhead: ratio(x + 4),
+            tx_overhead_bytes: wide(x + 5),
             ledger: Ledger(std::array::from_fn(|j| {
                 Duration::from_nanos(u64::MAX / 7 - x * 7_919 - j as u64)
             })),
@@ -778,12 +937,18 @@ fn widest_scale_outcome() -> RunOutcome {
             collisions_seen: wide(x + 15),
             forwarded: wide(x + 16),
         })
+        .map(NodeReport::with_avg_subframes)
         .collect();
     RunOutcome {
         completed: true,
         throughput_bps: 12_288.0 / 3.0,
         per_flow: Vec::new(),
-        report: RunReport { nodes, at: Instant::from_nanos(3_000_000_000), collisions: 4_271 },
+        report: RunReport {
+            nodes,
+            at: Instant::from_nanos(3_000_000_000),
+            collisions: 4_271,
+            phy_header_bytes: 8,
+        },
         perf: RunPerf::default(),
     }
 }
@@ -840,14 +1005,14 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
 
     // Compaction: the intact lines, trimmed, one `\n` each; the damaged
     // ones, out of band. Length and CRC-32 of both files, pinned for the
-    // v5 bytes.
+    // v6 bytes.
     let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
     let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
     let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
     assert_eq!(live, [&kept[..], b"\n"].concat());
     assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
     let pin = |bytes: &[u8]| (bytes.len(), hydra_wire::crc::crc32(bytes));
-    assert_eq!((pin(&live), pin(&corrupt)), ((1_300_469, 0x6a13_5077), (822, 0x22a4_b5c9)));
+    assert_eq!((pin(&live), pin(&corrupt)), ((1_260_203, 0xe127_7cbb), (793, 0x5c5f_2347)));
     let healed = ConcurrentCache::open(&dir.0).unwrap();
     assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
 

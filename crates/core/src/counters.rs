@@ -2,7 +2,7 @@
 
 use std::ops::Index;
 
-use hydra_sim::{Duration, Running};
+use hydra_sim::Duration;
 
 /// An airtime category: Table 4's decomposition of a node's time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,12 +86,8 @@ pub struct MacCounters {
     /// Subframes sent in the broadcast portion.
     pub tx_broadcast_subframes: u64,
 
-    /// PSDU size of each transmitted data frame (bytes) — Tables 3/5/8.
-    pub frame_sizes: Running,
-    /// Subframes per transmitted data frame.
-    pub subframes_per_frame: Running,
-
-    /// Total PSDU bytes transmitted in data frames.
+    /// Total PSDU bytes transmitted in data frames (Tables 3/5/8 divide
+    /// it by `tx_data_frames`).
     pub tx_psdu_bytes: u64,
     /// Of which MAC headers + FCS + padding (size overhead numerator,
     /// together with PHY header bytes — Tables 3/6).
@@ -136,9 +132,13 @@ impl MacCounters {
         (self.tx_overhead_bytes + self.tx_phy_header_bytes) as f64 / total as f64
     }
 
-    /// Average transmitted data-frame size in bytes.
+    /// Average transmitted data-frame (PSDU) size in bytes (0 before
+    /// the first data frame).
     pub fn avg_frame_size(&self) -> f64 {
-        self.frame_sizes.mean()
+        match self.tx_data_frames {
+            0 => 0.0,
+            n => self.tx_psdu_bytes as f64 / n as f64,
+        }
     }
 }
 
@@ -176,8 +176,9 @@ mod tests {
     #[test]
     fn frame_size_stats() {
         let mut c = MacCounters::new();
-        c.frame_sizes.push(1000.0);
-        c.frame_sizes.push(2000.0);
+        assert_eq!(c.avg_frame_size(), 0.0);
+        c.tx_data_frames = 2;
+        c.tx_psdu_bytes = 3000;
         assert_eq!(c.avg_frame_size(), 1500.0);
     }
 }

@@ -496,9 +496,10 @@ impl Mac {
         let OnAirFrame::Aggregate { phy_hdr, psdu, slots } = &frame.on_air else {
             unreachable!("data tx is always an aggregate")
         };
+        // Every slot is a unicast or a broadcast subframe, so the two
+        // counts below give a report's subframes per frame exactly.
+        debug_assert_eq!(slots.len(), frame.ucast_burst.len() + frame.bcast_count);
         self.counters.tx_data_frames += 1;
-        self.counters.frame_sizes.push(psdu.len() as f64);
-        self.counters.subframes_per_frame.push(slots.len() as f64);
         self.counters.tx_unicast_subframes += frame.ucast_burst.len() as u64;
         self.counters.tx_broadcast_subframes += frame.bcast_count as u64;
         self.counters.tx_psdu_bytes += psdu.len() as u64;

@@ -67,8 +67,10 @@ impl FlowOutcome {
     }
 }
 
-/// Snapshot of one node's MAC/NET statistics.
-#[derive(Debug, Clone, PartialEq)]
+/// Snapshot of one node's MAC/NET statistics: counts, from which the
+/// tables' ratios are derived ([`NodeReport::avg_frame_size`],
+/// [`NodeReport::size_overhead`], [`hydra_core::Ledger::time_overhead`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeReport {
     /// Node index.
     pub node: usize,
@@ -76,14 +78,15 @@ pub struct NodeReport {
     pub tx_data_frames: u64,
     /// RTS / CTS / ACK transmissions.
     pub tx_control: u64,
-    /// Average transmitted data-frame (PSDU) size in bytes.
-    pub avg_frame_size: f64,
-    /// Average subframes per data frame.
+    /// PSDU bytes sent in data frames.
+    pub tx_psdu_bytes: u64,
+    /// Average subframes per data frame: `subframes_sent` over
+    /// `tx_data_frames`, filled in by [`NodeReport::with_avg_subframes`].
     pub avg_subframes: f64,
     /// Unicast / broadcast subframes sent.
     pub subframes_sent: (u64, u64),
-    /// Size overhead fraction (MAC+PHY header bytes / total on air).
-    pub size_overhead: f64,
+    /// Of `tx_psdu_bytes`, the MAC subframe headers, FCS and padding.
+    pub tx_overhead_bytes: u64,
     /// Airtime by category, exact nanoseconds (Table 4 accounting).
     pub ledger: Ledger,
     /// Burst retransmissions.
@@ -108,6 +111,51 @@ pub struct NodeReport {
     pub collisions_seen: u64,
     /// Packets forwarded by the network layer.
     pub forwarded: u64,
+}
+
+// Held once per node of every stored run: a field added here costs a
+// warm rerun memory in proportion to the whole store.
+const _: () = assert!(core::mem::size_of::<NodeReport>() == 208);
+
+impl NodeReport {
+    /// Fills [`NodeReport::avg_subframes`] from the counts: every node
+    /// report, live or decoded, is finished by this.
+    pub fn with_avg_subframes(self) -> NodeReport {
+        let (unicast, broadcast) = self.subframes_sent;
+        NodeReport {
+            avg_subframes: ratio(u128::from(unicast) + u128::from(broadcast), self.tx_data_frames),
+            ..self
+        }
+    }
+
+    /// Average transmitted data-frame (PSDU) size in bytes, as
+    /// [`hydra_core::MacCounters::avg_frame_size`] computes it.
+    pub fn avg_frame_size(&self) -> f64 {
+        ratio(self.tx_psdu_bytes.into(), self.tx_data_frames)
+    }
+
+    /// Size overhead fraction (MAC + PHY header bytes over all data-frame
+    /// bytes on air, Tables 3/6) when every data frame carried
+    /// `phy_header_bytes` of PHY header: the bits of
+    /// [`hydra_core::MacCounters::size_overhead`].
+    pub fn size_overhead(&self, phy_header_bytes: u64) -> f64 {
+        // In u128, so no stored count can overflow it.
+        let phy = u128::from(self.tx_data_frames) * u128::from(phy_header_bytes);
+        let total = u128::from(self.tx_psdu_bytes) + phy;
+        if total == 0 {
+            return 0.0;
+        }
+        (u128::from(self.tx_overhead_bytes) + phy) as f64 / total as f64
+    }
+}
+
+/// `sum / n` (0 when `n` is 0); a `sum` that fits a u64 converts to the
+/// same `f64` as that u64.
+fn ratio(sum: u128, n: u64) -> f64 {
+    match n {
+        0 => 0.0,
+        n => sum as f64 / n as f64,
+    }
 }
 
 /// A run's per-node reports: an immutable slice shared by every clone.
@@ -165,6 +213,9 @@ pub struct RunReport {
     pub at: Instant,
     /// Total collided receptions.
     pub collisions: u64,
+    /// PHY header bytes each data frame carried (one radio profile per
+    /// run), the [`NodeReport::size_overhead`] argument.
+    pub phy_header_bytes: u64,
 }
 
 impl RunReport {
@@ -179,10 +230,10 @@ impl RunReport {
                     node: n.id,
                     tx_data_frames: c.tx_data_frames,
                     tx_control: c.tx_rts + c.tx_cts + c.tx_acks,
-                    avg_frame_size: c.avg_frame_size(),
-                    avg_subframes: c.subframes_per_frame.mean(),
+                    tx_psdu_bytes: c.tx_psdu_bytes,
+                    avg_subframes: 0.0,
                     subframes_sent: (c.tx_unicast_subframes, c.tx_broadcast_subframes),
-                    size_overhead: c.size_overhead(),
+                    tx_overhead_bytes: c.tx_overhead_bytes,
                     ledger: c.time,
                     retries: c.retries,
                     retry_drops: c.retry_drops,
@@ -196,9 +247,15 @@ impl RunReport {
                     collisions_seen: n.collisions_seen,
                     forwarded: n.net.counters.forwarded,
                 }
+                .with_avg_subframes()
             })
             .collect();
-        RunReport { nodes, at, collisions: world.collisions }
+        RunReport {
+            nodes,
+            at,
+            collisions: world.collisions,
+            phy_header_bytes: world.profile.phy_header_bytes as u64,
+        }
     }
 
     /// Total data-frame transmissions across all nodes (Table 3's "Total
@@ -210,6 +267,11 @@ impl RunReport {
     /// The relay node's report for a linear chain (node 1).
     pub fn relay(&self) -> &NodeReport {
         &self.nodes[1]
+    }
+
+    /// Size overhead fraction at a node (Tables 3/6).
+    pub fn size_overhead(&self, node: usize) -> f64 {
+        self.nodes[node].size_overhead(self.phy_header_bytes)
     }
 
     /// Time overhead at a node as a percentage.
@@ -248,15 +310,15 @@ mod tests {
             1 => rng.below(100),
             _ => rng.next_u64(),
         };
-        let counters: [u64; 23] = std::array::from_fn(|_| counter());
+        let counters: [u64; 25] = std::array::from_fn(|_| counter());
         NodeReport {
             node: counters[0] as usize,
             tx_data_frames: counters[1],
             tx_control: counters[2],
-            avg_frame_size: arbitrary_f64(rng),
+            tx_psdu_bytes: counters[23],
             avg_subframes: arbitrary_f64(rng),
             subframes_sent: (counters[3], counters[4]),
-            size_overhead: arbitrary_f64(rng),
+            tx_overhead_bytes: counters[24],
             ledger: Ledger(std::array::from_fn(|i| Duration::from_nanos(counters[16 + i]))),
             retries: counters[5],
             retry_drops: counters[6],

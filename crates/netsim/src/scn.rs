@@ -18,6 +18,8 @@
 //! result cache. The full grammar, every key, and the defaults are
 //! documented in `docs/SCENARIO_FORMAT.md`.
 
+use std::fmt::{self, Write as _};
+
 use hydra_core::{AckPolicy, AggSizing};
 use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
@@ -339,11 +341,15 @@ const UNITS: [(&str, u64); 4] = [("s", 1_000_000_000), ("ms", 1_000_000), ("us",
 
 /// Canonical duration text: the largest unit that divides the value
 /// exactly (zero renders as `0s`).
-fn dur_to_text(d: Duration) -> String {
-    let ns = d.as_nanos();
-    let (unit, per) =
-        UNITS.iter().find(|(_, per)| ns.is_multiple_of(*per)).expect("1 ns divides every value");
-    format!("{}{unit}", ns / per)
+struct DurText(Duration);
+
+impl fmt::Display for DurText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ns = self.0.as_nanos();
+        let (unit, per) =
+            UNITS.iter().find(|(_, per)| ns.is_multiple_of(*per)).expect("1 ns divides every value");
+        write!(f, "{}{unit}", ns / per)
+    }
 }
 
 fn dur_from_text(s: &str) -> Result<Duration, String> {
@@ -362,7 +368,7 @@ fn num<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
 const BYTES: Codec<usize> = (|v| Some(v.to_string()), num);
 const COUNT: Codec<u32> = (|v| Some(v.to_string()), num);
 const SEED: Codec<u64> = (|v| Some(v.to_string()), num);
-const DUR: Codec<Duration> = (|d| Some(dur_to_text(*d)), |s, _| dur_from_text(s));
+const DUR: Codec<Duration> = (|d| Some(DurText(*d).to_string()), |s, _| dur_from_text(s));
 const FLUSH: Codec<Option<Duration>> = (|d| d.as_ref().and_then(DUR.0), |s, key| (DUR.1)(s, key).map(Some));
 
 /// A name table: each value with its canonical name first, then any
@@ -534,21 +540,23 @@ fn payload_from(s: &str, key: &str) -> Result<usize, String> {
     Ok(payload)
 }
 
-impl FlowTraffic {
-    /// The canonical flow-traffic token: `tcp:BYTES`,
-    /// `cbr:INTERVAL:PAYLOAD`, or `onoff:BURST:IDLE:INTERVAL:PAYLOAD`
-    /// (as used after the port in a `flow=` field, as a window-traffic
-    /// `traffic=` value, and in the result cache's flow labels).
-    pub fn to_token(&self) -> String {
+/// The canonical flow-traffic token: `tcp:BYTES`,
+/// `cbr:INTERVAL:PAYLOAD`, or `onoff:BURST:IDLE:INTERVAL:PAYLOAD` (as
+/// used after the port in a `flow=` field, as a window-traffic
+/// `traffic=` value, and in the result cache's flow labels).
+impl fmt::Display for FlowTraffic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            FlowTraffic::FileTransfer { bytes } => format!("tcp:{bytes}"),
-            FlowTraffic::Cbr { interval, payload } => format!("cbr:{}:{payload}", dur_to_text(interval)),
+            FlowTraffic::FileTransfer { bytes } => write!(f, "tcp:{bytes}"),
+            FlowTraffic::Cbr { interval, payload } => write!(f, "cbr:{}:{payload}", DurText(interval)),
             FlowTraffic::OnOff { burst, idle, interval, payload } => {
-                format!("onoff:{burst}:{}:{}:{payload}", dur_to_text(idle), dur_to_text(interval))
+                write!(f, "onoff:{burst}:{}:{}:{payload}", DurText(idle), DurText(interval))
             }
         }
     }
+}
 
+impl FlowTraffic {
     /// Parses a flow-traffic token (`file:` is accepted as an alias of
     /// `tcp:`, matching the `traffic=` spelling).
     pub fn from_token(s: &str) -> Result<FlowTraffic, String> {
@@ -560,7 +568,7 @@ const TRAFFIC: Codec<FlowTraffic> = (
     // `file:` is the canonical `traffic=` spelling of `tcp:`.
     |t| match t {
         FlowTraffic::FileTransfer { bytes } => Some(format!("file:{bytes}")),
-        window => Some(window.to_token()),
+        window => Some(window.to_string()),
     },
     |s, _| traffic_from_text(s, true),
 );
@@ -628,7 +636,7 @@ const FAULT: Codec<Option<(f64, f64)>> = (
 );
 
 const FLOOD: Codec<Option<Flooding>> = (
-    |flood| flood.map(|f| format!("{}:{}", dur_to_text(f.interval), f.payload)),
+    |flood| flood.map(|f| format!("{}:{}", DurText(f.interval), f.payload)),
     |s, _| {
         let (interval, payload) =
             s.split_once(':').ok_or_else(|| format!("expected flood=INTERVAL:PAYLOAD, got `{s}`"))?;
@@ -719,7 +727,7 @@ const BUDGET: Codec<Option<RunBudget>> = (
         let b = budget.as_ref()?;
         clause_text([
             b.max_events.map(|events| format!("events:{events}")),
-            b.max_wall.map(|wall| format!("wall:{}", dur_to_text(wall))),
+            b.max_wall.map(|wall| format!("wall:{}", DurText(wall))),
         ])
     },
     |s, key| {
@@ -755,18 +763,32 @@ fn flow_from(s: &str, shared: Option<FlowTraffic>) -> Result<FlowSpec, String> {
     })
 }
 
-/// The text of `flows=` (without `own`) when every flow carries the
-/// line's `traffic`, of one `flow=` per flow (with `own`) otherwise: a
-/// `flow=` line whose flows all carry it is the same value.
-fn flows_text(spec: &ScenarioSpec, own: bool) -> Option<String> {
+/// Writes `flows=` (without `own`) when every flow carries the line's
+/// `traffic`, one `flow=` per flow (with `own`) otherwise: a `flow=`
+/// line whose flows all carry it is the same value.
+fn flows_text(spec: &ScenarioSpec, own: bool, line: &mut String) {
     if spec.flows.is_empty() || spec.flows.iter().all(|f| f.traffic == spec.traffic) == own {
-        return None;
+        return;
     }
-    let text = |f: &FlowSpec| match own {
-        true => format!("{}>{}:{}:{}", f.src, f.dst, f.port, f.traffic.to_token()),
-        false => format!("{}>{}:{}", f.src, f.dst, f.port),
-    };
-    Some(spec.flows.iter().map(text).collect::<Vec<_>>().join(if own { " " } else { "," }))
+    for (i, f) in spec.flows.iter().enumerate() {
+        let written = match (own, i) {
+            (true, _) => write!(field(line, "flow"), "{}>{}:{}:{}", f.src, f.dst, f.port, f.traffic),
+            (false, 0) => write!(field(line, "flows"), "{}>{}:{}", f.src, f.dst, f.port),
+            (false, _) => write!(line, ",{}>{}:{}", f.src, f.dst, f.port),
+        };
+        written.expect("writing to a String cannot fail");
+    }
+}
+
+/// Starts the field `key=` on a `.scn` line being written, one space
+/// after the previous field, and returns the line to write its value on.
+fn field<'a>(line: &'a mut String, key: &str) -> &'a mut String {
+    if !line.is_empty() {
+        line.push(' ');
+    }
+    line.push_str(key);
+    line.push('=');
+    line
 }
 
 // ---------------------------------------------------------------------
@@ -788,10 +810,10 @@ enum Kind {
 struct Key {
     key: &'static str,
     kind: Kind,
-    /// The field's canonical text, `None` when it equals the second
-    /// spec's (the traffic-matched base) or is inert. A repeatable key's
-    /// values are space-separated, one per field.
-    text: fn(&ScenarioSpec, &ScenarioSpec) -> Option<String>,
+    /// Writes the field's canonical `key=value` fields onto a line (see
+    /// [`field`]), none when it equals the second spec's (the
+    /// traffic-matched base) or is inert.
+    text: fn(&ScenarioSpec, &ScenarioSpec, &mut String),
     /// Parses a value into the field.
     set: fn(&mut ScenarioSpec, &str) -> Result<(), String>,
 }
@@ -802,9 +824,13 @@ macro_rules! key {
         Key {
             key: $key,
             kind: Kind::$kind,
-            text: |spec, base| match Kind::$kind {
-                Kind::Optional if spec.$($field).+ == base.$($field).+ => None,
-                _ => ($codec.0)(&spec.$($field).+),
+            text: |spec, base, line| match Kind::$kind {
+                Kind::Optional if spec.$($field).+ == base.$($field).+ => {}
+                _ => {
+                    if let Some(text) = ($codec.0)(&spec.$($field).+) {
+                        field(line, $key).push_str(&text);
+                    }
+                }
             },
             set: |spec, value| ($codec.1)(value, $key).map(|v| spec.$($field).+ = v),
         }
@@ -825,7 +851,7 @@ static KEYS: [Key; 32] = [
     Key {
         key: "flows",
         kind: Kind::Optional,
-        text: |spec, _| flows_text(spec, false),
+        text: |spec, _, line| flows_text(spec, false, line),
         set: |spec, value| {
             let flows = value.split(',').map(|flow| flow_from(flow, Some(spec.traffic)));
             flows.collect::<Result<_, _>>().map(|flows| spec.flows = flows)
@@ -834,7 +860,7 @@ static KEYS: [Key; 32] = [
     Key {
         key: "flow",
         kind: Kind::Repeatable,
-        text: |spec, _| flows_text(spec, true),
+        text: |spec, _, line| flows_text(spec, true, line),
         set: |spec, value| flow_from(value, None).map(|flow| spec.flows.push(flow)),
     },
     key!(Optional "max_agg" => max_aggregate: BYTES),
@@ -895,13 +921,11 @@ impl ScenarioSpec {
     pub fn to_scn(&self) -> String {
         // The baseline the line's overrides are measured against.
         let base = traffic_base(self.topology, self.policy, self.rate, self.traffic);
-        let mut fields = Vec::new();
+        let mut line = String::new();
         for row in &KEYS {
-            if let Some(text) = (row.text)(self, &base) {
-                fields.extend(text.split(' ').map(|value| format!("{}={value}", row.key)));
-            }
+            (row.text)(self, &base, &mut line);
         }
-        fields.join(" ")
+        line
     }
 
     /// Parses one `.scn` line (strict: unknown keys, duplicate keys, or
@@ -1127,13 +1151,13 @@ mod tests {
 
     #[test]
     fn durations_use_the_largest_exact_unit() {
-        assert_eq!(dur_to_text(Duration::ZERO), "0s");
-        assert_eq!(dur_to_text(Duration::from_secs(20)), "20s");
-        assert_eq!(dur_to_text(Duration::from_micros(17_400)), "17400us");
-        assert_eq!(dur_to_text(Duration::from_millis(4)), "4ms");
-        assert_eq!(dur_to_text(Duration::from_nanos(1_000_000_001)), "1000000001ns");
+        assert_eq!(DurText(Duration::ZERO).to_string(), "0s");
+        assert_eq!(DurText(Duration::from_secs(20)).to_string(), "20s");
+        assert_eq!(DurText(Duration::from_micros(17_400)).to_string(), "17400us");
+        assert_eq!(DurText(Duration::from_millis(4)).to_string(), "4ms");
+        assert_eq!(DurText(Duration::from_nanos(1_000_000_001)).to_string(), "1000000001ns");
         for text in ["0s", "20s", "17400us", "4ms", "999ns"] {
-            assert_eq!(dur_to_text(dur_from_text(text).unwrap()), text);
+            assert_eq!(DurText(dur_from_text(text).unwrap()).to_string(), text);
         }
         assert!(dur_from_text("12").is_err(), "unit suffix required");
         assert!(dur_from_text("12m").is_err());

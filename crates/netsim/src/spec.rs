@@ -436,9 +436,12 @@ impl ScenarioSpec {
         impl std::fmt::Debug for FlowDebug<'_> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 let fl = self.0;
-                if fl.traffic == self.1 {
+                if fl.traffic == self.1 && !f.alternate() {
                     // Legacy rendering: byte-identical to the derived
-                    // Debug of the pre-per-flow `Flow` struct.
+                    // Debug of the pre-per-flow `Flow` struct (below),
+                    // in one write — a mesh spec hashes hundreds.
+                    write!(f, "Flow {{ src: {}, dst: {}, port: {} }}", fl.src, fl.dst, fl.port)
+                } else if fl.traffic == self.1 {
                     f.debug_struct("Flow")
                         .field("src", &fl.src)
                         .field("dst", &fl.dst)

@@ -217,7 +217,7 @@ fn runs_are_deterministic() {
     let b = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(7).run();
     assert_eq!(a.throughput_bps, b.throughput_bps);
     assert_eq!(a.report.total_data_txs(), b.report.total_data_txs());
-    assert_eq!(a.report.relay().avg_frame_size, b.report.relay().avg_frame_size);
+    assert_eq!(a.report.relay().avg_frame_size(), b.report.relay().avg_frame_size());
     // A different seed changes backoff draws; results differ slightly.
     let c = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R1_30).with_seed(8).run();
     assert!(c.completed);
@@ -228,7 +228,7 @@ fn relay_aggregates_under_ba() {
     let r = ScenarioSpec::tcp(TopologyKind::Linear(2), Policy::Ba, Rate::R2_60).run();
     let relay = r.report.relay();
     assert!(relay.avg_subframes > 1.5, "relay should aggregate: avg {} subframes", relay.avg_subframes);
-    assert!(relay.avg_frame_size > 1500.0, "avg frame {}", relay.avg_frame_size);
+    assert!(relay.avg_frame_size() > 1500.0, "avg frame {}", relay.avg_frame_size());
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! * [`rng::Rng`] — a self-contained xoshiro256++ generator, so results are
 //!   bit-stable across platforms and dependency upgrades;
 //! * [`timer::TimerSet`] — generation-counted lazy-cancellation timers;
-//! * [`stats`] — Welford accumulators;
 //! * [`CountingAlloc`] — an opt-in counting global allocator, the
 //!   measurement side of the allocation-light hot-path work;
 //! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:
@@ -34,13 +33,11 @@ mod alloc_count;
 pub mod event;
 pub mod pool;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod timer;
 
 pub use alloc_count::{alloc_stats, AllocStats, CountingAlloc};
 pub use event::{EventId, EventQueue, QueueStats};
 pub use rng::{stream_seed, Rng};
-pub use stats::Running;
 pub use time::{Duration, Instant};
 pub use timer::{TimerSet, TimerToken};

@@ -28,7 +28,11 @@ fn main() {
         println!("  broadcast subframes decode-and-dropped:        {}", n.bcast_filtered);
         println!(
             "  data frames sent: {} (avg {:.0} B, {:.2} subframes, {} bcast / {} ucast subframes)",
-            n.tx_data_frames, n.avg_frame_size, n.avg_subframes, n.subframes_sent.1, n.subframes_sent.0
+            n.tx_data_frames,
+            n.avg_frame_size(),
+            n.avg_subframes,
+            n.subframes_sent.1,
+            n.subframes_sent.0
         );
         println!();
     }

@@ -27,7 +27,7 @@ fn main() {
             policy.name(),
             mbps,
             relay.tx_data_frames,
-            relay.avg_frame_size,
+            relay.avg_frame_size(),
             relay.avg_subframes,
         );
     }

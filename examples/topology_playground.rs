@@ -7,7 +7,7 @@
 
 use hydra_agg::app::{FileReceiver, FileSender};
 use hydra_agg::mac::{AggPolicy, MacConfig};
-use hydra_agg::netsim::{Topology, World};
+use hydra_agg::netsim::{RunReport, Topology, World};
 use hydra_agg::phy::{ChannelStack, PhyProfile, Rate};
 use hydra_agg::sim::{Duration, Instant};
 use hydra_agg::tcp::TcpConfig;
@@ -54,15 +54,14 @@ fn main() {
     println!("0.2 MB transferred intact: {}", rx.is_complete());
     println!("end-to-end throughput: {thr:.3} Mbps\n");
     println!("per-node view:");
-    for n in &world.nodes {
-        let c = &n.mac.counters;
+    for n in &RunReport::collect(&world, Instant::ZERO).nodes {
         println!(
             "  node {}: {} frames, avg {:.0} B, {:.2} subframes/frame, {} ACKs classified",
-            n.id,
-            c.tx_data_frames,
-            c.avg_frame_size(),
-            c.subframes_per_frame.mean(),
-            n.mac.classifier_stats().acks_classified
+            n.node,
+            n.tx_data_frames,
+            n.avg_frame_size(),
+            n.avg_subframes,
+            n.acks_classified
         );
     }
     println!("\nNote how aggregation deepens toward the middle of the chain — the");

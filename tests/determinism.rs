@@ -22,7 +22,7 @@ fn tcp_runs_replay_exactly() {
             assert_eq!(a.report.collisions, b.report.collisions);
             for (na, nb) in a.report.nodes.iter().zip(&b.report.nodes) {
                 assert_eq!(na.tx_data_frames, nb.tx_data_frames);
-                assert_eq!(na.avg_frame_size, nb.avg_frame_size);
+                assert_eq!(na.avg_frame_size(), nb.avg_frame_size());
                 assert_eq!(na.retries, nb.retries);
             }
         }
