@@ -116,16 +116,6 @@ impl FileReceiver {
     pub fn is_complete(&self) -> bool {
         self.received >= self.expected && !self.corrupted
     }
-
-    /// End-to-end throughput in bits/s, measured from `start`.
-    pub fn throughput_bps(&self, start: Instant) -> Option<f64> {
-        let end = self.completed_at?;
-        let secs = end.saturating_duration_since(start).as_secs_f64();
-        if secs <= 0.0 {
-            return None;
-        }
-        Some(self.expected as f64 * 8.0 / secs)
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +173,6 @@ mod tests {
         run(&mut ca, &mut cb, &mut tx, &mut rx);
         assert!(rx.is_complete(), "received {} / {}", rx.received, rx.expected);
         assert!(!rx.corrupted);
-        assert!(rx.throughput_bps(Instant::ZERO).unwrap() > 0.0);
     }
 
     #[test]
@@ -230,11 +219,5 @@ mod tests {
         run(&mut ca, &mut cb, &mut tx, &mut rx);
         assert!(rx.corrupted);
         assert!(!rx.is_complete());
-    }
-
-    #[test]
-    fn throughput_requires_completion() {
-        let rx = FileReceiver::new(100);
-        assert!(rx.throughput_bps(Instant::ZERO).is_none());
     }
 }

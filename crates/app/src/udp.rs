@@ -232,14 +232,6 @@ impl UdpSink {
     pub fn port_bytes(&self, dst_port: u16) -> u64 {
         self.ports.get(&dst_port).map_or(0, |p| p.bytes)
     }
-
-    /// Application-level throughput in bits/s over `window`, all ports.
-    pub fn throughput_bps(&self, window: Duration) -> f64 {
-        if window.is_zero() {
-            return 0.0;
-        }
-        self.bytes as f64 * 8.0 / window.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -352,13 +344,5 @@ mod tests {
         let (pkts, next) = src.poll(Instant::from_millis(10));
         assert_eq!(pkts.len(), 3); // t = 0, 5, 10
         assert_eq!(next, Some(Instant::from_millis(15)));
-    }
-
-    #[test]
-    fn throughput_math() {
-        let mut sink = UdpSink::new();
-        sink.bytes = 1_000_000;
-        let bps = sink.throughput_bps(Duration::from_secs(8));
-        assert!((bps - 1_000_000.0).abs() < 1.0);
     }
 }

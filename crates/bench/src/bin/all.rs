@@ -28,7 +28,7 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use hydra_bench::{experiments, ConcurrentCache, ExperimentRunner};
+use hydra_bench::{experiments, ConcurrentCache, ExperimentRunner, MODEL_FINGERPRINT};
 use hydra_netsim::{check_seeds, check_threads, parse_scn_file, SweepFile};
 
 const HELP: &str = "\
@@ -152,7 +152,8 @@ fn main() {
         f.write_all(text.as_bytes()).unwrap_or_else(|e| die(&format!("write results/experiments.txt: {e}")));
         eprintln!("wrote results/experiments.txt");
     }
-    eprintln!("result cache: {}", runner.cache().stats());
+    // The model's short form: which build's records served the tables.
+    eprintln!("result cache: {}; model {:08x}", runner.cache().stats(), MODEL_FINGERPRINT >> 32);
     for line in &failures {
         eprintln!("{line}");
     }

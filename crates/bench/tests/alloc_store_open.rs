@@ -55,7 +55,7 @@ fn ext_scale_shaped(spec: &ScenarioSpec) -> RunOutcome {
         .zip(0u64..)
         .map(|(flow, i)| {
             let done = flow.traffic.is_file().then(|| Instant::from_nanos(1_734_118_093 + i * 7_919));
-            FlowOutcome::new(flow, 6_144 + i, 28_346.0 / (1.0 + i as f64), done)
+            FlowOutcome::new(flow, 6_144 + i, done, spec.duration)
         })
         .collect();
     let nodes = (0..spec.topology.node_count())
@@ -85,17 +85,11 @@ fn ext_scale_shaped(spec: &ScenarioSpec) -> RunOutcome {
         })
         .map(NodeReport::with_avg_subframes)
         .collect();
+    let report =
+        RunReport { nodes, at: Instant::from_nanos(3_000_000_000), collisions: 4_271, phy_header_bytes: 8 };
     RunOutcome {
-        completed: true,
-        throughput_bps: 12_288.0 / 3.0,
-        per_flow,
-        report: RunReport {
-            nodes,
-            at: Instant::from_nanos(3_000_000_000),
-            collisions: 4_271,
-            phy_header_bytes: 8,
-        },
         perf: RunPerf { events_processed: 2_817_305, ..RunPerf::default() },
+        ..RunOutcome::new(true, per_flow, report)
     }
 }
 
@@ -153,11 +147,12 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     // Bound: the window, plus the heap the decoded records own, plus a
     // quarter that again for the growth on the way there (the decoder's
     // node and flow scratch, grown once per open to the longest record's
-    // lists, and the index). 7 097 093 bytes for a 3 225 327-byte file
+    // lists, and the index). 7 097 093 bytes for a 3 119 055-byte file
     // against 8 014 336 (the scratch path's length moves each by a few
     // bytes). An open that also allocates a file-sized buffer fails,
-    // whether beside the window (10 322 420) or instead of it (a
-    // whole-file read, then the same per-line decode: 9 273 838).
+    // whether beside the window (10 216 148) or instead of it (a
+    // whole-file read, then the same per-line decode: 9 273 838 on the
+    // v6 file, 106 272 bytes longer).
     let bound = WINDOW + heap + heap / 4;
     eprintln!(
         "warm open: {bytes} bytes allocated for a {file}-byte store of {RECORDS} records, bound {bound}"

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hydra_bench::{CacheStats, ConcurrentCache, ExperimentRunner, Table};
+use hydra_bench::{CacheStats, ConcurrentCache, ExperimentRunner, Table, MODEL_FINGERPRINT};
 use hydra_netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -71,6 +71,37 @@ fn warm_rerun_simulates_nothing_and_matches_byte_for_byte() {
     // changes cost, never results).
     let uncached = render(&ExperimentRunner::new(2), &specs, seeds);
     assert_eq!(uncached, cold);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record another build of the model wrote — the same spec and
+/// replication, under another fingerprint — is a miss: the run
+/// simulates again, and the foreign record stays in the file.
+#[test]
+fn a_record_from_another_model_is_a_miss_and_stays_in_the_file() {
+    let dir = tmp_dir("model");
+    let specs = &sweep()[..1];
+    let runner = ExperimentRunner::new(1).with_cache(Arc::new(ConcurrentCache::open(&dir).unwrap()));
+    let fresh = render(&runner, specs, 1);
+    // The one record, as another model would have written it: its
+    // fingerprint replaced, the line re-sealed.
+    let path = dir.join("runs.jsonl");
+    let line = std::fs::read_to_string(&path).unwrap();
+    let (ours, theirs) =
+        (format!("\"{MODEL_FINGERPRINT:#018x}\""), format!("\"{:#018x}\"", !MODEL_FINGERPRINT));
+    let json = line.trim_end().rsplit_once('#').unwrap().0.replacen(&ours, &theirs, 1);
+    assert!(json.contains(&theirs), "the record names its model");
+    let foreign = format!("{json}#crc:{:08x}\n", hydra_wire::crc::crc32(json.as_bytes()));
+    std::fs::write(&path, &foreign).unwrap();
+
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    assert_eq!(cache.stats(), CacheStats { skipped: 1, ..CacheStats::default() });
+    let runner = ExperimentRunner::new(1).with_cache(cache.clone());
+    assert_eq!(render(&runner, specs, 1), fresh);
+    assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1), "the run simulates again");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with(&foreign), "the foreign record stays in the file");
+    assert_eq!(text.lines().count(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

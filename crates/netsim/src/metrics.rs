@@ -8,7 +8,7 @@ use std::sync::Arc;
 use hydra_core::Ledger;
 use hydra_sim::{Duration, Instant};
 
-use crate::spec::FlowSpec;
+use crate::spec::{FlowSpec, FlowTraffic};
 use crate::world::World;
 
 /// What kind of traffic a flow carried (the label on a
@@ -50,7 +50,8 @@ pub struct FlowOutcome {
     /// transfer, window bytes for CBR/on-off.
     pub bytes: u64,
     /// Throughput (file transfer, from t=0 to completion) or goodput
-    /// (CBR/on-off, over the measurement window), bit/s.
+    /// (CBR/on-off, over the measurement window), bit/s, as
+    /// [`FlowOutcome::new`] derives it.
     pub bps: f64,
     /// When the transfer finished (file transfers only; `None` for
     /// window-measured flows or transfers that missed the deadline).
@@ -58,11 +59,21 @@ pub struct FlowOutcome {
 }
 
 impl FlowOutcome {
-    /// Builds an outcome for `flow`, deriving `kind` from its traffic —
-    /// the one construction path, so the `kind == flow.traffic.kind()`
-    /// invariant (which `PartialEq`, and therefore the result cache,
-    /// relies on) cannot drift.
-    pub fn new(flow: FlowSpec, bytes: u64, bps: f64, completed_at: Option<Instant>) -> FlowOutcome {
+    /// Builds an outcome for `flow`, deriving `kind` from its traffic and
+    /// `bps` from the counts — the one construction path, live and
+    /// decoded, so neither can drift from what the run measured. A file
+    /// transfer's rate is its file's bits over `completed_at` (0 when it
+    /// did not complete, or completed at t = 0); a window flow's is
+    /// `bytes`' bits over `window` (0 for a zero window).
+    pub fn new(flow: FlowSpec, bytes: u64, completed_at: Option<Instant>, window: Duration) -> FlowOutcome {
+        let bps = match (flow.traffic, completed_at) {
+            (FlowTraffic::FileTransfer { bytes: file }, Some(at)) if at > Instant::ZERO => {
+                file as f64 * 8.0 / at.as_secs_f64()
+            }
+            (FlowTraffic::FileTransfer { .. }, _) => 0.0,
+            _ if window.is_zero() => 0.0,
+            _ => bytes as f64 * 8.0 / window.as_secs_f64(),
+        };
         FlowOutcome { flow, kind: flow.traffic.kind(), bytes, bps, completed_at }
     }
 }
@@ -332,6 +343,31 @@ mod tests {
             collisions_seen: counters[14],
             forwarded: counters[15],
         }
+    }
+
+    /// A flow's rate is derived from its counts: a file transfer's file
+    /// bits over its completion time, 0 until it completes (or if it
+    /// completed at t = 0); a window flow's bytes' bits over the window,
+    /// 0 for no window.
+    #[test]
+    fn a_file_rate_needs_a_completion_and_a_window_rate_a_window() {
+        let flow = |traffic| FlowSpec { src: 0, dst: 1, port: 5001, traffic };
+        let file = flow(FlowTraffic::FileTransfer { bytes: 100 });
+        let cbr = flow(FlowTraffic::Cbr { interval: Duration::from_millis(20), payload: 160 });
+        let rate = |flow, bytes, at: Option<u64>, window| {
+            FlowOutcome::new(flow, bytes, at.map(Instant::from_nanos), Duration::from_nanos(window)).bps
+        };
+        // The file's size counts, not the bytes received; the window does not.
+        assert_eq!(rate(file, 7, Some(500_000_000), 0), 1600.0);
+        assert_eq!(rate(file, 100, None, 1_000_000_000), 0.0);
+        assert_eq!(rate(file, 100, Some(0), 1_000_000_000), 0.0);
+        // A window flow's completion time does not count.
+        assert_eq!(rate(cbr, 1_000_000, None, 8_000_000_000), 1_000_000.0);
+        assert_eq!(rate(cbr, 1_000_000, Some(1), 0), 0.0);
+        // The extremes stay finite.
+        let huge = flow(FlowTraffic::FileTransfer { bytes: usize::MAX });
+        assert!(rate(huge, 0, Some(1), 0).is_finite() && rate(cbr, u64::MAX, None, 1).is_finite());
+        assert_eq!(FlowOutcome::new(cbr, 1, None, Duration::ZERO).kind, FlowKind::Cbr);
     }
 
     proptest! {

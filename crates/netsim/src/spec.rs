@@ -751,7 +751,6 @@ impl ScenarioSpec {
             world.run_until(horizon);
         }
         world.check_budget()?;
-        let secs = self.duration.as_secs_f64();
         // Receivers are installed in flow order, so the k-th file flow
         // targeting a node owns the k-th `file_rx` slot there.
         let mut next_rx = vec![0usize; world.nodes.len()];
@@ -762,29 +761,15 @@ impl ScenarioSpec {
                 if f.traffic.is_file() {
                     let (rx, _) = &world.nodes[f.dst].apps.file_rx[next_rx[f.dst]];
                     next_rx[f.dst] += 1;
-                    let bps = rx.throughput_bps(Instant::ZERO).unwrap_or(0.0);
-                    FlowOutcome::new(*f, rx.received as u64, bps, rx.completed_at)
+                    FlowOutcome::new(*f, rx.received as u64, rx.completed_at, self.duration)
                 } else {
-                    let bytes = udp_bytes_at(&world, f) - s0;
-                    let bps = if secs > 0.0 { bytes as f64 * 8.0 / secs } else { 0.0 };
-                    FlowOutcome::new(*f, bytes, bps, None)
+                    FlowOutcome::new(*f, udp_bytes_at(&world, f) - s0, None, self.duration)
                 }
             })
             .collect();
-        // The worst flow of the headline kind: the paper reports the
-        // worst session of a multi-session run.
-        let worst = per_flow
-            .iter()
-            .filter(|o| o.flow.traffic.is_file() == has_file)
-            .map(|o| o.bps)
-            .fold(f64::INFINITY, f64::min);
         let report = RunReport::collect(&world, world.now());
         let allocs = hydra_sim::alloc_stats().since(allocs0);
         Ok(RunOutcome {
-            completed: world.transfers_complete(),
-            throughput_bps: if worst.is_finite() { worst } else { 0.0 },
-            per_flow,
-            report,
             perf: RunPerf {
                 events_processed: world.events_processed,
                 events_stale: world.events_stale,
@@ -794,6 +779,7 @@ impl ScenarioSpec {
                 allocations: allocs.allocations,
                 allocated_bytes: allocs.allocated_bytes,
             },
+            ..RunOutcome::new(world.transfers_complete(), per_flow, report)
         })
     }
 }
@@ -899,7 +885,7 @@ pub struct RunOutcome {
     pub completed: bool,
     /// The headline metric, bit/s: worst file-transfer throughput when
     /// any file flow exists (the foreground), else worst window-flow
-    /// goodput.
+    /// goodput, as [`RunOutcome::new`] derives it.
     pub throughput_bps: f64,
     /// Labeled per-flow results, in flow order.
     pub per_flow: Vec<FlowOutcome>,
@@ -911,6 +897,22 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// An outcome of `per_flow` and `report`, live or decoded, its
+    /// headline derived from the flows: the worst flow of the headline
+    /// kind (file transfers when there are any, else window flows; the
+    /// paper reports the worst session of a multi-session run), or 0
+    /// without flows. Its telemetry is zero.
+    pub fn new(completed: bool, per_flow: Vec<FlowOutcome>, report: RunReport) -> RunOutcome {
+        let has_file = per_flow.iter().any(|o| o.flow.traffic.is_file());
+        let throughput_bps = per_flow
+            .iter()
+            .filter(|o| o.flow.traffic.is_file() == has_file)
+            .map(|o| o.bps)
+            .reduce(f64::min)
+            .unwrap_or(0.0);
+        RunOutcome { completed, throughput_bps, per_flow, report, perf: RunPerf::default() }
+    }
+
     /// The bare per-flow numbers, in flow order (throughput for file
     /// transfers, goodput for window flows).
     pub fn per_flow_bps(&self) -> Vec<f64> {
@@ -942,6 +944,28 @@ mod tests {
         assert_eq!(star.relays(), vec![1]);
         let cross = ScenarioSpec::tcp(TopologyKind::Cross, Policy::Ba, Rate::R1_30);
         assert_eq!(cross.relays(), vec![4]);
+    }
+
+    /// The headline is the worst flow of the headline kind: file
+    /// transfers when there are any, else window flows; 0 without flows.
+    #[test]
+    fn the_headline_is_the_worst_flow_of_the_headline_kind() {
+        let report =
+            RunReport { nodes: Default::default(), at: Instant::ZERO, collisions: 0, phy_header_bytes: 8 };
+        let flow = |port, traffic, bytes, secs: Option<u64>| {
+            let flow = FlowSpec { src: 0, dst: 1, port, traffic };
+            FlowOutcome::new(flow, bytes, secs.map(Instant::from_secs), Duration::from_secs(1))
+        };
+        let headline = |flows| RunOutcome::new(true, flows, report.clone()).throughput_bps;
+        let file = FlowTraffic::FileTransfer { bytes: 1000 };
+        let cbr = FlowTraffic::Cbr { interval: Duration::from_millis(20), payload: 160 };
+        assert_eq!(headline(vec![flow(1, cbr, 500, None), flow(2, cbr, 100, None)]), 800.0);
+        // A transfer is the foreground, even beside a slower window flow.
+        let mixed = vec![flow(1, cbr, 1, None), flow(2, file, 1000, Some(2)), flow(3, file, 1000, Some(4))];
+        assert_eq!(headline(mixed), 2000.0);
+        // One that did not complete is the worst.
+        assert_eq!(headline(vec![flow(2, file, 10, None), flow(3, file, 1000, Some(1))]), 0.0);
+        assert_eq!(headline(Vec::new()), 0.0);
     }
 
     #[test]

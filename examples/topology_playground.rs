@@ -7,7 +7,7 @@
 
 use hydra_agg::app::{FileReceiver, FileSender};
 use hydra_agg::mac::{AggPolicy, MacConfig};
-use hydra_agg::netsim::{RunReport, Topology, World};
+use hydra_agg::netsim::{FlowOutcome, FlowSpec, FlowTraffic, RunReport, Topology, World};
 use hydra_agg::phy::{ChannelStack, PhyProfile, Rate};
 use hydra_agg::sim::{Duration, Instant};
 use hydra_agg::tcp::TcpConfig;
@@ -49,7 +49,10 @@ fn main() {
     assert!(done, "transfer stuck");
 
     let rx = &world.nodes[hops].apps.file_rx[0].0;
-    let thr = rx.throughput_bps(Instant::ZERO).unwrap() / 1e6;
+    // The rate a scenario run reports for this flow: file bits over the
+    // completion time.
+    let flow = FlowSpec { src: 0, dst: hops, port: 5001, traffic: FlowTraffic::FileTransfer { bytes: file } };
+    let thr = FlowOutcome::new(flow, rx.received as u64, rx.completed_at, Duration::ZERO).bps / 1e6;
     println!("4-hop chain, BA endpoints + DBA relays at 2.6 Mbps");
     println!("0.2 MB transferred intact: {}", rx.is_complete());
     println!("end-to-end throughput: {thr:.3} Mbps\n");
