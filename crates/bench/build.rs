@@ -1,13 +1,21 @@
 //! Emits `MODEL_FINGERPRINT`: FNV-1a over every source file of the
-//! simulated model, so the result store can tell which model wrote a
-//! record and serves none that another model wrote.
+//! simulated model and of the result store's codec. The store file is
+//! named by it, so a build reads only records that its own model wrote in
+//! its own layout.
 
 use std::path::Path;
 
-/// The model's sources, relative to the workspace root: every simulator
-/// crate's `src` directory, and the runner, which derives each run's
-/// world seed.
-const MODEL: [&str; 9] = [
+/// The hashed sources, relative to the workspace root: every simulator
+/// crate's `src` directory, the runner, which derives each run's world
+/// seed, and the store's codec (`sweeps.rs`), so an edit to a `row!` list
+/// or a column's spelling moves the fingerprint as a simulator edit does.
+///
+/// Every other type the codec writes lives in a crate listed here:
+/// `NodeReport`, `FlowTraffic` and `FlowOutcome` (netsim), `Ledger` and
+/// `Cat` (core), `Duration` and `Instant` (sim), and `crc32` (wire).
+/// `experiments.rs` and `report.rs` are not hashed: editing a renderer
+/// keeps every stored run.
+const MODEL: [&str; 10] = [
     "crates/sim/src",
     "crates/wire/src",
     "crates/phy/src",
@@ -17,6 +25,7 @@ const MODEL: [&str; 9] = [
     "crates/app/src",
     "crates/netsim/src",
     "crates/bench/src/runner.rs",
+    "crates/bench/src/sweeps.rs",
 ];
 
 fn main() {

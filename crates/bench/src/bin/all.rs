@@ -19,7 +19,8 @@
 //! `#! seeds=`, else 3 replications.
 //!
 //! Runs consult and extend one persistent result store (default
-//! `results/cache/runs.jsonl`): a warm rerun simulates nothing and
+//! `results/cache/runs-<model fingerprint>.jsonl`, one file per build of
+//! the model and codec): a warm rerun simulates nothing and
 //! rebuilds byte-identical tables; editing a line of a `.scn` file re-runs
 //! only that line's cells. With `--no-cache` nothing is read from or
 //! written to disk; each distinct run simulates once, in memory. Cache
@@ -152,7 +153,7 @@ fn main() {
         f.write_all(text.as_bytes()).unwrap_or_else(|e| die(&format!("write results/experiments.txt: {e}")));
         eprintln!("wrote results/experiments.txt");
     }
-    // The model's short form: which build's records served the tables.
+    // The model's short form: which build's store file served the tables.
     eprintln!("result cache: {}; model {:08x}", runner.cache().stats(), MODEL_FINGERPRINT >> 32);
     for line in &failures {
         eprintln!("{line}");

@@ -33,4 +33,4 @@ pub mod sweeps;
 
 pub use report::Table;
 pub use runner::{failure_lines, CellResult, ExperimentRunner, RunnerTelemetry};
-pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, SharedCache, CACHE_SCHEMA, MODEL_FINGERPRINT};
+pub use sweeps::{CacheIndex, CacheStats, ConcurrentCache, SharedCache, MODEL_FINGERPRINT};

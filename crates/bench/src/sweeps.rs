@@ -3,14 +3,14 @@
 //! Every run a sweep dispatches is named by the pair
 //! `(ScenarioSpec::stable_hash, replication)` — the same key the runner
 //! derives the world seed from — and a finished run is pure data. This
-//! module stores that data as JSON lines (one record per run, tagged
-//! with [`CACHE_SCHEMA`]) under `results/cache/`, so a warm rerun of
-//! `--bin all` (tables by name, or any `.scn` file by path) executes
-//! **zero** simulations for cells whose spec and replication are
-//! already on disk and still renders byte-identical tables: a record
-//! holds only counts, from which every ratio — a node's averages and
-//! overheads, a flow's rate, the run's headline throughput — is derived
-//! exactly as on the live run, by the same constructors.
+//! module stores that data as JSON lines (one record per run) under
+//! `results/cache/`, so a warm rerun of `--bin all` (tables by name, or
+//! any `.scn` file by path) executes **zero** simulations for cells
+//! whose spec and replication are already on disk and still renders
+//! byte-identical tables: a record holds only counts, from which every
+//! ratio — a node's averages and overheads, a flow's rate, the run's
+//! headline throughput — is derived exactly as on the live run, by the
+//! same constructors.
 //!
 //! Every runner carries one store. Without a directory it is
 //! [`ConcurrentCache::in_memory`]: the same index, counters and publish
@@ -19,20 +19,23 @@
 //! store, and a repeat — in a later sweep or the same one — is a hit.
 //!
 //! Editing a spec changes its `stable_hash`, which invalidates exactly
-//! that cell's replications and nothing else. Editing the model's code
-//! changes [`MODEL_FINGERPRINT`], which every record carries: a build
-//! serves only the records its own model wrote. Records with a foreign
-//! schema tag or fingerprint are ignored, not errors, so old caches
-//! degrade into cold ones.
+//! that cell's replications and nothing else. Editing the model's code,
+//! or this codec, changes [`MODEL_FINGERPRINT`], and the store file is
+//! named by it: `runs-<16 hex digits>.jsonl`
+//! ([`ConcurrentCache::path`]). A build opens, reads and appends only its
+//! own file, so it serves only the records its own model wrote in its
+//! own layout, and never reads (or pays for) another build's records.
+//! Any other file in the directory, a pre-fingerprint `runs.jsonl`
+//! included, is left alone; an old store degrades into a cold one.
 //!
-//! ## Record layout (`hydra-agg.run.v7`)
+//! ## Record layout
 //!
 //! One line per run, `{json}#crc:xxxxxxxx` (see *Crash safety*), where
 //! `json` is one positional row, with no keys at any level:
 //!
 //! ```text
-//! [schema, "0x…model", "0x…hash", rep, scn, events|null, completed,
-//!  window_ns, [FLOW, …], at_ns, collisions, phy_header_bytes, [ROW, …]]
+//! ["0x…hash", rep, scn, events|null, completed, window_ns, [FLOW, …],
+//!  at_ns, collisions, phy_header_bytes, [ROW, …]]
 //! FLOW = [src, dst, port, "traffic token", bytes, completed_at_ns|null]
 //! ROW  = [node, tx_data_frames, tx_control, tx_psdu_bytes,
 //!         ucast_subframes, bcast_subframes, tx_overhead_bytes,
@@ -42,8 +45,7 @@
 //!         unicast_crc_drops, collisions_seen, forwarded]
 //! ```
 //!
-//! `model` is the [`MODEL_FINGERPRINT`] of the build that wrote the
-//! record; `events` is the spec's event count, a scheduling hint (see
+//! `events` is the spec's event count, a scheduling hint (see
 //! [`CacheIndex::events_hint`]); `scn` is the spec's canonical `.scn`
 //! text, for people reading the file (the key already names the spec);
 //! `window_ns` is the spec's `duration`, the window a CBR or on/off
@@ -71,18 +73,17 @@
 //!
 //! The reader takes exactly what the writer writes: every column of a
 //! row in order, each of its type. A row with a column too many or too
-//! few, a column of another kind, a ledger whose total overflows `u64`
-//! nanoseconds, or a foreign schema tag or fingerprint rejects its
-//! record, which is skipped. Rows nest to a fixed depth, so nothing
-//! recurses on the input. A number is a plain run of digits: up to 19
-//! are folded into a `u64` as they are read, and a longer run goes to
-//! `str::parse`; a sign, a fraction or an exponent is not a separator,
-//! so it rejects the row. A node report owns no heap memory, so
-//! decoding one allocates nothing of its own, and a record's node and
-//! flow lists are gathered in scratch reused across records, so each
-//! costs one allocation of exactly its size.
+//! few, a column of another kind, or a ledger whose total overflows
+//! `u64` nanoseconds rejects its record, which is skipped. Rows nest to
+//! a fixed depth, so nothing recurses on the input. A number is a plain
+//! run of digits: up to 19 are folded into a `u64` as they are read, and
+//! a longer run goes to `str::parse`; a sign, a fraction or an exponent
+//! is not a separator, so it rejects the row. A node report owns no heap
+//! memory, so decoding one allocates nothing of its own, and a record's
+//! node and flow lists are gathered in scratch reused across records, so
+//! each costs one allocation of exactly its size.
 //!
-//! The open streams the file: it reads `runs.jsonl` through one
+//! The open streams the file: it reads the store file through one
 //! bounded window (1 MiB, grown only to fit the longest line) and
 //! decodes each sealed line in place, so a warm rerun never holds the
 //! store's bytes beside the index they decode into. The index holds
@@ -106,8 +107,8 @@
 //! Compaction takes two streaming passes. The first, the open itself,
 //! copies each damaged line out as it meets it (damage is rare, so this
 //! stays small). Only when it found any does a second pass re-read the
-//! same bytes, write every sealed line to `runs.jsonl.tmp` and rename
-//! that over the live file.
+//! same bytes, write every sealed line to the store file's name plus
+//! `.tmp` and rename that over the live file.
 //!
 //! ## Concurrency
 //!
@@ -139,39 +140,10 @@ use hydra_netsim::{
 use hydra_sim::{Duration, Instant};
 use hydra_wire::crc::crc32;
 
-/// Schema tag stamped on every cache record; records with a foreign
-/// tag are skipped on load. It versions the codec only: bump it on any
-/// change to the record layout (a column added, removed or reordered in
-/// a `row!` list, or a `Cat` reordered or added) or to what a stored
-/// value means. A change to the simulation needs no bump:
-/// [`MODEL_FINGERPRINT`] moves with the model's code.
-///
-/// v2: `RunOutcome` reports labeled per-flow results
-/// (`per_flow: [{src,dst,port,traffic,bytes,bps,completed_at_ns?}]`)
-/// instead of the bare `per_flow_bps` float array.
-///
-/// v3: each node report is one positional row (see `row!`) instead of a
-/// 20-key object, its ledger categories indices into `cat::ALL`.
-///
-/// v4: the whole record is one positional row, its flows rows too; no
-/// keyed object is left.
-///
-/// v5: a node row's ledger is seven integer-nanosecond columns in
-/// `Cat::ALL` order, and its `time_overhead` column is gone (the ratio is
-/// derived from the ledger).
-///
-/// v6: a node row holds only integers: PSDU and overhead byte counts
-/// replace the `avg_frame_size` and `size_overhead` floats, the record
-/// gains the run's `phy_header_bytes`, and `avg_subframes` is derived.
-///
-/// v7: no float is stored: the record's `throughput_bps` and each flow's
-/// `bps` are derived from counts and the new `window_ns` column, and the
-/// record names the model that wrote it (`MODEL_FINGERPRINT`).
-pub const CACHE_SCHEMA: &str = "hydra-agg.run.v7";
-
 /// FNV-1a over the simulated model's source files (every `.rs` file of
-/// the simulator crates, and the runner that derives world seeds), as
-/// `build.rs` read them. A record written by another model is skipped.
+/// the simulator crates, the runner that derives world seeds, and this
+/// codec), as `build.rs` read them. It names the store file, so a build
+/// reads only what its own model wrote in its own layout.
 pub const MODEL_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/model_fingerprint.rs"));
 
 /// A cache shared between experiment functions and runner threads.
@@ -184,9 +156,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed and were simulated.
     pub misses: u64,
-    /// Records on disk that were intact (valid CRC) but carried a
-    /// foreign schema tag or an unknown shape; they are kept in the
-    /// file for other tools but ignored this session.
+    /// Records on disk that were intact (valid CRC) but that this codec
+    /// cannot read (a hostile or hand-edited row); they are kept in the
+    /// file but ignored this session.
     pub skipped: u64,
     /// Torn or corrupt lines (missing/wrong CRC trailer, unparseable
     /// bytes) moved to `runs.corrupt.jsonl` at load; their keys
@@ -203,7 +175,7 @@ impl fmt::Display for CacheStats {
             write!(f, ", {} corrupt record(s) quarantined", self.quarantined)?;
         }
         if self.skipped > 0 {
-            write!(f, ", {} unreadable or foreign record(s) skipped", self.skipped)?;
+            write!(f, ", {} unreadable record(s) skipped", self.skipped)?;
         }
         Ok(())
     }
@@ -285,22 +257,24 @@ impl ConcurrentCache {
         Self::open("results/cache")
     }
 
-    /// Opens (creating if needed) the cache file `runs.jsonl` under
-    /// `dir`, decoding every readable record with the current schema
-    /// straight into the published index. The file is streamed through
-    /// one bounded read window (1 MiB, grown only to fit the
-    /// longest line), so an open never holds the whole store in memory.
+    /// Opens (creating if needed) the cache under `dir`: its one store
+    /// file, named by [`MODEL_FINGERPRINT`] (see [`ConcurrentCache::path`]),
+    /// every readable record of which is decoded straight into the
+    /// published index. No other file in `dir` is read or changed. The
+    /// file is streamed through one bounded read window (1 MiB, grown
+    /// only to fit the longest line), so an open never holds the whole
+    /// store in memory.
     ///
     /// Lines that fail their CRC trailer (torn appends, bit flips,
     /// non-UTF-8 damage, pre-CRC caches) are moved byte for byte to
     /// `runs.corrupt.jsonl` in the same directory and the live file is
     /// compacted, so their keys come back cold instead of serving
-    /// damaged outcomes. Intact records with a foreign schema tag or an
-    /// unreadable shape stay in the file but are skipped.
+    /// damaged outcomes. Intact records of an unreadable shape stay in
+    /// the file but are skipped.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ConcurrentCache> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let path = dir.join("runs.jsonl");
+        let path = dir.join(format!("runs-{MODEL_FINGERPRINT:016x}.jsonl"));
         let mut file = match File::open(&path) {
             Ok(file) => Some(file),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
@@ -333,7 +307,7 @@ impl ConcurrentCache {
             // either the old file or the new one, never a half-written
             // mixture. The second pass reads exactly the bytes the first
             // one judged and keeps every sealed line.
-            let tmp = dir.join("runs.jsonl.tmp");
+            let tmp = path.with_extension("jsonl.tmp");
             let mut out = std::io::BufWriter::new(File::create(&tmp)?);
             file.seek(SeekFrom::Start(0))?;
             let mut kept = 0u64;
@@ -375,6 +349,13 @@ impl ConcurrentCache {
             skipped: 0,
             quarantined: 0,
         }
+    }
+
+    /// The store file, `runs-<16 hex digits of MODEL_FINGERPRINT>.jsonl`
+    /// under the directory [`ConcurrentCache::open`] was given; `None`
+    /// for a memory-only store.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// The current snapshot. Take one per sweep and resolve every
@@ -427,8 +408,6 @@ impl ConcurrentCache {
         let records: Vec<Record> = records
             .iter()
             .map(|&(hash, rep, spec, outcome)| Record {
-                schema: Schema,
-                model: Model,
                 hash: Hex(hash),
                 rep,
                 scn: Cow::Owned(self.path.as_ref().map(|_| spec.to_scn()).unwrap_or_default()),
@@ -550,8 +529,6 @@ fn unseal(line: &[u8]) -> Option<&[u8]> {
 /// [`ConcurrentCache::open`] reads back, column by column (its `row!`
 /// list is below). The reader borrows `scn` from the line.
 struct Record<'a> {
-    schema: Schema,
-    model: Model,
     hash: Hex,
     rep: u64,
     scn: Cow<'a, str>,
@@ -611,8 +588,6 @@ macro_rules! row {
 // simulation), keeping cached == fresh under PartialEq. The rates are
 // derived last, through the constructors a live run calls.
 row! { rec: Record<'a> = Record {
-        schema: Schema,
-        model: Model,
         hash: Hex(0),
         rep: 0,
         scn: Cow::Borrowed(""),
@@ -624,8 +599,6 @@ row! { rec: Record<'a> = Record {
             RunReport { nodes: NodeReports::default(), at: Instant::ZERO, collisions: 0, phy_header_bytes: 0 },
         ),
     } => Record { outcome: derive_rates(rec.outcome, rec.window), ..rec };
-    rec.schema,
-    rec.model,
     rec.hash,
     rec.rep,
     rec.scn,
@@ -696,13 +669,6 @@ row! { n: NodeReport = NodeReport::default() => n.with_avg_subframes();
 // Columns
 // ---------------------------------------------------------------------
 
-/// The schema column: it reads only [`CACHE_SCHEMA`].
-struct Schema;
-
-/// The model column, spelled as a [`Hex`]: it reads only this build's
-/// [`MODEL_FINGERPRINT`].
-struct Model;
-
 /// The spec hash, quoted as `"0x"` and 16 hex digits.
 struct Hex(u64);
 
@@ -737,12 +703,8 @@ scalar_columns! {
     Cow<'a, str>: |s, v| write!(s, "{}", Quoted(v)), |r| r.string();
     FlowTraffic: |s, v| write!(s, "{}", Quoted(&v.to_string())),
         |r| FlowTraffic::from_token(&r.string()?).ok();
-    Schema: |s, _v| write!(s, "{}", Quoted(CACHE_SCHEMA)),
-        |r| (r.string()? == CACHE_SCHEMA).then_some(Schema);
     Hex: |s, v| write!(s, "\"{:#018x}\"", v.0),
         |r| u64::from_str_radix(r.string()?.strip_prefix("0x")?, 16).ok().map(Hex);
-    Model: |s, _v| Hex(MODEL_FINGERPRINT).encode(s),
-        |r| (Hex::decode(r)?.0 == MODEL_FINGERPRINT).then_some(Model);
 }
 
 /// A value, or `null` for none.
@@ -849,8 +811,8 @@ impl fmt::Display for Quoted<'_> {
 // Reading
 // ---------------------------------------------------------------------
 
-/// Decodes one record's JSON; `None` for anything but a record row of
-/// this schema. `scratch` is reused across records.
+/// Decodes one record's JSON; `None` for anything but a record row.
+/// `scratch` is reused across records.
 fn decode_record<'a>(json: &'a [u8], scratch: &mut Scratch) -> Option<Record<'a>> {
     // Checked once per line: the file is read as bytes, and damage must
     // not get past here as a `str`.
@@ -1032,9 +994,7 @@ mod tests {
         let (hash, scn, outcome) = (Hex(spec.stable_hash()), spec.to_scn().into(), outcome.clone());
         let mut json = String::new();
         let window = spec.duration;
-        Record { schema: Schema, model: Model, hash, rep, scn, events, window, outcome }
-            .encode(&mut json)
-            .unwrap();
+        Record { hash, rep, scn, events, window, outcome }.encode(&mut json).unwrap();
         json
     }
 
@@ -1118,21 +1078,23 @@ mod tests {
     }
 
     #[test]
-    fn foreign_schema_is_skipped_and_garbage_is_quarantined() {
-        let dir = tmp_dir("schema");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn an_unreadable_record_is_skipped_and_garbage_is_quarantined() {
+        let dir = tmp_dir("unreadable");
+        let path = ConcurrentCache::open(&dir).unwrap().path().unwrap().to_path_buf();
         let spec = tiny_spec();
         let outcome = spec.run();
-        let good = sealed(&encoded(&spec, 1, &outcome, None));
-        // An intact (valid-CRC) record from another schema revision.
-        let foreign = sealed(&encoded(&spec, 1, &outcome, None).replace(CACHE_SCHEMA, "hydra-agg.run.v0"));
-        std::fs::write(dir.join("runs.jsonl"), format!("{foreign}\nnot json at all\n{good}\n")).unwrap();
+        let json = encoded(&spec, 1, &outcome, None);
+        let good = sealed(&json);
+        // An intact (valid-CRC) record with a column too many.
+        let extra = sealed(&format!("{},0]", json.strip_suffix(']').unwrap()));
+        std::fs::write(&path, format!("{extra}\nnot json at all\n{good}\n")).unwrap();
         let c = ConcurrentCache::open(&dir).unwrap();
-        assert_eq!(c.len(), 1, "only the current-schema record loads");
-        assert_eq!(c.stats().skipped, 1, "intact foreign record is skipped, not quarantined");
+        assert_eq!(c.len(), 1, "only the readable record loads");
+        assert_eq!(c.stats().skipped, 1, "the intact unreadable record is skipped, not quarantined");
         assert_eq!(c.stats().quarantined, 1, "trailer-less garbage is quarantined");
-        // The garbage moved out; the intact lines (foreign included) stay.
-        let live = std::fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        // The garbage moved out; the intact lines (the unreadable one
+        // included) stay.
+        let live = std::fs::read_to_string(&path).unwrap();
         assert_eq!(live.lines().count(), 2);
         assert!(!live.contains("not json at all"));
         let corrupt = std::fs::read_to_string(dir.join("runs.corrupt.jsonl")).unwrap();
@@ -1145,14 +1107,14 @@ mod tests {
         let dir = tmp_dir("torn");
         let spec = tiny_spec();
         let outcome = spec.run();
-        {
+        let path = {
             let c = ConcurrentCache::open(&dir).unwrap();
             put(&c, &spec, 1, &outcome).unwrap();
             put(&c, &spec, 2, &outcome).unwrap();
-        }
+            c.path().unwrap().to_path_buf()
+        };
         // Tear the file mid-record, as a crash during the second
         // append would: keep the first line and half of the second.
-        let path = dir.join("runs.jsonl");
         let text = std::fs::read_to_string(&path).unwrap();
         let first_len = text.find('\n').unwrap() + 1;
         let torn = &text[..first_len + (text.len() - first_len) / 2];
@@ -1178,14 +1140,15 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let spec = tiny_spec();
         let outcome = spec.run();
-        put(&ConcurrentCache::open(&dir).unwrap(), &spec, 1, &outcome).unwrap();
-        let path = dir.join("runs.jsonl");
-        let mut text = std::fs::read_to_string(&path).unwrap();
+        let cache = ConcurrentCache::open(&dir).unwrap();
+        put(&cache, &spec, 1, &outcome).unwrap();
+        let path = cache.path().unwrap();
+        let mut text = std::fs::read_to_string(path).unwrap();
         // Flip one digit inside a numeric column (valid JSON, wrong data):
         // the rep, after the quoted hash.
         let at = text.find("\",1,\"").expect("rep column") + 2;
         text.replace_range(at..at + 1, "7");
-        std::fs::write(&path, &text).unwrap();
+        std::fs::write(path, &text).unwrap();
         let c = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(c.stats().quarantined, 1, "CRC catches silent data damage");
         assert!(c.index().get(spec.stable_hash(), 1).is_none());
@@ -1323,7 +1286,7 @@ mod tests {
         );
         // Three records, three lines — and a cold reopen loads them all,
         // hints included.
-        let text = std::fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+        let text = std::fs::read_to_string(cache.path().unwrap()).unwrap();
         assert_eq!(text.lines().count(), 3);
         let reopened = ConcurrentCache::open(&dir).unwrap();
         assert_eq!(reopened.len(), 3);
@@ -1340,7 +1303,7 @@ mod tests {
         let cache = ConcurrentCache::open(&dir).unwrap();
         // The store re-opens its file per batch, so a directory in the
         // file's place makes the next append's `open` fail for real.
-        let store = dir.join("runs.jsonl");
+        let store = cache.path().unwrap().to_path_buf();
         std::fs::create_dir(&store).unwrap();
         let err = put(&cache, &spec, 1, &outcome);
         assert!(err.is_err(), "a directory cannot be opened for append");

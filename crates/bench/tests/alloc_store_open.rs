@@ -137,8 +137,9 @@ fn warm_open_allocations_per_node_are_bounded_and_names_stay_borrowed() {
     const RECORDS: u64 = 24;
     let dir = TmpDir::new("bytes");
     let records: Vec<_> = (1..=RECORDS).map(|rep| (spec.stable_hash(), rep, spec, &outcome)).collect();
-    ConcurrentCache::open(&dir.0).unwrap().append_batch(&records).unwrap();
-    let file = std::fs::metadata(dir.0.join("runs.jsonl")).unwrap().len();
+    let store = ConcurrentCache::open(&dir.0).unwrap();
+    store.append_batch(&records).unwrap();
+    let file = std::fs::metadata(store.path().unwrap()).unwrap().len();
     let before = alloc_stats();
     let cache = ConcurrentCache::open(&dir.0).unwrap();
     let bytes = alloc_stats().since(before).allocated_bytes;

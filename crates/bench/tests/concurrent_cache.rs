@@ -1,14 +1,14 @@
 //! Two runners sharing one cache directory concurrently — the shape two
 //! `--bin all` processes produce when they run side by side:
 //! separate `ConcurrentCache` handles (as separate processes would
-//! have), one `runs.jsonl`, `O_APPEND` interleaving. No record may be
+//! have), one store file, `O_APPEND` interleaving. No record may be
 //! lost or duplicated, cached outcomes must equal fresh ones, and the
 //! quarantine path must keep working on the co-written file.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hydra_bench::{ConcurrentCache, ExperimentRunner, CACHE_SCHEMA};
+use hydra_bench::{ConcurrentCache, ExperimentRunner};
 use hydra_netsim::{Policy, ScenarioSpec, TopologyKind};
 use hydra_phy::Rate;
 use hydra_sim::Duration;
@@ -61,7 +61,8 @@ fn concurrent_runners_lose_nothing_and_duplicate_nothing() {
     assert_eq!(cache_b.stats().misses, 3 * SEEDS, "B simulated exactly its own jobs");
 
     // On disk: exactly one line per job, none lost, none duplicated.
-    let text = std::fs::read_to_string(dir.join("runs.jsonl")).unwrap();
+    assert_eq!(cache_a.path(), cache_b.path(), "both handles append to one file");
+    let text = std::fs::read_to_string(cache_a.path().unwrap()).unwrap();
     assert_eq!(text.lines().count(), 2 * 3 * SEEDS as usize, "every record lands exactly once");
 
     // A cold reopen sees the union and serves both sweeps warm.
@@ -84,16 +85,16 @@ fn concurrent_runners_lose_nothing_and_duplicate_nothing() {
 fn quarantine_still_works_on_a_co_written_file() {
     let dir = tmp_dir("quarantine");
     let specs: Vec<ScenarioSpec> = (21..=22).map(tiny_spec).collect();
-    {
+    let path = {
         let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
-        ExperimentRunner::new(2).with_cache(cache).run_sweep(&specs, 1);
-    }
+        ExperimentRunner::new(2).with_cache(cache.clone()).run_sweep(&specs, 1);
+        cache.path().unwrap().to_path_buf()
+    };
     // A torn tail, as a crashed concurrent writer would leave: a record
-    // of the current schema, cut mid-column.
+    // cut mid-column.
     use std::io::Write as _;
-    let mut file = std::fs::OpenOptions::new().append(true).open(dir.join("runs.jsonl")).unwrap();
-    let torn = format!("[\"{CACHE_SCHEMA}\",\"0x0000000000000000\",9,\"topo=lin");
-    file.write_all(torn.as_bytes()).unwrap();
+    let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    file.write_all(b"[\"0x0000000000000009\",1,\"topo=lin").unwrap();
     drop(file);
 
     let cache = ConcurrentCache::open(&dir).unwrap();

@@ -1,10 +1,10 @@
 //! The result store's codec from the outside: what `append_batch`
 //! writes, `open` reads back bit for bit; whatever else is in the file —
-//! damaged, hostile, foreign — is skipped or quarantined and never
-//! panics, aborts, or fails the open.
+//! damaged, hostile, of an older layout — is skipped or quarantined and
+//! never panics, aborts, or fails the open.
 //!
-//! `data/runs_v7.jsonl` is the golden file of the current schema. Lines
-//! 1–4 are verbatim from `append_batch`, given the outcomes that
+//! `data/runs_golden.jsonl` is the golden file of the current layout.
+//! Lines 1–4 are verbatim from `append_batch`, given the outcomes that
 //! `data/runs_v6.jsonl`'s lines 1–4 decode to under v6, each record's
 //! window the `duration` of the spec it was written with: every rate
 //! pinned below is the one v6 stored, derived again, except two values
@@ -12,17 +12,16 @@
 //! without flows derives, and line 4's on/off rate, 0.1 + 0.2 bit/s, now
 //! its 640 bytes over 2 s). Line 3 holds the edge values, its ledgers the
 //! extremes that do not overflow; line 5 is v6's line 1, byte for byte;
-//! lines 6–10 are line 1 edited by hand and re-sealed. The records carry
-//! a zero model fingerprint: [`fixture`] puts this build's in its place
-//! and re-seals each line, so the file holds no build's fingerprint and
-//! is never regenerated until `CACHE_SCHEMA` is bumped.
-//! `data/runs_v6.jsonl` — the previous schema's golden file, its rates
-//! stored as floats — stays as the foreign-schema fixture: a v6 store
-//! opens as a cold one.
+//! lines 6–9 are line 1 edited by hand and re-sealed. No line names the
+//! build that wrote it (the store file's name does), so the file is the
+//! same for every build; it changes only with the record layout.
+//! `data/runs_v6.jsonl` — an older layout's golden file, its rates
+//! stored as floats, under the store's old name `runs.jsonl` — is a
+//! legacy store that no build opens.
 
 use std::path::PathBuf;
 
-use hydra_bench::{CacheStats, ConcurrentCache, CACHE_SCHEMA, MODEL_FINGERPRINT};
+use hydra_bench::{CacheStats, ConcurrentCache};
 use hydra_core::{Cat, Ledger};
 use hydra_netsim::{
     parse_scn_file, FlowKind, FlowOutcome, FlowSpec, FlowTraffic, NodeReport, Policy, RunOutcome, RunPerf,
@@ -33,27 +32,8 @@ use hydra_sim::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const V7_FIXTURE: &str = include_str!("data/runs_v7.jsonl");
+const FIXTURE: &str = include_str!("data/runs_golden.jsonl");
 const V6_FIXTURE: &[u8] = include_bytes!("data/runs_v6.jsonl");
-
-/// The fingerprint the fixture's records carry.
-const ZERO_MODEL: &str = "\"hydra-agg.run.v7\",\"0x0000000000000000\"";
-
-/// The golden file as this build would have written it: each line with
-/// the zero fingerprint carries this build's instead, re-sealed; every
-/// other line is kept byte for byte.
-fn fixture() -> Vec<u8> {
-    let model = format!("\"{CACHE_SCHEMA}\",\"{MODEL_FINGERPRINT:#018x}\"");
-    V7_FIXTURE
-        .lines()
-        .flat_map(|line| match line.rsplit_once('#') {
-            Some((json, _)) if json.contains(ZERO_MODEL) => {
-                sealed(json.replacen(ZERO_MODEL, &model, 1).as_bytes())
-            }
-            _ => [line.as_bytes(), b"\n"].concat(),
-        })
-        .collect()
-}
 
 /// A scratch store directory, removed again on drop.
 struct TmpDir(PathBuf);
@@ -71,9 +51,9 @@ fn tmp_dir(tag: &str) -> TmpDir {
     TmpDir(dir)
 }
 
-/// Opens a store whose `runs.jsonl` holds exactly `bytes`.
+/// Opens a store whose file holds exactly `bytes`.
 fn open_bytes(dir: &TmpDir, bytes: &[u8]) -> ConcurrentCache {
-    std::fs::write(dir.0.join("runs.jsonl"), bytes).unwrap();
+    std::fs::write(ConcurrentCache::open(&dir.0).unwrap().path().unwrap(), bytes).unwrap();
     ConcurrentCache::open(&dir.0).expect("open never fails on file contents")
 }
 
@@ -84,9 +64,9 @@ fn sealed(json: &[u8]) -> Vec<u8> {
     line
 }
 
-/// Fixture line `n` (1-based), as [`fixture`] gives it, newline removed.
+/// Fixture line `n` (1-based), newline removed.
 fn fixture_line(n: usize) -> Vec<u8> {
-    fixture().split(|&b| b == b'\n').nth(n - 1).unwrap().to_vec()
+    FIXTURE.lines().nth(n - 1).unwrap().as_bytes().to_vec()
 }
 
 /// The JSON of fixture line `n` (1-based), trailer removed.
@@ -247,8 +227,9 @@ fn arbitrary_store(tag: &str, seed: u64, n: u64) -> (Vec<RunOutcome>, Vec<u8>) {
     let dir = tmp_dir(tag);
     let records: Vec<_> =
         (1..=n).zip(&specs).zip(&outcomes).map(|((hash, spec), o)| (hash, 1, spec, o)).collect();
-    ConcurrentCache::open(&dir.0).unwrap().append_batch(&records).unwrap();
-    let bytes = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
+    let cache = ConcurrentCache::open(&dir.0).unwrap();
+    cache.append_batch(&records).unwrap();
+    let bytes = std::fs::read(cache.path().unwrap()).unwrap();
     (outcomes, bytes)
 }
 
@@ -342,14 +323,18 @@ const MIXED_HASH: u64 = 0x01a4_8cff_3f17_7189;
 #[test]
 fn the_golden_store_decodes_to_the_pinned_values() {
     let dir = tmp_dir("golden");
-    let cache = open_bytes(&dir, &fixture());
-    // Line 5 carries a foreign schema tag, and lines 6–10 are line 1 with
-    // a column too many, one too few, two columns of different kinds
-    // swapped, a sender ledger whose total overflows, and another model's
-    // fingerprint. Nothing is damaged, so all six are skipped and kept;
-    // lines 9 and 10 in particular do not replace line 1.
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 6, quarantined: 0 });
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), fixture(), "a clean open rewrites nothing");
+    let cache = open_bytes(&dir, FIXTURE.as_bytes());
+    // Line 5 is a v6 record, and lines 6–9 are line 1 with a column too
+    // many, one too few, two columns of different kinds swapped, and a
+    // sender ledger whose total overflows. Nothing is damaged, so all
+    // five are skipped and kept; line 9 in particular does not replace
+    // line 1.
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 5, quarantined: 0 });
+    assert_eq!(
+        std::fs::read(cache.path().unwrap()).unwrap(),
+        FIXTURE.as_bytes(),
+        "a clean open rewrites nothing"
+    );
     let index = cache.index();
     assert_eq!(index.len(), 4);
     assert_eq!((udp_spec().stable_hash(), mixed_spec().stable_hash()), (UDP_HASH, MIXED_HASH));
@@ -465,7 +450,7 @@ fn the_golden_store_decodes_to_the_pinned_values() {
 
 #[test]
 fn the_encoder_reproduces_the_golden_bytes() {
-    let golden = open_bytes(&tmp_dir("golden-read"), &fixture()).index();
+    let golden = open_bytes(&tmp_dir("golden-read"), FIXTURE.as_bytes()).index();
     let (udp, mixed) = (udp_spec(), mixed_spec());
     // What `append_batch` was given for lines 1–4. The event count is
     // not part of a decoded outcome; it comes back from the hint.
@@ -477,8 +462,8 @@ fn the_encoder_reproduces_the_golden_bytes() {
     let outcomes =
         [fresh(UDP_HASH, 1), fresh(MIXED_HASH, 1), fresh(0x00c0_ffee, 7), fresh(0xdead_beef_0000_0001, 1)];
     let dir = tmp_dir("golden-write");
-    ConcurrentCache::open(&dir.0)
-        .unwrap()
+    let cache = ConcurrentCache::open(&dir.0).unwrap();
+    cache
         .append_batch(&[
             (UDP_HASH, 1, &udp, &outcomes[0]),
             (MIXED_HASH, 1, &mixed, &outcomes[1]),
@@ -486,34 +471,39 @@ fn the_encoder_reproduces_the_golden_bytes() {
             (0xdead_beef_0000_0001, 1, &mixed, &outcomes[3]),
         ])
         .unwrap();
-    let written = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
-    let golden = fixture();
-    let four_lines = golden.iter().enumerate().filter(|(_, &b)| b == b'\n').nth(3).unwrap().0 + 1;
-    assert_eq!(String::from_utf8(written).unwrap(), std::str::from_utf8(&golden[..four_lines]).unwrap());
+    let written = std::fs::read_to_string(cache.path().unwrap()).unwrap();
+    let four_lines = FIXTURE.match_indices('\n').nth(3).unwrap().0 + 1;
+    assert_eq!(written, FIXTURE[..four_lines]);
 }
 
 #[test]
 fn a_ledger_category_is_its_index_in_cat_all() {
     // A ledger's slots are written in `Cat::ALL` order, so a category's
-    // column is its index there and that order is part of the format: reordering or adding a `Cat` needs a schema bump.
+    // column is its index there and that order is part of the format:
+    // reordering or adding a `Cat` changes the layout.
     let order = [Cat::Payload, Cat::MacHeader, Cat::Phy, Cat::Control, Cat::Difs, Cat::Sifs, Cat::Backoff];
     assert_eq!(Cat::ALL, order);
     let ledger = ",1800,409846200,11076960,16107720,66046200,12000000,27000000,27650000,0,";
     assert!(fixture_json(1).contains(ledger), "line 1's sender ledger, as written");
-    let index = open_bytes(&tmp_dir("cat-order"), &fixture()).index();
+    let index = open_bytes(&tmp_dir("cat-order"), FIXTURE.as_bytes()).index();
     let sender = &index.get(UDP_HASH, 1).unwrap().report.nodes[0];
     let nanos = Cat::ALL.map(|c| sender.ledger[c].as_nanos());
     assert_eq!(nanos, [409_846_200, 11_076_960, 16_107_720, 66_046_200, 12_000_000, 27_000_000, 27_650_000]);
 }
 
+/// A v6 store, under the name every store file had before the file took
+/// the fingerprint's, is never opened: nothing loads, nothing is skipped
+/// or quarantined, and its bytes stay as they were.
 #[test]
 fn a_v6_store_opens_cold_and_untouched() {
     let dir = tmp_dir("v6");
-    let cache = open_bytes(&dir, V6_FIXTURE);
-    // Every line is sealed, so nothing is quarantined; none is v7.
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 9, quarantined: 0 });
+    let legacy = dir.0.join("runs.jsonl");
+    std::fs::write(&legacy, V6_FIXTURE).unwrap();
+    let cache = ConcurrentCache::open(&dir.0).unwrap();
+    assert_eq!(cache.stats(), CacheStats::default());
     assert!(cache.is_empty());
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), V6_FIXTURE, "the old records are kept");
+    assert_ne!(cache.path(), Some(legacy.as_path()));
+    assert_eq!(std::fs::read(&legacy).unwrap(), V6_FIXTURE, "the old records are kept");
 }
 
 /// Table 4's relay ledger, run live, survives the store exactly: every
@@ -781,8 +771,10 @@ fn counters_are_exact_integers() {
     assert_eq!(widest.report.at, Instant::from_nanos(u64::MAX));
     let padded = load_edited("]],1200000000,", "]],000000000000001200000000,").expect("a 26-digit run loads");
     assert_eq!(padded, original);
-    // A wrong schema is just skipped.
-    assert_eq!(load_edited(CACHE_SCHEMA, "hydra-agg.run.v3"), None);
+    // A v7 record, its schema tag and model fingerprint ahead of the
+    // hash, is just skipped.
+    let v7 = "[\"hydra-agg.run.v7\",\"0x0000000000000000\",\"0x5e50";
+    assert_eq!(load_edited("[\"0x5e50", v7), None);
     // The hint is a counter or `null` (no hint); anything else rejects
     // the record like any other column of the wrong kind.
     assert_eq!(load_edited(",1142,true,", ",null,true,"), Some(original));
@@ -841,7 +833,7 @@ proptest! {
 
 #[test]
 fn a_non_utf8_byte_costs_one_record_not_the_store() {
-    let mut bytes = fixture();
+    let mut bytes = FIXTURE.as_bytes().to_vec();
     // Flip the high bit of one byte inside line 2's record.
     let at = bytes.iter().position(|&b| b == b'\n').unwrap() + 40;
     bytes[at] |= 0x80;
@@ -850,7 +842,7 @@ fn a_non_utf8_byte_costs_one_record_not_the_store() {
 
     let dir = tmp_dir("non-utf8");
     let cache = open_bytes(&dir, &bytes);
-    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 6, quarantined: 1 });
+    assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 5, quarantined: 1 });
     let index = cache.index();
     assert_eq!(index.len(), 3, "every other record stays warm");
     assert!(index.get(MIXED_HASH, 1).is_none(), "the damaged record went cold");
@@ -876,7 +868,7 @@ fn a_crc_valid_two_million_deep_line_is_skipped_without_overflowing_the_stack() 
     let cache = open_bytes(&dir, &bytes);
     assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0, skipped: 2, quarantined: 0 });
     assert_eq!(cache.len(), 1, "the record after the hostile lines loads");
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "intact lines stay in the file");
+    assert_eq!(std::fs::read(cache.path().unwrap()).unwrap(), bytes, "intact lines stay in the file");
 
     // Rows nest to a fixed depth: an empty flow list loads, and any
     // deeper nesting in its place does not.
@@ -951,12 +943,12 @@ fn a_hostile_row_costs_its_own_record_and_never_panics() {
     let head: Vec<&str> = head[1..head.len() - 1].split(',').collect();
     let tail: Vec<&str> = tail[1..].splitn(4, ',').collect();
     let flow: Vec<&str> = FLOWS[2..FLOWS.len() - 2].split(',').collect();
-    assert_eq!((head.len(), tail.len(), flow.len()), (8, 4, 6));
+    assert_eq!((head.len(), tail.len(), flow.len()), (6, 4, 6));
     let record = |head: &[&str], flow: &[&str], tail: &[&str]| {
         format!("[{},[[{}]],{}", head.join(","), flow.join(","), tail.join(","))
     };
     assert_eq!(record(&head, &flow, &tail), json);
-    const SCN: usize = 4;
+    const SCN: usize = 2;
     for bad in BAD {
         for at in (0..head.len()).filter(|&at| at != SCN || !bad.starts_with('"')) {
             let mut edited = head.clone();
@@ -989,7 +981,7 @@ fn assert_costs_only_its_record(edited: &str, json: &str) {
     let index = cache.index();
     assert!(index.get(UDP_HASH, 1).is_none(), "`{to:.40}` must not load");
     assert!(index.get(MIXED_HASH, 1).is_some(), "`{to:.40}` costs only its own record");
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), bytes, "the record stays in the file");
+    assert_eq!(std::fs::read(cache.path().unwrap()).unwrap(), bytes, "the record stays in the file");
 }
 
 // ---------------------------------------------------------------------
@@ -1040,8 +1032,9 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
     let wide_line = {
         let dir = tmp_dir("stream-wide");
         let spec = udp_spec();
-        ConcurrentCache::open(&dir.0).unwrap().append_batch(&[(WIDE_HASH, 1, &spec, &wide)]).unwrap();
-        let mut line = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
+        let cache = ConcurrentCache::open(&dir.0).unwrap();
+        cache.append_batch(&[(WIDE_HASH, 1, &spec, &wide)]).unwrap();
+        let mut line = std::fs::read(cache.path().unwrap()).unwrap();
         assert_eq!(line.pop(), Some(b'\n'));
         line
     };
@@ -1085,19 +1078,22 @@ fn the_streaming_open_reads_what_the_whole_file_read_did() {
     }
 
     // Compaction: the intact lines, trimmed, one `\n` each; the damaged
-    // ones, out of band. The lengths of both files, pinned for the v7
-    // bytes (their CRC-32s would move with the model's fingerprint).
-    let live = std::fs::read(dir.0.join("runs.jsonl")).unwrap();
+    // ones, out of band. Both files' lengths and CRC-32s are pinned: no
+    // record names its build, so these bytes are the same for every build.
+    let live = std::fs::read(cache.path().unwrap()).unwrap();
     let corrupt = std::fs::read(dir.0.join("runs.corrupt.jsonl")).unwrap();
     let kept = [&wide_line[..], line(1), &non_utf8[..non_utf8.len() - 1], line(4)].join(&b'\n');
     assert_eq!(live, [&kept[..], b"\n"].concat());
     assert_eq!(corrupt, [&damaged[..], b"\n", torn, b"\n"].concat());
-    assert_eq!((live.len(), corrupt.len()), (1_260_256, 794));
+    let crc = hydra_wire::crc::crc32;
+    assert_eq!((live.len(), crc(&live)), (1_260_096, 0x5f40_dc7c));
+    assert_eq!((corrupt.len(), crc(&corrupt)), (734, 0x2726_1982));
     let healed = ConcurrentCache::open(&dir.0).unwrap();
     assert_eq!((healed.len(), healed.stats().skipped, healed.stats().quarantined), (3, 1, 0));
 
     // A store whose every line is damaged compacts to a lone newline.
     let dir = tmp_dir("stream-all-damaged");
-    assert_eq!(open_bytes(&dir, &[&damaged[..], b"\r\n", torn].concat()).stats().quarantined, 2);
-    assert_eq!(std::fs::read(dir.0.join("runs.jsonl")).unwrap(), b"\n");
+    let cache = open_bytes(&dir, &[&damaged[..], b"\r\n", torn].concat());
+    assert_eq!(cache.stats().quarantined, 2);
+    assert_eq!(std::fs::read(cache.path().unwrap()).unwrap(), b"\n");
 }

@@ -74,34 +74,36 @@ fn warm_rerun_simulates_nothing_and_matches_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A record another build of the model wrote — the same spec and
-/// replication, under another fingerprint — is a miss: the run
-/// simulates again, and the foreign record stays in the file.
+/// Another build's store file — this build's records under another
+/// fingerprint's name — and a store of the old single-file name are never
+/// opened: nothing loads or is skipped, the run simulates again, and both
+/// files keep their bytes.
 #[test]
-fn a_record_from_another_model_is_a_miss_and_stays_in_the_file() {
+fn another_builds_store_file_is_never_read() {
     let dir = tmp_dir("model");
     let specs = &sweep()[..1];
-    let runner = ExperimentRunner::new(1).with_cache(Arc::new(ConcurrentCache::open(&dir).unwrap()));
-    let fresh = render(&runner, specs, 1);
-    // The one record, as another model would have written it: its
-    // fingerprint replaced, the line re-sealed.
-    let path = dir.join("runs.jsonl");
-    let line = std::fs::read_to_string(&path).unwrap();
-    let (ours, theirs) =
-        (format!("\"{MODEL_FINGERPRINT:#018x}\""), format!("\"{:#018x}\"", !MODEL_FINGERPRINT));
-    let json = line.trim_end().rsplit_once('#').unwrap().0.replacen(&ours, &theirs, 1);
-    assert!(json.contains(&theirs), "the record names its model");
-    let foreign = format!("{json}#crc:{:08x}\n", hydra_wire::crc::crc32(json.as_bytes()));
-    std::fs::write(&path, &foreign).unwrap();
+    let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    let fresh = render(&ExperimentRunner::new(1).with_cache(cache.clone()), specs, 1);
+    let ours = cache.path().unwrap().to_path_buf();
+    let bytes = std::fs::read(&ours).unwrap();
+    // The same records as another build would hold them: under its name,
+    // and under the name every build used before the file took one.
+    let name = ours.file_name().unwrap().to_str().unwrap();
+    let hex = format!("{MODEL_FINGERPRINT:016x}");
+    assert!(name.contains(&hex), "the file is named by the fingerprint");
+    let theirs = dir.join(name.replace(&hex, &format!("{:016x}", !MODEL_FINGERPRINT)));
+    let legacy = dir.join("runs.jsonl");
+    std::fs::rename(&ours, &theirs).unwrap();
+    std::fs::copy(&theirs, &legacy).unwrap();
 
     let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
-    assert_eq!(cache.stats(), CacheStats { skipped: 1, ..CacheStats::default() });
+    assert_eq!((cache.len(), cache.stats()), (0, CacheStats::default()));
     let runner = ExperimentRunner::new(1).with_cache(cache.clone());
     assert_eq!(render(&runner, specs, 1), fresh);
     assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1), "the run simulates again");
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with(&foreign), "the foreign record stays in the file");
-    assert_eq!(text.lines().count(), 2);
+    assert_eq!(std::fs::read(&theirs).unwrap(), bytes, "another build's file is untouched");
+    assert_eq!(std::fs::read(&legacy).unwrap(), bytes, "the old store is untouched");
+    assert_eq!(std::fs::read(&ours).unwrap(), bytes, "the run wrote its record to this build's file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -112,19 +114,19 @@ fn corrupted_cache_degrades_to_cold_and_tables_stay_byte_identical() {
     let seeds = 2;
 
     let cache = Arc::new(ConcurrentCache::open(&dir).unwrap());
+    let path = cache.path().unwrap().to_path_buf();
     let cold = render(&ExperimentRunner::new(2).with_cache(cache), &specs, seeds);
 
     // Crash simulation: tear the last record mid-line and flip a byte
     // in the first one.
-    let path = dir.join("runs.jsonl");
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines: Vec<String> = text.lines().map(String::from).collect();
     let torn = lines.last().unwrap().len() / 2;
     let last = lines.last_mut().unwrap();
     last.truncate(torn);
     let first = &mut lines[0];
-    // The rep column, after the hash's 16 hex digits and `",`.
-    let at = first.find(",\"0x").unwrap() + ",\"0x".len() + 16 + "\",".len();
+    // The rep column, after the leading hash's 16 hex digits and `",`.
+    let at = "[\"0x".len() + 16 + "\",".len();
     first.replace_range(at..at + 1, "9");
     std::fs::write(&path, lines.join("\n")).unwrap();
 
