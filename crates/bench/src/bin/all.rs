@@ -27,6 +27,7 @@
 //! hit/miss counts go to stderr so stdout (and the results file) stay
 //! comparable between cold and warm runs.
 use std::io::Write;
+use std::path::Path;
 use std::sync::Arc;
 
 use hydra_bench::{experiments, ConcurrentCache, ExperimentRunner, MODEL_FINGERPRINT};
@@ -119,6 +120,29 @@ fn read_file(path: &str) -> SweepFile {
     parse_scn_file(&text).unwrap_or_else(|e| die(&format!("{path}:{e}")))
 }
 
+/// The note on the store files that other builds left beside `own`:
+/// how many and how large, or `None` when there are none. This build
+/// reads and removes none of them.
+fn other_builds_note(own: &Path) -> Option<String> {
+    let (dir, own) = (own.parent()?, own.file_name()?);
+    let (mut files, mut bytes) = (0, 0);
+    for entry in std::fs::read_dir(dir).ok()?.flatten() {
+        let name = entry.file_name();
+        let text = name.to_string_lossy();
+        if name != own && text.starts_with("runs-") && text.ends_with(".jsonl") {
+            files += 1;
+            bytes += entry.metadata().map_or(0, |m| m.len());
+        }
+    }
+    (files > 0).then(|| {
+        let kb = bytes.div_ceil(1000);
+        format!(
+            "note: {files} store file(s) of other builds in {} ({kb} kB); this build reads none of them",
+            dir.display()
+        )
+    })
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = parse(&argv).unwrap_or_else(|e| die(&e));
@@ -140,6 +164,9 @@ fn main() {
         match cache {
             Ok(cache) => {
                 eprintln!("result cache: {} runs on disk", cache.len());
+                if let Some(note) = cache.path().and_then(other_builds_note) {
+                    eprintln!("{note}");
+                }
                 runner = runner.with_cache(Arc::new(cache));
             }
             Err(e) => eprintln!("warning: result cache unavailable ({e}); keeping runs in memory"),
@@ -235,6 +262,33 @@ mod tests {
         assert_eq!(split("--threads x").unwrap_err(), "bad --threads");
         assert_eq!(split("--cache-dir").unwrap_err(), "--cache-dir needs a value");
         assert_eq!(split("--only fig11_2hop").unwrap_err(), "unknown flag --only");
+    }
+
+    #[test]
+    fn the_note_counts_only_other_builds_store_files() {
+        let dir = std::env::temp_dir().join(format!("hydra-all-note-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let own = dir.join("runs-00000000000000aa.jsonl");
+        assert_eq!(other_builds_note(&own), None, "an empty directory");
+        for (name, len) in [
+            ("runs-00000000000000aa.jsonl", 7),
+            ("runs-00000000000000bb.jsonl", 1500),
+            ("runs-00000000000000cc.jsonl", 600),
+            ("runs-00000000000000dd.jsonl.tmp", 9),
+            ("runs.jsonl", 9),
+            ("runs.corrupt.jsonl", 9),
+        ] {
+            std::fs::write(dir.join(name), vec![b'x'; len]).unwrap();
+        }
+        let note = other_builds_note(&own).expect("two other builds");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            note,
+            format!(
+                "note: 2 store file(s) of other builds in {} (3 kB); this build reads none of them",
+                dir.display()
+            )
+        );
     }
 
     #[test]

@@ -149,8 +149,6 @@ pub fn failure_lines<'a>(source: &str, cells: impl IntoIterator<Item = &'a CellR
 /// clones). Pure measurement: nothing here feeds back into any result.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerTelemetry {
-    /// Sweeps that dispatched at least one fresh (non-cached) job.
-    pub sweeps: u64,
     /// Fresh jobs executed.
     pub jobs: u64,
     /// Always 0: workers pull from one shared list, so there is nothing
@@ -161,9 +159,6 @@ pub struct RunnerTelemetry {
     pub makespan_ms: f64,
     /// Summed job execution time, ms.
     pub busy_ms: f64,
-    /// Summed `threads × makespan` per dispatch, ms: the worker time
-    /// that was on offer.
-    pub capacity_ms: f64,
     /// Worker threads of the most recent dispatch.
     pub threads: usize,
     /// Per-job stats of the most recent sweep's dispatch, in job order;
@@ -172,22 +167,10 @@ pub struct RunnerTelemetry {
 }
 
 impl RunnerTelemetry {
-    /// `busy / Σ(threads × makespan)` over everything accumulated, each
-    /// dispatch weighed at its own width: 1.0 = every worker busy end
-    /// to end; lower = idle tails.
-    pub fn parallel_efficiency(&self) -> f64 {
-        if self.capacity_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_ms / self.capacity_ms).min(1.0)
-    }
-
     fn absorb(&mut self, pool: &PoolTelemetry) {
-        self.sweeps += 1;
-        self.jobs += pool.jobs as u64;
+        self.jobs += pool.per_job.len() as u64;
         self.makespan_ms += pool.makespan_ms;
         self.busy_ms += pool.busy_ms;
-        self.capacity_ms += pool.threads as f64 * pool.makespan_ms;
         self.threads = pool.threads;
         self.per_job = pool.per_job.clone();
     }
@@ -408,12 +391,7 @@ impl ExperimentRunner {
             self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).per_job.clear();
             return Vec::new();
         }
-        let jobs = work
-            .iter()
-            .zip(lpt_costs)
-            .map(|(spec, &cost)| sched::Job::one(cost, move || spec.try_run()))
-            .collect();
-        let (results, pool) = sched::execute(jobs, self.thread_count());
+        let (results, pool) = sched::execute(lpt_costs, self.thread_count(), |i| work[i].try_run());
         self.telemetry.lock().unwrap_or_else(PoisonError::into_inner).absorb(&pool);
         results
     }
@@ -575,10 +553,9 @@ mod tests {
         runner.run_sweep(&[tiny_udp_spec()], 2);
         runner.run_sweep(&[tiny_udp_spec().with_seed(2)], 1);
         let t = runner.telemetry();
-        assert_eq!(t.sweeps, 2);
         assert_eq!(t.jobs, 3);
         assert!(t.makespan_ms > 0.0);
-        assert!(t.parallel_efficiency() > 0.0);
+        assert!(t.busy_ms > 0.0);
         assert_eq!(t.per_job.len(), 1, "per-job stats track the last sweep");
     }
 
@@ -587,14 +564,11 @@ mod tests {
         let runner = ExperimentRunner::new(2);
         runner.run_sweep(&[tiny_udp_spec()], 2);
         let before = runner.telemetry();
-        assert_eq!((before.sweeps, before.jobs, before.threads, before.per_job.len()), (1, 2, 2, 2));
+        assert_eq!((before.jobs, before.threads, before.per_job.len()), (2, 2, 2));
         runner.run_sweep(&[tiny_udp_spec()], 2);
         let after = runner.telemetry();
-        assert_eq!((after.sweeps, after.jobs, after.threads), (1, 2, 2), "an empty dispatch was counted");
-        assert_eq!(
-            (after.makespan_ms, after.busy_ms, after.capacity_ms),
-            (before.makespan_ms, before.busy_ms, before.capacity_ms)
-        );
+        assert_eq!((after.jobs, after.threads), (2, 2), "an empty dispatch was counted");
+        assert_eq!((after.makespan_ms, after.busy_ms), (before.makespan_ms, before.busy_ms));
         assert!(after.per_job.is_empty(), "the most recent sweep ran no job");
     }
 
@@ -660,23 +634,5 @@ mod tests {
             assert!(a.runs.iter().all(Result::is_err));
             assert_eq!(a.runs, b.runs);
         }
-    }
-
-    #[test]
-    fn parallel_efficiency_weighs_each_dispatch_at_its_own_width() {
-        // An 8-job sweep at 4 threads, then a 1-job sweep (width 1):
-        // 300 ms busy over 4×100 + 1×100 ms on offer. Dividing by the
-        // last dispatch's width instead gives 300 / (1×200), clipped
-        // to 1.0.
-        let mut t = RunnerTelemetry::default();
-        let dispatch = |threads, busy_ms| PoolTelemetry {
-            threads,
-            makespan_ms: 100.0,
-            busy_ms,
-            ..PoolTelemetry::default()
-        };
-        t.absorb(&dispatch(4, 200.0));
-        t.absorb(&dispatch(1, 100.0));
-        assert_eq!(t.parallel_efficiency(), 0.6);
     }
 }

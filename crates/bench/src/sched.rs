@@ -5,46 +5,31 @@
 //! this module optimises for *schedule quality* on heterogeneous job
 //! sets, not for nanosecond dispatch, and needs exactly one idea:
 //!
-//! **Longest first**: jobs are sorted by predicted cost descending,
-//! submission index ascending, and workers pull from the front of the
-//! list ([`hydra_sim::pool::run_indexed`]). That is greedy list
-//! scheduling in LPT order — the classic 4/3-approximation to makespan
-//! — with *actual* finish times, not predicted ones, deciding who takes
-//! the next job: a sweep's long pole starts immediately, and a worker
-//! stuck on it strands nothing, because no job belongs to a worker
-//! until that worker starts it.
+//! **Longest first**: job indices are sorted by predicted cost
+//! descending, submission index ascending, and the calling thread plus
+//! `threads − 1` scoped workers each claim the next one off a single
+//! atomic cursor. That is greedy list scheduling in LPT order — the
+//! classic 4/3-approximation to makespan — with *actual* finish times,
+//! not predicted ones, deciding who takes the next job: a sweep's long
+//! pole starts immediately, and a worker stuck on it strands nothing,
+//! because no job belongs to a worker until that worker starts it.
+//! This is the workspace's one dispatch loop and its only
+//! `thread::scope`; at one thread the same loop runs with nothing
+//! spawned.
 //!
 //! Determinism: results land in **job order** regardless of cost
 //! order, thread count, or which worker ran what — nothing a job
 //! computes can depend on any of them. Telemetry (queue waits, busy
 //! time) is measurement and never feeds back into results.
 //!
-//! Closures must not unwind: a panicking job takes the whole dispatch
-//! down. The runner guarantees this by catching panics *inside* every
-//! job (`try_run`), which is also what confines a panicking job to its
-//! own cell on whichever worker it lands.
+//! Jobs must not unwind: a panicking job takes the whole dispatch down
+//! once every worker has stopped. The runner guarantees this by
+//! catching panics *inside* every job (`try_run`), which is also what
+//! confines a panicking job to its own cell on whichever worker it
+//! lands.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// A boxed unit of work returning `T`.
-type Thunk<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-/// One schedulable job: a predicted cost (arbitrary but consistent
-/// units; only the ordering matters) plus its work.
-pub struct Job<'a, T> {
-    /// Predicted work (higher = starts earlier).
-    pub cost: f64,
-    /// The work itself.
-    pub thunk: Thunk<'a, T>,
-}
-
-impl<'a, T> Job<'a, T> {
-    /// A job from a closure.
-    pub fn one(cost: f64, f: impl FnOnce() -> T + Send + 'a) -> Self {
-        Job { cost, thunk: Box::new(f) }
-    }
-}
 
 /// Per-job schedule telemetry (measurement only; never affects results).
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,8 +45,6 @@ pub struct JobStats {
 pub struct PoolTelemetry {
     /// Worker threads used (the calling thread included).
     pub threads: usize,
-    /// Jobs executed.
-    pub jobs: usize,
     /// Wall time of the whole dispatch, ms.
     pub makespan_ms: f64,
     /// Summed job execution time across workers, ms.
@@ -70,80 +53,78 @@ pub struct PoolTelemetry {
     pub per_job: Vec<JobStats>,
 }
 
-/// Executes `jobs` on `threads` workers, returning results **in job
-/// order** plus the schedule telemetry. Jobs start in cost-descending
-/// order (ties in submission order) at every width; `threads <= 1`
-/// runs that same order on the calling thread.
-pub fn execute<'a, T: Send + 'a>(jobs: Vec<Job<'a, T>>, threads: usize) -> (Vec<T>, PoolTelemetry) {
+/// Calls `job(i)` once for every `i` in `0..costs.len()` on `threads`
+/// workers, returning the results **in job order** plus the schedule
+/// telemetry. Jobs start in `costs`-descending order (ties in
+/// submission order; only the ordering of the costs matters) at every
+/// width; the width is capped at the job count, and `threads <= 1` runs
+/// that same order on the calling thread.
+pub fn execute<T: Send>(
+    costs: &[f64],
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, PoolTelemetry) {
     // Longest first; the stable sort keeps ties in submission order.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| jobs[b].cost.total_cmp(&jobs[a].cost));
-    // Each thunk is taken by whichever worker the cursor hands its job to.
-    let thunks: Vec<Mutex<Option<Thunk<'a, T>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j.thunk))).collect();
-
-    let width = threads.clamp(1, thunks.len().max(1));
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
+    let width = threads.clamp(1, costs.len().max(1));
     let t0 = Instant::now();
     let now_ms = || t0.elapsed().as_secs_f64() * 1e3;
-    let ran = hydra_sim::pool::run_indexed(order.len(), width, |k| {
-        let thunk = thunks[order[k]].lock().unwrap_or_else(PoisonError::into_inner).take();
-        let started = now_ms();
-        let result = thunk.expect("the cursor hands each job out once")();
-        (result, started, now_ms())
+    // Relaxed: the cursor only deals out positions in `order`; results
+    // travel back through `join`, which orders them before the reads below.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut mine = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let started = now_ms();
+            let result = job(i);
+            mine.push((i, result, JobStats { queue_wait_ms: started, wall_ms: now_ms() - started }));
+        }
+        mine
+    };
+    let mut ran = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..width).map(|_| scope.spawn(drain)).collect();
+        let mut ran = drain();
+        for worker in workers {
+            ran.extend(worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        ran
     });
 
     // Back into job order.
-    let mut ran: Vec<(usize, (T, f64, f64))> = order.into_iter().zip(ran).collect();
-    ran.sort_unstable_by_key(|&(job, _)| job);
-    let mut telemetry = PoolTelemetry {
-        threads: width,
-        jobs: ran.len(),
-        per_job: Vec::with_capacity(ran.len()),
-        ..PoolTelemetry::default()
-    };
-    let results = ran
-        .into_iter()
-        .map(|(_, (result, started, done))| {
-            telemetry.busy_ms += done - started;
-            telemetry.per_job.push(JobStats { queue_wait_ms: started, wall_ms: done - started });
-            result
-        })
-        .collect();
-    telemetry.makespan_ms = now_ms();
-    (results, telemetry)
+    ran.sort_unstable_by_key(|&(i, ..)| i);
+    let (results, per_job): (Vec<T>, Vec<JobStats>) =
+        ran.into_iter().map(|(_, result, stats)| (result, stats)).unzip();
+    let busy_ms = per_job.iter().map(|j| j.wall_ms).sum();
+    (results, PoolTelemetry { threads: width, makespan_ms: now_ms(), busy_ms, per_job })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
 
     #[test]
     fn results_come_back_in_job_order_at_any_thread_count() {
-        for threads in [1, 2, 4, 8] {
-            let jobs: Vec<Job<'_, usize>> =
-                (0..50).map(|i| Job::one(((i * 37) % 11) as f64, move || i * 2)).collect();
-            let (results, telemetry) = execute(jobs, threads);
-            assert_eq!(results, (0..50).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(telemetry.jobs, 50);
+        for n in [0usize, 1, 2, 7, 50] {
+            let costs: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64).collect();
+            // 1 = nothing spawned, n + 5 = wider than the list.
+            for threads in [1, 2, 4, 8, n + 5] {
+                let (results, telemetry) = execute(&costs, threads, |i| i * 2);
+                assert_eq!(results, (0..n).map(|i| i * 2).collect::<Vec<_>>(), "n={n} threads={threads}");
+                assert_eq!(telemetry.per_job.len(), n);
+                assert_eq!(telemetry.threads, threads.min(n).max(1));
+            }
         }
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-        let jobs: Vec<Job<'_, ()>> = (0..100)
-            .map(|i| {
-                let hits = &hits;
-                Job::one(1.0, move || {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        let (_, telemetry) = execute(jobs, 4);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(telemetry.per_job.len(), 100);
+        for threads in [1, 3, 4] {
+            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            execute(&[1.0; 100], threads, |i| hits[i].fetch_add(1, Ordering::Relaxed));
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "threads={threads}");
+        }
     }
 
     #[test]
@@ -153,13 +134,11 @@ mod tests {
         // order the cursor hands tasks out (wider pools are not
         // asserted: a claimed task may be descheduled before it starts).
         let ticket = AtomicUsize::new(0);
-        let take = || ticket.fetch_add(1, Ordering::Relaxed);
-        let jobs: Vec<Job<'_, usize>> =
-            [2.0, 9.0, 5.0, 9.0, 1.0, 5.0, 7.0].into_iter().map(|cost| Job::one(cost, take)).collect();
-        let (tickets, telemetry) = execute(jobs, 1);
+        let (tickets, telemetry) =
+            execute(&[2.0, 9.0, 5.0, 9.0, 1.0, 5.0, 7.0], 1, |_| ticket.fetch_add(1, Ordering::Relaxed));
         // Costs in job order: 2, 9, 5, 9, 1, 5, 7 → start ranks.
         assert_eq!(tickets, [5, 0, 3, 1, 6, 4, 2]);
-        assert_eq!((telemetry.jobs, telemetry.threads, telemetry.per_job.len()), (7, 1, 7));
+        assert_eq!((telemetry.threads, telemetry.per_job.len()), (1, 7));
     }
 
     #[test]
@@ -169,37 +148,33 @@ mod tests {
         // worker drains the whole rest of the list by itself — the
         // property work stealing used to exist for.
         const OTHERS: usize = 30;
+        const POLE: usize = OTHERS / 2;
         let (tx, rx) = mpsc::channel::<usize>();
-        let mut jobs: Vec<Job<'_, usize>> = (0..OTHERS)
-            .map(|i| {
-                let tx = tx.clone();
-                Job::one((i % 5) as f64, move || {
-                    tx.send(i).expect("the pole is still listening");
-                    i
-                })
-            })
-            .collect();
-        jobs.insert(
-            OTHERS / 2,
-            Job::one(1e9, move || {
-                for _ in 0..OTHERS {
-                    rx.recv().expect("every other job reports");
-                }
-                OTHERS
-            }),
-        );
-        let (results, _) = execute(jobs, 2);
-        let mut expect: Vec<usize> = (0..OTHERS).collect();
-        expect.insert(OTHERS / 2, OTHERS);
+        let rx = Mutex::new(rx);
+        let costs: Vec<f64> = (0..=OTHERS).map(|i| if i == POLE { 1e9 } else { (i % 5) as f64 }).collect();
+        let (results, _) = execute(&costs, 2, |i| {
+            if i != POLE {
+                tx.send(i).expect("the pole is still listening");
+                return i;
+            }
+            let rx = rx.lock().expect("only the pole listens");
+            for _ in 0..OTHERS {
+                rx.recv().expect("every other job reports");
+            }
+            OTHERS
+        });
+        let mut expect: Vec<usize> = (0..=OTHERS).collect();
+        expect[POLE] = OTHERS;
         assert_eq!(results, expect);
     }
 
     #[test]
     fn empty_and_single_job_pools_are_fine() {
-        let (r, t) = execute(Vec::<Job<'_, u8>>::new(), 8);
+        let (r, t) = execute(&[], 8, |_| 0u8);
         assert!(r.is_empty());
-        assert_eq!(t.jobs, 0);
-        let (r, _) = execute(vec![Job::one(1.0, || 7u8)], 8);
+        assert_eq!((t.threads, t.per_job.len()), (1, 0));
+        let (r, t) = execute(&[1.0], 8, |_| 7u8);
         assert_eq!(r, vec![7]);
+        assert_eq!((t.threads, t.per_job.len()), (1, 1));
     }
 }

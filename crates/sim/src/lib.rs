@@ -9,10 +9,7 @@
 //!   bit-stable across platforms and dependency upgrades;
 //! * [`timer::TimerSet`] — generation-counted lazy-cancellation timers;
 //! * [`CountingAlloc`] — an opt-in counting global allocator, the
-//!   measurement side of the allocation-light hot-path work;
-//! * [`pool::run_indexed`] — the workspace's one thread-dispatch loop:
-//!   indices handed out off a shared cursor, results back in index
-//!   order (sweep jobs and collision domains both run on it).
+//!   measurement side of the allocation-light hot-path work.
 //!
 //! Design note: the network layers in this workspace are written *sans-IO*
 //! (pure state machines with typed inputs/outputs, as in smoltcp). This
@@ -31,7 +28,6 @@
 
 mod alloc_count;
 pub mod event;
-pub mod pool;
 pub mod rng;
 pub mod time;
 pub mod timer;
