@@ -92,3 +92,52 @@ fn smoke_sweep_table_numbers_are_golden() {
         assert_eq!(row[3], *golden, "throughput drifted for `{}`", row[1]);
     }
 }
+
+/// One replication's exact counts: the flow's delivered bytes, its
+/// completion time in ns (0 when it ran to the window), and the relay's
+/// data-frame transmissions and retries.
+type RunCounts = (u64, u64, u64, u64);
+
+/// Specs that reach channel paths no shipped table does: a fault
+/// injector on the Hydra channel, and the fault injector stacked with a
+/// bursty per-link error model on a range-limited medium. Captured from
+/// the build whose channel was a runtime list of boxed layers; the
+/// concrete channel must make the same draws in the same order.
+const GOLDEN_CHANNEL_RUNS: &[(&str, u64, &[RunCounts])] = &[
+    (
+        "topo=linear:2 policy=ba rate=1.3 traffic=file:204800 fault=0.05:0.1",
+        3,
+        &[
+            (204800, 15_283_361_843, 133, 66),
+            (204800, 8_882_685_077, 163, 75),
+            (204800, 8_764_245_911, 115, 46),
+        ],
+    ),
+    (
+        "topo=linear:3 policy=ua rate=0.65 traffic=cbr:17ms:1045 medium=spatial:7.0 \
+         link_error=ge:0.05:0.45:0.0:0.5,dup:0.02,reorder:0.02 fault=0.01:0.02",
+        2,
+        &[(355_300, 0, 116, 48), (288_420, 0, 114, 53)],
+    ),
+];
+
+#[test]
+fn fault_and_link_error_runs_are_golden() {
+    for &(line, seeds, golden) in GOLDEN_CHANNEL_RUNS {
+        let spec = ScenarioSpec::from_scn(line).expect("parse");
+        let relay = spec.relays()[0];
+        let cell = ExperimentRunner::sequential().run_sweep(std::slice::from_ref(&spec), seeds).remove(0);
+        let got: Vec<RunCounts> = cell
+            .runs
+            .iter()
+            .map(|r| {
+                let run = r.as_ref().expect("run succeeds");
+                let flow = &run.per_flow[0];
+                let node = &run.report.nodes[relay];
+                let done = flow.completed_at.map_or(0, |at| at.as_nanos());
+                (flow.bytes, done, node.tx_data_frames, node.retries)
+            })
+            .collect();
+        assert_eq!(got, golden, "channel draws drifted for `{line}`");
+    }
+}

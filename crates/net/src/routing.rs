@@ -48,44 +48,23 @@ impl RouteTable {
 /// *by computation*, not by table: [`ArpTable::for_nodes`] is O(1) and
 /// carries no per-node storage. The old map-backed form cost O(n) inserts
 /// per node — O(n²) per world — which dominated world construction in the
-/// thousand-node scaling sweeps. Explicit [`ArpTable::add`] bindings
-/// override the convention.
-#[derive(Debug, Clone, Default)]
+/// thousand-node scaling sweeps.
+#[derive(Debug, Clone)]
 pub struct ArpTable {
     /// Nodes `0..conventional` resolve by the id convention.
     conventional: u16,
-    /// Explicit bindings (checked before the convention), sorted by IP.
-    overrides: Vec<(Ipv4Addr, MacAddr)>,
 }
 
 impl ArpTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The standard table for nodes `0..n` using the id conventions.
     pub fn for_nodes(n: u16) -> Self {
-        ArpTable { conventional: n, overrides: Vec::new() }
-    }
-
-    /// Adds a binding.
-    pub fn add(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        match self.overrides.binary_search_by_key(&ip, |(i, _)| *i) {
-            Ok(i) => self.overrides[i].1 = mac,
-            Err(i) => self.overrides.insert(i, (ip, mac)),
-        }
+        ArpTable { conventional: n }
     }
 
     /// Resolves an IP to a MAC address.
     pub fn resolve(&self, ip: Ipv4Addr) -> Option<MacAddr> {
         if ip.is_broadcast() {
             return Some(MacAddr::BROADCAST);
-        }
-        if !self.overrides.is_empty() {
-            if let Ok(i) = self.overrides.binary_search_by_key(&ip, |(o, _)| *o) {
-                return Some(self.overrides[i].1);
-            }
         }
         // Invert the convention: `10.0.hi.lo` → id `hi << 8 | (lo - 1)`.
         // The round-trip comparison rejects every address the forward
@@ -158,17 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn arp_override_beats_convention() {
-        let mut t = ArpTable::for_nodes(4);
-        let other = MacAddr([0x02, 0, 0, 0, 0xAA, 0xBB]);
-        t.add(Ipv4Addr::from_node_id(2), other);
-        assert_eq!(t.resolve(Ipv4Addr::from_node_id(2)), Some(other));
-        assert_eq!(t.resolve(Ipv4Addr::from_node_id(1)), Some(MacAddr::from_node_id(1)));
-    }
-
-    #[test]
     fn arp_broadcast() {
-        let t = ArpTable::new();
+        let t = ArpTable::for_nodes(0);
         assert_eq!(t.resolve(Ipv4Addr::BROADCAST), Some(MacAddr::BROADCAST));
     }
 }

@@ -627,7 +627,7 @@ impl ScenarioSpec {
         let profile = PhyProfile::hydra();
         let mut channel = ChannelStack::hydra(&profile);
         if let Some((drop_chance, corrupt_chance)) = self.fault {
-            channel = channel.with(hydra_phy::FaultInjector { drop_chance, corrupt_chance });
+            channel = channel.with_fault(hydra_phy::FaultInjector { drop_chance, corrupt_chance });
         }
         let mut world = World::with_medium(&topo, profile, channel, self.seed, self.medium, |i| {
             self.mac_config(i, &relays)

@@ -1,10 +1,12 @@
 //! Channel models: who gets corrupted, and why.
 //!
 //! A [`ChannelModel`] makes per-subframe corruption decisions for each
-//! reception. Models compose with [`ChannelStack`]; the standard Hydra
-//! channel is AWGN (SNR/BER driven) + coherence staleness (the paper's
-//! 120 Ksample aggregate-size cliff). A smoltcp-style [`FaultInjector`]
-//! is available for robustness testing.
+//! reception, and [`apply_channel`] applies them to one copy of a frame.
+//! There are two: [`ChannelStack`], the Hydra channel every reception
+//! passes through — AWGN (SNR/BER driven), then coherence staleness (the
+//! paper's 120 Ksample aggregate-size cliff), then a smoltcp-style
+//! [`FaultInjector`] when a scenario sets `fault=` — and
+//! [`crate::LinkErrorPass`], one transmission's per-link residual error.
 //!
 //! Corruption is applied to the *actual frame bytes* — a corrupted
 //! subframe really fails its CRC at the receiver, exercising the same
@@ -46,17 +48,8 @@ pub trait ChannelModel {
     }
 }
 
-/// A perfect channel. Useful for protocol-logic tests.
-#[derive(Debug, Clone, Default)]
-pub struct IdealChannel;
-
-impl ChannelModel for IdealChannel {
-    fn subframe_corrupt(&mut self, _ctx: &SubframeCtx, _rng: &mut Rng) -> bool {
-        false
-    }
-}
-
-/// AWGN channel: per-subframe error probability from the BER model.
+/// The AWGN part of the Hydra channel: per-subframe error probability
+/// from the BER model.
 ///
 /// The error probability is a pure function of `(rate, bytes, snr_db)`,
 /// and in any one world those inputs repeat endlessly (link SNRs are
@@ -65,8 +58,8 @@ impl ChannelModel for IdealChannel {
 /// caches the computed probability per distinct input; the cached value
 /// is the bit-identical `f64`, so corruption draws — and therefore run
 /// results — are unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct AwgnChannel {
+#[derive(Debug, Default)]
+struct AwgnMemo {
     /// Last `(key, probability)` served — consecutive subframes almost
     /// always share rate, size, and link SNR, so this answers most
     /// lookups without touching the map.
@@ -75,10 +68,11 @@ pub struct AwgnChannel {
     memo: std::collections::HashMap<(u8, u32, u64), f64, BuildSubframeKeyHasher>,
 }
 
-impl ChannelModel for AwgnChannel {
-    fn subframe_corrupt(&mut self, ctx: &SubframeCtx, rng: &mut Rng) -> bool {
+impl AwgnMemo {
+    /// Block error probability of the subframe `ctx` describes.
+    fn block_error_prob(&mut self, ctx: &SubframeCtx) -> f64 {
         let key = (ctx.rate.code().0, ctx.bytes as u32, ctx.snr_db.to_bits());
-        let p = match self.last {
+        match self.last {
             Some((k, p)) if k == key => p,
             _ => {
                 let p = match self.memo.get(&key) {
@@ -93,8 +87,7 @@ impl ChannelModel for AwgnChannel {
                 self.last = Some((key, p));
                 p
             }
-        };
-        rng.chance(p)
+        }
     }
 }
 
@@ -143,18 +136,18 @@ impl std::hash::Hasher for SubframeKeyHasher {
 /// probability ramping from 0 to 1 over `ramp` samples. This produces
 /// the paper's Figure 7 behaviour: throughput climbs with aggregation
 /// size, then collapses once aggregates outgrow ~120 Ksamples.
-#[derive(Debug, Clone)]
-pub struct CoherenceChannel {
+#[derive(Debug)]
+struct Coherence {
     /// Samples of "safe" budget.
-    pub threshold: u64,
+    threshold: u64,
     /// Ramp width in samples.
-    pub ramp: u64,
+    ramp: u64,
 }
 
-impl CoherenceChannel {
+impl Coherence {
     /// Builds from a PHY profile.
     fn from_profile(p: &PhyProfile) -> Self {
-        CoherenceChannel { threshold: p.coherence_samples, ramp: p.coherence_ramp.max(1) }
+        Coherence { threshold: p.coherence_samples, ramp: p.coherence_ramp.max(1) }
     }
 
     /// Corruption probability for a subframe ending at `end_sample`.
@@ -167,14 +160,9 @@ impl CoherenceChannel {
     }
 }
 
-impl ChannelModel for CoherenceChannel {
-    fn subframe_corrupt(&mut self, ctx: &SubframeCtx, rng: &mut Rng) -> bool {
-        rng.chance(self.corruption_prob(ctx.end_sample))
-    }
-}
-
-/// smoltcp-style fault injection: random frame drops and subframe hits.
-#[derive(Debug, Clone, Default)]
+/// smoltcp-style fault injection (a scenario's `fault=`): random frame
+/// drops and subframe hits on top of the Hydra channel.
+#[derive(Debug, Clone)]
 pub struct FaultInjector {
     /// Probability a whole frame disappears.
     pub drop_chance: f64,
@@ -182,63 +170,41 @@ pub struct FaultInjector {
     pub corrupt_chance: f64,
 }
 
-impl ChannelModel for FaultInjector {
-    fn subframe_corrupt(&mut self, _ctx: &SubframeCtx, rng: &mut Rng) -> bool {
-        rng.chance(self.corrupt_chance)
-    }
-
-    fn frame_dropped(&mut self, rng: &mut Rng) -> bool {
-        rng.chance(self.drop_chance)
-    }
-}
-
-/// Composition: a subframe is corrupted if *any* layer corrupts it.
-#[derive(Default)]
+/// The Hydra channel: AWGN (SNR/BER driven), then channel-estimate
+/// staleness, then an optional [`FaultInjector`]. A subframe is
+/// corrupted if any of them corrupts it.
+#[derive(Debug)]
 pub struct ChannelStack {
-    layers: Vec<Box<dyn ChannelModel + Send>>,
+    awgn: AwgnMemo,
+    coherence: Coherence,
+    fault: Option<FaultInjector>,
 }
 
 impl ChannelStack {
-    /// The empty (ideal) stack.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The standard Hydra channel: AWGN + coherence staleness.
+    /// The Hydra channel of `profile`, without fault injection.
     pub fn hydra(profile: &PhyProfile) -> Self {
-        ChannelStack::new().with(AwgnChannel::default()).with(CoherenceChannel::from_profile(profile))
+        ChannelStack { awgn: AwgnMemo::default(), coherence: Coherence::from_profile(profile), fault: None }
     }
 
-    /// Adds a layer.
-    pub fn with(mut self, layer: impl ChannelModel + Send + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-}
-
-impl core::fmt::Debug for ChannelStack {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "ChannelStack({} layers)", self.layers.len())
+    /// This channel with `fault` injected after AWGN and staleness.
+    pub fn with_fault(self, fault: FaultInjector) -> Self {
+        ChannelStack { fault: Some(fault), ..self }
     }
 }
 
 impl ChannelModel for ChannelStack {
     fn subframe_corrupt(&mut self, ctx: &SubframeCtx, rng: &mut Rng) -> bool {
-        // Evaluate all layers (no short-circuit) so RNG consumption is
-        // independent of outcomes — keeps runs comparable across configs.
-        let mut corrupt = false;
-        for l in &mut self.layers {
-            corrupt |= l.subframe_corrupt(ctx, rng);
-        }
-        corrupt
+        // Ask every part, in this order, with no short-circuit:
+        // `Rng::chance` draws only for 0 < p < 1, so the draw stream then
+        // depends on the inputs alone, never on an earlier outcome.
+        let noise = rng.chance(self.awgn.block_error_prob(ctx));
+        let stale = rng.chance(self.coherence.corruption_prob(ctx.end_sample));
+        let fault = self.fault.as_ref().is_some_and(|f| rng.chance(f.corrupt_chance));
+        noise | stale | fault
     }
 
     fn frame_dropped(&mut self, rng: &mut Rng) -> bool {
-        let mut dropped = false;
-        for l in &mut self.layers {
-            dropped |= l.frame_dropped(rng);
-        }
-        dropped
+        self.fault.as_ref().is_some_and(|f| rng.chance(f.drop_chance))
     }
 }
 
@@ -257,10 +223,10 @@ impl ChannelModel for ChannelStack {
 /// therefore copies zero PSDU bytes. RNG consumption is identical on
 /// both paths, so runs stay bit-comparable with the pre-copy-on-corrupt
 /// implementation.
-pub fn apply_channel(
+pub fn apply_channel<M: ChannelModel + ?Sized>(
     frame: &OnAirFrame,
     snr_db: f64,
-    model: &mut dyn ChannelModel,
+    model: &mut M,
     rng: &mut Rng,
     profile: &PhyProfile,
 ) -> Option<OnAirFrame> {
@@ -366,10 +332,11 @@ mod tests {
 
     #[test]
     fn ideal_channel_never_corrupts() {
+        // A pass at probability 0 is the ideal channel: no draw, no damage.
         let p = PhyProfile::hydra();
         let f = make_aggregate(3, 1434, Rate::R2_60);
         let mut rng = Rng::seed_from_u64(1);
-        let out = apply_channel(&f, 25.0, &mut IdealChannel, &mut rng, &p).unwrap();
+        let out = apply_channel(&f, 25.0, &mut crate::LinkErrorPass { p: 0.0 }, &mut rng, &p).unwrap();
         match (f, out) {
             (OnAirFrame::Aggregate { psdu: a, .. }, OnAirFrame::Aggregate { psdu: b, .. }) => {
                 assert_eq!(a, b);
@@ -382,7 +349,9 @@ mod tests {
     fn awgn_at_operating_point_is_quasi_lossless() {
         let p = PhyProfile::hydra();
         let mut rng = Rng::seed_from_u64(2);
-        let mut model = AwgnChannel::default();
+        // 3 x 1464 B at 2.6 Mbps stays inside the coherence budget: only
+        // AWGN can corrupt.
+        let mut model = ChannelStack::hydra(&p);
         let eff_snr = p.default_snr_db - p.implementation_loss_db;
         let mut corrupted = 0;
         for _ in 0..200 {
@@ -403,7 +372,7 @@ mod tests {
     fn awgn_kills_64qam_at_operating_point() {
         let p = PhyProfile::hydra();
         let mut rng = Rng::seed_from_u64(3);
-        let mut model = AwgnChannel::default();
+        let mut model = ChannelStack::hydra(&p);
         let eff_snr = p.default_snr_db - p.implementation_loss_db;
         let mut corrupted = 0;
         for _ in 0..50 {
@@ -422,7 +391,7 @@ mod tests {
 
     #[test]
     fn coherence_prob_ramps() {
-        let c = CoherenceChannel { threshold: 120_000, ramp: 20_000 };
+        let c = Coherence { threshold: 120_000, ramp: 20_000 };
         assert_eq!(c.corruption_prob(0), 0.0);
         assert_eq!(c.corruption_prob(120_000), 0.0);
         assert!((c.corruption_prob(130_000) - 0.5).abs() < 1e-9);
@@ -435,7 +404,7 @@ mod tests {
         let p = PhyProfile::hydra();
         // 8 x 1464 B at 0.65 Mbps ≈ 288 Ksamples: far past the budget.
         let f = make_aggregate(8, 1434, Rate::R0_65);
-        let mut model = CoherenceChannel::from_profile(&p);
+        let mut model = ChannelStack::hydra(&p);
         let mut rng = Rng::seed_from_u64(4);
         let out = apply_channel(&f, 25.0, &mut model, &mut rng, &p).unwrap();
         let (OnAirFrame::Aggregate { psdu: orig, slots, .. }, OnAirFrame::Aggregate { psdu: hit, .. }) =
@@ -455,7 +424,7 @@ mod tests {
         let p = PhyProfile::hydra();
         // 3 x 1464 B at 2.6 Mbps ≈ 36 Ksamples: well within budget.
         let f = make_aggregate(3, 1434, Rate::R2_60);
-        let mut model = CoherenceChannel::from_profile(&p);
+        let mut model = ChannelStack::hydra(&p);
         let mut rng = Rng::seed_from_u64(5);
         let out = apply_channel(&f, 25.0, &mut model, &mut rng, &p).unwrap();
         let (OnAirFrame::Aggregate { psdu: a, .. }, OnAirFrame::Aggregate { psdu: b, .. }) = (&f, &out)
@@ -468,7 +437,8 @@ mod tests {
     #[test]
     fn fault_injector_drops_frames() {
         let p = PhyProfile::hydra();
-        let mut model = FaultInjector { drop_chance: 1.0, corrupt_chance: 0.0 };
+        let mut model =
+            ChannelStack::hydra(&p).with_fault(FaultInjector { drop_chance: 1.0, corrupt_chance: 0.0 });
         let mut rng = Rng::seed_from_u64(6);
         let f = make_aggregate(1, 100, Rate::R1_30);
         assert!(apply_channel(&f, 25.0, &mut model, &mut rng, &p).is_none());
@@ -477,7 +447,8 @@ mod tests {
     #[test]
     fn fault_injector_corrupts_control_frames() {
         let p = PhyProfile::hydra();
-        let mut model = FaultInjector { drop_chance: 0.0, corrupt_chance: 1.0 };
+        let mut model =
+            ChannelStack::hydra(&p).with_fault(FaultInjector { drop_chance: 0.0, corrupt_chance: 1.0 });
         let mut rng = Rng::seed_from_u64(7);
         let rts = hydra_wire::ControlFrame::Rts {
             duration_us: 100,
@@ -533,14 +504,16 @@ mod tests {
         type Models = Vec<Box<dyn ChannelModel>>;
         let models = || -> Models {
             vec![
-                Box::new(IdealChannel),
+                Box::new(crate::LinkErrorPass { p: 0.0 }),
                 Box::new(ChannelStack::hydra(&p)),
-                Box::new(FaultInjector { drop_chance: 0.3, corrupt_chance: 0.5 }),
+                Box::new(
+                    ChannelStack::hydra(&p)
+                        .with_fault(FaultInjector { drop_chance: 0.3, corrupt_chance: 0.5 }),
+                ),
                 Box::new(crate::LinkErrorPass { p: 1.0 }),
                 Box::new(
-                    ChannelStack::new()
-                        .with(AwgnChannel::default())
-                        .with(FaultInjector { drop_chance: 0.1, corrupt_chance: 0.9 }),
+                    ChannelStack::hydra(&p)
+                        .with_fault(FaultInjector { drop_chance: 0.1, corrupt_chance: 0.9 }),
                 ),
             ]
         };
@@ -592,7 +565,8 @@ mod tests {
         // Even when every subframe is corrupted, all subframes must still
         // be found by the parser (length fields are spared).
         let p = PhyProfile::hydra();
-        let mut model = FaultInjector { drop_chance: 0.0, corrupt_chance: 1.0 };
+        let mut model =
+            ChannelStack::hydra(&p).with_fault(FaultInjector { drop_chance: 0.0, corrupt_chance: 1.0 });
         let mut rng = Rng::seed_from_u64(8);
         let f = make_aggregate(4, 1434, Rate::R2_60);
         let out = apply_channel(&f, 25.0, &mut model, &mut rng, &p).unwrap();
@@ -602,19 +576,114 @@ mod tests {
         assert!(parsed.iter().all(|s| !s.fcs_ok));
     }
 
-    #[test]
-    fn stack_composes() {
-        let p = PhyProfile::hydra();
-        let mut stack = ChannelStack::new()
-            .with(IdealChannel)
-            .with(FaultInjector { drop_chance: 0.0, corrupt_chance: 1.0 });
-        let mut rng = Rng::seed_from_u64(9);
-        let f = make_aggregate(1, 500, Rate::R1_30);
-        let out = apply_channel(&f, 25.0, &mut stack, &mut rng, &p).unwrap();
-        let (OnAirFrame::Aggregate { psdu: a, .. }, OnAirFrame::Aggregate { psdu: b, .. }) = (&f, &out)
-        else {
-            panic!()
+    /// The Hydra channel as a list of separate layers: AWGN, coherence
+    /// and fault, each asked per subframe in that order with no
+    /// short-circuit, every layer asked whether the frame drops before
+    /// the walk. No memo: every probability is computed afresh.
+    struct LayeredReference {
+        profile: PhyProfile,
+        fault: Option<FaultInjector>,
+    }
+
+    impl ChannelModel for LayeredReference {
+        fn subframe_corrupt(&mut self, ctx: &SubframeCtx, rng: &mut Rng) -> bool {
+            let mut corrupt = false;
+            let awgn = block_error_prob(coded_ber(ctx.rate, ctx.snr_db), ctx.bytes as u64 * 8);
+            corrupt |= rng.chance(awgn);
+            let (threshold, ramp) = (self.profile.coherence_samples, self.profile.coherence_ramp.max(1));
+            let stale = ctx.end_sample.saturating_sub(threshold) as f64 / ramp as f64;
+            corrupt |= rng.chance(stale.min(1.0));
+            if let Some(f) = &self.fault {
+                corrupt |= rng.chance(f.corrupt_chance);
+            }
+            corrupt
+        }
+
+        fn frame_dropped(&mut self, rng: &mut Rng) -> bool {
+            // AWGN and coherence never drop a frame, and draw nothing to say so.
+            self.fault.as_ref().is_some_and(|f| rng.chance(f.drop_chance))
+        }
+    }
+
+    /// A random aggregate: 0–3 broadcast and 1–12 unicast subframes of
+    /// random sizes, each portion at a random rate of the whole ladder.
+    fn random_aggregate(rng: &mut Rng) -> OnAirFrame {
+        let repr = SubframeRepr {
+            frame_type: FrameType::Data,
+            retry: false,
+            no_ack: false,
+            duration_us: 0,
+            addr1: MacAddr::from_node_id(1),
+            addr2: MacAddr::from_node_id(0),
+            addr3: MacAddr::from_node_id(0),
         };
-        assert_ne!(a, &b[..]);
+        let mut b = AggregateBuilder::new();
+        for _ in 0..rng.below(4) {
+            b.push_broadcast(&repr, &vec![0x3C; 40 + rng.below(60) as usize]);
+        }
+        for _ in 0..1 + rng.below(12) {
+            b.push_unicast(&repr, &vec![0xAB; 40 + rng.below(1400) as usize]);
+        }
+        let bcast = Rate::ALL[rng.index(Rate::ALL.len())];
+        let ucast = Rate::ALL[rng.index(Rate::ALL.len())];
+        let (phy_hdr, psdu, slots) = b.finish(bcast.code(), ucast.code());
+        OnAirFrame::aggregate(phy_hdr, psdu, slots)
+    }
+
+    fn payload(frame: &OnAirFrame) -> Vec<u8> {
+        match frame {
+            OnAirFrame::Control(ctrl) => ctrl.to_vec(),
+            OnAirFrame::Aggregate { psdu, .. } => psdu.to_vec(),
+        }
+    }
+
+    #[test]
+    fn the_hydra_channel_draws_as_its_layers_did() {
+        let p = PhyProfile::hydra();
+        let rts = hydra_wire::ControlFrame::Rts {
+            duration_us: 100,
+            ra: MacAddr::from_node_id(1),
+            ta: MacAddr::from_node_id(2),
+        };
+        let faults = [None, Some(FaultInjector { drop_chance: 0.05, corrupt_chance: 0.1 })];
+        let (mut clean, mut corrupt, mut dropped) = (0, 0, 0);
+        for fault in faults {
+            let mut ours = match fault.clone() {
+                Some(f) => ChannelStack::hydra(&p).with_fault(f),
+                None => ChannelStack::hydra(&p),
+            };
+            let mut reference = LayeredReference { profile: p.clone(), fault: fault.clone() };
+            let mut gen = Rng::seed_from_u64(0xD0_0D);
+            for round in 0..3000u64 {
+                let frame = if round % 10 == 0 {
+                    OnAirFrame::control_frame(&rts)
+                } else {
+                    random_aggregate(&mut gen)
+                };
+                // 3–12 dB: where AWGN bites at some rates and not others.
+                let snr = 3.0 + gen.below(19) as f64 * 0.5;
+                let mut rng_ref = Rng::seed_from_u64(round);
+                let mut rng = rng_ref.clone();
+                let want = apply_channel(&frame, snr, &mut reference, &mut rng_ref, &p);
+                let got = apply_channel(&frame, snr, &mut ours, &mut rng, &p);
+                match (want, got) {
+                    (None, None) => dropped += 1,
+                    (Some(want), Some(got)) => {
+                        let want = payload(&want);
+                        assert_eq!(payload(&got), want, "bytes on arrival, round {round}");
+                        if want == payload(&frame) {
+                            clean += 1;
+                        } else {
+                            corrupt += 1;
+                        }
+                    }
+                    (want, got) => panic!("drop decisions differ in round {round}: {want:?} vs {got:?}"),
+                }
+                for _ in 0..3 {
+                    assert_eq!(rng.next_u64(), rng_ref.next_u64(), "RNG state after round {round}");
+                }
+            }
+        }
+        assert!(clean > 500 && corrupt > 2000 && dropped > 100, "{clean} / {corrupt} / {dropped}");
     }
 }

@@ -8,9 +8,9 @@
 //!   docs/REPRODUCTION.md);
 //! * [`frame`] — on-air frames and airtime breakdowns;
 //! * [`ber`] — AWGN BER math (Q-function, M-QAM approximations);
-//! * [`channel`] — composable channel models: AWGN, channel-estimate
-//!   coherence staleness (the 120 Ksample cliff of paper §6.1), fault
-//!   injection;
+//! * [`channel`] — the Hydra channel: AWGN, then channel-estimate
+//!   coherence staleness (the 120 Ksample cliff of paper §6.1), then
+//!   optional fault injection;
 //! * [`link_error`] — per-link residual error: independent or bursty
 //!   (two-state Gilbert–Elliott), on deterministic per-link RNG streams;
 //! * [`medium`] — the broadcast medium with carrier-sense edges,
@@ -35,10 +35,7 @@ pub mod placement;
 pub mod profile;
 pub mod rates;
 
-pub use channel::{
-    apply_channel, AwgnChannel, ChannelModel, ChannelStack, CoherenceChannel, FaultInjector, IdealChannel,
-    SubframeCtx,
-};
+pub use channel::{apply_channel, ChannelModel, ChannelStack, FaultInjector, SubframeCtx};
 pub use frame::{Airtime, OnAirControl, OnAirFrame};
 pub use link_error::{link_stream, LinkErrorModel, LinkErrorPass, LinkErrorState, LINK_ERROR_STREAM};
 pub use medium::{BusyEdge, Delivery, Medium, TxId};

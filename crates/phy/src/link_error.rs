@@ -1,6 +1,6 @@
 //! Per-link residual channel-error models: independent and bursty.
 //!
-//! The AWGN/coherence stack in [`crate::channel`] models the *shared*
+//! The Hydra channel in [`crate::channel`] models the *shared*
 //! medium: every receiver in a collision domain draws from one stream
 //! and the error probability is a function of SNR and airtime alone.
 //! Real links also carry *residual* error that is link-local and often
@@ -39,8 +39,8 @@ use crate::channel::{ChannelModel, SubframeCtx};
 /// (`0xC0DE + c`) fork streams.
 pub const LINK_ERROR_STREAM: u64 = 0x4C49_4E4B;
 
-/// A per-link residual error model (applied on top of the shared
-/// AWGN/coherence channel stack).
+/// A per-link residual error model (applied on top of the shared Hydra
+/// channel).
 ///
 /// `ber_*` values are per-subframe corruption probabilities in `0..=1`
 /// (the *block* error ratio of one subframe in that state); the state

@@ -101,17 +101,6 @@ struct ActiveTx {
     interfered: Vec<bool>,
 }
 
-/// Where [`Sparse::link`] finds the SNR of pairs outside the adjacency.
-#[derive(Debug)]
-enum SnrFallback {
-    /// Flat `n × n` SNR matrix (row-major) — kept when the medium was
-    /// built from an explicit link matrix, whose input is O(n²) anyway.
-    Matrix(Vec<f64>),
-    /// Recompute from geometry on demand; `overrides` records links
-    /// taken down by [`Medium::set_link_classes`] after construction.
-    Budget { placement: Placement, budget: LinkBudget, loss_db: f64, overrides: Vec<(u32, u32, f64)> },
-}
-
 /// The sparse production backend.
 #[derive(Debug)]
 struct Sparse {
@@ -120,10 +109,6 @@ struct Sparse {
     /// excluded. Sense superset: every entry senses; `delivers` flags
     /// the decodable subset.
     out: Vec<Vec<OutLink>>,
-    /// The directed link a node forms with itself (kept verbatim so
-    /// [`Medium::link`] round-trips exactly like the dense matrices did;
-    /// the transmission dynamics never consult it).
-    self_link: Vec<Link>,
     /// In-flight transmissions, slab-indexed by [`TxId::index`].
     slots: Vec<Option<ActiveTx>>,
     active_count: usize,
@@ -141,33 +126,24 @@ struct Sparse {
     free_ids: Vec<u64>,
     /// Recycled `interfered` vectors (steady state allocates none).
     interfered_pool: Vec<Vec<bool>>,
-    fallback: SnrFallback,
 }
 
 impl Sparse {
     fn from_links(links: Vec<Vec<Link>>) -> Self {
         let n = links.len();
         assert!(links.iter().all(|row| row.len() == n), "link matrix must be square");
-        let mut snr = Vec::with_capacity(n * n);
-        let mut out: Vec<Vec<OutLink>> = Vec::with_capacity(n);
-        let mut self_link = Vec::with_capacity(n);
-        for (from, row) in links.iter().enumerate() {
-            let mut list = Vec::new();
-            for (to, l) in row.iter().enumerate() {
-                snr.push(l.snr_db);
-                if to == from {
-                    self_link.push(Link {
-                        senses: l.senses || l.delivers,
-                        delivers: l.delivers,
-                        snr_db: l.snr_db,
-                    });
-                } else if l.senses || l.delivers {
-                    list.push(OutLink { to: to as u32, delivers: l.delivers, snr_db: l.snr_db });
-                }
-            }
-            out.push(list);
-        }
-        Self::with_adjacency(n, out, self_link, SnrFallback::Matrix(snr))
+        let out = links
+            .iter()
+            .enumerate()
+            .map(|(from, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter(|&(to, l)| to != from && (l.senses || l.delivers))
+                    .map(|(to, l)| OutLink { to: to as u32, delivers: l.delivers, snr_db: l.snr_db })
+                    .collect()
+            })
+            .collect();
+        Self::with_adjacency(n, out)
     }
 
     fn from_placement(placement: &Placement, budget: &LinkBudget, profile: &PhyProfile) -> Self {
@@ -180,10 +156,7 @@ impl Sparse {
         let index = GridIndex::new(placement, cell);
         let mut scratch = Vec::new();
         let mut out: Vec<Vec<OutLink>> = Vec::with_capacity(n);
-        let mut self_link = Vec::with_capacity(n);
         for from in 0..n {
-            let own = budget.classify(placement.distance_m(from, from));
-            self_link.push(Link { senses: own.senses, delivers: own.delivers, snr_db: own.snr_db - loss });
             index.candidates_near(placement, from, &mut scratch);
             let mut list: Vec<OutLink> = scratch
                 .iter()
@@ -201,20 +174,13 @@ impl Sparse {
             list.sort_unstable_by_key(|l| l.to);
             out.push(list);
         }
-        let fallback = SnrFallback::Budget {
-            placement: placement.clone(),
-            budget: budget.clone(),
-            loss_db: loss,
-            overrides: Vec::new(),
-        };
-        Self::with_adjacency(n, out, self_link, fallback)
+        Self::with_adjacency(n, out)
     }
 
-    fn with_adjacency(n: usize, out: Vec<Vec<OutLink>>, self_link: Vec<Link>, fallback: SnrFallback) -> Self {
+    fn with_adjacency(n: usize, out: Vec<Vec<OutLink>>) -> Self {
         Sparse {
             n,
             out,
-            self_link,
             slots: Vec::new(),
             active_count: 0,
             heard: vec![0; n],
@@ -223,66 +189,36 @@ impl Sparse {
             next_id: 0,
             free_ids: Vec::new(),
             interfered_pool: Vec::new(),
-            fallback,
         }
     }
 
     #[cfg(test)]
     fn set_link_classes(&mut self, from: usize, to: usize, link: Link) {
         assert!(self.active_count == 0, "cannot reclassify links while transmissions are in flight");
+        assert_ne!(from, to, "a node has no link to itself");
         let senses = link.senses || link.delivers;
-        if from == to {
-            self.self_link[from] = Link { senses, delivers: link.delivers, snr_db: link.snr_db };
-        } else {
-            let row = &mut self.out[from];
-            match row.binary_search_by_key(&(to as u32), |l| l.to) {
-                Ok(i) if senses => {
-                    row[i] = OutLink { to: to as u32, delivers: link.delivers, snr_db: link.snr_db }
-                }
-                Ok(i) => {
-                    row.remove(i);
-                }
-                Err(i) if senses => {
-                    row.insert(i, OutLink { to: to as u32, delivers: link.delivers, snr_db: link.snr_db })
-                }
-                Err(_) => {}
+        let row = &mut self.out[from];
+        match row.binary_search_by_key(&(to as u32), |l| l.to) {
+            Ok(i) if senses => {
+                row[i] = OutLink { to: to as u32, delivers: link.delivers, snr_db: link.snr_db }
             }
-        }
-        // Keep the fallback in step so `link()` reports the overridden
-        // SNR even for links that are now down (as the matrices did).
-        match &mut self.fallback {
-            SnrFallback::Matrix(m) => m[from * self.n + to] = link.snr_db,
-            SnrFallback::Budget { overrides, .. } => {
-                let key = (from as u32, to as u32);
-                match overrides.iter_mut().find(|(f, t, _)| (*f, *t) == key) {
-                    Some(entry) => entry.2 = link.snr_db,
-                    None => overrides.push((key.0, key.1, link.snr_db)),
-                }
+            Ok(i) => {
+                row.remove(i);
             }
-        }
-    }
-
-    fn fallback_snr(&self, from: usize, to: usize) -> f64 {
-        match &self.fallback {
-            SnrFallback::Matrix(m) => m[from * self.n + to],
-            SnrFallback::Budget { placement, budget, loss_db, overrides } => overrides
-                .iter()
-                .find(|&&(f, t, _)| (f as usize, t as usize) == (from, to))
-                .map(|&(_, _, snr)| snr)
-                .unwrap_or_else(|| budget.snr_at(placement.distance_m(from, to)) - loss_db),
+            Err(i) if senses => {
+                row.insert(i, OutLink { to: to as u32, delivers: link.delivers, snr_db: link.snr_db })
+            }
+            Err(_) => {}
         }
     }
 
     fn link(&self, from: usize, to: usize) -> Link {
-        if from == to {
-            return self.self_link[from];
-        }
         match self.out[from].binary_search_by_key(&(to as u32), |l| l.to) {
             Ok(i) => {
                 let l = self.out[from][i];
                 Link { senses: true, delivers: l.delivers, snr_db: l.snr_db }
             }
-            Err(_) => Link { senses: false, delivers: false, snr_db: self.fallback_snr(from, to) },
+            Err(_) => Link::NONE,
         }
     }
 
@@ -541,7 +477,8 @@ impl Medium {
     /// A medium from an explicit `n × n` directed link matrix.
     /// `links[from][to].snr_db` is the *effective* SNR handed to the
     /// channel model (implementation loss already applied). Delivery
-    /// implies audibility: `delivers` forces `senses` on.
+    /// implies audibility: `delivers` forces `senses` on. The diagonal
+    /// is ignored: a node has no link to itself.
     fn from_links(links: Vec<Vec<Link>>) -> Self {
         Medium { imp: Backend::Sparse(Sparse::from_links(links)) }
     }
@@ -594,7 +531,10 @@ impl Medium {
         }
     }
 
-    /// The current classification of one directed link.
+    /// The current classification of one directed link, as the
+    /// transmission dynamics see it: a link in the sense adjacency
+    /// carries its classes and effective SNR; any other pair, and a node
+    /// paired with itself, is [`Link::NONE`].
     pub fn link(&self, from: usize, to: usize) -> Link {
         match &self.imp {
             Backend::Sparse(s) => s.link(from, to),
@@ -1035,7 +975,8 @@ mod tests {
     #[test]
     fn grid_binned_placement_matches_all_pairs_classification() {
         // The sparse adjacency built through the GridIndex must classify
-        // exactly the pairs an O(n²) scan would.
+        // exactly the pairs an O(n²) scan would; every other pair, and a
+        // node with itself, is no link.
         let p = PhyProfile::hydra();
         let budget = LinkBudget::hydra(p.default_snr_db);
         let mut rng = MiniRng(7);
@@ -1047,7 +988,11 @@ mod tests {
                 let mut expect = budget.classify(pl.distance_m(f, t));
                 expect.snr_db -= p.implementation_loss_db;
                 let got = m.link(f, t);
-                assert_eq!(got.senses, expect.senses || expect.delivers, "{f}->{t}");
+                if f == t || !(expect.senses || expect.delivers) {
+                    assert_eq!(got, Link::NONE, "{f}->{t}");
+                    continue;
+                }
+                assert!(got.senses, "{f}->{t}");
                 assert_eq!(got.delivers, expect.delivers, "{f}->{t}");
                 assert!((got.snr_db - expect.snr_db).abs() < 1e-12, "{f}->{t}");
             }

@@ -64,6 +64,11 @@ pub struct Link {
     pub snr_db: f64,
 }
 
+impl Link {
+    /// No link: silent and undecodable, at an SNR of −∞.
+    pub const NONE: Link = Link { senses: false, delivers: false, snr_db: f64::NEG_INFINITY };
+}
+
 /// The log-distance link budget mapping distance to link SNR and range
 /// classes.
 ///
