@@ -31,8 +31,6 @@ pub struct FileSender {
     pub total: usize,
     /// Bytes handed to the socket so far.
     pub written: usize,
-    /// When the first byte was buffered.
-    pub started_at: Option<Instant>,
     /// Whether `close` was issued.
     pub closed: bool,
 }
@@ -40,17 +38,14 @@ pub struct FileSender {
 impl FileSender {
     /// Creates a sender for `total` bytes.
     pub fn new(total: usize) -> Self {
-        FileSender { total, written: 0, started_at: None, closed: false }
+        FileSender { total, written: 0, closed: false }
     }
 
     /// Feeds as much of the file as the socket accepts; closes when done.
     /// Call whenever the connection may have freed buffer space.
-    pub fn pump(&mut self, now: Instant, conn: &mut Connection) {
+    pub fn pump(&mut self, conn: &mut Connection) {
         if !conn.is_established() {
             return;
-        }
-        if self.started_at.is_none() {
-            self.started_at = Some(now);
         }
         while self.written < self.total {
             let space = conn.send_capacity();
@@ -81,8 +76,6 @@ pub struct FileReceiver {
     pub received: usize,
     /// True if any byte mismatched the deterministic pattern.
     pub corrupted: bool,
-    /// First byte arrival.
-    pub first_byte_at: Option<Instant>,
     /// When the final byte arrived.
     pub completed_at: Option<Instant>,
 }
@@ -90,7 +83,7 @@ pub struct FileReceiver {
 impl FileReceiver {
     /// Creates a receiver expecting `expected` bytes.
     pub fn new(expected: usize) -> Self {
-        FileReceiver { expected, received: 0, corrupted: false, first_byte_at: None, completed_at: None }
+        FileReceiver { expected, received: 0, corrupted: false, completed_at: None }
     }
 
     /// Drains the connection's receive buffer, verifying content.
@@ -98,9 +91,6 @@ impl FileReceiver {
         let data = conn.recv_drain();
         if data.is_empty() {
             return;
-        }
-        if self.first_byte_at.is_none() {
-            self.first_byte_at = Some(now);
         }
         // Every byte is compared; the differences are OR-ed together
         // rather than branched on.
@@ -145,7 +135,7 @@ mod tests {
         let mut now = Instant::ZERO;
         for _ in 0..100_000 {
             now += Duration::from_millis(1);
-            tx.pump(now, ca);
+            tx.pump(ca);
             let mut quiet = true;
             while let Some((repr, payload)) = ca.poll_transmit(now) {
                 cb.on_segment(now, &repr, &payload);

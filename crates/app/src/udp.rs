@@ -44,10 +44,6 @@ pub struct UdpCbr {
     next_send: Instant,
     sent_in_burst: u32,
     seq: u32,
-    /// Datagrams emitted.
-    pub packets_sent: u64,
-    /// Payload bytes emitted.
-    pub bytes_sent: u64,
 }
 
 impl UdpCbr {
@@ -65,8 +61,6 @@ impl UdpCbr {
             next_send: start,
             sent_in_burst: 0,
             seq: 0,
-            packets_sent: 0,
-            bytes_sent: 0,
         }
     }
 
@@ -107,8 +101,6 @@ impl UdpCbr {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.packets_sent += 1;
-        self.bytes_sent += self.payload_len as u64;
         self.next_send += match self.on_off {
             Some(OnOff { burst, idle }) => {
                 self.sent_in_burst += 1;
@@ -160,17 +152,11 @@ pub struct PortStats {
     pub bytes: u64,
     /// Duplicate datagrams detected (and excluded from the counts).
     pub duplicates: u64,
-    /// Highest sequence number seen + 1.
-    pub highest_seq: u32,
-    /// First arrival.
-    pub first_rx: Option<Instant>,
-    /// Latest arrival.
-    pub last_rx: Option<Instant>,
     seen_window: std::collections::VecDeque<u32>,
 }
 
 impl PortStats {
-    fn on_datagram(&mut self, now: Instant, payload: &[u8]) -> bool {
+    fn on_datagram(&mut self, payload: &[u8]) -> bool {
         if payload.len() >= 4 {
             let seq = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
             if self.seen_window.contains(&seq) {
@@ -181,14 +167,9 @@ impl PortStats {
                 self.seen_window.pop_front();
             }
             self.seen_window.push_back(seq);
-            self.highest_seq = self.highest_seq.max(seq + 1);
         }
         self.packets += 1;
         self.bytes += payload.len() as u64;
-        if self.first_rx.is_none() {
-            self.first_rx = Some(now);
-        }
-        self.last_rx = Some(now);
         true
     }
 }
@@ -213,9 +194,9 @@ impl UdpSink {
     }
 
     /// Records one datagram received on destination port `dst_port`.
-    pub fn on_datagram(&mut self, now: Instant, dst_port: u16, payload: &[u8]) {
+    pub fn on_datagram(&mut self, dst_port: u16, payload: &[u8]) {
         let port = self.ports.entry(dst_port).or_default();
-        if port.on_datagram(now, payload) {
+        if port.on_datagram(payload) {
             self.packets += 1;
             self.bytes += payload.len() as u64;
         } else {
@@ -261,7 +242,7 @@ mod tests {
         // Catch up over a long gap.
         let (pkts, _) = cbr.poll(Instant::from_millis(50));
         assert_eq!(pkts.len(), 5);
-        assert_eq!(cbr.packets_sent, 6);
+        assert_eq!(cbr.seq, 6, "one sequence number per datagram");
     }
 
     #[test]
@@ -285,16 +266,14 @@ mod tests {
     fn sink_counts_and_dedups() {
         let mut sink = UdpSink::new();
         let mut p = vec![0u8; 100];
-        sink.on_datagram(Instant::from_millis(1), 9000, &p);
-        sink.on_datagram(Instant::from_millis(2), 9000, &p); // duplicate seq 0
+        sink.on_datagram(9000, &p);
+        sink.on_datagram(9000, &p); // duplicate seq 0
         p[..4].copy_from_slice(&1u32.to_be_bytes());
-        sink.on_datagram(Instant::from_millis(3), 9000, &p);
+        sink.on_datagram(9000, &p);
         assert_eq!(sink.packets, 2);
         assert_eq!(sink.duplicates, 1);
         assert_eq!(sink.bytes, 200);
-        let port = sink.port(9000).unwrap();
-        assert_eq!(port.first_rx, Some(Instant::from_millis(1)));
-        assert_eq!(port.last_rx, Some(Instant::from_millis(3)));
+        assert_eq!(sink.port(9000).unwrap().duplicates, 1);
     }
 
     #[test]
@@ -304,18 +283,17 @@ mod tests {
         // per-port counters must split the bytes correctly.
         let mut sink = UdpSink::new();
         let p = vec![0u8; 100]; // seq 0
-        sink.on_datagram(Instant::from_millis(1), 9000, &p);
-        sink.on_datagram(Instant::from_millis(2), 9001, &p);
+        sink.on_datagram(9000, &p);
+        sink.on_datagram(9001, &p);
         let mut q = vec![0u8; 50];
         q[..4].copy_from_slice(&1u32.to_be_bytes());
-        sink.on_datagram(Instant::from_millis(3), 9001, &q);
+        sink.on_datagram(9001, &q);
         assert_eq!(sink.duplicates, 0, "flows must not collide in the dedup window");
         assert_eq!(sink.packets, 3);
         assert_eq!(sink.bytes, 250);
         assert_eq!(sink.port_bytes(9000), 100);
         assert_eq!(sink.port_bytes(9001), 150);
         assert_eq!(sink.port(9001).unwrap().packets, 2);
-        assert_eq!(sink.port(9001).unwrap().highest_seq, 2);
         assert_eq!(sink.port_bytes(1234), 0);
     }
 
@@ -332,7 +310,6 @@ mod tests {
         let (pkts, next) = src.poll(Instant::from_millis(14));
         assert_eq!(pkts.len(), 3, "next burst at t = 12, 13, 14 ms");
         assert_eq!(next, Some(Instant::from_millis(24)));
-        assert_eq!(src.packets_sent, 6);
         // Sequence numbers keep running across bursts.
         assert_eq!(src.seq, 6);
     }

@@ -35,8 +35,6 @@ pub struct AssembledFrame {
     pub ucast_burst: Vec<QueuedMpdu>,
     /// Number of broadcast subframes included.
     pub bcast_count: usize,
-    /// Sum of MPDU payload bytes (all portions) — accounting.
-    pub payload_bytes: usize,
     /// Sum of per-subframe header + FCS + padding bytes — accounting.
     pub overhead_bytes: usize,
     /// True if this is a retransmission of a stored burst.
@@ -135,14 +133,15 @@ pub fn assemble(
     // A frame holds no more subframes than are waiting (or being retried),
     // than the policy allows, or than fit under the size cap at the
     // minimum subframe size: size the slot list and the burst once.
+    let policy = cfg.agg.policy;
+    let (bcast_cap, ucast_cap) = (policy.max_broadcast_subframes(), policy.max_unicast_subframes());
     let by_size = psdu_hint / MIN_SUBFRAME + 1;
-    let max_bcast = cfg.agg.max_broadcast_subframes.min(queues.bcast_len()).min(by_size);
+    let max_bcast = bcast_cap.min(queues.bcast_len()).min(by_size);
     let max_ucast = match &retry_burst {
         Some(burst) => burst.len(),
-        None => cfg.agg.max_unicast_subframes.min(queues.ucast_len()).min(by_size),
+        None => ucast_cap.min(queues.ucast_len()).min(by_size),
     };
     let mut builder = AggregateBuilder::with_capacity(psdu_hint, max_bcast + max_ucast);
-    let mut payload_bytes = 0usize;
     let mut overhead_bytes = 0usize;
     let mut bcast_count = 0usize;
 
@@ -153,15 +152,14 @@ pub fn assemble(
         for mpdu in &burst {
             let on_air = SubframeRepr::on_air_len(mpdu.payload.len());
             budget.consume(on_air, ucast_rate);
-            payload_bytes += mpdu.payload.len();
             overhead_bytes += on_air - mpdu.payload.len();
         }
         ucast_burst = burst;
     }
 
     // Broadcast portion.
-    if cfg.agg.broadcast_aggregation {
-        while bcast_count < cfg.agg.max_broadcast_subframes {
+    if policy.broadcasts() {
+        while bcast_count < bcast_cap {
             let Some(head) = queues.peek_bcast() else { break };
             let on_air = SubframeRepr::on_air_len(head.payload.len());
             let is_first = bcast_count == 0 && ucast_burst.is_empty();
@@ -170,7 +168,6 @@ pub fn assemble(
             }
             let mpdu = queues.pop_bcast().expect("peeked");
             budget.consume(on_air, bcast_rate);
-            payload_bytes += mpdu.payload.len();
             overhead_bytes += on_air - mpdu.payload.len();
             let repr = subframe_repr(&mpdu, self_addr, nav_duration_us, false);
             builder.push_broadcast(&repr, &mpdu.payload);
@@ -181,7 +178,6 @@ pub fn assemble(
         // (the standard 802.11 behaviour): one subframe, no unicast mixing.
         let mpdu = queues.pop_bcast().expect("nonempty");
         let on_air = SubframeRepr::on_air_len(mpdu.payload.len());
-        payload_bytes += mpdu.payload.len();
         overhead_bytes += on_air - mpdu.payload.len();
         let repr = subframe_repr(&mpdu, self_addr, nav_duration_us, false);
         builder.push_broadcast(&repr, &mpdu.payload);
@@ -191,7 +187,6 @@ pub fn assemble(
             ucast_dest: None,
             ucast_burst: Vec::new(),
             bcast_count: 1,
-            payload_bytes,
             overhead_bytes,
             is_retry: false,
         });
@@ -201,7 +196,7 @@ pub fn assemble(
     if !is_retry {
         if let Some(dest) = queues.head_unicast_dest() {
             ucast_burst.reserve_exact(max_ucast);
-            while ucast_burst.len() < cfg.agg.max_unicast_subframes {
+            while ucast_burst.len() < ucast_cap {
                 // Peek the next frame for this destination.
                 let Some(mpdu) = queues.take_unicast_for(dest) else { break };
                 let on_air = SubframeRepr::on_air_len(mpdu.payload.len());
@@ -212,7 +207,6 @@ pub fn assemble(
                     break;
                 }
                 budget.consume(on_air, ucast_rate);
-                payload_bytes += mpdu.payload.len();
                 overhead_bytes += on_air - mpdu.payload.len();
                 ucast_burst.push(mpdu);
             }
@@ -236,7 +230,6 @@ pub fn assemble(
         ucast_dest,
         ucast_burst,
         bcast_count,
-        payload_bytes,
         overhead_bytes,
         is_retry,
     })
@@ -245,7 +238,7 @@ pub fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AggPolicy;
+    use crate::config::{AggPolicy, Policy};
     use crate::queues::QueueKind;
     use hydra_sim::Instant;
 
@@ -271,7 +264,7 @@ mod tests {
 
     #[test]
     fn na_sends_one_subframe() {
-        let (mut q, cfg, p) = setup(AggPolicy::no_aggregation());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Na));
         for _ in 0..4 {
             q.push(mpdu(1, 1434, false), QueueKind::Unicast);
         }
@@ -284,7 +277,7 @@ mod tests {
 
     #[test]
     fn ua_fills_to_paper_cap() {
-        let (mut q, cfg, p) = setup(AggPolicy::unicast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ua));
         for _ in 0..5 {
             q.push(mpdu(1, 1434, false), QueueKind::Unicast); // 1464 B each on air
         }
@@ -300,7 +293,7 @@ mod tests {
 
     #[test]
     fn ua_gathers_only_same_destination() {
-        let (mut q, cfg, p) = setup(AggPolicy::unicast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ua));
         q.push(mpdu(1, 500, false), QueueKind::Unicast);
         q.push(mpdu(2, 500, false), QueueKind::Unicast);
         q.push(mpdu(1, 500, false), QueueKind::Unicast);
@@ -313,7 +306,7 @@ mod tests {
 
     #[test]
     fn ba_prepends_broadcasts() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ba));
         q.push(mpdu(3, 77, true), QueueKind::Broadcast); // classified ACK
         q.push(mpdu(3, 77, true), QueueKind::Broadcast);
         q.push(mpdu(1, 1434, false), QueueKind::Unicast);
@@ -330,7 +323,7 @@ mod tests {
 
     #[test]
     fn ba_broadcast_only_frame_when_no_unicast() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ba));
         q.push(mpdu(3, 77, true), QueueKind::Broadcast);
         q.push(mpdu(3, 77, true), QueueKind::Broadcast);
         let f = assemble(&mut q, &cfg, &p, me(), 0, None).unwrap();
@@ -341,7 +334,7 @@ mod tests {
 
     #[test]
     fn non_ba_sends_broadcast_alone() {
-        let (mut q, cfg, p) = setup(AggPolicy::unicast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ua));
         q.push(mpdu(0xFFFF, 100, true), QueueKind::Broadcast);
         q.push(mpdu(1, 1434, false), QueueKind::Unicast);
         let f = assemble(&mut q, &cfg, &p, me(), 0, None).unwrap();
@@ -356,7 +349,7 @@ mod tests {
 
     #[test]
     fn no_forward_mode_caps_at_one_each() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast_no_forward());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::BaNoForward));
         for _ in 0..3 {
             q.push(mpdu(3, 77, true), QueueKind::Broadcast);
             q.push(mpdu(1, 1434, false), QueueKind::Unicast);
@@ -368,7 +361,7 @@ mod tests {
 
     #[test]
     fn oversized_single_frame_still_sent() {
-        let (mut q, mut cfg, p) = setup(AggPolicy::unicast());
+        let (mut q, mut cfg, p) = setup(AggPolicy::new(Policy::Ua));
         cfg.agg.sizing = AggSizing::Fixed(1000);
         q.push(mpdu(1, 1434, false), QueueKind::Unicast);
         let f = assemble(&mut q, &cfg, &p, me(), 0, None).unwrap();
@@ -377,7 +370,7 @@ mod tests {
 
     #[test]
     fn retry_reuses_burst_and_sets_flag() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ba));
         q.push(mpdu(1, 1434, false), QueueKind::Unicast);
         let first = assemble(&mut q, &cfg, &p, me(), 100, None).unwrap();
         assert!(!first.is_retry);
@@ -398,7 +391,7 @@ mod tests {
 
     #[test]
     fn coherence_budget_sizing_caps_by_samples() {
-        let (mut q, mut cfg, p) = setup(AggPolicy::unicast());
+        let (mut q, mut cfg, p) = setup(AggPolicy::new(Policy::Ua));
         // Budget of 40 Ksamples at 0.65 Mbps ≈ 1625 bytes: fits one 1464 B
         // subframe but not two.
         cfg.data_rate = Rate::R0_65;
@@ -416,20 +409,19 @@ mod tests {
 
     #[test]
     fn empty_queues_yield_none() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ba));
         assert!(assemble(&mut q, &cfg, &p, me(), 0, None).is_none());
     }
 
     #[test]
     fn accounting_fields_consistent() {
-        let (mut q, cfg, p) = setup(AggPolicy::broadcast());
+        let (mut q, cfg, p) = setup(AggPolicy::new(Policy::Ba));
         q.push(mpdu(3, 77, true), QueueKind::Broadcast);
         q.push(mpdu(1, 1434, false), QueueKind::Unicast);
         let f = assemble(&mut q, &cfg, &p, me(), 100, None).unwrap();
-        assert_eq!(f.payload_bytes, 77 + 1434);
         // Overhead: (160 - 77) + (1464 - 1434).
         assert_eq!(f.overhead_bytes, 83 + 30);
         let OnAirFrame::Aggregate { psdu, .. } = &f.on_air else { panic!() };
-        assert_eq!(psdu.len(), f.payload_bytes + f.overhead_bytes);
+        assert_eq!(psdu.len(), 77 + 1434 + f.overhead_bytes);
     }
 }

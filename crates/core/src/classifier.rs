@@ -29,8 +29,6 @@ pub struct ClassifierStats {
     pub broadcast: u64,
     /// Pure TCP ACKs rerouted to the broadcast queue.
     pub acks_classified: u64,
-    /// Pure TCP ACKs seen while classification was disabled.
-    pub acks_seen_disabled: u64,
 }
 
 /// The classifier. Stateless except for counters.
@@ -60,12 +58,9 @@ impl Classifier {
             self.stats.broadcast += 1;
             return Classification { queue: QueueKind::Broadcast, no_ack: true };
         }
-        if is_pure_tcp_ack(payload) {
-            if ack_as_broadcast {
-                self.stats.acks_classified += 1;
-                return Classification { queue: QueueKind::Broadcast, no_ack: true };
-            }
-            self.stats.acks_seen_disabled += 1;
+        if ack_as_broadcast && is_pure_tcp_ack(payload) {
+            self.stats.acks_classified += 1;
+            return Classification { queue: QueueKind::Broadcast, no_ack: true };
         }
         self.stats.unicast += 1;
         Classification { queue: QueueKind::Unicast, no_ack: false }
@@ -108,7 +103,8 @@ mod tests {
         let got = c.classify(MacAddr::from_node_id(1), &pure_ack(), false);
         assert_eq!(got.queue, QueueKind::Unicast);
         assert!(!got.no_ack);
-        assert_eq!(c.stats.acks_seen_disabled, 1);
+        assert!(is_pure_tcp_ack(&pure_ack()), "the unicast frame is a pure ACK");
+        assert_eq!(c.stats.acks_classified, 0);
         assert_eq!(c.stats.unicast, 1);
     }
 

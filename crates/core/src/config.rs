@@ -27,29 +27,90 @@ pub enum AggSizing {
     CoherenceBudget(u64),
 }
 
-/// The aggregation policy — which of the paper's mechanisms are active.
+/// The aggregation policies the paper compares, one per scheme: NA, UA
+/// (§3.1), BA (§3.2–3.3), DBA (§6.4.3) and BA without forward
+/// aggregation (§6.4.4). Each enables a fixed set of mechanisms, which
+/// the MAC asks for through the methods below.
+///
+/// The derived `Debug` text is part of every scenario's stable hash, so
+/// renaming a variant moves every derived world seed and store key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// No aggregation: plain 802.11 DCF, one MPDU per PHY frame.
+    Na,
+    /// Unicast aggregation: same-destination MPDUs share one frame.
+    Ua,
+    /// Broadcast aggregation, with TCP ACKs sent as broadcasts.
+    Ba,
+    /// Delayed broadcast aggregation: BA that holds transmission until
+    /// three frames are queued.
+    Dba,
+    /// BA with forward aggregation disabled: each frame carries at most
+    /// one unicast and one broadcast subframe, so all benefit comes from
+    /// combining opposite-direction traffic.
+    BaNoForward,
+}
+
+impl Policy {
+    /// All policies the paper compares.
+    pub const ALL: [Policy; 5] = [Policy::Na, Policy::Ua, Policy::Ba, Policy::Dba, Policy::BaNoForward];
+
+    /// The paper's abbreviation.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Na => "NA",
+            Policy::Ua => "UA",
+            Policy::Ba => "BA",
+            Policy::Dba => "DBA",
+            Policy::BaNoForward => "BA-nofwd",
+        }
+    }
+
+    /// True if pure TCP ACKs are classified as link-level broadcasts and
+    /// broadcast subframes ride in front of data frames (BA).
+    pub(crate) fn broadcasts(&self) -> bool {
+        matches!(self, Policy::Ba | Policy::Dba | Policy::BaNoForward)
+    }
+
+    /// Cap on unicast subframes per frame (1 disables forward
+    /// aggregation).
+    pub(crate) fn max_unicast_subframes(&self) -> usize {
+        match self {
+            Policy::Na | Policy::BaNoForward => 1,
+            Policy::Ua | Policy::Ba | Policy::Dba => usize::MAX,
+        }
+    }
+
+    /// Cap on broadcast subframes per frame.
+    pub(crate) fn max_broadcast_subframes(&self) -> usize {
+        match self {
+            Policy::Ba | Policy::Dba => usize::MAX,
+            Policy::Na | Policy::Ua | Policy::BaNoForward => 1,
+        }
+    }
+
+    /// Hold transmission until this many frames are queued: 3 under DBA,
+    /// 1 (transmit as soon as possible) otherwise.
+    pub(crate) fn min_frames_before_tx(&self) -> usize {
+        match self {
+            Policy::Dba => 3,
+            Policy::Na | Policy::Ua | Policy::Ba | Policy::BaNoForward => 1,
+        }
+    }
+}
+
+/// One node's aggregation settings: the paper's policy, the aggregate
+/// size cap and DBA's flush timeout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggPolicy {
-    /// Forward aggregation of unicast frames to one destination (UA).
-    pub unicast_aggregation: bool,
-    /// Mixing broadcast subframes into data frames and aggregating
-    /// broadcasts with each other (BA).
-    pub broadcast_aggregation: bool,
-    /// Classify pure TCP ACKs as link-level broadcasts (BA).
-    pub tcp_ack_as_broadcast: bool,
+    /// Which of the paper's policies runs; it decides which mechanisms
+    /// are active.
+    pub policy: Policy,
     /// Aggregate size cap.
     pub sizing: AggSizing,
-    /// Cap on unicast subframes per frame (1 disables forward
-    /// aggregation — paper §6.4.4).
-    pub max_unicast_subframes: usize,
-    /// Cap on broadcast subframes per frame.
-    pub max_broadcast_subframes: usize,
-    /// Hold transmission until this many frames are queued (DBA uses 3
-    /// at relays — paper §6.4.3). 1 = transmit as soon as possible.
-    pub min_frames_before_tx: usize,
-    /// Deadlock guard for `min_frames_before_tx > 1`: flush whatever is
-    /// queued after this long. The paper does not specify one; the
-    /// DBA flush timeout row of docs/REPRODUCTION.md sweeps it.
+    /// Deadlock guard for DBA's hold: flush whatever is queued after this
+    /// long. The paper does not specify one; the DBA flush timeout row of
+    /// docs/REPRODUCTION.md sweeps it.
     pub flush_timeout: Duration,
 }
 
@@ -57,68 +118,18 @@ impl AggPolicy {
     /// The paper's maximum aggregation size (§6.1).
     pub const PAPER_MAX_AGG: usize = 5 * 1024;
 
-    /// NA — no aggregation: plain 802.11 DCF, one MPDU per PHY frame.
-    pub fn no_aggregation() -> Self {
+    /// `policy` with the paper's 5 KB cap and a 10 ms flush timeout.
+    pub fn new(policy: Policy) -> Self {
         AggPolicy {
-            unicast_aggregation: false,
-            broadcast_aggregation: false,
-            tcp_ack_as_broadcast: false,
+            policy,
             sizing: AggSizing::Fixed(Self::PAPER_MAX_AGG),
-            max_unicast_subframes: 1,
-            max_broadcast_subframes: 1,
-            min_frames_before_tx: 1,
             flush_timeout: Duration::from_millis(10),
         }
     }
 
-    /// UA — unicast aggregation only (paper §3.1).
-    pub fn unicast() -> Self {
-        AggPolicy { unicast_aggregation: true, max_unicast_subframes: usize::MAX, ..Self::no_aggregation() }
-    }
-
-    /// BA — broadcast aggregation + TCP ACKs as broadcasts (paper §3.2/3.3).
+    /// BA with the paper's defaults.
     pub fn broadcast() -> Self {
-        AggPolicy {
-            broadcast_aggregation: true,
-            tcp_ack_as_broadcast: true,
-            max_broadcast_subframes: usize::MAX,
-            ..Self::unicast()
-        }
-    }
-
-    /// DBA — delayed broadcast aggregation: relays wait for 3 frames
-    /// (paper §6.4.3).
-    pub fn delayed_broadcast() -> Self {
-        AggPolicy { min_frames_before_tx: 3, ..Self::broadcast() }
-    }
-
-    /// BA with forward aggregation disabled (paper §6.4.4): each frame
-    /// carries at most one unicast and one broadcast subframe, so all
-    /// benefit comes from combining opposite-direction traffic.
-    pub fn broadcast_no_forward() -> Self {
-        AggPolicy {
-            max_unicast_subframes: 1,
-            max_broadcast_subframes: 1,
-            unicast_aggregation: false,
-            ..Self::broadcast()
-        }
-    }
-
-    /// Short display name matching the paper's abbreviations.
-    pub fn name(&self) -> &'static str {
-        if self.min_frames_before_tx > 1 {
-            "DBA"
-        } else if self.broadcast_aggregation {
-            if self.max_unicast_subframes == 1 {
-                "BA-nofwd"
-            } else {
-                "BA"
-            }
-        } else if self.unicast_aggregation {
-            "UA"
-        } else {
-            "NA"
-        }
+        Self::new(Policy::Ba)
     }
 }
 
@@ -148,7 +159,7 @@ pub struct MacConfig {
     pub queue_capacity: usize,
     /// Acknowledgement policy.
     pub ack_policy: AckPolicy,
-    /// Aggregation policy.
+    /// The policy, the aggregate size cap and DBA's flush timeout.
     pub agg: AggPolicy,
     /// Margin added to CTS/ACK timeouts beyond the expected response end.
     pub timeout_margin: Duration,
@@ -197,9 +208,6 @@ impl MacConfig {
         if self.queue_capacity == 0 {
             return Err("queue_capacity must be positive".into());
         }
-        if self.agg.min_frames_before_tx == 0 {
-            return Err("min_frames_before_tx must be >= 1".into());
-        }
         match self.agg.sizing {
             AggSizing::Fixed(b) if b < 160 => return Err("max aggregate below one subframe".into()),
             AggSizing::CoherenceBudget(0) => return Err("zero coherence budget".into()),
@@ -219,34 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn policy_names() {
-        assert_eq!(AggPolicy::no_aggregation().name(), "NA");
-        assert_eq!(AggPolicy::unicast().name(), "UA");
-        assert_eq!(AggPolicy::broadcast().name(), "BA");
-        assert_eq!(AggPolicy::delayed_broadcast().name(), "DBA");
-        assert_eq!(AggPolicy::broadcast_no_forward().name(), "BA-nofwd");
-    }
-
-    #[test]
-    fn na_disables_everything() {
-        let na = AggPolicy::no_aggregation();
-        assert!(!na.unicast_aggregation);
-        assert!(!na.broadcast_aggregation);
-        assert!(!na.tcp_ack_as_broadcast);
-        assert_eq!(na.max_unicast_subframes, 1);
-    }
-
-    #[test]
-    fn ba_enables_ack_classification() {
-        let ba = AggPolicy::broadcast();
-        assert!(ba.tcp_ack_as_broadcast);
-        assert!(ba.broadcast_aggregation);
-        assert!(ba.unicast_aggregation);
-    }
-
-    #[test]
-    fn dba_waits_for_three() {
-        assert_eq!(AggPolicy::delayed_broadcast().min_frames_before_tx, 3);
+    fn each_policy_enables_the_paper_mechanisms() {
+        let max = usize::MAX;
+        for (policy, want) in [
+            (Policy::Na, (false, 1, 1, 1)),
+            (Policy::Ua, (false, max, 1, 1)),
+            (Policy::Ba, (true, max, max, 1)),
+            (Policy::Dba, (true, max, max, 3)),
+            (Policy::BaNoForward, (true, 1, 1, 1)),
+        ] {
+            let got = (
+                policy.broadcasts(),
+                policy.max_unicast_subframes(),
+                policy.max_broadcast_subframes(),
+                policy.min_frames_before_tx(),
+            );
+            assert_eq!(got, want, "{}", policy.name());
+        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! 1. **Unicast aggregation (UA)** — same-destination MPDUs share one PHY
 //!    frame and one RTS/CTS/ACK exchange ([`assembler`]);
 //! 2. **Broadcast aggregation (BA)** — broadcast subframes are prepended
-//!    to data frames under a dual-rate PHY header ([`assembler`],
-//!    [`config::AggPolicy`]);
+//!    to data frames under a dual-rate PHY header ([`assembler`]);
 //! 3. **TCP ACKs as broadcasts** — a cross-layer classifier reroutes pure
 //!    TCP ACKs to the broadcast queue; they keep unicast addresses and
 //!    are decode-and-dropped by non-addressed receivers ([`classifier`]).
@@ -16,6 +15,11 @@
 //! Plus the paper's §6.4.3 **DBA** (delayed aggregation), §6.4.4
 //! forward-aggregation ablation, and two §7 future-work extensions:
 //! block ACKs and rate-adaptive (coherence-budget) aggregate sizing.
+//!
+//! A node runs one of the paper's five policies ([`config::Policy`]: NA,
+//! UA, BA, DBA, BA without forward aggregation), which
+//! [`config::AggPolicy`] holds beside the aggregate size cap; the MAC
+//! asks the policy which of the mechanisms above it enables.
 //!
 //! The MAC itself ([`mac::Mac`]) is a sans-IO state machine; wire it to a
 //! medium and a clock with `hydra-netsim`, or drive it directly in tests.
@@ -36,7 +40,7 @@ pub mod queues;
 
 pub use assembler::{assemble, AssembledFrame};
 pub use classifier::{Classification, Classifier, ClassifierStats};
-pub use config::{AckPolicy, AggPolicy, AggSizing, MacConfig};
+pub use config::{AckPolicy, AggPolicy, AggSizing, MacConfig, Policy};
 pub use counters::{Cat, Ledger, MacCounters};
 pub use mac::{Mac, MacInput, MacOutput, MacSink};
 pub use queues::{QueueKind, QueuedMpdu, TxQueues};

@@ -344,7 +344,7 @@ impl Mac {
         payload: Payload,
         out: &mut dyn MacSink,
     ) {
-        let class = self.classifier.classify(next_hop, &payload, self.cfg.agg.tcp_ack_as_broadcast);
+        let class = self.classifier.classify(next_hop, &payload, self.cfg.agg.policy.broadcasts());
         let mpdu = QueuedMpdu { next_hop, src, payload, no_ack: class.no_ack, enqueued_at: now };
         self.queues.push(mpdu, class.queue);
         self.try_contend(now, out);
@@ -362,7 +362,7 @@ impl Mac {
         // DBA gate: hold until enough frames are queued (retries bypass).
         if self.current.is_none()
             && !self.flush_due
-            && self.queues.total_len() < self.cfg.agg.min_frames_before_tx
+            && self.queues.total_len() < self.cfg.agg.policy.min_frames_before_tx()
         {
             if !self.timers.is_armed(Slot::Flush as usize) {
                 let token = self.timers.arm(Slot::Flush as usize);

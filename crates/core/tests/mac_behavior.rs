@@ -1,7 +1,7 @@
 //! Behavioural tests driving the MAC state machine directly (sans-IO):
 //! the test plays the role of the event loop and the medium.
 
-use hydra_core::{AggPolicy, Mac, MacConfig, MacInput, MacOutput};
+use hydra_core::{AggPolicy, Mac, MacConfig, MacInput, MacOutput, Policy};
 use hydra_phy::{OnAirFrame, PhyProfile, Rate};
 use hydra_sim::{Duration, Instant, Rng, TimerToken};
 use hydra_wire::control::ControlFrame;
@@ -146,7 +146,7 @@ fn incoming_aggregate(
 
 #[test]
 fn unicast_tx_runs_full_rts_cts_data_ack_exchange() {
-    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ua), Rate::R1_30);
     enqueue_unicast(&mut h, 1, 500);
 
     // Backoff completes -> RTS.
@@ -190,7 +190,7 @@ fn unicast_tx_runs_full_rts_cts_data_ack_exchange() {
 
 #[test]
 fn broadcast_only_tx_skips_handshake() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     h.feed(MacInput::Enqueue { next_hop: MacAddr::BROADCAST, src: me(), payload: vec![0xEE; 100].into() });
     let f = h.run_until_tx();
     let OnAirFrame::Aggregate { phy_hdr, .. } = &f else { panic!("expected aggregate") };
@@ -205,7 +205,7 @@ fn broadcast_only_tx_skips_handshake() {
 
 #[test]
 fn classified_tcp_ack_goes_to_broadcast_queue_and_air() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     h.feed(MacInput::Enqueue { next_hop: peer(), src: me(), payload: pure_ack_payload(7).into() });
     assert_eq!(h.mac.queues().bcast_len(), 1);
     assert_eq!(h.mac.classifier_stats().acks_classified, 1);
@@ -222,7 +222,7 @@ fn classified_tcp_ack_goes_to_broadcast_queue_and_air() {
 
 #[test]
 fn na_policy_keeps_acks_unicast() {
-    let mut h = Harness::new(AggPolicy::no_aggregation(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Na), Rate::R1_30);
     h.feed(MacInput::Enqueue { next_hop: peer(), src: me(), payload: pure_ack_payload(7).into() });
     assert_eq!(h.mac.queues().bcast_len(), 0);
     assert_eq!(h.mac.queues().ucast_len(), 1);
@@ -233,7 +233,7 @@ fn na_policy_keeps_acks_unicast() {
 
 #[test]
 fn cts_timeout_retries_then_drops() {
-    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ua), Rate::R1_30);
     enqueue_unicast(&mut h, 1, 500);
     let retry_limit = h.mac.config().retry_limit;
 
@@ -253,7 +253,7 @@ fn cts_timeout_retries_then_drops() {
 
 #[test]
 fn channel_busy_freezes_backoff() {
-    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ua), Rate::R1_30);
     enqueue_unicast(&mut h, 1, 500);
     assert_eq!(h.timers.len(), 1, "backoff armed");
     // Channel goes busy before the timer fires: countdown freezes.
@@ -273,7 +273,7 @@ fn channel_busy_freezes_backoff() {
 
 #[test]
 fn dba_waits_for_three_frames_then_sends_together() {
-    let mut h = Harness::new(AggPolicy::delayed_broadcast(), Rate::R2_60);
+    let mut h = Harness::new(AggPolicy::new(Policy::Dba), Rate::R2_60);
     enqueue_unicast(&mut h, 1, 500);
     enqueue_unicast(&mut h, 2, 500);
     // Gate holds at 2 frames: only the flush timer is armed.
@@ -291,7 +291,7 @@ fn dba_waits_for_three_frames_then_sends_together() {
 
 #[test]
 fn dba_flush_timer_releases_stuck_frames() {
-    let mut h = Harness::new(AggPolicy::delayed_broadcast(), Rate::R2_60);
+    let mut h = Harness::new(AggPolicy::new(Policy::Dba), Rate::R2_60);
     enqueue_unicast(&mut h, 1, 500);
     // Only the flush timer is pending; firing it opens the gate.
     h.fire_next_timer();
@@ -305,7 +305,7 @@ fn dba_flush_timer_releases_stuck_frames() {
 
 #[test]
 fn responds_cts_to_rts_after_sifs() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     let rts = ControlFrame::Rts { duration_us: 5000, ra: me(), ta: peer() };
     h.feed(MacInput::Rx(OnAirFrame::control(rts.to_bytes())));
     let f = h.run_until_tx();
@@ -319,7 +319,7 @@ fn responds_cts_to_rts_after_sifs() {
 
 #[test]
 fn delivers_clean_unicast_and_acks() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     let agg = incoming_aggregate(me(), peer(), &[udp_payload(1, 300), udp_payload(2, 300)], None);
     h.feed(MacInput::Rx(agg));
     // Both MPDUs delivered.
@@ -333,7 +333,7 @@ fn delivers_clean_unicast_and_acks() {
 
 #[test]
 fn corrupt_unicast_subframe_discards_all_no_ack() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     let agg = incoming_aggregate(me(), peer(), &[udp_payload(1, 300), udp_payload(2, 300)], None);
     let OnAirFrame::Aggregate { phy_hdr, psdu, slots } = agg else { panic!() };
     // Corrupt a payload byte of the second unicast subframe (the shared
@@ -349,7 +349,7 @@ fn corrupt_unicast_subframe_discards_all_no_ack() {
 
 #[test]
 fn broadcast_subframe_filtered_by_address() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     // Aggregate whose broadcast subframe is addressed to someone else,
     // unicast portion addressed to someone else too.
     let other = MacAddr::from_node_id(7);
@@ -362,7 +362,7 @@ fn broadcast_subframe_filtered_by_address() {
 
 #[test]
 fn broadcast_subframe_addressed_to_me_delivered_without_ack() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     let other = MacAddr::from_node_id(7);
     // Broadcast subframe for me; unicast portion for someone else.
     let agg = incoming_aggregate(other, peer(), &[udp_payload(1, 300)], Some(me()));
@@ -379,7 +379,7 @@ fn broadcast_subframe_addressed_to_me_delivered_without_ack() {
 
 #[test]
 fn true_broadcast_delivered_to_everyone() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     let agg = incoming_aggregate(MacAddr::from_node_id(7), peer(), &[], Some(MacAddr::BROADCAST));
     h.feed(MacInput::Rx(agg));
     assert_eq!(h.delivered.len(), 1);
@@ -387,7 +387,7 @@ fn true_broadcast_delivered_to_everyone() {
 
 #[test]
 fn duplicate_retry_delivery_is_filtered() {
-    let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
     use hydra_wire::aggregate::AggregateBuilder;
     use hydra_wire::subframe::{FrameType, SubframeRepr};
     let build = |retry: bool| {
@@ -423,7 +423,7 @@ fn duplicate_retry_delivery_is_filtered() {
 
 #[test]
 fn rts_for_someone_else_sets_nav_and_defers() {
-    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ua), Rate::R1_30);
     // A long NAV from a foreign RTS.
     let rts = ControlFrame::Rts { duration_us: 50_000, ra: peer(), ta: MacAddr::from_node_id(7) };
     h.feed(MacInput::Rx(OnAirFrame::control(rts.to_bytes())));
@@ -451,7 +451,7 @@ fn rts_for_someone_else_sets_nav_and_defers() {
 /// every control frame through `wrap`, and returns everything observable.
 fn control_exchange_transcript(wrap: fn(&ControlFrame) -> OnAirFrame) -> String {
     let mut log = String::new();
-    let mut h = Harness::new(AggPolicy::unicast(), Rate::R1_30);
+    let mut h = Harness::new(AggPolicy::new(Policy::Ua), Rate::R1_30);
     enqueue_unicast(&mut h, 1, 500);
     enqueue_unicast(&mut h, 2, 500);
     h.fire_next_timer();
@@ -502,7 +502,7 @@ fn a_corrupted_control_frame_is_ignored_however_it_was_built() {
         let hit = apply_channel(built, 25.0, &mut LinkErrorPass { p: 1.0 }, &mut rng, &profile).unwrap();
         let OnAirFrame::Control(c) = &hit else { panic!() };
         assert_eq!(c.typed(), None);
-        let mut h = Harness::new(AggPolicy::broadcast(), Rate::R1_30);
+        let mut h = Harness::new(AggPolicy::new(Policy::Ba), Rate::R1_30);
         h.feed(MacInput::Rx(hit));
         assert_eq!(h.mac.counters.rx_control_ignored, 1, "case {i}");
         assert!(h.timers.is_empty() && h.tx.is_empty(), "a damaged RTS earns no CTS");

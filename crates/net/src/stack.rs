@@ -14,9 +14,9 @@ pub struct NetConfig {
     /// This node's IPv4 address.
     pub addr: Ipv4Addr,
     /// This node's id (stamped into the encap shim).
-    pub node_id: u16,
+    node_id: u16,
     /// TTL for locally originated packets.
-    pub default_ttl: u8,
+    default_ttl: u8,
 }
 
 impl NetConfig {
@@ -92,8 +92,8 @@ pub struct NetStack {
     cfg: NetConfig,
     /// Static routes (public so topology builders can fill it).
     pub routes: RouteTable,
-    /// Static ARP (public for topology builders).
-    pub arp: ArpTable,
+    /// Static ARP.
+    arp: ArpTable,
     /// Statistics.
     pub counters: NetCounters,
     next_packet_id: u32,

@@ -31,6 +31,7 @@ pub mod spec;
 pub mod topology;
 pub mod world;
 
+pub use hydra_core::Policy;
 pub use metrics::{mbps, FlowKind, FlowOutcome, NodeReport, NodeReports, RunReport};
 pub use node::{Apps, Node};
 pub use scn::{
@@ -38,8 +39,8 @@ pub use scn::{
     SweepFile, SweepMeta, TableLayout, MAX_SEEDS, MAX_THREADS,
 };
 pub use spec::{
-    panic_message, Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, RunError, RunOutcome,
-    RunPerf, ScenarioSpec, TopologyKind,
+    panic_message, Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, RunBudget, RunError, RunOutcome, RunPerf,
+    ScenarioSpec, TopologyKind,
 };
 pub use topology::Topology;
 pub use world::{MediumKind, World};

@@ -20,13 +20,11 @@
 
 use std::fmt::{self, Write as _};
 
-use hydra_core::{AckPolicy, AggSizing};
+use hydra_core::{AckPolicy, AggSizing, Policy};
 use hydra_phy::{LinkErrorModel, Rate};
 use hydra_sim::Duration;
 
-use crate::spec::{
-    Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, Policy, RunBudget, ScenarioSpec, TopologyKind,
-};
+use crate::spec::{Flooding, FlowSpec, FlowTraffic, LinkErrorSpec, RunBudget, ScenarioSpec, TopologyKind};
 use crate::world::MediumKind;
 
 /// A parse error with the 1-based line number it occurred on.

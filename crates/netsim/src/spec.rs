@@ -18,7 +18,7 @@
 //! key, and published table (the golden hashes pin them).
 
 use hydra_app::{FileReceiver, FileSender, FloodSink, Flooder, UdpCbr, UdpSink, PAPER_UDP_PAYLOAD};
-use hydra_core::{AckPolicy, AggPolicy, AggSizing, MacConfig};
+use hydra_core::{AckPolicy, AggPolicy, AggSizing, MacConfig, Policy};
 use hydra_phy::{ChannelStack, LinkErrorModel, PhyProfile, Rate};
 use hydra_sim::{Duration, Instant};
 use hydra_tcp::TcpConfig;
@@ -27,55 +27,6 @@ use hydra_wire::{Endpoint, Ipv4Addr};
 use crate::metrics::{FlowKind, FlowOutcome, RunReport};
 use crate::topology::Topology;
 use crate::world::{MediumKind, World};
-
-/// The aggregation policies evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// No aggregation.
-    Na,
-    /// Unicast aggregation.
-    Ua,
-    /// Broadcast aggregation (+ TCP ACKs as broadcasts).
-    Ba,
-    /// Delayed broadcast aggregation (relays wait for 3 frames).
-    Dba,
-    /// BA with forward aggregation disabled (§6.4.4).
-    BaNoForward,
-}
-
-impl Policy {
-    /// The paper's abbreviation.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Na => "NA",
-            Policy::Ua => "UA",
-            Policy::Ba => "BA",
-            Policy::Dba => "DBA",
-            Policy::BaNoForward => "BA-nofwd",
-        }
-    }
-
-    /// The aggregation policy for a node. DBA's 3-frame gate applies at
-    /// *relay* nodes only (paper §6.4.3: "forces relay nodes to pause").
-    fn agg_for(&self, is_relay: bool) -> AggPolicy {
-        match self {
-            Policy::Na => AggPolicy::no_aggregation(),
-            Policy::Ua => AggPolicy::unicast(),
-            Policy::Ba => AggPolicy::broadcast(),
-            Policy::Dba => {
-                if is_relay {
-                    AggPolicy::delayed_broadcast()
-                } else {
-                    AggPolicy::broadcast()
-                }
-            }
-            Policy::BaNoForward => AggPolicy::broadcast_no_forward(),
-        }
-    }
-
-    /// All policies the paper compares.
-    pub const ALL: [Policy; 5] = [Policy::Na, Policy::Ua, Policy::Ba, Policy::Dba, Policy::BaNoForward];
-}
 
 /// Which topology a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,7 +305,8 @@ pub struct ScenarioSpec {
     /// How the radio medium is built: the paper's single shared domain,
     /// or range-limited links from the topology's geometry.
     pub medium: MediumKind,
-    /// Aggregation policy.
+    /// Aggregation policy. Under DBA only the relays hold for three
+    /// frames; the flows' endpoints run BA.
     pub policy: Policy,
     /// Unicast data rate.
     pub rate: Rate,
@@ -600,7 +552,12 @@ impl ScenarioSpec {
 
     pub(crate) fn mac_config(&self, node: usize, relays: &[usize]) -> MacConfig {
         let mut cfg = MacConfig::hydra(self.rate);
-        cfg.agg = self.policy.agg_for(relays.contains(&node));
+        // DBA's 3-frame gate applies at relay nodes only (paper §6.4.3:
+        // "forces relay nodes to pause"); its endpoints run BA.
+        cfg.agg.policy = match self.policy {
+            Policy::Dba if !relays.contains(&node) => Policy::Ba,
+            policy => policy,
+        };
         cfg.agg.sizing = self.sizing.unwrap_or(AggSizing::Fixed(self.max_aggregate));
         if let Some(flush) = self.flush_timeout {
             cfg.agg.flush_timeout = flush;
@@ -935,6 +892,19 @@ impl PartialEq for RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dba_delays_at_the_relays_and_runs_ba_at_the_endpoints() {
+        for kind in [TopologyKind::Linear(3), TopologyKind::Star, TopologyKind::Cross] {
+            let spec = ScenarioSpec::tcp(kind, Policy::Dba, Rate::R1_30);
+            let relays = spec.relays();
+            assert!(!relays.is_empty(), "{kind:?}");
+            for node in 0..kind.node_count() {
+                let want = if relays.contains(&node) { Policy::Dba } else { Policy::Ba };
+                assert_eq!(spec.mac_config(node, &relays).agg.policy, want, "{kind:?} node {node}");
+            }
+        }
+    }
 
     #[test]
     fn relays_are_non_endpoints() {

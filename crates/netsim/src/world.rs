@@ -174,7 +174,7 @@ pub struct World {
     /// Latched when a limit trips: every `run_until*` loop bails
     /// immediately, and [`World::check_budget`] reports
     /// [`RunError::BudgetExhausted`].
-    pub budget_exhausted: bool,
+    budget_exhausted: bool,
 }
 
 /// Empties a parse buffer and re-types it for bytes of another lifetime,
@@ -291,7 +291,7 @@ impl World {
     /// `max_events` events (deterministic — same trip point on every
     /// machine) and stop within roughly `WALL_CHECK_PERIOD` events of
     /// `max_wall` elapsing (a machine-dependent safety valve). Once a
-    /// limit trips, [`World::budget_exhausted`] latches and every
+    /// limit trips, `budget_exhausted` latches and every
     /// further `run_until*` call returns immediately.
     pub fn set_budget(&mut self, budget: RunBudget) {
         self.event_budget = budget.max_events;
@@ -744,7 +744,7 @@ impl World {
             }
             NetVerdict::DeliverUdp { udp, payload, .. } => {
                 if let Some(sink) = self.nodes[node].apps.udp_sink.as_mut() {
-                    sink.on_datagram(now, udp.dst_port, payload);
+                    sink.on_datagram(udp.dst_port, payload);
                 }
             }
             NetVerdict::DeliverRaw { payload, .. } => {
@@ -763,7 +763,7 @@ impl World {
         {
             let n = &mut self.nodes[node];
             for (sender, sock) in &mut n.apps.file_tx {
-                sender.pump(now, n.tcp.socket(*sock));
+                sender.pump(n.tcp.socket(*sock));
             }
             for (recv, sock) in &mut n.apps.file_rx {
                 recv.pump(now, n.tcp.socket(*sock));
@@ -789,7 +789,7 @@ impl World {
         {
             let n = &mut self.nodes[node];
             for (sender, sock) in &mut n.apps.file_tx {
-                sender.pump(now, n.tcp.socket(*sock));
+                sender.pump(n.tcp.socket(*sock));
             }
         }
         self.schedule_tcp_wake(node);

@@ -24,10 +24,9 @@ use crate::rates::Rate;
 /// Context for one subframe's corruption decision.
 #[derive(Debug, Clone, Copy)]
 pub struct SubframeCtx {
-    /// First sample of this subframe within the PSDU (after preamble).
-    pub start_sample: u64,
-    /// One past the last sample.
-    pub end_sample: u64,
+    /// One past the subframe's last sample within the PSDU (after the
+    /// preamble).
+    end_sample: u64,
     /// The rate this subframe is modulated at.
     pub rate: Rate,
     /// On-air bytes of the subframe (header + payload + FCS + pad).
@@ -236,7 +235,6 @@ pub fn apply_channel<M: ChannelModel + ?Sized>(
     match frame {
         OnAirFrame::Control(ctrl) => {
             let ctx = SubframeCtx {
-                start_sample: 0,
                 end_sample: profile.samples_for(ctrl.len(), profile.base_rate),
                 rate: profile.base_rate,
                 bytes: ctrl.len(),
@@ -261,13 +259,7 @@ pub fn apply_channel<M: ChannelModel + ?Sized>(
                 };
                 let len = slot.range.len();
                 let samples = profile.samples_for(len, rate);
-                let ctx = SubframeCtx {
-                    start_sample: cursor,
-                    end_sample: cursor + samples,
-                    rate,
-                    bytes: len,
-                    snr_db,
-                };
+                let ctx = SubframeCtx { end_sample: cursor + samples, rate, bytes: len, snr_db };
                 cursor += samples;
                 if model.subframe_corrupt(&ctx, rng) {
                     corrupt_subframe(damaged.get_or_insert_with(|| psdu.to_vec()), slot, rng);
@@ -475,7 +467,6 @@ mod tests {
             return None;
         }
         let ctx = SubframeCtx {
-            start_sample: 0,
             end_sample: profile.samples_for(bytes.len(), profile.base_rate),
             rate: profile.base_rate,
             bytes: bytes.len(),

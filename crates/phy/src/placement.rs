@@ -80,16 +80,16 @@ impl Link {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkBudget {
     /// Raw link SNR at the reference distance, dB.
-    pub snr_at_ref_db: f64,
+    snr_at_ref_db: f64,
     /// Reference distance, metres (the testbed's 2.5 m spacing).
-    pub ref_distance_m: f64,
+    ref_distance_m: f64,
     /// Log-distance path-loss exponent (≈2 free space, 3–4 indoor).
-    pub path_loss_exp: f64,
+    path_loss_exp: f64,
     /// Minimum raw SNR to decode frames: the delivery-range edge.
-    pub delivery_snr_db: f64,
+    delivery_snr_db: f64,
     /// Minimum raw SNR for energy to trip carrier sense. Lower than
     /// `delivery_snr_db`, so the sense range exceeds the delivery range.
-    pub cs_snr_db: f64,
+    cs_snr_db: f64,
 }
 
 impl LinkBudget {

@@ -232,7 +232,7 @@ pub mod collection {
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
     /// Cases generated per test.
-    pub cases: u32,
+    cases: u32,
 }
 
 impl Default for ProptestConfig {

@@ -57,10 +57,6 @@ pub enum TcpState {
 /// Transfer statistics.
 #[derive(Debug, Clone, Default)]
 pub struct ConnStats {
-    /// Payload bytes handed to `send`.
-    pub bytes_buffered: u64,
-    /// Payload bytes acknowledged by the peer.
-    pub bytes_acked: u64,
     /// Payload bytes delivered to the application.
     pub bytes_received: u64,
     /// Segments emitted (all kinds).
@@ -256,7 +252,6 @@ impl Connection {
         }
         let n = data.len().min(self.send_capacity());
         self.tx_buf.extend(&data[..n]);
-        self.stats.bytes_buffered += n as u64;
         n
     }
 
@@ -658,7 +653,6 @@ impl Connection {
             // Pop acked bytes (the FIN sequence slot is not in tx_buf).
             let data_acked = acked.min(self.tx_buf.len());
             self.tx_buf.drain(..data_acked);
-            self.stats.bytes_acked += data_acked as u64;
             self.snd_una = ack;
             self.rtx_count = 0;
             self.take_rtt_sample(now, ack);

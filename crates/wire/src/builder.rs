@@ -72,9 +72,6 @@ pub struct ParsedMpdu<'a> {
     pub encap: EncapRepr,
     /// IP header, if the shim carries IPv4.
     pub ip: Option<Ipv4Repr>,
-    /// The raw IPv4 packet bytes (shim stripped) — what a forwarder
-    /// re-encapsulates toward the next hop.
-    pub ip_bytes: Option<&'a [u8]>,
     /// Transport content.
     pub l4: L4<'a>,
 }
@@ -83,11 +80,10 @@ pub struct ParsedMpdu<'a> {
 pub fn parse_mpdu_payload(data: &[u8]) -> Result<ParsedMpdu<'_>> {
     let (encap, inner) = EncapRepr::parse(data)?;
     match encap.proto {
-        EncapProto::Raw => Ok(ParsedMpdu { encap, ip: None, ip_bytes: None, l4: L4::Raw(inner) }),
+        EncapProto::Raw => Ok(ParsedMpdu { encap, ip: None, l4: L4::Raw(inner) }),
         EncapProto::Ipv4 => {
             let pkt = Ipv4Packet::new_checked(inner)?;
             let ip = Ipv4Repr::parse(&pkt)?;
-            let ip_bytes = &inner[..ip.packet_len()];
             let l4_bytes = &inner[IPV4_LEN..ip.packet_len()];
             let l4 = match ip.protocol {
                 IpProtocol::Tcp => {
@@ -100,7 +96,7 @@ pub fn parse_mpdu_payload(data: &[u8]) -> Result<ParsedMpdu<'_>> {
                 }
                 IpProtocol::Unknown(_) => return Err(WireError::Malformed),
             };
-            Ok(ParsedMpdu { encap, ip: Some(ip), ip_bytes: Some(ip_bytes), l4 })
+            Ok(ParsedMpdu { encap, ip: Some(ip), l4 })
         }
     }
 }

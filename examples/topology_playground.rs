@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example topology_playground`
 
 use hydra_agg::app::{FileReceiver, FileSender};
-use hydra_agg::mac::{AggPolicy, MacConfig};
+use hydra_agg::mac::{AggPolicy, MacConfig, Policy};
 use hydra_agg::netsim::{FlowOutcome, FlowSpec, FlowTraffic, RunReport, Topology, World};
 use hydra_agg::phy::{ChannelStack, PhyProfile, Rate};
 use hydra_agg::sim::{Duration, Instant};
@@ -23,8 +23,7 @@ fn main() {
     // deeper aggregation (a DBA variant the paper suggests for relays).
     let world_cfg = |node: usize| {
         let mut cfg = MacConfig::hydra(Rate::R2_60);
-        cfg.agg =
-            if node > 0 && node < hops { AggPolicy::delayed_broadcast() } else { AggPolicy::broadcast() };
+        cfg.agg = AggPolicy::new(if node > 0 && node < hops { Policy::Dba } else { Policy::Ba });
         cfg
     };
     let mut world = World::new(&topo, profile, channel, 42, world_cfg);
